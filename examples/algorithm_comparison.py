@@ -5,7 +5,7 @@ Runs every algorithm family in the library — CA3DMM, CA3DMM-S, the
 COSMA-like and CTF-like schedules, the SUMMA family (stationary-C plus
 the auto-dispatched stationary-A/B), 1D, the original 3D, 2.5D, and
 CARMA — on one problem per paper class, all on
-the executed engine (threads + measured traffic), and prints each
+the executed engine (scheduled ranks + measured traffic), and prints each
 algorithm's *measured* per-rank communication volume and simulated
 time.  The orderings mirror Fig. 3's: the 3D-family algorithms move
 the least data, CTF-style grids move the most on rectangular shapes.

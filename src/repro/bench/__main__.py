@@ -56,12 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("names", nargs="*", help="fig2 fig3 fig4 fig5 table1 table2 table3 l_sweep overlap, or 'all'")
     ap.add_argument("--list", action="store_true", help="list available generators")
     ap.add_argument(
-        "--backend", choices=("threads", "des"), default="des",
-        help="virtual-MPI backend for executed stand-ins and artifacts "
-             "(default: des — structural deadlock detection, no scheduler "
-             "noise; both backends produce byte-identical artifacts)",
-    )
-    ap.add_argument(
         "--trace-dir", metavar="DIR", default=None,
         help="also execute a small stand-in of each figure's workload and "
              "write a Chrome trace (<name>.trace.json) under DIR",
@@ -123,27 +117,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown generator {name!r}; use --list", file=sys.stderr)
             rc = 2
             continue
-        if name == "overlap":
-            print(overlap_comparison(backend=args.backend).text)
-        else:
-            print(gen().text)
+        print(gen().text)
         print()
         if name not in TRACE_WORKLOADS:
             continue  # no executed stand-in (e.g. "overlap" runs its own)
         if args.trace_dir:
-            path = trace_artifact(name, args.trace_dir,
-                                  backend=args.backend)
+            path = trace_artifact(name, args.trace_dir)
             print(f"trace artifact: {path}")
             print()
         if args.baseline_dir:
-            path = baseline_artifact(name, args.baseline_dir,
-                                     backend=args.backend)
+            path = baseline_artifact(name, args.baseline_dir)
             print(f"perf baseline: {path}")
             print()
         if args.history_dir:
-            path = history_artifact(name, args.history_dir,
-                                    ledger=args.ledger,
-                                    backend=args.backend)
+            path = history_artifact(name, args.history_dir, ledger=args.ledger)
             print(f"history point: {path}")
             print()
         if plan is not None:

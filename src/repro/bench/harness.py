@@ -62,17 +62,14 @@ def executed_workload(
     name: str,
     machine: MachineModel | None = None,
     faults=None,
-    backend: str | None = None,
 ):
     """Execute the stand-in workload for generator ``name``.
 
     Returns ``(plan, result)`` with event recording on — the input both
     the trace artifacts and the perf baselines are derived from.
     ``faults`` (a :class:`~repro.mpi.faults.FaultPlan`) runs the same
-    workload under deterministic fault injection.  ``backend`` selects
-    the virtual-MPI execution backend (``"threads"``/``"des"``; the two
-    produce identical traces — the parity suite holds them to that).
-    Raises ``KeyError`` for unknown names.
+    workload under deterministic fault injection.  Raises ``KeyError``
+    for unknown names.
     """
     from ..core import ca3dmm_matmul
     from ..core.plan import Ca3dmmPlan
@@ -88,9 +85,7 @@ def executed_workload(
         ca3dmm_matmul(a, b)
 
     mach = machine or pace_phoenix_cpu("mpi")
-    result = run_spmd(
-        p, f, machine=mach, record_events=True, faults=faults, backend=backend
-    )
+    result = run_spmd(p, f, machine=mach, record_events=True, faults=faults)
     return plan, result
 
 
@@ -103,10 +98,7 @@ OVERLAP_SUMMA_GRID: tuple[int, int] = (4, 2)
 OVERLAP_SUMMA_PANEL: int = 64
 
 
-def overlap_comparison(
-    machine: MachineModel | None = None,
-    backend: str | None = "des",
-) -> BenchResult:
+def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
     """Async-engine payoff: pipelined vs synchronous SUMMA, plus Cannon.
 
     Runs the :data:`OVERLAP_WORKLOAD` twice per algorithm — once with
@@ -158,10 +150,8 @@ def overlap_comparison(
         ("summa", summa_body, "summa"),
         ("ca3dmm", ca3dmm_body, "cannon"),
     ):
-        off = run_spmd(p, body, machine=mach_off, record_events=True,
-                       backend=backend)
-        on = run_spmd(p, body, machine=mach_on, record_events=True,
-                      backend=backend)
+        off = run_spmd(p, body, machine=mach_off, record_events=True)
+        on = run_spmd(p, body, machine=mach_on, record_events=True)
         ov = overlap_by_phase(on)
         covered = {}
         for t in on.live_traces:
@@ -406,19 +396,16 @@ def trace_artifact(
     name: str,
     outdir: str | Path,
     machine: MachineModel | None = None,
-    backend: str | None = "des",
 ) -> Path:
     """Execute the stand-in workload for generator ``name`` and write a
     schema-validated Chrome trace to ``outdir/<name>.trace.json``.
 
-    Runs on the DES backend by default (structural deadlock detection,
-    no scheduler noise; traces are backend-identical anyway).  Returns
-    the written path.  Raises ``KeyError`` for unknown names.
+    Returns the written path.  Raises ``KeyError`` for unknown names.
     """
     from ..obs.export import write_chrome_trace
 
     m, n, k, p = TRACE_WORKLOADS[name]
-    _plan, result = executed_workload(name, machine, backend=backend)
+    _plan, result = executed_workload(name, machine)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{name}.trace.json"
@@ -432,7 +419,6 @@ def baseline_artifact(
     name: str,
     outdir: str | Path,
     machine: MachineModel | None = None,
-    backend: str | None = "des",
 ) -> Path:
     """Execute the stand-in workload for ``name`` and write (or refresh)
     its perf baseline under ``outdir/<name>.json``.
@@ -445,7 +431,7 @@ def baseline_artifact(
     from ..obs.baseline import BaselineStore, capture_baseline
 
     m, n, k, p = TRACE_WORKLOADS[name]
-    _plan, result = executed_workload(name, machine, backend=backend)
+    _plan, result = executed_workload(name, machine)
     doc = capture_baseline(
         result,
         name,
@@ -460,7 +446,6 @@ def history_artifact(
     outdir: str | Path,
     machine: MachineModel | None = None,
     ledger: str | Path | None = None,
-    backend: str | None = "des",
 ) -> Path:
     """Execute the stand-in workload for ``name`` and write its
     trajectory point to ``outdir/BENCH_<name>.json``.
@@ -478,7 +463,7 @@ def history_artifact(
     from ..obs.ledger import Ledger, ledger_record
 
     mach = machine or pace_phoenix_cpu("mpi")
-    plan, result = executed_workload(name, mach, backend=backend)
+    plan, result = executed_workload(name, mach)
     audit = audit_run(result, plan, machine=mach)
     record = ledger_record(
         result, plan, f"bench.{name}", audit_ok=audit.ok

@@ -105,9 +105,6 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
         description="CA3DMM example: C = op(A) x op(B) on the virtual MPI runtime",
     )
     ap.add_argument("-np", "--nprocs", type=int, default=8, help="number of ranks")
-    ap.add_argument("--backend", choices=("threads", "des"), default=None,
-                    help="virtual-MPI execution backend (default: "
-                         "$REPRO_MPI_BACKEND or threads)")
     ap.add_argument("--json", action="store_true",
                     help="emit the report as one JSON document (no text output)")
     ap.add_argument("--ledger", nargs="?", const="", default=None,
@@ -223,8 +220,7 @@ def _example_main(argv: list[str] | None) -> int:
         print(f"Comm. volume / lower bound  : {part['q_over_lower_bound']:.2f}")
 
     result = run_spmd(
-        p, _rank_main, args=(args, grid), machine=machine,
-        record_events=args.json, backend=args.backend,
+        p, _rank_main, args=(args, grid), machine=machine, record_events=args.json
     )
     timings, errors, peak = result.results[0]
     nruns = max(1, args.ntest)
@@ -284,9 +280,6 @@ def _obs_parser(name: str, description: str) -> argparse.ArgumentParser:
     ap.add_argument("N", type=int)
     ap.add_argument("K", type=int)
     ap.add_argument("-np", "--nprocs", type=int, default=8)
-    ap.add_argument("--backend", choices=("threads", "des"), default=None,
-                    help="virtual-MPI execution backend (default: "
-                         "$REPRO_MPI_BACKEND or threads)")
     ap.add_argument("--dtype", type=int, choices=(0, 1), default=0,
                     help="0 = CPU machine model, 1 = GPU machine model")
     ap.add_argument("--overlap", choices=("none", "partial", "full"),
@@ -334,8 +327,7 @@ def _append_ledger(args, result, plan, kind: str, nruns: int = 1,
 
 
 def _run_traced(m: int, n: int, k: int, p: int, machine, grid,
-                memory_limit_words: float | None = None,
-                backend: str | None = None):
+                memory_limit_words: float | None = None):
     """One native-layout multiplication with event recording."""
     plan = Ca3dmmPlan(m, n, k, p, grid=grid,
                       memory_limit_words=memory_limit_words)
@@ -346,7 +338,7 @@ def _run_traced(m: int, n: int, k: int, p: int, machine, grid,
         b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 8))
         eng.multiply(a, b)
 
-    result = run_spmd(p, f, machine=machine, record_events=True, backend=backend)
+    result = run_spmd(p, f, machine=machine, record_events=True)
     return plan, result
 
 
@@ -378,8 +370,7 @@ def _trace_main(argv: list[str]) -> int:
                     help="exit nonzero when the drift guard fails")
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
-                               grid, backend=args.backend)
+    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
 
     try:
         doc = write_chrome_trace(
@@ -415,8 +406,7 @@ def _critpath_main(argv: list[str]) -> int:
                     help="chain segments shown in text mode")
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
-    _plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
-                               grid, backend=args.backend)
+    _plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
     report = critpath_report(result)
     _append_ledger(args, result, _plan, "cli.critpath")
     if args.json:
@@ -459,9 +449,6 @@ def _perfdiff_main(argv: list[str]) -> int:
                     help="relative per-phase critical-time tolerance (default 0.10)")
     ap.add_argument("--bytes-tol", type=float, default=None,
                     help="relative traffic tolerance (default 0.02)")
-    ap.add_argument("--backend", choices=("threads", "des"), default=None,
-                    help="virtual-MPI execution backend (default: "
-                         "$REPRO_MPI_BACKEND or threads)")
     ap.add_argument("--inject-latency", type=float, default=1.0, metavar="X",
                     help="scale the machine model's link latency/bandwidth "
                          "costs by X before running (gate self-test; 1.0 = off)")
@@ -494,8 +481,7 @@ def _perfdiff_main(argv: list[str]) -> int:
     diffs, missing = [], []
     for name in names:
         m, n, k, p = TRACE_WORKLOADS[name]
-        _plan, result = executed_workload(name, machine=machine,
-                                          backend=args.backend)
+        _plan, result = executed_workload(name, machine=machine)
         doc = capture_baseline(
             result, name,
             workload={"m": m, "n": n, "k": k, "nprocs": p},
@@ -576,12 +562,8 @@ def _faults_main(argv: list[str]) -> int:
         full = c.to_global()
         return full if comm.rank == 0 else None
 
-    clean = run_spmd(p, f, machine=machine, record_events=True,
-                     backend=args.backend)
-    faulted = run_spmd(
-        p, f, machine=machine, record_events=True, faults=fault_plan,
-        backend=args.backend,
-    )
+    clean = run_spmd(p, f, machine=machine, record_events=True)
+    faulted = run_spmd(p, f, machine=machine, record_events=True, faults=fault_plan)
     correct = np.array_equal(clean.results[0], faulted.results[0])
     report = critpath_report(faulted)
     _append_ledger(args, faulted, plan, "cli.faults")
@@ -711,12 +693,10 @@ def _recover_main(argv: list[str]) -> int:
         )
         return {"c": c.to_global(), "salvage": salvage}
 
-    clean = run_spmd(p, f, machine=machine, record_events=True,
-                     backend=args.backend)
+    clean = run_spmd(p, f, machine=machine, record_events=True)
     try:
         faulted = run_spmd(
-            p, f, machine=machine, record_events=True, faults=fault_plan,
-            backend=args.backend,
+            p, f, machine=machine, record_events=True, faults=fault_plan
         )
     except RuntimeError as exc:
         print(f"recovery failed: {exc.__cause__ or exc}", file=sys.stderr)
@@ -921,7 +901,7 @@ def _checkpoint_main(argv: list[str]) -> int:
             }
 
         result = run_spmd(p, f, machine=machine, record_events=True,
-                          faults=faults, backend=args.backend)
+                          faults=faults)
         return result, store
 
     try:
@@ -1025,8 +1005,7 @@ def _stats_main(argv: list[str]) -> int:
                     help="exit nonzero when the drift guard fails")
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
-                               grid, backend=args.backend)
+    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
     metrics = snapshot_run(result, plan)
     report = drift_report(result, plan, byte_tol=args.tol, machine=machine)
     analytic_q = theoretical_metrics(plan).q_words
@@ -1078,8 +1057,7 @@ def _audit_main(argv: list[str]) -> int:
                          "comparing")
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
-                               grid, backend=args.backend)
+    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
     report = audit_run(result, plan, machine=machine, byte_tol=args.tol)
     _append_ledger(args, result, plan, "cli.audit", audit_ok=report.ok)
 
@@ -1170,8 +1148,7 @@ def _memprof_main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
     plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
-                               grid, memory_limit_words=args.memory_limit,
-                               backend=args.backend)
+                               grid, memory_limit_words=args.memory_limit)
     report = memprof_run(result, plan, tol=args.mem_tol)
     _append_ledger(args, result, plan, "cli.memprof")
 

@@ -355,7 +355,7 @@ def shared_plan(
     multiplies work: the distribution tables (:attr:`Ca3dmmPlan.a_dist`
     and friends) enumerate all ``P`` ranks, which made building them on
     each rank an O(P^2) startup cost — the dominant term at the
-    1024-rank scale the DES backend targets.  Sharing one instance per
+    1024-rank scale the scheduler targets.  Sharing one instance per
     parameter set makes those tables world-level work again.
     """
     return _shared_plan_cached(m, n, k, nprocs, grid, l, memory_limit_words)

@@ -1,4 +1,4 @@
-"""Virtual MPI: a threaded, traffic-measuring MPI look-alike.
+"""Virtual MPI: a discrete-event, traffic-measuring MPI look-alike.
 
 This subpackage is the substrate substituting for a real MPI cluster
 (see DESIGN.md §2).  Public surface:
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .faults import ANY_RANK, FaultPlan, LinkFault, RankFault, RetryPolicy
 from .request import CollRequest, Request, wait_all, wait_any
-from .runtime import BACKEND_ENV, BACKENDS, SpmdResult, run_spmd
+from .runtime import SpmdResult, run_spmd
 from .topology import Cart2D, Cart3D
 from .transport import PhaseStats, RankTrace, Transport
 
@@ -58,8 +58,6 @@ __all__ = [
     "wait_any",
     "run_spmd",
     "SpmdResult",
-    "BACKENDS",
-    "BACKEND_ENV",
     "VMpiError",
     "RankError",
     "TagError",

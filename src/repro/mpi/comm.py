@@ -10,7 +10,7 @@ written in.
 SPMD discipline: collective calls (including :meth:`split` and
 :meth:`dup`) must be invoked by every member rank in the same order.
 The runtime does not police call ordering; a violation typically shows
-up as a watchdog :class:`~repro.mpi.errors.DeadlockError`.
+up as a :class:`~repro.mpi.errors.DeadlockError`.
 """
 
 from __future__ import annotations

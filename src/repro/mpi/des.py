@@ -1,11 +1,4 @@
-"""Discrete-event scheduler backend for the virtual MPI.
-
-The default (thread) backend in :mod:`repro.mpi.runtime` runs every rank
-as a free-running Python thread and serialises them with one coarse
-lock + condition.  That is simple and faithful, but ``notify_all`` on
-every send makes a P-rank world cost O(P) wakeups per message, the OS
-scheduler decides who observes shared flags first, and practical world
-sizes top out at a few dozen ranks.
+"""Discrete-event scheduler that executes the ranks of a virtual MPI world.
 
 This module keeps the rank *programs* exactly as they are — arbitrary
 Python calling deep into the engines — but takes scheduling away from
@@ -18,11 +11,10 @@ discrete-event simulation in all but mechanism:
 
 * event ordering is a pure function of the virtual clocks and each
   rank's program order — replays are byte-identical by construction,
-  with no quiescence gating or cross-thread ordering hacks;
+  down to the raw ``events`` / ``msglog`` / ``memlog`` lists;
 * a blocked world is recognised *structurally* (nothing runnable, not
   everything finished) and reported as
-  :class:`~repro.mpi.errors.DeadlockError` immediately, instead of
-  after a wall-clock no-progress timeout;
+  :class:`~repro.mpi.errors.DeadlockError` immediately;
 * wakeups are precise — a send readies exactly its receiver — so a
   1024-rank ``pdgemm`` simulation completes in seconds.
 
@@ -38,11 +30,10 @@ ranks that have real work.  The ready heap is keyed
 which is exactly the event-heap order of a classical DES.
 
 The driver thread only acts when no rank is runnable: it either
-unsticks a revoked-and-quiescent world (mirroring the thread backend's
-revocation semantics), declares a structural deadlock, or — for pure
-probe-polling livelocks, where ranks stay runnable but the world makes
-no progress — applies the same wall-clock watchdog as the thread
-backend.
+unsticks a revoked-and-quiescent world or declares a structural
+deadlock.  The one wall-clock rule left is for pure probe-polling
+livelocks, where ranks stay runnable but the world makes no virtual
+progress for ``deadlock_timeout`` seconds.
 """
 
 from __future__ import annotations
@@ -66,15 +57,17 @@ _NEW, _READY, _RUNNING, _BLOCKED, _POLLING, _FINISHED = (
 class DesScheduler:
     """Cooperative rank scheduler driving one transport's world.
 
-    All methods ending in ``_locked`` require the transport lock; the
-    transport calls the ``wake_*`` hooks and ``park_locked`` /
-    ``poll_yield_locked`` from inside its own critical sections, so a
-    park-then-wake can never be lost.
+    Every :class:`~repro.mpi.transport.Transport` owns one; it is idle
+    until :func:`run_des` starts the strands.  All methods ending in
+    ``_locked`` require the transport lock; the transport calls the
+    ``wake_*`` hooks and ``park_locked`` / ``poll_yield_locked`` from
+    inside its own critical sections, so a park-then-wake can never be
+    lost.
     """
 
-    def __init__(self, transport: "Transport", nprocs: int):
+    def __init__(self, transport: "Transport"):
         self.transport = transport
-        self.nprocs = nprocs
+        self.nprocs = nprocs = transport.nprocs
         self._events = [threading.Event() for _ in range(nprocs)]
         self._state = [_NEW] * nprocs
         #: why a blocked rank is parked: ``"recv"`` or ``"agree"``.
@@ -155,13 +148,28 @@ class DesScheduler:
             lock.acquire()
 
     def park_locked(self, rank: int, why: str) -> None:
-        """Block ``rank`` until a wake hook readies it (recv/agree wait)."""
+        """Block ``rank`` until a wake hook readies it (recv/agree wait).
+
+        Only the running strand may park.  A caller nobody dispatched (a
+        plain thread on a transport :func:`run_des` is not driving) has
+        no one to hand the world to and no one to wake it, so it gets
+        the typed error instead of sleeping forever.
+        """
+        if self._running != rank:
+            raise DeadlockError(
+                {rank: self.transport.ranks[rank].waiting_on or "blocked"}
+            )
         self._state[rank] = _BLOCKED
         self._why[rank] = why
         self._handoff_locked(rank)
 
     def poll_yield_locked(self, rank: int) -> None:
-        """Cooperative yield from a probe miss: stay runnable, go last."""
+        """Cooperative yield from a probe miss: stay runnable, go last.
+
+        A caller nobody dispatched has no one to yield to and returns.
+        """
+        if self._running != rank:
+            return
         self._state[rank] = _POLLING
         self._polling.append(rank)
         self._handoff_locked(rank)
@@ -203,7 +211,6 @@ class DesScheduler:
 
 def run_des(
     transport: "Transport",
-    nprocs: int,
     rank_body: Callable[[int], None],
     deadlock_timeout: float = 30.0,
 ) -> None:
@@ -214,8 +221,8 @@ def run_des(
     the world blocks structurally or spins in a pure probe-poll loop
     with no virtual progress for ``deadlock_timeout`` wall seconds.
     """
-    sched = DesScheduler(transport, nprocs)
-    transport.scheduler = sched
+    sched = transport.scheduler
+    nprocs = transport.nprocs
     threads = [
         threading.Thread(
             target=sched.strand_main,
@@ -260,8 +267,7 @@ def run_des(
                 ):
                     # Revocation unstick: every parked receiver re-checks;
                     # a deliverable message still wins, the rest unwind
-                    # with CommRevokedError at their park clocks — the
-                    # same stable cut the thread backend converges to.
+                    # with CommRevokedError at their park clocks.
                     for rr in range(nprocs):
                         if sched._state[rr] == _BLOCKED and sched._why[rr] == "recv":
                             sched.make_ready_locked(rr)
@@ -322,9 +328,9 @@ def run_des(
                 last_spins = spins
         if pending_blocked is not None:
             deadlock = DeadlockError(pending_blocked)
-            # Abort exactly like the thread watchdog: wake everything,
-            # let the strands unwind with AbortError, then re-raise the
-            # typed deadlock on the driver once the world has drained.
+            # Wake everything, let the strands unwind with AbortError,
+            # then re-raise the typed deadlock on the driver once the
+            # world has drained.
             transport.abort(AbortError(-1, deadlock))
 
     for t in threads:

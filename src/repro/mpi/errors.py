@@ -3,8 +3,8 @@
 The virtual runtime mirrors the error behaviour of a hosted MPI: misuse of
 the API (bad ranks, mismatched buffers) raises immediately on the calling
 rank, while a global stall (every live rank blocked with no message able to
-satisfy any of them) is detected by the runtime watchdog and surfaced as a
-:class:`DeadlockError` on the driver thread.
+satisfy any of them) is detected structurally by the scheduler and surfaced
+as a :class:`DeadlockError` on the driver thread.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class CommError(VMpiError):
 
 
 class DeadlockError(VMpiError):
-    """The runtime watchdog found every live rank blocked with no progress.
+    """No rank is runnable and not every rank has finished.
 
     Carries the set of blocked ranks and what each was waiting for, which
     is usually enough to spot a mismatched send/recv pair.
@@ -62,7 +62,7 @@ class RecvTimeoutError(VMpiError, TimeoutError):
     plan's :class:`~repro.mpi.faults.RetryPolicy` allows; the runtime
     then aborts every other live rank with :class:`AbortError`.  Never
     raised without an active fault plan — organic stalls remain the
-    watchdog's :class:`DeadlockError`.
+    scheduler's :class:`DeadlockError`.
     """
 
     def __init__(

@@ -2,7 +2,7 @@
 
 The simulator's network is perfect by default: every ``recv`` eventually
 matches, no message is delayed, dropped, or reordered, and a stuck rank
-hangs the whole run until the watchdog fires.  Real distributed GEMM
+ends the whole run in a :class:`~repro.mpi.errors.DeadlockError`.  Real distributed GEMM
 stacks must survive jitter, stragglers, and failed transfers; this
 module lets an experiment *inject* those conditions deterministically,
 so the critical-path profiler (:mod:`repro.obs.critpath`) can measure
@@ -47,7 +47,7 @@ run regardless of thread scheduling.  Timeouts are *simulated-time*
 constructs: they fire when the transport can prove the awaited message
 was dropped, never from wall-clock racing, so faulted runs stay exactly
 reproducible.  (A message that was simply never sent is still a
-deadlock, not a timeout — the watchdog keeps that job.)
+deadlock, not a timeout — the scheduler keeps that job.)
 
 Plans round-trip through JSON (:meth:`FaultPlan.to_json` /
 :meth:`FaultPlan.from_json`, schema :data:`FAULTPLAN_JSON_SCHEMA`) so

@@ -259,8 +259,7 @@ def wait_all(requests: list[Request]) -> list[Any]:
     Resolves every request first (matching receives in list order,
     without clock movement), then charges completions in ascending
     ``(completion_time, index)`` order so an early arrival is never
-    billed a later arrival's wait.  Deterministic in virtual time on
-    both backends.
+    billed a later arrival's wait.  Deterministic in virtual time.
     """
     for r in requests:
         r.resolve()

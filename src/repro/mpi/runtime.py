@@ -4,30 +4,20 @@
 world :class:`~repro.mpi.comm.Comm`, runs the user's rank function, and
 collects per-rank return values plus the transport's traffic traces.
 
-Two interchangeable backends execute the ranks:
+Ranks execute under the discrete-event scheduler (:mod:`repro.mpi.des`):
+at most one rank runs at a time, chosen by virtual clock, and a world
+with nothing runnable is reported as
+:class:`~repro.mpi.errors.DeadlockError` at once.  Runs are
+replay-deterministic by construction and scale to thousands of ranks.
 
-``"threads"`` (default)
-    One free-running OS thread per rank, serialised by the transport's
-    coarse lock.  A watchdog samples the transport's progress counter
-    and raises :class:`~repro.mpi.errors.DeadlockError` when every live
-    rank has been blocked with no progress for the timeout.
-
-``"des"``
-    The discrete-event scheduler (:mod:`repro.mpi.des`): at most one
-    rank runs at a time, chosen by virtual clock, with deadlocks
-    detected structurally.  Scales to thousands of ranks and is
-    replay-deterministic by construction.  Also selectable with the
-    ``REPRO_MPI_BACKEND`` environment variable.
-
-Failure handling mirrors a batch MPI job on both backends: the first
-rank to raise aborts the world (all blocked ranks are woken with
+Failure handling mirrors a batch MPI job: the first rank to raise
+aborts the world (all blocked ranks are woken with
 :class:`~repro.mpi.errors.AbortError`) and the original exception is
 re-raised on the driver thread.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import traceback
 from dataclasses import dataclass
@@ -36,20 +26,12 @@ from typing import Any, Callable, Sequence
 from ..machine.model import MachineModel
 from .comm import Comm
 from .des import run_des
-from .errors import AbortError, DeadlockError, RankKilledError
+from .errors import AbortError, RankKilledError
 from .faults import FaultPlan
 from .transport import RankTrace, Transport
 
 #: Context id of the world communicator.
 WORLD_CTX = 0
-
-#: Recognised values for ``run_spmd(backend=...)``.
-BACKENDS = ("threads", "des")
-
-#: Environment variable overriding the default backend (CI runs the
-#: whole suite under ``REPRO_MPI_BACKEND=des``).
-BACKEND_ENV = "REPRO_MPI_BACKEND"
-
 
 @dataclass
 class SpmdResult:
@@ -125,9 +107,9 @@ def run_spmd(
     nprocs:
         World size.
     backend:
-        ``"threads"`` (default) or ``"des"`` — see the module docstring.
-        ``None`` consults the ``REPRO_MPI_BACKEND`` environment variable
-        and falls back to ``"threads"``.
+        Compatibility keyword from when there were two schedulers; it
+        selects nothing.  ``None`` and ``"des"`` are accepted, anything
+        else raises :class:`ValueError`.
     fn:
         The per-rank entry point; called as ``fn(comm, *args)`` on every
         rank.  Its return value is collected into ``results[rank]``.
@@ -136,8 +118,9 @@ def run_spmd(
     machine:
         Cost model; defaults to :class:`~repro.machine.model.MachineModel`.
     deadlock_timeout:
-        Wall-clock seconds of global no-progress after which the run is
-        aborted as deadlocked.
+        Wall-clock seconds a pure probe-polling loop may spin without
+        virtual progress before the run is aborted as deadlocked.
+        Blocked worlds are detected structurally and do not wait for it.
     record_events:
         Record per-rank simulated-time :class:`~repro.mpi.transport.Event`
         intervals (send/recv/wait/compute) on ``result.transport.events``
@@ -159,10 +142,11 @@ def run_spmd(
         recovery driver (:func:`repro.ft.resilient_multiply`) — aborts
         the world like any other rank error.
     """
-    backend = backend or os.environ.get(BACKEND_ENV) or "threads"
-    if backend not in BACKENDS:
+    if backend not in (None, "des"):
         raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            f"backend={backend!r}: the DES scheduler is the only way to run "
+            "ranks since PR 13 (the threads runner was deleted); omit the "
+            "keyword"
         )
     transport = Transport(nprocs, machine, record_events=record_events, faults=faults)
     results: list[Any] = [None] * nprocs
@@ -191,10 +175,7 @@ def run_spmd(
             # revocation quiescence check stops waiting on it.
             transport.mark_finished(rank)
 
-    if backend == "des":
-        run_des(transport, nprocs, rank_body, deadlock_timeout=deadlock_timeout)
-    else:
-        _run_threaded(transport, nprocs, rank_body, deadlock_timeout)
+    run_des(transport, rank_body, deadlock_timeout=deadlock_timeout)
 
     if errors:
         errors.sort(key=lambda e: e[0])
@@ -205,53 +186,3 @@ def run_spmd(
 
     return SpmdResult(results=results, traces=transport.traces(), transport=transport)
 
-
-def _run_threaded(
-    transport: Transport,
-    nprocs: int,
-    rank_body: Callable[[int], None],
-    deadlock_timeout: float,
-) -> None:
-    """Thread backend: free-running rank threads + a watchdog driver."""
-    done = threading.Event()
-    count_lock = threading.Lock()
-    finished = [0]
-
-    def rank_main(rank: int) -> None:
-        try:
-            rank_body(rank)
-        finally:
-            with count_lock:
-                finished[0] += 1
-                if finished[0] == nprocs:
-                    done.set()
-
-    threads = [
-        threading.Thread(target=rank_main, args=(r,), name=f"vmpi-rank-{r}", daemon=True)
-        for r in range(nprocs)
-    ]
-    for t in threads:
-        t.start()
-
-    # Watchdog loop on the driver thread.
-    stall = 0.0
-    poll = 0.25
-    last_progress = -1
-    while not done.wait(timeout=poll):
-        progress = transport.progress
-        blocked = transport.blocked_ranks()
-        with count_lock:
-            n_done = finished[0]
-        if progress == last_progress and len(blocked) + n_done == nprocs and blocked:
-            stall += poll
-            if stall >= deadlock_timeout:
-                err = DeadlockError(blocked)
-                transport.abort(AbortError(-1, err))
-                done.wait(timeout=5.0)
-                raise err
-        else:
-            stall = 0.0
-        last_progress = progress
-
-    for t in threads:
-        t.join(timeout=5.0)

@@ -1,7 +1,8 @@
 """The shared transport behind a virtual MPI world.
 
-Every rank in a world is a Python thread; the transport is the single
-shared object they communicate through.  It provides:
+Every rank in a world is a strand of the discrete-event scheduler
+(:mod:`repro.mpi.des`); the transport is the single shared object they
+communicate through.  It provides:
 
 * eager point-to-point delivery with MPI matching semantics
   (``(source, tag)`` with wildcards, non-overtaking order per pair),
@@ -15,8 +16,8 @@ shared object they communicate through.  It provides:
   scatter+allgather bcast, Bruck allgather, pairwise reduce-scatter,
   raw Cannon/redistribution ``p2p``) that the communication audit
   (:mod:`repro.obs.audit`) reads bytes-on-the-wire from,
-* the progress counter that the runtime watchdog uses for deadlock
-  detection, and
+* the progress counter the scheduler's probe-poll livelock check
+  samples, and
 * an optional deterministic fault-injection layer
   (:mod:`repro.mpi.faults`): a :class:`~repro.mpi.faults.FaultPlan`
   consulted at every ``post_send`` (latency inflation, jitter, bounded
@@ -29,15 +30,9 @@ shared object they communicate through.  It provides:
   events so the critical-path analyzer can tell injected waits from
   organic ones.
 
-A single coarse lock protects all state; with the GIL and the heavy
-lifting done inside numpy, finer locking buys nothing.
-
-The transport itself is backend-neutral: under the default thread
-backend ranks block on the shared condition variable, while under the
-discrete-event backend (:mod:`repro.mpi.des`) the attached scheduler is
-asked to park the calling rank and precise wake hooks ready exactly the
-ranks an operation could unblock.  All matching, clock, counter, fault
-and trace logic is shared, so both backends emit identical records.
+A single coarse lock protects all state.  Blocking is the scheduler's
+job: a rank that must wait is parked on its strand, and precise wake
+hooks ready exactly the ranks an operation could unblock.
 """
 
 from __future__ import annotations
@@ -54,6 +49,7 @@ import numpy as np
 from ..machine.model import MachineModel
 from ..obs.tracer import CAT_PHASE, Tracer
 from .datatypes import ANY_SOURCE, ANY_TAG, Message, Status
+from .des import DesScheduler
 from .errors import (
     AbortError,
     CommRevokedError,
@@ -74,8 +70,7 @@ DEFAULT_COLL = "p2p"
 #: Memory-span purpose charged for transport packed-copy buffers: the
 #: private payload copy a send hands the transport.  Charged transiently
 #: sender-side inside ``post_send`` — the owning rank's program order —
-#: so resident watermarks stay replay-deterministic (cross-thread
-#: accounting would make peaks depend on real scheduling).  There is no
+#: so every watermark is a function of that rank's program alone.  There is no
 #: receiver-side charge: at receipt the payload becomes engine-owned and
 #: the engine's own spans (``cannon.dblbuf``, ``redist.tiles``, ...)
 #: account for it.
@@ -166,7 +161,7 @@ class RankState:
     coll_stack: list[str] = field(default_factory=list)  #: active collective calls
     #: per-phase, per-collective-algorithm traffic: phase -> label -> stats.
     colls: dict[str, dict[str, CollStats]] = field(default_factory=dict)
-    waiting_on: str | None = None  #: populated while blocked (watchdog info)
+    waiting_on: str | None = None  #: populated while blocked (DeadlockError detail)
     retries: int = 0  #: retransmits requested for dropped messages
     timeouts: int = 0  #: recv timeouts charged (== retries unless fatal)
     injected_wait_s: float = 0.0  #: simulated time added by injected faults
@@ -365,7 +360,6 @@ class Transport:
         #: structured span tracer (repro.obs); enabled with record_events.
         self.tracer = Tracer(enabled=record_events)
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         # mailbox[(ctx, dst_world)] -> list of pending Message in seq order
         self._mail: dict[tuple[int, int], list[Message]] = defaultdict(list)
         # dropped[(ctx, dst_world)] -> messages lost on the wire (faults)
@@ -376,7 +370,8 @@ class Transport:
         self._rankfault_hits: dict[int, int] = {}
         self._seq = 0
         self.ranks = [RankState() for _ in range(nprocs)]
-        #: bumped on every delivery/removal; the watchdog samples it.
+        #: bumped on every delivery/removal; the scheduler's livelock
+        #: check samples it.
         self.progress = 0
         self._context_keys: dict[Any, int] = {}
         self._next_ctx = 1
@@ -390,9 +385,9 @@ class Transport:
         self.revoked = False
         # agreement rendezvous state, keyed by the comm's (ctx, seq) key
         self._agrees: dict[Any, dict[str, Any]] = {}
-        #: attached DES scheduler (:class:`repro.mpi.des.DesScheduler`)
-        #: when running under ``backend="des"``; ``None`` = thread backend.
-        self.scheduler = None
+        #: parks and wakes the rank strands; idle until
+        #: :func:`repro.mpi.des.run_des` drives it.
+        self.scheduler = DesScheduler(self)
 
     # ----------------------------------------------------- context ids -- #
     def context_for_key(self, key: Any) -> int:
@@ -409,30 +404,13 @@ class Transport:
                 self._context_keys[key] = ctx
             return ctx
 
-    # ---------------------------------------------------------- blocking -- #
-    def _wait_locked(self, world_rank: int, why: str) -> None:
-        """Block ``world_rank`` until the world may have changed.
-
-        Thread backend: a timed wait on the shared condition (the
-        timeout keeps the loop checking abort/revocation flags even if
-        a wakeup is missed).  DES backend: park the rank's strand and
-        hand the world to the next runnable rank; the matching wake
-        hook (``why`` = ``"recv"`` or ``"agree"``) readies it again.
-        """
-        if self.scheduler is not None:
-            self.scheduler.park_locked(world_rank, why)
-        else:
-            self._cond.wait(timeout=0.5)
-
     # --------------------------------------------------------- aborting -- #
     def abort(self, err: AbortError) -> None:
         """Record a fatal error and wake all blocked ranks."""
-        with self._cond:
+        with self._lock:
             if self.aborted is None:
                 self.aborted = err
-            self._cond.notify_all()
-            if self.scheduler is not None:
-                self.scheduler.wake_all_locked()
+            self.scheduler.wake_all_locked()
 
     def _check_abort(self) -> None:
         if self.aborted is not None:
@@ -454,15 +432,14 @@ class Transport:
         :class:`~repro.mpi.errors.CommRevokedError` only once every
         live, unfinished rank is parked in a transport wait with
         nothing deliverable (see :meth:`_quiescent_locked`).  That
-        stable cut of the computation is a property of the program, not
-        of thread scheduling, so the virtual timestamp at which each
-        survivor observes the revocation is the same on every replay.
+        stable cut of the computation is a property of the program, so
+        the virtual timestamp at which each survivor observes the
+        revocation is the same on every replay.
         The flag is cleared when a subsequent :meth:`agree` completes.
         """
-        with self._cond:
+        with self._lock:
             self.revoked = True
             self.progress += 1
-            self._cond.notify_all()
 
     def mark_finished(self, world_rank: int) -> None:
         """Record that a rank's program has returned (or died).
@@ -472,14 +449,12 @@ class Transport:
         where some ranks already returned could never quiesce and a
         revoked receiver would block forever.
         """
-        with self._cond:
+        with self._lock:
             self.finished.add(world_rank)
             self.progress += 1
-            self._cond.notify_all()
-            if self.scheduler is not None:
-                # A finish can complete an agree rendezvous (the voter
-                # set shrinks to the ranks already voted).
-                self.scheduler.wake_agree_locked()
+            # A finish can complete an agree rendezvous (the voter set
+            # shrinks to the ranks already voted).
+            self.scheduler.wake_agree_locked()
 
     def agree(
         self, key: Any, group: Sequence[int], world_rank: int, flag: bool
@@ -496,13 +471,11 @@ class Transport:
         voter set, so the agreement itself tolerates failures.
         """
         group = tuple(group)
-        with self._cond:
+        with self._lock:
             st = self._agrees.setdefault(key, {"votes": {}, "result": None})
             st["votes"][world_rank] = bool(flag)
             self.progress += 1
-            self._cond.notify_all()
-            if self.scheduler is not None:
-                self.scheduler.wake_agree_locked()
+            self.scheduler.wake_agree_locked()
             me = self.ranks[world_rank]
             me.waiting_on = f"agree(key={key})"
             me.agree_wait = True
@@ -521,11 +494,9 @@ class Transport:
                         st["result"] = (ok, tuple(alive), t)
                         self.revoked = False
                         self.progress += 1
-                        self._cond.notify_all()
-                        if self.scheduler is not None:
-                            self.scheduler.wake_agree_locked()
+                        self.scheduler.wake_agree_locked()
                         break
-                    self._wait_locked(world_rank, "agree")
+                    self.scheduler.park_locked(world_rank, "agree")
             finally:
                 me.waiting_on = None
                 me.agree_wait = False
@@ -778,9 +749,7 @@ class Transport:
                 # rank's thread with the typed kill error.
                 self.dead.add(world_rank)
                 self.progress += 1
-                self._cond.notify_all()
-                if self.scheduler is not None:
-                    self.scheduler.wake_all_locked()
+                self.scheduler.wake_all_locked()
                 raise RankKilledError(world_rank, name, count)
 
     def push_coll(self, world_rank: int, label: str) -> None:
@@ -990,16 +959,12 @@ class Transport:
         send/recv events bracketing its transfer) when recording.
         """
         t_msg = self.machine.msg_time(nbytes, src_world, dst_world)
-        with self._cond:
+        with self._lock:
             self._check_abort()
             # Sends always succeed locally, even to dead ranks and on a
             # revoked world (eager-buffered / dead-letter semantics).
-            # Raising here would make the outcome depend on whether this
-            # thread observed the death/revocation flag before or after
-            # the racing detector set it — a wall-clock artifact that
-            # made faulted makespans wobble between replays.  Failure
-            # detection is the receiver's job (recv-from-dead, the
-            # revocation quiescence check) with ``agree`` as the
+            # Failure detection is the receiver's job (recv-from-dead,
+            # the revocation quiescence check) with ``agree`` as the
             # collective backstop.
             st = self.ranks[src_world]
             drops = 0
@@ -1100,12 +1065,10 @@ class Transport:
             else:
                 self._mail[(ctx, dst_world)].append(msg)
             self.progress += 1
-            self._cond.notify_all()
-            if self.scheduler is not None:
-                # Precise wakeup: only the receiver can be unblocked by
-                # this post.  A *dropped* message readies it too — the
-                # receiver must start charging its timeout/retry clock.
-                self.scheduler.wake_recv_locked(dst_world)
+            # Precise wakeup: only the receiver can be unblocked by this
+            # post.  A *dropped* message readies it too — the receiver
+            # must start charging its timeout/retry clock.
+            self.scheduler.wake_recv_locked(dst_world)
         return arrival, seq
 
     def _perturb_flight_locked(
@@ -1124,7 +1087,7 @@ class Transport:
         pickled container produces a *new* blob.  Factors from
         multiple matching rules multiply, extra delays add, and drop
         counts take the max.  Per-(rule, link) hit counters make every
-        decision reproducible (one sender thread per link).  Corrupt
+        decision reproducible (one sender per link).  Corrupt
         rules flip seeded elements of ``stored`` (``payload_pack``
         hands the transport a private copy, so the sender's buffer is
         untouched and the receiver sees the corrupted bits, exactly
@@ -1303,9 +1266,8 @@ class Transport:
         dropped* message matching this receive: candidates at or past
         the cap are invisible until the retransmit lands.  Among
         candidates the smallest ``(arrival, src)`` wins — a virtual-time
-        tie-break, so an ``ANY_SOURCE`` receive resolves identically on
-        every backend and replay instead of inheriting the wall-clock
-        order in which sender threads reached the mailbox.
+        tie-break, so an ``ANY_SOURCE`` receive does not depend on the
+        order in which the senders reached the mailbox.
         """
         box = self._mail.get((ctx, dst_world))
         if not box:
@@ -1352,8 +1314,7 @@ class Transport:
 
         Non-overtaking is a *per-pair* property: a drop from sender A
         must not be overtaken by A's later messages, but says nothing
-        about sender B.  (The old global ``before_seq`` cap compared
-        seqs across pairs — a wall-clock artifact under ``ANY_SOURCE``.)
+        about sender B.
         """
         held = self._dropped.get((ctx, dst_world))
         if not held:
@@ -1374,8 +1335,8 @@ class Transport:
         Per sender the lowest-seq matching drop is the candidate (its
         retransmit must land first); across senders the one whose
         original arrival would have been earliest wins, with the sender
-        rank as tie-break — again virtual-time ordering, never the
-        wall-clock order the drops were registered in.
+        rank as tie-break — virtual-time ordering, never the order
+        the drops were registered in.
         """
         held = self._dropped.get((ctx, dst_world))
         if not held:
@@ -1430,8 +1391,7 @@ class Transport:
             # *and* no earlier than the original post: a receiver whose
             # timeouts all fired before the sender even posted (e.g. the
             # sender straggling under a slowdown fault) must not receive
-            # a message from the future.  Deadlines are virtual-clock
-            # quantities, never real thread-wait time.
+            # a message from the future.
             msg.arrival = max(st.clock, d.t_post) + d.flight
             # Re-insert in seq order: later same-(src, tag) messages may
             # already sit in the mailbox, and matching pops in list order,
@@ -1447,7 +1407,6 @@ class Transport:
                     self.msglog[i] = dataclasses.replace(
                         self.msglog[i], arrival=msg.arrival, injected=True
                     )
-            self._cond.notify_all()
 
     def match_recv(
         self,
@@ -1457,7 +1416,7 @@ class Transport:
         tag: int,
         advance_receiver: bool = True,
     ) -> tuple[Message, Status]:
-        """Block (the real thread) until a matching message is available.
+        """Park the calling rank until a matching message is available.
 
         On return the receiver's simulated clock has been raised to the
         message arrival time (if ``advance_receiver``), and the
@@ -1469,7 +1428,7 @@ class Transport:
         simulated backoff wait and requests a retransmit; exhausting the
         budget raises :class:`~repro.mpi.errors.RecvTimeoutError`.
         """
-        with self._cond:
+        with self._lock:
             waitdesc = f"recv(src={src_world}, tag={tag}, ctx={ctx})"
             st = self.ranks[dst_world]
             st.waiting_on = waitdesc
@@ -1508,7 +1467,7 @@ class Transport:
                     # is unwound is replay-deterministic.
                     if self.revoked and self._quiescent_locked():
                         raise CommRevokedError(dst_world)
-                    self._wait_locked(dst_world, "recv")
+                    self.scheduler.park_locked(dst_world, "recv")
                 self.progress += 1
                 if advance_receiver:
                     self._raise_clock_locked(
@@ -1542,9 +1501,7 @@ class Transport:
         agree rendezvous, or blocked in a receive with no matching
         message in the mailbox and no held drop a retransmit could
         still release.  Quiescence is a stable property — once reached,
-        only the unwinding of a blocked receiver changes it — so the
-        set of ranks unwound, and the virtual clock each is unwound at,
-        do not depend on thread scheduling.
+        only the unwinding of a blocked receiver changes it.
         """
         for r, st in enumerate(self.ranks):
             if r in self.dead or r in self.finished or st.agree_wait:
@@ -1588,10 +1545,9 @@ class Transport:
             # probe-polling loop cannot spin forever on a revoked world.
             if self.revoked:
                 raise CommRevokedError(dst_world)
-            if self.scheduler is not None:
-                # Cooperative yield: a probe miss must not monopolise the
-                # DES world — let every rank with real work run first.
-                self.scheduler.poll_yield_locked(dst_world)
+            # Cooperative yield: a probe miss must not monopolise the
+            # world — let every rank with real work run first.
+            self.scheduler.poll_yield_locked(dst_world)
             return None
 
     # ----------------------------------------------------------- tracing -- #
@@ -1634,11 +1590,3 @@ class Transport:
 
     def traces(self) -> list[RankTrace]:
         return [self.trace(r) for r in range(self.nprocs)]
-
-    def blocked_ranks(self) -> dict[int, str]:
-        with self._lock:
-            return {
-                r: st.waiting_on
-                for r, st in enumerate(self.ranks)
-                if st.waiting_on is not None
-            }

@@ -1,9 +1,10 @@
 """Shared fixtures and helpers for the test suite.
 
-Executed-engine tests spawn real threads per rank; keep world sizes
-modest (the suite uses P <= 32) so the whole suite stays fast on one
-core.  ``spmd`` wraps :func:`repro.mpi.run_spmd` with a short deadlock
-timeout so a broken collective fails the test in seconds, not minutes.
+Executed-engine tests run one scheduler strand per rank; most keep
+world sizes modest (P <= 32) so the whole suite stays fast on one core.
+``spmd`` wraps :func:`repro.mpi.run_spmd` with test-friendly defaults;
+``run_twice`` is the replay oracle: the scheduler is deterministic, so
+two runs of one program must agree down to the raw logs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,26 @@ def spmd():
         )
 
     return _run
+
+
+def assert_replay_identical(a, b):
+    """Two runs of one program agree on everything observable."""
+    np.testing.assert_equal(a.results, b.results)
+    assert a.traces == b.traces
+    assert a.metrics.to_dict() == b.metrics.to_dict()
+    assert a.transport.events == b.transport.events
+    assert a.transport.msglog == b.transport.msglog
+    assert a.transport.memlog == b.transport.memlog
+
+
+def run_twice(nprocs, fn, **kw):
+    """``run_spmd`` twice (recording on unless told otherwise); the
+    replay must be identical.  Returns both results."""
+    kw.setdefault("record_events", True)
+    a = run_spmd(nprocs, fn, **kw)
+    b = run_spmd(nprocs, fn, **kw)
+    assert_replay_identical(a, b)
+    return a, b
 
 
 def assert_allclose(actual, desired, rtol=1e-12, atol=1e-12):

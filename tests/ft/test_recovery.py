@@ -18,6 +18,7 @@ from repro.ft import UnrecoverableError, resilient_multiply
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, RankFault, run_spmd
+from tests.conftest import assert_replay_identical
 
 M, N, K, P = 24, 20, 28, 8
 REF = dense_random(M, K, seed=7) @ dense_random(K, N, seed=8)
@@ -54,20 +55,6 @@ def _kill(rank, occurrence=1):
     return RankFault(rank=rank, phase="cannon", occurrence=occurrence, kill=True)
 
 
-def _timeline(res):
-    """The run's virtual-time event timeline, as comparable tuples.
-
-    ``seq`` (and span ctx ids) are allocated in *real-time* arrival
-    order even on clean runs, so the determinism contract covers
-    everything else: per-rank interval kinds, phases, virtual times,
-    sizes, and peers.
-    """
-    return sorted(
-        (e.rank, e.kind, e.phase, e.t0, e.t1, e.nbytes, e.peer, e.injected)
-        for e in res.transport.events
-    )
-
-
 class TestKillRecovery:
     PLAN = FaultPlan(seed=0, ranks=(_kill(3),))
 
@@ -95,18 +82,11 @@ class TestKillRecovery:
         """Replaying a faulted run is deterministic in *time*, not just
         data: failure detection is pinned to the transport's virtual
         clock (dead-letter sends, quiescence-gated revocation), so two
-        identical runs produce identical makespans and per-rank event
-        timelines — not only bit-equal C (docs/RECOVERY.md)."""
-        runs = [_run(faults=self.PLAN) for _ in range(2)]
-        a = next(r for r in runs[0].results if r is not None)
-        b = next(r for r in runs[1].results if r is not None)
-        assert np.array_equal(a, b)
-        assert runs[0].failed_ranks == runs[1].failed_ranks
-        assert runs[0].metrics.recoveries == runs[1].metrics.recoveries
-        assert runs[0].time == runs[1].time
-        assert [t.time for t in runs[0].traces] == \
-            [t.time for t in runs[1].traces]
-        assert _timeline(runs[0]) == _timeline(runs[1])
+        identical runs produce identical makespans, traces and raw event
+        logs — not only bit-equal C (docs/RECOVERY.md)."""
+        first, second = (_run(faults=self.PLAN) for _ in range(2))
+        assert_replay_identical(first, second)
+        assert first.failed_ranks == second.failed_ranks == [3]
 
     def test_recovery_spans_recorded(self):
         res = _run(faults=self.PLAN)

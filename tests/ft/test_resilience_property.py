@@ -11,8 +11,8 @@ end-to-end resilient multiplication must either
   grid legitimately changes the reduction order) — or
 * abort every rank with a *typed* fault-tolerance error,
 
-and the two backends must agree observably (results, traces, metrics,
-timeline) on every successful run.
+and a replay must agree observably (results, traces, metrics, raw
+logs) with every successful run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.ft import FtError, resilient_multiply
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, LinkFault, RankFault, run_spmd
-from repro.mpi.parity import assert_parity
+from tests.conftest import assert_replay_identical
 
 SITES = (None, "replicate", "cannon", "reduce", "redist")
 
@@ -66,34 +66,33 @@ def test_corrupt_or_kill_anywhere_is_correct_or_typed(m, n, k, P, site, kill):
         )
         return c.to_global()
 
-    def attempt(backend):
+    def attempt():
         try:
             return run_spmd(
-                P, f, machine=laptop(), record_events=True,
-                backend=backend, faults=faults,
+                P, f, machine=laptop(), record_events=True, faults=faults,
             ), None
         except RuntimeError as exc:
             return None, exc
 
-    res_t, err_t = attempt("threads")
-    res_d, err_d = attempt("des")
-    assert (err_t is None) == (err_d is None)
+    res_a, err_a = attempt()
+    res_b, err_b = attempt()
+    assert (err_a is None) == (err_b is None)
 
-    if err_t is not None:
-        for err in (err_t, err_d):
+    if err_a is not None:
+        for err in (err_a, err_b):
             assert isinstance(err.__cause__, FtError)
         return
 
-    assert_parity(res_t, res_d)
+    assert_replay_identical(res_a, res_b)
     clean = run_spmd(P, f, machine=laptop())
-    got = next(r for r in res_t.results if r is not None)
+    got = next(r for r in res_a.results if r is not None)
     ref = clean.results[0]
-    if not res_t.failed_ranks:
+    if not res_a.failed_ranks:
         # corruption only: correction replays the clean summation order
         assert np.array_equal(got, ref)
         if site is not None:
             # any injected corruption was caught, never folded into C
-            m_ = res_t.metrics
+            m_ = res_a.metrics
             assert m_.corruptions_detected_by_phase.get(site, 0) >= \
                 min(1, m_.corruptions_injected_by_phase.get(site, 0))
     else:

@@ -1,24 +1,30 @@
-"""Thread-vs-DES differential parity (the ISSUE 8 acceptance criterion).
+"""Replay determinism on the one scheduler.
 
-Every workload in the trace matrix must produce a byte-identical
-ledger record (modulo ``run_id``) and audit report on both backends,
-and the hypothesis sweep extends that to random shapes, world sizes,
-and fault plans.
+There is a single way to run ranks, so the oracle for "the scheduler did
+not perturb the simulated machine" is a second run of the same inputs:
+every workload in the trace matrix, the async-engine modes, a hypothesis
+sweep over shapes, world sizes and fault plans, and a kill-recovery case
+each run twice and must agree on ledger bytes, the audit report, the
+full ``RankTrace`` dataclasses and the *raw* ``events`` / ``msglog`` /
+``memlog`` lists — and the product must equal numpy.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import TRACE_WORKLOADS, executed_workload
+from repro.core import ca3dmm_matmul
+from repro.core.plan import Ca3dmmPlan, shared_plan
+from repro.layout import DistMatrix, dense_random
 from repro.machine.model import laptop, pace_phoenix_cpu
+from repro.mpi import run_spmd
 from repro.mpi.faults import FaultPlan, LinkFault, RankFault
-from repro.mpi.parity import assert_equal, assert_parity, run_both
 from repro.obs.audit import audit_run
 from repro.obs.ledger import canonical_json, ledger_record
+from tests.conftest import assert_replay_identical, run_twice
 
 
 def _canonical_record(result, plan, kind: str) -> str:
@@ -27,61 +33,71 @@ def _canonical_record(result, plan, kind: str) -> str:
     return canonical_json(rec)
 
 
+def _assert_same_ledger_and_audit(res_a, res_b, plan, kind, machine=None):
+    assert _canonical_record(res_a, plan, kind) == \
+        _canonical_record(res_b, plan, kind)
+    assert audit_run(res_a, plan, machine=machine).to_dict() == \
+        audit_run(res_b, plan, machine=machine).to_dict()
+
+
+def _matmul_body(plan, m, n, k):
+    """The stand-in workload's rank program, returning the product."""
+
+    def f(comm):
+        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
+        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
+        return ca3dmm_matmul(a, b).to_global()
+
+    return f
+
+
+def _reference(m, n, k):
+    return dense_random(m, k, 0) @ dense_random(k, n, 1)
+
+
 @pytest.mark.parametrize("name", sorted(TRACE_WORKLOADS))
 def test_trace_workload_ledger_and_audit_parity(name):
-    """Byte-identical ledger + audit on all eight trace workloads."""
+    """Byte-identical replay on all eight trace workloads."""
     mach = pace_phoenix_cpu("mpi")
-    plan_t, res_t = executed_workload(name, machine=mach, backend="threads")
-    plan_d, res_d = executed_workload(name, machine=mach, backend="des")
+    plan, res_a = executed_workload(name, machine=mach)
+    _plan, res_b = executed_workload(name, machine=mach)
 
-    assert_parity(res_t, res_d)
-    assert _canonical_record(res_t, plan_t, f"parity.{name}") == \
-        _canonical_record(res_d, plan_d, f"parity.{name}")
-    assert_equal(
-        audit_run(res_t, plan_t, machine=mach).to_dict(),
-        audit_run(res_d, plan_d, machine=mach).to_dict(),
-        f"audit[{name}]",
-    )
+    assert_replay_identical(res_a, res_b)
+    _assert_same_ledger_and_audit(res_a, res_b, plan, f"replay.{name}", mach)
+    m, n, k, p = TRACE_WORKLOADS[name]
+    got = run_spmd(p, _matmul_body(plan, m, n, k), machine=mach).results[0]
+    np.testing.assert_allclose(got, _reference(m, n, k), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("overlap", ["partial", "full"])
 def test_async_engine_parity(overlap):
     """The async comm engine (pipelined SUMMA ibcasts + dual-buffered
-    Cannon under NIC serialization) stays byte-identical across
-    backends — ledger, audit, and full per-rank traces."""
+    Cannon under NIC serialization) replays byte-identically."""
     from repro.baselines.summa import summa_matmul
-    from repro.core import ca3dmm_matmul
-    from repro.core.plan import Ca3dmmPlan
-    from repro.layout import DistMatrix, dense_random
     from repro.layout.distributions import Block2D
 
     m, n, k, P = 96, 96, 64, 8
     mach = laptop().with_overlap(overlap)
     plan = Ca3dmmPlan(m, n, k, P)
+    matmul = _matmul_body(plan, m, n, k)
 
     def f(comm):
         a2 = DistMatrix.from_global(
             comm, Block2D((m, k), P, 4, 2), dense_random(m, k, 0))
         b2 = DistMatrix.from_global(
             comm, Block2D((k, n), P, 4, 2), dense_random(k, n, 1))
-        summa_matmul(a2, b2, grid=(4, 2), panel=32)  # pipelined (engine on)
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
-        ca3dmm_matmul(a, b)
+        # pipelined (engine on)
+        c2 = summa_matmul(a2, b2, grid=(4, 2), panel=32).to_global()
+        return c2, matmul(comm)
 
-    res_t, res_d = run_both(P, f, machine=mach)
-    assert_parity(res_t, res_d)
-    assert _canonical_record(res_t, plan, "parity.overlap") == \
-        _canonical_record(res_d, plan, "parity.overlap")
-    assert_equal(
-        [dataclasses.asdict(t) for t in res_t.traces],
-        [dataclasses.asdict(t) for t in res_d.traces],
-        f"traces[overlap={overlap}]",
-    )
+    res_a, res_b = run_twice(P, f, machine=mach)
+    _assert_same_ledger_and_audit(res_a, res_b, plan, "replay.overlap")
+    for c in res_a.results[0]:
+        np.testing.assert_allclose(c, _reference(m, n, k), rtol=1e-12, atol=1e-12)
     # The engine actually engaged: covered seconds are on the books.
     covered = sum(
         st_.comm_covered_time
-        for t in res_t.live_traces
+        for t in res_a.live_traces
         for st_ in t.phases.values()
     )
     assert covered > 0.0
@@ -107,39 +123,27 @@ _FAULT_PLANS = (
     fault_idx=st.integers(min_value=0, max_value=len(_FAULT_PLANS) - 1),
 )
 def test_random_matmul_parity(m, n, k, P, fault_idx):
-    """Random (shape, world, fault plan): results, traces, metrics,
-    timelines, ledger, and audit identical across backends."""
-    from repro.core.plan import shared_plan
-    from repro.core import ca3dmm_matmul
-    from repro.layout import DistMatrix, dense_random
-
-    faults = _FAULT_PLANS[fault_idx]
+    """Random (shape, world, fault plan): results, traces, metrics, raw
+    logs, ledger and audit identical on replay; product equals numpy."""
     plan = shared_plan(m, n, k, P)
-
-    def f(comm):
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
-        c = ca3dmm_matmul(a, b)
-        return c.to_global()
-
-    res_t, res_d = run_both(P, f, machine=laptop(), faults=faults)
-    assert _canonical_record(res_t, plan, "parity.prop") == \
-        _canonical_record(res_d, plan, "parity.prop")
-    assert_equal(
-        audit_run(res_t, plan).to_dict(),
-        audit_run(res_d, plan).to_dict(),
-        "audit[prop]",
+    res_a, res_b = run_twice(
+        P, _matmul_body(plan, m, n, k), machine=laptop(),
+        faults=_FAULT_PLANS[fault_idx],
+    )
+    _assert_same_ledger_and_audit(res_a, res_b, plan, "replay.prop")
+    np.testing.assert_allclose(
+        res_a.results[0], _reference(m, n, k), rtol=1e-12, atol=1e-12
     )
 
 
 def test_kill_recovery_parity():
     """A permanent rank kill plus shrink-replan recovery replays
-    identically on both backends, down to the canonical timeline."""
+    identically, down to the raw logs."""
     from repro.ft import resilient_multiply
-    from repro.layout import BlockCol1D, DistMatrix, dense_random
+    from repro.layout import BlockCol1D
 
     m, n, k, P = 24, 20, 28, 6
-    plan = FaultPlan(ranks=(
+    faults = FaultPlan(ranks=(
         RankFault(rank=2, phase="cannon", occurrence=1, kill=True),
     ))
 
@@ -151,19 +155,40 @@ def test_kill_recovery_parity():
         c = resilient_multiply(comm, a, b, max_recoveries=2)
         return c.to_global()
 
-    res_t, res_d = run_both(P, f, machine=laptop(), faults=plan)
-    assert res_t.failed_ranks == res_d.failed_ranks == [2]
-    assert res_t.metrics.recoveries == res_d.metrics.recoveries >= 1
+    res_a, res_b = run_twice(P, f, machine=laptop(), faults=faults)
+    _assert_same_ledger_and_audit(
+        res_a, res_b, shared_plan(m, n, k, P), "replay.kill"
+    )
+    assert res_a.failed_ranks == [2]
+    assert res_a.metrics.recoveries >= 1
+    got = next(r for r in res_a.results if r is not None)
+    ref = dense_random(m, k, 7) @ dense_random(k, n, 8)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_backend_keyword_selects_nothing():
+    """``backend="des"`` (what the frozen hostbench passes) and ``None``
+    are the same run: byte-identical ledgers."""
+    m, n, k, p = TRACE_WORKLOADS["fig5"]
+    plan = Ca3dmmPlan(m, n, k, p)
+    records = [
+        _canonical_record(
+            run_spmd(p, _matmul_body(plan, m, n, k), machine=laptop(),
+                     record_events=True, backend=backend),
+            plan, "replay.keyword",
+        )
+        for backend in (None, "des")
+    ]
+    assert records[0] == records[1]
 
 
 def test_traces_dataclass_fields_identical():
-    """Belt-and-braces: the full RankTrace dataclasses (clocks, counters,
-    per-phase stats) match field for field on a clean workload."""
+    """Recording must not perturb the simulated machine: the full
+    RankTrace dataclasses (clocks, counters, per-phase stats) match field
+    for field with event recording on and off."""
+    m, n, k, p = TRACE_WORKLOADS["fig5"]
+    body = _matmul_body(Ca3dmmPlan(m, n, k, p), m, n, k)
     mach = pace_phoenix_cpu("mpi")
-    _p, res_t = executed_workload("fig5", machine=mach, backend="threads")
-    _p, res_d = executed_workload("fig5", machine=mach, backend="des")
-    assert_equal(
-        [dataclasses.asdict(t) for t in res_t.traces],
-        [dataclasses.asdict(t) for t in res_d.traces],
-        "traces[fig5]",
-    )
+    on = run_spmd(p, body, machine=mach, record_events=True)
+    off = run_spmd(p, body, machine=mach, record_events=False)
+    assert on.traces == off.traces

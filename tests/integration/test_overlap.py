@@ -135,7 +135,7 @@ class TestNoneModeBitExact:
 
 def test_overlap_comparison_bench():
     """The bench generator that backs the CI overlap-smoke job."""
-    res = overlap_comparison(backend="des")
+    res = overlap_comparison()
     s = res.data["summa"]
     assert s["engine_makespan_s"] < s["sync_makespan_s"]
     assert s["phase_overlap"]["summa"] >= 0.5

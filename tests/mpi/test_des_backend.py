@@ -1,13 +1,11 @@
-"""Discrete-event scheduler backend: selection, semantics, parity, scale.
+"""Discrete-event scheduler: the vestigial ``backend`` keyword, semantics, scale.
 
-The DES backend runs at most one rank at a time, ordered by virtual
+The scheduler runs at most one rank at a time, ordered by virtual
 clock, and detects deadlocks structurally (every live rank parked with
-nothing runnable) instead of via a wall-clock watchdog.  These tests
-hold it to the thread backend's observable semantics and pin the
-bugfixes that made both backends deterministic:
+nothing runnable).  These tests hold it to MPI's observable semantics
+and pin the bugfixes that made runs deterministic:
 
-* message-matching ties broken on ``(arrival, src)`` — not thread
-  wakeup order;
+* message-matching ties broken on ``(arrival, src)`` — not post order;
 * dropped-message retransmits clamped to the original post time
   (virtual-clock causality under rank slowdowns);
 * a killed rank's open allocation spans released, so the leak table
@@ -28,41 +26,32 @@ from repro.mpi import (
     run_spmd,
 )
 from repro.mpi.datatypes import ANY_SOURCE
-from repro.mpi.parity import run_both
-from repro.mpi.runtime import BACKEND_ENV
+from tests.conftest import run_twice
 
 
-def _des(nprocs, fn, **kw):
+def _run(nprocs, fn, **kw):
     kw.setdefault("machine", laptop())
-    return run_spmd(nprocs, fn, backend="des", **kw)
+    return run_spmd(nprocs, fn, **kw)
 
 
 class TestSelection:
+    """``backend`` is a compatibility keyword: it selects nothing (see
+    ``test_backend_keyword_selects_nothing`` in the replay suite)."""
+
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_spmd(2, lambda comm: None, backend="fibers")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "des")
-        res = run_spmd(3, lambda comm: comm.rank, machine=laptop())
-        assert res.results == [0, 1, 2]
-
-    def test_env_var_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "nope")
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_spmd(2, lambda comm: None)
-
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "nope")
-        res = run_spmd(2, lambda comm: comm.rank, backend="threads",
-                       machine=laptop())
-        assert res.results == [0, 1]
+        for backend in ("threads", "fibers", ""):
+            with pytest.raises(ValueError, match="PR 13"):
+                run_spmd(2, lambda comm: None, backend=backend)
 
 
 class TestSemantics:
-    def test_ring_clocks_match_threads(self):
+    def test_ring_clocks_closed_form(self):
+        """One ring shift under a pure-latency machine: every rank sends
+        (α) and then receives a message that arrived at α, so all clocks
+        read exactly α and each rank holds its predecessor's payload."""
+        alpha = 1e-3
         machine = MachineModel(
-            alpha=1e-3, nic_beta=0.0, alpha_intra=1e-3, beta_intra=0.0,
+            alpha=alpha, nic_beta=0.0, alpha_intra=alpha, beta_intra=0.0,
             ranks_per_node=1,
         )
 
@@ -72,7 +61,8 @@ class TestSemantics:
             got = comm.recv(source=prv)
             return float(got[0]), comm.now()
 
-        run_both(6, f, machine=machine)
+        res, _ = run_twice(6, f, machine=machine)
+        assert res.results == [((r - 1) % 6, alpha) for r in range(6)]
 
     def test_collectives_and_contexts(self):
         def f(comm):
@@ -81,7 +71,11 @@ class TestSemantics:
             part = sub.allreduce(comm.rank)
             return total, part, sub.rank
 
-        run_both(5, f)
+        res, _ = run_twice(5, f)
+        evens, odds = 0 + 2 + 4, 1 + 3
+        assert res.results == [
+            (15, odds if r % 2 else evens, r // 2) for r in range(5)
+        ]
 
     def test_irecv_test_before_arrival(self):
         """Polling a request whose message hasn't arrived must not hang
@@ -99,7 +93,7 @@ class TestSemantics:
             comm.send(b"late", dest=0)
             return True
 
-        res = _des(2, f, machine=MachineModel(gamma=1e-9))
+        res = _run(2, f, machine=MachineModel(gamma=1e-9))
         assert res.results == [True, True]
 
     def test_probe_spin_loop(self):
@@ -115,12 +109,12 @@ class TestSemantics:
             comm.send(42, dest=0)
             return None
 
-        res = _des(2, f, machine=MachineModel(gamma=1e-9))
+        res = _run(2, f, machine=MachineModel(gamma=1e-9))
         assert res.results[0] == 42
 
     def test_structural_deadlock_detected_fast(self):
-        """Both ranks recv from each other: the DES driver proves the
-        deadlock structurally — no watchdog timeout burned."""
+        """Both ranks recv from each other: the driver proves the
+        deadlock structurally — ``deadlock_timeout`` is never burned."""
         import time
 
         def f(comm):
@@ -128,7 +122,7 @@ class TestSemantics:
 
         t0 = time.monotonic()
         with pytest.raises(DeadlockError):
-            _des(2, f, deadlock_timeout=60.0)
+            _run(2, f, deadlock_timeout=60.0)
         assert time.monotonic() - t0 < 5.0
 
     def test_drop_retry_on_des(self):
@@ -140,7 +134,7 @@ class TestSemantics:
                 return None
             return comm.recv(source=0)
 
-        res = _des(2, f, faults=plan, record_events=True)
+        res = _run(2, f, faults=plan, record_events=True)
         assert res.results[1].tolist() == list(range(16))
         assert res.metrics.total_retries >= 1
 
@@ -161,7 +155,7 @@ class TestSemantics:
             c = resilient_multiply(comm, a, b, max_recoveries=2)
             return c.to_global()
 
-        res = _des(p, f, faults=plan, record_events=True)
+        res = _run(p, f, faults=plan, record_events=True)
         got = next(r for r in res.results if r is not None)
         ref = dense_random(m, k, 7) @ dense_random(k, n, 8)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
@@ -183,7 +177,7 @@ class TestDeterminismFixes:
                 # Per-pair FIFO: once both "ready" markers are in, both
                 # data messages are posted, so the ANY_SOURCE match sees
                 # two candidates and must pick by (arrival, src) — not
-                # by which sender's thread got there first.
+                # by which sender posted first.
                 comm.recv(source=1, tag=2)
                 comm.recv(source=2, tag=2)
                 got = comm.recv(source=ANY_SOURCE, tag=1)
@@ -197,9 +191,8 @@ class TestDeterminismFixes:
             comm.send("ready", dest=0, tag=2)
             return None
 
-        for backend in ("threads", "des"):
-            res = run_spmd(3, f, machine=machine, backend=backend)
-            assert res.results[0] == ("fast", "slow"), backend
+        res, _ = run_twice(3, f, machine=machine)
+        assert res.results[0] == ("fast", "slow")
 
     def test_slowdown_drop_retransmit_causality(self):
         """Retransmit arrival is anchored at the original post time on
@@ -222,17 +215,15 @@ class TestDeterminismFixes:
             comm.compute(1e6)  # dilated x1000 by the rank fault
             return comm.recv(source=0)
 
-        for backend in ("threads", "des"):
-            res = run_spmd(2, f, machine=machine, faults=plan,
-                           backend=backend, record_events=True)
-            assert res.results[1].tolist() == [1.0] * 4
-            for rec in res.transport.msglog:
-                assert rec.arrival >= rec.t_post - 1e-15, backend
+        res, _ = run_twice(2, f, machine=machine, faults=plan)
+        assert res.results[1].tolist() == [1.0] * 4
+        for rec in res.transport.msglog:
+            assert rec.arrival >= rec.t_post - 1e-15
 
 
 class TestScale:
     def test_256_rank_pdgemm(self):
-        """A quarter-K smoke of the CI 1024-rank job: the DES backend
+        """A quarter-K smoke of the CI 1024-rank job: the scheduler
         must complete a real pdgemm at this scale in test time."""
         from repro.core.ca3dmm import Ca3dmm
         from repro.core.plan import shared_plan
@@ -250,7 +241,7 @@ class TestScale:
             c = eng.multiply(a, b)
             return float(c.to_global().sum())
 
-        res = _des(p, f, machine=pace_phoenix_cpu("mpi"))
+        res = _run(p, f, machine=pace_phoenix_cpu("mpi"))
         ref = float((dense_random(m, k, 7) @ dense_random(k, n, 8)).sum())
         assert res.results[0] == pytest.approx(ref, rel=1e-12)
         assert res.time > 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -120,16 +122,29 @@ class TestFailures:
         with pytest.raises(RuntimeError, match="rank 0 failed"):
             spmd(3, f)
 
+    @staticmethod
+    def _deadlock(spmd, nprocs, f):
+        """The typed error, raised structurally: ``deadlock_timeout``
+        only bounds probe-poll livelock and must not be waited out."""
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError) as ei:
+            spmd(nprocs, f, deadlock_timeout=60.0)
+        assert time.monotonic() - t0 < 1.0
+        return ei.value
+
     def test_deadlock_detected(self, spmd):
         """Two ranks both receiving first is a classic deadlock."""
 
         def f(comm):
             other = 1 - comm.rank
-            got = comm.recv(source=other)  # nobody ever sends
+            got = comm.recv(source=other, tag=7)  # nobody ever sends
             return got
 
-        with pytest.raises(DeadlockError):
-            spmd(2, f, deadlock_timeout=2.0)
+        err = self._deadlock(spmd, 2, f)
+        assert set(err.blocked) == {0, 1}
+        for rank, why in err.blocked.items():
+            assert why.startswith(f"recv(src={1 - rank}, tag=7")
+            assert f"rank {rank}: {why}" in str(err)
 
     def test_mismatched_collective_deadlocks(self, spmd):
         def f(comm):
@@ -137,8 +152,9 @@ class TestFailures:
                 comm.barrier()
             # rank 1 never joins the barrier
 
-        with pytest.raises(DeadlockError):
-            spmd(2, f, deadlock_timeout=2.0)
+        err = self._deadlock(spmd, 2, f)
+        assert set(err.blocked) == {0}  # rank 1 returned; only 0 is stuck
+        assert err.blocked[0].startswith("recv(src=1, tag=")
 
 
 class TestOverlapModel:

@@ -1,4 +1,4 @@
-"""Transport internals: context ids, ordering, counters, watchdog info."""
+"""Transport internals: context ids, ordering, counters, wait descriptions."""
 
 from __future__ import annotations
 
@@ -144,27 +144,16 @@ class TestPhaseStats:
 
 class TestWatchdogInfo:
     def test_blocked_ranks_describes_wait(self):
-        import threading
-        import time
+        """A blocking call on a transport no scheduler is driving has
+        nobody to wake it: it raises the typed error at once, carrying
+        the ``waiting_on`` description, instead of hanging."""
+        from repro.mpi.errors import DeadlockError
 
         t = Transport(2)
-
-        def blocked():
-            try:
-                t.match_recv(0, 0, 1, 9)
-            except Exception:
-                pass
-
-        th = threading.Thread(target=blocked, daemon=True)
-        th.start()
-        time.sleep(0.2)
-        info = t.blocked_ranks()
-        assert 0 in info and "tag=9" in info[0]
-        from repro.mpi.errors import AbortError
-
-        t.abort(AbortError(-1))
-        th.join(timeout=5)
-        assert not th.is_alive()
+        with pytest.raises(DeadlockError) as ei:
+            t.match_recv(0, 0, 1, 9)
+        assert ei.value.blocked == {0: "recv(src=1, tag=9, ctx=0)"}
+        assert t.ranks[0].waiting_on is None  # wait state unwound
 
 
 class TestMessageLog:

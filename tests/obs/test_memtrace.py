@@ -17,6 +17,7 @@ from repro.obs.memtrace import (
     memprof_run,
     validate_memprof_json,
 )
+from tests.conftest import run_twice
 
 ITEM = 8  # float64 bytes per matrix word
 
@@ -93,7 +94,7 @@ class TestEventBalance:
     def test_killed_rank_spans_released(self):
         """Dead-letter reclamation: a rank killed mid-algorithm cannot
         reach its own frees, so the runtime must release its open spans
-        — the leak table stays clean on both backends."""
+        — the leak table stays clean, on the run and its replay."""
         from repro.ft import resilient_multiply
         from repro.layout import BlockCol1D
         from repro.mpi import RankFault
@@ -110,15 +111,11 @@ class TestEventBalance:
                 comm, BlockCol1D((k, n), comm.size), dense_random(k, n, 8))
             resilient_multiply(comm, a, b, max_recoveries=2)
 
-        for backend in ("threads", "des"):
-            res = run_spmd(P, f, machine=laptop(), record_events=True,
-                           faults=plan, backend=backend)
-            assert res.failed_ranks == [1]
-            for t in res.traces:
-                assert not t.mem_live, (
-                    f"{backend}: rank {t.rank} leaks {t.mem_live}"
-                )
-                assert t.resident_bytes == 0
+        res, _ = run_twice(P, f, machine=laptop(), faults=plan)
+        assert res.failed_ranks == [1]
+        for t in res.traces:
+            assert not t.mem_live, f"rank {t.rank} leaks {t.mem_live}"
+            assert t.resident_bytes == 0
 
     def test_memlog_allocs_and_frees_balance(self):
         plan, res = _executed(record_events=True)
@@ -170,27 +167,16 @@ class TestFaultedReplay:
         LinkFault(phase="cannon", corrupt_at=(0,)),
     ))
 
-    def _memlog(self):
-        """Per-rank event streams (the global log interleaves threads
-        nondeterministically; each rank's own order is program order)."""
-        plan, res = _executed(24, 20, 28, 8, record_events=True, abft=True,
-                              faults=self.FAULTS)
-        by_rank: dict[int, list] = {}
-        for e in res.transport.memlog:
-            by_rank.setdefault(e.rank, []).append(
-                (e.kind, e.purpose, e.phase, e.t, e.nbytes, e.resident_bytes)
-            )
-        return by_rank
-
     def test_seeded_fault_replay_is_identical(self):
-        """Two runs under the same seeded FaultPlan produce the same
-        per-rank memory timeline, event for event — the ABFT recompute's
-        extra allocations included."""
-        first, second = self._memlog(), self._memlog()
-        assert first.keys() == second.keys()
-        for rank in first:
-            assert first[rank] == second[rank], f"rank {rank} diverged"
-        assert any(first.values())
+        """Two runs under the same seeded FaultPlan produce the same raw
+        memory timeline, event for event — the ABFT recompute's extra
+        allocations included."""
+        first, second = (
+            _executed(24, 20, 28, 8, record_events=True, abft=True,
+                      faults=self.FAULTS)[1].transport.memlog
+            for _ in range(2)
+        )
+        assert first and first == second
 
 
 # ----------------------------------------------------- the report -- #
