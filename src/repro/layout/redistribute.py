@@ -61,9 +61,10 @@ def _plan_sends(
     my_tiles: list[np.ndarray],
     dst_dist: Distribution,
     transpose: bool,
-) -> list[list[tuple[Rect, np.ndarray]]]:
-    """For each destination rank, the (src-coord rect, data) pieces to send."""
-    out: list[list[tuple[Rect, np.ndarray]]] = [[] for _ in range(dst_dist.nranks)]
+) -> dict[int, list[tuple[Rect, np.ndarray]]]:
+    """The (src-coord rect, data) pieces to send, by destination rank:
+    only destinations that get something, in ascending order."""
+    out: dict[int, list[tuple[Rect, np.ndarray]]] = {}
     if not my_rects:
         return out
     # Vectorized destination prefilter: a destination is a candidate
@@ -83,6 +84,7 @@ def _plan_sends(
     hit = (w_r0 < br1) & (w_r1 > br0) & (w_c0 < bc1) & (w_c1 > bc0)
     for dst_rank in np.unique(ranks[hit]):
         dst_rank = int(dst_rank)
+        batch = []
         for want in dst_dist.owned_rects(dst_rank):
             want_src = want.transposed() if transpose else want
             for mine, tile in zip(my_rects, my_tiles):
@@ -90,14 +92,16 @@ def _plan_sends(
                 if piece.is_empty():
                     continue
                 rs, cs = mine.local_slice(piece)
-                out[dst_rank].append((piece, np.ascontiguousarray(tile[rs, cs])))
+                batch.append((piece, np.ascontiguousarray(tile[rs, cs])))
+        if batch:
+            out[dst_rank] = batch
     return out
 
 
 def _verify_batches(
     comm: Comm,
     phase: str,
-    sends: list[list[tuple[Rect, np.ndarray]]],
+    sends: dict[int, list[tuple[Rect, np.ndarray]]],
     send_dsts: list[int],
     recv_sources: list[int],
     got: dict[int, tuple[list[int], list]],
@@ -221,16 +225,15 @@ def redistribute(
                 if overlap:
                     recv_sources.append(src_rank)
 
-        send_dsts = [
-            d for d, batch in enumerate(sends) if d != comm.rank and batch
-        ]
+        me = comm.rank
+        send_dsts = [d for d in sends if d != me]
         pending = []
         for dst_rank in send_dsts:
             batch = sends[dst_rank]
             payload = (_batch_crcs(batch), batch) if verify else batch
             pending.append(comm.isend(payload, dst_rank, _TAG_REDIST))
         if not verify:
-            received = [sends[comm.rank]]
+            received = [sends.get(me, [])]
             for src_rank in recv_sources:
                 received.append(comm.recv(source=src_rank, tag=_TAG_REDIST))
             for req in pending:
@@ -242,7 +245,7 @@ def redistribute(
             for req in pending:
                 req.wait()
             _verify_batches(comm, phase, sends, send_dsts, recv_sources, got)
-            received = [sends[comm.rank]]
+            received = [sends.get(me, [])]
             received.extend(got[s][1] for s in recv_sources)
 
         my_rects = dst_dist.owned_rects(comm.rank)

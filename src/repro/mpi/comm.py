@@ -39,7 +39,7 @@ class Comm:
             self._rank = self._group.index(world_rank)
         except ValueError:  # pragma: no cover - constructor misuse
             raise CommError(f"world rank {world_rank} not in group {group}")
-        self._w2l = {w: l for l, w in enumerate(self._group)}
+        self._w2l: dict[int, int] | None = None  # built by the first _to_local
         self._split_seq = 0
         self._agree_seq = 0
         self._shrink_seq = 0
@@ -76,12 +76,15 @@ class Comm:
     def _to_world(self, local: int) -> int:
         if local == ANY_SOURCE:
             return ANY_SOURCE
-        if not 0 <= local < self.size:
+        if not 0 <= local < len(self._group):
             raise RankError(f"rank {local} out of range for size {self.size}")
         return self._group[local]
 
     def _to_local(self, world: int) -> int:
-        return self._w2l[world]
+        w2l = self._w2l
+        if w2l is None:
+            w2l = self._w2l = {w: l for l, w in enumerate(self._group)}
+        return w2l[world]
 
     @staticmethod
     def _check_tag(tag: int) -> None:
@@ -200,12 +203,12 @@ class Comm:
         """
         self._check_tag(sendtag)
         self._check_tag(recvtag)
-        t0 = self._transport.now(self._world_rank)
         stored, nbytes, is_array = payload_pack(sendvalue)
+        dest_world = self._to_world(dest)
         arrival_out, seq_out = self._transport.post_send(
             self._ctx,
             self._world_rank,
-            self._to_world(dest),
+            dest_world,
             sendtag,
             stored,
             nbytes,
@@ -218,9 +221,8 @@ class Comm:
         # Outgoing side also occupies this rank until arrival_out.
         self._transport.raise_clock(
             self._world_rank, arrival_out,
-            event_kind="send", nbytes=nbytes, peer=self._to_world(dest), seq=seq_out,
+            event_kind="send", nbytes=nbytes, peer=dest_world, seq=seq_out,
         )
-        del t0
         return msg.unpack()
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
@@ -290,10 +292,9 @@ class Comm:
         triples = _coll.allgather(self, (color, key, self._rank))
         if color is None:
             return None
-        members = sorted(
-            (k, r) for (c, k, r) in triples if c == color
-        )
-        group = tuple(self._group[r] for (_k, r) in members)
+        group = self._transport.split_groups(
+            (self._ctx, self._split_seq), triples, self._group
+        )[color]
         ctx = self._transport.context_for_key(
             (self._ctx, "split", self._split_seq, color)
         )

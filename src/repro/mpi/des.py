@@ -5,8 +5,9 @@ Python calling deep into the engines — but takes scheduling away from
 the OS.  Each rank still owns a thread (its stack is where the program's
 state lives), yet **at most one rank thread runs at any instant**: a
 rank runs until it must block inside the transport, parks on its private
-:class:`threading.Event`, and hands the world to the runnable rank with
-the *lowest virtual clock*.  The result is a single-threaded
+baton — a raw lock used as a binary semaphore, released by whoever
+dispatches the rank — and hands the world to the runnable rank with the
+*lowest virtual clock*.  The result is a single-threaded
 discrete-event simulation in all but mechanism:
 
 * event ordering is a pure function of the virtual clocks and each
@@ -68,7 +69,11 @@ class DesScheduler:
     def __init__(self, transport: "Transport"):
         self.transport = transport
         self.nprocs = nprocs = transport.nprocs
-        self._events = [threading.Event() for _ in range(nprocs)]
+        #: one baton per strand, held while it is parked and released by
+        #: whoever dispatches it (a second dispatch is ``release``'s error).
+        self._batons = [threading.Lock() for _ in range(nprocs)]
+        for baton in self._batons:
+            baton.acquire()
         self._state = [_NEW] * nprocs
         #: why a blocked rank is parked: ``"recv"`` or ``"agree"``.
         self._why: list[str | None] = [None] * nprocs
@@ -81,6 +86,8 @@ class DesScheduler:
         self._running_from_poll = False
         self._poll_resumes = 0
         self._finished_count = 0
+        #: strands parked in an agree (``wake_agree_locked`` scans iff > 0)
+        self._agree_parked = 0
         #: set whenever no rank is runnable — the driver's turn to act.
         self.driver_evt = threading.Event()
 
@@ -106,19 +113,19 @@ class DesScheduler:
         if r is None:
             self.driver_evt.set()
         else:
-            self._running = r
-            self._state[r] = _RUNNING
-            self._events[r].set()
+            self.dispatch_rank_locked(r)
 
     def dispatch_rank_locked(self, rank: int) -> None:
-        """Driver-side: resume a specific runnable rank."""
+        """Resume a specific runnable rank: hand it its baton."""
         self._running = rank
         self._state[rank] = _RUNNING
-        self._events[rank].set()
+        self._batons[rank].release()
 
     def make_ready_locked(self, rank: int) -> None:
         if self._state[rank] in (_BLOCKED, _NEW):
             self._state[rank] = _READY
+            if self._why[rank] == "agree":
+                self._agree_parked -= 1
             self._why[rank] = None
             heapq.heappush(
                 self._ready,
@@ -132,18 +139,16 @@ class DesScheduler:
 
         The transport lock is released only *after* the next rank (or
         the driver) has been chosen and signalled, so there is no window
-        in which nobody owns the world.  ``Event`` semantics make the
-        set-before-wait race benign: a rank re-dispatched before it
-        reaches ``wait()`` just sails through.
+        in which nobody owns the world.  The release-before-acquire race
+        is benign: a rank re-dispatched before it reaches ``acquire()``
+        finds its baton free and just sails through.
         """
         self._running = None
         self._dispatch_locked()
-        evt = self._events[rank]
         lock = self.transport._lock
         lock.release()
         try:
-            evt.wait()
-            evt.clear()
+            self._batons[rank].acquire()
         finally:
             lock.acquire()
 
@@ -161,6 +166,8 @@ class DesScheduler:
             )
         self._state[rank] = _BLOCKED
         self._why[rank] = why
+        if why == "agree":
+            self._agree_parked += 1
         self._handoff_locked(rank)
 
     def poll_yield_locked(self, rank: int) -> None:
@@ -182,6 +189,8 @@ class DesScheduler:
 
     def wake_agree_locked(self) -> None:
         """An agree vote/result or a finish changed the rendezvous state."""
+        if not self._agree_parked:
+            return
         for r in range(self.nprocs):
             if self._state[r] == _BLOCKED and self._why[r] == "agree":
                 self.make_ready_locked(r)
@@ -195,9 +204,7 @@ class DesScheduler:
     # ------------------------------------------------------------ strands -- #
     def strand_main(self, rank: int, body: Callable[[int], None]) -> None:
         """Thread target for one rank strand."""
-        evt = self._events[rank]
-        evt.wait()
-        evt.clear()
+        self._batons[rank].acquire()
         try:
             body(rank)
         finally:

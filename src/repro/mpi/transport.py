@@ -156,12 +156,18 @@ class RankState:
     #: per-phase high-water marks of total resident bytes
     phase_mem_peak: dict[str, int] = field(default_factory=dict)
     phase_stack: list[str] = field(default_factory=list)
+    phase: str = DEFAULT_PHASE  #: top of ``phase_stack``
     phase_span_stack: list[int] = field(default_factory=list)  #: tracer span ids
     phases: dict[str, PhaseStats] = field(default_factory=dict)
     coll_stack: list[str] = field(default_factory=list)  #: active collective calls
+    coll: str = DEFAULT_COLL  #: bottom of ``coll_stack``: the outermost label wins
     #: per-phase, per-collective-algorithm traffic: phase -> label -> stats.
     colls: dict[str, dict[str, CollStats]] = field(default_factory=dict)
-    waiting_on: str | None = None  #: populated while blocked (DeadlockError detail)
+    #: where charges go now: ``phases[phase]`` and ``colls[phase][coll]``.
+    #: Dropped when a phase or collective is pushed or popped; the next
+    #: charge points them again (a phase never charged gets no entry).
+    cur_ps: PhaseStats | None = None
+    cur_cs: CollStats | None = None
     retries: int = 0  #: retransmits requested for dropped messages
     timeouts: int = 0  #: recv timeouts charged (== retries unless fatal)
     injected_wait_s: float = 0.0  #: simulated time added by injected faults
@@ -177,7 +183,7 @@ class RankState:
     #: structured wait state, consulted by the revocation quiescence
     #: check: ``(ctx, src, tag)`` while blocked in :meth:`Transport.match_recv`.
     recv_wait: tuple[int, int, int] | None = None
-    agree_wait: bool = False  #: blocked in an agree rendezvous
+    agree_wait: Any = None  #: the rendezvous key while blocked in an agree
     # -- async comm engine (overlap != "none") ------------------------- #
     async_depth: int = 0  #: nesting depth of open begin_async regions
     comm_clock: float = 0.0  #: comm-timeline clock while inside a region
@@ -185,26 +191,24 @@ class RankState:
     nic_free: float = 0.0  #: when this rank's NIC stream frees (partial)
 
     @property
-    def phase(self) -> str:
-        return self.phase_stack[-1] if self.phase_stack else DEFAULT_PHASE
+    def waiting_on(self) -> str | None:
+        """What the rank is blocked in (:class:`DeadlockError` detail)."""
+        if self.recv_wait is not None:
+            ctx, src, tag = self.recv_wait
+            return f"recv(src={src}, tag={tag}, ctx={ctx})"
+        if self.agree_wait is not None:
+            return f"agree(key={self.agree_wait})"
+        return None
 
-    @property
-    def coll(self) -> str:
-        """The outermost active collective label (nested calls fold in)."""
-        return self.coll_stack[0] if self.coll_stack else DEFAULT_COLL
-
-    def phase_stats(self, name: str | None = None) -> PhaseStats:
-        key = self.phase if name is None else name
-        st = self.phases.get(key)
-        if st is None:
-            st = self.phases[key] = PhaseStats()
-        return st
+    def phase_stats(self) -> PhaseStats:
+        """Point ``cur_ps`` at the current phase's entry, creating it."""
+        ps = self.cur_ps = self.phases.setdefault(self.phase, PhaseStats())
+        return ps
 
     def coll_stats(self) -> CollStats:
+        """Point ``cur_cs`` at the current (phase, collective) entry."""
         by_coll = self.colls.setdefault(self.phase, {})
-        cs = by_coll.get(self.coll)
-        if cs is None:
-            cs = by_coll[self.coll] = CollStats()
+        cs = self.cur_cs = by_coll.setdefault(self.coll, CollStats())
         return cs
 
 
@@ -374,6 +378,8 @@ class Transport:
         #: check samples it.
         self.progress = 0
         self._context_keys: dict[Any, int] = {}
+        # (parent ctx, split seq) -> {color: member world ranks, in order}
+        self._split_groups: dict[tuple[int, int], dict[Any, tuple[int, ...]]] = {}
         self._next_ctx = 1
         self.aborted: AbortError | None = None
         #: world ranks permanently failed by ``RankFault(kill=True)``.
@@ -403,6 +409,25 @@ class Transport:
                 self._next_ctx += 1
                 self._context_keys[key] = ctx
             return ctx
+
+    def split_groups(
+        self, key: tuple[int, int], triples: Sequence[tuple], parent_group: Sequence[int]
+    ) -> dict[Any, tuple[int, ...]]:
+        """``{color: member world ranks}`` of one ``Comm.split`` call: every
+        member holds the same ``(color, key, rank)`` triples, the first one
+        here orders each color by ``(key, parent rank)``, the rest share it."""
+        with self._lock:
+            groups = self._split_groups.get(key)
+            if groups is None:
+                members: dict[Any, list[tuple[Any, int]]] = {}
+                for color, k, r in triples:
+                    if color is not None:
+                        members.setdefault(color, []).append((k, r))
+                groups = self._split_groups[key] = {
+                    color: tuple(parent_group[r] for _k, r in sorted(kr))
+                    for color, kr in members.items()
+                }
+            return groups
 
     # --------------------------------------------------------- aborting -- #
     def abort(self, err: AbortError) -> None:
@@ -477,8 +502,7 @@ class Transport:
             self.progress += 1
             self.scheduler.wake_agree_locked()
             me = self.ranks[world_rank]
-            me.waiting_on = f"agree(key={key})"
-            me.agree_wait = True
+            me.agree_wait = key
             try:
                 while st["result"] is None:
                     self._check_abort()
@@ -498,8 +522,7 @@ class Transport:
                         break
                     self.scheduler.park_locked(world_rank, "agree")
             finally:
-                me.waiting_on = None
-                me.agree_wait = False
+                me.agree_wait = None
             ok, survivors, t = st["result"]
             self._raise_clock_locked(world_rank, t, event_kind="wait")
             return ok, survivors
@@ -575,7 +598,7 @@ class Transport:
             return
         t0 = st.clock
         st.clock += dt
-        ps = st.phase_stats()
+        ps = st.cur_ps or st.phase_stats()
         ps.time += dt
         if kind == "comm":
             ps.comm_time += dt
@@ -631,7 +654,7 @@ class Transport:
             dt = t - st.clock
             t0 = st.clock
             st.clock = t
-            ps = st.phase_stats()
+            ps = st.cur_ps or st.phase_stats()
             ps.time += dt
             ps.comm_time += dt
             if self.record_events:
@@ -709,12 +732,14 @@ class Transport:
             if exposed > 0.0:
                 self._raise_clock_locked(world_rank, t_complete, event_kind="wait")
             if covered > 0.0:
-                st.phase_stats().comm_covered_time += covered
+                (st.cur_ps or st.phase_stats()).comm_covered_time += covered
 
     # ------------------------------------------------------------ phases -- #
     def push_phase(self, world_rank: int, name: str, attrs: dict | None = None) -> None:
         with self._lock:
-            self.ranks[world_rank].phase_stack.append(name)
+            st = self.ranks[world_rank]
+            st.phase_stack.append(name)
+            st.phase, st.cur_ps, st.cur_cs = name, None, None
             if self.faults is not None:
                 self._apply_rank_faults_locked(world_rank, name)
         if self.tracer.enabled:
@@ -757,20 +782,26 @@ class Transport:
         non-empty is attributed to the *outermost* label (always-on and
         cheap, unlike tracer spans)."""
         with self._lock:
-            self.ranks[world_rank].coll_stack.append(label)
+            st = self.ranks[world_rank]
+            st.coll_stack.append(label)
+            if len(st.coll_stack) == 1:
+                st.coll, st.cur_cs = label, None
 
     def pop_coll(self, world_rank: int) -> str:
         with self._lock:
-            return self.ranks[world_rank].coll_stack.pop()
+            st = self.ranks[world_rank]
+            label = st.coll_stack.pop()
+            if not st.coll_stack:
+                st.coll, st.cur_cs = DEFAULT_COLL, None
+            return label
 
     def pop_phase(self, world_rank: int) -> str:
         with self._lock:
-            name = self.ranks[world_rank].phase_stack.pop()
-            sid = (
-                self.ranks[world_rank].phase_span_stack.pop()
-                if self.ranks[world_rank].phase_span_stack
-                else None
-            )
+            st = self.ranks[world_rank]
+            name = st.phase_stack.pop()
+            st.phase = st.phase_stack[-1] if st.phase_stack else DEFAULT_PHASE
+            st.cur_ps = st.cur_cs = None
+            sid = st.phase_span_stack.pop() if st.phase_span_stack else None
         if sid is not None:
             self.end_span(world_rank, sid)
         return name
@@ -938,6 +969,29 @@ class Transport:
                 )
             )
 
+    def _inflight_pulse_locked(self, world_rank: int, nbytes: int) -> None:
+        """The packed copy of one send: a ``MEM_INFLIGHT`` alloc and free
+        back to back.  The live totals end where they were, so only the
+        high-water marks move; recorded as the same event pair."""
+        st = self.ranks[world_rank]
+        low = st.resident_bytes
+        high = low + nbytes
+        if high > st.resident_peak_bytes:
+            st.resident_peak_bytes = high
+        live = st.mem_live.setdefault(MEM_INFLIGHT, 0) + nbytes
+        if live > st.mem_peak.get(MEM_INFLIGHT, 0):
+            st.mem_peak[MEM_INFLIGHT] = live
+        phase = st.phase
+        if high > st.phase_mem_peak.get(phase, 0):
+            st.phase_mem_peak[phase] = high
+        if live > st.peak_live_bytes:
+            st.peak_live_bytes = live
+        if self.record_events:
+            for kind, resident in (("alloc", high), ("free", low)):
+                self.memlog.append(
+                    MemEvent(world_rank, kind, MEM_INFLIGHT, phase, st.clock, nbytes, resident)
+                )
+
     # --------------------------------------------------------------- p2p -- #
     def post_send(
         self,
@@ -1032,18 +1086,17 @@ class Transport:
                         event_kind="send", nbytes=nbytes, peer=dst_world, seq=seq,
                         injected=injected,
                     )
-            ps = st.phase_stats()
+            ps = st.cur_ps or st.phase_stats()
             ps.bytes_sent += nbytes
             ps.msgs_sent += 1
-            cs = st.coll_stats()
+            cs = st.cur_cs or st.coll_stats()
             cs.bytes_sent += nbytes
             cs.msgs_sent += 1
             st.bytes_sent += nbytes
             st.msgs_sent += 1
             # Sender-side packed copy: charged transiently in the
             # sender's own program order (deterministic on replay).
-            self._mem_alloc_locked(src_world, MEM_INFLIGHT, nbytes)
-            self._mem_free_locked(src_world, MEM_INFLIGHT, nbytes)
+            self._inflight_pulse_locked(src_world, nbytes)
             msg = Message(
                 ctx=ctx,
                 src_world=src_world,
@@ -1429,9 +1482,7 @@ class Transport:
         budget raises :class:`~repro.mpi.errors.RecvTimeoutError`.
         """
         with self._lock:
-            waitdesc = f"recv(src={src_world}, tag={tag}, ctx={ctx})"
             st = self.ranks[dst_world]
-            st.waiting_on = waitdesc
             st.recv_wait = (ctx, src_world, tag)
             try:
                 while True:
@@ -1475,10 +1526,10 @@ class Transport:
                         event_kind="recv", nbytes=msg.nbytes, peer=msg.src_world,
                         seq=msg.seq,
                     )
-                ps = st.phase_stats()
+                ps = st.cur_ps or st.phase_stats()
                 ps.bytes_recv += msg.nbytes
                 ps.msgs_recv += 1
-                cs = st.coll_stats()
+                cs = st.cur_cs or st.coll_stats()
                 cs.bytes_recv += msg.nbytes
                 cs.msgs_recv += 1
                 st.bytes_recv += msg.nbytes
@@ -1490,7 +1541,6 @@ class Transport:
                 status = Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
                 return msg, status
             finally:
-                st.waiting_on = None
                 st.recv_wait = None
 
     def _quiescent_locked(self) -> bool:
@@ -1504,7 +1554,7 @@ class Transport:
         only the unwinding of a blocked receiver changes it.
         """
         for r, st in enumerate(self.ranks):
-            if r in self.dead or r in self.finished or st.agree_wait:
+            if r in self.dead or r in self.finished or st.agree_wait is not None:
                 continue
             w = st.recv_wait
             if w is None:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.mpi import Cart2D
+from repro.machine.model import laptop
+from repro.mpi import Cart2D, run_spmd
 from repro.mpi.errors import CommError
 
 
@@ -96,6 +98,63 @@ class TestDupCreate:
                 comm.create_sub([0, 0])
 
         spmd(2, f)
+
+
+class TestSplitGrouping:
+    """One rank groups a split's triples for all of them; every rank's
+    view must still be the brute-force answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.none() | st.integers(0, 3), st.integers(0, 2)),
+        min_size=1, max_size=24,
+    ))
+    def test_groups_equal_brute_force(self, spec):
+        """``spec[r]`` is parent rank r's ``(color, key)``.  The parent is
+        the world in reverse, so parent ranks are not world ranks."""
+        p = len(spec)
+
+        def expected(sign):
+            return {
+                color: tuple(
+                    p - 1 - r
+                    for _k, r in sorted(
+                        (sign * k, r) for r, (c, k) in enumerate(spec) if c == color
+                    )
+                )
+                for color, _key in spec
+                if color is not None
+            }
+
+        def f(comm):
+            parent = comm.split(0, -comm.rank)
+            assert parent.group == tuple(range(p - 1, -1, -1))
+            color, key = spec[parent.rank]
+            # Same colors, opposite keys, back to back: a grouping shared
+            # between the two calls would give the second the first's order.
+            first, second = parent.split(color, key), parent.split(color, -key)
+            if color is None:
+                assert first is None and second is None
+                return None
+            twin = first.dup()
+            tail = first.create_sub(range(1, first.size))
+            assert (tail is None) == (first.rank == 0)
+            return (
+                first.group, second.group, twin.allgather(comm.rank),
+                None if tail is None else tail.group,
+            )
+
+        res = run_spmd(p, f, machine=laptop())
+        ascending, descending = expected(1), expected(-1)
+        for w, out in enumerate(res.results):
+            color = spec[p - 1 - w][0]
+            if color is None:
+                assert out is None
+                continue
+            first, second, twin, tail = out
+            assert first == ascending[color] and second == descending[color]
+            assert tuple(twin) == first
+            assert tail is None or tail == first[1:]
 
 
 class TestCart2D:

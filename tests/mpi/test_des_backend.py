@@ -14,6 +14,8 @@ and pin the bugfixes that made runs deterministic:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.mpi import (
     run_spmd,
 )
 from repro.mpi.datatypes import ANY_SOURCE
+from repro.mpi.transport import Transport
 from tests.conftest import run_twice
 
 
@@ -219,6 +222,63 @@ class TestDeterminismFixes:
         assert res.results[1].tolist() == [1.0] * 4
         for rec in res.transport.msglog:
             assert rec.arrival >= rec.t_post - 1e-15
+
+
+class TestBaton:
+    """The handoff: one lock per strand, released by whoever dispatches
+    it.  Driven by hand on a transport ``run_des`` is not running."""
+
+    def test_dispatch_before_park_sails_through(self):
+        """Dispatching a strand that has not reached its park yet leaves
+        its baton free; the park then returns at once."""
+        t = Transport(2)
+        sched = t.scheduler
+        with t._lock:
+            sched.make_ready_locked(0)
+            sched._dispatch_locked()
+        ran = []
+        strand = threading.Thread(target=sched.strand_main, args=(0, ran.append))
+        strand.start()
+        strand.join(timeout=5.0)
+        assert not strand.is_alive() and ran == [0]
+        assert sched._finished_count == 1 and sched._running is None
+
+    def test_second_dispatch_of_unparked_strand_raises(self):
+        t = Transport(2)
+        with t._lock:
+            t.scheduler.dispatch_rank_locked(1)
+            with pytest.raises(RuntimeError, match="unlocked"):
+                t.scheduler.dispatch_rank_locked(1)
+
+    def test_park_from_undispatched_thread_names_the_wait(self):
+        """Nobody dispatched the caller, so nobody can wake it: the typed
+        error, with the description derived from the structured wait."""
+        t = Transport(2)
+        t.ranks[1].recv_wait = (3, 0, 7)
+        with t._lock, pytest.raises(DeadlockError) as ei:
+            t.scheduler.park_locked(1, "recv")
+        assert ei.value.blocked == {1: "recv(src=0, tag=7, ctx=3)"}
+
+        with pytest.raises(DeadlockError) as ei:
+            t.agree(("ctx", 1), (0, 1), 0, True)  # rank 1 never votes
+        assert ei.value.blocked == {0: "agree(key=('ctx', 1))"}
+        assert t.ranks[0].waiting_on is None  # wait state unwound
+        assert t.scheduler._agree_parked == 0
+
+    def test_agree_wakes_are_counted(self):
+        """Ranks 0-2 park in the agree until the straggler's vote, rank 3
+        until rank 4 — which never votes — finishes; every park is
+        matched by a wake."""
+
+        def f(comm):
+            comm.compute(1e6 * comm.rank)
+            if comm.rank == 4:
+                return None
+            return comm.agree(True)
+
+        res, _ = run_twice(5, f, machine=laptop())
+        assert res.results == [(False, (0, 1, 2, 3))] * 4 + [None]
+        assert res.transport.scheduler._agree_parked == 0
 
 
 class TestScale:

@@ -1,0 +1,85 @@
+"""What one delivered message costs the host, as a count of Python calls.
+
+A count, not a stopwatch: for a given interpreter the number of function
+calls a run makes repeats exactly, so it can be gated tightly where wall
+time on a shared runner cannot.  ``calls_per_message`` is also what the
+``des-smoke`` CI job runs at 1024 ranks.
+
+The calls are counted by a ``sys.setprofile`` hook installed in every
+strand (``call`` + ``c_call`` events — what ``cProfile`` sums into
+``pstats.Stats.total_calls``).  One ``cProfile.Profile`` per strand would
+read within 3 % of it on 3.11 but cannot run on 3.12, where the
+interpreter has a single profiler slot and the strands, parked or not,
+are all alive at once.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+import threading
+
+from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
+from repro.machine.model import pace_phoenix_cpu
+
+
+@contextlib.contextmanager
+def counted_strands():
+    """Count the calls made by every thread started inside the block.
+
+    ``threading.Thread.run`` is wrapped for the duration and restored;
+    the value is the list of per-thread counters.
+    """
+    cells: list[list[int]] = []
+    original = threading.Thread.run
+
+    def run(self):
+        cell = [0]
+        cells.append(cell)
+
+        def hook(frame, event, arg):
+            if event == "call" or event == "c_call":
+                cell[0] += 1
+
+        sys.setprofile(hook)
+        try:
+            original(self)
+        finally:
+            sys.setprofile(None)
+
+    threading.Thread.run = run
+    try:
+        yield cells
+    finally:
+        threading.Thread.run = original
+
+
+def calls_per_message(p: int, n: int = 256) -> float:
+    """Python calls per delivered message of one ``ca3dmm_matmul`` n³ on
+    ``p`` ranks (native layouts, nothing recorded)."""
+    plan = Ca3dmmPlan(n, n, n, p)
+    a, b = dense_random(n, n, 0), dense_random(n, n, 1)
+
+    def body(comm):
+        c = ca3dmm_matmul(
+            DistMatrix.from_global(comm, plan.a_dist, a),
+            DistMatrix.from_global(comm, plan.b_dist, b),
+        )
+        return c.owned_rects, c.tiles
+
+    machine = pace_phoenix_cpu("mpi")
+    run_spmd(p, body, machine=machine)  # plans and imports are memoized here
+    with counted_strands() as cells:
+        result = run_spmd(p, body, machine=machine)
+    return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
+
+
+def test_message_budget_and_flatness():
+    """≤ 115 calls per message at 64 and at 256 ranks (99 and 88 on 3.11;
+    153 and 156 before the baton handoff, one-pass accounting and the
+    shared split grouping), and no growth with P: what a rank does per
+    message must stay O(1) in P."""
+    at64 = calls_per_message(64)
+    at256 = calls_per_message(256)
+    assert at64 <= 115 and at256 <= 115, (at64, at256)
+    assert at256 / at64 <= 1.05, (at64, at256)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
@@ -140,3 +141,53 @@ class TestSpanRecording:
         assert res.spans == []
         # phase accounting still works with the tracer off
         assert all(t.phases["work"].msgs_sent > 0 for t in res.traces)
+
+
+@pytest.mark.parametrize("overlap", ["none", "full"])
+def test_counters_follow_phase_and_collective_repointing(overlap):
+    """A rank's current counters are re-pointed when a phase or a
+    collective label is pushed or popped: every message lands in the
+    (phase, outermost collective) active when it was posted, and
+    re-entering a phase continues its old entry."""
+
+    def f(comm):
+        t, me = comm.transport, comm.world_rank
+
+        def xfer(words):
+            if comm.rank == 0:
+                comm.send(np.zeros(words), dest=1)
+            else:
+                comm.recv(source=0)
+
+        xfer(1)  # other / p2p
+        t.push_phase(me, "A")
+        xfer(2)  # A / p2p
+        t.push_coll(me, "outer")
+        t.push_coll(me, "inner")
+        xfer(4)  # A / outer: the outermost label wins
+        assert t.pop_coll(me) == "inner"
+        xfer(8)  # A / outer still
+        assert t.pop_coll(me) == "outer"
+        xfer(16)  # A / p2p
+        assert t.pop_phase(me) == "A"
+        xfer(32)  # other / p2p
+        with comm.phase("A"):
+            xfer(64)  # A / p2p, the entry opened above
+
+    res = run_spmd(2, f, machine=laptop().with_overlap(overlap))
+    want_phases = {"other": (8 * (1 + 32), 2), "A": (8 * (2 + 4 + 8 + 16 + 64), 5)}
+    want_colls = {
+        "other": {"p2p": (8 * (1 + 32), 2)},
+        "A": {"p2p": (8 * (2 + 16 + 64), 3), "outer": (8 * (4 + 8), 2)},
+    }
+    # Rank 0 only sends and rank 1 only receives, the same seven messages.
+    for trace, way in zip(res.traces, ("sent", "recv")):
+        def counts(st):
+            return getattr(st, f"bytes_{way}"), getattr(st, f"msgs_{way}")
+
+        assert {ph: counts(st) for ph, st in trace.phases.items()} == want_phases
+        assert {
+            ph: {c: counts(st) for c, st in by_coll.items()}
+            for ph, by_coll in trace.colls.items()
+        } == want_colls
+    assert res.traces[0].msgs_recv == res.traces[1].msgs_sent == 0
