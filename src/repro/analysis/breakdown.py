@@ -13,9 +13,12 @@ that bucketing from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..mpi.runtime import SpmdResult
 from .costs import CostReport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..mpi.runtime import SpmdResult
 
 #: Fig. 5 bucket names in display order.
 BUCKETS = ("local computation", "replicate A, B", "reduce C", "other")

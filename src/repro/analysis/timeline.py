@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
-from ..mpi.runtime import SpmdResult
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..mpi.runtime import SpmdResult
 
 #: lane glyph per event kind; later entries win on overlap within a cell.
 GLYPHS = {"wait": ".", "recv": "<", "send": ">", "compute": "#"}

@@ -118,7 +118,7 @@ def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
     from ..layout.distributions import Block2D
     from ..machine.model import laptop
     from ..mpi import run_spmd
-    from ..obs.metrics import overlap_by_phase
+    from ..obs.metrics import overlap_by_phase, run_totals
 
     m, n, k, p = OVERLAP_WORKLOAD
     pr, pc = OVERLAP_SUMMA_GRID
@@ -153,11 +153,7 @@ def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
         off = run_spmd(p, body, machine=mach_off, record_events=True)
         on = run_spmd(p, body, machine=mach_on, record_events=True)
         ov = overlap_by_phase(on)
-        covered = {}
-        for t in on.live_traces:
-            for ph, st in t.phases.items():
-                if st.comm_covered_time > 0:
-                    covered[ph] = covered.get(ph, 0.0) + st.comm_covered_time
+        covered = run_totals(on.live_traces).covered_by_phase
         data[label] = {
             "sync_makespan_s": off.time,
             "engine_makespan_s": on.time,
@@ -604,16 +600,14 @@ def table1_measured(
     eq. (11) prediction for the grid actually planned.  ``ratio`` is
     measured / analytic — the memory gate bounds it near 1.
     """
-    from ..obs.metrics import ITEM
+    from ..obs.metrics import run_totals
 
     rows, data = [], {}
     for name in names:
         m, n, k, p = TRACE_WORKLOADS[name]
         plan, result = executed_workload(name, machine=machine)
         eq11 = plan.grid.memory_words(m, n, k)
-        measured = max(
-            (t.resident_peak_bytes for t in result.live_traces), default=0
-        ) / ITEM
+        measured = run_totals(result.live_traces).resident_peak_words
         ratio = measured / eq11 if eq11 > 0 else float("nan")
         rows.append([
             name, f"{m}x{n}x{k}", str(p),

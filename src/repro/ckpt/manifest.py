@@ -19,11 +19,11 @@ import numpy as np
 
 from ..layout.matrix import DistMatrix
 
-#: Version stamp for the manifest format.  v2 adds incremental
-#: checkpoints: an optional ``kind`` ("full" | "delta") and, per matrix,
-#: an optional ``stored_in`` naming the earlier checkpoint whose tile
-#: payloads still back the matrix (absent = this checkpoint's own id).
-#: v1 manifests remain valid — a v1 document is simply a full snapshot.
+#: Version stamp for the manifest format, the only one accepted:
+#: incremental checkpoints with an optional ``kind`` ("full" | "delta")
+#: and, per matrix, an optional ``stored_in`` naming the earlier
+#: checkpoint whose tile payloads still back the matrix (absent = this
+#: checkpoint's own id).
 MANIFEST_SCHEMA_VERSION = 2
 
 #: JSON Schema (draft-07) for a checkpoint manifest.
@@ -36,7 +36,7 @@ MANIFEST_JSON_SCHEMA = {
         "t_virtual_s", "nranks", "matrices",
     ],
     "properties": {
-        "schema_version": {"enum": [1, MANIFEST_SCHEMA_VERSION]},
+        "schema_version": {"const": MANIFEST_SCHEMA_VERSION},
         "ckpt_id": {"type": "string", "minLength": 1},
         "kind": {"enum": ["full", "delta"]},
         "step": {"type": "integer", "minimum": 0},
@@ -79,8 +79,7 @@ MANIFEST_JSON_SCHEMA = {
 def validate_manifest(doc: dict) -> None:
     """Validate ``doc`` against :data:`MANIFEST_JSON_SCHEMA`.
 
-    Raises ``jsonschema.ValidationError`` (or ``ValueError`` from the
-    fallback validator) on mismatch.
+    Raises :class:`~repro.obs.export.TraceSchemaError` on mismatch.
     """
     from ..obs.export import _validate
 

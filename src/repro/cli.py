@@ -77,6 +77,7 @@ from .layout.distributions import BlockCol1D
 from .layout.matrix import DistMatrix, dense_random
 from .machine.model import pace_phoenix_cpu, pace_phoenix_gpu
 from .mpi.runtime import run_spmd
+from .obs.baseline import GateError, check_gate, write_gate
 from .obs.critpath import critpath_report
 from .obs.drift import drift_report
 from .obs.export import (
@@ -353,6 +354,55 @@ def _obs_common(args):
             raise SystemExit("grid mp * np * kp must be <= nprocs")
         grid = GridSpec(pm=mp, pn=np_, pk=kp, nprocs=args.nprocs)
     return machine, grid
+
+
+def _gate_args(ap: argparse.ArgumentParser, what: str, name: str) -> None:
+    ap.add_argument("--gate", default=None, metavar="FILE",
+                    help=f"compare {what} against this committed baseline "
+                         f"JSON; exit 1 on regression, 2 when the file is "
+                         f"unusable or for another problem (the CI {name} gate)")
+    ap.add_argument("--gate-tol", type=float, default=0.02,
+                    help="allowed relative worsening of the gated values")
+    ap.add_argument("--update-gate", default=None, metavar="FILE",
+                    help="write the gate baseline from this run instead of "
+                         "comparing")
+
+
+def _print_gated(args, to_dict, fmt, text: tuple[str, str, int],
+                 values: dict, gated: tuple[str, ...]) -> bool:
+    """Print a report of ``audit`` / ``memprof`` through ``--update-gate``
+    / ``--gate``; False when the gate found a regression.
+
+    ``values`` is what ``--update-gate`` commits, ``gated`` the keys
+    ``--gate`` holds the run to (:func:`repro.obs.baseline.check_gate`);
+    ``text`` is the gate's name, its word for a check and the column
+    width of its one line of text.
+    """
+    name, label, width = text
+    workload = {"m": args.M, "n": args.N, "k": args.K, "nprocs": args.nprocs}
+    if args.update_gate:
+        write_gate(args.update_gate, workload, values)
+        if not args.json:
+            print(f"{name} gate baseline written: {args.update_gate}")
+    gate = None
+    if args.gate:
+        gate = check_gate(args.gate, workload, {key: values[key] for key in gated},
+                          args.gate_tol, label)
+    if args.json:
+        doc = to_dict()
+        if gate is not None:
+            doc["gate"] = gate
+        print(json.dumps(doc, indent=2))
+    else:
+        print(fmt())
+        if gate is not None:
+            for c in gate["checks"]:
+                print(f"  gate {c[label]:<{width}}: measured {c['measured']:.4f} "
+                      f"vs baseline {c['baseline']:.4f} "
+                      f"(tol {100 * args.gate_tol:.1f}%)  "
+                      + ("ok" if c["ok"] else "REGRESSION"))
+            print(f"{name} gate: " + ("OK" if gate["ok"] else "FAIL"))
+    return gate is None or gate["ok"]
 
 
 def _trace_main(argv: list[str]) -> int:
@@ -1015,11 +1065,12 @@ def _stats_main(argv: list[str]) -> int:
         print(json.dumps({
             "metrics": metrics.to_dict(),
             "drift": report.to_dict(),
-            # legacy name kept for consumers; this counter is transport
-            # in-flight / self-reported peak, NOT the resident footprint
-            "peak_live_bytes": int(metrics.peak_live_words * 8),
-            "transport_inflight_peak_bytes": int(metrics.peak_live_words * 8),
-            "resident_peak_bytes": int(metrics.resident_peak_words * 8),
+            # transport in-flight / self-reported peak, NOT the resident
+            # footprint (that is resident_peak_bytes)
+            "transport_inflight_peak_bytes": max(
+                t.peak_live_bytes for t in result.traces),
+            "resident_peak_bytes": max(
+                t.resident_peak_bytes for t in result.traces),
             "mem_by_purpose_words": dict(metrics.mem_by_purpose),
             "overlap_by_phase": dict(metrics.overlap_by_phase),
             "q_over_analytic": q_over_analytic,
@@ -1046,75 +1097,20 @@ def _audit_main(argv: list[str]) -> int:
     ap.add_argument("--strict", action="store_true",
                     help="exit nonzero when measured traffic leaves the "
                          "tolerance band")
-    ap.add_argument("--gate", default=None, metavar="FILE",
-                    help="compare measured optimality ratios against this "
-                         "committed baseline JSON and exit nonzero on "
-                         "regression (the CI audit gate)")
-    ap.add_argument("--gate-tol", type=float, default=0.02,
-                    help="allowed relative worsening of the gated ratios")
-    ap.add_argument("--update-gate", default=None, metavar="FILE",
-                    help="write the gate baseline from this run instead of "
-                         "comparing")
+    _gate_args(ap, "measured optimality ratios", "audit")
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
     plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
     report = audit_run(result, plan, machine=machine, byte_tol=args.tol)
     _append_ledger(args, result, plan, "cli.audit", audit_ok=report.ok)
 
-    gate_doc = None
-    if args.update_gate:
-        gate_doc = {
-            "schema_version": 1,
-            "workload": {"m": args.M, "n": args.N, "k": args.K,
-                         "nprocs": args.nprocs},
-            "q_over_eq9": report.q_over_eq9,
-            "q_over_pebbling": report.q_over_pebbling,
-            "max_rel_err": report.max_rel_err,
-        }
-        with open(args.update_gate, "w", encoding="utf-8") as fh:
-            json.dump(gate_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if not args.json:
-            print(f"audit gate baseline written: {args.update_gate}")
-
-    gate_ok = True
-    gate_result: dict | None = None
-    if args.gate:
-        try:
-            with open(args.gate, encoding="utf-8") as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read audit gate baseline: {exc}")
-        checks = []
-        for key, measured in (
-            ("q_over_eq9", report.q_over_eq9),
-            ("q_over_pebbling", report.q_over_pebbling),
-        ):
-            expected = base.get(key)
-            if expected is None or measured is None:
-                continue
-            ok = measured <= expected * (1.0 + args.gate_tol)
-            checks.append({"ratio": key, "measured": measured,
-                           "baseline": expected, "ok": ok})
-        gate_ok = bool(checks) and all(c["ok"] for c in checks)
-        gate_result = {"baseline": args.gate, "tol": args.gate_tol,
-                       "ok": gate_ok, "checks": checks}
-
-    if args.json:
-        doc = report.to_dict()
-        if gate_result is not None:
-            doc["gate"] = gate_result
-        print(json.dumps(doc, indent=2))
-    else:
-        print(report.format())
-        if gate_result is not None:
-            for c in gate_result["checks"]:
-                print(f"  gate {c['ratio']:<16}: measured {c['measured']:.4f} "
-                      f"vs baseline {c['baseline']:.4f} "
-                      f"(tol {100 * args.gate_tol:.1f}%)  "
-                      + ("ok" if c["ok"] else "REGRESSION"))
-            print("audit gate: " + ("OK" if gate_ok else "FAIL"))
-    if args.gate and not gate_ok:
+    values = {
+        "q_over_eq9": report.q_over_eq9,
+        "q_over_pebbling": report.q_over_pebbling,
+        "max_rel_err": report.max_rel_err,
+    }
+    if not _print_gated(args, report.to_dict, report.format, ("audit", "ratio", 16),
+                        values, gated=("q_over_eq9", "q_over_pebbling")):
         return 1
     return 1 if (args.strict and not report.ok) else 0
 
@@ -1136,15 +1132,7 @@ def _memprof_main(argv: list[str]) -> int:
     ap.add_argument("--memory-limit", type=float, default=None,
                     metavar="WORDS",
                     help="plan under a Section V memory cap (words/process)")
-    ap.add_argument("--gate", default=None, metavar="FILE",
-                    help="compare the measured resident peak against this "
-                         "committed baseline JSON and exit nonzero on "
-                         "regression (the CI memory gate)")
-    ap.add_argument("--gate-tol", type=float, default=0.02,
-                    help="allowed relative worsening of the gated quantities")
-    ap.add_argument("--update-gate", default=None, metavar="FILE",
-                    help="write the gate baseline from this run instead of "
-                         "comparing")
+    _gate_args(ap, "the measured resident peak", "memory")
     args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
     plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
@@ -1152,59 +1140,14 @@ def _memprof_main(argv: list[str]) -> int:
     report = memprof_run(result, plan, tol=args.mem_tol)
     _append_ledger(args, result, plan, "cli.memprof")
 
-    if args.update_gate:
-        gate_doc = {
-            "schema_version": 1,
-            "workload": {"m": args.M, "n": args.N, "k": args.K,
-                         "nprocs": args.nprocs},
-            "eq11_words": report.eq11_words,
-            "resident_peak_words": report.resident_peak_words,
-            "peak_over_eq11": report.peak_over_eq11,
-        }
-        with open(args.update_gate, "w", encoding="utf-8") as fh:
-            json.dump(gate_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if not args.json:
-            print(f"memory gate baseline written: {args.update_gate}")
-
-    gate_ok = True
-    gate_result: dict | None = None
-    if args.gate:
-        try:
-            with open(args.gate, encoding="utf-8") as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read memory gate baseline: {exc}")
-        checks = []
-        for key, measured in (
-            ("resident_peak_words", report.resident_peak_words),
-            ("peak_over_eq11", report.peak_over_eq11),
-        ):
-            expected = base.get(key)
-            if expected is None or measured is None:
-                continue
-            ok = measured <= expected * (1.0 + args.gate_tol)
-            checks.append({"quantity": key, "measured": measured,
-                           "baseline": expected, "ok": ok})
-        gate_ok = bool(checks) and all(c["ok"] for c in checks)
-        gate_result = {"baseline": args.gate, "tol": args.gate_tol,
-                       "ok": gate_ok, "checks": checks}
-
-    if args.json:
-        doc = report.to_dict()
-        if gate_result is not None:
-            doc["gate"] = gate_result
-        print(json.dumps(doc, indent=2))
-    else:
-        print(report.format(top=args.top))
-        if gate_result is not None:
-            for c in gate_result["checks"]:
-                print(f"  gate {c['quantity']:<20}: measured "
-                      f"{c['measured']:.4f} vs baseline {c['baseline']:.4f} "
-                      f"(tol {100 * args.gate_tol:.1f}%)  "
-                      + ("ok" if c["ok"] else "REGRESSION"))
-            print("memory gate: " + ("OK" if gate_ok else "FAIL"))
-    if args.gate and not gate_ok:
+    values = {
+        "eq11_words": report.eq11_words,
+        "resident_peak_words": report.resident_peak_words,
+        "peak_over_eq11": report.peak_over_eq11,
+    }
+    if not _print_gated(args, report.to_dict, lambda: report.format(top=args.top),
+                        ("memory", "quantity", 20), values,
+                        gated=("resident_peak_words", "peak_over_eq11")):
         return 1
     return 0 if report.ok else 1
 
@@ -1268,7 +1211,11 @@ _SUBCOMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
+        try:
+            return _SUBCOMMANDS[argv[0]](argv[1:])
+        except GateError as exc:
+            print(f"{argv[0]}: {exc}", file=sys.stderr)
+            return 2
     return _example_main(argv)
 
 

@@ -18,7 +18,8 @@ formulas.
 Message counts mirror the algorithms actually implemented in
 :mod:`repro.mpi.collectives` (Bruck allgather: ``ceil(log2 P)`` messages;
 pairwise reduce-scatter / alltoall: ``P-1`` messages; binomial bcast for
-short messages, scatter+allgather for long).
+short messages, scatter+allgather for long).  :func:`ca3dmm_phase_costs`
+prices the blocks of the one derivation in :mod:`repro.analysis.verify`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..analysis.verify import expected_phase_traffic
 from .model import MachineModel
 
 
@@ -111,9 +113,9 @@ def p2p_cost(machine: MachineModel, nbytes: float) -> CollCost:
 def ca3dmm_phase_costs(plan, machine: MachineModel, item: int = 8) -> dict:
     """α-β cost of each CA3DMM communication phase for ``plan``.
 
-    Maps the schedule's phases onto the collective formulas above, with
-    the same block extents :func:`repro.obs.drift.expected_phase_traffic`
-    uses (continuous ``m/pm`` etc., exact on divisible grids):
+    Prices the blocks of the phases
+    :func:`repro.analysis.verify.expected_phase_traffic` schedules (the
+    one derivation of the block extents) with the formulas above:
 
     - ``replicate``: allgather of the replicated operand block over the
       ``c`` k-groups sharing it,
@@ -126,21 +128,17 @@ def ca3dmm_phase_costs(plan, machine: MachineModel, item: int = 8) -> dict:
     in bytes.  The audit layer (:mod:`repro.obs.audit`) compares these
     against the transport's measured per-phase counters.
     """
-    pm, pn, pk, s, c = plan.pm, plan.pn, plan.pk, plan.s, plan.c
-    mb, nb, kg = plan.m / pm, plan.n / pn, plan.k / pk
-    kb = kg / s
-    blk_a, blk_b = mb * kb, kb * nb
-
     out: dict[str, CollCost] = {}
-    if c > 1:
-        blk = blk_a if plan.replicates_a else blk_b
-        out["replicate"] = allgather_cost(machine, blk * item, c)
-    if s > 1:
-        per_round = p2p_cost(machine, blk_a * item) + p2p_cost(machine, blk_b * item)
-        cost = ZERO
-        for _ in range(s):
-            cost = cost + per_round
-        out["cannon"] = cost
-    if pk > 1:
-        out["reduce"] = reduce_scatter_cost(machine, mb * nb * item, pk)
+    for phase, exp in expected_phase_traffic(plan).items():
+        nbytes = [blk * item for blk in exp.blocks]
+        if phase == "replicate":
+            out[phase] = allgather_cost(machine, nbytes[0], plan.c)
+        elif phase == "cannon":
+            per_round = p2p_cost(machine, nbytes[0]) + p2p_cost(machine, nbytes[1])
+            cost = ZERO
+            for _ in range(plan.s):
+                cost = cost + per_round
+            out[phase] = cost
+        else:
+            out[phase] = reduce_scatter_cost(machine, nbytes[0], plan.pk)
     return out

@@ -10,14 +10,17 @@ matches the paper's closed forms, the audit goes further and answers
   reduce-scatter, raw Cannon/redistribution ``p2p``), so the audit can
   attribute each phase's bytes to the algorithm that moved them;
 * per phase, measured critical-rank words are compared against **two**
-  independent predictions — the paper's eq. (4)/Section III-D schedule
-  (:func:`repro.obs.drift.expected_phase_traffic`) and the α-β
+  predictions over the one block derivation of
+  :mod:`repro.analysis.verify` — the paper's eq. (4)/Section III-D
+  schedule (:func:`~repro.analysis.verify.expected_phase_traffic`, by
+  the rule of :func:`repro.obs.drift.compare_phases`) and the α-β
   collective accounting (:func:`repro.machine.collcost.ca3dmm_phase_costs`)
   — with the excess attributed per collective algorithm;
 * the run's Q (max words sent by any rank) is set against the paper's
   eq. (9) bound ``3(mnk/P)^(2/3)`` *and* the red-blue pebbling I/O
-  lower bound ``2mnk/(P·√M)`` of Kwasniewski et al. (the COSMA bound),
-  using the **measured** peak live words per rank as M;
+  lower bound ``2mnk/(P·√M)`` of Kwasniewski et al. (the COSMA bound,
+  :func:`~repro.analysis.verify.pebbling_lower_bound`), using the
+  **measured** footprint per rank as M;
 * measured overlap efficiency per phase
   (:func:`repro.obs.metrics.overlap_by_phase`) rides along so the
   report shows not just how much moved but how much of the movement
@@ -37,12 +40,17 @@ under the transport lock), so the audit needs no event recording.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from .drift import GUARDED_PHASES, expected_phase_traffic
-from .metrics import ITEM, overlap_by_phase
+from ..analysis.verify import (
+    eq9_lower_bound,
+    expected_phase_traffic,
+    pebbling_lower_bound,
+)
+from ..machine.collcost import ca3dmm_phase_costs
+from .drift import compare_phases
+from .metrics import ITEM, overlap_by_phase, run_totals, words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
@@ -127,24 +135,6 @@ AUDIT_JSON_SCHEMA: dict[str, Any] = {
         "overlap_by_phase": {"type": "object"},
     },
 }
-
-
-# ------------------------------------------------------------------ bounds -- #
-def pebbling_lower_bound(m: int, n: int, k: int, p: int, mem_words: float) -> float:
-    """Red-blue pebbling I/O lower bound, in words per rank.
-
-    ``2mnk/(P·√M)`` (Kwasniewski et al., SC'19): no schedule of the
-    ``mnk`` elementary products over ``P`` processors with fast memory
-    of ``M`` words can move fewer words through any single processor.
-    COSMA audits its own schedule against the same bound; here ``M`` is
-    the *measured* peak live words per rank, so the bound tightens as
-    the run actually economizes memory.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if mem_words <= 0:
-        return 0.0
-    return 2.0 * m * n * k / (p * math.sqrt(mem_words))
 
 
 # ----------------------------------------------------------------- report -- #
@@ -327,35 +317,6 @@ def validate_audit_json(doc: Any) -> None:
     _validate(doc, AUDIT_JSON_SCHEMA)
 
 
-# ------------------------------------------------------------ measurement -- #
-def _measured_phases(
-    result: "SpmdResult", nruns: int
-) -> dict[str, tuple[float, int]]:
-    """Critical-rank (words, msgs) per phase over live traces."""
-    out: dict[str, list[float]] = {}
-    for t in result.live_traces:
-        for phase, st in t.phases.items():
-            cur = out.setdefault(phase, [0.0, 0])
-            cur[0] = max(cur[0], st.bytes_sent / ITEM / nruns)
-            cur[1] = max(cur[1], st.msgs_sent // nruns)
-    return {ph: (w, int(m)) for ph, (w, m) in out.items()}
-
-
-def _coll_breakdown(
-    result: "SpmdResult", nruns: int
-) -> dict[str, dict[str, dict[str, float]]]:
-    """phase -> collective label -> summed {words, msgs} over live ranks."""
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for t in result.live_traces:
-        for phase, by_coll in t.colls.items():
-            slot = out.setdefault(phase, {})
-            for label, cs in by_coll.items():
-                agg = slot.setdefault(label, {"words": 0.0, "msgs": 0.0})
-                agg["words"] += cs.bytes_sent / ITEM / nruns
-                agg["msgs"] += cs.msgs_sent / nruns
-    return out
-
-
 # ------------------------------------------------------------------ audit -- #
 def audit_run(
     result: "SpmdResult",
@@ -374,86 +335,44 @@ def audit_run(
     protecting tiny problems, ``nruns`` the number of multiplies the
     counters accumulated.  When ``machine`` is given, the α-β collective
     accounting of :func:`~repro.machine.collcost.ca3dmm_phase_costs`
-    is included as a second, independent prediction column.
+    is included as a second prediction column (same blocks, α-β priced).
     """
-    if nruns < 1:
-        raise ValueError("nruns must be >= 1")
-    from ..analysis.verify import eq9_lower_bound
-
-    expected = expected_phase_traffic(plan)
     collcosts = {}
     if machine is not None:
-        from ..machine.collcost import ca3dmm_phase_costs
-
         collcosts = ca3dmm_phase_costs(plan, machine, item=ITEM)
-
-    measured = _measured_phases(result, nruns)
-    colls = _coll_breakdown(result, nruns)
+    totals = run_totals(result.live_traces, nruns)
     overlap = overlap_by_phase(result)
-    covered: dict[str, float] = {}
-    for t in result.live_traces:
-        for ph, st in t.phases.items():
-            if st.comm_covered_time > 0:
-                covered[ph] = covered.get(ph, 0.0) + st.comm_covered_time / nruns
-
     phases: list[PhaseAudit] = []
-    for name in GUARDED_PHASES:
-        exp = expected.get(name)
-        meas_words, meas_msgs = measured.get(name, (0.0, 0))
-        cc = collcosts.get(name)
-        cc_words = cc.bytes_sent / ITEM if cc is not None else None
-        if exp is None:
-            ok = meas_words == 0 and meas_msgs == 0
-            phases.append(
-                PhaseAudit(
-                    phase=name,
-                    measured_words=meas_words,
-                    model_words=0.0,
-                    collcost_words=cc_words,
-                    measured_msgs=meas_msgs,
-                    model_msgs=0,
-                    rel_err_model=0.0 if ok else math.inf,
-                    rel_err_collcost=None,
-                    excess_words=meas_words,
-                    overlap=overlap.get(name),
-                    covered_s=covered.get(name, 0.0),
-                    colls=colls.get(name, {}),
-                    ok=ok,
-                )
-            )
-            continue
-        err = abs(meas_words - exp.words)
-        rel = err / exp.words if exp.words > 0 else (0.0 if err == 0 else math.inf)
+    for r in compare_phases(
+        totals, expected_phase_traffic(plan), byte_tol, abs_tol_words
+    ):
+        cc = collcosts.get(r.phase)
+        cc_words = words(cc.bytes_sent) if cc is not None else None
         rel_cc = None
         if cc_words is not None and cc_words > 0:
-            rel_cc = abs(meas_words - cc_words) / cc_words
+            rel_cc = abs(r.measured_words - cc_words) / cc_words
+        pt = totals.phases.get(r.phase)
         phases.append(
             PhaseAudit(
-                phase=name,
-                measured_words=meas_words,
-                model_words=exp.words,
+                phase=r.phase,
+                measured_words=r.measured_words,
+                model_words=r.expected_words,
                 collcost_words=cc_words,
-                measured_msgs=meas_msgs,
-                model_msgs=exp.msgs,
-                rel_err_model=rel,
+                measured_msgs=r.measured_msgs,
+                model_msgs=r.expected_msgs,
+                rel_err_model=r.words_rel_err,
                 rel_err_collcost=rel_cc,
-                excess_words=meas_words - exp.words,
-                overlap=overlap.get(name),
-                covered_s=covered.get(name, 0.0),
-                colls=colls.get(name, {}),
-                ok=rel <= byte_tol or err <= abs_tol_words,
+                excess_words=r.measured_words - r.expected_words,
+                overlap=overlap.get(r.phase),
+                covered_s=totals.covered_by_phase.get(r.phase, 0.0),
+                colls=pt.colls if pt else {},
+                ok=r.ok,
             )
         )
 
-    live = result.live_traces
-    q_words = max((t.bytes_sent for t in live), default=0) / ITEM / nruns
-    total_words = sum(t.bytes_sent for t in live) / ITEM / nruns
-    peak_live = max((t.peak_live_bytes for t in live), default=0) / ITEM
-    # The pebbling M is the memtrace resident watermark — actual tracked
-    # footprint — not the transport in-flight proxy.  Self-reporting
-    # engines (no memtrace spans) fall back to the legacy counter.
-    resident = max((t.resident_peak_bytes for t in live), default=0) / ITEM
-    mem_words = resident if resident > 0 else peak_live
+    # The pebbling M is the measured footprint: the memtrace resident
+    # watermark, or the in-flight counter for self-reporting engines.
+    mem_words = totals.footprint_words
     return AuditReport(
         m=plan.m,
         n=plan.n,
@@ -461,9 +380,9 @@ def audit_run(
         nprocs=plan.nprocs,
         grid=str(plan.grid),
         phases=phases,
-        q_words=q_words,
-        total_words=total_words,
-        peak_live_words=peak_live,
+        q_words=totals.q_words,
+        total_words=totals.total_words,
+        peak_live_words=totals.peak_live_words,
         eq9_words=eq9_lower_bound(plan.m, plan.n, plan.k, plan.nprocs),
         pebbling_words=pebbling_lower_bound(
             plan.m, plan.n, plan.k, plan.nprocs, mem_words

@@ -25,6 +25,9 @@ Refreshing after an intentional change::
     # or: python -m repro.cli perfdiff --update
 
 then commit the rewritten JSON files alongside the change.
+
+:func:`write_gate` / :func:`check_gate` are the one-sided gate behind
+``repro audit --gate`` and ``repro memprof --gate``.
 """
 
 from __future__ import annotations
@@ -363,3 +366,59 @@ class BaselineStore:
 
     def __iter__(self) -> Iterator[str]:  # pragma: no cover - convenience
         return iter(self.names())
+
+
+# ---------------------------------------------------------------- gate -- #
+class GateError(ValueError):
+    """A gate file cannot judge this run: unreadable, malformed, or
+    written for another workload."""
+
+
+def write_gate(
+    path: str | Path, workload: dict[str, int], values: dict[str, float | None]
+) -> None:
+    """Write the gate baseline ``{schema_version, workload, **values}``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": 1, "workload": workload, **values},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def check_gate(
+    path: str | Path,
+    workload: dict[str, int],
+    measured: dict[str, float | None],
+    tol: float,
+    label: str,
+) -> dict[str, Any]:
+    """Gate ``measured`` against the baseline :func:`write_gate` left at ``path``.
+
+    A key passes when ``measured <= baseline * (1 + tol)``; one the run
+    could not measure (``None``) is skipped, and a gate that checked
+    nothing fails.  Returns the reports' ``gate`` block, each check
+    named under ``label``.  Raises :class:`GateError` unless the file is
+    a JSON object whose ``workload`` is this run's and whose gated
+    values are numbers.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            base = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise GateError(f"cannot read gate baseline: {exc}") from exc
+    if not isinstance(base, dict):
+        raise GateError(f"gate baseline {path} is not a JSON object")
+    if base.get("workload") != workload:
+        raise GateError(
+            f"gate baseline {path} is for workload {base.get('workload')}, "
+            f"this run is {workload}"
+        )
+    checks = []
+    for key, value in measured.items():
+        expected = base.get(key)
+        if isinstance(expected, bool) or not isinstance(expected, (int, float)):
+            raise GateError(f"gate baseline {path}: {key!r} is not a number")
+        if value is not None:
+            checks.append({label: key, "measured": value, "baseline": expected,
+                           "ok": value <= expected * (1.0 + tol)})
+    return {"baseline": str(path), "tol": tol,
+            "ok": bool(checks) and all(c["ok"] for c in checks), "checks": checks}

@@ -673,14 +673,9 @@ class CritPathReport:
 
 def critpath_report(result: "SpmdResult") -> CritPathReport:
     """Run the full analysis on one executed run."""
-    from .metrics import overlap_by_phase
+    from .metrics import overlap_by_phase, run_totals
 
     path = critical_path(result)
-    covered: dict[str, float] = {}
-    for t in result.live_traces:
-        for phase, st in t.phases.items():
-            if st.comm_covered_time > 0:
-                covered[phase] = covered.get(phase, 0.0) + st.comm_covered_time
     return CritPathReport(
         path=path,
         blame=phase_blame(result, path),
@@ -688,5 +683,5 @@ def critpath_report(result: "SpmdResult") -> CritPathReport:
         stragglers=stragglers(result, path),
         nprocs=result.transport.nprocs,
         phase_overlap=overlap_by_phase(result),
-        phase_covered_s=covered,
+        phase_covered_s=run_totals(result.live_traces).covered_by_phase,
     )

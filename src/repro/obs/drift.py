@@ -1,16 +1,16 @@
 """Drift guard: executed per-phase traffic vs the paper's analytic model.
 
-The paper's communication claims are per-phase and exact: replication
-moves ``|blk|(c-1)/c`` words in ``⌈log2 c⌉`` rounds, Cannon moves
-``(|blk_A|+|blk_B|)·s`` words, the reduce-scatter ``|blk_C|(pk-1)/pk``
-words in ``pk-1`` rounds (Section III-D, summing to eq. 9's Q on
-balanced grids).  :func:`drift_report` re-derives those predictions from
-a :class:`~repro.core.plan.Ca3dmmPlan` — the same planning code the
-executed engine runs — and compares them against the *measured*
-phase-tagged traffic of an executed run, reporting per-phase relative
-error and failing above a configurable tolerance.  This turns the
+The paper's communication claims are per-phase and exact (Section III-D,
+summing to eq. 9's Q on balanced grids).  :func:`drift_report` takes the
+prediction from :func:`repro.analysis.verify.expected_phase_traffic` —
+the one derivation, from the same :class:`~repro.core.plan.Ca3dmmPlan`
+the executed engine runs — and the measurement from
+:func:`repro.obs.metrics.run_totals`, and reports per-phase relative
+error, failing above a configurable tolerance.  This turns the
 eq. 9 / Table-1 checks into an always-on runtime assertion: any future
 change that silently alters the communication schedule trips the guard.
+:func:`compare_phases` is the one measured-vs-expected rule; the audit
+(:mod:`repro.obs.audit`) wraps the same rows.
 
 Volumes are compared tightly (they are scheduled, not timed); timing is
 compared only when a ``machine`` is given, against
@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from .metrics import ITEM
+from ..analysis.verify import PhaseExpectation, expected_phase_traffic
+from .metrics import RunTotals, run_totals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
@@ -38,14 +39,6 @@ GUARDED_PHASES = ("replicate", "cannon", "reduce")
 
 class DriftError(AssertionError):
     """Measured traffic drifted from the analytic prediction."""
-
-
-@dataclass(frozen=True)
-class PhaseExpectation:
-    """Predicted per-rank traffic of one phase (critical rank, words)."""
-
-    words: float
-    msgs: int
 
 
 @dataclass
@@ -97,7 +90,6 @@ class DriftReport:
     phases: list[PhaseDrift]
     times: list[TimeDrift] = field(default_factory=list)
     byte_tol: float = 0.05
-    msg_slack: int = 0
 
     @property
     def ok(self) -> bool:
@@ -151,48 +143,30 @@ class DriftReport:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------- predictions -- #
-def expected_phase_traffic(plan: "Ca3dmmPlan") -> dict[str, PhaseExpectation]:
-    """Closed-form per-phase send volume/messages of the executed schedule.
-
-    Words use the continuous block extents (``m/pm`` etc.), exact when
-    the grid divides the dimensions; message counts are the executed
-    algorithms' exact per-rank maxima (Bruck rounds for the replication
-    allgather, 2 messages per Cannon round for A and B, ``pk-1``
-    pairwise exchanges for the reduce-scatter).  Their sum equals
-    :func:`repro.analysis.verify.theoretical_metrics`'s Q.
-    """
-    m, n, k = plan.m, plan.n, plan.k
-    pm, pn, pk, s, c = plan.pm, plan.pn, plan.pk, plan.s, plan.c
-    mb, nb, kg = m / pm, n / pn, k / pk
-    kb = kg / s
-    blk_a, blk_b = mb * kb, kb * nb
-
-    out: dict[str, PhaseExpectation] = {}
-    if c > 1:
-        blk = blk_a if plan.replicates_a else blk_b
-        out["replicate"] = PhaseExpectation(
-            words=blk * (c - 1) / c, msgs=math.ceil(math.log2(c))
-        )
-    if s > 1:
-        # Skew (A left by u, B up by v: ranks with u>0 and v>0 send both)
-        # plus s-1 dual-buffered shift rounds moving A and B each.
-        out["cannon"] = PhaseExpectation(words=(blk_a + blk_b) * s, msgs=2 * s)
-    if pk > 1:
-        out["reduce"] = PhaseExpectation(words=mb * nb * (pk - 1) / pk, msgs=pk - 1)
-    return out
-
-
-def _measured_phase(result: "SpmdResult", phase: str, nruns: int) -> tuple[float, int]:
-    words = 0.0
-    msgs = 0
-    for t in result.traces:
-        st = t.phases.get(phase)
-        if st is None:
+# ------------------------------------------------------------ comparison -- #
+def compare_phases(
+    totals: RunTotals,
+    expected: dict[str, PhaseExpectation],
+    byte_tol: float,
+    abs_tol_words: float,
+) -> list[PhaseDrift]:
+    """The one measured-vs-expected rule: a row per guarded phase whose
+    ``ok`` is the words verdict (relative tolerance or absolute floor)."""
+    rows = []
+    for name in GUARDED_PHASES:
+        pt = totals.phases.get(name)
+        words, msgs = (pt.crit_words, pt.crit_msgs) if pt else (0.0, 0)
+        exp = expected.get(name)
+        if exp is None:
+            # Phase not scheduled: any traffic at all is drift.
+            ok = words == 0 and msgs == 0
+            rows.append(PhaseDrift(name, words, 0.0, msgs, 0, 0.0 if ok else math.inf, ok))
             continue
-        words = max(words, st.bytes_sent / ITEM / nruns)
-        msgs = max(msgs, st.msgs_sent // nruns)
-    return words, msgs
+        err = abs(words - exp.words)
+        rel = err / exp.words if exp.words > 0 else (0.0 if err == 0 else math.inf)
+        ok = rel <= byte_tol or err <= abs_tol_words
+        rows.append(PhaseDrift(name, words, exp.words, msgs, exp.msgs, rel, ok))
+    return rows
 
 
 def _time_buckets(
@@ -239,7 +213,6 @@ def drift_report(
     plan: "Ca3dmmPlan",
     byte_tol: float = 0.05,
     abs_tol_words: float = 64.0,
-    msg_slack: int = 0,
     nruns: int = 1,
     machine: "MachineModel | None" = None,
     time_tol: float | None = None,
@@ -255,9 +228,8 @@ def drift_report(
         exact (0%).
     abs_tol_words:
         Absolute floor below which byte differences never fail (protects
-        tiny problems where framing dominates).
-    msg_slack:
-        Allowed absolute deviation in per-phase message counts.
+        tiny problems where framing dominates).  Message counts are
+        compared exactly.
     nruns:
         Number of multiplies the trace accumulated (counters are
         divided by this before comparison).
@@ -266,40 +238,16 @@ def drift_report(
         :func:`~repro.analysis.costs.ca3dmm_cost` is included; it only
         affects :attr:`DriftReport.ok` when ``time_tol`` is set.
     """
-    if nruns < 1:
-        raise ValueError("nruns must be >= 1")
-    expected = expected_phase_traffic(plan)
-    phases: list[PhaseDrift] = []
-    for name in GUARDED_PHASES:
-        exp = expected.get(name)
-        meas_words, meas_msgs = _measured_phase(result, name, nruns)
-        if exp is None:
-            # Phase not scheduled: any traffic at all is drift.
-            ok = meas_words == 0 and meas_msgs == 0
-            phases.append(
-                PhaseDrift(name, meas_words, 0.0, meas_msgs, 0,
-                           words_rel_err=0.0 if ok else math.inf, ok=ok)
-            )
-            continue
-        err = abs(meas_words - exp.words)
-        rel = err / exp.words if exp.words > 0 else (0.0 if err == 0 else math.inf)
-        words_ok = rel <= byte_tol or err <= abs_tol_words
-        msgs_ok = abs(meas_msgs - exp.msgs) <= msg_slack
-        phases.append(
-            PhaseDrift(
-                phase=name,
-                measured_words=meas_words,
-                expected_words=exp.words,
-                measured_msgs=meas_msgs,
-                expected_msgs=exp.msgs,
-                words_rel_err=rel,
-                ok=words_ok and msgs_ok,
-            )
-        )
+    phases = compare_phases(
+        run_totals(result.traces, nruns), expected_phase_traffic(plan),
+        byte_tol, abs_tol_words,
+    )
+    for p in phases:  # message counts are compared exactly
+        p.ok = p.ok and p.measured_msgs == p.expected_msgs
     times = (
         _time_buckets(result, plan, machine, time_tol) if machine is not None else []
     )
-    return DriftReport(phases=phases, times=times, byte_tol=byte_tol, msg_slack=msg_slack)
+    return DriftReport(phases=phases, times=times, byte_tol=byte_tol)
 
 
 def check_drift(result: "SpmdResult", plan: "Ca3dmmPlan", **kwargs: Any) -> DriftReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .metrics import ITEM, snapshot_run
+from .metrics import run_totals
 from .tracer import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -277,7 +277,7 @@ def chrome_trace(
             "generator": "repro.obs",
             "nprocs": transport.nprocs,
             "makespan_us": result.time * 1e6,
-            "q_words": max((t.bytes_sent for t in result.traces), default=0) / ITEM,
+            "q_words": run_totals(result.traces).q_words,
         },
     }
 
@@ -364,7 +364,3 @@ def write_jsonl(result: "SpmdResult", path: str) -> int:
             n += 1
     return n
 
-
-def run_summary(result: "SpmdResult", plan=None) -> dict[str, Any]:
-    """Metrics snapshot as a JSON-ready dict (used by CLI ``stats``)."""
-    return snapshot_run(result, plan).to_dict()

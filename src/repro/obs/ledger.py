@@ -32,7 +32,8 @@ import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .metrics import ITEM
+from ..analysis.verify import eq9_lower_bound, pebbling_lower_bound
+from .metrics import overlap_by_phase, run_totals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
@@ -67,13 +68,7 @@ LEDGER_RECORD_SCHEMA: dict[str, Any] = {
         "faults",
     ],
     "properties": {
-        # v2: memory block gained resident_peak_words / by_purpose_words
-        # (measured memtrace watermarks) beside the legacy transport
-        # in-flight peak_live_words; v1 records remain readable.
-        # v3: overlap block gained covered_by_phase (simulated seconds
-        # of communication the async comm engine hid under compute,
-        # summed over live ranks); v1/v2 records remain readable.
-        "schema_version": {"enum": [1, 2, 3]},
+        "schema_version": {"const": 3},
         "run_id": {"type": "string", "pattern": "^[0-9a-f]{32}$"},
         "kind": {"type": "string", "minLength": 1},
         "problem": {
@@ -130,7 +125,7 @@ LEDGER_RECORD_SCHEMA: dict[str, Any] = {
             "properties": {
                 "cannon": {"type": ["number", "null"]},
                 "by_phase": {"type": "object"},
-                # seconds of comm the async engine hid, per phase (v3)
+                # seconds of comm the async engine hid, per phase
                 "covered_by_phase": {
                     "type": "object",
                     "additionalProperties": {"type": "number", "minimum": 0},
@@ -218,47 +213,13 @@ def ledger_record(
     (divided by ``nruns``) and derived from simulated clocks only, so
     the record is deterministic modulo ``run_id``.
     """
-    if nruns < 1:
-        raise ValueError("nruns must be >= 1")
-    from ..analysis.verify import eq9_lower_bound
-    from .audit import pebbling_lower_bound
-    from .metrics import overlap_by_phase
-
-    live = result.live_traces
-    q_words = max((t.bytes_sent for t in live), default=0) / ITEM / nruns
-    total_words = sum(t.bytes_sent for t in live) / ITEM / nruns
-    peak_live = max((t.peak_live_bytes for t in live), default=0) / ITEM
-    resident = max((t.resident_peak_bytes for t in live), default=0) / ITEM
-    by_purpose: dict[str, float] = {}
-    for t in live:
-        for purpose, peak in t.mem_peaks.items():
-            words = peak / ITEM
-            if words > by_purpose.get(purpose, 0.0):
-                by_purpose[purpose] = words
+    totals = run_totals(result.live_traces, nruns)
+    q_words = totals.q_words
     eq9 = eq9_lower_bound(plan.m, plan.n, plan.k, plan.nprocs)
-    # The pebbling M is the measured resident watermark; runs without
-    # memtrace spans fall back to the legacy in-flight counter.
     pebb = pebbling_lower_bound(
-        plan.m, plan.n, plan.k, plan.nprocs,
-        resident if resident > 0 else peak_live,
+        plan.m, plan.n, plan.k, plan.nprocs, totals.footprint_words
     )
     overlap = overlap_by_phase(result)
-
-    by_phase: dict[str, dict[str, float]] = {}
-    for t in live:
-        for phase, st in t.phases.items():
-            slot = by_phase.setdefault(phase, {"words": 0.0, "msgs": 0.0})
-            slot["words"] += st.bytes_sent / ITEM / nruns
-            slot["msgs"] += st.msgs_sent / nruns
-
-    covered: dict[str, float] = {}
-    for t in live:
-        for phase, st in t.phases.items():
-            if st.comm_covered_time > 0:
-                covered[phase] = (
-                    covered.get(phase, 0.0) + st.comm_covered_time / nruns
-                )
-
     metrics = result.metrics
     record: dict[str, Any] = {
         "schema_version": 3,
@@ -282,19 +243,22 @@ def ledger_record(
         "makespan_s": result.time,
         "traffic": {
             "q_words": q_words,
-            "total_words": total_words,
-            "max_msgs": max((t.msgs_sent for t in live), default=0) // nruns,
-            "by_phase": {ph: dict(v) for ph, v in sorted(by_phase.items())},
+            "total_words": totals.total_words,
+            "max_msgs": totals.max_msgs,
+            "by_phase": {
+                ph: {"words": pt.sum_words, "msgs": pt.sum_msgs}
+                for ph, pt in sorted(totals.phases.items())
+            },
         },
         "memory": {
-            "peak_live_words": peak_live,
-            "resident_peak_words": resident,
-            "by_purpose_words": {p: v for p, v in sorted(by_purpose.items())},
+            "peak_live_words": totals.peak_live_words,
+            "resident_peak_words": totals.resident_peak_words,
+            "by_purpose_words": dict(sorted(totals.mem_by_purpose.items())),
         },
         "overlap": {
             "cannon": overlap.get("cannon"),
             "by_phase": dict(sorted(overlap.items())),
-            "covered_by_phase": dict(sorted(covered.items())),
+            "covered_by_phase": dict(sorted(totals.covered_by_phase.items())),
         },
         "optimality": {
             "eq9_words": eq9,

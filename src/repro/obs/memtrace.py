@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from .metrics import ITEM
+from .metrics import run_totals, words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
@@ -114,7 +114,7 @@ class RankMemProfile:
     """One rank's memtrace summary."""
 
     rank: int
-    resident_peak_words: float  #: high-water mark of tagged bytes / ITEM
+    resident_peak_words: float  #: high-water mark of tagged bytes, in words
     live_words: float  #: still-charged words at run exit (0 = balanced)
     by_purpose_words: dict[str, float] = field(default_factory=dict)
     by_phase_words: dict[str, float] = field(default_factory=dict)
@@ -267,6 +267,7 @@ def memprof_run(
     if tol < 0:
         raise ValueError("tol must be >= 0")
     live = result.live_traces
+    totals = run_totals(live)
     eq11 = plan.grid.memory_words(plan.m, plan.n, plan.k)
     limit = getattr(plan, "memory_limit_words", None)
     infeasible = bool(getattr(plan, "mem_limit_infeasible", False))
@@ -278,28 +279,19 @@ def memprof_run(
             continue  # rank never charged a span (idle outside redistribute)
         ranks.append(RankMemProfile(
             rank=t.rank,
-            resident_peak_words=t.resident_peak_bytes / ITEM,
-            live_words=t.resident_bytes / ITEM,
+            resident_peak_words=words(t.resident_peak_bytes),
+            live_words=words(t.resident_bytes),
             by_purpose_words={
-                p: b / ITEM for p, b in sorted(t.mem_peaks.items())
+                p: words(b) for p, b in sorted(t.mem_peaks.items())
             },
             by_phase_words={
-                ph: b / ITEM for ph, b in sorted(t.phase_mem_peaks.items())
+                ph: words(b) for ph, b in sorted(t.phase_mem_peaks.items())
             },
         ))
         if t.mem_live:
-            leaks[t.rank] = {p: b / ITEM for p, b in sorted(t.mem_live.items())}
+            leaks[t.rank] = {p: words(b) for p, b in sorted(t.mem_live.items())}
 
-    peak_rank, peak_words = -1, 0.0
-    for r in ranks:
-        if r.resident_peak_words > peak_words:
-            peak_rank, peak_words = r.rank, r.resident_peak_words
-    by_purpose: dict[str, float] = {}
-    for r in ranks:
-        for purpose, words in r.by_purpose_words.items():
-            if words > by_purpose.get(purpose, 0.0):
-                by_purpose[purpose] = words
-
+    peak_rank, peak_words = totals.peak_rank, totals.resident_peak_words
     report = MemReport(
         m=plan.m, n=plan.n, k=plan.k, nprocs=plan.nprocs,
         eq11_words=eq11,
@@ -308,10 +300,8 @@ def memprof_run(
         tol=tol,
         resident_peak_words=peak_words,
         peak_rank=peak_rank,
-        transport_peak_words=max(
-            (t.peak_live_bytes for t in live), default=0
-        ) / ITEM,
-        by_purpose_words=by_purpose,
+        transport_peak_words=totals.peak_live_words,
+        by_purpose_words=totals.mem_by_purpose,
         ranks=ranks,
         leaks=leaks,
     )

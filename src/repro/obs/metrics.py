@@ -14,6 +14,10 @@ Two layers:
 
 ``SpmdResult.metrics`` calls :func:`snapshot_run` lazily, so every
 executed run carries its metrics without extra plumbing at call sites.
+
+:func:`run_totals` is the one pass that turns a list of rank traces into
+measured words and messages; every report (metrics, drift, audit,
+memtrace, ledger, the exporters) reads it and none counts bytes itself.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..analysis.costs import ITEM  # bytes per word, defined once
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
     from ..mpi.runtime import SpmdResult
-
-ITEM = 8  #: bytes per word (float64), as in the paper's analysis
+    from ..mpi.transport import RankTrace
 
 
 # ------------------------------------------------------------ instruments -- #
@@ -258,21 +263,92 @@ def _phase_tables(result: "SpmdResult", reg: MetricsRegistry) -> None:
                 ).set(st.comm_covered_time)
 
 
-def _phase_maxima(result: "SpmdResult", reg: MetricsRegistry) -> None:
-    names: set[str] = set()
-    for trace in result.traces:
-        names.update(trace.phases)
-    for phase in names:
-        words = max(
-            (t.phases[phase].bytes_sent for t in result.traces if phase in t.phases),
-            default=0,
-        ) / ITEM
-        msgs = max(
-            (t.phases[phase].msgs_sent for t in result.traces if phase in t.phases),
-            default=0,
-        )
-        reg.gauge("phase_q_words", phase=phase).set(words)
-        reg.gauge("phase_max_msgs", phase=phase).set(msgs)
+def words(nbytes: float) -> float:
+    """``nbytes`` as matrix words.  With :func:`run_totals`, the only code
+    outside :mod:`repro.analysis.costs` that knows a word is ``ITEM`` bytes."""
+    return nbytes / ITEM
+
+
+@dataclass
+class PhaseTotals:
+    """One phase's traffic over a set of ranks, per multiply."""
+
+    crit_words: float = 0.0  #: max over ranks of words sent
+    crit_msgs: int = 0  #: max over ranks of ``msgs_sent // nruns``
+    sum_words: float = 0.0  #: words sent, summed over ranks
+    sum_msgs: float = 0.0  #: messages sent, summed over ranks
+    #: collective label -> ``{"words", "msgs"}`` summed over ranks
+    colls: dict[str, dict[str, float]] = field(default_factory=dict)
+
+
+@dataclass
+class RunTotals:
+    """What a list of rank traces measured, in words (see :func:`run_totals`)."""
+
+    q_words: float  #: max over ranks of words sent (the paper's Q)
+    total_words: float  #: words sent, summed over ranks
+    max_msgs: int  #: max over ranks of messages sent
+    peak_live_words: float  #: max transport in-flight / self-reported peak
+    resident_peak_words: float  #: max memtrace resident watermark
+    peak_rank: int  #: the rank holding that watermark (-1 without memtrace)
+    mem_by_purpose: dict[str, float]  #: max over ranks of each purpose's peak
+    phases: dict[str, PhaseTotals]
+    #: comm seconds the async engine hid, summed over ranks (phases where > 0)
+    covered_by_phase: dict[str, float]
+
+    @property
+    def footprint_words(self) -> float:
+        """The measured M of eq. (11) and the pebbling bound: the resident
+        watermark, or the in-flight counter when no memtrace span was charged."""
+        return self.resident_peak_words or self.peak_live_words
+
+
+def run_totals(traces: "list[RankTrace]", nruns: int = 1) -> RunTotals:
+    """Walk ``traces`` once and total what they measured, per multiply.
+
+    The caller chooses the rank set (``result.traces``, or
+    ``result.live_traces`` to leave killed ranks out).  Traffic counters
+    accumulate over ``nruns`` multiplies and are divided term by term
+    (``Σ(x/n)``, not ``(Σx)/n``); memory peaks are not divided.
+    """
+    if nruns < 1:
+        raise ValueError("nruns must be >= 1")
+    peak_rank, resident_peak = -1, 0
+    mem_by_purpose: dict[str, float] = {}
+    phases: dict[str, PhaseTotals] = {}
+    covered: dict[str, float] = {}
+    for t in traces:
+        if t.resident_peak_bytes > resident_peak:
+            peak_rank, resident_peak = t.rank, t.resident_peak_bytes
+        for purpose, peak in t.mem_peaks.items():
+            purpose_words = peak / ITEM
+            if purpose_words > mem_by_purpose.get(purpose, 0.0):
+                mem_by_purpose[purpose] = purpose_words
+        for phase, st in t.phases.items():
+            pt = phases.setdefault(phase, PhaseTotals())
+            pt.crit_words = max(pt.crit_words, st.bytes_sent / ITEM / nruns)
+            pt.crit_msgs = max(pt.crit_msgs, st.msgs_sent // nruns)
+            pt.sum_words += st.bytes_sent / ITEM / nruns
+            pt.sum_msgs += st.msgs_sent / nruns
+            if st.comm_covered_time > 0:
+                covered[phase] = covered.get(phase, 0.0) + st.comm_covered_time / nruns
+        for phase, by_coll in t.colls.items():
+            slot = phases.setdefault(phase, PhaseTotals()).colls
+            for label, cs in by_coll.items():
+                agg = slot.setdefault(label, {"words": 0.0, "msgs": 0.0})
+                agg["words"] += cs.bytes_sent / ITEM / nruns
+                agg["msgs"] += cs.msgs_sent / nruns
+    return RunTotals(
+        q_words=max((t.bytes_sent for t in traces), default=0) / ITEM / nruns,
+        total_words=sum(t.bytes_sent for t in traces) / ITEM / nruns,
+        max_msgs=max((t.msgs_sent for t in traces), default=0) // nruns,
+        peak_live_words=max((t.peak_live_bytes for t in traces), default=0) / ITEM,
+        resident_peak_words=resident_peak / ITEM,
+        peak_rank=peak_rank,
+        mem_by_purpose=mem_by_purpose,
+        phases=phases,
+        covered_by_phase=covered,
+    )
 
 
 def _shift_latencies(result: "SpmdResult", reg: MetricsRegistry) -> None:
@@ -366,8 +442,11 @@ def snapshot_run(
     k-task-group imbalance gauge.
     """
     reg = MetricsRegistry()
+    totals = run_totals(result.traces)
     _phase_tables(result, reg)
-    _phase_maxima(result, reg)
+    for phase, pt in totals.phases.items():
+        reg.gauge("phase_q_words", phase=phase).set(pt.crit_words)
+        reg.gauge("phase_max_msgs", phase=phase).set(pt.crit_msgs)
     _shift_latencies(result, reg)
     for trace in result.traces:
         reg.gauge("rank_clock_s", rank=trace.rank).set(trace.time)
@@ -420,13 +499,9 @@ def snapshot_run(
     imbalance = _k_group_imbalance(result, plan)
     for phase, ratio in phase_overlap.items():
         reg.gauge("phase_overlap_ratio", phase=phase).set(ratio)
-    covered_by_phase: dict[str, float] = {}
-    for trace in result.live_traces:
-        for ph, st in trace.phases.items():
-            if st.comm_covered_time > 0:
-                covered_by_phase[ph] = (
-                    covered_by_phase.get(ph, 0.0) + st.comm_covered_time
-                )
+    # Hidden seconds are summed over survivors only: a killed rank's
+    # clock stopped mid-phase.
+    covered_by_phase = run_totals(result.live_traces).covered_by_phase
     for ph, s in sorted(covered_by_phase.items()):
         reg.gauge("phase_comm_covered_s", phase=ph).set(s)
     if overlap is not None:
@@ -442,23 +517,16 @@ def snapshot_run(
         for ph, n in trace.corruptions_detected_by_phase.items():
             detected_by_phase[ph] = detected_by_phase.get(ph, 0) + n
 
-    mem_by_purpose: dict[str, float] = {}
-    for trace in result.traces:
-        for purpose, peak in trace.mem_peaks.items():
-            words = peak / ITEM
-            if words > mem_by_purpose.get(purpose, 0.0):
-                mem_by_purpose[purpose] = words
     infeasible = bool(getattr(plan, "mem_limit_infeasible", False))
     reg.gauge("mem_limit_infeasible").set(float(infeasible))
 
     return RunMetrics(
         registry=reg,
         makespan=result.time,
-        q_words=max((t.bytes_sent for t in result.traces), default=0) / ITEM,
-        total_words=sum(t.bytes_sent for t in result.traces) / ITEM,
-        max_msgs=max((t.msgs_sent for t in result.traces), default=0),
-        peak_live_words=max((t.peak_live_bytes for t in result.traces), default=0)
-        / ITEM,
+        q_words=totals.q_words,
+        total_words=totals.total_words,
+        max_msgs=totals.max_msgs,
+        peak_live_words=totals.peak_live_words,
         cannon_overlap_ratio=overlap,
         cannon_overlap_critical_rank=overlap_crit,
         overlap_by_phase=phase_overlap,
@@ -476,11 +544,8 @@ def snapshot_run(
         corruptions_detected_by_phase=detected_by_phase,
         recomputed_flops=sum(t.recomputed_flops for t in result.traces),
         reused_flops=sum(t.reused_flops for t in result.traces),
-        resident_peak_words=max(
-            (t.resident_peak_bytes for t in result.traces), default=0
-        )
-        / ITEM,
-        mem_by_purpose=mem_by_purpose,
+        resident_peak_words=totals.resident_peak_words,
+        mem_by_purpose=totals.mem_by_purpose,
         mem_limit_infeasible=infeasible,
     )
 

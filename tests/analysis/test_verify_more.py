@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.verify import eq9_lower_bound, theoretical_metrics
+from repro.analysis.costs import ITEM
+from repro.analysis.verify import (
+    PaperMetrics,
+    eq9_lower_bound,
+    expected_phase_traffic,
+    theoretical_metrics,
+)
 from repro.core.plan import Ca3dmmPlan
 from repro.grid.optimizer import GridSpec
+from repro.machine.collcost import ca3dmm_phase_costs
+from repro.machine.model import laptop
 
 
 class TestEq9:
@@ -54,3 +62,33 @@ class TestTheoreticalMetrics:
         # eq. (11): 2(c*mk + kn)/P + pk*mn/P
         expect = 2 * (2 * 32 * 16 + 16 * 64) / 8 + 1 * 32 * 64 / 8
         assert m.s_words == pytest.approx(expect)
+
+
+_SHAPES = [(64, 64, 64), (96, 96, 96), (50, 37, 41), (32, 64, 16),
+           (1000, 8, 8), (8, 8, 1000), (17, 5, 40)]
+_PROCS = [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16, 17, 24, 32, 64]
+
+
+class TestOneDerivation:
+    """Every closed form has one home; the others are composed from it."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    @pytest.mark.parametrize("nprocs", _PROCS)
+    def test_theoretical_metrics_is_the_sum_of_the_parts(self, shape, nprocs):
+        plan = Ca3dmmPlan(*shape, nprocs)
+        assert theoretical_metrics(plan) == PaperMetrics(
+            q_words=sum((e.words for e in expected_phase_traffic(plan).values()), 0.0),
+            l_rounds=plan.grid.latency_ca3dmm(),
+            s_words=plan.grid.memory_words(*shape),
+        )
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    @pytest.mark.parametrize("nprocs", _PROCS)
+    def test_collcost_prices_the_same_blocks(self, shape, nprocs):
+        plan = Ca3dmmPlan(*shape, nprocs)
+        expected = expected_phase_traffic(plan)
+        costs = ca3dmm_phase_costs(plan, laptop(), item=ITEM)
+        assert set(costs) == set(expected)  # the same phases are scheduled
+        for phase, exp in expected.items():
+            assert costs[phase].bytes_sent / ITEM == exp.words
+            assert costs[phase].msgs == exp.msgs

@@ -162,6 +162,15 @@ class TestManifestSchema:
         with pytest.raises(TraceSchemaError):
             validate_manifest(doc)
 
+    def test_older_version_rejected(self):
+        pytest.importorskip("jsonschema")
+        from repro.obs.export import TraceSchemaError
+
+        doc = _manifest()
+        doc["schema_version"] = 1
+        with pytest.raises(TraceSchemaError):
+            validate_manifest(doc)
+
     def test_bad_rect_arity_fails(self):
         pytest.importorskip("jsonschema")
         from repro.obs.export import TraceSchemaError

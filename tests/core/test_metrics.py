@@ -19,16 +19,7 @@ from repro.grid.optimizer import GridSpec
 from repro.layout.matrix import DistMatrix, dense_random
 
 
-from dataclasses import dataclass
-
-
-@dataclass
-class _TraceDelta:
-    bytes_sent: int
-    msgs_sent: int
-    peak_live_bytes: int
-    resident_peak_bytes: int  #: measured memtrace watermark, not a model
-    time: float
+from dataclasses import replace
 
 
 class _Snapshot:
@@ -63,11 +54,12 @@ def _run_native(spmd, m, n, k, P, grid=None):
         before = comm.transport.trace(comm.world_rank)
         c = eng.multiply(a, b)
         after = comm.transport.trace(comm.world_rank)
-        delta = _TraceDelta(
+        # A real RankTrace (executed_metrics reads it through the shared
+        # pass): the memory watermarks are measured, not differenced.
+        delta = replace(
+            after,
             bytes_sent=after.bytes_sent - before.bytes_sent,
             msgs_sent=after.msgs_sent - before.msgs_sent,
-            peak_live_bytes=after.peak_live_bytes,
-            resident_peak_bytes=after.resident_peak_bytes,
             time=after.time - before.time,
         )
         return np.allclose(c.to_global(), A @ B, atol=1e-9), delta

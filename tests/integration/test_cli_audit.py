@@ -12,12 +12,20 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.obs.audit import validate_audit_json
 from repro.obs.ledger import Ledger, canonical_json
 
-_GATE = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines" / "audit_gate.json"
+_BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+_GATE = _BASELINES / "audit_gate.json"
 _W = ["64", "64", "64", "-np", "64"]
+#: subcommand -> (its committed gate file, the workload that file is for)
+_GATED = {
+    "audit": (_GATE, _W),
+    "memprof": (_BASELINES / "memory_gate.json", ["64", "64", "64", "-np", "8"]),
+}
 
 
 class TestAuditSubcommand:
@@ -62,6 +70,62 @@ class TestAuditSubcommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "audit gate: FAIL" in out
+
+
+@pytest.mark.parametrize("sub", sorted(_GATED))
+class TestTheOneGate:
+    """Exit 0 = holds, 1 = regression, 2 = the file cannot judge this run."""
+
+    def test_committed_gate_regenerates_byte_identically(self, sub, tmp_path, capsys):
+        committed, workload = _GATED[sub]
+        fresh = tmp_path / "gate.json"
+        assert main([sub, *workload, "--update-gate", str(fresh)]) == 0
+        assert fresh.read_bytes() == committed.read_bytes()
+        assert main([sub, *workload, "--gate", str(fresh)]) == 0
+        assert "gate: OK" in capsys.readouterr().out
+
+    def test_regression_exits_1(self, sub, tmp_path, capsys):
+        committed, workload = _GATED[sub]
+        doc = json.loads(committed.read_text())
+        for key, value in doc.items():
+            if isinstance(value, float):
+                doc[key] = value * 0.5
+        tight = tmp_path / "tight.json"
+        tight.write_text(json.dumps(doc))
+        assert main([sub, *workload, "--gate", str(tight)]) == 1
+        assert "gate: FAIL" in capsys.readouterr().out
+
+    def test_gate_for_another_problem_exits_2(self, sub, capsys):
+        committed, _workload = _GATED[sub]
+        rc = main([sub, "32", "32", "32", "-np", "8", "--gate", str(committed)])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert "gate: OK" not in cap.out
+        assert len(cap.err.splitlines()) == 1 and "workload" in cap.err
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",               # not an object
+        "{not json",            # not JSON
+        None,                   # a gated value that is not a number
+    ])
+    def test_malformed_gate_file_exits_2(self, sub, text, tmp_path, capsys):
+        committed, workload = _GATED[sub]
+        if text is None:
+            doc = json.loads(committed.read_text())
+            gated = "q_over_eq9" if sub == "audit" else "peak_over_eq11"
+            doc[gated] = "1.0"
+            text = json.dumps(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main([sub, *workload, "--gate", str(bad)])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert len(cap.err.splitlines()) == 1 and cap.err.startswith(f"{sub}: ")
+
+    def test_missing_gate_file_exits_2(self, sub, tmp_path, capsys):
+        _committed, workload = _GATED[sub]
+        assert main([sub, *workload, "--gate", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
 
 class TestLedgerRoundtrip:

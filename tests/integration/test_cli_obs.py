@@ -107,3 +107,9 @@ class TestStatsSubcommand:
         assert rc == 0
         assert doc["drift"]["ok"] is True
         assert doc["metrics"]["q_words"] > 0
+        # byte fields come from the traces' byte counters (ints), and the
+        # in-flight peak has one name
+        assert "peak_live_bytes" not in doc
+        assert doc["transport_inflight_peak_bytes"] == 8 * doc["metrics"]["peak_live_words"]
+        assert doc["resident_peak_bytes"] == 8 * doc["metrics"]["resident_peak_words"]
+        assert isinstance(doc["resident_peak_bytes"], int)

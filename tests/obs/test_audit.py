@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+from repro.bench.harness import TRACE_WORKLOADS, executed_workload
 from repro.core import ca3dmm_matmul
 from repro.core.plan import Ca3dmmPlan
 from repro.layout import DistMatrix, dense_random
-from repro.machine.model import laptop
+from repro.machine.model import laptop, pace_phoenix_cpu
 from repro.mpi import run_spmd
 from repro.obs.audit import (
     AuditError,
@@ -18,7 +19,11 @@ from repro.obs.audit import (
     pebbling_lower_bound,
     validate_audit_json,
 )
+from repro.obs.drift import drift_report
 from repro.obs.export import TraceSchemaError
+from repro.obs.ledger import ledger_record
+from repro.obs.memtrace import memprof_run
+from repro.obs.metrics import ITEM, run_totals, snapshot_run
 
 
 def _executed(m=64, n=64, k=64, P=16):
@@ -142,3 +147,74 @@ class TestAuditSchema:
             if p.model_words == 0 and p.measured_words > 0:
                 assert p.rel_err_model == math.inf
                 assert not p.ok
+
+
+class TestReportsAgree:
+    """Drift, audit, memtrace, ledger and metrics read one measurement
+    and one set of closed forms, so their shared numbers are equal."""
+
+    @staticmethod
+    def _check_live_reports(plan, res, mach):
+        audit = audit_run(res, plan, machine=mach)
+        mem = memprof_run(res, plan)
+        rec = ledger_record(res, plan, "test.agree")
+        assert rec["traffic"]["q_words"] == audit.q_words
+        assert rec["traffic"]["total_words"] == audit.total_words
+        assert rec["memory"]["peak_live_words"] == audit.peak_live_words
+        assert rec["memory"]["peak_live_words"] == mem.transport_peak_words
+        assert rec["memory"]["resident_peak_words"] == mem.resident_peak_words
+        assert rec["memory"]["by_purpose_words"] == mem.by_purpose_words
+        assert rec["optimality"] == audit.to_dict()["bounds"]
+        for p in audit.phases:
+            assert rec["overlap"]["covered_by_phase"].get(p.phase, 0.0) == p.covered_s
+        return audit, rec
+
+    @pytest.mark.parametrize("overlap", ["none", "full"])
+    @pytest.mark.parametrize("name", sorted(TRACE_WORKLOADS))
+    def test_clean_workloads(self, name, overlap):
+        mach = pace_phoenix_cpu("mpi").with_overlap(overlap)
+        plan, res = executed_workload(name, machine=mach)
+        audit, rec = self._check_live_reports(plan, res, mach)
+        drift = drift_report(res, plan, machine=mach)
+        assert [
+            (d.phase, d.measured_words, d.expected_words, d.measured_msgs,
+             d.expected_msgs, d.words_rel_err) for d in drift.phases
+        ] == [
+            (a.phase, a.measured_words, a.model_words, a.measured_msgs,
+             a.model_msgs, a.rel_err_model) for a in audit.phases
+        ]
+        metrics = snapshot_run(res, plan)
+        assert metrics.q_words == audit.q_words
+        assert metrics.total_words == rec["traffic"]["total_words"]
+        assert metrics.mem_by_purpose == rec["memory"]["by_purpose_words"]
+
+    def test_killed_run_differs_by_the_dead_ranks_counters(self):
+        from repro.ft import resilient_multiply
+        from repro.mpi import FaultPlan, RankFault
+
+        m = n = k = 96
+        plan = Ca3dmmPlan(m, n, k, 16)
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
+            b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
+            resilient_multiply(comm, a, b, max_recoveries=2)
+
+        faults = FaultPlan(seed=0, ranks=(
+            RankFault(rank=5, phase="cannon", occurrence=1, kill=True),))
+        mach = pace_phoenix_cpu("mpi")
+        res = run_spmd(16, f, machine=mach, faults=faults)
+        (dead,) = [t for t in res.traces if t.rank == 5]
+        assert res.failed_ranks == [5] and dead.bytes_sent > 0
+
+        _audit, rec = self._check_live_reports(plan, res, mach)
+        metrics = snapshot_run(res, plan)  # every rank, the dead one included
+        # words are multiples of 1/ITEM far below 2**53: the products are exact
+        assert (metrics.total_words - rec["traffic"]["total_words"]) * ITEM \
+            == dead.bytes_sent
+        by_phase = rec["traffic"]["by_phase"]
+        all_ranks = run_totals(res.traces).phases
+        for phase, st in dead.phases.items():
+            assert (all_ranks[phase].sum_words - by_phase[phase]["words"]) * ITEM \
+                == st.bytes_sent
+            assert all_ranks[phase].sum_msgs - by_phase[phase]["msgs"] == st.msgs_sent

@@ -11,10 +11,13 @@ from repro.bench.harness import baseline_artifact, executed_workload
 from repro.machine.model import laptop
 from repro.obs.baseline import (
     BaselineStore,
+    GateError,
     PerfTolerance,
     capture_baseline,
+    check_gate,
     compare_baseline,
     validate_baseline_json,
+    write_gate,
 )
 from repro.obs.export import TraceSchemaError
 
@@ -164,3 +167,36 @@ class TestBenchArtifact:
         doc = json.loads(path.read_text())
         validate_baseline_json(doc)
         assert doc["workload"] == {"m": 32, "n": 64, "k": 16, "nprocs": 8}
+
+
+class TestGate:
+    W = {"m": 8, "n": 8, "k": 8, "nprocs": 2}
+
+    def test_one_sided_within_tolerance(self, tmp_path):
+        path = tmp_path / "gate.json"
+        write_gate(path, self.W, {"ratio": 2.0, "context": None})
+        assert json.loads(path.read_text()) == {
+            "schema_version": 1, "workload": self.W, "ratio": 2.0, "context": None}
+        for measured, ok in ((1.0, True), (2.04, True), (2.05, False)):
+            gate = check_gate(path, self.W, {"ratio": measured}, 0.02, "ratio")
+            assert gate["ok"] is ok
+            assert gate["checks"] == [
+                {"ratio": "ratio", "measured": measured, "baseline": 2.0, "ok": ok}]
+
+    def test_unmeasured_key_is_skipped_and_an_empty_gate_fails(self, tmp_path):
+        path = tmp_path / "gate.json"
+        write_gate(path, self.W, {"a": 1.0, "b": 1.0})
+        gate = check_gate(path, self.W, {"a": 1.0, "b": None}, 0.0, "quantity")
+        assert gate["ok"] and [c["quantity"] for c in gate["checks"]] == ["a"]
+        assert not check_gate(path, self.W, {"b": None}, 0.0, "quantity")["ok"]
+
+    def test_refuses_what_it_cannot_judge(self, tmp_path):
+        path = tmp_path / "gate.json"
+        write_gate(path, self.W, {"a": 1.0, "b": None, "c": True})
+        with pytest.raises(GateError, match="workload"):
+            check_gate(path, {**self.W, "nprocs": 4}, {"a": 1.0}, 0.0, "ratio")
+        for key in ("b", "c", "absent"):
+            with pytest.raises(GateError, match="not a number"):
+                check_gate(path, self.W, {key: 1.0}, 0.0, "ratio")
+        with pytest.raises(GateError, match="cannot read"):
+            check_gate(tmp_path / "absent.json", self.W, {"a": 1.0}, 0.0, "ratio")

@@ -116,6 +116,18 @@ class TestLedgerFile:
         with pytest.raises(LedgerError, match=":1"):
             list(Ledger(path).records())
 
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_older_schema_version_rejected_with_location(self, tmp_path, old):
+        plan, res = _executed()
+        path = tmp_path / "ledger.jsonl"
+        led = Ledger(path)
+        newest = led.append(ledger_record(res, plan, "test.v3"))
+        assert newest["schema_version"] == 3
+        with open(path, "a") as fh:
+            fh.write(canonical_json({**newest, "schema_version": old}) + "\n")
+        with pytest.raises(LedgerError, match=r"ledger\.jsonl:2"):
+            list(led.records())
+
     def test_append_refuses_invalid(self, tmp_path):
         led = Ledger(tmp_path / "ledger.jsonl")
         with pytest.raises(LedgerError):

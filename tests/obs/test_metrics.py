@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ca3dmm_matmul
 from repro.core.plan import Ca3dmmPlan
@@ -15,10 +17,14 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    PhaseTotals,
+    RunTotals,
     _overlap_ratio,
     format_metrics,
     overlap_by_phase,
+    run_totals,
     snapshot_run,
+    words,
 )
 
 
@@ -255,3 +261,101 @@ class TestShrunkWorld:
         m = snapshot_run(res)
         assert m.recoveries >= 1
         json.dumps(m.to_dict())  # gauges stay serializable on shrunk worlds
+
+
+class TestRunTotals:
+    """The shared pass against a straight-line recomputation from the
+    ``RankTrace`` fields, for the all-ranks and the live-ranks list."""
+
+    @staticmethod
+    def _oracle(traces, nruns):
+        phases = {}
+        for name in dict.fromkeys(
+            ph for t in traces for ph in (*t.phases, *t.colls)
+        ):
+            stats = [t.phases[name] for t in traces if name in t.phases]
+            colls = {}
+            for label in dict.fromkeys(
+                lb for t in traces for lb in t.colls.get(name, ())
+            ):
+                cs = [t.colls[name][label] for t in traces
+                      if label in t.colls.get(name, ())]
+                colls[label] = {
+                    "words": sum(c.bytes_sent / ITEM / nruns for c in cs),
+                    "msgs": sum(c.msgs_sent / nruns for c in cs),
+                }
+            phases[name] = PhaseTotals(
+                crit_words=max((s.bytes_sent / ITEM / nruns for s in stats), default=0.0),
+                crit_msgs=max((s.msgs_sent // nruns for s in stats), default=0),
+                sum_words=sum(s.bytes_sent / ITEM / nruns for s in stats),
+                sum_msgs=sum(s.msgs_sent / nruns for s in stats),
+                colls=colls,
+            )
+        covered = {}
+        for name in phases:
+            hidden = [t.phases[name].comm_covered_time / nruns for t in traces
+                      if name in t.phases and t.phases[name].comm_covered_time > 0]
+            if hidden:
+                covered[name] = sum(hidden)
+        resident = max((t.resident_peak_bytes for t in traces), default=0)
+        purposes = {p for t in traces for p, b in t.mem_peaks.items() if b > 0}
+        return RunTotals(
+            q_words=max((t.bytes_sent for t in traces), default=0) / ITEM / nruns,
+            total_words=sum(t.bytes_sent for t in traces) / ITEM / nruns,
+            max_msgs=max((t.msgs_sent for t in traces), default=0) // nruns,
+            peak_live_words=max((t.peak_live_bytes for t in traces), default=0) / ITEM,
+            resident_peak_words=resident / ITEM,
+            peak_rank=next(
+                (t.rank for t in traces
+                 if resident and t.resident_peak_bytes == resident), -1),
+            mem_by_purpose={
+                p: max(t.mem_peaks.get(p, 0) for t in traces) / ITEM
+                for p in purposes
+            },
+            phases=phases,
+            covered_by_phase=covered,
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 96), n=st.integers(1, 96), k=st.integers(1, 96),
+        nprocs=st.sampled_from([1, 2, 3, 5, 7, 8, 12, 16]),
+        nruns=st.sampled_from([1, 3]),
+        overlap=st.sampled_from(["none", "full"]),
+        kill=st.one_of(st.none(), st.integers(0, 15)),
+    )
+    @example(m=96, n=96, k=96, nprocs=16, nruns=3, overlap="full", kill=5)
+    @example(m=50, n=37, k=41, nprocs=12, nruns=3, overlap="none", kill=None)
+    def test_every_field_matches_the_oracle(self, m, n, k, nprocs, nruns, overlap, kill):
+        from repro.ft import resilient_multiply
+        from repro.mpi import FaultPlan, RankFault
+
+        faults = None
+        if kill is not None and nprocs > 1:
+            # tiny products on many ranks are outside what recovery handles
+            m, n, k = max(m, 4), max(n, 4), max(k, 4)
+            faults = FaultPlan(seed=0, ranks=(
+                RankFault(rank=kill % nprocs, phase="cannon", occurrence=1, kill=True),
+            ))
+        plan = Ca3dmmPlan(m, n, k, nprocs)
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
+            b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
+            if faults is not None:
+                resilient_multiply(comm, a, b, max_recoveries=2)
+            else:
+                for _ in range(nruns):
+                    ca3dmm_matmul(a, b)
+
+        res = run_spmd(nprocs, f, machine=laptop().with_overlap(overlap), faults=faults)
+        assert (kill, nprocs) != (5, 16) or res.failed_ranks == [5]
+        for traces in (res.traces, res.live_traces):
+            assert run_totals(traces, nruns) == self._oracle(traces, nruns)
+
+    def test_nruns_must_be_positive(self):
+        with pytest.raises(ValueError, match="nruns"):
+            run_totals([], nruns=0)
+
+    def test_words_is_the_item_size(self):
+        assert words(ITEM * 5) == 5.0
