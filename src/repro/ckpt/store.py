@@ -5,7 +5,11 @@ parallel file system, so tiles written by a rank that is later killed
 remain readable — which is exactly what distinguishes checkpoint/restart
 from the ft layer's buddy backups (those die with their holder).
 
-Both backends are thread-safe (ranks are threads) and copy array
+Both backends keep a lock of their own, unlike everything inside a
+world (which only the strand owning the world touches, see
+:mod:`repro.mpi.des`): a store is built by the caller outside any world
+and may be shared by several worlds or read by the driver while one
+runs, so no single world's ownership rule covers it.  Both copy array
 payloads on the way in and out, so a checkpoint can never alias live
 compute buffers.  Checkpoint ids are opaque strings minted by the
 pipeline from the *virtual* clock (``stepNNNN-t<seconds>``), keeping the

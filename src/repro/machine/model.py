@@ -186,7 +186,7 @@ class MachineModel:
     def with_overlap(self, mode: str) -> "MachineModel":
         """Return a copy with the async comm engine set to ``mode``.
 
-        ``"none"`` restores the legacy fully-serialized charging;
+        ``"none"`` is the engine with zero overlap (fully serialized);
         ``"full"``/``"partial"`` enable the engine (see the class
         docstring).  GPU PCIe staging (``gemm_time(stage_bytes=...)``)
         is unchanged by the engine: staging is compute-side bus time and

@@ -299,8 +299,8 @@ def _icoll(comm, fn, *args) -> CollRequest:
 
     With ``overlap="none"`` the collective runs exactly as its blocking
     form (same clock charges, same events) and the returned request is
-    pre-completed — waiting on it charges nothing, keeping legacy runs
-    bit-for-bit identical.  Otherwise the whole algorithm is drained
+    pre-completed — waiting on it charges nothing: that branch is the
+    engine with zero overlap, not a second charging path.  Otherwise the whole algorithm is drained
     eagerly on the rank's comm timeline (``begin_async``/``end_async``):
     its transfers progress concurrently with whatever compute follows
     the post, and the request's ``wait`` charges only the uncovered

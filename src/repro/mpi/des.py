@@ -19,8 +19,14 @@ discrete-event simulation in all but mechanism:
 * wakeups are precise — a send readies exactly its receiver — so a
   1024-rank ``pdgemm`` simulation completes in seconds.
 
-Scheduling state machine (all transitions under the transport lock):
+**Whoever owns the world holds the world lock.**  A strand takes it
+when it is dispatched (after its baton) and drops it when it parks,
+poll-yields or finishes; the driver takes it to sample or to act.  So
+every read and write of transport, tracer and scheduler state happens
+under that one lock, acquired once per scheduling slice, and nothing
+outside this module ever takes a lock to touch the world.
 
+Scheduling state machine:
 ``new → ready → running → {blocked, polling, finished}``; ``blocked``
 ranks are readied by the transport's wake hooks (message posted to
 them, agree vote recorded, world aborted, rank killed), ``polling``
@@ -59,11 +65,10 @@ class DesScheduler:
     """Cooperative rank scheduler driving one transport's world.
 
     Every :class:`~repro.mpi.transport.Transport` owns one; it is idle
-    until :func:`run_des` starts the strands.  All methods ending in
-    ``_locked`` require the transport lock; the transport calls the
-    ``wake_*`` hooks and ``park_locked`` / ``poll_yield_locked`` from
-    inside its own critical sections, so a park-then-wake can never be
-    lost.
+    until :func:`run_des` starts the strands.  The transport calls the
+    ``wake_*`` hooks and ``park`` / ``poll_yield`` as the running strand,
+    which owns the world from its dispatch to its park, so a
+    park-then-wake can never be lost.
     """
 
     def __init__(self, transport: "Transport"):
@@ -74,6 +79,9 @@ class DesScheduler:
         self._batons = [threading.Lock() for _ in range(nprocs)]
         for baton in self._batons:
             baton.acquire()
+        #: the world lock: held by the running strand for its whole
+        #: slice, by the driver while it samples or acts.
+        self._world = threading.Lock()
         self._state = [_NEW] * nprocs
         #: why a blocked rank is parked: ``"recv"`` or ``"agree"``.
         self._why: list[str | None] = [None] * nprocs
@@ -86,13 +94,13 @@ class DesScheduler:
         self._running_from_poll = False
         self._poll_resumes = 0
         self._finished_count = 0
-        #: strands parked in an agree (``wake_agree_locked`` scans iff > 0)
+        #: strands parked in an agree (``wake_agree`` scans iff > 0)
         self._agree_parked = 0
         #: set whenever no rank is runnable — the driver's turn to act.
         self.driver_evt = threading.Event()
 
     # ------------------------------------------------------- dispatching -- #
-    def _pop_runnable_locked(self) -> int | None:
+    def _pop_runnable(self) -> int | None:
         """Next rank to run: min-clock ready rank, else the oldest poller."""
         while self._ready:
             _, _, r = heapq.heappop(self._ready)
@@ -107,21 +115,21 @@ class DesScheduler:
                 return r
         return None
 
-    def _dispatch_locked(self) -> None:
+    def _dispatch(self) -> None:
         """Hand the world to the next runnable rank (or to the driver)."""
-        r = self._pop_runnable_locked()
+        r = self._pop_runnable()
         if r is None:
             self.driver_evt.set()
         else:
-            self.dispatch_rank_locked(r)
+            self.dispatch_rank(r)
 
-    def dispatch_rank_locked(self, rank: int) -> None:
+    def dispatch_rank(self, rank: int) -> None:
         """Resume a specific runnable rank: hand it its baton."""
         self._running = rank
         self._state[rank] = _RUNNING
         self._batons[rank].release()
 
-    def make_ready_locked(self, rank: int) -> None:
+    def make_ready(self, rank: int) -> None:
         if self._state[rank] in (_BLOCKED, _NEW):
             self._state[rank] = _READY
             if self._why[rank] == "agree":
@@ -134,25 +142,25 @@ class DesScheduler:
             self._push_counter += 1
 
     # ------------------------------------------------------------ parking -- #
-    def _handoff_locked(self, rank: int) -> None:
+    def _own_world(self, rank: int) -> None:
+        """Sleep until dispatched, then own the world for the slice."""
+        self._batons[rank].acquire()
+        self._world.acquire()
+
+    def _handoff(self, rank: int) -> None:
         """Give up the world and sleep until dispatched again.
 
-        The transport lock is released only *after* the next rank (or
-        the driver) has been chosen and signalled, so there is no window
-        in which nobody owns the world.  The release-before-acquire race
-        is benign: a rank re-dispatched before it reaches ``acquire()``
-        finds its baton free and just sails through.
+        The world lock is dropped only *after* the next rank (or the
+        driver) has been chosen and signalled, so there is no window in
+        which nobody owns the world.  A rank re-dispatched before it
+        reaches its baton finds it free and just sails through.
         """
         self._running = None
-        self._dispatch_locked()
-        lock = self.transport._lock
-        lock.release()
-        try:
-            self._batons[rank].acquire()
-        finally:
-            lock.acquire()
+        self._dispatch()
+        self._world.release()
+        self._own_world(rank)
 
-    def park_locked(self, rank: int, why: str) -> None:
+    def park(self, rank: int, why: str) -> None:
         """Block ``rank`` until a wake hook readies it (recv/agree wait).
 
         Only the running strand may park.  A caller nobody dispatched (a
@@ -168,9 +176,9 @@ class DesScheduler:
         self._why[rank] = why
         if why == "agree":
             self._agree_parked += 1
-        self._handoff_locked(rank)
+        self._handoff(rank)
 
-    def poll_yield_locked(self, rank: int) -> None:
+    def poll_yield(self, rank: int) -> None:
         """Cooperative yield from a probe miss: stay runnable, go last.
 
         A caller nobody dispatched has no one to yield to and returns.
@@ -179,41 +187,41 @@ class DesScheduler:
             return
         self._state[rank] = _POLLING
         self._polling.append(rank)
-        self._handoff_locked(rank)
+        self._handoff(rank)
 
     # --------------------------------------------------------- wake hooks -- #
-    def wake_recv_locked(self, rank: int) -> None:
+    def wake_recv(self, rank: int) -> None:
         """A message was posted (or dropped-and-held) for ``rank``."""
         if self._state[rank] == _BLOCKED and self._why[rank] == "recv":
-            self.make_ready_locked(rank)
+            self.make_ready(rank)
 
-    def wake_agree_locked(self) -> None:
+    def wake_agree(self) -> None:
         """An agree vote/result or a finish changed the rendezvous state."""
         if not self._agree_parked:
             return
         for r in range(self.nprocs):
             if self._state[r] == _BLOCKED and self._why[r] == "agree":
-                self.make_ready_locked(r)
+                self.make_ready(r)
 
-    def wake_all_locked(self) -> None:
+    def wake_all(self) -> None:
         """World-changing event (abort, kill): every blocked rank re-checks."""
         for r in range(self.nprocs):
             if self._state[r] == _BLOCKED:
-                self.make_ready_locked(r)
+                self.make_ready(r)
 
     # ------------------------------------------------------------ strands -- #
     def strand_main(self, rank: int, body: Callable[[int], None]) -> None:
         """Thread target for one rank strand."""
-        self._batons[rank].acquire()
+        self._own_world(rank)
         try:
             body(rank)
         finally:
-            with self.transport._lock:
-                self._state[rank] = _FINISHED
-                self._why[rank] = None
-                self._finished_count += 1
-                self._running = None
-                self._dispatch_locked()
+            self._state[rank] = _FINISHED
+            self._why[rank] = None
+            self._finished_count += 1
+            self._running = None
+            self._dispatch()
+            self._world.release()
 
 
 def run_des(
@@ -241,10 +249,10 @@ def run_des(
     ]
     for t in threads:
         t.start()
-    with transport._lock:
+    with sched._world:
         for r in range(nprocs):
-            sched.make_ready_locked(r)
-        sched._dispatch_locked()
+            sched.make_ready(r)
+        sched._dispatch()
 
     poll = 0.05
     stall = 0.0
@@ -256,33 +264,28 @@ def run_des(
         if sched.driver_evt.wait(timeout=poll):
             sched.driver_evt.clear()
         pending_blocked: dict[int, str] | None = None
-        with transport._lock:
+        with sched._world:
             if sched._finished_count == nprocs:
                 break
             if sched._running is None:
-                r = sched._pop_runnable_locked()
-                if r is not None:
-                    # Benign race: a strand parked between our wait() and
-                    # the lock; just resume the chosen rank.
-                    sched.dispatch_rank_locked(r)
-                    stall = 0.0
-                    continue
                 if (
                     transport.aborted is None
                     and transport.revoked
-                    and transport._quiescent_locked()
+                    and transport._quiescent()
                 ):
                     # Revocation unstick: every parked receiver re-checks;
                     # a deliverable message still wins, the rest unwind
                     # with CommRevokedError at their park clocks.
                     for rr in range(nprocs):
-                        if sched._state[rr] == _BLOCKED and sched._why[rr] == "recv":
-                            sched.make_ready_locked(rr)
-                    r = sched._pop_runnable_locked()
-                    if r is not None:
-                        sched.dispatch_rank_locked(r)
-                        stall = 0.0
-                        continue
+                        sched.wake_recv(rr)
+                r = sched._pop_runnable()
+                if r is not None:
+                    # Nobody dispatches the ranks the driver readies — the
+                    # unstick above, or the abort below on an earlier pass
+                    # (the post-abort drain): resume the first of them.
+                    sched.dispatch_rank(r)
+                    stall = 0.0
+                    continue
                 if transport.aborted is not None:
                     # Post-abort the world must drain on its own; nothing
                     # runnable with unfinished strands is a scheduler bug.
@@ -333,12 +336,12 @@ def run_des(
                         }
                 last_progress = progress
                 last_spins = spins
-        if pending_blocked is not None:
-            deadlock = DeadlockError(pending_blocked)
-            # Wake everything, let the strands unwind with AbortError,
-            # then re-raise the typed deadlock on the driver once the
-            # world has drained.
-            transport.abort(AbortError(-1, deadlock))
+            if pending_blocked is not None:
+                deadlock = DeadlockError(pending_blocked)
+                # Wake everything, let the strands unwind with AbortError,
+                # then re-raise the typed deadlock on the driver once the
+                # world has drained.
+                transport.abort(AbortError(-1, deadlock))
 
     for t in threads:
         t.join(timeout=5.0)

@@ -18,7 +18,6 @@ re-raised on the driver thread.
 
 from __future__ import annotations
 
-import threading
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -151,7 +150,6 @@ def run_spmd(
     transport = Transport(nprocs, machine, record_events=record_events, faults=faults)
     results: list[Any] = [None] * nprocs
     errors: list[tuple[int, BaseException, str]] = []
-    err_lock = threading.Lock()
 
     def rank_body(rank: int) -> None:
         comm = Comm(transport, WORLD_CTX, range(nprocs), rank)
@@ -166,8 +164,7 @@ def run_spmd(
             # going, and whatever it held allocated is gone with it.
             transport.release_rank_memory(rank)
         except BaseException as exc:  # noqa: BLE001 - must not die silently
-            with err_lock:
-                errors.append((rank, exc, traceback.format_exc()))
+            errors.append((rank, exc, traceback.format_exc()))
             transport.release_rank_memory(rank)
             transport.abort(AbortError(rank, exc))
         finally:

@@ -30,16 +30,18 @@ communicate through.  It provides:
   events so the critical-path analyzer can tell injected waits from
   organic ones.
 
-A single coarse lock protects all state.  Blocking is the scheduler's
-job: a rank that must wait is parked on its strand, and precise wake
-hooks ready exactly the ranks an operation could unblock.
+There is no lock here.  Every method is called by whoever owns the
+world — the running strand, or the driver while no strand runs — and
+the owner holds the scheduler's world lock (:mod:`repro.mpi.des`, the
+one place that rule lives).  Blocking is the scheduler's job too: a rank
+that must wait is parked on its strand, and precise wake hooks ready
+exactly the ranks an operation could unblock.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -363,7 +365,6 @@ class Transport:
         self.memlog: list[MemEvent] = []
         #: structured span tracer (repro.obs); enabled with record_events.
         self.tracer = Tracer(enabled=record_events)
-        self._lock = threading.Lock()
         # mailbox[(ctx, dst_world)] -> list of pending Message in seq order
         self._mail: dict[tuple[int, int], list[Message]] = defaultdict(list)
         # dropped[(ctx, dst_world)] -> messages lost on the wire (faults)
@@ -402,13 +403,12 @@ class Transport:
         All member ranks of a new communicator call this with the same
         key and receive the same id; the first caller allocates it.
         """
-        with self._lock:
-            ctx = self._context_keys.get(key)
-            if ctx is None:
-                ctx = self._next_ctx
-                self._next_ctx += 1
-                self._context_keys[key] = ctx
-            return ctx
+        ctx = self._context_keys.get(key)
+        if ctx is None:
+            ctx = self._next_ctx
+            self._next_ctx += 1
+            self._context_keys[key] = ctx
+        return ctx
 
     def split_groups(
         self, key: tuple[int, int], triples: Sequence[tuple], parent_group: Sequence[int]
@@ -416,26 +416,24 @@ class Transport:
         """``{color: member world ranks}`` of one ``Comm.split`` call: every
         member holds the same ``(color, key, rank)`` triples, the first one
         here orders each color by ``(key, parent rank)``, the rest share it."""
-        with self._lock:
-            groups = self._split_groups.get(key)
-            if groups is None:
-                members: dict[Any, list[tuple[Any, int]]] = {}
-                for color, k, r in triples:
-                    if color is not None:
-                        members.setdefault(color, []).append((k, r))
-                groups = self._split_groups[key] = {
-                    color: tuple(parent_group[r] for _k, r in sorted(kr))
-                    for color, kr in members.items()
-                }
-            return groups
+        groups = self._split_groups.get(key)
+        if groups is None:
+            members: dict[Any, list[tuple[Any, int]]] = {}
+            for color, k, r in triples:
+                if color is not None:
+                    members.setdefault(color, []).append((k, r))
+            groups = self._split_groups[key] = {
+                color: tuple(parent_group[r] for _k, r in sorted(kr))
+                for color, kr in members.items()
+            }
+        return groups
 
     # --------------------------------------------------------- aborting -- #
     def abort(self, err: AbortError) -> None:
         """Record a fatal error and wake all blocked ranks."""
-        with self._lock:
-            if self.aborted is None:
-                self.aborted = err
-            self.scheduler.wake_all_locked()
+        if self.aborted is None:
+            self.aborted = err
+        self.scheduler.wake_all()
 
     def _check_abort(self) -> None:
         if self.aborted is not None:
@@ -444,8 +442,7 @@ class Transport:
     # ------------------------------------------- ULFM-style fault tolerance -- #
     def dead_ranks(self) -> frozenset[int]:
         """World ranks permanently failed so far (``RankFault(kill=True)``)."""
-        with self._lock:
-            return frozenset(self.dead)
+        return frozenset(self.dead)
 
     def revoke(self) -> None:
         """Revoke communication world-wide (ULFM ``MPI_Comm_revoke`` analog).
@@ -456,15 +453,14 @@ class Transport:
         receiver is unwound with
         :class:`~repro.mpi.errors.CommRevokedError` only once every
         live, unfinished rank is parked in a transport wait with
-        nothing deliverable (see :meth:`_quiescent_locked`).  That
+        nothing deliverable (see :meth:`_quiescent`).  That
         stable cut of the computation is a property of the program, so
         the virtual timestamp at which each survivor observes the
         revocation is the same on every replay.
         The flag is cleared when a subsequent :meth:`agree` completes.
         """
-        with self._lock:
-            self.revoked = True
-            self.progress += 1
+        self.revoked = True
+        self.progress += 1
 
     def mark_finished(self, world_rank: int) -> None:
         """Record that a rank's program has returned (or died).
@@ -474,12 +470,11 @@ class Transport:
         where some ranks already returned could never quiesce and a
         revoked receiver would block forever.
         """
-        with self._lock:
-            self.finished.add(world_rank)
-            self.progress += 1
-            # A finish can complete an agree rendezvous (the voter set
-            # shrinks to the ranks already voted).
-            self.scheduler.wake_agree_locked()
+        self.finished.add(world_rank)
+        self.progress += 1
+        # A finish can complete an agree rendezvous (the voter set
+        # shrinks to the ranks already voted).
+        self.scheduler.wake_agree()
 
     def agree(
         self, key: Any, group: Sequence[int], world_rank: int, flag: bool
@@ -496,36 +491,35 @@ class Transport:
         voter set, so the agreement itself tolerates failures.
         """
         group = tuple(group)
-        with self._lock:
-            st = self._agrees.setdefault(key, {"votes": {}, "result": None})
-            st["votes"][world_rank] = bool(flag)
-            self.progress += 1
-            self.scheduler.wake_agree_locked()
-            me = self.ranks[world_rank]
-            me.agree_wait = key
-            try:
-                while st["result"] is None:
-                    self._check_abort()
-                    alive = [
-                        r for r in group
-                        if r not in self.dead and r not in self.finished
-                    ]
-                    if alive and all(r in st["votes"] for r in alive):
-                        ok = len(alive) == len(group) and all(
-                            st["votes"][r] for r in alive
-                        )
-                        t = max(self.ranks[r].clock for r in alive)
-                        st["result"] = (ok, tuple(alive), t)
-                        self.revoked = False
-                        self.progress += 1
-                        self.scheduler.wake_agree_locked()
-                        break
-                    self.scheduler.park_locked(world_rank, "agree")
-            finally:
-                me.agree_wait = None
-            ok, survivors, t = st["result"]
-            self._raise_clock_locked(world_rank, t, event_kind="wait")
-            return ok, survivors
+        st = self._agrees.setdefault(key, {"votes": {}, "result": None})
+        st["votes"][world_rank] = bool(flag)
+        self.progress += 1
+        self.scheduler.wake_agree()
+        me = self.ranks[world_rank]
+        me.agree_wait = key
+        try:
+            while st["result"] is None:
+                self._check_abort()
+                alive = [
+                    r for r in group
+                    if r not in self.dead and r not in self.finished
+                ]
+                if alive and all(r in st["votes"] for r in alive):
+                    ok = len(alive) == len(group) and all(
+                        st["votes"][r] for r in alive
+                    )
+                    t = max(self.ranks[r].clock for r in alive)
+                    st["result"] = (ok, tuple(alive), t)
+                    self.revoked = False
+                    self.progress += 1
+                    self.scheduler.wake_agree()
+                    break
+                self.scheduler.park(world_rank, "agree")
+        finally:
+            me.agree_wait = None
+        ok, survivors, t = st["result"]
+        self.raise_clock(world_rank, t, event_kind="wait")
+        return ok, survivors
 
     def add_ft(
         self,
@@ -543,40 +537,34 @@ class Transport:
         caught them (``replicate`` / ``cannon`` / ``reduce`` / ``redist``),
         feeding the ``corruptions_detected_by_phase`` breakdown.
         """
-        with self._lock:
-            st = self.ranks[world_rank]
-            st.corruptions_detected += detected
-            if detected and phase is not None:
-                st.corruptions_detected_by_phase[phase] = (
-                    st.corruptions_detected_by_phase.get(phase, 0) + detected
-                )
-            st.recomputed_flops += recomputed_flops
-            st.reused_flops += reused_flops
-            st.recoveries += recoveries
+        st = self.ranks[world_rank]
+        st.corruptions_detected += detected
+        if detected and phase is not None:
+            st.corruptions_detected_by_phase[phase] = (
+                st.corruptions_detected_by_phase.get(phase, 0) + detected
+            )
+        st.recomputed_flops += recomputed_flops
+        st.reused_flops += reused_flops
+        st.recoveries += recoveries
 
     # ------------------------------------------------------------ clocks -- #
     def now(self, world_rank: int) -> float:
-        with self._lock:
-            return self.ranks[world_rank].clock
+        return self.ranks[world_rank].clock
 
-    def advance(self, world_rank: int, dt: float, kind: str = "comm") -> None:
-        """Advance a rank's clock by ``dt`` and attribute it to its phase."""
-        if dt < 0:
-            raise ValueError("negative time advance")
-        with self._lock:
-            self._advance_locked(world_rank, dt, kind)
-
-    def _advance_locked(
+    def advance(
         self,
         world_rank: int,
         dt: float,
-        kind: str,
+        kind: str = "comm",
         event_kind: str | None = None,
         nbytes: int = 0,
         peer: int = -1,
         seq: int = -1,
         injected: bool = False,
     ) -> None:
+        """Advance a rank's clock by ``dt`` and attribute it to its phase."""
+        if dt < 0:
+            raise ValueError("negative time advance")
         st = self.ranks[world_rank]
         if (
             kind == "compute"
@@ -627,22 +615,10 @@ class Transport:
         nbytes: int = 0,
         peer: int = -1,
         seq: int = -1,
-    ) -> None:
-        """Move a rank's clock up to ``t`` if it is behind (never back)."""
-        with self._lock:
-            self._raise_clock_locked(world_rank, t, event_kind, nbytes, peer, seq)
-
-    def _raise_clock_locked(
-        self,
-        world_rank: int,
-        t: float,
-        event_kind: str = "wait",
-        nbytes: int = 0,
-        peer: int = -1,
-        seq: int = -1,
         injected: bool = False,
     ) -> None:
-        """Move a rank's clock up to ``t`` (waiting time counts as comm)."""
+        """Move a rank's clock up to ``t`` if it is behind, never back
+        (waiting time counts as comm)."""
         st = self.ranks[world_rank]
         if st.async_depth > 0:
             # In-region completions (e.g. a blocking recv matched on the
@@ -677,7 +653,7 @@ class Transport:
         """Open an async region on a rank; returns the region's start time.
 
         While the region is open, every comm-side charge against this
-        rank (``_advance_locked(kind="comm")``, ``_raise_clock_locked``)
+        rank (``advance(kind="comm")``, ``raise_clock``)
         is redirected to the rank's *comm timeline* instead of its
         clock, and no events are recorded — the region's entire cost is
         settled later by :meth:`async_wait`.  Regions nest; only the
@@ -685,15 +661,14 @@ class Transport:
         point (``overlap="partial"`` serializes consecutive regions of
         one rank on its single comm engine).
         """
-        with self._lock:
-            st = self.ranks[world_rank]
-            st.async_depth += 1
-            if st.async_depth == 1:
-                if self.machine.overlap == "partial":
-                    st.comm_clock = max(st.clock, st.comm_engine_free)
-                else:
-                    st.comm_clock = st.clock
-            return st.comm_clock
+        st = self.ranks[world_rank]
+        st.async_depth += 1
+        if st.async_depth == 1:
+            if self.machine.overlap == "partial":
+                st.comm_clock = max(st.clock, st.comm_engine_free)
+            else:
+                st.comm_clock = st.clock
+        return st.comm_clock
 
     def end_async(self, world_rank: int) -> float:
         """Close an async region; returns its completion time.
@@ -703,15 +678,14 @@ class Transport:
         outermost close also publishes it as the engine-free point so
         the next region queues behind this one.
         """
-        with self._lock:
-            st = self.ranks[world_rank]
-            if st.async_depth <= 0:
-                raise RuntimeError("end_async without begin_async")
-            t = st.comm_clock
-            st.async_depth -= 1
-            if st.async_depth == 0 and self.machine.overlap == "partial":
-                st.comm_engine_free = t
-            return t
+        st = self.ranks[world_rank]
+        if st.async_depth <= 0:
+            raise RuntimeError("end_async without begin_async")
+        t = st.comm_clock
+        st.async_depth -= 1
+        if st.async_depth == 0 and self.machine.overlap == "partial":
+            st.comm_engine_free = t
+        return t
 
     def async_wait(self, world_rank: int, t_start: float, t_complete: float) -> None:
         """Settle an async region's cost at wait time.
@@ -722,35 +696,33 @@ class Transport:
         (``PhaseStats.comm_covered_time``).  With ``overlap="none"``
         regions are pre-completed at post time (``t_start ==
         t_complete == clock``), so this charges nothing and the
-        covered-time counter is never touched — bit-exact legacy
-        behaviour.
+        covered-time counter is never touched — bit-exact with a
+        blocking collective.
         """
-        with self._lock:
-            st = self.ranks[world_rank]
-            exposed = max(0.0, t_complete - st.clock)
-            covered = max(0.0, (t_complete - t_start) - exposed)
-            if exposed > 0.0:
-                self._raise_clock_locked(world_rank, t_complete, event_kind="wait")
-            if covered > 0.0:
-                (st.cur_ps or st.phase_stats()).comm_covered_time += covered
+        st = self.ranks[world_rank]
+        exposed = max(0.0, t_complete - st.clock)
+        covered = max(0.0, (t_complete - t_start) - exposed)
+        if exposed > 0.0:
+            self.raise_clock(world_rank, t_complete, event_kind="wait")
+        if covered > 0.0:
+            (st.cur_ps or st.phase_stats()).comm_covered_time += covered
 
     # ------------------------------------------------------------ phases -- #
     def push_phase(self, world_rank: int, name: str, attrs: dict | None = None) -> None:
-        with self._lock:
-            st = self.ranks[world_rank]
-            st.phase_stack.append(name)
-            st.phase, st.cur_ps, st.cur_cs = name, None, None
-            if self.faults is not None:
-                self._apply_rank_faults_locked(world_rank, name)
+        st = self.ranks[world_rank]
+        st.phase_stack.append(name)
+        st.phase, st.cur_ps, st.cur_cs = name, None, None
+        if self.faults is not None:
+            self._apply_rank_faults(world_rank, name)
         if self.tracer.enabled:
-            sid = self.begin_span(world_rank, name, cat=CAT_PHASE, attrs=attrs)
-            with self._lock:
-                self.ranks[world_rank].phase_span_stack.append(sid)
+            st.phase_span_stack.append(
+                self.begin_span(world_rank, name, cat=CAT_PHASE, attrs=attrs)
+            )
 
-    def _apply_rank_faults_locked(self, world_rank: int, name: str) -> None:
+    def _apply_rank_faults(self, world_rank: int, name: str) -> None:
         """Fire matching :class:`~repro.mpi.faults.RankFault` rules on
         phase entry (stall windows and scripted aborts; slowdown factors
-        are applied per compute advance in :meth:`_advance_locked`)."""
+        are applied per compute advance in :meth:`advance`)."""
         for idx, rule in enumerate(self.faults.ranks):
             if not rule.matches_phase(world_rank, name):
                 continue
@@ -761,7 +733,7 @@ class Transport:
             if rule.stall_s > 0.0:
                 st = self.ranks[world_rank]
                 st.injected_wait_s += rule.stall_s
-                self._advance_locked(
+                self.advance(
                     world_rank, rule.stall_s, "comm",
                     event_kind="wait", injected=True,
                 )
@@ -774,36 +746,32 @@ class Transport:
                 # rank's thread with the typed kill error.
                 self.dead.add(world_rank)
                 self.progress += 1
-                self.scheduler.wake_all_locked()
+                self.scheduler.wake_all()
                 raise RankKilledError(world_rank, name, count)
 
     def push_coll(self, world_rank: int, label: str) -> None:
         """Enter a collective call: traffic posted while the stack is
         non-empty is attributed to the *outermost* label (always-on and
         cheap, unlike tracer spans)."""
-        with self._lock:
-            st = self.ranks[world_rank]
-            st.coll_stack.append(label)
-            if len(st.coll_stack) == 1:
-                st.coll, st.cur_cs = label, None
+        st = self.ranks[world_rank]
+        st.coll_stack.append(label)
+        if len(st.coll_stack) == 1:
+            st.coll, st.cur_cs = label, None
 
     def pop_coll(self, world_rank: int) -> str:
-        with self._lock:
-            st = self.ranks[world_rank]
-            label = st.coll_stack.pop()
-            if not st.coll_stack:
-                st.coll, st.cur_cs = DEFAULT_COLL, None
-            return label
+        st = self.ranks[world_rank]
+        label = st.coll_stack.pop()
+        if not st.coll_stack:
+            st.coll, st.cur_cs = DEFAULT_COLL, None
+        return label
 
     def pop_phase(self, world_rank: int) -> str:
-        with self._lock:
-            st = self.ranks[world_rank]
-            name = st.phase_stack.pop()
-            st.phase = st.phase_stack[-1] if st.phase_stack else DEFAULT_PHASE
-            st.cur_ps = st.cur_cs = None
-            sid = st.phase_span_stack.pop() if st.phase_span_stack else None
-        if sid is not None:
-            self.end_span(world_rank, sid)
+        st = self.ranks[world_rank]
+        name = st.phase_stack.pop()
+        st.phase = st.phase_stack[-1] if st.phase_stack else DEFAULT_PHASE
+        st.cur_ps = st.cur_cs = None
+        if st.phase_span_stack:
+            self.end_span(world_rank, st.phase_span_stack.pop())
         return name
 
     # ------------------------------------------------------------- spans -- #
@@ -821,26 +789,22 @@ class Transport:
         """Open a tracer span at the rank's current simulated clock.
 
         Returns the span id, or ``None`` when tracing is disabled (the
-        fast path: one attribute read, no locking).  The rank's traffic
+        fast path: one attribute read).  The rank's traffic
         counters are snapshotted so :meth:`end_span` can attach the
         bytes/messages attributed to the span.
         """
         if not self.tracer.enabled:
             return None
-        with self._lock:
-            t = self.ranks[world_rank].clock
-            snap = self._counter_snapshot(world_rank)
+        t = self.ranks[world_rank].clock
         sid = self.tracer.begin(world_rank, name, t, cat=cat, attrs=attrs)
-        self.tracer.annotate(sid, _snap=snap)
+        self.tracer.annotate(sid, _snap=self._counter_snapshot(world_rank))
         return sid
 
     def end_span(self, world_rank: int, sid: int | None) -> None:
         """Close a span opened with :meth:`begin_span` (``None`` is a no-op)."""
         if sid is None or not self.tracer.enabled:
             return
-        with self._lock:
-            t = self.ranks[world_rank].clock
-            snap = self._counter_snapshot(world_rank)
+        snap = self._counter_snapshot(world_rank)
         prev = self.tracer.take_attr(sid, "_snap")
         deltas = {}
         if prev is not None:
@@ -850,7 +814,7 @@ class Transport:
                 "msgs_sent": snap[2] - prev[2],
                 "msgs_recv": snap[3] - prev[3],
             }
-        self.tracer.end(world_rank, sid, t, attrs=deltas)
+        self.tracer.end(world_rank, sid, self.ranks[world_rank].clock, attrs=deltas)
 
     def note_live_bytes(self, world_rank: int, nbytes: int) -> None:
         """Record a high-water mark of self-reported live bytes on a rank.
@@ -859,10 +823,9 @@ class Transport:
         (e.g. the COSMA baseline); measured footprint lives in the
         memtrace counters (:meth:`mem_alloc` / :meth:`mem_free`).
         """
-        with self._lock:
-            st = self.ranks[world_rank]
-            if nbytes > st.peak_live_bytes:
-                st.peak_live_bytes = nbytes
+        st = self.ranks[world_rank]
+        if nbytes > st.peak_live_bytes:
+            st.peak_live_bytes = nbytes
 
     # ---------------------------------------------------------- memtrace -- #
     def mem_alloc(self, world_rank: int, purpose: str, nbytes: int) -> None:
@@ -874,21 +837,6 @@ class Transport:
         clock.  Must only be called from the owning rank's program order
         so watermarks stay replay-deterministic.
         """
-        with self._lock:
-            self._mem_alloc_locked(world_rank, purpose, nbytes)
-
-    def mem_free(self, world_rank: int, purpose: str, nbytes: int) -> None:
-        """Release ``nbytes`` previously charged to ``purpose``.
-
-        Raises :class:`ValueError` when the free exceeds the purpose's
-        live bytes — that is an instrumentation bug, not a runtime
-        condition, and silently clamping would corrupt every watermark
-        downstream of it.
-        """
-        with self._lock:
-            self._mem_free_locked(world_rank, purpose, nbytes)
-
-    def _mem_alloc_locked(self, world_rank: int, purpose: str, nbytes: int) -> None:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError(f"mem_alloc of negative size {nbytes}")
@@ -936,14 +884,20 @@ class Transport:
         sorted purpose order at the rank's final clock, keeping the
         per-rank memory timeline replay-deterministic.
         """
-        with self._lock:
-            st = self.ranks[world_rank]
-            for purpose in sorted(st.mem_live):
-                live = st.mem_live[purpose]
-                if live > 0:
-                    self._mem_free_locked(world_rank, purpose, live)
+        st = self.ranks[world_rank]
+        for purpose in sorted(st.mem_live):
+            live = st.mem_live[purpose]
+            if live > 0:
+                self.mem_free(world_rank, purpose, live)
 
-    def _mem_free_locked(self, world_rank: int, purpose: str, nbytes: int) -> None:
+    def mem_free(self, world_rank: int, purpose: str, nbytes: int) -> None:
+        """Release ``nbytes`` previously charged to ``purpose``.
+
+        Raises :class:`ValueError` when the free exceeds the purpose's
+        live bytes — that is an instrumentation bug, not a runtime
+        condition, and silently clamping would corrupt every watermark
+        downstream of it.
+        """
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError(f"mem_free of negative size {nbytes}")
@@ -969,7 +923,7 @@ class Transport:
                 )
             )
 
-    def _inflight_pulse_locked(self, world_rank: int, nbytes: int) -> None:
+    def _inflight_pulse(self, world_rank: int, nbytes: int) -> None:
         """The packed copy of one send: a ``MEM_INFLIGHT`` alloc and free
         back to back.  The live totals end where they were, so only the
         high-water marks move; recorded as the same event pair."""
@@ -1013,118 +967,117 @@ class Transport:
         send/recv events bracketing its transfer) when recording.
         """
         t_msg = self.machine.msg_time(nbytes, src_world, dst_world)
-        with self._lock:
-            self._check_abort()
-            # Sends always succeed locally, even to dead ranks and on a
-            # revoked world (eager-buffered / dead-letter semantics).
-            # Failure detection is the receiver's job (recv-from-dead,
-            # the revocation quiescence check) with ``agree`` as the
-            # collective backstop.
-            st = self.ranks[src_world]
-            drops = 0
-            injected = False
-            if self.faults is not None:
-                t_msg, drops, injected, stored = self._perturb_flight_locked(
-                    src_world, dst_world, st.phase, t_msg,
-                    stored=stored, is_array=is_array,
-                )
-            in_region = st.async_depth > 0
-            base = st.comm_clock if in_region else st.clock
-            nic_serialized = (
-                self.machine.overlap == "partial"
-                and not self.machine.same_node(src_world, dst_world)
-                and (in_region or not advance_sender)
+        self._check_abort()
+        # Sends always succeed locally, even to dead ranks and on a
+        # revoked world (eager-buffered / dead-letter semantics).
+        # Failure detection is the receiver's job (recv-from-dead,
+        # the revocation quiescence check) with ``agree`` as the
+        # collective backstop.
+        st = self.ranks[src_world]
+        drops = 0
+        injected = False
+        if self.faults is not None:
+            t_msg, drops, injected, stored = self._perturb_flight(
+                src_world, dst_world, st.phase, t_msg,
+                stored=stored, is_array=is_array,
             )
-            if nic_serialized:
-                # One NIC stream per rank in partial mode: an in-flight
-                # nonblocking transfer delays the next one's start.
-                # Blocking sends are untouched (their wait drags the
-                # clock past nic_free anyway, keeping sync paths
-                # bit-exact under every overlap mode).
-                base = max(base, st.nic_free)
-            t_post = base
-            arrival = t_post + t_msg
-            if nic_serialized:
-                st.nic_free = arrival
-            self._seq += 1
-            seq = self._seq
-            if self.record_events:
-                self.msglog.append(
-                    MsgRecord(
-                        seq=seq,
-                        src=src_world,
-                        dst=dst_world,
-                        t_post=t_post,
-                        arrival=arrival,
-                        nbytes=nbytes,
-                        tag=tag,
-                        ctx=ctx,
-                        phase=st.phase,
-                        injected=injected,
-                        coll=st.coll,
-                    )
+        in_region = st.async_depth > 0
+        base = st.comm_clock if in_region else st.clock
+        nic_serialized = (
+            self.machine.overlap == "partial"
+            and not self.machine.same_node(src_world, dst_world)
+            and (in_region or not advance_sender)
+        )
+        if nic_serialized:
+            # One NIC stream per rank in partial mode: an in-flight
+            # nonblocking transfer delays the next one's start.
+            # Blocking sends are untouched (their wait drags the
+            # clock past nic_free anyway, keeping sync paths
+            # bit-exact under every overlap mode).
+            base = max(base, st.nic_free)
+        t_post = base
+        arrival = t_post + t_msg
+        if nic_serialized:
+            st.nic_free = arrival
+        self._seq += 1
+        seq = self._seq
+        if self.record_events:
+            self.msglog.append(
+                MsgRecord(
+                    seq=seq,
+                    src=src_world,
+                    dst=dst_world,
+                    t_post=t_post,
+                    arrival=arrival,
+                    nbytes=nbytes,
+                    tag=tag,
+                    ctx=ctx,
+                    phase=st.phase,
+                    injected=injected,
+                    coll=st.coll,
                 )
-            if in_region:
-                # The transfer rides the comm timeline; its cost is
-                # settled by async_wait when the region's request is
-                # waited on (no event, no phase charge here).
-                st.comm_clock = arrival
-            elif advance_sender:
-                if t_post > st.clock:
-                    # NIC-delayed start (partial mode): charge straight
-                    # to the arrival so the queueing delay is visible as
-                    # send time.  (a+b)-a != b in floating point, so the
-                    # undelayed path below must stay the legacy advance.
-                    self._raise_clock_locked(
-                        src_world, arrival,
-                        event_kind="send", nbytes=nbytes, peer=dst_world,
-                        seq=seq, injected=injected,
-                    )
-                else:
-                    self._advance_locked(
-                        src_world, t_msg, "comm",
-                        event_kind="send", nbytes=nbytes, peer=dst_world, seq=seq,
-                        injected=injected,
-                    )
-            ps = st.cur_ps or st.phase_stats()
-            ps.bytes_sent += nbytes
-            ps.msgs_sent += 1
-            cs = st.cur_cs or st.coll_stats()
-            cs.bytes_sent += nbytes
-            cs.msgs_sent += 1
-            st.bytes_sent += nbytes
-            st.msgs_sent += 1
-            # Sender-side packed copy: charged transiently in the
-            # sender's own program order (deterministic on replay).
-            self._inflight_pulse_locked(src_world, nbytes)
-            msg = Message(
-                ctx=ctx,
-                src_world=src_world,
-                dst_world=dst_world,
-                tag=tag,
-                stored=stored,
-                nbytes=nbytes,
-                is_array=is_array,
-                arrival=arrival,
-                seq=seq,
             )
-            if drops > 0:
-                # Lost on the wire: held until the receiver times out and
-                # requests retransmits (see match_recv).  The sender is
-                # oblivious — its clock and counters were charged as usual.
-                self._dropped[(ctx, dst_world)].append(
-                    _Dropped(msg=msg, flight=t_msg, drops=drops, t_post=t_post)
+        if in_region:
+            # The transfer rides the comm timeline; its cost is
+            # settled by async_wait when the region's request is
+            # waited on (no event, no phase charge here).
+            st.comm_clock = arrival
+        elif advance_sender:
+            if t_post > st.clock:
+                # NIC-delayed start (partial mode): charge straight
+                # to the arrival so the queueing delay is visible as
+                # send time.  (a+b)-a != b in floating point, so the
+                # undelayed path below must stay a plain advance.
+                self.raise_clock(
+                    src_world, arrival,
+                    event_kind="send", nbytes=nbytes, peer=dst_world,
+                    seq=seq, injected=injected,
                 )
             else:
-                self._mail[(ctx, dst_world)].append(msg)
-            self.progress += 1
-            # Precise wakeup: only the receiver can be unblocked by this
-            # post.  A *dropped* message readies it too — the receiver
-            # must start charging its timeout/retry clock.
-            self.scheduler.wake_recv_locked(dst_world)
+                self.advance(
+                    src_world, t_msg, "comm",
+                    event_kind="send", nbytes=nbytes, peer=dst_world, seq=seq,
+                    injected=injected,
+                )
+        ps = st.cur_ps or st.phase_stats()
+        ps.bytes_sent += nbytes
+        ps.msgs_sent += 1
+        cs = st.cur_cs or st.coll_stats()
+        cs.bytes_sent += nbytes
+        cs.msgs_sent += 1
+        st.bytes_sent += nbytes
+        st.msgs_sent += 1
+        # Sender-side packed copy: charged transiently in the
+        # sender's own program order (deterministic on replay).
+        self._inflight_pulse(src_world, nbytes)
+        msg = Message(
+            ctx=ctx,
+            src_world=src_world,
+            dst_world=dst_world,
+            tag=tag,
+            stored=stored,
+            nbytes=nbytes,
+            is_array=is_array,
+            arrival=arrival,
+            seq=seq,
+        )
+        if drops > 0:
+            # Lost on the wire: held until the receiver times out and
+            # requests retransmits (see match_recv).  The sender is
+            # oblivious — its clock and counters were charged as usual.
+            self._dropped[(ctx, dst_world)].append(
+                _Dropped(msg=msg, flight=t_msg, drops=drops, t_post=t_post)
+            )
+        else:
+            self._mail[(ctx, dst_world)].append(msg)
+        self.progress += 1
+        # Precise wakeup: only the receiver can be unblocked by this
+        # post.  A *dropped* message readies it too — the receiver
+        # must start charging its timeout/retry clock.
+        self.scheduler.wake_recv(dst_world)
         return arrival, seq
 
-    def _perturb_flight_locked(
+    def _perturb_flight(
         self,
         src_world: int,
         dst_world: int,
@@ -1177,11 +1130,11 @@ class Transport:
         corrupted = False
         if corrupt:
             if is_array:
-                corrupted = self._corrupt_payload_locked(
+                corrupted = self._corrupt_payload(
                     src_world, dst_world, phase, stored, corrupt
                 )
             else:
-                blob = self._corrupt_container_locked(
+                blob = self._corrupt_container(
                     src_world, dst_world, phase, stored, corrupt
                 )
                 if blob is not None:
@@ -1190,14 +1143,14 @@ class Transport:
         injected = extra > 0.0 or factor != 1.0 or drops > 0 or corrupted
         return t_msg * factor + extra, drops, injected, stored
 
-    def _record_injection_locked(self, src_world: int, phase: str) -> None:
+    def _record_injection(self, src_world: int, phase: str) -> None:
         st = self.ranks[src_world]
         st.corruptions_injected += 1
         st.corruptions_injected_by_phase[phase] = (
             st.corruptions_injected_by_phase.get(phase, 0) + 1
         )
 
-    def _corrupt_payload_locked(
+    def _corrupt_payload(
         self,
         src_world: int,
         dst_world: int,
@@ -1226,10 +1179,10 @@ class Transport:
                 ) % arr.size
                 val = arr.flat[pos]
                 arr.flat[pos] = val + (1.0 + abs(val))
-            self._record_injection_locked(src_world, phase)
+            self._record_injection(src_world, phase)
         return True
 
-    def _corrupt_container_locked(
+    def _corrupt_container(
         self,
         src_world: int,
         dst_world: int,
@@ -1284,7 +1237,7 @@ class Transport:
                         a.flat[pos] = val + (1.0 + abs(val))
                         break
                     pos -= a.size
-            self._record_injection_locked(src_world, phase)
+            self._record_injection(src_world, phase)
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
     def msg_record(self, seq: int) -> MsgRecord | None:
@@ -1302,7 +1255,7 @@ class Transport:
             return False
         return True
 
-    def _select_locked(
+    def _select(
         self,
         ctx: int,
         dst_world: int,
@@ -1346,7 +1299,7 @@ class Transport:
             return None
         return best_i
 
-    def _find_locked(
+    def _find(
         self,
         ctx: int,
         dst_world: int,
@@ -1354,13 +1307,13 @@ class Transport:
         tag: int,
         caps: dict[int, int] | None = None,
     ) -> Message | None:
-        """Pop the matching mailbox message :meth:`_select_locked` chose."""
-        i = self._select_locked(ctx, dst_world, src_world, tag, caps)
+        """Pop the matching mailbox message :meth:`_select` chose."""
+        i = self._select(ctx, dst_world, src_world, tag, caps)
         if i is None:
             return None
         return self._mail[(ctx, dst_world)].pop(i)
 
-    def _drop_caps_locked(
+    def _drop_caps(
         self, ctx: int, dst_world: int, src_world: int, tag: int
     ) -> dict[int, int] | None:
         """Per-sender seq caps from held dropped messages this receive matches.
@@ -1380,7 +1333,7 @@ class Transport:
                     caps[s] = d.msg.seq
         return caps or None
 
-    def _find_dropped_locked(
+    def _find_dropped(
         self, ctx: int, dst_world: int, src_world: int, tag: int
     ) -> _Dropped | None:
         """The held dropped message this receive times out against.
@@ -1406,7 +1359,7 @@ class Transport:
             per_src.values(), key=lambda d: (d.msg.arrival, d.msg.src_world)
         )
 
-    def _timeout_retry_locked(self, ctx: int, dst_world: int, d: _Dropped) -> None:
+    def _timeout_retry(self, ctx: int, dst_world: int, d: _Dropped) -> None:
         """Charge one recv timeout against the held dropped message ``d``
         and either request a retransmit or raise :class:`RecvTimeoutError`.
 
@@ -1421,7 +1374,7 @@ class Transport:
         wait_s = policy.nth_timeout_s(d.attempts)
         st.timeouts += 1
         st.injected_wait_s += wait_s
-        self._advance_locked(
+        self.advance(
             dst_world, wait_s, "comm",
             event_kind="wait", peer=d.msg.src_world, seq=d.msg.seq,
             injected=True,
@@ -1481,69 +1434,64 @@ class Transport:
         simulated backoff wait and requests a retransmit; exhausting the
         budget raises :class:`~repro.mpi.errors.RecvTimeoutError`.
         """
-        with self._lock:
-            st = self.ranks[dst_world]
-            st.recv_wait = (ctx, src_world, tag)
-            try:
-                while True:
-                    self._check_abort()
-                    # Non-overtaking: a held dropped message must not be
-                    # overtaken by a later message on the same pair, so
-                    # mailbox matching is capped at the dropped seqs.
-                    caps = (
-                        self._drop_caps_locked(ctx, dst_world, src_world, tag)
-                        if self.faults is not None
-                        else None
-                    )
-                    msg = self._find_locked(
-                        ctx, dst_world, src_world, tag, caps=caps
-                    )
-                    if msg is not None:
-                        break
-                    # A message already on the wire from a now-dead rank
-                    # is still deliverable (checked above); with nothing
-                    # in flight, waiting on a dead rank is hopeless.
-                    if src_world != ANY_SOURCE and src_world in self.dead:
-                        raise RankFailedError(dst_world, src_world, op="recv from")
-                    if caps is not None:
-                        d = self._find_dropped_locked(
-                            ctx, dst_world, src_world, tag
-                        )
-                        if d is not None:
-                            self._timeout_retry_locked(ctx, dst_world, d)
-                            continue
-                    # Quiescence-gated revocation: a deliverable message
-                    # always wins over the revoked flag, so the program
-                    # point (and virtual clock) at which each survivor
-                    # is unwound is replay-deterministic.
-                    if self.revoked and self._quiescent_locked():
-                        raise CommRevokedError(dst_world)
-                    self.scheduler.park_locked(dst_world, "recv")
-                self.progress += 1
-                if advance_receiver:
-                    self._raise_clock_locked(
-                        dst_world, msg.arrival,
-                        event_kind="recv", nbytes=msg.nbytes, peer=msg.src_world,
-                        seq=msg.seq,
-                    )
-                ps = st.cur_ps or st.phase_stats()
-                ps.bytes_recv += msg.nbytes
-                ps.msgs_recv += 1
-                cs = st.cur_cs or st.coll_stats()
-                cs.bytes_recv += msg.nbytes
-                cs.msgs_recv += 1
-                st.bytes_recv += msg.nbytes
-                st.msgs_recv += 1
-                # No receiver-side in-flight charge: at receipt the
-                # payload is handed to the engine, whose own spans
-                # (cannon.dblbuf, redist.tiles, ...) account for it —
-                # charging here would double-count every received block.
-                status = Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
-                return msg, status
-            finally:
-                st.recv_wait = None
+        st = self.ranks[dst_world]
+        st.recv_wait = (ctx, src_world, tag)
+        try:
+            while True:
+                self._check_abort()
+                # Non-overtaking: a held dropped message must not be
+                # overtaken by a later message on the same pair, so
+                # mailbox matching is capped at the dropped seqs.
+                caps = (
+                    self._drop_caps(ctx, dst_world, src_world, tag)
+                    if self.faults is not None
+                    else None
+                )
+                msg = self._find(ctx, dst_world, src_world, tag, caps=caps)
+                if msg is not None:
+                    break
+                # A message already on the wire from a now-dead rank
+                # is still deliverable (checked above); with nothing
+                # in flight, waiting on a dead rank is hopeless.
+                if src_world != ANY_SOURCE and src_world in self.dead:
+                    raise RankFailedError(dst_world, src_world, op="recv from")
+                if caps is not None:
+                    d = self._find_dropped(ctx, dst_world, src_world, tag)
+                    if d is not None:
+                        self._timeout_retry(ctx, dst_world, d)
+                        continue
+                # Quiescence-gated revocation: a deliverable message
+                # always wins over the revoked flag, so the program
+                # point (and virtual clock) at which each survivor
+                # is unwound is replay-deterministic.
+                if self.revoked and self._quiescent():
+                    raise CommRevokedError(dst_world)
+                self.scheduler.park(dst_world, "recv")
+            self.progress += 1
+            if advance_receiver:
+                self.raise_clock(
+                    dst_world, msg.arrival,
+                    event_kind="recv", nbytes=msg.nbytes, peer=msg.src_world,
+                    seq=msg.seq,
+                )
+            ps = st.cur_ps or st.phase_stats()
+            ps.bytes_recv += msg.nbytes
+            ps.msgs_recv += 1
+            cs = st.cur_cs or st.coll_stats()
+            cs.bytes_recv += msg.nbytes
+            cs.msgs_recv += 1
+            st.bytes_recv += msg.nbytes
+            st.msgs_recv += 1
+            # No receiver-side in-flight charge: at receipt the
+            # payload is handed to the engine, whose own spans
+            # (cannon.dblbuf, redist.tiles, ...) account for it —
+            # charging here would double-count every received block.
+            status = Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
+            return msg, status
+        finally:
+            st.recv_wait = None
 
-    def _quiescent_locked(self) -> bool:
+    def _quiescent(self) -> bool:
         """True when no live, unfinished rank can make progress.
 
         The gate for delivering :class:`CommRevokedError` (see
@@ -1560,7 +1508,7 @@ class Transport:
             if w is None:
                 return False  # still running between transport calls
             ctx, src, tag = w
-            if self.faults is not None and self._find_dropped_locked(
+            if self.faults is not None and self._find_dropped(
                 ctx, r, src, tag
             ) is not None:
                 return False  # a retransmit can still release it
@@ -1573,70 +1521,71 @@ class Transport:
         """Nonblocking probe: status of the message a receive would take.
 
         Candidate selection is shared with :meth:`match_recv`
-        (:meth:`_select_locked`), so a probe-then-recv pair always
+        (:meth:`_select`), so a probe-then-recv pair always
         agrees on the message — including under fault injection, where
         held dropped messages cap what the probe may report: a later
         message that a drop should precede is invisible until the
         retransmit lands.
         """
-        with self._lock:
-            self._check_abort()
-            caps = (
-                self._drop_caps_locked(ctx, dst_world, src_world, tag)
-                if self.faults is not None
-                else None
-            )
-            i = self._select_locked(ctx, dst_world, src_world, tag, caps)
-            if i is not None:
-                msg = self._mail[(ctx, dst_world)][i]
-                return Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
-            # A deliverable message wins over the revoked flag (matching
-            # match_recv); with nothing to report, refuse so that a
-            # probe-polling loop cannot spin forever on a revoked world.
-            if self.revoked:
-                raise CommRevokedError(dst_world)
-            # Cooperative yield: a probe miss must not monopolise the
-            # world — let every rank with real work run first.
-            self.scheduler.poll_yield_locked(dst_world)
-            return None
+        self._check_abort()
+        caps = (
+            self._drop_caps(ctx, dst_world, src_world, tag)
+            if self.faults is not None
+            else None
+        )
+        i = self._select(ctx, dst_world, src_world, tag, caps)
+        if i is not None:
+            msg = self._mail[(ctx, dst_world)][i]
+            return Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
+        # Refuse exactly where match_recv does, so a probe-polling loop
+        # (``RecvRequest.test``) cannot spin forever: a dead source with
+        # nothing on the wire, then a revoked world.  A deliverable
+        # message wins over both.
+        if src_world != ANY_SOURCE and src_world in self.dead:
+            raise RankFailedError(dst_world, src_world, op="probe of")
+        if self.revoked:
+            raise CommRevokedError(dst_world)
+        # Cooperative yield: a probe miss must not monopolise the
+        # world — let every rank with real work run first.
+        self.scheduler.poll_yield(dst_world)
+        return None
 
     # ----------------------------------------------------------- tracing -- #
     def trace(self, world_rank: int) -> RankTrace:
-        with self._lock:
-            st = self.ranks[world_rank]
-            return RankTrace(
-                rank=world_rank,
-                time=st.clock,
-                bytes_sent=st.bytes_sent,
-                bytes_recv=st.bytes_recv,
-                msgs_sent=st.msgs_sent,
-                msgs_recv=st.msgs_recv,
-                peak_live_bytes=st.peak_live_bytes,
-                phases={k: v.merged(PhaseStats()) for k, v in st.phases.items()},
-                colls={
-                    phase: {c: v.merged(CollStats()) for c, v in by_coll.items()}
-                    for phase, by_coll in st.colls.items()
-                },
-                resident_peak_bytes=st.resident_peak_bytes,
-                resident_bytes=st.resident_bytes,
-                mem_peaks=dict(st.mem_peak),
-                mem_live={k: v for k, v in st.mem_live.items() if v},
-                phase_mem_peaks=dict(st.phase_mem_peak),
-                retries=st.retries,
-                timeouts=st.timeouts,
-                injected_wait_s=st.injected_wait_s,
-                corruptions_injected=st.corruptions_injected,
-                corruptions_detected=st.corruptions_detected,
-                corruptions_injected_by_phase=dict(
-                    st.corruptions_injected_by_phase
-                ),
-                corruptions_detected_by_phase=dict(
-                    st.corruptions_detected_by_phase
-                ),
-                recomputed_flops=st.recomputed_flops,
-                reused_flops=st.reused_flops,
-                recoveries=st.recoveries,
-            )
+        st = self.ranks[world_rank]
+        return RankTrace(
+            rank=world_rank,
+            time=st.clock,
+            bytes_sent=st.bytes_sent,
+            bytes_recv=st.bytes_recv,
+            msgs_sent=st.msgs_sent,
+            msgs_recv=st.msgs_recv,
+            peak_live_bytes=st.peak_live_bytes,
+            phases={k: v.merged(PhaseStats()) for k, v in st.phases.items()},
+            colls={
+                phase: {c: v.merged(CollStats()) for c, v in by_coll.items()}
+                for phase, by_coll in st.colls.items()
+            },
+            resident_peak_bytes=st.resident_peak_bytes,
+            resident_bytes=st.resident_bytes,
+            mem_peaks=dict(st.mem_peak),
+            mem_live={k: v for k, v in st.mem_live.items() if v},
+            phase_mem_peaks=dict(st.phase_mem_peak),
+            retries=st.retries,
+            timeouts=st.timeouts,
+            injected_wait_s=st.injected_wait_s,
+            corruptions_injected=st.corruptions_injected,
+            corruptions_detected=st.corruptions_detected,
+            corruptions_injected_by_phase=dict(
+                st.corruptions_injected_by_phase
+            ),
+            corruptions_detected_by_phase=dict(
+                st.corruptions_detected_by_phase
+            ),
+            recomputed_flops=st.recomputed_flops,
+            reused_flops=st.reused_flops,
+            recoveries=st.recoveries,
+        )
 
     def traces(self) -> list[RankTrace]:
         return [self.trace(r) for r in range(self.nprocs)]

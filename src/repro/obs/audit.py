@@ -35,7 +35,8 @@ reduce traffic, CRC envelopes and detection votes ride the
 redistributions), and corrupted runs add resend rounds on top — gate on
 clean, unguarded configurations and read guarded runs diagnostically.
 Attribution counters are always on (they are plain integers bumped
-under the transport lock), so the audit needs no event recording.
+by the strand that posts or receives), so the audit needs no event
+recording.
 """
 
 from __future__ import annotations

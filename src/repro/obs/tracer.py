@@ -13,9 +13,9 @@ Design constraints:
 * **Low overhead when off.**  The tracer is enabled together with
   ``record_events``; when disabled, instrumentation sites pay one
   attribute read (``tracer.enabled``) and nothing else.
-* **Thread safety.**  Ranks are threads sharing one tracer; a single
-  lock guards the span list (span *stacks* are per-rank, so only the
-  append to the shared list needs it).
+* **One writer at a time.**  Ranks share one tracer, and only the
+  strand that owns the world (:mod:`repro.mpi.des`) records into it,
+  so the span list needs no lock of its own.
 * **Clock alignment.**  All ranks advance clocks derived from the same
   simulated epoch (t = 0 at ``run_spmd`` start), so spans are globally
   ordered by construction; :meth:`Tracer.epoch` exposes the earliest
@@ -26,7 +26,6 @@ Design constraints:
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -63,7 +62,6 @@ class Tracer:
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self._lock = threading.Lock()
         self._ids = itertools.count()
         self._spans: dict[int, Span] = {}
         self._stacks: dict[int, list[int]] = {}
@@ -80,22 +78,21 @@ class Tracer:
         attrs: dict[str, Any] | None = None,
     ) -> int:
         """Open a span on ``rank`` at simulated time ``t``; returns its id."""
-        with self._lock:
-            sid = next(self._ids)
-            stack = self._stacks.setdefault(rank, [])
-            span = Span(
-                sid=sid,
-                parent=stack[-1] if stack else -1,
-                rank=rank,
-                name=name,
-                cat=cat,
-                t0=t,
-                attrs=dict(attrs) if attrs else {},
-            )
-            self._spans[sid] = span
-            stack.append(sid)
-            self._sorted = None
-            return sid
+        sid = next(self._ids)
+        stack = self._stacks.setdefault(rank, [])
+        span = Span(
+            sid=sid,
+            parent=stack[-1] if stack else -1,
+            rank=rank,
+            name=name,
+            cat=cat,
+            t0=t,
+            attrs=dict(attrs) if attrs else {},
+        )
+        self._spans[sid] = span
+        stack.append(sid)
+        self._sorted = None
+        return sid
 
     def end(self, rank: int, sid: int, t: float, attrs: dict[str, Any] | None = None) -> None:
         """Close span ``sid`` at simulated time ``t``.
@@ -107,43 +104,37 @@ class Tracer:
         exit, or never opened on this rank — only updates that span's
         end time/attrs and leaves the rank's stack untouched.
         """
-        with self._lock:
-            span = self._spans.get(sid)
-            if span is None:
-                return
-            stack = self._stacks.get(rank, [])
-            if sid in stack:
-                while stack:
-                    top = stack.pop()
-                    inner = self._spans[top]
-                    if inner.t1 is None:
-                        inner.t1 = max(t, inner.t0)
-                    if top == sid:
-                        break
-            elif span.t1 is None:
-                span.t1 = max(t, span.t0)
-            if attrs:
-                span.attrs.update(attrs)
+        span = self._spans.get(sid)
+        if span is None:
+            return
+        stack = self._stacks.get(rank, [])
+        if sid in stack:
+            while stack:
+                top = stack.pop()
+                inner = self._spans[top]
+                if inner.t1 is None:
+                    inner.t1 = max(t, inner.t0)
+                if top == sid:
+                    break
+        elif span.t1 is None:
+            span.t1 = max(t, span.t0)
+        if attrs:
+            span.attrs.update(attrs)
 
     def annotate(self, sid: int, **attrs: Any) -> None:
         """Attach attributes to an already-recorded span."""
-        with self._lock:
-            self._spans[sid].attrs.update(attrs)
+        self._spans[sid].attrs.update(attrs)
 
     def take_attr(self, sid: int, key: str) -> Any:
         """Remove and return an attribute (None if absent)."""
-        with self._lock:
-            return self._spans[sid].attrs.pop(key, None)
+        return self._spans[sid].attrs.pop(key, None)
 
     # ----------------------------------------------------------- inspect -- #
     def _sorted_view(self) -> list[Span]:
         """The cached start-ordered span list (shared; do not mutate)."""
-        with self._lock:
-            if self._sorted is None:
-                self._sorted = sorted(
-                    self._spans.values(), key=lambda s: (s.t0, s.sid)
-                )
-            return self._sorted
+        if self._sorted is None:
+            self._sorted = sorted(self._spans.values(), key=lambda s: (s.t0, s.sid))
+        return self._sorted
 
     @property
     def spans(self) -> list[Span]:
@@ -164,8 +155,7 @@ class Tracer:
 
     def epoch(self) -> float:
         """Earliest span start (0.0 when no spans were recorded)."""
-        with self._lock:
-            return min((s.t0 for s in self._spans.values()), default=0.0)
+        return min((s.t0 for s in self._spans.values()), default=0.0)
 
     def children(self, sid: int) -> list[Span]:
         return [s for s in self._sorted_view() if s.parent == sid]
@@ -176,5 +166,4 @@ class Tracer:
                 yield s
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._spans)

@@ -14,21 +14,30 @@ and pin the bugfixes that made runs deterministic:
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import ca3dmm_matmul
+from repro.core.plan import shared_plan
+from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import MachineModel, laptop
 from repro.mpi import (
     DeadlockError,
     FaultPlan,
     LinkFault,
+    RankFailedError,
     RankFault,
     run_spmd,
 )
 from repro.mpi.datatypes import ANY_SOURCE
 from repro.mpi.transport import Transport
+from repro.obs.ledger import canonical_json, ledger_record
+from repro.obs.tracer import Tracer
 from tests.conftest import run_twice
 
 
@@ -115,11 +124,45 @@ class TestSemantics:
         res = _run(2, f, machine=MachineModel(gamma=1e-9))
         assert res.results[0] == 42
 
+    def test_probe_of_dead_rank_raises_at_once(self):
+        """``probe`` refuses where ``match_recv`` does: a dead source with
+        nothing on the wire is ``RankFailedError`` in milliseconds, not a
+        spin until ``deadlock_timeout``; what the rank sent before it
+        died is still reported, and ``ANY_SOURCE`` keeps polling."""
+        plan = FaultPlan(ranks=(RankFault(rank=1, phase="cannon", kill=True),))
+
+        def f(comm):
+            if comm.rank == 1:
+                comm.send("last words", dest=0, tag=4)
+                with comm.phase("cannon"):
+                    pass
+            if comm.rank == 2:
+                comm.compute(1e6)
+                comm.send("alive", dest=0, tag=5)
+                return None
+            while comm.probe(1, 4) is None:
+                pass
+            seen = [comm.recv(source=1, tag=4)]
+            req = comm.irecv(source=1, tag=5)
+            for poll in (lambda: comm.probe(1, 5), lambda: req.test()[0]):
+                try:
+                    while not poll():
+                        pass
+                except RankFailedError as err:
+                    seen.append((err.rank, err.failed))
+            while comm.probe(ANY_SOURCE, 5) is None:
+                pass
+            return seen + [comm.recv(source=ANY_SOURCE, tag=5)]
+
+        t0 = time.monotonic()
+        res = _run(3, f, faults=plan, machine=MachineModel(gamma=1e-9))
+        assert time.monotonic() - t0 < 2.0
+        assert res.results[0] == ["last words", (0, 1), (0, 1), "alive"]
+        assert res.failed_ranks == [1]
+
     def test_structural_deadlock_detected_fast(self):
         """Both ranks recv from each other: the driver proves the
         deadlock structurally — ``deadlock_timeout`` is never burned."""
-        import time
-
         def f(comm):
             comm.recv(source=1 - comm.rank)
 
@@ -143,7 +186,6 @@ class TestSemantics:
 
     def test_kill_recovery_on_des(self):
         from repro.ft import resilient_multiply
-        from repro.layout import BlockCol1D, DistMatrix, dense_random
 
         m, n, k, p = 24, 20, 28, 6
         plan = FaultPlan(ranks=(
@@ -226,37 +268,38 @@ class TestDeterminismFixes:
 
 class TestBaton:
     """The handoff: one lock per strand, released by whoever dispatches
-    it.  Driven by hand on a transport ``run_des`` is not running."""
+    it.  Driven by hand, through the scheduler's own entry points, on a
+    transport ``run_des`` is not running (the only thread there is)."""
 
     def test_dispatch_before_park_sails_through(self):
         """Dispatching a strand that has not reached its park yet leaves
-        its baton free; the park then returns at once."""
+        its baton free; the park then returns at once, and the strand
+        gives the world back when it finishes."""
         t = Transport(2)
         sched = t.scheduler
-        with t._lock:
-            sched.make_ready_locked(0)
-            sched._dispatch_locked()
+        sched.make_ready(0)
+        sched._dispatch()
         ran = []
         strand = threading.Thread(target=sched.strand_main, args=(0, ran.append))
         strand.start()
         strand.join(timeout=5.0)
         assert not strand.is_alive() and ran == [0]
         assert sched._finished_count == 1 and sched._running is None
+        assert not sched._world.locked() and sched.driver_evt.is_set()
 
     def test_second_dispatch_of_unparked_strand_raises(self):
         t = Transport(2)
-        with t._lock:
-            t.scheduler.dispatch_rank_locked(1)
-            with pytest.raises(RuntimeError, match="unlocked"):
-                t.scheduler.dispatch_rank_locked(1)
+        t.scheduler.dispatch_rank(1)
+        with pytest.raises(RuntimeError, match="unlocked"):
+            t.scheduler.dispatch_rank(1)
 
     def test_park_from_undispatched_thread_names_the_wait(self):
         """Nobody dispatched the caller, so nobody can wake it: the typed
         error, with the description derived from the structured wait."""
         t = Transport(2)
         t.ranks[1].recv_wait = (3, 0, 7)
-        with t._lock, pytest.raises(DeadlockError) as ei:
-            t.scheduler.park_locked(1, "recv")
+        with pytest.raises(DeadlockError) as ei:
+            t.scheduler.park(1, "recv")
         assert ei.value.blocked == {1: "recv(src=0, tag=7, ctx=3)"}
 
         with pytest.raises(DeadlockError) as ei:
@@ -279,6 +322,160 @@ class TestBaton:
         res, _ = run_twice(5, f, machine=laptop())
         assert res.results == [(False, (0, 1, 2, 3))] * 4 + [None]
         assert res.transport.scheduler._agree_parked == 0
+
+
+# ------------------------------------------------------------ ownership -- #
+M = N = K = P64 = 64
+
+
+def _operands64(comm):
+    plan = shared_plan(M, N, K, comm.size)
+    return (
+        DistMatrix.from_global(comm, plan.a_dist, dense_random(M, K, 0)),
+        DistMatrix.from_global(comm, plan.b_dist, dense_random(K, N, 1)),
+    )
+
+
+def _matmul64(comm):
+    """The 64-rank stand-in workload: a native-layout CA3DMM 64^3."""
+    return ca3dmm_matmul(*_operands64(comm)).to_global()
+
+
+def _summa64(comm):
+    """Pipelined SUMMA on 8x8: ibcasts in flight on the async engine."""
+    from repro.baselines.summa import summa_matmul
+    from repro.layout.distributions import Block2D
+
+    a = DistMatrix.from_global(comm, Block2D((M, K), P64, 8, 8), dense_random(M, K, 0))
+    b = DistMatrix.from_global(comm, Block2D((K, N), P64, 8, 8), dense_random(K, N, 1))
+    return summa_matmul(a, b, grid=(8, 8), panel=8).to_global()
+
+
+def _resilient64(comm):
+    from repro.ft import resilient_multiply
+
+    return resilient_multiply(comm, *_operands64(comm), max_recoveries=2).to_global()
+
+
+_KILL = FaultPlan(ranks=(RankFault(rank=1, phase="cannon", occurrence=1, kill=True),))
+_REF64 = dense_random(M, K, 0) @ dense_random(K, N, 1)
+
+
+@contextlib.contextmanager
+def owner_checked():
+    """Wrap every ``Transport`` entry point and ``Tracer.begin``/``end``:
+    the caller must own the world.  Yields ``[calls, violations]``."""
+    tally = [0, []]
+    sched_of: dict[Tracer, object] = {}
+
+    def check(sched, what):
+        me = threading.current_thread().name
+        tally[0] += 1
+        if me.startswith("vmpi-des-"):
+            ok = me == f"vmpi-des-{sched._running}" and sched._world.locked()
+        else:  # the driver: acts under the lock, or reads a finished world
+            ok = sched._running is None and (
+                sched._world.locked() or sched._finished_count == sched.nprocs
+            )
+        if not ok:
+            tally[1].append((what, me, sched._running, sched._world.locked()))
+
+    def wrap(owner, name, sched_from):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            check(sched_from(self), f"{owner.__name__}.{name}")
+            return original(self, *args, **kwargs)
+
+        setattr(owner, name, wrapper)
+        return owner, name, original
+
+    def transport_sched(t):
+        sched_of[t.tracer] = t.scheduler
+        return t.scheduler
+
+    undo = [
+        wrap(Transport, name, transport_sched)
+        for name, fn in list(vars(Transport).items())
+        if not name.startswith("_") and callable(fn) and not isinstance(fn, staticmethod)
+    ]
+    undo += [wrap(Tracer, name, sched_of.__getitem__) for name in ("begin", "end")]
+    try:
+        yield tally
+    finally:
+        for owner, name, original in undo:
+            setattr(owner, name, original)
+
+
+class TestOwnership:
+    """What replaces the transport lock: whoever touches the world is the
+    thread the scheduler dispatched, and it holds the world lock."""
+
+    @pytest.mark.parametrize(
+        "body, kw",
+        [
+            (_matmul64, dict(record_events=True)),
+            (_summa64, dict(machine=laptop().with_overlap("full"), record_events=True)),
+            (_resilient64, dict(faults=_KILL)),
+        ],
+        ids=["recorded", "overlap_full", "kill_recovery"],
+    )
+    def test_every_entry_is_by_the_owner_under_the_world_lock(self, body, kw):
+        with owner_checked() as tally:
+            res = _run(P64, body, **kw)
+        calls, violations = tally
+        assert violations == [] and calls > 10 * P64
+        got = next(r for r in res.results if r is not None)
+        np.testing.assert_allclose(got, _REF64, rtol=1e-12, atol=1e-12)
+        sched = res.transport.scheduler
+        assert not sched._world.locked() and sched._running is None
+
+    def test_probe_livelock_still_reaches_the_driver(self):
+        """Pollers hand the world to each other without ever blocking;
+        the driver's sample must still get the lock between slices."""
+
+        def f(comm):
+            while comm.probe(source=1 - comm.rank) is None:
+                pass
+
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError, match="probe loop"):
+            _run(2, f, deadlock_timeout=0.2)
+        assert time.monotonic() - t0 < 5.0
+
+
+class TestPreemptionStress:
+    """A 1 us switch interval preempts strands inside every slice; the
+    world lock and the batons must still serialise them."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_switch_interval(self):
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(saved)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            None,
+            FaultPlan(seed=5, links=(LinkFault(drop_at=(0, 3)), LinkFault(jitter_s=1e-6))),
+        ],
+        ids=["clean", "drop_jitter"],
+    )
+    def test_replay_identical_under_preemption(self, faults):
+        # run_twice compares results, traces and the raw events/msglog/memlog
+        a, b = run_twice(P64, _matmul64, machine=laptop(), faults=faults)
+        plan = shared_plan(M, N, K, P64)
+        ledgers = [
+            canonical_json(ledger_record(r, plan, "replay.preempt", run_id="0" * 32))
+            for r in (a, b)
+        ]
+        assert ledgers[0] == ledgers[1]
+        for r in (a, b):
+            np.testing.assert_allclose(r.results[0], _REF64, rtol=1e-12, atol=1e-12)
+        if faults is not None:
+            assert a.metrics.total_retries >= 1
 
 
 class TestScale:

@@ -21,6 +21,7 @@ import threading
 
 from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
 from repro.machine.model import pace_phoenix_cpu
+from repro.mpi.des import DesScheduler
 
 
 @contextlib.contextmanager
@@ -54,9 +55,10 @@ def counted_strands():
         threading.Thread.run = original
 
 
-def calls_per_message(p: int, n: int = 256) -> float:
-    """Python calls per delivered message of one ``ca3dmm_matmul`` n³ on
-    ``p`` ranks (native layouts, nothing recorded)."""
+def _matmul_run(p: int, n: int):
+    """``run()`` executes one ``ca3dmm_matmul`` n³ on ``p`` ranks (native
+    layouts, nothing recorded); plans and imports are memoized by a
+    first, uncounted run."""
     plan = Ca3dmmPlan(n, n, n, p)
     a, b = dense_random(n, n, 0), dense_random(n, n, 1)
 
@@ -68,10 +70,62 @@ def calls_per_message(p: int, n: int = 256) -> float:
         return c.owned_rects, c.tiles
 
     machine = pace_phoenix_cpu("mpi")
-    run_spmd(p, body, machine=machine)  # plans and imports are memoized here
+
+    def run():
+        return run_spmd(p, body, machine=machine)
+
+    run()
+    return run
+
+
+def calls_per_message(p: int, n: int = 256) -> float:
+    """Python calls per delivered message of one ``ca3dmm_matmul`` n³ on
+    ``p`` ranks."""
+    run = _matmul_run(p, n)
     with counted_strands() as cells:
-        result = run_spmd(p, body, machine=machine)
+        result = run()
     return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
+
+
+class _CountingLock:
+    """A ``threading.Lock`` that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+        self.release = self._lock.release
+        self.locked = self._lock.locked
+
+    def acquire(self, *args):
+        self.acquisitions += 1
+        return self._lock.acquire(*args)
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
+    """Acquisitions of the scheduler's world lock — by strands and by the
+    driver — per delivered message of the same run: one per scheduling
+    slice, where the per-call transport lock took about five per message."""
+    run = _matmul_run(p, n)
+    original = DesScheduler.__init__
+    locks: list[_CountingLock] = []
+
+    def init(self, transport):
+        original(self, transport)
+        self._world = _CountingLock()
+        locks.append(self._world)
+
+    DesScheduler.__init__ = init
+    try:
+        result = run()
+    finally:
+        DesScheduler.__init__ = original
+    (lock,) = locks
+    return lock.acquisitions / sum(t.msgs_sent for t in result.traces)
 
 
 def test_message_budget_and_flatness():
@@ -83,3 +137,13 @@ def test_message_budget_and_flatness():
     at256 = calls_per_message(256)
     assert at64 <= 115 and at256 <= 115, (at64, at256)
     assert at256 / at64 <= 1.05, (at64, at256)
+
+
+def test_world_lock_is_taken_once_per_slice_not_per_call():
+    """≤ 2.5 world-lock acquisitions per delivered message at 64 and at
+    256 ranks (0.60 and 0.55; the transport lock this replaced was taken
+    5.3 and 4.9 times), and no growth with P."""
+    at64 = world_lock_acquisitions_per_message(64)
+    at256 = world_lock_acquisitions_per_message(256)
+    assert at64 <= 2.5 and at256 <= 2.5, (at64, at256)
+    assert at256 / at64 <= 1.10, (at64, at256)
