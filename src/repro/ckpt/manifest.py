@@ -9,8 +9,8 @@ the rect lists recorded per old rank are re-dealt round-robin onto the
 survivors through the ``Explicit`` layout machinery.
 
 Schema-validated like the other machine-readable artifacts
-(docs/OBSERVABILITY.md): ``jsonschema`` when installed, a minimal
-required-keys check otherwise.
+(docs/OBSERVABILITY.md): the whole schema, on every install, by the
+compiled checker of :mod:`repro.obs.schema`.
 """
 
 from __future__ import annotations

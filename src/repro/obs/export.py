@@ -15,10 +15,11 @@ and Perfetto load directly:
 * ``"M"`` metadata events naming the process and one thread per rank.
 
 Timestamps are microseconds of *simulated* time, re-zeroed to the trace
-epoch.  :data:`CHROME_TRACE_SCHEMA` is the JSON Schema the tests (and
-CI smoke job) validate exports against; :func:`validate_chrome_trace`
-applies it (via ``jsonschema`` when installed, with a built-in
-structural fallback otherwise).
+epoch.  :data:`CHROME_TRACE_SCHEMA` is the JSON Schema every export is
+checked against, each event of it, before a byte is written;
+:func:`validate_chrome_trace` applies it through :mod:`repro.obs.schema`,
+the compiled checker all the package's schemas share (numpy is the only
+dependency; ``jsonschema`` is the tests' reference for it).
 
 :func:`jsonl_records` / :func:`write_jsonl` produce a line-per-record
 structured log (run header, spans, per-rank summaries) for downstream
@@ -28,9 +29,12 @@ tooling; :data:`RUN_JSON_SCHEMA` covers the CLI's ``--json`` document.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Iterator
+import math
+import os
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .metrics import run_totals
+from .schema import TraceSchemaError, compile as compile_schema, json_path
 from .tracer import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,40 +147,15 @@ RUN_JSON_SCHEMA: dict[str, Any] = {
 }
 
 
-class TraceSchemaError(ValueError):
-    """An exported document does not match its schema."""
+#: id(schema) -> (its compiled check, the schema — held, so the id stays its own).
+_COMPILED: dict[int, tuple[Callable[[Any], None], dict[str, Any]]] = {}
 
 
 def _validate(doc: Any, schema: dict[str, Any]) -> None:
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover - jsonschema is normally present
-        _validate_fallback(doc, schema)
-        return
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise TraceSchemaError(str(exc)) from exc
-
-
-def _validate_fallback(doc: Any, schema: dict[str, Any]) -> None:
-    """Minimal structural check used when jsonschema is unavailable."""
-    if not isinstance(doc, dict):
-        raise TraceSchemaError("document must be an object")
-    for req in schema.get("required", []):
-        if req not in doc:
-            raise TraceSchemaError(f"missing required key {req!r}")
-    events = doc.get("traceEvents")
-    if events is not None:
-        if not isinstance(events, list):
-            raise TraceSchemaError("traceEvents must be an array")
-        for ev in events:
-            if not isinstance(ev, dict) or "ph" not in ev or "name" not in ev:
-                raise TraceSchemaError(f"malformed trace event: {ev!r}")
-            if ev["ph"] == "X" and ("ts" not in ev or "dur" not in ev):
-                raise TraceSchemaError(f"X event missing ts/dur: {ev!r}")
-            if ev["ph"] == "C" and ("ts" not in ev or "args" not in ev):
-                raise TraceSchemaError(f"C event missing ts/args: {ev!r}")
+    """Check the whole of ``doc``; ``schema`` is compiled the first time it is seen."""
+    if id(schema) not in _COMPILED:
+        _COMPILED[id(schema)] = (compile_schema(schema), schema)
+    _COMPILED[id(schema)][0](doc)
 
 
 def validate_chrome_trace(doc: Any) -> None:
@@ -282,12 +261,44 @@ def chrome_trace(
     }
 
 
-def write_chrome_trace(result: "SpmdResult", path: str, **kwargs: Any) -> dict[str, Any]:
-    """Export, schema-validate, and write a Chrome trace; returns the doc."""
+_STRICT = json.JSONEncoder(allow_nan=False)  # the C encoder, built once
+
+
+def _strict_json(doc: Any, *at: Any) -> str:
+    """``json.dumps(doc)``, refusing the NaN/Infinity no strict parser reads;
+    ``at`` locates ``doc`` when it is one part of what is written."""
+    try:
+        return _STRICT.encode(doc)
+    except ValueError as exc:
+        raise TraceSchemaError(f"{_nonfinite(doc, at)} cannot be written as JSON") from exc
+
+
+def _nonfinite(node: Any, path: tuple[Any, ...]) -> str | None:
+    """``$.path: value`` of the first float that is NaN or infinite."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else f"{json_path(path)}: {node!r}"
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, (list, tuple)) else ())
+    for key, child in children:
+        found = _nonfinite(child, (*path, key))
+        if found:
+            return found
+    return None
+
+
+def write_chrome_trace(
+    result: "SpmdResult", path: str | os.PathLike[str], **kwargs: Any
+) -> dict[str, Any]:
+    """Export, schema-validate, and write a Chrome trace; returns the doc.
+
+    The text is complete before ``path`` is opened, so an export that
+    fails leaves an existing file as it was.
+    """
     doc = chrome_trace(result, **kwargs)
     validate_chrome_trace(doc)
+    text = _strict_json(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
     return doc
 
 
@@ -355,12 +366,10 @@ def jsonl_records(result: "SpmdResult") -> Iterator[dict[str, Any]]:
         }
 
 
-def write_jsonl(result: "SpmdResult", path: str) -> int:
-    """Write the structured log; returns the number of records."""
-    n = 0
+def write_jsonl(result: "SpmdResult", path: str | os.PathLike[str]) -> int:
+    """Write the structured log; returns the number of records.  Like
+    :func:`write_chrome_trace`, it opens ``path`` only once every line exists."""
+    lines = [_strict_json(rec, n) + "\n" for n, rec in enumerate(jsonl_records(result))]
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in jsonl_records(result):
-            fh.write(json.dumps(rec) + "\n")
-            n += 1
-    return n
-
+        fh.writelines(lines)
+    return len(lines)

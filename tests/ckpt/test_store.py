@@ -154,7 +154,6 @@ class TestManifestSchema:
         assert MANIFEST_JSON_SCHEMA["$schema"].endswith("draft-07/schema#")
 
     def test_wrong_version_fails(self):
-        pytest.importorskip("jsonschema")
         from repro.obs.export import TraceSchemaError
 
         doc = _manifest()
@@ -163,7 +162,6 @@ class TestManifestSchema:
             validate_manifest(doc)
 
     def test_older_version_rejected(self):
-        pytest.importorskip("jsonschema")
         from repro.obs.export import TraceSchemaError
 
         doc = _manifest()
@@ -172,7 +170,6 @@ class TestManifestSchema:
             validate_manifest(doc)
 
     def test_bad_rect_arity_fails(self):
-        pytest.importorskip("jsonschema")
         from repro.obs.export import TraceSchemaError
 
         doc = _manifest()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from repro.bench.harness import executed_workload
 from repro.core import ca3dmm_matmul
 from repro.core.plan import Ca3dmmPlan
 from repro.layout import DistMatrix, dense_random
@@ -14,7 +16,6 @@ from repro.mpi import run_spmd
 from repro.obs.export import (
     CHROME_TRACE_SCHEMA,
     TraceSchemaError,
-    _validate_fallback,
     chrome_trace,
     jsonl_records,
     validate_chrome_trace,
@@ -134,16 +135,15 @@ class TestValidation:
             validate_chrome_trace(doc)
 
     def test_fallback_validator_matches_on_basics(self):
+        """The three inputs the structural fallback was held to, before
+        the compiled checker replaced it and ``jsonschema`` both."""
         with pytest.raises(TraceSchemaError):
-            _validate_fallback({"traceEvents": "nope"}, CHROME_TRACE_SCHEMA)
+            validate_chrome_trace({"traceEvents": "nope"})
         with pytest.raises(TraceSchemaError):
-            _validate_fallback(
-                {"traceEvents": [{"ph": "X", "name": "x"}], "displayTimeUnit": "ms"},
-                CHROME_TRACE_SCHEMA,
+            validate_chrome_trace(
+                {"traceEvents": [{"ph": "X", "name": "x"}], "displayTimeUnit": "ms"}
             )
-        _validate_fallback(
-            {"traceEvents": [], "displayTimeUnit": "ms"}, CHROME_TRACE_SCHEMA
-        )
+        validate_chrome_trace({"traceEvents": [], "displayTimeUnit": "ms"})
 
     def test_run_json_schema_rejects_bad_op(self):
         doc = {
@@ -155,11 +155,69 @@ class TestValidation:
             "phases": {},
             "correctness": {"validated": True, "errors": 0},
         }
-        pytest.importorskip("jsonschema")
         with pytest.raises(TraceSchemaError):
             validate_run_json(doc)
         doc["problem"]["transA"] = "T"
         validate_run_json(doc)
+
+
+class TestNonFinite:
+    """A NaN passes the schema (``NaN < 0`` is false) and is not JSON:
+    Perfetto and every strict parser reject the file ``json.dump`` wrote."""
+
+    @pytest.fixture(scope="class")
+    def diverged(self):
+        def f(comm):
+            with comm.span("solve", residual=float("nan")):
+                comm.barrier()
+
+        return run_spmd(2, f, machine=laptop(), record_events=True)
+
+    @pytest.mark.parametrize("write, named", [
+        (write_chrome_trace, r"\$\.traceEvents\[\d+\]\.args\.residual: nan"),
+        (write_jsonl, r"\$\[\d+\]\.attrs\.residual: nan"),
+    ])
+    def test_refused_by_name_and_the_previous_file_kept(
+        self, diverged, tmp_path, write, named
+    ):
+        validate_chrome_trace(chrome_trace(diverged))
+        path = tmp_path / "export"
+        path.write_text("the previous export")
+        with pytest.raises(TraceSchemaError, match=named):
+            write(diverged, path)
+        assert path.read_text() == "the previous export"
+
+
+def calls_per_exported_event(result, path, **kwargs) -> float:
+    """Python calls per event of one warm ``write_chrome_trace``: ``call`` +
+    ``c_call`` events of ``sys.setprofile``, the count of
+    ``tests.mpi.test_message_path``.  A count, not a stopwatch — also what
+    the ``des-smoke`` CI job holds flat up to its 1024-rank trace."""
+    validate_chrome_trace({"traceEvents": [], "displayTimeUnit": "ms"})  # compiles the schema
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        doc = write_chrome_trace(result, path, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls / len(doc["traceEvents"])
+
+
+def test_export_budget_and_bytes(tmp_path):
+    """≤ 120 calls per exported event (46 on 3.11; 831 while ``jsonschema``
+    walked every event and ``json.dump`` ran the pure-Python encoder),
+    and the file is byte for byte the one ``json.dump`` wrote."""
+    _, result = executed_workload("fig3")
+    path = tmp_path / "fig3.trace.json"
+    per_event = calls_per_exported_event(result, path)
+    assert per_event <= 120, per_event
+    assert path.read_text() == json.dumps(chrome_trace(result))
 
 
 class TestJsonl:
