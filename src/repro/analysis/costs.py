@@ -264,6 +264,7 @@ def ca3dmm_cost(
             # up (stride 1).
             skew = _p2p(machine, 0, s, blk_a)
             skew.__iadd__(_p2p(machine, 0, 1, blk_b))
+            skew.msgs = 1  # the A/B pair travels in one round: eq. (10) counts s
             ph_rep.__iadd__(skew)
             # Dual-buffer overlap: each of the s-1 shift steps costs the
             # larger of the transfer pair and the local GEMM step; only

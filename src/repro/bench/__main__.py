@@ -20,15 +20,12 @@ from .harness import (
     TRACE_WORKLOADS,
     baseline_artifact,
     checkpoint_cost,
-    fault_degradation,
     fig2_partitions,
     fig3_scaling,
     fig4_hybrid,
     fig5_breakdown,
-    history_artifact,
     l_sweep,
     overlap_comparison,
-    recovery_cost,
     table1_memory,
     table2_grids,
     table3_gpu,
@@ -67,31 +64,6 @@ def main(argv: list[str] | None = None) -> int:
              "commit the result to update the perf gate",
     )
     ap.add_argument(
-        "--history-dir", metavar="DIR", default=None,
-        help="also execute each figure's stand-in workload and write its "
-             "measured-optimality trajectory point (BENCH_<name>.json: "
-             "ledger record + audit report) under DIR",
-    )
-    ap.add_argument(
-        "--ledger", metavar="FILE", default=None,
-        help="with --history-dir, also append each trajectory point's "
-             "record to this JSONL run ledger",
-    )
-    ap.add_argument(
-        "--fault-plan", metavar="FILE", default=None,
-        help="also execute each figure's stand-in workload clean and "
-             "under the fault plan (JSON, see docs/FAULTS.md) and print "
-             "the degradation (makespan delta, retries, injected "
-             "critical-path share)",
-    )
-    ap.add_argument(
-        "--kill-rank", metavar="R", type=int, default=None,
-        help="also execute each figure's stand-in workload with rank R "
-             "permanently killed mid-Cannon and print the recovery "
-             "overhead (ULFM-style shrink-replan recovery, see "
-             "docs/RECOVERY.md)",
-    )
-    ap.add_argument(
         "--ckpt-every", metavar="N", type=int, default=None,
         help="also run each figure's stand-in workload as a 4-call matmul "
              "chain checkpointed every N calls, kill a rank mid-pipeline, "
@@ -99,12 +71,6 @@ def main(argv: list[str] | None = None) -> int:
              "docs/RECOVERY.md)",
     )
     args = ap.parse_args(argv)
-
-    plan = None
-    if args.fault_plan:
-        from ..mpi.faults import FaultPlan
-
-        plan = FaultPlan.load(args.fault_plan)
 
     if args.list or not args.names:
         print("available:", " ".join(sorted(GENERATORS)), "or 'all'")
@@ -128,16 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.baseline_dir:
             path = baseline_artifact(name, args.baseline_dir)
             print(f"perf baseline: {path}")
-            print()
-        if args.history_dir:
-            path = history_artifact(name, args.history_dir, ledger=args.ledger)
-            print(f"history point: {path}")
-            print()
-        if plan is not None:
-            print(fault_degradation(name, plan).text)
-            print()
-        if args.kill_rank is not None:
-            print(recovery_cost(name, args.kill_rank).text)
             print()
         if args.ckpt_every is not None:
             print(checkpoint_cost(name, ckpt_every=args.ckpt_every).text)

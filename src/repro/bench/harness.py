@@ -6,6 +6,11 @@ both assert the paper's qualitative claims and print the artifact.  At
 paper scale the analytic engine prices the schedules; the executed
 engine backs it up at small scale through the verification helpers in
 :mod:`repro.analysis.verify` (exercised by the test suite).
+
+It is also where an executed run is set up, once:
+:func:`executed_workload` (and :func:`executed_chain`,
+:func:`clean_vs_faulted` beside it) is what ``repro.cli``,
+``python -m repro.bench`` and CI call to run a multiplication.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ class BenchResult:
         return self.text
 
 
-
-# --------------------------------------------------------- trace artifacts -- #
+# ------------------------------------------------------- executed workloads -- #
 #: Small executed stand-ins per generator, used for trace artifacts: the
 #: analytic benches price paper-scale problems, so each figure/table gets
 #: a thread-simulator-sized problem of the same shape class whose
@@ -58,35 +62,151 @@ TRACE_WORKLOADS: dict[str, tuple[int, int, int, int]] = {
 }
 
 
+def _shape(workload: str | tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    return TRACE_WORKLOADS[workload] if isinstance(workload, str) else workload
+
+
+def workload_operands(
+    workload: str | tuple[int, int, int, int],
+    seeds: tuple[int, int] = (0, 1),
+    trans: tuple[bool, bool] = (False, False),
+):
+    """The global ``A`` and ``B`` of a workload: ``dense_random`` of
+    ``seeds``, shaped so that ``op(A) x op(B)`` is ``m x n`` under ``trans``."""
+    from ..layout import dense_random
+
+    m, n, k, _p = _shape(workload)
+    return (dense_random(*((k, m) if trans[0] else (m, k)), seeds[0]),
+            dense_random(*((n, k) if trans[1] else (k, n)), seeds[1]))
+
+
 def executed_workload(
-    name: str,
+    workload: str | tuple[int, int, int, int],
     machine: MachineModel | None = None,
     faults=None,
+    *,
+    grid: GridSpec | None = None,
+    memory_limit_words: float | None = None,
+    layout=None,
+    trans: tuple[bool, bool] = (False, False),
+    seeds: tuple[int, int] = (0, 1),
+    body=None,
+    record_events: bool = True,
 ):
-    """Execute the stand-in workload for generator ``name``.
+    """Set up and execute one multiplication; returns ``(plan, result)``.
 
-    Returns ``(plan, result)`` with event recording on — the input both
-    the trace artifacts and the perf baselines are derived from.
-    ``faults`` (a :class:`~repro.mpi.faults.FaultPlan`) runs the same
-    workload under deterministic fault injection.  Raises ``KeyError``
-    for unknown names.
+    The one way a run is set up: ``workload`` is a stand-in name from
+    :data:`TRACE_WORKLOADS` (``KeyError`` if unknown) or an
+    ``(m, n, k, P)`` shape; ``machine`` defaults to
+    ``pace_phoenix_cpu("mpi")``; ``faults`` (a
+    :class:`~repro.mpi.faults.FaultPlan`) runs it under deterministic
+    fault injection; ``grid`` / ``memory_limit_words`` constrain the
+    plan.  The operands (:func:`workload_operands` of ``seeds`` and
+    ``trans``) are drawn **once** here in the driver and handed to every
+    rank read-only, in the plan's native layout or in
+    ``layout(shape, P)`` (e.g. ``BlockCol1D``).  Each rank then runs
+    ``body(comm, a, b)`` — by default one native CA3DMM multiplication
+    returning nothing — and its return value lands in
+    ``result.results[rank]``.
     """
     from ..core import ca3dmm_matmul
     from ..core.plan import Ca3dmmPlan
-    from ..layout import DistMatrix, dense_random
+    from ..layout import DistMatrix
     from ..mpi import run_spmd
 
-    m, n, k, p = TRACE_WORKLOADS[name]
-    plan = Ca3dmmPlan(m, n, k, p)
+    m, n, k, p = _shape(workload)
+    plan = Ca3dmmPlan(m, n, k, p, grid=grid, memory_limit_words=memory_limit_words)
+    a_glob, b_glob = workload_operands(workload, seeds, trans)
+    a_dist = layout(a_glob.shape, p) if layout else plan.a_dist
+    b_dist = layout(b_glob.shape, p) if layout else plan.b_dist
+    # Tiles may be views of these: a rank that wrote into its operand
+    # would be writing into every other rank's.
+    a_glob.setflags(write=False)
+    b_glob.setflags(write=False)
 
     def f(comm):
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
-        ca3dmm_matmul(a, b)
+        a = DistMatrix.from_global(comm, a_dist, a_glob)
+        b = DistMatrix.from_global(comm, b_dist, b_glob)
+        if body is not None:
+            return body(comm, a, b)
+        ca3dmm_matmul(a, b, grid=plan.grid)
 
-    mach = machine or pace_phoenix_cpu("mpi")
-    result = run_spmd(p, f, machine=mach, record_events=True, faults=faults)
+    result = run_spmd(p, f, machine=machine or pace_phoenix_cpu("mpi"),
+                      record_events=record_events, faults=faults)
     return plan, result
+
+
+def executed_chain(
+    workload: str | tuple[int, int, int, int],
+    machine: MachineModel | None = None,
+    faults=None,
+    *,
+    calls: int = 4,
+    store=None,
+    policy=None,
+    resilient: bool = True,
+    max_restarts: int = 2,
+):
+    """:func:`executed_workload`'s twin for the multi-call matmul chain
+    (:func:`repro.apps.pipeline.matmul_chain`) under checkpointing.
+
+    Returns ``(plan of one call, result)``; every surviving rank's value
+    is ``(X, restarts, checkpoints)`` — the final iterate gathered, then
+    the pipeline's restart count and checkpoint ids.
+    """
+    from ..apps.pipeline import matmul_chain
+
+    m, n, k, _p = _shape(workload)
+
+    def body(comm, _a, _b):
+        # the chain draws its own operands, again on every restart, for
+        # whichever ranks are left
+        res = matmul_chain(comm, m, n, k, calls=calls, store=store, policy=policy,
+                           resilient=resilient, max_restarts=max_restarts)
+        return res.state["X"].to_global(), res.restarts, res.checkpoints
+
+    return executed_workload(workload, machine, faults, body=body)
+
+
+def clean_vs_faulted(run, faults, reference=None, tol: float = 1e-9):
+    """Run ``run(None)`` and ``run(faults)`` and check the survivors'
+    result against numpy.
+
+    ``run`` returns ``(plan, result)`` as :func:`executed_workload`
+    does, a rank's value being ``None`` or a tuple that starts with the
+    result matrix.  Returns a namespace of ``plan`` and ``clean`` (the
+    clean run's), ``faulted`` (the faulted result), ``delta_s`` (its
+    extra makespan) and ``got`` (its first surviving rank's tuple).  A
+    faulted run the ranks could not recover from — ``run_spmd`` raising,
+    or no rank returning — is a value, not an exception: ``failure``
+    says why and ``faulted`` / ``got`` are ``None``.  Given
+    ``reference``, the one numpy check: ``max_err`` is
+    ``max|got[0] - ref|``, ``tolerance`` is ``tol * max(1, |ref|_inf)``
+    and ``numeric_ok`` whether the first is within the second.
+    """
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    plan, clean = run(None)
+    pair = SimpleNamespace(plan=plan, clean=clean, faulted=None, delta_s=None,
+                           got=None, failure=None, max_err=None,
+                           tolerance=None, numeric_ok=None)
+    try:
+        _plan, faulted = run(faults)
+    except RuntimeError as exc:
+        pair.failure = str(exc.__cause__ or exc)
+        return pair
+    pair.got = next((r for r in faulted.results if r is not None), None)
+    if pair.got is None:
+        pair.failure = "no surviving rank returned a result"
+        return pair
+    pair.faulted, pair.delta_s = faulted, faulted.time - clean.time
+    if reference is not None:
+        pair.max_err = float(np.abs(pair.got[0] - reference).max())
+        pair.tolerance = tol * max(1.0, float(np.abs(reference).max()))
+        pair.numeric_ok = pair.max_err <= pair.tolerance
+    return pair
 
 
 #: The overlap-comparison workload: big enough that a 4x2 SUMMA grid
@@ -96,6 +216,20 @@ def executed_workload(
 OVERLAP_WORKLOAD: tuple[int, int, int, int] = (384, 384, 128, 8)
 OVERLAP_SUMMA_GRID: tuple[int, int] = (4, 2)
 OVERLAP_SUMMA_PANEL: int = 64
+
+
+def overlap_summa() -> dict:
+    """The :func:`executed_workload` set-up of the comparison's SUMMA half:
+    operands on the :data:`OVERLAP_SUMMA_GRID`, pipelined-panel SUMMA."""
+    from ..baselines.summa import summa_matmul
+    from ..layout.distributions import Block2D
+
+    pr, pc = OVERLAP_SUMMA_GRID
+
+    def body(comm, a, b):
+        summa_matmul(a, b, grid=(pr, pc), panel=OVERLAP_SUMMA_PANEL)
+
+    return {"layout": lambda shape, p: Block2D(shape, p, pr, pc), "body": body}
 
 
 def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
@@ -111,34 +245,12 @@ def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
     engine.  Used by the CI ``overlap-smoke`` job, which asserts the
     pipelined SUMMA makespan beats the synchronous one.
     """
-    from ..baselines.summa import summa_matmul
-    from ..core import ca3dmm_matmul
-    from ..core.plan import Ca3dmmPlan
-    from ..layout import DistMatrix, dense_random
-    from ..layout.distributions import Block2D
     from ..machine.model import laptop
-    from ..mpi import run_spmd
     from ..obs.metrics import overlap_by_phase, run_totals
 
     m, n, k, p = OVERLAP_WORKLOAD
-    pr, pc = OVERLAP_SUMMA_GRID
     mach_on = machine or laptop().with_overlap("full")
     mach_off = mach_on.with_overlap("none")
-    plan = Ca3dmmPlan(m, n, k, p)
-
-    def summa_body(comm):
-        a = DistMatrix.from_global(
-            comm, Block2D((m, k), p, pr, pc), dense_random(m, k, 0)
-        )
-        b = DistMatrix.from_global(
-            comm, Block2D((k, n), p, pr, pc), dense_random(k, n, 1)
-        )
-        summa_matmul(a, b, grid=(pr, pc), panel=OVERLAP_SUMMA_PANEL)
-
-    def ca3dmm_body(comm):
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
-        ca3dmm_matmul(a, b)
 
     data: dict = {"workload": {"m": m, "n": n, "k": k, "nprocs": p},
                   "overlap_mode": mach_on.overlap}
@@ -146,12 +258,12 @@ def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
         f"overlap comparison — {m}x{n}x{k} P={p} "
         f"(engine {mach_on.overlap!r} vs 'none')",
     ]
-    for label, body, phase in (
-        ("summa", summa_body, "summa"),
-        ("ca3dmm", ca3dmm_body, "cannon"),
+    for label, setup, phase in (
+        ("summa", overlap_summa(), "summa"),
+        ("ca3dmm", {}, "cannon"),
     ):
-        off = run_spmd(p, body, machine=mach_off, record_events=True)
-        on = run_spmd(p, body, machine=mach_on, record_events=True)
+        _plan, off = executed_workload(OVERLAP_WORKLOAD, mach_off, **setup)
+        _plan, on = executed_workload(OVERLAP_WORKLOAD, mach_on, **setup)
         ov = overlap_by_phase(on)
         covered = run_totals(on.live_traces).covered_by_phase
         data[label] = {
@@ -170,118 +282,6 @@ def overlap_comparison(machine: MachineModel | None = None) -> BenchResult:
     return BenchResult("overlap", "\n".join(lines), data)
 
 
-def fault_degradation(
-    name: str,
-    faults,
-    machine: MachineModel | None = None,
-) -> BenchResult:
-    """Degradation curve: a workload clean vs under a fault plan.
-
-    Runs the stand-in workload for ``name`` twice — once clean, once
-    under ``faults`` — and reports makespan delta, retry/timeout
-    counters, and how much of the faulted run's critical path sits on
-    injected segments.  Used by ``python -m repro.bench --fault-plan``.
-    """
-    from ..obs.critpath import critical_path
-
-    _plan, clean = executed_workload(name, machine)
-    _plan, faulted = executed_workload(name, machine, faults=faults)
-    injected_s = critical_path(faulted).injected_s
-    fm = faulted.metrics
-    delta = faulted.time - clean.time
-    data = {
-        "clean_makespan_s": clean.time,
-        "faulted_makespan_s": faulted.time,
-        "delta_s": delta,
-        "slowdown": faulted.time / clean.time if clean.time else float("inf"),
-        "total_retries": fm.total_retries,
-        "total_timeouts": fm.total_timeouts,
-        "injected_wait_s": fm.injected_wait_s,
-        "injected_critical_s": injected_s,
-    }
-    text = "\n".join([
-        f"fault degradation — {name}",
-        f"  clean makespan   : {clean.time * 1e3:.6f} ms",
-        f"  faulted makespan : {faulted.time * 1e3:.6f} ms "
-        f"({data['slowdown']:.3f}x, +{delta * 1e3:.6f} ms)",
-        f"  retries/timeouts : {fm.total_retries}/{fm.total_timeouts}",
-        f"  injected wait    : {fm.injected_wait_s * 1e3:.6f} ms "
-        f"({injected_s * 1e3:.6f} ms on the critical path)",
-    ])
-    return BenchResult(f"faults_{name}", text, data)
-
-
-def recovery_cost(
-    name: str,
-    kill_rank: int = 1,
-    machine: MachineModel | None = None,
-) -> BenchResult:
-    """Recovery overhead: a workload clean vs surviving a rank kill.
-
-    Runs the stand-in workload for ``name`` twice through
-    :func:`~repro.ft.resilient_multiply` — once clean, once with
-    ``kill_rank`` permanently killed at its first Cannon entry — and
-    reports the makespan cost of the shrink-replan-redistribute
-    recovery plus a correctness check of the recovered C.  Used by
-    ``python -m repro.bench --kill-rank``.
-    """
-    import numpy as np
-
-    from ..core.plan import Ca3dmmPlan
-    from ..ft import resilient_multiply
-    from ..layout import DistMatrix, dense_random
-    from ..mpi import run_spmd
-    from ..mpi.faults import FaultPlan, RankFault
-
-    m, n, k, p = TRACE_WORKLOADS[name]
-    if not 0 <= kill_rank < p:
-        raise ValueError(f"kill_rank {kill_rank} outside world [0, {p})")
-    plan = Ca3dmmPlan(m, n, k, p)
-    fault = FaultPlan(
-        seed=0,
-        ranks=(RankFault(rank=kill_rank, phase="cannon", occurrence=1,
-                         kill=True),),
-    )
-
-    def f(comm):
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
-        c = resilient_multiply(comm, a, b, max_recoveries=2)
-        return c.to_global()
-
-    mach = machine or pace_phoenix_cpu("mpi")
-    clean = run_spmd(p, f, machine=mach, record_events=True)
-    faulted = run_spmd(p, f, machine=mach, record_events=True, faults=fault)
-    got = next(r for r in faulted.results if r is not None)
-    ref = dense_random(m, k, 0) @ dense_random(k, n, 1)
-    tol = 1e-9 * max(1.0, float(np.abs(ref).max()))
-    correct = bool(float(np.abs(got - ref).max()) <= tol)
-    fm = faulted.metrics
-    delta = faulted.time - clean.time
-    data = {
-        "kill_rank": kill_rank,
-        "clean_makespan_s": clean.time,
-        "faulted_makespan_s": faulted.time,
-        "delta_s": delta,
-        "slowdown": faulted.time / clean.time if clean.time else float("inf"),
-        "recoveries": fm.recoveries,
-        "failed_ranks": faulted.failed_ranks,
-        "survivors": p - len(faulted.failed_ranks),
-        "correct": correct,
-    }
-    text = "\n".join([
-        f"recovery cost — {name} (kill rank {kill_rank} mid-Cannon)",
-        f"  clean makespan   : {clean.time * 1e3:.6f} ms",
-        f"  faulted makespan : {faulted.time * 1e3:.6f} ms "
-        f"({data['slowdown']:.3f}x, +{delta * 1e3:.6f} ms)",
-        f"  recoveries       : {fm.recoveries} "
-        f"({data['survivors']}/{p} ranks survive)",
-        f"  recovered C      : "
-        f"{'correct' if correct else 'WRONG'} (tol {tol:.3e})",
-    ])
-    return BenchResult(f"recovery_{name}", text, data)
-
-
 def checkpoint_cost(
     name: str,
     ckpt_every: int = 1,
@@ -291,9 +291,9 @@ def checkpoint_cost(
 ) -> BenchResult:
     """Checkpoint/restart overhead on a multi-call pipeline.
 
-    Runs the alternating matmul chain (:mod:`repro.apps.pipeline`) on
-    the stand-in workload for ``name`` twice — once clean, once with
-    ``kill_rank`` killed mid-pipeline — both under
+    Runs the alternating matmul chain (:func:`executed_chain`) on
+    the stand-in workload for ``name`` clean and with ``kill_rank``
+    killed mid-pipeline (:func:`clean_vs_faulted`) — both under
     :mod:`repro.ckpt` checkpointing every ``ckpt_every`` calls, and
     reports the checkpoint overhead (clean vs an uncheckpointed clean
     run), the recovery cost, and the reused-vs-recomputed flops split.
@@ -302,11 +302,8 @@ def checkpoint_cost(
     incremental (delta) checkpoints save.  Used by
     ``python -m repro.bench --ckpt-every``.
     """
-    import numpy as np
-
-    from ..apps.pipeline import matmul_chain, matmul_chain_reference
+    from ..apps.pipeline import matmul_chain_reference
     from ..ckpt import CheckpointPolicy, MemoryStore
-    from ..mpi import run_spmd
     from ..mpi.faults import FaultPlan, RankFault
 
     m, n, k, p = TRACE_WORKLOADS[name]
@@ -318,34 +315,27 @@ def checkpoint_cost(
         ranks=(RankFault(rank=kill_rank, phase="cannon",
                          occurrence=kill_call + 1, kill=True),),
     )
-
-    def run(faults, policy):
-        store = MemoryStore() if policy is not None else None
-
-        def f(comm):
-            res = matmul_chain(
-                comm, m, n, k, calls=calls, store=store, policy=policy,
-            )
-            return res.state["X"].to_global()
-
-        result = run_spmd(p, f, machine=machine or pace_phoenix_cpu("mpi"),
-                          record_events=True, faults=faults)
-        return result, store
-
     policy = CheckpointPolicy(every_calls=ckpt_every)
-    bare, _ = run(None, None)
-    clean, delta_store = run(None, policy)
-    _full_run, full_store = run(
-        None, CheckpointPolicy(every_calls=ckpt_every, full_interval=1),
+    delta_store, full_store = MemoryStore(), MemoryStore()
+
+    def run(faults):
+        # the clean run fills the store whose bytes are reported
+        store = delta_store if faults is None else MemoryStore()
+        return executed_chain(name, machine, faults, calls=calls,
+                              store=store, policy=policy)
+
+    _plan, bare = executed_chain(name, machine, calls=calls)
+    executed_chain(
+        name, machine, calls=calls, store=full_store,
+        policy=CheckpointPolicy(every_calls=ckpt_every, full_interval=1),
     )
-    faulted, _ = run(fault, policy)
-    got = next(r for r in faulted.results if r is not None)
-    ref = matmul_chain_reference(m, n, k, calls=calls)
-    tol = 1e-8 * max(1.0, float(np.abs(ref).max()))
-    correct = bool(float(np.abs(got - ref).max()) <= tol)
+    pair = clean_vs_faulted(
+        run, fault, matmul_chain_reference(m, n, k, calls=calls), tol=1e-8)
+    if pair.failure:
+        raise RuntimeError(f"checkpoint/restart failed: {pair.failure}")
+    clean, faulted = pair.clean, pair.faulted
     fm = faulted.metrics
     ckpt_overhead = clean.time - bare.time
-    delta = faulted.time - clean.time
     data = {
         "calls": calls,
         "ckpt_every": ckpt_every,
@@ -355,7 +345,7 @@ def checkpoint_cost(
         "clean_makespan_s": clean.time,
         "ckpt_overhead_s": ckpt_overhead,
         "faulted_makespan_s": faulted.time,
-        "delta_s": delta,
+        "delta_s": pair.delta_s,
         "recoveries": fm.recoveries,
         "reused_flops": fm.reused_flops,
         "recomputed_flops": fm.recomputed_flops,
@@ -363,7 +353,7 @@ def checkpoint_cost(
         "failed_ranks": faulted.failed_ranks,
         "delta_bytes_written": delta_store.bytes_written,
         "full_bytes_written": full_store.bytes_written,
-        "correct": correct,
+        "correct": pair.numeric_ok,
     }
     saved = (
         100.0 * (1.0 - delta_store.bytes_written / full_store.bytes_written)
@@ -376,14 +366,14 @@ def checkpoint_cost(
         f"  clean makespan   : {clean.time * 1e3:.6f} ms "
         f"(+{ckpt_overhead * 1e3:.6f} ms checkpoint overhead)",
         f"  faulted makespan : {faulted.time * 1e3:.6f} ms "
-        f"(+{delta * 1e3:.6f} ms recovery)",
+        f"(+{pair.delta_s * 1e3:.6f} ms recovery)",
         f"  flops accounting : {fm.reused_flops:.0f} reused, "
         f"{fm.recomputed_flops:.0f} recomputed "
         f"(one call = {2.0 * m * n * k:.0f})",
         f"  store bytes      : {delta_store.bytes_written} delta vs "
         f"{full_store.bytes_written} full-snapshot ({saved:.1f}% saved)",
         f"  recovered X      : "
-        f"{'correct' if correct else 'WRONG'} (tol {tol:.3e})",
+        f"{'correct' if pair.numeric_ok else 'WRONG'} (tol {pair.tolerance:.3e})",
     ])
     return BenchResult(f"checkpoint_{name}", text, data)
 
@@ -411,71 +401,36 @@ def trace_artifact(
     return path
 
 
-def baseline_artifact(
-    name: str,
-    outdir: str | Path,
-    machine: MachineModel | None = None,
-) -> Path:
-    """Execute the stand-in workload for ``name`` and write (or refresh)
-    its perf baseline under ``outdir/<name>.json``.
-
-    The baseline snapshots makespan, per-phase critical seconds (from
-    the binding chain), and traffic counters; ``repro perfdiff`` and the
-    CI perf-gate compare later runs against it.  Returns the written
-    path.  Raises ``KeyError`` for unknown names.
-    """
-    from ..obs.baseline import BaselineStore, capture_baseline
+def workload_baseline(name: str, machine: MachineModel | None = None) -> dict:
+    """Execute the stand-in workload for ``name`` and snapshot it as a
+    perf-baseline document: makespan, per-phase critical seconds (from
+    the binding chain), and traffic counters.  Raises ``KeyError`` for
+    unknown names."""
+    from ..obs.baseline import capture_baseline
 
     m, n, k, p = TRACE_WORKLOADS[name]
     _plan, result = executed_workload(name, machine)
-    doc = capture_baseline(
+    return capture_baseline(
         result,
         name,
         workload={"m": m, "n": n, "k": k, "nprocs": p},
         machine_label="pace_phoenix_cpu(mpi)" if machine is None else "custom",
     )
-    return BaselineStore(outdir).save(name, doc)
 
 
-def history_artifact(
+def baseline_artifact(
     name: str,
     outdir: str | Path,
     machine: MachineModel | None = None,
-    ledger: str | Path | None = None,
 ) -> Path:
-    """Execute the stand-in workload for ``name`` and write its
-    trajectory point to ``outdir/BENCH_<name>.json``.
+    """Write (or refresh) :func:`workload_baseline` of ``name`` under
+    ``outdir/<name>.json`` — what ``repro perfdiff`` and the CI perf-gate
+    compare later runs against, and what ``perfdiff --update`` and
+    ``python -m repro.bench --baseline-dir`` both call.  Returns the
+    written path."""
+    from ..obs.baseline import BaselineStore
 
-    The document bundles the run's ledger record (the same deterministic
-    schema the run history accumulates) with the full audit report —
-    one measured-optimality data point per sweep, diffable across
-    commits.  When ``ledger`` is given the record is also appended to
-    that JSONL history.  Returns the written path.  Raises ``KeyError``
-    for unknown names.
-    """
-    import json
-
-    from ..obs.audit import audit_run
-    from ..obs.ledger import Ledger, ledger_record
-
-    mach = machine or pace_phoenix_cpu("mpi")
-    plan, result = executed_workload(name, mach)
-    audit = audit_run(result, plan, machine=mach)
-    record = ledger_record(
-        result, plan, f"bench.{name}", audit_ok=audit.ok
-    )
-    if ledger is not None:
-        Ledger(ledger).append(record)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"BENCH_{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"schema_version": 1, "record": record, "audit": audit.to_dict()},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
-    return path
+    return BaselineStore(outdir).save(name, workload_baseline(name, machine))
 
 
 # ------------------------------------------------------------------ Fig 2 -- #

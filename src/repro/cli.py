@@ -1,4 +1,4 @@
-"""The artifact's example program (``example_AB``) plus obs subcommands.
+"""The artifact's example program (``example_AB``) plus ten subcommands.
 
 The SC22 artifact ships ``example_AB.exe``, run as::
 
@@ -9,53 +9,15 @@ This module reproduces it on the virtual runtime (``-np`` becomes a
 flag, ``dtype`` 0/1 selects the CPU or GPU machine model) and prints the
 same report structure: the partition info block, per-phase timings over
 ``ntest`` runs, and a correctness check against the serial product.
-``transA``/``transB`` accept the artifact's 0/1 or BLAS op codes
-``N``/``T``/``C``; ``--json`` emits the whole report as one
-schema-validated JSON document (``repro.obs.export.RUN_JSON_SCHEMA``)
-for scripting.
+The grammar is one parser tree::
 
-Ten observability subcommands front the :mod:`repro.obs` subsystem::
+    python -m repro.cli [-np P] M N K [transA transB validation ntest dtype [mp np kp]]
+    python -m repro.cli <subcommand> [M N K -np P ...]
 
-    python -m repro.cli trace 64 64 64 -np 8 -o run.trace.json
-    python -m repro.cli stats 64 64 64 -np 8 --json
-    python -m repro.cli audit 64 64 64 -np 64 --strict
-    python -m repro.cli memprof 64 64 64 -np 8 --json
-    python -m repro.cli ledger --last 10
-    python -m repro.cli critpath 64 64 64 -np 8 --timeline
-    python -m repro.cli perfdiff --baseline-dir benchmarks/baselines
-    python -m repro.cli faults 64 64 64 -np 8 --plan drop.json
-    python -m repro.cli recover 64 64 64 -np 8 --kill-rank 3 --corrupt
-    python -m repro.cli checkpoint 48 48 48 -np 8 --kill-rank 1
-
-``trace`` executes one multiplication with event recording and exports a
-Chrome-trace/Perfetto JSON (plus an optional JSONL structured log);
-``stats`` prints the run's metrics snapshot and drift-guard report;
-``critpath`` reconstructs the binding chain that bounds the makespan
-(per-phase blame, per-rank idle decomposition, stragglers); ``perfdiff``
-re-executes the fixed workload matrix and diffs it against committed
-perf baselines, exiting nonzero on a regression (the CI perf gate);
-``faults`` runs the same workload clean and under a deterministic fault
-plan (:mod:`repro.mpi.faults`, see ``docs/FAULTS.md``) and reports the
-makespan delta, retry counters, result correctness, and the critical-path
-chain through the injected fault; ``recover`` demonstrates the
-fault-*tolerance* layer (:mod:`repro.ft`, see ``docs/RECOVERY.md``):
-ULFM-style rank-failure recovery and/or ABFT corruption protection,
-exiting nonzero unless the faulted run recovers a correct result;
-``checkpoint`` runs a multi-call pipeline under :mod:`repro.ckpt`
-checkpoint/restart — a rank is killed mid-pipeline, the survivors
-restart from the newest checkpoint, and partial-result reuse keeps the
-recomputed work below one full call; ``audit`` runs the transport-truth
-communication audit (:mod:`repro.obs.audit`): measured bytes-on-the-wire
-vs the eq. (4) schedule, the α-β collective accounting, and the
-red-blue pebbling lower bound, with a committed-baseline gate (the CI
-audit gate); ``memprof`` profiles each rank's measured resident memory
-(tagged allocation spans, :mod:`repro.obs.memtrace`) against the paper's
-eq. (11) footprint prediction — per-purpose breakdown, top-offender
-ranks, and a committed-baseline gate (the CI memory gate); ``ledger``
-renders and queries the append-only run history
-(:mod:`repro.obs.ledger`).  Every executing subcommand accepts
-``--ledger [PATH]`` (or the ``REPRO_LEDGER`` environment variable) to
-append its run record to the history.
+A first argument that is a word names a subcommand; anything else is
+``example_AB``'s.  What each subcommand does is written once, on its
+subparser: see ``python -m repro.cli --help`` and ``<subcommand> --help``.
+Every run is set up by :func:`repro.bench.harness.executed_workload`.
 
 Run as ``python -m repro.cli ...`` or via the ``ca3dmm-example``
 console script.
@@ -64,20 +26,41 @@ console script.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import tempfile
+import uuid
+from dataclasses import replace
 
 import numpy as np
 
+from .analysis.timeline import render_timeline
 from .analysis.verify import eq9_lower_bound, theoretical_metrics
-from .core.ca3dmm import Ca3dmm
-from .core.plan import Ca3dmmPlan
+from .bench.harness import (
+    TRACE_WORKLOADS,
+    baseline_artifact,
+    clean_vs_faulted,
+    executed_chain,
+    executed_workload,
+    workload_baseline,
+    workload_operands,
+)
+from .bench.report import format_ledger
+from .core.ca3dmm import Ca3dmm, ca3dmm_matmul
 from .grid.optimizer import GridSpec
 from .layout.distributions import BlockCol1D
-from .layout.matrix import DistMatrix, dense_random
 from .machine.model import pace_phoenix_cpu, pace_phoenix_gpu
-from .mpi.runtime import run_spmd
-from .obs.baseline import GateError, check_gate, write_gate
+from .mpi.faults import FaultPlan, LinkFault, RankFault
+from .obs.audit import audit_run
+from .obs.baseline import (
+    BaselineStore,
+    GateError,
+    PerfTolerance,
+    check_gate,
+    write_gate,
+)
 from .obs.critpath import critpath_report
 from .obs.drift import drift_report
 from .obs.export import (
@@ -85,10 +68,20 @@ from .obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
+from .obs.ledger import (
+    DEFAULT_LEDGER_PATH,
+    Ledger,
+    ledger_path_from_env,
+    ledger_record,
+)
+from .obs.memtrace import memprof_run
 from .obs.metrics import format_metrics, snapshot_run
 
 #: CLI op-code spellings accepted for transA/transB.
 _OP_CODES = {"0": "N", "1": "T", "N": "N", "T": "T", "C": "C"}
+
+#: ``dense_random`` seeds of A and B for every run this module sets up.
+_SEEDS = (7, 8)
 
 
 def _op_arg(value: str) -> str:
@@ -98,77 +91,6 @@ def _op_arg(value: str) -> str:
             f"invalid op code {value!r}; expected 0, 1, N, T, or C"
         )
     return code
-
-
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="example_AB",
-        description="CA3DMM example: C = op(A) x op(B) on the virtual MPI runtime",
-    )
-    ap.add_argument("-np", "--nprocs", type=int, default=8, help="number of ranks")
-    ap.add_argument("--json", action="store_true",
-                    help="emit the report as one JSON document (no text output)")
-    ap.add_argument("--ledger", nargs="?", const="", default=None,
-                    metavar="PATH",
-                    help="append this run's record to the JSONL run ledger")
-    ap.add_argument("M", type=int)
-    ap.add_argument("N", type=int)
-    ap.add_argument("K", type=int)
-    ap.add_argument("transA", type=_op_arg, nargs="?", default="N",
-                    help="0/N, 1/T, or C (conjugate transpose)")
-    ap.add_argument("transB", type=_op_arg, nargs="?", default="N")
-    ap.add_argument("validation", type=int, choices=(0, 1), nargs="?", default=1)
-    ap.add_argument("ntest", type=int, nargs="?", default=3)
-    ap.add_argument(
-        "dtype", type=int, choices=(0, 1), nargs="?", default=0,
-        help="device: 0 = CPU machine model, 1 = GPU machine model",
-    )
-    ap.add_argument("mp", type=int, nargs="?", default=0)
-    ap.add_argument("np_", metavar="np", type=int, nargs="?", default=0)
-    ap.add_argument("kp", type=int, nargs="?", default=0)
-    return ap.parse_args(argv)
-
-
-def _rank_main(comm, args, grid):
-    m, n, k = args.M, args.N, args.K
-    transa, transb = args.transA != "N", args.transB != "N"
-    a_shape = (k, m) if transa else (m, k)
-    b_shape = (n, k) if transb else (k, n)
-    a = DistMatrix.from_global(
-        comm, BlockCol1D(a_shape, comm.size), dense_random(*a_shape, seed=7)
-    )
-    b = DistMatrix.from_global(
-        comm, BlockCol1D(b_shape, comm.size), dense_random(*b_shape, seed=8)
-    )
-    eng = Ca3dmm(comm, m, n, k, grid=grid)
-    out_dist = BlockCol1D((m, n), comm.size)
-
-    timings = []
-    c = None
-    for _ in range(max(1, args.ntest)):
-        before = comm.transport.trace(comm.world_rank)
-        c = eng.multiply(a, b, c_dist=out_dist, transa=args.transA, transb=args.transB)
-        after = comm.transport.trace(comm.world_rank)
-        delta = {
-            name: after.phases[name].time
-            - (before.phases[name].time if name in before.phases else 0.0)
-            for name in after.phases
-        }
-        delta["total"] = after.time - before.time
-        timings.append(delta)
-
-    errors = 0
-    if args.validation:
-        got = c.to_global()
-        a_g = a.to_global()
-        b_g = b.to_global()
-        op_a = a_g.conj().T if args.transA == "C" else a_g.T if transa else a_g
-        op_b = b_g.conj().T if args.transB == "C" else b_g.T if transb else b_g
-        ref = op_a @ op_b
-        scale = max(1.0, float(np.abs(ref).max()))
-        errors = int(np.sum(np.abs(got - ref) > 1e-9 * scale))
-    peak = comm.transport.trace(comm.world_rank).peak_live_bytes
-    return timings, errors, peak
 
 
 def _partition_doc(args, plan, metrics) -> dict:
@@ -190,8 +112,7 @@ def _partition_doc(args, plan, metrics) -> dict:
 
 
 # -------------------------------------------------------------- example_AB -- #
-def _example_main(argv: list[str] | None) -> int:
-    args = _parse(argv)
+def _example_main(args) -> int:
     m, n, k, p = args.M, args.N, args.K, args.nprocs
     machine = pace_phoenix_gpu() if args.dtype else pace_phoenix_cpu("mpi")
 
@@ -201,15 +122,49 @@ def _example_main(argv: list[str] | None) -> int:
             print("mp * np * kp must be <= nprocs", file=sys.stderr)
             return 2
         grid = GridSpec(pm=args.mp, pn=args.np_, pk=args.kp, nprocs=p)
+    transa, transb = args.transA != "N", args.transB != "N"
+    nruns = max(1, args.ntest)
 
-    plan = Ca3dmmPlan(m, n, k, p, grid=grid)
+    def body(comm, a, b):
+        eng = Ca3dmm(comm, m, n, k, grid=grid)
+        out_dist = BlockCol1D((m, n), comm.size)
+        timings = []
+        c = None
+        for _ in range(nruns):
+            before = comm.transport.trace(comm.world_rank)
+            c = eng.multiply(a, b, c_dist=out_dist, transa=args.transA, transb=args.transB)
+            after = comm.transport.trace(comm.world_rank)
+            delta = {
+                name: after.phases[name].time
+                - (before.phases[name].time if name in before.phases else 0.0)
+                for name in after.phases
+            }
+            delta["total"] = after.time - before.time
+            timings.append(delta)
+
+        errors = 0
+        if args.validation:
+            got = c.to_global()
+            a_g = a.to_global()
+            b_g = b.to_global()
+            op_a = a_g.conj().T if args.transA == "C" else a_g.T if transa else a_g
+            op_b = b_g.conj().T if args.transB == "C" else b_g.T if transb else b_g
+            ref = op_a @ op_b
+            scale = max(1.0, float(np.abs(ref).max()))
+            errors = int(np.sum(np.abs(got - ref) > 1e-9 * scale))
+        peak = comm.transport.trace(comm.world_rank).peak_live_bytes
+        return timings, errors, peak
+
+    plan, result = executed_workload(
+        (m, n, k, p), machine, grid=grid, layout=BlockCol1D,
+        trans=(transa, transb), seeds=_SEEDS, body=body, record_events=args.json,
+    )
     metrics = theoretical_metrics(plan)
     part = _partition_doc(args, plan, metrics)
 
     if not args.json:
         print(f"Test problem size m * n * k : {m} * {n} * {k}")
-        print(f"Transpose A / B             : "
-              f"{int(args.transA != 'N')} / {int(args.transB != 'N')}")
+        print(f"Transpose A / B             : {int(transa)} / {int(transb)}")
         print(f"Number of tests             : {args.ntest}")
         print(f"Check result correctness    : {args.validation}")
         print(f"Device type                 : {args.dtype}")
@@ -220,19 +175,13 @@ def _example_main(argv: list[str] | None) -> int:
         print(f"Process utilization         : {part['utilization_pct']:.2f} %")
         print(f"Comm. volume / lower bound  : {part['q_over_lower_bound']:.2f}")
 
-    result = run_spmd(
-        p, _rank_main, args=(args, grid), machine=machine, record_events=args.json
-    )
     timings, errors, peak = result.results[0]
-    nruns = max(1, args.ntest)
     _append_ledger(args, result, plan, "cli.example", nruns=nruns)
 
     def avg(key: str) -> float:
         return 1e3 * sum(t.get(key, 0.0) for t in timings) / len(timings)
 
     if args.json:
-        from .obs.audit import audit_run
-
         phase_names = sorted({name for t in timings for name in t})
         doc = {
             "schema_version": 1,
@@ -273,79 +222,31 @@ def _example_main(argv: list[str] | None) -> int:
     return 0 if errors == 0 else 1
 
 
-# ------------------------------------------------------- obs subcommands -- #
-def _obs_parser(name: str, description: str) -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog=f"python -m repro.cli {name}",
-                                 description=description)
-    ap.add_argument("M", type=int)
-    ap.add_argument("N", type=int)
-    ap.add_argument("K", type=int)
-    ap.add_argument("-np", "--nprocs", type=int, default=8)
-    ap.add_argument("--dtype", type=int, choices=(0, 1), default=0,
-                    help="0 = CPU machine model, 1 = GPU machine model")
-    ap.add_argument("--overlap", choices=("none", "partial", "full"),
-                    default=None,
-                    help="async comm engine capability of the machine "
-                         "model (default: the model's own, i.e. 'none'; "
-                         "see docs/VIRTUAL_MPI.md)")
-    ap.add_argument("--grid", type=int, nargs=3, metavar=("MP", "NP", "KP"),
-                    help="force the process grid pm pn pk")
-    ap.add_argument("--tol", type=float, default=0.05,
-                    help="drift-guard byte tolerance (relative)")
-    ap.add_argument("--ledger", nargs="?", const="", default=None,
-                    metavar="PATH",
-                    help="append this run's record to the JSONL run ledger "
-                         "(default path benchmarks/history/ledger.jsonl; "
-                         "REPRO_LEDGER=<path|1> enables it globally)")
-    return ap
-
-
-def _ledger_target(args) -> "object | None":
-    """The ledger path selected by --ledger / REPRO_LEDGER, or None."""
-    from .obs.ledger import DEFAULT_LEDGER_PATH, ledger_path_from_env
-
-    flag = getattr(args, "ledger", None)
-    if flag is not None:
-        return flag or DEFAULT_LEDGER_PATH
-    return ledger_path_from_env()
-
-
+# ------------------------------------------------- what subcommands share -- #
 def _append_ledger(args, result, plan, kind: str, nruns: int = 1,
-                   audit_ok: bool | None = None,
-                   extra: dict | None = None) -> None:
-    """Append one run record when the ledger is enabled (else no-op)."""
-    target = _ledger_target(args)
+                   audit_ok: bool | None = None) -> None:
+    """Append one run record when ``--ledger`` / ``REPRO_LEDGER`` asks for it."""
+    if args.ledger is not None:
+        target = args.ledger or DEFAULT_LEDGER_PATH
+    else:
+        target = ledger_path_from_env()
     if target is None:
         return
-    from .obs.ledger import Ledger, ledger_record
-
-    rec = ledger_record(result, plan, kind, nruns=nruns,
-                        audit_ok=audit_ok, extra=extra)
+    rec = ledger_record(result, plan, kind, nruns=nruns, audit_ok=audit_ok)
     ledger = Ledger(target)
     ledger.append(rec)
     if not getattr(args, "json", False):
         print(f"ledger: appended {rec['run_id'][:12]} ({kind}) to {ledger.path}")
 
 
-def _run_traced(m: int, n: int, k: int, p: int, machine, grid,
-                memory_limit_words: float | None = None):
-    """One native-layout multiplication with event recording."""
-    plan = Ca3dmmPlan(m, n, k, p, grid=grid,
-                      memory_limit_words=memory_limit_words)
-
-    def f(comm):
-        eng = Ca3dmm(comm, m, n, k, grid=grid if grid is not None else plan.grid)
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 7))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 8))
-        eng.multiply(a, b)
-
-    result = run_spmd(p, f, machine=machine, record_events=True)
-    return plan, result
+def _shape(args) -> tuple[int, int, int, int]:
+    return args.M, args.N, args.K, args.nprocs
 
 
 def _obs_common(args):
+    """The machine model and forced grid a subcommand's flags select."""
     machine = pace_phoenix_gpu() if args.dtype else pace_phoenix_cpu("mpi")
-    if getattr(args, "overlap", None):
+    if args.overlap:
         machine = machine.with_overlap(args.overlap)
     grid = None
     if args.grid:
@@ -356,16 +257,27 @@ def _obs_common(args):
     return machine, grid
 
 
-def _gate_args(ap: argparse.ArgumentParser, what: str, name: str) -> None:
-    ap.add_argument("--gate", default=None, metavar="FILE",
-                    help=f"compare {what} against this committed baseline "
-                         f"JSON; exit 1 on regression, 2 when the file is "
-                         f"unusable or for another problem (the CI {name} gate)")
-    ap.add_argument("--gate-tol", type=float, default=0.02,
-                    help="allowed relative worsening of the gated values")
-    ap.add_argument("--update-gate", default=None, metavar="FILE",
-                    help="write the gate baseline from this run instead of "
-                         "comparing")
+def _run(args, memory_limit_words: float | None = None):
+    """One native-layout multiplication of ``M N K -np P`` with event
+    recording; returns ``(machine, plan, result)``."""
+    machine, grid = _obs_common(args)
+    plan, result = executed_workload(
+        _shape(args), machine, grid=grid, seeds=_SEEDS,
+        memory_limit_words=memory_limit_words,
+    )
+    return machine, plan, result
+
+
+def _print_makespans(pair) -> None:
+    print(f"clean makespan    : {pair.clean.time * 1e3:.6f} ms")
+    print(f"faulted makespan  : {pair.faulted.time * 1e3:.6f} ms "
+          f"(+{pair.delta_s * 1e3:.6f} ms)")
+
+
+def _print_timeline(args, result) -> None:
+    if args.timeline:
+        print()
+        print(render_timeline(result, highlight_critical=True))
 
 
 def _print_gated(args, to_dict, fmt, text: tuple[str, str, int],
@@ -405,23 +317,9 @@ def _print_gated(args, to_dict, fmt, text: tuple[str, str, int],
     return gate is None or gate["ok"]
 
 
-def _trace_main(argv: list[str]) -> int:
-    ap = _obs_parser(
-        "trace", "Execute one CA3DMM multiplication and export its trace"
-    )
-    ap.add_argument("-o", "--output", default="ca3dmm.trace.json",
-                    help="Chrome-trace output path (load in Perfetto)")
-    ap.add_argument("--jsonl", default=None,
-                    help="also write a JSONL structured log to this path")
-    ap.add_argument("--no-transport-events", action="store_true",
-                    help="export only spans (phases/collectives), not "
-                         "per-message slices")
-    ap.add_argument("--strict", action="store_true",
-                    help="exit nonzero when the drift guard fails")
-    args = ap.parse_args(argv)
-    machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
-
+# ------------------------------------------------------------ subcommands -- #
+def _trace_main(args) -> int:
+    machine, plan, result = _run(args)
     try:
         doc = write_chrome_trace(
             result, args.output,
@@ -442,84 +340,31 @@ def _trace_main(argv: list[str]) -> int:
     return 1 if (args.strict and not report.ok) else 0
 
 
-def _critpath_main(argv: list[str]) -> int:
-    ap = _obs_parser(
-        "critpath",
-        "Execute one CA3DMM multiplication and analyze the dependency "
-        "chain that bounds its simulated makespan",
-    )
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--timeline", action="store_true",
-                    help="also render the per-rank timeline with the "
-                         "binding chain highlighted (upper-case glyphs)")
-    ap.add_argument("--max-segments", type=int, default=12,
-                    help="chain segments shown in text mode")
-    args = ap.parse_args(argv)
-    machine, grid = _obs_common(args)
-    _plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
+def _critpath_main(args) -> int:
+    _machine, plan, result = _run(args)
     report = critpath_report(result)
-    _append_ledger(args, result, _plan, "cli.critpath")
+    _append_ledger(args, result, plan, "cli.critpath")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.format(max_segments=args.max_segments))
-        if args.timeline:
-            from .analysis.timeline import render_timeline
-
-            print()
-            print(render_timeline(result, highlight_critical=True))
+        _print_timeline(args, result)
     return 0 if report.path.complete else 1
 
 
-def _perfdiff_main(argv: list[str]) -> int:
-    from dataclasses import replace as _dc_replace
-
-    from .bench.harness import TRACE_WORKLOADS, executed_workload
-    from .obs.baseline import BaselineStore, PerfTolerance, capture_baseline
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.cli perfdiff",
-        description="Re-execute the fixed workload matrix and diff makespan, "
-                    "per-phase critical time, and traffic against committed "
-                    "perf baselines",
-    )
-    ap.add_argument("names", nargs="*",
-                    help=f"workloads to check (default: all of "
-                         f"{' '.join(sorted(TRACE_WORKLOADS))})")
-    ap.add_argument("--baseline-dir", default="benchmarks/baselines",
-                    help="directory of committed <name>.json baselines")
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite the baselines from this run instead of comparing")
-    ap.add_argument("--verbose", action="store_true",
-                    help="list every compared metric, not only changes")
-    ap.add_argument("--time-tol", type=float, default=None,
-                    help="relative makespan tolerance (default 0.03)")
-    ap.add_argument("--phase-tol", type=float, default=None,
-                    help="relative per-phase critical-time tolerance (default 0.10)")
-    ap.add_argument("--bytes-tol", type=float, default=None,
-                    help="relative traffic tolerance (default 0.02)")
-    ap.add_argument("--inject-latency", type=float, default=1.0, metavar="X",
-                    help="scale the machine model's link latency/bandwidth "
-                         "costs by X before running (gate self-test; 1.0 = off)")
-    args = ap.parse_args(argv)
-
+def _perfdiff_main(args) -> int:
     names = args.names or sorted(TRACE_WORKLOADS)
     unknown = [n for n in names if n not in TRACE_WORKLOADS]
     if unknown:
         print(f"unknown workload(s): {' '.join(unknown)}", file=sys.stderr)
         return 2
-    tol = PerfTolerance()
-    if args.time_tol is not None:
-        tol = _dc_replace(tol, time_rel=args.time_tol)
-    if args.phase_tol is not None:
-        tol = _dc_replace(tol, phase_rel=args.phase_tol)
-    if args.bytes_tol is not None:
-        tol = _dc_replace(tol, bytes_rel=args.bytes_tol)
-    machine = pace_phoenix_cpu("mpi")
+    tol = PerfTolerance(time_rel=args.time_tol, phase_rel=args.phase_tol,
+                        bytes_rel=args.bytes_tol)
+    machine = None  # the stand-ins' own: pace_phoenix_cpu("mpi")
     if args.inject_latency != 1.0:
         x = args.inject_latency
-        machine = _dc_replace(
+        machine = pace_phoenix_cpu("mpi")
+        machine = replace(
             machine,
             alpha=machine.alpha * x,
             nic_beta=machine.nic_beta * x,
@@ -527,29 +372,21 @@ def _perfdiff_main(argv: list[str]) -> int:
             beta_intra=machine.beta_intra * x,
         )
 
+    if args.update:
+        for name in names:
+            path = baseline_artifact(name, args.baseline_dir, machine)
+            if not args.json:
+                print(f"baseline refreshed: {path}")
+        return 0
     store = BaselineStore(args.baseline_dir)
     diffs, missing = [], []
     for name in names:
-        m, n, k, p = TRACE_WORKLOADS[name]
-        _plan, result = executed_workload(name, machine=machine)
-        doc = capture_baseline(
-            result, name,
-            workload={"m": m, "n": n, "k": k, "nprocs": p},
-            machine_label="pace_phoenix_cpu(mpi)",
-        )
-        if args.update:
-            path = store.save(name, doc)
-            if not args.json:
-                print(f"baseline refreshed: {path}")
-            continue
-        diff = store.compare(name, doc, tol)
+        diff = store.compare(name, workload_baseline(name, machine), tol)
         if diff is None:
             missing.append(name)
         else:
             diffs.append(diff)
 
-    if args.update:
-        return 0
     ok = not missing and all(d.ok for d in diffs)
     if args.json:
         print(json.dumps({
@@ -570,30 +407,8 @@ def _perfdiff_main(argv: list[str]) -> int:
     return 0 if ok else 1
 
 
-def _faults_main(argv: list[str]) -> int:
-    from .mpi.faults import FaultPlan, LinkFault
-
-    ap = _obs_parser(
-        "faults",
-        "Execute one CA3DMM multiplication clean and under a deterministic "
-        "fault plan; report the makespan delta, retry counters, result "
-        "correctness, and the critical-path chain through the injected fault",
-    )
-    ap.add_argument("--plan", default=None, metavar="FILE",
-                    help="fault-plan JSON (docs/FAULTS.md); default: a "
-                         "seeded demo plan dropping the first Cannon-phase "
-                         "message on every link")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for the default demo plan (ignored with --plan)")
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--timeline", action="store_true",
-                    help="also render the faulted run's timeline "
-                         "('!' marks injected intervals)")
-    ap.add_argument("--max-segments", type=int, default=12,
-                    help="chain segments shown in text mode")
-    args = ap.parse_args(argv)
+def _faults_main(args) -> int:
     machine, grid = _obs_common(args)
-
     if args.plan:
         fault_plan = FaultPlan.load(args.plan)
     else:
@@ -601,34 +416,34 @@ def _faults_main(argv: list[str]) -> int:
             seed=args.seed, links=(LinkFault(phase="cannon", drop_at=(0,)),)
         )
 
-    m, n, k, p = args.M, args.N, args.K, args.nprocs
-    plan = Ca3dmmPlan(m, n, k, p, grid=grid)
+    def body(comm, a, b):
+        full = ca3dmm_matmul(a, b, grid=grid).to_global()
+        return (full,) if comm.rank == 0 else None
 
-    def f(comm):
-        eng = Ca3dmm(comm, m, n, k, grid=grid)
-        a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 7))
-        b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 8))
-        c = eng.multiply(a, b)
-        full = c.to_global()
-        return full if comm.rank == 0 else None
-
-    clean = run_spmd(p, f, machine=machine, record_events=True)
-    faulted = run_spmd(p, f, machine=machine, record_events=True, faults=fault_plan)
-    correct = np.array_equal(clean.results[0], faulted.results[0])
+    pair = clean_vs_faulted(
+        lambda faults: executed_workload(_shape(args), machine, faults, grid=grid,
+                                         seeds=_SEEDS, body=body),
+        fault_plan,
+    )
+    if pair.failure:
+        print(f"faulted run failed: {pair.failure}", file=sys.stderr)
+        return 1
+    clean, faulted = pair.clean, pair.faulted
+    correct = np.array_equal(clean.results[0][0], pair.got[0])
     report = critpath_report(faulted)
-    _append_ledger(args, faulted, plan, "cli.faults")
+    _append_ledger(args, faulted, pair.plan, "cli.faults")
     fm = faulted.metrics
-    delta = faulted.time - clean.time
     ok = correct and report.path.complete
 
     if args.json:
+        m, n, k, p = _shape(args)
         doc = {
             "schema_version": 1,
             "problem": {"m": m, "n": n, "k": k, "nprocs": p},
             "plan": fault_plan.to_dict(),
             "clean_makespan_s": clean.time,
             "faulted_makespan_s": faulted.time,
-            "delta_s": delta,
+            "delta_s": pair.delta_s,
             "correct": correct,
             "total_retries": fm.total_retries,
             "total_timeouts": fm.total_timeouts,
@@ -640,64 +455,21 @@ def _faults_main(argv: list[str]) -> int:
 
     print(f"fault plan        : {args.plan or 'demo (drop first cannon msg/link)'}"
           f" seed={fault_plan.seed}")
-    print(f"clean makespan    : {clean.time * 1e3:.6f} ms")
-    print(f"faulted makespan  : {faulted.time * 1e3:.6f} ms "
-          f"(+{delta * 1e3:.6f} ms)")
+    _print_makespans(pair)
     print(f"retries/timeouts  : {fm.total_retries}/{fm.total_timeouts}")
     print(f"injected wait     : {fm.injected_wait_s * 1e3:.6f} ms")
     print(f"result            : {'bit-identical to clean run' if correct else 'MISMATCH'}")
     print()
     print(report.format(max_segments=args.max_segments))
-    if args.timeline:
-        from .analysis.timeline import render_timeline
-
-        print()
-        print(render_timeline(faulted, highlight_critical=True))
+    _print_timeline(args, faulted)
     return 0 if ok else 1
 
 
-def _recover_main(argv: list[str]) -> int:
+def _recover_main(args) -> int:
     from .ft import resilient_multiply
-    from .mpi.faults import FaultPlan, LinkFault, RankFault
 
-    ap = _obs_parser(
-        "recover",
-        "Execute one CA3DMM multiplication under rank kills and/or payload "
-        "corruption and demonstrate the fault-tolerance layer: ULFM-style "
-        "shrink-replan-redistribute recovery and ABFT checksum "
-        "detect-and-recompute (docs/RECOVERY.md)",
-    )
-    ap.add_argument("--plan", default=None, metavar="FILE",
-                    help="fault-plan JSON; default: a demo plan built from "
-                         "--kill-rank / --corrupt")
-    ap.add_argument("--kill-rank", type=int, default=None, metavar="R",
-                    help="permanently kill rank R at its first Cannon entry "
-                         "(default demo when neither --corrupt nor --plan "
-                         "is given: rank 1)")
-    ap.add_argument("--corrupt", action="store_true",
-                    help="corrupt the first Cannon-phase message on every "
-                         "link (caught by ABFT)")
-    ap.add_argument("--corrupt-phase", default=None,
-                    choices=("replicate", "cannon", "reduce", "redist"),
-                    help="corrupt the first message of this algorithm phase "
-                         "on every link instead (end-to-end ABFT/CRC "
-                         "coverage; pick shapes whose plan has replicate "
-                         "traffic (c>1) or reduce traffic (pk>1) when "
-                         "targeting those phases, e.g. 64 64 64 -np 16)")
-    ap.add_argument("--salvage-report", action="store_true",
-                    help="print the per-(i,j) salvage table of the recovery "
-                         "round: which C cells were reused from retained "
-                         "ABFT-verified partials and which were recomputed")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for the demo plan (ignored with --plan)")
-    ap.add_argument("--max-recoveries", type=int, default=2,
-                    help="shrink-replan rounds allowed before giving up")
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--timeline", action="store_true",
-                    help="also render the faulted run's timeline")
-    args = ap.parse_args(argv)
     machine, grid = _obs_common(args)
-    m, n, k, p = args.M, args.N, args.K, args.nprocs
+    m, n, k, p = _shape(args)
 
     if args.plan:
         fault_plan = FaultPlan.load(args.plan)
@@ -725,46 +497,27 @@ def _recover_main(argv: list[str]) -> int:
     corrupts = any(r.corrupt_at or r.corrupt_prob for r in fault_plan.links)
     abft = corrupts  # checksum protection on whenever corruption is scripted
 
-    want_salvage = args.salvage_report
-
-    def f(comm):
-        a = DistMatrix.from_global(
-            comm, BlockCol1D((m, k), comm.size), dense_random(m, k, seed=7)
-        )
-        b = DistMatrix.from_global(
-            comm, BlockCol1D((k, n), comm.size), dense_random(k, n, seed=8)
-        )
-        salvage = [] if want_salvage else None
+    def body(comm, a, b):
+        salvage = [] if args.salvage_report else None
         c = resilient_multiply(
             comm, a, b,
             c_dist=lambda cm: BlockCol1D((m, n), cm.size),
             grid=grid, abft=abft, max_recoveries=args.max_recoveries,
             salvage_report=salvage,
         )
-        return {"c": c.to_global(), "salvage": salvage}
+        return c.to_global(), salvage
 
-    clean = run_spmd(p, f, machine=machine, record_events=True)
-    try:
-        faulted = run_spmd(
-            p, f, machine=machine, record_events=True, faults=fault_plan
-        )
-    except RuntimeError as exc:
-        print(f"recovery failed: {exc.__cause__ or exc}", file=sys.stderr)
+    pair = clean_vs_faulted(
+        lambda faults: executed_workload((m, n, k, p), machine, faults, grid=grid,
+                                         layout=BlockCol1D, seeds=_SEEDS, body=body),
+        fault_plan, reference=np.matmul(*workload_operands((m, n, k, p), _SEEDS)),
+    )
+    if pair.failure:
+        print(f"recovery failed: {pair.failure}", file=sys.stderr)
         return 1
-
-    got = next((r for r in faulted.results if r is not None), None)
-    if got is None:
-        print("recovery failed: no surviving rank returned a result",
-              file=sys.stderr)
-        return 1
-    salvage = got["salvage"]
-    got = got["c"]
-    _append_ledger(args, faulted, Ca3dmmPlan(m, n, k, p, grid=grid),
-                   "cli.recover")
-    ref = dense_random(m, k, seed=7) @ dense_random(k, n, seed=8)
-    scale = max(1.0, float(np.abs(ref).max()))
-    max_err = float(np.abs(got - ref).max())
-    numeric_ok = max_err <= 1e-9 * scale
+    clean, faulted = pair.clean, pair.faulted
+    salvage = pair.got[1]
+    _append_ledger(args, faulted, pair.plan, "cli.recover")
     # Corruption-only runs re-execute the identical schedule, so the
     # recovered C must match the clean run bit for bit.  A rank loss
     # re-plans the grid for P' ranks (different summation order), so
@@ -772,11 +525,11 @@ def _recover_main(argv: list[str]) -> int:
     bit_identical = None
     if corrupts and not kills:
         bit_identical = all(
-            np.array_equal(x["c"], y["c"])
+            np.array_equal(x[0], y[0])
             for x, y in zip(faulted.results, clean.results)
         )
     fm = faulted.metrics
-    ok = numeric_ok
+    ok = pair.numeric_ok
     if kills:
         ok = ok and fm.recoveries >= 1 and bool(faulted.failed_ranks)
     if corrupts and not kills:
@@ -808,8 +561,8 @@ def _recover_main(argv: list[str]) -> int:
             ),
             "recomputed_flops": fm.recomputed_flops,
             "reused_flops": fm.reused_flops,
-            "max_abs_error": max_err,
-            "tolerance": 1e-9 * scale,
+            "max_abs_error": pair.max_err,
+            "tolerance": pair.tolerance,
             "bit_identical_to_clean": bit_identical,
             "correct": ok,
         }
@@ -824,9 +577,7 @@ def _recover_main(argv: list[str]) -> int:
           f"{args.plan or 'demo'} seed={fault_plan.seed} "
           f"({len(fault_plan.ranks)} rank rule(s), "
           f"{len(fault_plan.links)} link rule(s), abft={'on' if abft else 'off'})")
-    print(f"clean makespan    : {clean.time * 1e3:.6f} ms")
-    print(f"faulted makespan  : {faulted.time * 1e3:.6f} ms "
-          f"(+{(faulted.time - clean.time) * 1e3:.6f} ms)")
+    _print_makespans(pair)
     print(f"failed ranks      : {faulted.failed_ranks or 'none'}")
     print(f"recoveries        : {fm.recoveries}")
     print(f"corruption (ABFT) : {fm.corruptions_injected} injected, "
@@ -837,7 +588,7 @@ def _recover_main(argv: list[str]) -> int:
         print(f"    {ph:<14}: "
               f"{fm.corruptions_injected_by_phase.get(ph, 0)} injected, "
               f"{fm.corruptions_detected_by_phase.get(ph, 0)} detected")
-    print(f"max |C - ref|     : {max_err:.3e} (tol {1e-9 * scale:.3e})")
+    print(f"max |C - ref|     : {pair.max_err:.3e} (tol {pair.tolerance:.3e})")
     if bit_identical is not None:
         print(f"vs clean run      : "
               f"{'bit-identical' if bit_identical else 'MISMATCH'}")
@@ -860,52 +611,16 @@ def _recover_main(argv: list[str]) -> int:
                       f"({r0:>4},{r1:>4},{c0:>4},{c1:>4}) "
                       f"{row['flops']:>10.0f}  {row['status']}")
     print(f"result            : {'recovered OK' if ok else 'FAILED'}")
-    if args.timeline:
-        from .analysis.timeline import render_timeline
-
-        print()
-        print(render_timeline(faulted, highlight_critical=True))
+    _print_timeline(args, faulted)
     return 0 if ok else 1
 
 
-def _checkpoint_main(argv: list[str]) -> int:
-    from .apps.pipeline import matmul_chain, matmul_chain_reference
+def _checkpoint_main(args) -> int:
+    from .apps.pipeline import matmul_chain_reference
     from .ckpt import CheckpointPolicy, DirStore, MemoryStore
-    from .mpi.faults import FaultPlan, RankFault
 
-    ap = _obs_parser(
-        "checkpoint",
-        "Run a multi-call matmul pipeline (X <- op(A) @ X, alternating op) "
-        "under checkpoint/restart (docs/RECOVERY.md): kill a rank "
-        "mid-pipeline, restart from the newest checkpoint on the surviving "
-        "ranks, and verify the final iterate against numpy.  Exits 0 only "
-        "when the faulted pipeline recovers, matches the serial reference, "
-        "and partial-result reuse saved work (reused_flops > 0, recomputed "
-        "< one full call).",
-    )
-    ap.add_argument("--calls", type=int, default=4,
-                    help="pipeline length (matmul calls)")
-    ap.add_argument("--ckpt-every", type=int, default=1, metavar="N",
-                    help="checkpoint after every N calls")
-    ap.add_argument("--kill-rank", type=int, default=1, metavar="R",
-                    help="rank to kill (permanently) mid-pipeline")
-    ap.add_argument("--kill-call", type=int, default=2, metavar="C",
-                    help="0-based call index whose Cannon stage kills the rank")
-    ap.add_argument("--store", choices=("mem", "dir"), default="mem",
-                    help="checkpoint store backend: in-memory disk or a "
-                         "real directory of .npy tiles")
-    ap.add_argument("--store-dir", default=None, metavar="PATH",
-                    help="directory for --store dir (default: a temp dir)")
-    ap.add_argument("--escaped", action="store_true",
-                    help="use non-resilient steps so the failure escapes to "
-                         "the pipeline restart path instead of being healed "
-                         "in-call (no partial-result reuse)")
-    ap.add_argument("--max-restarts", type=int, default=2,
-                    help="pipeline restarts allowed before giving up")
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    args = ap.parse_args(argv)
     machine, _grid = _obs_common(args)
-    m, n, k, p = args.M, args.N, args.K, args.nprocs
+    m, n, k, p = _shape(args)
     if not 0 <= args.kill_rank < p:
         print(f"--kill-rank must be in [0, {p})", file=sys.stderr)
         return 2
@@ -920,73 +635,42 @@ def _checkpoint_main(argv: list[str]) -> int:
     policy = CheckpointPolicy(every_calls=args.ckpt_every)
     resilient = not args.escaped
 
-    import tempfile
+    with contextlib.ExitStack() as cleanup:
+        root = args.store_dir
+        if args.store == "dir" and root is None:
+            root = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-ckpt-"))
+        stores = []
 
-    tmp = None
-    if args.store == "dir" and args.store_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-
-    def make_store():
-        if args.store == "mem":
-            return MemoryStore()
-        root = args.store_dir or tmp.name
-        import os
-        import uuid
-
-        return DirStore(os.path.join(root, uuid.uuid4().hex[:8]))
-
-    def run(faults):
-        store = make_store()
-
-        def f(comm):
-            res = matmul_chain(
-                comm, m, n, k, calls=args.calls,
-                store=store, policy=policy, resilient=resilient,
+        def run(faults):
+            stores.append(MemoryStore() if args.store == "mem" else
+                          DirStore(os.path.join(root, uuid.uuid4().hex[:8])))
+            return executed_chain(
+                (m, n, k, p), machine, faults, calls=args.calls,
+                store=stores[-1], policy=policy, resilient=resilient,
                 max_restarts=args.max_restarts,
             )
-            return {
-                "x": res.state["X"].to_global(),
-                "restarts": res.restarts,
-                "checkpoints": res.checkpoints,
-            }
 
-        result = run_spmd(p, f, machine=machine, record_events=True,
-                          faults=faults)
-        return result, store
-
-    try:
-        clean, clean_store = run(None)
-        try:
-            faulted, faulted_store = run(fault_plan)
-        except RuntimeError as exc:
-            print(f"checkpoint/restart failed: {exc.__cause__ or exc}",
-                  file=sys.stderr)
+        pair = clean_vs_faulted(
+            run, fault_plan, matmul_chain_reference(m, n, k, calls=args.calls),
+            tol=1e-8,
+        )
+        if pair.failure:
+            print(f"checkpoint/restart failed: {pair.failure}", file=sys.stderr)
             return 1
-        ckpt_kinds = [man.get("kind", "full")
-                      for man in faulted_store.manifests()]
-        bytes_written = faulted_store.bytes_written
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        ckpt_kinds = [man.get("kind", "full") for man in stores[-1].manifests()]
+        bytes_written = stores[-1].bytes_written
 
-    got = next((r for r in faulted.results if r is not None), None)
-    if got is None:
-        print("checkpoint/restart failed: no surviving rank returned",
-              file=sys.stderr)
-        return 1
-    _append_ledger(args, faulted, Ca3dmmPlan(m, n, k, p),
-                   "cli.checkpoint", nruns=args.calls)
-    ref = matmul_chain_reference(m, n, k, calls=args.calls)
-    scale = max(1.0, float(np.abs(ref).max()))
-    max_err = float(np.abs(got["x"] - ref).max())
-    numeric_ok = max_err <= 1e-8 * scale
+    clean, faulted = pair.clean, pair.faulted
+    _x, restarts, checkpoints = pair.got
+    _append_ledger(args, faulted, pair.plan, "cli.checkpoint", nruns=args.calls)
 
     fm = faulted.metrics
     one_call = 2.0 * m * n * k
-    recovered = got["restarts"] >= 1 or fm.recoveries >= 1
+    recovered = restarts >= 1 or fm.recoveries >= 1
     reuse_ok = fm.reused_flops > 0 and fm.recomputed_flops < one_call
     ok = (
-        numeric_ok and recovered and bool(faulted.failed_ranks)
+        pair.numeric_ok and recovered and bool(faulted.failed_ranks)
         and (reuse_ok or args.escaped)
     )
     if args.escaped:
@@ -1006,16 +690,16 @@ def _checkpoint_main(argv: list[str]) -> int:
             "clean_makespan_s": clean.time,
             "faulted_makespan_s": faulted.time,
             "failed_ranks": faulted.failed_ranks,
-            "checkpoints": got["checkpoints"],
+            "checkpoints": checkpoints,
             "checkpoint_kinds": ckpt_kinds,
             "store_bytes_written": bytes_written,
-            "pipeline_restarts": got["restarts"],
+            "pipeline_restarts": restarts,
             "recoveries": fm.recoveries,
             "reused_flops": fm.reused_flops,
             "recomputed_flops": fm.recomputed_flops,
             "one_call_flops": one_call,
-            "max_abs_error": max_err,
-            "tolerance": 1e-8 * scale,
+            "max_abs_error": pair.max_err,
+            "tolerance": pair.tolerance,
             "correct": ok,
         }
         print(json.dumps(doc, indent=2))
@@ -1026,36 +710,26 @@ def _checkpoint_main(argv: list[str]) -> int:
           f"checkpoint every {args.ckpt_every}")
     print(f"fault             : kill rank {args.kill_rank} in call "
           f"{args.kill_call}'s cannon stage; recovery mode: {mode}")
-    print(f"clean makespan    : {clean.time * 1e3:.6f} ms")
-    print(f"faulted makespan  : {faulted.time * 1e3:.6f} ms "
-          f"(+{(faulted.time - clean.time) * 1e3:.6f} ms)")
+    _print_makespans(pair)
     print(f"failed ranks      : {faulted.failed_ranks or 'none'}")
-    print(f"checkpoints       : {len(got['checkpoints'])} "
-          f"({', '.join(got['checkpoints'][:3])}"
-          f"{', ...' if len(got['checkpoints']) > 3 else ''})")
+    print(f"checkpoints       : {len(checkpoints)} "
+          f"({', '.join(checkpoints[:3])}"
+          f"{', ...' if len(checkpoints) > 3 else ''})")
     print(f"checkpoint kinds  : "
           f"{ckpt_kinds.count('full')} full + "
           f"{ckpt_kinds.count('delta')} delta, "
           f"{bytes_written} store bytes written")
-    print(f"restarts/recoveries: {got['restarts']}/{fm.recoveries}")
+    print(f"restarts/recoveries: {restarts}/{fm.recoveries}")
     print(f"flops accounting  : {fm.reused_flops:.0f} reused, "
           f"{fm.recomputed_flops:.0f} recomputed "
           f"(one full call = {one_call:.0f})")
-    print(f"max |X - ref|     : {max_err:.3e} (tol {1e-8 * scale:.3e})")
+    print(f"max |X - ref|     : {pair.max_err:.3e} (tol {pair.tolerance:.3e})")
     print(f"result            : {'recovered OK' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
-def _stats_main(argv: list[str]) -> int:
-    ap = _obs_parser(
-        "stats", "Execute one CA3DMM multiplication and print its metrics"
-    )
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--strict", action="store_true",
-                    help="exit nonzero when the drift guard fails")
-    args = ap.parse_args(argv)
-    machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
+def _stats_main(args) -> int:
+    machine, plan, result = _run(args)
     metrics = snapshot_run(result, plan)
     report = drift_report(result, plan, byte_tol=args.tol, machine=machine)
     analytic_q = theoretical_metrics(plan).q_words
@@ -1083,24 +757,8 @@ def _stats_main(argv: list[str]) -> int:
     return 1 if (args.strict and not report.ok) else 0
 
 
-def _audit_main(argv: list[str]) -> int:
-    from .obs.audit import audit_run
-
-    ap = _obs_parser(
-        "audit",
-        "Execute one CA3DMM multiplication and audit its measured "
-        "bytes-on-the-wire against the eq. (4) schedule, the α-β "
-        "collective accounting, and the red-blue pebbling lower bound "
-        "(2mnk/(P√M) with measured M)",
-    )
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--strict", action="store_true",
-                    help="exit nonzero when measured traffic leaves the "
-                         "tolerance band")
-    _gate_args(ap, "measured optimality ratios", "audit")
-    args = ap.parse_args(argv)
-    machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine, grid)
+def _audit_main(args) -> int:
+    machine, plan, result = _run(args)
     report = audit_run(result, plan, machine=machine, byte_tol=args.tol)
     _append_ledger(args, result, plan, "cli.audit", audit_ok=report.ok)
 
@@ -1115,28 +773,8 @@ def _audit_main(argv: list[str]) -> int:
     return 1 if (args.strict and not report.ok) else 0
 
 
-def _memprof_main(argv: list[str]) -> int:
-    from .obs.memtrace import memprof_run
-
-    ap = _obs_parser(
-        "memprof",
-        "Execute one CA3DMM multiplication and profile each rank's "
-        "measured resident memory (tagged allocation spans) against the "
-        "eq. (11) footprint prediction and any memory_limit_words cap",
-    )
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--mem-tol", type=float, default=0.10,
-                    help="relative headroom allowed over eq. (11) / the cap")
-    ap.add_argument("--top", type=int, default=3,
-                    help="top-offender ranks listed in text mode")
-    ap.add_argument("--memory-limit", type=float, default=None,
-                    metavar="WORDS",
-                    help="plan under a Section V memory cap (words/process)")
-    _gate_args(ap, "the measured resident peak", "memory")
-    args = ap.parse_args(argv)
-    machine, grid = _obs_common(args)
-    plan, result = _run_traced(args.M, args.N, args.K, args.nprocs, machine,
-                               grid, memory_limit_words=args.memory_limit)
+def _memprof_main(args) -> int:
+    _machine, plan, result = _run(args, memory_limit_words=args.memory_limit)
     report = memprof_run(result, plan, tol=args.mem_tol)
     _append_ledger(args, result, plan, "cli.memprof")
 
@@ -1152,30 +790,7 @@ def _memprof_main(argv: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _ledger_main(argv: list[str]) -> int:
-    from .bench.report import format_ledger
-    from .obs.ledger import DEFAULT_LEDGER_PATH, Ledger, ledger_path_from_env
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.cli ledger",
-        description="Render and query the append-only run ledger "
-                    "(see docs/OBSERVABILITY.md)",
-    )
-    ap.add_argument("--path", default=None,
-                    help=f"ledger file (default: $REPRO_LEDGER or "
-                         f"{DEFAULT_LEDGER_PATH})")
-    ap.add_argument("--kind", default=None,
-                    help="only records from this producer (e.g. cli.audit)")
-    ap.add_argument("--shape", type=int, nargs=3, metavar=("M", "N", "K"),
-                    help="only records for this problem shape")
-    ap.add_argument("-np", "--nprocs", type=int, default=None,
-                    help="only records for this world size")
-    ap.add_argument("--last", type=int, default=None, metavar="N",
-                    help="only the newest N matching records")
-    ap.add_argument("--json", action="store_true",
-                    help="emit the matching records as a JSON array")
-    args = ap.parse_args(argv)
-
+def _ledger_main(args) -> int:
     path = args.path or ledger_path_from_env() or DEFAULT_LEDGER_PATH
     ledger = Ledger(path)
     shape = args.shape or (None, None, None)
@@ -1194,29 +809,288 @@ def _ledger_main(argv: list[str]) -> int:
     return 0
 
 
-_SUBCOMMANDS = {
-    "trace": _trace_main,
-    "stats": _stats_main,
-    "audit": _audit_main,
-    "memprof": _memprof_main,
-    "ledger": _ledger_main,
-    "critpath": _critpath_main,
-    "perfdiff": _perfdiff_main,
-    "faults": _faults_main,
-    "recover": _recover_main,
-    "checkpoint": _checkpoint_main,
-}
+# ------------------------------------------------------------ parser tree -- #
+def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
+    """``example_AB`` and the ten subcommands as one tree (and their
+    names); what several of them accept is a parent parser, defined once."""
+
+    def parent(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    run = parent()
+    run.add_argument("-np", "--nprocs", type=int, default=8, help="number of ranks")
+    run.add_argument("--ledger", nargs="?", const="", default=None,
+                     metavar="PATH",
+                     help=f"append this run's record to the JSONL run ledger "
+                          f"(default path {DEFAULT_LEDGER_PATH}; "
+                          f"REPRO_LEDGER=<path|1> enables it globally)")
+    mnk = parent()
+    for dim in "MNK":
+        mnk.add_argument(dim, type=int)
+    workload = parent(run, mnk)
+    workload.add_argument("--dtype", type=int, choices=(0, 1), default=0,
+                          help="0 = CPU machine model, 1 = GPU machine model")
+    workload.add_argument("--overlap", choices=("none", "partial", "full"),
+                          default=None,
+                          help="async comm engine capability of the machine "
+                               "model (default: the model's own, i.e. 'none'; "
+                               "see docs/VIRTUAL_MPI.md)")
+    workload.add_argument("--grid", type=int, nargs=3, metavar=("MP", "NP", "KP"),
+                          help="force the process grid pm pn pk")
+    workload.add_argument("--tol", type=float, default=0.05,
+                          help="drift-guard byte tolerance (relative)")
+    as_json = parent()
+    as_json.add_argument("--json", action="store_true",
+                         help="emit one JSON document instead of text")
+    strict = parent()
+    strict.add_argument("--strict", action="store_true",
+                        help="exit nonzero when the drift guard fails / measured "
+                             "traffic leaves the tolerance band")
+    timeline = parent()
+    timeline.add_argument("--timeline", action="store_true",
+                          help="also render the (faulted) run's per-rank "
+                               "timeline: upper-case glyphs mark the binding "
+                               "chain, '!' injected intervals")
+    chain = parent(timeline)
+    chain.add_argument("--max-segments", type=int, default=12,
+                       help="chain segments shown in text mode")
+    gate = parent()
+    gate.add_argument("--gate", default=None, metavar="FILE",
+                      help="compare the gated values against this committed "
+                           "baseline JSON; exit 1 on regression, 2 when the file "
+                           "is unusable or for another problem (the CI audit and "
+                           "memory gates)")
+    gate.add_argument("--gate-tol", type=float, default=0.02,
+                      help="allowed relative worsening of the gated values")
+    gate.add_argument("--update-gate", default=None, metavar="FILE",
+                      help="write the gate baseline from this run instead of "
+                           "comparing")
+    scripted = parent()
+    scripted.add_argument("--plan", default=None, metavar="FILE",
+                          help="fault-plan JSON (docs/FAULTS.md); default: the "
+                               "subcommand's seeded demo plan")
+    scripted.add_argument("--seed", type=int, default=0,
+                          help="seed for the demo plan (ignored with --plan)")
+
+    root = argparse.ArgumentParser(
+        prog="python -m repro.cli",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = root.add_subparsers(dest="command", metavar="subcommand",
+                              title="subcommands")
+
+    def command(name, main, parents, help, more="", **kw):
+        """``help`` is the line ``--help`` lists; ``<name> --help`` adds ``more``."""
+        ap = sub.add_parser(name, parents=parents, help=help,
+                            description=help + more, **kw)
+        ap.set_defaults(main=main)
+        return ap
+
+    ap = command(
+        "example_AB", _example_main, [run, as_json, mnk], prog="example_AB",
+        help="CA3DMM example: C = op(A) x op(B) on the virtual MPI runtime "
+             "(the default when the first argument is not a word)",
+    )
+    ap.add_argument("transA", type=_op_arg, nargs="?", default="N",
+                    help="0/N, 1/T, or C (conjugate transpose)")
+    ap.add_argument("transB", type=_op_arg, nargs="?", default="N")
+    ap.add_argument("validation", type=int, choices=(0, 1), nargs="?", default=1)
+    ap.add_argument("ntest", type=int, nargs="?", default=3)
+    ap.add_argument(
+        "dtype", type=int, choices=(0, 1), nargs="?", default=0,
+        help="device: 0 = CPU machine model, 1 = GPU machine model",
+    )
+    ap.add_argument("mp", type=int, nargs="?", default=0)
+    ap.add_argument("np_", metavar="np", type=int, nargs="?", default=0)
+    ap.add_argument("kp", type=int, nargs="?", default=0)
+    root.description = (
+        "CA3DMM on the virtual MPI runtime.  Without a subcommand the "
+        "arguments are example_AB's:\n\n" + ap.format_usage()
+    )
+
+    ap = command(
+        "trace", _trace_main, [workload, strict],
+        help="execute one multiplication with event recording and export a "
+             "Chrome-trace/Perfetto JSON plus its drift-guard report",
+    )
+    ap.add_argument("-o", "--output", default="ca3dmm.trace.json",
+                    help="Chrome-trace output path (load in Perfetto)")
+    ap.add_argument("--jsonl", default=None,
+                    help="also write a JSONL structured log to this path")
+    ap.add_argument("--no-transport-events", action="store_true",
+                    help="export only spans (phases/collectives), not "
+                         "per-message slices")
+
+    command(
+        "stats", _stats_main, [workload, as_json, strict],
+        help="execute one multiplication and print its metrics snapshot and "
+             "drift-guard report",
+    )
+
+    command(
+        "audit", _audit_main, [workload, as_json, strict, gate],
+        help="audit one multiplication's measured bytes-on-the-wire against "
+             "the eq. (4) schedule and the lower bounds",
+        more=": per phase against eq. (4) and the α-β collective accounting, "
+             "in total against eq. (9) and the red-blue pebbling bound "
+             "(2mnk/(P√M) with measured M)",
+    )
+
+    ap = command(
+        "memprof", _memprof_main, [workload, as_json, gate],
+        help="profile each rank's measured resident memory against the "
+             "eq. (11) footprint prediction",
+        more=" and any memory_limit_words cap: tagged allocation spans, "
+             "per-purpose breakdown, top-offender ranks",
+    )
+    ap.add_argument("--mem-tol", type=float, default=0.10,
+                    help="relative headroom allowed over eq. (11) / the cap")
+    ap.add_argument("--top", type=int, default=3,
+                    help="top-offender ranks listed in text mode")
+    ap.add_argument("--memory-limit", type=float, default=None,
+                    metavar="WORDS",
+                    help="plan under a Section V memory cap (words/process)")
+
+    ap = command(
+        "ledger", _ledger_main, [as_json],
+        help="render and query the append-only run ledger "
+             "(see docs/OBSERVABILITY.md)",
+    )
+    ap.add_argument("--path", default=None,
+                    help=f"ledger file (default: $REPRO_LEDGER or "
+                         f"{DEFAULT_LEDGER_PATH})")
+    ap.add_argument("--kind", default=None,
+                    help="only records from this producer (e.g. cli.audit)")
+    ap.add_argument("--shape", type=int, nargs=3, metavar=("M", "N", "K"),
+                    help="only records for this problem shape")
+    ap.add_argument("-np", "--nprocs", type=int, default=None,
+                    help="only records for this world size")
+    ap.add_argument("--last", type=int, default=None, metavar="N",
+                    help="only the newest N matching records")
+
+    command(
+        "critpath", _critpath_main, [workload, as_json, chain],
+        help="reconstruct the dependency chain that bounds one "
+             "multiplication's simulated makespan",
+        more=": per-phase blame, per-rank idle decomposition, stragglers",
+    )
+
+    ap = command(
+        "perfdiff", _perfdiff_main, [as_json],
+        help="re-execute the fixed workload matrix and diff it against the "
+             "committed perf baselines (the CI perf gate)",
+        more=": makespan, per-phase critical time, and traffic; exit 1 on a "
+             "regression, 2 when a baseline is for another problem",
+    )
+    ap.add_argument("names", nargs="*",
+                    help=f"workloads to check (default: all of "
+                         f"{' '.join(sorted(TRACE_WORKLOADS))})")
+    ap.add_argument("--baseline-dir", default="benchmarks/baselines",
+                    help="directory of committed <name>.json baselines")
+    ap.add_argument("--update", action="store_true",
+                    help="rewrite the baselines from this run instead of comparing")
+    ap.add_argument("--verbose", action="store_true",
+                    help="list every compared metric, not only changes")
+    ap.add_argument("--time-tol", type=float, default=PerfTolerance.time_rel,
+                    help="relative makespan tolerance (default %(default)s)")
+    ap.add_argument("--phase-tol", type=float, default=PerfTolerance.phase_rel,
+                    help="relative per-phase critical-time tolerance "
+                         "(default %(default)s)")
+    ap.add_argument("--bytes-tol", type=float, default=PerfTolerance.bytes_rel,
+                    help="relative traffic tolerance (default %(default)s)")
+    ap.add_argument("--inject-latency", type=float, default=1.0, metavar="X",
+                    help="scale the machine model's link latency/bandwidth "
+                         "costs by X before running (gate self-test; 1.0 = off)")
+
+    command(
+        "faults", _faults_main, [workload, as_json, chain, scripted],
+        help="execute one multiplication clean and under a deterministic "
+             "fault plan (docs/FAULTS.md) and report the degradation",
+        more=": makespan delta, retry counters, result correctness, and the "
+             "critical-path chain through the injected fault.  The demo plan "
+             "drops the first Cannon-phase message on every link.",
+    )
+
+    ap = command(
+        "recover", _recover_main, [workload, as_json, timeline, scripted],
+        help="execute one multiplication under rank kills and/or payload "
+             "corruption and recover a correct result (docs/RECOVERY.md)",
+        more=": ULFM-style shrink-replan-redistribute recovery and ABFT "
+             "checksum detect-and-recompute.  The demo plan is built from "
+             "--kill-rank / --corrupt; exits nonzero unless the faulted run "
+             "ends correct.",
+    )
+    ap.add_argument("--kill-rank", type=int, default=None, metavar="R",
+                    help="permanently kill rank R at its first Cannon entry "
+                         "(default demo when neither --corrupt nor --plan "
+                         "is given: rank 1)")
+    ap.add_argument("--corrupt", action="store_true",
+                    help="corrupt the first Cannon-phase message on every "
+                         "link (caught by ABFT)")
+    ap.add_argument("--corrupt-phase", default=None,
+                    choices=("replicate", "cannon", "reduce", "redist"),
+                    help="corrupt the first message of this algorithm phase "
+                         "on every link instead (end-to-end ABFT/CRC "
+                         "coverage; pick shapes whose plan has replicate "
+                         "traffic (c>1) or reduce traffic (pk>1) when "
+                         "targeting those phases, e.g. 64 64 64 -np 16)")
+    ap.add_argument("--salvage-report", action="store_true",
+                    help="print the per-(i,j) salvage table of the recovery "
+                         "round: which C cells were reused from retained "
+                         "ABFT-verified partials and which were recomputed")
+    ap.add_argument("--max-recoveries", type=int, default=2,
+                    help="shrink-replan rounds allowed before giving up")
+
+    ap = command(
+        "checkpoint", _checkpoint_main, [workload, as_json],
+        help="run a multi-call matmul pipeline under checkpoint/restart and "
+             "survive a rank killed mid-pipeline (docs/RECOVERY.md)",
+        more=": X <- op(A) @ X with alternating op; the survivors restart "
+             "from the newest checkpoint and the final iterate is verified "
+             "against numpy.  Exits 0 only when the faulted pipeline "
+             "recovers, matches the serial reference, and partial-result "
+             "reuse saved work (reused_flops > 0, recomputed < one full call).",
+    )
+    ap.add_argument("--calls", type=int, default=4,
+                    help="pipeline length (matmul calls)")
+    ap.add_argument("--ckpt-every", type=int, default=1, metavar="N",
+                    help="checkpoint after every N calls")
+    ap.add_argument("--kill-rank", type=int, default=1, metavar="R",
+                    help="rank to kill (permanently) mid-pipeline")
+    ap.add_argument("--kill-call", type=int, default=2, metavar="C",
+                    help="0-based call index whose Cannon stage kills the rank")
+    ap.add_argument("--store", choices=("mem", "dir"), default="mem",
+                    help="checkpoint store backend: in-memory disk or a "
+                         "real directory of .npy tiles")
+    ap.add_argument("--store-dir", default=None, metavar="PATH",
+                    help="directory for --store dir (default: a temp dir)")
+    ap.add_argument("--escaped", action="store_true",
+                    help="use non-resilient steps so the failure escapes to "
+                         "the pipeline restart path instead of being healed "
+                         "in-call (no partial-result reuse)")
+    ap.add_argument("--max-restarts", type=int, default=2,
+                    help="pipeline restarts allowed before giving up")
+    return root, list(sub.choices)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        try:
-            return _SUBCOMMANDS[argv[0]](argv[1:])
-        except GateError as exc:
-            print(f"{argv[0]}: {exc}", file=sys.stderr)
+    root, commands = _parser()
+    if argv and argv[0][:1].isalpha():
+        # a word is a subcommand's name; argparse would read a mistyped
+        # one as example_AB's M
+        if argv[0] not in commands:
+            print(f"unknown subcommand {argv[0]!r}; choose from "
+                  f"{', '.join(commands)}", file=sys.stderr)
             return 2
-    return _example_main(argv)
+    elif argv[:1] not in (["-h"], ["--help"]):
+        argv.insert(0, "example_AB")
+    args = root.parse_args(argv)
+    try:
+        return args.main(args)
+    except GateError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess test

@@ -51,8 +51,8 @@ deadlock, not a timeout — the scheduler keeps that job.)
 
 Plans round-trip through JSON (:meth:`FaultPlan.to_json` /
 :meth:`FaultPlan.from_json`, schema :data:`FAULTPLAN_JSON_SCHEMA`) so
-the same fault scenario can be replayed from the ``repro faults`` CLI,
-``python -m repro.bench --fault-plan``, and CI.
+the same fault scenario can be replayed from the ``repro faults`` /
+``repro recover`` CLI (``--plan``) and CI.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ class PerfDelta:
     metric: str
     baseline: float
     current: float
-    rel_change: float  #: (current - baseline) / max(|baseline|, tiny)
+    rel_change: float | None  #: (current - baseline) / |baseline|; None = new
     regressed: bool
     improved: bool
 
@@ -188,9 +188,10 @@ class PerfDiff:
         for d in self.deltas:
             if not verbose and not d.regressed and not d.improved:
                 continue
+            change = "new" if d.rel_change is None else f"{100 * d.rel_change:+.2f}%"
             lines.append(
                 f"  {d.metric:<28} {d.baseline:.6e} -> {d.current:.6e} "
-                f"({100 * d.rel_change:+7.2f}%)  {d.verdict}"
+                f"({change:>8})  {d.verdict}"
             )
         return "\n".join(lines)
 
@@ -250,7 +251,8 @@ def _delta(
     fail_on_decrease: bool = False,
 ) -> PerfDelta:
     diff = cur - base
-    rel = diff / max(abs(base), 1e-300)
+    # no ratio to a zero baseline: the metric is new (or still zero)
+    rel = diff / abs(base) if base else (None if diff else 0.0)
     over = diff > max(rel_tol * abs(base), abs_tol)
     under = -diff > max(rel_tol * abs(base), abs_tol)
     return PerfDelta(
@@ -358,10 +360,19 @@ class BaselineStore:
     def compare(
         self, name: str, current: dict[str, Any], tol: PerfTolerance | None = None
     ) -> PerfDiff | None:
-        """Diff ``current`` against the stored baseline (None if missing)."""
+        """Diff ``current`` against the stored baseline (None if missing).
+
+        Raises :class:`GateError` when the stored document was captured
+        for another ``workload`` than ``current``'s.
+        """
         base = self.load(name)
         if base is None:
             return None
+        if base["workload"] != current["workload"]:
+            raise GateError(
+                f"baseline {self.path(name)} is for workload {base['workload']}, "
+                f"this run is {current['workload']}"
+            )
         return compare_baseline(base, current, tol)
 
     def __iter__(self) -> Iterator[str]:  # pragma: no cover - convenience

@@ -19,7 +19,7 @@ canonical JSON (sorted keys, compact separators) so byte comparison is
 meaningful.
 
 Opt-in: nothing writes the ledger unless asked — pass ``--ledger`` to
-the CLI / bench harness or set the ``REPRO_LEDGER`` environment
+a ``repro.cli`` run or set the ``REPRO_LEDGER`` environment
 variable to a path (the literal value ``1`` selects the default path).
 This keeps test runs from dirtying the working tree.
 """

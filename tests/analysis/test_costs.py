@@ -6,9 +6,10 @@ import pytest
 
 from repro.analysis.costs import ca3dmm_cost, cosma_cost, ctf_cost, redist_cost
 from repro.analysis.verify import theoretical_metrics
+from repro.bench import CPU_PROBLEMS, SCALING_PROCS
 from repro.core import Ca3dmm
 from repro.core.plan import Ca3dmmPlan
-from repro.grid.optimizer import GridSpec
+from repro.grid.optimizer import GridSpec, ca3dmm_grid
 from repro.layout.matrix import DistMatrix, dense_random
 from repro.machine.model import MachineModel, laptop, pace_phoenix_cpu, pace_phoenix_gpu
 
@@ -56,10 +57,13 @@ class TestQLSConsistency:
         assert rep.q_words == pytest.approx(q, rel=0.05)
 
     def test_report_l_matches_eq10(self):
+        """The analytic engine's rounds are eq. (10), at every Fig. 3 point."""
         mach = laptop()
-        plan = Ca3dmmPlan(4096, 4096, 4096, 64)
-        rep = ca3dmm_cost(4096, 4096, 4096, 64, mach)
-        assert rep.l_msgs == pytest.approx(theoretical_metrics(plan).l_rounds, abs=2)
+        for prob in CPU_PROBLEMS:
+            for P in SCALING_PROCS:
+                rep = ca3dmm_cost(*prob.dims, P, mach)
+                grid = ca3dmm_grid(*prob.dims, P)
+                assert rep.l_msgs == grid.latency_ca3dmm(), (prob.cls, P)
 
     def test_report_memory_matches_eq11(self):
         mach = laptop()

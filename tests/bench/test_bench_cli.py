@@ -5,7 +5,11 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from repro.bench.__main__ import main
+from repro.bench.harness import TRACE_WORKLOADS
+from repro.cli import main as cli_main
 
 
 class TestBenchCli:
@@ -40,3 +44,37 @@ class TestBenchCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "Table III" in proc.stdout
+
+
+class TestOneFrontDoor:
+    """What ``repro.cli`` already does is not offered a second time."""
+
+    @pytest.mark.parametrize("flag", [
+        ["--fault-plan", "plan.json"],   # -> repro faults --plan
+        ["--kill-rank", "1"],            # -> repro recover --kill-rank
+        ["--history-dir", "hist"],       # -> repro audit --json
+        ["--ledger", "ledger.jsonl"],    # -> --ledger on every subcommand
+    ])
+    def test_deleted_flags_are_refused(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_help_offers_exactly_the_three_also_execute_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        flags = {word.rstrip(",") for word in out.split() if word.startswith("--")}
+        assert flags == {"--help", "--list", "--trace-dir", "--baseline-dir",
+                         "--ckpt-every"}
+
+    @pytest.mark.parametrize("name", sorted(TRACE_WORKLOADS))
+    def test_baseline_dir_and_perfdiff_update_write_the_same_file(
+            self, name, tmp_path, capsys):
+        assert cli_main(["perfdiff", name, "--update",
+                         "--baseline-dir", str(tmp_path / "x")]) == 0
+        assert main([name, "--baseline-dir", str(tmp_path / "y")]) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "x" / f"{name}.json").read_bytes()
+                == (tmp_path / "y" / f"{name}.json").read_bytes())

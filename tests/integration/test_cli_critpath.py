@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,17 @@ class TestPerfdiffSubcommand:
         assert rc == 1
         assert "NO BASELINE" in out
         assert "--update" in out
+
+    def test_baseline_for_another_problem_exits_two(self, tmp_path, capsys):
+        """A copied fig3.json (64^3) cannot judge fig2's 32x64x16 run:
+        one stderr line and exit 2 — exit 1 stays "regression"."""
+        shutil.copy(_BASELINE_DIR / "fig3.json", tmp_path / "fig2.json")
+        rc = main(["perfdiff", "fig2", "--baseline-dir", str(tmp_path)])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert "REGRESSION" not in cap.out
+        assert len(cap.err.splitlines()) == 1
+        assert cap.err.startswith("perfdiff: ") and "workload" in cap.err
 
     def test_unknown_workload_rejected(self, tmp_path, capsys):
         rc = main(["perfdiff", "fig99", "--baseline-dir", str(tmp_path)])

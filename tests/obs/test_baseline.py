@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import baseline_artifact, executed_workload
+from repro.bench.harness import (
+    baseline_artifact,
+    executed_workload,
+    workload_baseline,
+)
 from repro.machine.model import laptop
 from repro.obs.baseline import (
     BaselineStore,
@@ -21,6 +26,7 @@ from repro.obs.baseline import (
 )
 from repro.obs.export import TraceSchemaError
 
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 def _captured():
     _plan, result = executed_workload("fig2", machine=laptop())
@@ -71,6 +77,14 @@ class TestStore:
         (tmp_path / "bad.json").write_text(json.dumps({"nope": 1}))
         with pytest.raises(TraceSchemaError):
             BaselineStore(tmp_path).load("bad")
+
+    def test_compare_refuses_a_baseline_for_another_workload(self, tmp_path):
+        store = BaselineStore(tmp_path)
+        other = _captured()
+        other["workload"] = {"m": 64, "n": 64, "k": 64, "nprocs": 8}
+        store.save("fig2", other)
+        with pytest.raises(GateError, match="workload"):
+            store.compare("fig2", _captured())
 
     def test_compare_against_self_is_ok(self, tmp_path):
         store = BaselineStore(tmp_path)
@@ -158,6 +172,25 @@ class TestClassification:
         doc = json.loads(json.dumps(compare_baseline(base, cur).to_dict()))
         assert doc["ok"] is False
         assert any(d["verdict"] == "REGRESSED" for d in doc["deltas"])
+
+    def test_phase_absent_from_the_baseline_is_new_not_a_percentage(self):
+        """fig3's committed baseline (no replicate phase: 2x2x2) against a
+        fig2 run (1x4x2 replicates A): the verdict stays, the ratio to
+        zero is not printed as 300 digits."""
+        base = BaselineStore(BASELINES).load("fig3")
+        cur = workload_baseline("fig2")
+        assert "replicate" not in base["phase_critical_s"]
+        diff = compare_baseline(base, cur)
+        (delta,) = [d for d in diff.deltas
+                    if d.metric == "phase_critical_s[replicate]"]
+        assert delta.baseline == 0.0 and delta.current > 0.0
+        assert delta.regressed and delta.rel_change is None
+        assert delta.to_dict()["rel_change"] is None
+        line = next(ln for ln in diff.format().splitlines() if "replicate" in ln)
+        assert "(     new)  REGRESSED" in line and len(line) < 100
+        # zero on both sides is no change, as before
+        same = compare_baseline(base, base)
+        assert all(d.rel_change == 0.0 for d in same.deltas)
 
 
 class TestBenchArtifact:
