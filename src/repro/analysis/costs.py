@@ -101,10 +101,7 @@ def _pairwise(machine: MachineModel, ranks: list[int], block_bytes: float) -> Ph
     g = len(ranks)
     if g <= 1:
         return PhaseCost()
-    me = ranks[0]
-    t = 0.0
-    for i in range(1, g):
-        t += machine.msg_time(block_bytes, me, ranks[i % g])
+    t = machine.fan_out_time(block_bytes, ranks)
     return PhaseCost(time=t, words=block_bytes * (g - 1) / ITEM, msgs=g - 1)
 
 
@@ -162,9 +159,9 @@ def _bcast_vdg(machine: MachineModel, ranks: list[int], total_bytes: float) -> P
     if g <= 1:
         return PhaseCost()
     piece = total_bytes / g
-    t, words = 0.0, 0.0
-    for r in ranks[1:]:
-        t += machine.msg_time(piece, ranks[0], r)
+    t = machine.fan_out_time(piece, ranks)
+    words = 0.0
+    for _ in range(g - 1):  # accumulated, not multiplied: see fan_out_time
         words += piece / ITEM
     ag = _bruck_allgather(machine, ranks, total_bytes)
     return PhaseCost(time=t + ag.time, words=words + ag.words, msgs=(g - 1) + ag.msgs)

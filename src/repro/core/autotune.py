@@ -28,9 +28,9 @@ from ..grid.optimizer import (
     DEFAULT_L,
     GridSpec,
     MemLimitInfeasibleWarning,
+    best_grids,
     ca3dmm_grid,
     cosma_grid,
-    enumerate_grids,
 )
 from ..machine.model import MachineModel
 from .ca3dmm import Ca3dmm
@@ -85,10 +85,15 @@ class TuneResult:
 def _near_optimal_grids(
     m: int, n: int, k: int, nprocs: int, l: float, count: int = 4
 ) -> list[GridSpec]:
-    """The few lowest per-process-volume grids satisfying (5) and (7)."""
-    cands = enumerate_grids(nprocs, l, require_divisible=True)
-    cands.sort(key=lambda g: (g.surface(m, n, k) / g.used, -g.used))
-    return cands[:count]
+    """The few lowest per-process-volume grids satisfying (5) and (7).
+
+    Ranked by volume, then utilization, then ``(pm, pn)`` — eq. (10)
+    latency plays no part, so on a tie the first entry may differ from
+    :func:`ca3dmm_grid`'s.
+    """
+    return best_grids(
+        m, n, k, nprocs, l, require_divisible=True, use_latency=False, count=count
+    )
 
 
 def tune(

@@ -11,6 +11,7 @@ from .factorize import (
 from .optimizer import (
     DEFAULT_L,
     GridSpec,
+    best_grids,
     ca3dmm_grid,
     cosma_grid,
     ctf_grid,
@@ -27,6 +28,7 @@ __all__ = [
     "GridSpec",
     "DEFAULT_L",
     "enumerate_grids",
+    "best_grids",
     "ca3dmm_grid",
     "cosma_grid",
     "ctf_grid",

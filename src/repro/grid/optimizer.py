@@ -16,6 +16,11 @@ ranks).  Three selectors are provided:
   replication factor ``c``, with no rectangular-problem optimization
   (the reason the paper's CTF numbers trail on rectangular problems).
 
+The first two are one search, :func:`best_grids`: the candidates of
+eqs. (5)/(7) live in integer arrays (:func:`_candidates`), a float64
+screen keeps the handful that can win, and the exact
+:func:`_sorted_key` — Python-int arithmetic — decides among those.
+
 All selectors are deterministic; ties resolve lexicographically, so
 every rank computes the same grid independently.
 """
@@ -23,8 +28,11 @@ every rank computes the same grid independently.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .factorize import divisors, perfect_square_part
 
@@ -158,12 +166,22 @@ def _sorted_key(m: int, n: int, k: int, use_latency: bool = True):
     return key
 
 
-def enumerate_grids(
-    nprocs: int,
-    l: float = DEFAULT_L,
-    require_divisible: bool = True,
-) -> list[GridSpec]:
-    """All grids satisfying eq. (5) (and optionally eq. (7)).
+def _check_search_args(nprocs: int, l: float, dims: tuple = ()) -> None:
+    """Reject inputs for which no search is defined, before any work."""
+    if not isinstance(nprocs, numbers.Integral) or nprocs < 1:
+        raise ValueError(f"nprocs must be a positive integer, got {nprocs!r}")
+    if not 0 < l <= 1:  # also catches nan
+        raise ValueError(
+            f"l must satisfy 0 < l <= 1 (eq. (5): l*P <= pm*pn*pk <= P), got {l!r}"
+        )
+    if dims and min(dims) < 0:
+        raise ValueError(f"matrix dimensions must be non-negative, got {dims}")
+
+
+def _candidates(
+    nprocs: int, l: float, require_divisible: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pm, pn, pk)`` of every grid satisfying eq. (5) (and optionally (7)).
 
     Mirrors the reference implementation's search: for each ``(pm, pn)``
     pair the k-extent is maximal, ``pk = floor(P / (pm*pn))``, and the
@@ -171,18 +189,146 @@ def enumerate_grids(
     rule is why the paper reports grids like 2x2x512 at P=2048 rather
     than the marginally lower-surface 2x2x487; Example 3 of the paper,
     P=17 -> 2x2x4 with one idle rank, fixes the bound as the floor.)
+
+    Pairs come in lexicographic ``(pm, pn)`` order, ``pn <= P // pm``
+    (``P ln P`` of them before the masks: 25 151 at P = 3072, a few
+    200 kB temporaries).  With ``0 < l <= 1`` the bound never exceeds P,
+    so ``1 x 1 x P`` always passes and the result is never empty.
     """
     lo = max(1, math.floor(l * nprocs + 1e-9))
-    out: list[GridSpec] = []
-    for pm in range(1, nprocs + 1):
-        for pn in range(1, nprocs // pm + 1):
-            if require_divisible and max(pm, pn) % min(pm, pn) != 0:
-                continue
-            pk = nprocs // (pm * pn)
-            if pm * pn * pk < lo:
-                continue
-            out.append(GridSpec(pm=pm, pn=pn, pk=pk, nprocs=nprocs))
-    return out
+    # Eq. (5) and pk depend on the product q = pm*pn alone, so both are
+    # tabulated over q = 1..P; P // q is also how many pn a given pm admits.
+    q_all = np.arange(1, nprocs + 1)
+    pk_of = nprocs // q_all
+    fits = q_all * pk_of >= lo
+    pm = np.repeat(q_all, pk_of)
+    pn = np.arange(1, len(pm) + 1) - np.repeat(np.cumsum(pk_of) - pk_of, pk_of)
+    q = pm * pn
+    keep = np.flatnonzero(fits[q - 1])
+    pm, pn, pk = pm[keep], pn[keep], pk_of[q[keep] - 1]
+    if require_divisible:
+        keep = np.flatnonzero((pm % pn == 0) | (pn % pm == 0))
+        pm, pn, pk = pm[keep], pn[keep], pk[keep]
+    return pm, pn, pk
+
+
+def _specs(cands, nprocs: int, keep=slice(None)) -> list[GridSpec]:
+    """Validated ``GridSpec``s (Python ints) for the selected candidates."""
+    return [
+        GridSpec(pm=pm, pn=pn, pk=pk, nprocs=nprocs)
+        for pm, pn, pk in zip(*(a[keep].tolist() for a in cands))
+    ]
+
+
+def enumerate_grids(
+    nprocs: int,
+    l: float = DEFAULT_L,
+    require_divisible: bool = True,
+) -> list[GridSpec]:
+    """All grids satisfying eq. (5) (and optionally eq. (7)).
+
+    One ``GridSpec`` per candidate of :func:`_candidates`, in its
+    lexicographic ``(pm, pn)`` order.  Requires ``nprocs >= 1`` and
+    ``0 < l <= 1`` (``ValueError`` otherwise).
+    """
+    _check_search_args(nprocs, l)
+    nprocs = int(nprocs)
+    return _specs(_candidates(nprocs, l, require_divisible), nprocs)
+
+
+#: Relative margin of the float64 screen in :func:`best_grids`.  The
+#: screened quantities are a handful of float64 operations on exactly
+#: representable or once-rounded inputs (relative error < 1e-15), so a
+#: candidate the exact key would rank among the best cannot sit further
+#: than this above the float cutoff.
+SCREEN_MARGIN = 1e-9
+
+
+def _cutoff(score: np.ndarray, count: int) -> float:
+    """A bound no score among the ``count`` smallest can exceed, with margin."""
+    if not 0 < count <= len(score):
+        return math.inf
+    return float(np.partition(score, count - 1)[count - 1]) * (1.0 + SCREEN_MARGIN)
+
+
+def best_grids(
+    m: int,
+    n: int,
+    k: int,
+    nprocs: int,
+    l: float = DEFAULT_L,
+    *,
+    require_divisible: bool,
+    use_latency: bool,
+    count: int = 1,
+    memory_limit_words: float | None = None,
+) -> list[GridSpec]:
+    """The ``count`` best grids under :func:`_sorted_key`, best first.
+
+    *Screen in float64, decide in exact arithmetic*: per-process volume
+    (and eq. (11) memory under a cap) is computed over the candidate
+    arrays; only candidates within :data:`SCREEN_MARGIN` of the
+    ``count``-th best (and of the cap) become ``GridSpec``s, and those
+    are ordered by the exact key — Python-int surface, ``-used``,
+    eq. (10) latency, lexicographic tie-break — so the result is the one
+    a full exact sort would give, for any magnitude of ``m, n, k``.
+
+    ``memory_limit_words`` (needs ``require_divisible``: eq. (11) is
+    defined under constraint (7)) drops candidates whose
+    ``memory_words`` exceeds it.  If none fits, the single
+    minimum-memory grid is returned with a
+    :class:`MemLimitInfeasibleWarning` attributed to the caller's caller
+    (``ca3dmm_grid``'s caller).  Dimensions whose eq. (4) surface
+    overflows float64 raise ``OverflowError``.
+    """
+    _check_search_args(nprocs, l, (m, n, k))
+    if memory_limit_words is not None and not require_divisible:
+        raise ValueError("memory_limit_words needs require_divisible: eq. (11) assumes eq. (7)")
+    nprocs = int(nprocs)
+    pm, pn, pk = cands = _candidates(nprocs, l, require_divisible)
+    mk, kn, mn = float(m * k), float(k * n), float(m * n)
+    used = pm * pn * pk
+    with np.errstate(over="ignore", invalid="ignore"):
+        volume = 2.0 * (pm * kn + pn * mk + pk * mn) / used
+    if not np.isfinite(volume).all():
+        raise OverflowError(f"eq. (4) surface of ({m}, {n}, {k}) exceeds float64")
+    key = _sorted_key(m, n, k, use_latency)
+    if memory_limit_words is None:
+        keep = np.flatnonzero(volume <= _cutoff(volume, count))
+        return sorted(_specs(cands, nprocs, keep), key=key)[:count]
+
+    c = np.maximum(pm, pn) // np.minimum(pm, pn)
+    a_wide = pn > pm  # A is the replicated operand
+    memory = (
+        2.0 * (np.where(a_wide, c, 1) * mk + np.where(a_wide, 1, c) * kn) + pk * mn
+    ) / used
+    # The cutoff comes from candidates that fit even with the margin
+    # against them, so it bounds the count-th best of those that truly fit.
+    surely = memory * (1.0 + SCREEN_MARGIN) <= memory_limit_words
+    maybe = memory <= memory_limit_words * (1.0 + SCREEN_MARGIN)
+    keep = np.flatnonzero(maybe & (volume <= _cutoff(volume[surely], count)))
+    fitting = [
+        g for g in _specs(cands, nprocs, keep)
+        if g.memory_words(m, n, k) <= memory_limit_words
+    ]
+    if fitting:
+        return sorted(fitting, key=key)[:count]
+    keep = np.flatnonzero(memory <= _cutoff(memory, 1))
+    fallback = min(
+        _specs(cands, nprocs, keep), key=lambda g: (g.memory_words(m, n, k), key(g))
+    )
+    warnings.warn(
+        MemLimitInfeasibleWarning(
+            f"memory_limit_words={memory_limit_words:g} excludes "
+            f"every candidate grid for (m={m}, n={n}, k={k}, "
+            f"P={nprocs}); using the minimum-memory grid "
+            f"{fallback} whose eq. (11) footprint "
+            f"{fallback.memory_words(m, n, k):.0f} words "
+            f"exceeds the cap"
+        ),
+        stacklevel=3,
+    )
+    return [fallback]
 
 
 def ca3dmm_grid(
@@ -200,42 +346,19 @@ def ca3dmm_grid(
     Candidates over the limit are dropped (the search then drifts toward
     2D-like grids — fewer k-task groups, less replication — exactly the
     paper's proposed mechanism); if *no* candidate fits, the
-    minimum-memory grid is returned so the call still succeeds.
+    minimum-memory grid is returned with a
+    :class:`MemLimitInfeasibleWarning` so the call still succeeds.
 
-    If no grid satisfies eq. (5) with the given ``l`` (possible only for
-    pathological ``l`` close to 1), the bound is relaxed geometrically —
-    a grid using at least one process always exists (1x1xP).
+    Requires ``nprocs >= 1``, ``0 < l <= 1`` (eq. 5) and non-negative
+    dimensions (``ValueError`` otherwise); ``1 x 1 x P`` satisfies every
+    such ``l``, so a grid always exists.
     """
-    if nprocs < 1:
-        raise ValueError("nprocs must be >= 1")
-    bound = l
-    while True:
-        cands = enumerate_grids(nprocs, bound, require_divisible=True)
-        if cands:
-            if memory_limit_words is not None:
-                fitting = [
-                    c for c in cands if c.memory_words(m, n, k) <= memory_limit_words
-                ]
-                if not fitting:
-                    fallback = min(
-                        cands,
-                        key=lambda c: (c.memory_words(m, n, k), _sorted_key(m, n, k)(c)),
-                    )
-                    warnings.warn(
-                        MemLimitInfeasibleWarning(
-                            f"memory_limit_words={memory_limit_words:g} excludes "
-                            f"every candidate grid for (m={m}, n={n}, k={k}, "
-                            f"P={nprocs}); using the minimum-memory grid "
-                            f"{fallback} whose eq. (11) footprint "
-                            f"{fallback.memory_words(m, n, k):.0f} words "
-                            f"exceeds the cap"
-                        ),
-                        stacklevel=2,
-                    )
-                    return fallback
-                cands = fitting
-            return min(cands, key=_sorted_key(m, n, k))
-        bound *= 0.5  # pragma: no cover - 1x1xP always satisfies l <= 1
+    return best_grids(
+        m, n, k, nprocs, l,
+        require_divisible=True, use_latency=True,
+        memory_limit_words=memory_limit_words,
+    )[0]
+
 
 def cosma_grid(
     m: int,
@@ -244,13 +367,13 @@ def cosma_grid(
     nprocs: int,
     l: float = DEFAULT_L,
 ) -> GridSpec:
-    """COSMA-source-style grid: eq. (4) minimized without constraint (7)."""
-    bound = l
-    while True:
-        cands = enumerate_grids(nprocs, bound, require_divisible=False)
-        if cands:
-            return min(cands, key=_sorted_key(m, n, k, use_latency=False))
-        bound *= 0.5  # pragma: no cover
+    """COSMA-source-style grid: eq. (4) minimized without constraint (7).
+
+    Same argument contract as :func:`ca3dmm_grid`.
+    """
+    return best_grids(
+        m, n, k, nprocs, l, require_divisible=False, use_latency=False
+    )[0]
 
 
 def ctf_grid(m: int, n: int, k: int, nprocs: int) -> GridSpec:

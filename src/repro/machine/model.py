@@ -141,6 +141,26 @@ class MachineModel:
             return self.alpha_intra + self.beta_intra * nbytes
         return self.alpha + self.beta * nbytes
 
+    def fan_out_time(self, nbytes: float, ranks: list[int]) -> float:
+        """Time for ``ranks[0]`` to send one ``nbytes`` message to every
+        other rank of the group, in turn.
+
+        Equal bit for bit to adding ``msg_time(nbytes, ranks[0], r)``
+        over ``ranks[1:]``, with the two values :meth:`msg_time` chooses
+        between priced once per group instead of once per message.  The
+        times are still *accumulated* left to right: ``sum()`` or a
+        ``count * time`` closed form rounds differently in the last bit,
+        and the paper-scale tables print these sums.
+        """
+        intra = self.alpha_intra + self.beta_intra * nbytes
+        inter = self.alpha + self.beta * nbytes
+        per_node = max(1, self.ranks_per_node)
+        home = ranks[0] // per_node
+        t = 0.0
+        for r in ranks[1:]:
+            t += intra if r // per_node == home else inter
+        return t
+
     def compute_time(self, flops: float) -> float:
         """Simulated time of ``flops`` floating-point operations."""
         return flops * self.gamma

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.costs import ca3dmm_cost, cosma_cost, ctf_cost, redist_cost
+from repro.analysis.costs import (
+    ITEM,
+    _bcast_vdg,
+    _bruck_allgather,
+    _pairwise,
+    ca3dmm_cost,
+    cosma_cost,
+    ctf_cost,
+    redist_cost,
+)
 from repro.analysis.verify import theoretical_metrics
 from repro.bench import CPU_PROBLEMS, SCALING_PROCS
 from repro.core import Ca3dmm
@@ -111,6 +120,52 @@ class TestRedistCost:
         big = redist_cost(mach, 1e8, 64)
         assert big.time > small.time
         assert big.words == pytest.approx(100 * small.words, rel=1e-6)
+
+
+class TestPatternPricingIsBitIdentical:
+    """``_pairwise`` and ``_bcast_vdg`` price a group's two message times
+    once (``MachineModel.fan_out_time``) and accumulate them; the sums
+    must equal — ``==``, not ``approx`` — one ``msg_time`` call per
+    message added left to right, because the committed tables print
+    them."""
+
+    MACHINES = {
+        "mpi": pace_phoenix_cpu("mpi"),
+        "hybrid": pace_phoenix_cpu("hybrid"),
+        "gpu": pace_phoenix_gpu(),
+        "mpi-full-overlap": pace_phoenix_cpu("mpi").with_overlap("full"),
+    }
+
+    @staticmethod
+    def per_message(machine, ranks, nbytes):
+        t = 0.0
+        for r in ranks[1:]:
+            t += machine.msg_time(nbytes, ranks[0], r)
+        return t
+
+    @pytest.mark.parametrize("g", [1, 2, 24, 341, 3072])
+    @pytest.mark.parametrize("stride", [1, 2, 9, 24])
+    @pytest.mark.parametrize("name", MACHINES)
+    def test_equal_to_the_per_message_loop(self, name, stride, g):
+        machine = self.MACHINES[name]
+        ranks = [5 + i * stride for i in range(g)]  # rank 5: mid-node start
+        for nbytes in (0.0, 8.0, 4096.0 / 3.0, 1e6 / 7.0, 2.5e9):
+            cost = _pairwise(machine, ranks, nbytes)
+            assert cost.time == self.per_message(machine, ranks, nbytes)
+            assert cost.msgs == max(0, g - 1)
+            assert cost.words == (nbytes * (g - 1) / ITEM if g > 1 else 0.0)
+
+            bcast = _bcast_vdg(machine, ranks, nbytes)
+            if g == 1:
+                assert (bcast.time, bcast.words, bcast.msgs) == (0.0, 0.0, 0)
+                continue
+            piece, words = nbytes / g, 0.0
+            for _ in ranks[1:]:
+                words += piece / ITEM
+            gather = _bruck_allgather(machine, ranks, nbytes)
+            assert bcast.time == self.per_message(machine, ranks, piece) + gather.time
+            assert bcast.words == words + gather.words
+            assert bcast.msgs == g - 1 + gather.msgs
 
 
 class TestShapesAtPaperScale:

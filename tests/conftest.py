@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
+
+#: ``--hypothesis-profile thorough``: 2 000 examples for the properties
+#: that leave ``max_examples`` to the profile (the grid-search
+#: differential suite, ``tests/grid/test_search_equivalence.py``).
+settings.register_profile("thorough", max_examples=2000)
 
 
 @pytest.fixture
