@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Executed mini-Fig-3: compare ten PGEMM schedules on real data.
+"""Executed mini-Fig-3: compare every PGEMM schedule on real data.
 
-Runs every algorithm family in the library — CA3DMM, CA3DMM-S, the
-COSMA-like and CTF-like schedules, the SUMMA family (stationary-C plus
-the auto-dispatched stationary-A/B), 1D, the original 3D, 2.5D, and
-CARMA — on one problem per paper class, all on
-the executed engine (scheduled ranks + measured traffic), and prints each
-algorithm's *measured* per-rank communication volume and simulated
-time.  The orderings mirror Fig. 3's: the 3D-family algorithms move
+Runs the whole registry ``repro.baselines.SCHEDULES`` — CA3DMM,
+CA3DMM-S, the COSMA-like and CTF-like schedules, the SUMMA family, the
+1D family, Cannon, the original 3D, 2.5D, and CARMA — on one problem per
+paper class, all on the executed engine (scheduled ranks + measured
+traffic), and prints each algorithm's *measured* per-rank communication
+volume and simulated time.  The orderings mirror Fig. 3's: the 3D-family algorithms move
 the least data, CTF-style grids move the most on rectangular shapes.
 
 Run:  python examples/algorithm_comparison.py
@@ -18,48 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BlockCol1D, DistMatrix, dense_random, run_spmd
-from repro.baselines import (
-    algo25d_matmul,
-    algo3d_matmul,
-    carma_matmul,
-    cosma_matmul,
-    ctf_matmul,
-    matmul_1d,
-    summa_auto_matmul,
-    summa_matmul,
-)
+from repro.baselines import SCHEDULES
 from repro.bench.report import format_table
-from repro.core import ca3dmm_matmul
-from repro.core.summa_variant import ca3dmm_s_matmul
 
-NPROCS = 16
+NPROCS = 16  # a square, so Cannon takes part
 PROBLEMS = [
     ("square", 96, 96, 96),
     ("large-K", 24, 24, 960),
     ("large-M", 960, 24, 24),
     ("flat", 160, 160, 16),
 ]
-ALGOS = [
-    ("CA3DMM", ca3dmm_matmul),
-    ("CA3DMM-S", ca3dmm_s_matmul),
-    ("COSMA-like", cosma_matmul),
-    ("CTF-like", ctf_matmul),
-    ("SUMMA", summa_matmul),
-    ("SUMMA-auto", summa_auto_matmul),
-    ("1D", matmul_1d),
-    ("3D", algo3d_matmul),
-    ("2.5D", algo25d_matmul),
-    ("CARMA", carma_matmul),
-]
-
-
 def rank_main(comm, m, n, k):
     a_mat, b_mat = dense_random(m, k, 1), dense_random(k, n, 2)
     a = DistMatrix.from_global(comm, BlockCol1D((m, k), comm.size), a_mat)
     b = DistMatrix.from_global(comm, BlockCol1D((k, n), comm.size), b_mat)
     ref = a_mat @ b_mat
     out = {}
-    for name, fn in ALGOS:
+    for name, fn in SCHEDULES.items():
         before = comm.transport.trace(comm.world_rank)
         c = fn(a, b)
         after = comm.transport.trace(comm.world_rank)
@@ -76,7 +50,7 @@ def main() -> None:
     for cls, m, n, k in PROBLEMS:
         res = run_spmd(NPROCS, rank_main, args=(m, n, k), deadlock_timeout=300.0)
         rows = []
-        for name, _ in ALGOS:
+        for name in SCHEDULES:
             per_rank = [r[name] for r in res.results]
             assert all(ok for ok, _, _ in per_rank), f"{name} wrong on {cls}"
             words = max(b for _, b, _ in per_rank) / 8

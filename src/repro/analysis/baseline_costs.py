@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from ..grid.factorize import near_square_pair
+from ..grid.optimizer import GridSpec
 from ..machine.model import MachineModel
 from .costs import (
     ITEM,
@@ -25,7 +26,6 @@ from .costs import (
     PhaseCost,
     _bcast_vdg,
     _bruck_allgather,
-    _pairwise,
     _reduce_scatter,
 )
 
@@ -90,12 +90,13 @@ def summa_cost(
     mb, nb = m / pr, n / pc
     iters = max(1, math.ceil(k / panel))
     b = k / iters
+    g = GridSpec(pr, pc, 1, nprocs)
     ph = rep.phase("replicate")
     for _ in range(iters):
-        if pc > 1:  # A panel along the row (pc ranks, stride pr)
-            ph.__iadd__(_bcast_vdg(machine, [i * pr for i in range(pc)], mb * b * ITEM))
-        if pr > 1:  # B panel along the column (pr ranks, stride 1)
-            ph.__iadd__(_bcast_vdg(machine, list(range(pr)), b * nb * ITEM))
+        if pc > 1:  # A panel along the grid row
+            ph.__iadd__(_bcast_vdg(machine, g.fiber("n"), mb * b * ITEM))
+        if pr > 1:  # B panel along the grid column
+            ph.__iadd__(_bcast_vdg(machine, g.fiber("m"), b * nb * ITEM))
     rep.phase("compute").time += machine.gemm_time(
         int(mb), int(nb), max(1, int(k)),
         stage_bytes=int((mb * k + k * nb + mb * nb) * ITEM),
@@ -125,10 +126,9 @@ def algo25d_cost(
         grid=f"{sq}x{sq}x{c}", machine=machine,
     )
     mb, nb, kb = m / sq, n / sq, k / sq
-    layer = sq * sq
+    fiber = GridSpec(sq, sq, c, nprocs).fiber("k")  # one rank per layer
     ph = rep.phase("replicate")
     if c > 1:
-        fiber = [i * layer for i in range(c)]
         ph.__iadd__(_bcast_vdg(machine, fiber, mb * kb * ITEM))
         ph.__iadd__(_bcast_vdg(machine, fiber, kb * nb * ITEM))
     steps = math.ceil(sq / c)
@@ -149,7 +149,6 @@ def algo25d_cost(
     rep.phase("compute").time += steps * gemm_step
     rep.flops_per_rank = 2.0 * mb * nb * kb * steps
     if c > 1:
-        fiber = [i * layer for i in range(c)]
         rep.phase("reduce").__iadd__(_reduce_scatter(machine, fiber, mb * nb * ITEM))
     rep.mem_words = 2.0 * (mb * kb + kb * nb) + mb * nb
     return rep
@@ -220,10 +219,3 @@ def carma_cost(
     rep.mem_words = a_hold + b_hold + fm * fn
     return rep
 
-
-BASELINE_COSTS = {
-    "1d": algo1d_cost,
-    "summa": summa_cost,
-    "2.5d": algo25d_cost,
-    "carma": carma_cost,
-}

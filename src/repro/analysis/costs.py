@@ -69,9 +69,6 @@ class CostReport:
     def t_total(self) -> float:
         return sum(p.time for p in self.phases.values())
 
-    def t_of(self, *names: str) -> float:
-        return sum(self.phases[nm].time for nm in names if nm in self.phases)
-
     @property
     def q_words(self) -> float:
         """Max words sent by a rank (the paper's communication size Q)."""
@@ -283,14 +280,6 @@ def ca3dmm_cost(
             ph_cmp.time += s * gemm_step
         else:
             ph_cmp.time += gemm_step
-        rep.flops_per_rank = 2.0 * mb * nb * kg
-
-        # Step 7: reduce-scatter over the pk-rank k-reduction group.
-        if pk > 1:
-            ranks = [i * pm * pn for i in range(pk)]
-            rep.phase("reduce").__iadd__(
-                _reduce_scatter(machine, ranks, mb * nb * ITEM)
-            )
 
         repl_factor_a = c if g.replicates_a else 1
         repl_factor_b = 1 if g.replicates_a else c
@@ -306,11 +295,11 @@ def ca3dmm_cost(
         for _ in range(iters):
             if pn > 1:
                 ph_rep.__iadd__(
-                    _bcast_vdg(machine, [i * pm for i in range(pn)], mb * panel * ITEM)
+                    _bcast_vdg(machine, g.fiber("n"), mb * panel * ITEM)
                 )
             if pm > 1:
                 ph_rep.__iadd__(
-                    _bcast_vdg(machine, list(range(pm)), panel * nb * ITEM)
+                    _bcast_vdg(machine, g.fiber("m"), panel * nb * ITEM)
                 )
         gemm = machine.gemm_time(int(mb), int(nb), max(1, int(kg)))
         if machine.overlap_enabled and iters > 1:
@@ -324,14 +313,14 @@ def ca3dmm_cost(
                 frac *= 0.5
             ph_rep.time -= frac * min(ph_rep.time, gemm)
         ph_cmp.time += gemm
-        rep.flops_per_rank = 2.0 * mb * nb * kg
-        if pk > 1:
-            ranks = [i * pm * pn for i in range(pk)]
-            rep.phase("reduce").__iadd__(
-                _reduce_scatter(machine, ranks, mb * nb * ITEM)
-            )
         rep.mem_words = 2.0 * (m * k + k * n) / g.used + pk * m * n / g.used
 
+    # Step 7, either kernel: reduce-scatter over the pk-rank k-fiber.
+    rep.flops_per_rank = 2.0 * mb * nb * kg
+    if pk > 1:
+        rep.phase("reduce").__iadd__(
+            _reduce_scatter(machine, g.fiber("k"), mb * nb * ITEM)
+        )
     if custom_layout:
         rep.phase("redist").__iadd__(PhaseCost())  # C conversion folded above
     return rep
@@ -382,12 +371,10 @@ def cosma_cost(
         stage_bytes=int((mb * kg + kg * nb + mb * nb) * ITEM),
     )
     ph_rep = rep.phase("replicate")
-    if pn > 1:  # allgather A over the n-groups (stride pm)
-        ph_rep.__iadd__(
-            _bruck_allgather(machine, [i * pm for i in range(pn)], mb * kg * ITEM)
-        )
-    if pm > 1:  # allgather B over the m-groups (stride 1)
-        ph_rep.__iadd__(_bruck_allgather(machine, list(range(pm)), kg * nb * ITEM))
+    if pn > 1:  # allgather A over the n-groups
+        ph_rep.__iadd__(_bruck_allgather(machine, g.fiber("n"), mb * kg * ITEM))
+    if pm > 1:  # allgather B over the m-groups
+        ph_rep.__iadd__(_bruck_allgather(machine, g.fiber("m"), kg * nb * ITEM))
     # Pipelined overlap hides part of the replication behind the GEMM.
     hidden = min(ph_rep.time * overlap_factor, gemm * 0.9)
     ph_rep.time -= hidden
@@ -395,11 +382,10 @@ def cosma_cost(
     rep.phase("compute").time += gemm
     rep.flops_per_rank = 2.0 * mb * nb * kg
     if pk > 1:
-        ranks = [i * pm * pn for i in range(pk)]
         # COSMA's own binary-tree collectives dodge the MVAPICH2
         # reduce-scatter threshold the paper observed (Section IV-C).
         rep.phase("reduce").__iadd__(
-            _reduce_scatter(machine, ranks, mb * nb * ITEM, degraded=False)
+            _reduce_scatter(machine, g.fiber("k"), mb * nb * ITEM, degraded=False)
         )
 
     # Fully materialized replicated operands, the local C block, and the
@@ -442,11 +428,10 @@ def ctf_cost(
     )
     mb, nb = m / sq, n / sq
     kb = k / sq  # Cannon-block k extent on the sq x sq face
-    layer = sq * sq
+    fiber = GridSpec(sq, sq, c, g.nprocs).fiber("k")  # one rank per layer
 
     ph_rep = rep.phase("replicate")
     if c > 1:  # broadcast A and B down the layer fibers
-        fiber = [i * layer for i in range(c)]
         ph_rep.__iadd__(_bcast_vdg(machine, fiber, mb * kb * ITEM))
         ph_rep.__iadd__(_bcast_vdg(machine, fiber, kb * nb * ITEM))
     steps = math.ceil(sq / c)
@@ -471,7 +456,6 @@ def ctf_cost(
     ) / eff
     rep.flops_per_rank = 2.0 * mb * nb * kb * steps
     if c > 1:
-        fiber = [i * layer for i in range(c)]
         rep.phase("reduce").__iadd__(
             _reduce_scatter(machine, fiber, mb * nb * ITEM)
         )
@@ -483,9 +467,3 @@ def ctf_cost(
     rep.mem_words = 2.0 * (mb * kb + kb * nb) + 2.0 * mb * nb
     return rep
 
-
-ALGO_COSTS = {
-    "ca3dmm": ca3dmm_cost,
-    "cosma": cosma_cost,
-    "ctf": ctf_cost,
-}

@@ -36,19 +36,6 @@ def _full_on_all(mat: DistMatrix) -> np.ndarray:
     return mat.to_global()
 
 
-def _trailing_dist(n: int, j1: int, nranks: int) -> Explicit:
-    """Row-band layout of the trailing submatrix A[j1:, j1:]."""
-    size = n - j1
-    mapping = {}
-    from ..layout.blocks import block_range
-
-    for r in range(nranks):
-        lo, hi = block_range(size, nranks, r)
-        if hi > lo:
-            mapping[r] = [Rect(j1 + lo, j1 + hi, j1, n)]
-    return Explicit.from_mapping((n, n), nranks, mapping)
-
-
 def block_cholesky(
     a: DistMatrix,
     block: int = 8,

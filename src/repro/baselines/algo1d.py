@@ -17,108 +17,75 @@ grid has two unit dimensions (e.g. ``1 x 1 x P`` for an inner product).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ..layout.blocks import block_range
+from ..core.reduce_c import split_block
+from ..core.steps import NativeDists, enter, leave, problem_dims
 from ..layout.distributions import BlockCol1D, BlockRow1D, Distribution
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
+
+
+@lru_cache(maxsize=64)
+def _native_dists(split: str, m: int, n: int, k: int, nranks: int) -> NativeDists:
+    """Native layouts of the 1D algorithm partitioning ``split``: bands of
+    the partitioned dimension, the other operand banded so one allgather
+    (or, for 'k', one reduce-scatter) finishes the job."""
+    row, col = BlockRow1D, BlockCol1D
+    a, b, c = {"m": (row, row, row), "n": (col, col, col), "k": (col, row, row)}[split]
+    return a((m, k), nranks), b((k, n), nranks), c((m, n), nranks)
 
 
 def matmul_1d_m(a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None) -> DistMatrix:
     """1D algorithm partitioning the m-dimension (B replicated)."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    a_nat = redistribute(a, BlockRow1D((m, k), comm.size), phase="redist")
-    b_nat = redistribute(b, BlockRow1D((k, n), comm.size), phase="redist")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
+    native = _native_dists("m", m, n, k, comm.size)
+    a_loc, b_loc = enter(a, b, native)
     with comm.phase("replicate"):
-        b_full = np.concatenate(
-            [p for p in comm.allgather(_tile_or_empty(b_nat, (0, n)))], axis=0
-        )
-    a_loc = _tile_or_empty(a_nat, (0, k))
+        b_full = np.concatenate(comm.allgather(b_loc), axis=0)
     with comm.phase("compute"):
         comm.gemm_tick(a_loc.shape[0], n, k)
         c_loc = a_loc @ b_full
-    c_nat = DistMatrix(
-        comm,
-        BlockRow1D((m, n), comm.size),
-        [c_loc] if c_loc.shape[0] else [],
-    )
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+    return leave(comm, native[2], c_loc, c_dist)
 
 
 def matmul_1d_n(a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None) -> DistMatrix:
     """1D algorithm partitioning the n-dimension (A replicated)."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    a_nat = redistribute(a, BlockCol1D((m, k), comm.size), phase="redist")
-    b_nat = redistribute(b, BlockCol1D((k, n), comm.size), phase="redist")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
+    native = _native_dists("n", m, n, k, comm.size)
+    a_loc, b_loc = enter(a, b, native)
     with comm.phase("replicate"):
-        a_full = np.concatenate(
-            [p for p in comm.allgather(_tile_or_empty(a_nat, (m, 0)))], axis=1
-        )
-    b_loc = _tile_or_empty(b_nat, (k, 0))
+        a_full = np.concatenate(comm.allgather(a_loc), axis=1)
     with comm.phase("compute"):
         comm.gemm_tick(m, b_loc.shape[1], k)
         c_loc = a_full @ b_loc
-    c_nat = DistMatrix(
-        comm,
-        BlockCol1D((m, n), comm.size),
-        [c_loc] if c_loc.shape[1] else [],
-    )
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+    return leave(comm, native[2], c_loc, c_dist)
 
 
 def matmul_1d_k(a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None) -> DistMatrix:
     """1D algorithm partitioning the k-dimension (C reduce-scattered)."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    a_nat = redistribute(a, BlockCol1D((m, k), comm.size), phase="redist")
-    b_nat = redistribute(b, BlockRow1D((k, n), comm.size), phase="redist")
-    a_loc = _tile_or_empty(a_nat, (m, 0))
-    b_loc = _tile_or_empty(b_nat, (0, n))
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
+    native = _native_dists("k", m, n, k, comm.size)
+    a_loc, b_loc = enter(a, b, native)
     with comm.phase("compute"):
         comm.gemm_tick(m, n, a_loc.shape[1])
         c_part = a_loc @ b_loc if a_loc.shape[1] else np.zeros((m, n), a_loc.dtype)
     with comm.phase("reduce"):
-        strips = []
-        for r in range(comm.size):
-            lo, hi = block_range(m, comm.size, r)
-            strips.append(c_part[lo:hi, :])
-        c_loc = comm.reduce_scatter(strips)
-    c_nat = DistMatrix(
-        comm,
-        BlockRow1D((m, n), comm.size),
-        [c_loc] if c_loc.shape[0] else [],
-    )
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+        c_loc = comm.reduce_scatter(split_block(c_part, comm.size, by_cols=False))
+    return leave(comm, native[2], c_loc, c_dist)
 
 
 def matmul_1d(
     a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
 ) -> DistMatrix:
     """Pick the 1D variant by the largest dimension (the usual heuristic)."""
-    m, k = a.shape
-    _, n = b.shape
+    m, n, k = problem_dims(a, b)
     if m >= max(n, k):
         return matmul_1d_m(a, b, c_dist)
     if n >= k:
         return matmul_1d_n(a, b, c_dist)
     return matmul_1d_k(a, b, c_dist)
-
-
-def _tile_or_empty(mat: DistMatrix, empty_shape: tuple[int, int]) -> np.ndarray:
-    """This rank's single tile, or a correctly-typed empty placeholder."""
-    if mat.tiles:
-        return mat.tiles[0]
-    return np.zeros(empty_shape, dtype=mat.dtype)

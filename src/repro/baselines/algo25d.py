@@ -11,20 +11,21 @@ to layer 0.  With ``c = 1`` this *is* Cannon's algorithm; with
 
 This module is also the engine for the CTF-like baseline
 (:mod:`repro.baselines.ctf_like`), which differs only in grid choice.
-Rank order is column-major: ``rank = u + sq*v + sq²*l``.
+The grid is ``GridSpec(sq, sq, c, P)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..layout.blocks import Rect, block_range
-from ..layout.distributions import Distribution, Explicit
+from ..core.steps import enter, leave, problem_dims
+from ..grid.optimizer import GridSpec
+from ..layout.blocks import block_range
+from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
 from ..mpi.datatypes import INTERNAL_TAG_BASE
-from ..mpi.topology import Cart2D
+from ..mpi.topology import Cart2D, grid_comms
+from .cannon2d import cannon_native_dists
 
 _TAG_ALIGN_A = INTERNAL_TAG_BASE + 201
 _TAG_ALIGN_B = INTERNAL_TAG_BASE + 202
@@ -57,30 +58,6 @@ def grid_25d(nprocs: int, c: int | None = None) -> tuple[int, int]:
     return best[2], best[1]
 
 
-def algo25d_native_dists(
-    m: int, n: int, k: int, sq: int, nranks: int
-) -> tuple[Explicit, Explicit, Explicit]:
-    """Layer-0 block layouts for A, B, and C."""
-    a_map: dict[int, list[Rect]] = {}
-    b_map: dict[int, list[Rect]] = {}
-    c_map: dict[int, list[Rect]] = {}
-    for v in range(sq):
-        for u in range(sq):
-            rank = u + sq * v
-            am = block_range(m, sq, u)
-            ak = block_range(k, sq, v)
-            bk = block_range(k, sq, u)
-            bn = block_range(n, sq, v)
-            a_map[rank] = [Rect(am[0], am[1], ak[0], ak[1])]
-            b_map[rank] = [Rect(bk[0], bk[1], bn[0], bn[1])]
-            c_map[rank] = [Rect(am[0], am[1], bn[0], bn[1])]
-    return (
-        Explicit.from_mapping((m, k), nranks, a_map),
-        Explicit.from_mapping((k, n), nranks, b_map),
-        Explicit.from_mapping((m, n), nranks, c_map),
-    )
-
-
 def algo25d_matmul(
     a: DistMatrix,
     b: DistMatrix,
@@ -89,50 +66,35 @@ def algo25d_matmul(
     sq: int | None = None,
 ) -> DistMatrix:
     """Run the 2.5D algorithm with ``c_factor`` replica layers."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
     if sq is None:
         sq, c = grid_25d(comm.size, c_factor)
     else:
         c = c_factor if c_factor is not None else 1
-    if sq * sq * c > comm.size:
-        raise ValueError(f"grid {sq}x{sq}x{c} exceeds {comm.size} ranks")
+    g = GridSpec(sq, sq, c, comm.size)  # refuses a grid larger than the world
+    native = cannon_native_dists(m, n, k, sq, comm.size)  # the layer-0 face
+    a_loc, b_loc = enter(a, b, native)
+    layer, fiber = grid_comms(comm, g, "mn", "k")
 
-    a_dist, b_dist, c_nat_dist = algo25d_native_dists(m, n, k, sq, comm.size)
-    a_nat = redistribute(a, a_dist, phase="redist")
-    b_nat = redistribute(b, b_dist, phase="redist")
-
-    active = comm.rank < sq * sq * c
-    if active:
-        u = comm.rank % sq
-        v = (comm.rank // sq) % sq
-        l = comm.rank // (sq * sq)
-    layer = comm.split(l if active else None, (u + sq * v) if active else 0)
-    fiber = comm.split((u + sq * v) if active else None, l if active else 0)
-
-    tiles: list[np.ndarray] = []
-    if active:
-        am = block_range(m, sq, u)
-        ak = block_range(k, sq, v)
-        bk = block_range(k, sq, u)
-        bn = block_range(n, sq, v)
+    c_sum = None
+    at = g.coords(comm.rank)
+    if at is not None:
+        u, v, l = at
+        # Only layer 0 holds blocks; an empty one travels as None.
         with comm.phase("replicate"):
-            a_blk = a_nat.tiles[0] if (l == 0 and a_nat.tiles) else None
-            b_blk = b_nat.tiles[0] if (l == 0 and b_nat.tiles) else None
-            a_blk = fiber.bcast(a_blk, root=0)
-            b_blk = fiber.bcast(b_blk, root=0)
+            a_blk = fiber.bcast(a_loc if a_loc.size else None, root=0)
+            b_blk = fiber.bcast(b_loc if b_loc.size else None, root=0)
+        face = g.rank_of(u, v, 0)
         if a_blk is None:
-            a_blk = np.zeros((am[1] - am[0], ak[1] - ak[0]), dtype=a.dtype)
+            a_blk = np.zeros(native[0].block(face).shape, dtype=a.dtype)
         if b_blk is None:
-            b_blk = np.zeros((bk[1] - bk[0], bn[1] - bn[0]), dtype=b.dtype)
+            b_blk = np.zeros(native[1].block(face).shape, dtype=b.dtype)
 
         cart = Cart2D(layer, sq, sq)
         t0, t1 = block_range(sq, c, l)  # this layer's Cannon-step slice
         out_dtype = np.promote_types(a.dtype, b.dtype)
-        c_part = np.zeros((am[1] - am[0], bn[1] - bn[0]), dtype=out_dtype)
+        c_part = np.zeros((a_blk.shape[0], b_blk.shape[1]), dtype=out_dtype)
 
         with comm.phase("cannon"):
             # Alignment: A left by (u + t0), B up by (v + t0).
@@ -157,8 +119,4 @@ def algo25d_matmul(
                     )
         with comm.phase("reduce"):
             c_sum = fiber.reduce(c_part, root=0)
-        if l == 0 and c_sum is not None and c_sum.shape[0] and c_sum.shape[1]:
-            tiles = [c_sum]
-
-    c_nat = DistMatrix(comm, c_nat_dist, tiles)
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+    return leave(comm, native[2], c_sum, c_dist)

@@ -14,19 +14,22 @@ face:
 Communication per process is O(N²/P^{2/3}) for square problems — the
 paper's reference point for the memory/communication trade-off — but,
 as Demmel et al. observed and the paper recounts, the fixed cubic grid
-performs poorly when one dimension dominates.  Rank order is
-column-major: ``rank = i + q*j + q²*l``.
+performs poorly when one dimension dominates.  The grid is
+``GridSpec(q, q, q, P)``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from ..core.steps import enter, leave, problem_dims
+from ..grid.optimizer import GridSpec
 from ..layout.blocks import Rect, block_range
 from ..layout.distributions import Distribution, Explicit
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
+from ..mpi.topology import grid_comms
 
 
 def cube_side(nprocs: int) -> int:
@@ -39,10 +42,12 @@ def cube_side(nprocs: int) -> int:
     return q
 
 
+@lru_cache(maxsize=64)
 def algo3d_native_dists(
     m: int, n: int, k: int, q: int, nranks: int
 ) -> tuple[Explicit, Explicit, Explicit]:
-    """Face layouts of A (j=0), B (i=0), and C (l=0)."""
+    """Face layouts of A (j=0), B (i=0), and C (l=0); one triple per run."""
+    cube = GridSpec(q, q, q, nranks)
     a_map: dict[int, list[Rect]] = {}
     b_map: dict[int, list[Rect]] = {}
     c_map: dict[int, list[Rect]] = {}
@@ -50,15 +55,15 @@ def algo3d_native_dists(
         k0, k1 = block_range(k, q, l)
         for i in range(q):
             m0, m1 = block_range(m, q, i)
-            a_map[i + q * 0 + q * q * l] = [Rect(m0, m1, k0, k1)]
+            a_map[cube.rank_of(i, 0, l)] = [Rect(m0, m1, k0, k1)]
         for j in range(q):
             n0, n1 = block_range(n, q, j)
-            b_map[0 + q * j + q * q * l] = [Rect(k0, k1, n0, n1)]
+            b_map[cube.rank_of(0, j, l)] = [Rect(k0, k1, n0, n1)]
     for i in range(q):
         m0, m1 = block_range(m, q, i)
         for j in range(q):
             n0, n1 = block_range(n, q, j)
-            c_map[i + q * j] = [Rect(m0, m1, n0, n1)]
+            c_map[cube.rank_of(i, j, 0)] = [Rect(m0, m1, n0, n1)]
     return (
         Explicit.from_mapping((m, k), nranks, a_map),
         Explicit.from_mapping((k, n), nranks, b_map),
@@ -70,48 +75,29 @@ def algo3d_matmul(
     a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
 ) -> DistMatrix:
     """Run the original 3D algorithm; returns C (face layout or ``c_dist``)."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
     q = cube_side(comm.size)
-    a_dist, b_dist, c_nat_dist = algo3d_native_dists(m, n, k, q, comm.size)
+    cube = GridSpec(q, q, q, comm.size)
+    native = algo3d_native_dists(m, n, k, q, comm.size)
+    a_loc, b_loc = enter(a, b, native)
+    nfiber, mfiber, kfiber = grid_comms(comm, cube, "n", "m", "k")
 
-    a_nat = redistribute(a, a_dist, phase="redist")
-    b_nat = redistribute(b, b_dist, phase="redist")
-
-    active = comm.rank < q ** 3
-    if active:
-        i = comm.rank % q
-        j = (comm.rank // q) % q
-        l = comm.rank // (q * q)
-    # Fiber communicators (idle ranks pass None).
-    nfiber = comm.split((i + q * l) if active else None, j if active else 0)
-    mfiber = comm.split((j + q * l) if active else None, i if active else 0)
-    kfiber = comm.split((i + q * j) if active else None, l if active else 0)
-
-    tiles: list[np.ndarray] = []
-    if active:
-        m0, m1 = block_range(m, q, i)
-        n0, n1 = block_range(n, q, j)
-        k0, k1 = block_range(k, q, l)
+    c_sum = None
+    at = cube.coords(comm.rank)
+    if at is not None:
+        i, j, l = at
+        # Only the face ranks hold a block; an empty one travels as None.
         with comm.phase("replicate"):
-            a_blk = a_nat.tiles[0] if (j == 0 and a_nat.tiles) else None
-            a_blk = nfiber.bcast(a_blk, root=0)
-            b_blk = b_nat.tiles[0] if (i == 0 and b_nat.tiles) else None
-            b_blk = mfiber.bcast(b_blk, root=0)
+            a_blk = nfiber.bcast(a_loc if a_loc.size else None, root=0)
+            b_blk = mfiber.bcast(b_loc if b_loc.size else None, root=0)
         if a_blk is None:
-            a_blk = np.zeros((m1 - m0, k1 - k0), dtype=a.dtype)
+            a_blk = np.zeros(native[0].block(cube.rank_of(i, 0, l)).shape, dtype=a.dtype)
         if b_blk is None:
-            b_blk = np.zeros((k1 - k0, n1 - n0), dtype=b.dtype)
+            b_blk = np.zeros(native[1].block(cube.rank_of(0, j, l)).shape, dtype=b.dtype)
         with comm.phase("compute"):
-            comm.gemm_tick(m1 - m0, n1 - n0, k1 - k0)
+            comm.gemm_tick(a_blk.shape[0], b_blk.shape[1], a_blk.shape[1])
             c_part = a_blk @ b_blk
         with comm.phase("reduce"):
             c_sum = kfiber.reduce(c_part, root=0)
-        if l == 0 and c_sum is not None and c_sum.shape[0] and c_sum.shape[1]:
-            tiles = [c_sum]
-
-    c_nat = DistMatrix(comm, c_nat_dist, tiles)
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+    return leave(comm, native[2], c_sum, c_dist)

@@ -11,42 +11,19 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core.cannon import cannon_multiply
-from ..layout.blocks import block_range
-from ..layout.distributions import Block2D, Distribution, Explicit
+from ..core.steps import block2d_native_dists, enter, leave, problem_dims
+from ..layout.distributions import Block2D, Distribution
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
 from ..mpi.topology import Cart2D
-from ..layout.blocks import Rect
 
 
 def cannon_native_dists(
     m: int, n: int, k: int, s: int, nranks: int
-) -> tuple[Explicit, Explicit, Block2D]:
-    """Unskewed native layouts for an ``s x s`` Cannon grid.
-
-    Rank order is column-major (position ``(u, v)`` is rank ``u + s*v``),
-    matching :class:`~repro.mpi.topology.Cart2D`.
-    """
-    a_map: dict[int, list[Rect]] = {}
-    b_map: dict[int, list[Rect]] = {}
-    for v in range(s):
-        for u in range(s):
-            rank = u + s * v
-            am = block_range(m, s, u)
-            ak = block_range(k, s, v)
-            bk = block_range(k, s, u)
-            bn = block_range(n, s, v)
-            a_map[rank] = [Rect(am[0], am[1], ak[0], ak[1])]
-            b_map[rank] = [Rect(bk[0], bk[1], bn[0], bn[1])]
-    return (
-        Explicit.from_mapping((m, k), nranks, a_map),
-        Explicit.from_mapping((k, n), nranks, b_map),
-        Block2D((m, n), nranks, s, s),
-    )
+) -> tuple[Block2D, Block2D, Block2D]:
+    """Unskewed native layouts for an ``s x s`` Cannon grid: position
+    ``(u, v)`` is rank ``u + s*v`` and holds block ``(u, v)`` of A, B and C."""
+    return block2d_native_dists(m, n, k, s, s, nranks)
 
 
 def cannon_matmul(
@@ -56,35 +33,15 @@ def cannon_matmul(
     shifts_per_gemm: int = 1,
 ) -> DistMatrix:
     """2D Cannon over the whole communicator (must be a perfect square)."""
-    comm: Comm = a.comm
+    comm = a.comm
     s = math.isqrt(comm.size)
     if s * s != comm.size:
         raise ValueError(f"Cannon needs a square process count, got {comm.size}")
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-
-    a_dist, b_dist, c_nat_dist = cannon_native_dists(m, n, k, s, comm.size)
-    a_nat = redistribute(a, a_dist, phase="redist")
-    b_nat = redistribute(b, b_dist, phase="redist")
-
-    def tile(mat: DistMatrix, rect: Rect) -> np.ndarray:
-        return mat.tiles[0] if mat.tiles else np.zeros(rect.shape, dtype=mat.dtype)
-
-    u, v = comm.rank % s, comm.rank // s
-    am = block_range(m, s, u)
-    ak = block_range(k, s, v)
-    bk = block_range(k, s, u)
-    bn = block_range(n, s, v)
-    a_loc = tile(a_nat, Rect(am[0], am[1], ak[0], ak[1]))
-    b_loc = tile(b_nat, Rect(bk[0], bk[1], bn[0], bn[1]))
-
+    m, n, k = problem_dims(a, b)
+    native = cannon_native_dists(m, n, k, s, comm.size)
+    a_loc, b_loc = enter(a, b, native)
     with comm.phase("cannon"):
-        cart = Cart2D(comm, s, s)
-        c_loc = cannon_multiply(cart, a_loc, b_loc, shifts_per_gemm=shifts_per_gemm)
-
-    c_nat = DistMatrix(
-        comm, c_nat_dist, [c_loc] if c_loc.shape[0] and c_loc.shape[1] else []
-    )
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+        c_loc = cannon_multiply(
+            Cart2D(comm, s, s), a_loc, b_loc, shifts_per_gemm=shifts_per_gemm
+        )
+    return leave(comm, native[2], c_loc, c_dist)

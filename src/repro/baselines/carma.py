@@ -29,13 +29,14 @@ floor-of-halves arithmetic nests exactly for power-of-two groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from ..core.steps import enter, leave, problem_dims
 from ..layout.blocks import Rect, block_range
 from ..layout.distributions import Distribution, Explicit
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
 from ..mpi.comm import Comm
 from ..mpi.datatypes import INTERNAL_TAG_BASE
 
@@ -143,21 +144,15 @@ def _plan(
         # Unwind: paired ranks keep complementary halves of their C rects.
         for idx in range(h):
             for side, r in ((0, lo + idx), (1, lo + h + idx)):
-                rect = out[r]
-                by_cols = rect.cols >= rect.rows
-                if by_cols:
-                    s0, s1 = block_range(rect.cols, 2, side)
-                    out[r] = Rect(rect.r0, rect.r1, rect.c0 + s0, rect.c0 + s1)
-                else:
-                    s0, s1 = block_range(rect.rows, 2, side)
-                    out[r] = Rect(rect.r0 + s0, rect.r0 + s1, rect.c0, rect.c1)
+                out[r] = out[r].strip(2, side)
     return out
 
 
+@lru_cache(maxsize=64)
 def carma_native_dists(
     m: int, n: int, k: int, nranks: int
 ) -> tuple[Explicit, Explicit, Explicit]:
-    """CARMA's native initial A/B and final C layouts."""
+    """CARMA's native initial A/B and final C layouts; one triple per run."""
     act = active_count(nranks)
     a_map: dict[int, list[Rect]] = {}
     b_map: dict[int, list[Rect]] = {}
@@ -209,7 +204,10 @@ def _recurse(
         b_loc = _assemble(b_pieces, 0, prob.n1 - prob.n0, dtype)
         with comm.phase("compute"):
             comm.gemm_tick(a_loc.shape[0], b_loc.shape[1], a_loc.shape[1])
-            c = a_loc @ b_loc if a_loc.shape[1] else np.zeros(
+            # An operand this leaf holds no piece of (its m- or n-range
+            # is empty) was assembled without its k-extent too: multiply
+            # only when both have extent.
+            c = a_loc @ b_loc if a_loc.size and b_loc.size else np.zeros(
                 (prob.m1 - prob.m0, prob.n1 - prob.n0), dtype=dtype
             )
         return Rect(prob.m0, prob.m1, prob.n0, prob.n1), c
@@ -265,36 +263,23 @@ def carma_matmul(
     a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
 ) -> DistMatrix:
     """Run CARMA on the largest power-of-two subset of the communicator."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
     act = active_count(comm.size)
-    a_dist, b_dist, c_nat_dist = carma_native_dists(m, n, k, comm.size)
-    a_nat = redistribute(a, a_dist, phase="redist")
-    b_nat = redistribute(b, b_dist, phase="redist")
+    native = carma_native_dists(m, n, k, comm.size)
+    a_loc, b_loc = enter(a, b, native)
 
     dtype = np.promote_types(a.dtype, b.dtype)
-    tiles: list[np.ndarray] = []
+    c_loc = None
     if comm.rank < act:
-        a0 = a_dist.owned_rects(comm.rank)
-        b0 = b_dist.owned_rects(comm.rank)
-        a_pieces = [
-            (r.c0, r.c1, a_nat.tiles[i].astype(dtype, copy=False))
-            for i, r in enumerate(a0)
-        ]
-        b_pieces = [
-            (r.r0, r.r1, b_nat.tiles[i].astype(dtype, copy=False))
-            for i, r in enumerate(b0)
-        ]
+        # An empty native rectangle is not a piece: the recursion ships
+        # its holdings, and k-splits legitimately own nothing.
+        a_rect, b_rect, c_rect = (dist.block(comm.rank) for dist in native)
+        a_pieces = [(a_rect.c0, a_rect.c1, a_loc.astype(dtype, copy=False))] if a_loc.size else []
+        b_pieces = [(b_rect.r0, b_rect.r1, b_loc.astype(dtype, copy=False))] if b_loc.size else []
         rect, c_loc = _recurse(
             comm, _Prob.root(m, n, k), 0, act, a_pieces, b_pieces, dtype
         )
-        expected = c_nat_dist.owned_rects(comm.rank)
-        if expected and expected[0] != rect:  # pragma: no cover - plan/exec skew
-            raise AssertionError(f"final C rect {rect} != planned {expected[0]}")
-        if rect.rows and rect.cols:
-            tiles = [np.ascontiguousarray(c_loc)]
-    c_nat = DistMatrix(comm, c_nat_dist, tiles)
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+        if not c_rect.is_empty() and c_rect != rect:  # pragma: no cover - plan/exec skew
+            raise AssertionError(f"final C rect {rect} != planned {c_rect}")
+    return leave(comm, native[2], c_loc, c_dist)

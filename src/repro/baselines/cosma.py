@@ -24,8 +24,6 @@ The contrast with CA3DMM (Section III-C): here replication is fully
 materialized up front (more memory, no pipelining), whereas CA3DMM
 streams blocks through Cannon shifts overlapped with compute.  The
 reduce-scatter of partial C is identical in both.
-
-Rank order is column-major: ``rank = i + pm*j + pm*pn*ik``.
 """
 
 from __future__ import annotations
@@ -34,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.reduce_c import reduce_over_k
+from ..core.steps import enter, grid_native_dists, leave, problem_dims
 from ..grid.optimizer import DEFAULT_L, GridSpec, cosma_grid
-from ..layout.blocks import Rect, block_range
-from ..layout.distributions import Distribution, Explicit
+from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
+from ..mpi.topology import grid_comms
 
 
 @dataclass(frozen=True)
@@ -71,43 +69,6 @@ def cosma_strategy(grid: GridSpec, m: int, n: int, k: int) -> list[SplitStep]:
     return steps
 
 
-class _CosmaMaps:
-    """Native initial layouts: balanced pieces of the replicated blocks."""
-
-    def __init__(self, m: int, n: int, k: int, grid: GridSpec, nranks: int):
-        self.m, self.n, self.k, self.grid = m, n, k, grid
-        pm, pn, pk = grid.pm, grid.pn, grid.pk
-        a_map: dict[int, list[Rect]] = {}
-        b_map: dict[int, list[Rect]] = {}
-        c_map: dict[int, list[Rect]] = {}
-        for ik in range(pk):
-            kk = block_range(k, pk, ik)
-            for j in range(pn):
-                nn = block_range(n, pn, j)
-                for i in range(pm):
-                    mm = block_range(m, pm, i)
-                    rank = i + pm * j + pm * pn * ik
-                    # A block (i, ik): the pn ranks sharing it each hold a
-                    # column piece.
-                    lo, hi = block_range(kk[1] - kk[0], pn, j)
-                    a_map[rank] = [Rect(mm[0], mm[1], kk[0] + lo, kk[0] + hi)]
-                    # B block (ik, j): the pm ranks sharing it each hold a
-                    # row piece.
-                    lo, hi = block_range(kk[1] - kk[0], pm, i)
-                    b_map[rank] = [Rect(kk[0] + lo, kk[0] + hi, nn[0], nn[1])]
-                    # C block (i, j): strip ik after the reduce-scatter.
-                    by_cols = (nn[1] - nn[0]) >= (mm[1] - mm[0])
-                    if by_cols:
-                        lo, hi = block_range(nn[1] - nn[0], pk, ik)
-                        c_map[rank] = [Rect(mm[0], mm[1], nn[0] + lo, nn[0] + hi)]
-                    else:
-                        lo, hi = block_range(mm[1] - mm[0], pk, ik)
-                        c_map[rank] = [Rect(mm[0] + lo, mm[0] + hi, nn[0], nn[1])]
-        self.a_dist = Explicit.from_mapping((m, k), nranks, a_map)
-        self.b_dist = Explicit.from_mapping((k, n), nranks, b_map)
-        self.c_dist = Explicit.from_mapping((m, n), nranks, c_map)
-
-
 def cosma_matmul(
     a: DistMatrix,
     b: DistMatrix,
@@ -116,41 +77,15 @@ def cosma_matmul(
     l: float = DEFAULT_L,
 ) -> DistMatrix:
     """Run the COSMA-like schedule; returns C (native strips or ``c_dist``)."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
     g = grid if grid is not None else cosma_grid(m, n, k, comm.size, l)
-    if g.nprocs != comm.size:
-        raise ValueError("grid was built for a different world size")
-    maps = _CosmaMaps(m, n, k, g, comm.size)
-    pm, pn, pk = g.pm, g.pn, g.pk
+    native = grid_native_dists(m, n, k, g)
+    a_piece, b_piece = enter(a, b, native)
+    ngroup, mgroup, kgroup = grid_comms(comm, g, "n", "m", "k")
 
-    a_nat = redistribute(a, maps.a_dist, phase="redist")
-    b_nat = redistribute(b, maps.b_dist, phase="redist")
-
-    active = comm.rank < g.used
-    if active:
-        i = comm.rank % pm
-        j = (comm.rank // pm) % pn
-        ik = comm.rank // (pm * pn)
-    ngroup = comm.split((i + pm * ik) if active else None, j if active else 0)
-    mgroup = comm.split((j + pn * ik) if active else None, i if active else 0)
-    kgroup = comm.split((i + pm * j) if active else None, ik if active else 0)
-
-    tiles: list[np.ndarray] = []
-    if active:
-        mm = block_range(m, pm, i)
-        nn = block_range(n, pn, j)
-        kk = block_range(k, pk, ik)
-
-        def tile(mat: DistMatrix, shape: tuple[int, int]) -> np.ndarray:
-            return mat.tiles[0] if mat.tiles else np.zeros(shape, dtype=mat.dtype)
-
-        a_piece = tile(a_nat, (mm[1] - mm[0], 0))
-        b_piece = tile(b_nat, (0, nn[1] - nn[0]))
-
+    c_strip = None
+    if kgroup is not None:  # an active rank
         # Replicate A and B fully before computing (the COSMA schedule).
         with comm.phase("replicate"):
             a_blk = (
@@ -163,32 +98,19 @@ def cosma_matmul(
                 if mgroup.size == 1
                 else np.concatenate(mgroup.allgather(b_piece), axis=0)
             )
+        mi, ni = a_blk.shape[0], b_blk.shape[1]
         comm.note_live_bytes(
-            a_blk.nbytes + b_blk.nbytes
-            + (mm[1] - mm[0]) * (nn[1] - nn[0]) * a_blk.dtype.itemsize
+            a_blk.nbytes + b_blk.nbytes + mi * ni * a_blk.dtype.itemsize
         )
 
         with comm.phase("compute"):
-            comm.gemm_tick(mm[1] - mm[0], nn[1] - nn[0], kk[1] - kk[0])
+            comm.gemm_tick(mi, ni, a_blk.shape[1])
             out_dtype = np.promote_types(a.dtype, b.dtype)
             if a_blk.shape[1]:
                 c_part = (a_blk @ b_blk).astype(out_dtype, copy=False)
             else:
-                c_part = np.zeros((mm[1] - mm[0], nn[1] - nn[0]), dtype=out_dtype)
+                c_part = np.zeros((mi, ni), dtype=out_dtype)
 
         with comm.phase("reduce"):
-            if kgroup.size == 1:
-                c_strip = c_part
-            else:
-                by_cols = (nn[1] - nn[0]) >= (mm[1] - mm[0])
-                strips = []
-                extent = c_part.shape[1] if by_cols else c_part.shape[0]
-                for r in range(pk):
-                    lo, hi = block_range(extent, pk, r)
-                    strips.append(c_part[:, lo:hi] if by_cols else c_part[lo:hi, :])
-                c_strip = kgroup.reduce_scatter(strips)
-        if c_strip.shape[0] and c_strip.shape[1]:
-            tiles = [np.ascontiguousarray(c_strip)]
-
-    c_nat = DistMatrix(comm, maps.c_dist, tiles)
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+            c_strip = reduce_over_k(kgroup, c_part)
+    return leave(comm, native[2], c_strip, c_dist)

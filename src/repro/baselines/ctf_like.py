@@ -11,6 +11,7 @@ factor c), executed by :func:`repro.baselines.algo25d.algo25d_matmul`.
 
 from __future__ import annotations
 
+from ..core.steps import problem_dims
 from ..grid.optimizer import ctf_grid
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
@@ -21,8 +22,7 @@ def ctf_matmul(
     a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
 ) -> DistMatrix:
     """2.5D multiplication on a CTF-style (aspect-blind) grid."""
-    m, k = a.shape
-    _, n = b.shape
+    m, n, k = problem_dims(a, b)
     g = ctf_grid(m, n, k, a.comm.size)
     # ctf_grid returns pm == pn == sq with pk as the replication factor;
     # the 2.5D engine needs c <= sq, which ctf_grid guarantees for all

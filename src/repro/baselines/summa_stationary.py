@@ -33,21 +33,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..grid.factorize import near_square_pair
-from ..layout.blocks import block_range
-from ..layout.distributions import Block2D, Distribution
+from ..core.steps import block2d_native_dists, enter, leave, problem_dims
+from ..core.summa import DEFAULT_PANEL, panel_ranges
+from ..layout.blocks import block_owner, block_range
+from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
 from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
 from ..mpi.datatypes import INTERNAL_TAG_BASE
 from ..mpi.topology import Cart2D
-from .summa import DEFAULT_PANEL
+from .summa import summa_grid
 
 _TAG_ROUTE = INTERNAL_TAG_BASE + 501
-
-
-def _tile(mat: DistMatrix, shape: tuple[int, int]) -> np.ndarray:
-    return mat.tiles[0] if mat.tiles else np.zeros(shape, dtype=mat.dtype)
 
 
 def summa_stationary_a_matmul(
@@ -58,51 +54,26 @@ def summa_stationary_a_matmul(
     panel: int = DEFAULT_PANEL,
 ) -> DistMatrix:
     """``C = A x B`` with A stationary on a ``pr x pc`` grid."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    pr, pc = grid if grid is not None else near_square_pair(comm.size)
-    if pr * pc != comm.size:
-        raise ValueError(f"grid {pr}x{pc} does not use all {comm.size} ranks")
-
-    a_nat = redistribute(a, Block2D((m, k), comm.size, pr, pc), phase="redist")
-    b_nat = redistribute(b, Block2D((k, n), comm.size, pr, pc), phase="redist")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
+    pr, pc = summa_grid(comm.size, grid)
+    native = block2d_native_dists(m, n, k, pr, pc, comm.size)
+    a_loc, b_loc = enter(a, b, native)
     cart = Cart2D(comm, pr, pc)
     i, j = cart.row, cart.col
     row = cart.row_comm()  # pc ranks, ordered by grid column
     col = cart.col_comm()  # pr ranks, ordered by grid row
 
-    mm = block_range(m, pr, i)
-    ak = block_range(k, pc, j)  # my A block's k-range (pc split)
     bk = block_range(k, pr, i)  # my B block's k-range (pr split)
     nn = block_range(n, pc, j)
 
-    a_loc = _tile(a_nat, (mm[1] - mm[0], ak[1] - ak[0]))
-    b_loc = _tile(b_nat, (bk[1] - bk[0], nn[1] - nn[0]))
-
     out_dtype = np.promote_types(a.dtype, b.dtype)
-    c_loc = np.zeros((mm[1] - mm[0], nn[1] - nn[0]), dtype=out_dtype)
+    c_loc = np.zeros((a_loc.shape[0], b_loc.shape[1]), dtype=out_dtype)
 
     with comm.phase("summa"):
         # Panels refine B's column partition (over pc) so each panel has
         # a unique owner column; they also refine nothing else.
-        cuts = {0, n}
-        for r in range(pc):
-            cuts.add(block_range(n, pc, r)[0])
-        edges = sorted(cuts)
-        panels: list[tuple[int, int]] = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            start = lo
-            while start < hi:
-                stop = min(start + panel, hi)
-                panels.append((start, stop))
-                start = stop
-
-        from ..layout.blocks import block_owner
-
-        for lo, hi in panels:
+        for lo, hi in panel_ranges(n, 1, pc, panel):
             if hi <= lo:
                 continue
             jc = block_owner(n, pc, lo)  # owner grid column of this panel
@@ -170,12 +141,7 @@ def summa_stationary_a_matmul(
             if j == jc and summed is not None:
                 c_loc[:, lo - nn[0] : hi - nn[0]] += summed.astype(out_dtype, copy=False)
 
-    c_nat = DistMatrix(
-        comm,
-        Block2D((m, n), comm.size, pr, pc),
-        [c_loc] if c_loc.shape[0] and c_loc.shape[1] else [],
-    )
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+    return leave(comm, native[2], c_loc, c_dist)
 
 
 def summa_stationary_b_matmul(
@@ -186,15 +152,14 @@ def summa_stationary_b_matmul(
     panel: int = DEFAULT_PANEL,
 ) -> DistMatrix:
     """``C = A x B`` with B stationary: ``Cᵀ = Bᵀ Aᵀ`` under stationary-A."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    pr, pc = grid if grid is not None else near_square_pair(comm.size)
+    m, n, k = problem_dims(a, b)
+    nranks = a.comm.size
+    pr, pc = summa_grid(nranks, grid)
     # Transpose the whole problem through the redistribution machinery.
-    bt = redistribute(b, Block2D((n, k), comm.size, pr, pc), transpose=True, phase="redist")
-    at = redistribute(a, Block2D((k, m), comm.size, pr, pc), transpose=True, phase="redist")
+    bt_dist, at_dist, _ = block2d_native_dists(n, m, k, pr, pc, nranks)
+    bt = redistribute(b, bt_dist, transpose=True, phase="redist")
+    at = redistribute(a, at_dist, transpose=True, phase="redist")
     ct = summa_stationary_a_matmul(bt, at, grid=(pr, pc), panel=panel)
-    target = c_dist if c_dist is not None else Block2D((m, n), comm.size, pr, pc)
-    return redistribute(ct, target, transpose=True, phase="redist")
+    if c_dist is None:
+        c_dist = block2d_native_dists(m, n, k, pr, pc, nranks)[2]
+    return redistribute(ct, c_dist, transpose=True, phase="redist")

@@ -37,25 +37,7 @@ from .cannon import cannon_multiply
 from .plan import shared_plan
 from .reduce_c import reduce_partial_c
 from .replicate import replicate_block
-
-
-
-def _norm_op(op) -> tuple[bool, bool]:
-    """Normalize a BLAS-style op code to (transpose, conjugate).
-
-    Accepts booleans (backward compatible: True means 'T') or the
-    strings 'N'/'T'/'C' (case-insensitive).
-    """
-    if isinstance(op, bool):
-        return op, False
-    code = str(op).upper()
-    if code in ("N", ""):
-        return False, False
-    if code == "T":
-        return True, False
-    if code == "C":
-        return True, True
-    raise ValueError(f"unknown op code {op!r}; expected 'N', 'T', 'C', or bool")
+from .steps import _norm_op, problem_dims
 
 
 class Ca3dmm:
@@ -99,14 +81,6 @@ class Ca3dmm:
         self.role = self.plan.role(comm.rank)
 
     # ------------------------------------------------------------ helpers -- #
-    def _native_tile(self, mat: DistMatrix, rect) -> np.ndarray:
-        """The single native tile (an explicitly-empty array if degenerate)."""
-        if rect is None:
-            return np.zeros((0, 0), dtype=mat.dtype)
-        if mat.tiles:
-            return mat.tiles[0]
-        return np.zeros(rect.shape, dtype=mat.dtype)
-
     def _replicate_verified(
         self, piece: np.ndarray, axis: int, row_checksum: bool
     ) -> np.ndarray:
@@ -215,8 +189,7 @@ class Ca3dmm:
             c_nat = DistMatrix(comm, plan.c_dist, [])
         else:
             role = self.role
-            a_piece = self._native_tile(a_nat, plan.a_owned(comm.rank))
-            b_piece = self._native_tile(b_nat, plan.b_owned(comm.rank))
+            a_piece, b_piece = a_nat.local_block(), b_nat.local_block()
 
             # Measured working set: tagged memtrace spans charged as the
             # engine's buffers come to life, freed together when the
@@ -403,14 +376,7 @@ def ca3dmm_matmul(
     c_in: DistMatrix | None = None,
 ) -> DistMatrix:
     """One-shot ``C = alpha * op(A) x op(B) + beta * C_in`` with CA3DMM."""
-    am, an = a.shape
-    bm, bn = b.shape
-    ta, _ = _norm_op(transa)
-    tb, _ = _norm_op(transb)
-    m, k = (an, am) if ta else (am, an)
-    k2, n = (bn, bm) if tb else (bm, bn)
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: op(A) is {m}x{k}, op(B) is {k2}x{n}")
+    m, n, k = problem_dims(a, b, transa, transb)
     engine = Ca3dmm(a.comm, m, n, k, grid=grid, l=l, shifts_per_gemm=shifts_per_gemm)
     return engine.multiply(
         a, b, c_dist=c_dist, transa=transa, transb=transb,

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
-from .ca3dmm import Ca3dmm, _norm_op
+from .ca3dmm import Ca3dmm
+from .steps import problem_dims
 
 
 def pdgemm(
@@ -43,16 +44,7 @@ def pdgemm(
     checksum protection of the Cannon stage when no pre-planned engine
     is given.
     """
-    ta, _ = _norm_op(transa)
-    tb, _ = _norm_op(transb)
-    am, an = a.shape
-    bm, bn = b.shape
-    m, k = (an, am) if ta else (am, an)
-    k2, n = (bn, bm) if tb else (bm, bn)
-    if k != k2:
-        raise ValueError(
-            f"inner dimensions differ: op(A) is {m}x{k}, op(B) is {k2}x{n}"
-        )
+    m, n, k = problem_dims(a, b, transa, transb)
     if alpha != alpha or beta != beta:  # NaN (also complex NaN)
         raise ValueError(f"alpha/beta must not be NaN, got alpha={alpha}, beta={beta}")
     if beta != 0.0 and c is None:

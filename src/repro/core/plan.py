@@ -3,10 +3,10 @@
 A :class:`Ca3dmmPlan` is computed identically (and deterministically) on
 every rank from ``(m, n, k, P)``; it encodes steps 1-3 of Algorithm 1:
 
-* the ``pm x pn x pk`` grid (step 1), column-major rank order: rank
-  ``r`` has in-k-group index ``q = r % (pm*pn)`` and k-group ``ik = r //
-  (pm*pn)``; within the k-group, grid position ``(i, j) = (q % pm, q // pm)``.
-  Ranks ``r >= pm*pn*pk`` are idle outside redistribution (step 2).
+* the ``pm x pn x pk`` grid (step 1) in the column-major rank order
+  :class:`~repro.grid.optimizer.GridSpec` states once (``coords`` /
+  ``rank_of``): ``r = i + pm*j + pm*pn*ik``.  Ranks ``r >= pm*pn*pk`` are
+  idle outside redistribution (step 2).
 * Cannon groups (step 3): ``s = min(pm, pn)``, ``c = max(pm,pn)/s``
   (eq. 8).  When ``pn > pm`` groups tile the n-dimension and **A** is the
   replicated operand (Example 1); when ``pm > pn`` groups tile the
@@ -133,10 +133,10 @@ class Ca3dmmPlan:
     # -------------------------------------------------------------- roles -- #
     def role(self, rank: int) -> RankRole | None:
         """Grid/Cannon coordinates of ``rank``; None for idle ranks."""
-        if not self.is_active(rank):
+        at = self.grid.coords(rank)
+        if at is None:
             return None
-        q, ik = rank % (self.pm * self.pn), rank // (self.pm * self.pn)
-        i, j = q % self.pm, q // self.pm
+        i, j, ik = at
         if self.replicates_a:  # groups tile the n-dimension
             group, v = divmod(j, self.s)
             u = i
@@ -147,7 +147,7 @@ class Ca3dmmPlan:
 
     def rank_of(self, ik: int, i: int, j: int) -> int:
         """Inverse of :meth:`role` on grid coordinates."""
-        return (i + self.pm * j) + (self.pm * self.pn) * ik
+        return self.grid.rank_of(i, j, ik)
 
     # -------------------------------------------------------- index ranges -- #
     def k_range(self, ik: int) -> tuple[int, int]:
@@ -243,22 +243,13 @@ class Ca3dmmPlan:
         role = self.role(rank)
         if role is None:
             return None
-        blk = self.c_block(role.i, role.j)
-        if self.pk == 1:
-            return blk
-        if self.c_split_cols(role.i, role.j):
-            lo, hi = block_range(blk.cols, self.pk, role.ik)
-            return Rect(blk.r0, blk.r1, blk.c0 + lo, blk.c0 + hi)
-        lo, hi = block_range(blk.rows, self.pk, role.ik)
-        return Rect(blk.r0 + lo, blk.r0 + hi, blk.c0, blk.c1)
+        return self.c_block(role.i, role.j).strip(self.pk, role.ik)
 
     # ----------------------------------------- distribution descriptors -- #
     def _explicit(self, shape: tuple[int, int], rect_of) -> Explicit:
-        mapping = {}
-        for r in range(self.active):
-            rect = rect_of(r)
-            if rect is not None and not rect.is_empty():
-                mapping[r] = [rect]
+        # Empty rectangles stay in the table: they shape the placeholder
+        # of a rank that owns nothing (``Distribution.block``).
+        mapping = {r: [rect_of(r)] for r in range(self.active)}
         return Explicit.from_mapping(shape, self.nprocs, mapping)
 
     @cached_property
@@ -290,20 +281,14 @@ class Ca3dmmPlan:
         """
         role = self.role(rank)
         if role is None:
-            return {
-                "active": (None, 0),
-                "cannon": (None, 0),
-                "replica": (None, 0),
-                "kred": (None, 0),
-            }
+            return dict.fromkeys(("active", "cannon", "replica", "kred"), (None, 0))
         cannon_color = role.ik * self.c + role.group
         replica_color = role.ik * (self.s * self.s) + role.u * self.s + role.v
-        kred_color = role.i + self.pm * role.j
         return {
             "active": (0, rank),
             "cannon": (cannon_color, role.u + self.s * role.v),
             "replica": (replica_color, role.group),
-            "kred": (kred_color, role.ik),
+            "kred": self.grid.split_key(rank, "k"),
         }
 
     # ------------------------------------------------------------ summary -- #

@@ -56,6 +56,16 @@ def split_block(c_loc: np.ndarray, parts: int, by_cols: bool) -> list[np.ndarray
     return out
 
 
+def reduce_over_k(kcomm: Comm, c_part: np.ndarray) -> np.ndarray:
+    """Step 7 for any schedule: sum the ``pk`` partial blocks of one C
+    block over its k-fiber and keep strip ``kcomm.rank`` — column strips
+    when the block is at least as wide as tall, row strips otherwise."""
+    if kcomm.size == 1:
+        return c_part
+    by_cols = c_part.shape[1] >= c_part.shape[0]
+    return kcomm.reduce_scatter(split_block(c_part, kcomm.size, by_cols))
+
+
 def reduce_partial_c(
     kred_comm: Comm,
     c_loc: np.ndarray,

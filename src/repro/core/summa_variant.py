@@ -13,25 +13,22 @@ grid instead of Cannon groups.  Consequences the paper derives:
   2D kernel is needed at all (the Section III-E inequality, asserted by
   tests and measured by the inner-kernel ablation bench).
 
-The native layouts coincide with the COSMA-like baseline's
-(:class:`repro.baselines.cosma._CosmaMaps`): A is 2D-blocked over
+The native layouts are the COSMA-like baseline's
+(:func:`repro.core.steps.grid_native_dists`): A is 2D-blocked over
 ``(pm, pn)`` inside each k-slice, likewise B, and C ends in the same
 ``pk``-strip layout as CA3DMM.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..baselines.cosma import _CosmaMaps
-from ..baselines.summa import DEFAULT_PANEL, summa_on_grid
 from ..grid.optimizer import DEFAULT_L, GridSpec, cosma_grid
-from ..layout.blocks import block_range
+from ..layout.blocks import block_size
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
-from ..mpi.comm import Comm
-from ..mpi.topology import Cart2D
+from ..mpi.topology import Cart2D, grid_comms
+from .reduce_c import reduce_over_k
+from .steps import enter, grid_native_dists, leave, problem_dims
+from .summa import DEFAULT_PANEL, summa_on_grid
 
 
 def ca3dmm_s_matmul(
@@ -43,60 +40,19 @@ def ca3dmm_s_matmul(
     panel: int = DEFAULT_PANEL,
 ) -> DistMatrix:
     """``C = A x B`` with the SUMMA-inner-kernel CA3DMM variant."""
-    comm: Comm = a.comm
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions differ: {k} vs {k2}")
+    comm = a.comm
+    m, n, k = problem_dims(a, b)
     g = grid if grid is not None else cosma_grid(m, n, k, comm.size, l)
-    if g.nprocs != comm.size:
-        raise ValueError("grid was built for a different world size")
-    maps = _CosmaMaps(m, n, k, g, comm.size)
-    pm, pn, pk = g.pm, g.pn, g.pk
+    native = grid_native_dists(m, n, k, g)
+    a_loc, b_loc = enter(a, b, native)
+    kgroup, kred = grid_comms(comm, g, "mn", "k")
 
-    a_nat = redistribute(a, maps.a_dist, phase="redist")
-    b_nat = redistribute(b, maps.b_dist, phase="redist")
-
-    active = comm.rank < g.used
-    if active:
-        i = comm.rank % pm
-        j = (comm.rank // pm) % pn
-        ik = comm.rank // (pm * pn)
-    kgroup_2d = comm.split(ik if active else None, (i + pm * j) if active else 0)
-    kred = comm.split((i + pm * j) if active else None, ik if active else 0)
-
-    tiles: list[np.ndarray] = []
-    if active:
-        mm = block_range(m, pm, i)
-        nn = block_range(n, pn, j)
-        kk = block_range(k, pk, ik)
-        kg = kk[1] - kk[0]
-
-        def tile(mat: DistMatrix, shape: tuple[int, int]) -> np.ndarray:
-            return mat.tiles[0] if mat.tiles else np.zeros(shape, dtype=mat.dtype)
-
-        ak = block_range(kg, pn, j)
-        bk = block_range(kg, pm, i)
-        a_loc = tile(a_nat, (mm[1] - mm[0], ak[1] - ak[0]))
-        b_loc = tile(b_nat, (bk[1] - bk[0], nn[1] - nn[0]))
-
+    c_strip = None
+    if kgroup is not None:  # an active rank
+        kg = block_size(k, g.pk, g.coords(comm.rank)[2])  # my k-task group's extent
         with comm.phase("summa"):
-            cart = Cart2D(kgroup_2d, pm, pn)
+            cart = Cart2D(kgroup, g.pm, g.pn)
             c_part = summa_on_grid(cart, a_loc, b_loc, m, n, kg, panel=panel)
-
         with comm.phase("reduce"):
-            if kred.size == 1:
-                c_strip = c_part
-            else:
-                by_cols = (nn[1] - nn[0]) >= (mm[1] - mm[0])
-                strips = []
-                extent = c_part.shape[1] if by_cols else c_part.shape[0]
-                for r in range(pk):
-                    lo, hi = block_range(extent, pk, r)
-                    strips.append(c_part[:, lo:hi] if by_cols else c_part[lo:hi, :])
-                c_strip = kred.reduce_scatter(strips)
-        if c_strip.shape[0] and c_strip.shape[1]:
-            tiles = [np.ascontiguousarray(c_strip)]
-
-    c_nat = DistMatrix(comm, maps.c_dist, tiles)
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+            c_strip = reduce_over_k(kred, c_part)
+    return leave(comm, native[2], c_strip, c_dist)

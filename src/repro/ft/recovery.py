@@ -70,6 +70,7 @@ import numpy as np
 
 from ..core.ca3dmm import Ca3dmm, _norm_op
 from ..core.plan import Ca3dmmPlan
+from ..core.steps import problem_dims
 from ..grid.optimizer import DEFAULT_L, GridSpec
 from ..layout.blocks import Rect
 from ..layout.distributions import Distribution, Explicit
@@ -218,10 +219,6 @@ class _ReusePlan:
             self.plan.k_range(ik)[1] - self.plan.k_range(ik)[0]
             for ik in self.reusable
         )
-
-    @property
-    def k_missing(self) -> int:
-        return self.plan.k - self.k_reused
 
     def reused_flops(self) -> float:
         """Exact flops the retained cells save (2·|cell|·k per cell)."""
@@ -549,14 +546,7 @@ def resilient_multiply(
     """
     ta, _ = _norm_op(transa)
     tb, _ = _norm_op(transb)
-    am, an = a.shape
-    bm, bn = b.shape
-    m, k = (an, am) if ta else (am, an)
-    k2, n = (bn, bm) if tb else (bm, bn)
-    if k != k2:
-        raise ValueError(
-            f"inner dimensions differ: op(A) is {m}x{k}, op(B) is {k2}x{n}"
-        )
+    m, n, k = problem_dims(a, b, transa, transb)
     abft_policy: AbftPolicy | None
     if abft is True:
         abft_policy = AbftPolicy()

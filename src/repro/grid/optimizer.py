@@ -102,13 +102,51 @@ class GridSpec:
         """True when A is the replicated operand (``pn > pm``, Example 1)."""
         return self.pn > self.pm
 
+    # ------------------------------------------------------ who sits where -- #
+    # The one statement of the rank order every schedule, cost model and
+    # report uses: column-major, m fastest, ``rank = i + pm*j + pm*pn*ik``,
+    # so a k-task group (and each column of it) is contiguous; world ranks
+    # ``>= used`` are idle.  A 2D ``pr x pc`` grid is ``GridSpec(pr, pc, 1, P)``.
+    def coords(self, rank: int) -> tuple[int, int, int] | None:
+        """Grid position ``(i, j, ik)`` of world rank ``rank``; None when idle."""
+        if rank >= self.used:
+            return None
+        return rank % self.pm, rank // self.pm % self.pn, rank // (self.pm * self.pn)
+
+    def rank_of(self, i: int, j: int, ik: int) -> int:
+        """World rank at grid position ``(i, j, ik)`` — inverse of :meth:`coords`."""
+        return i + self.pm * (j + self.pn * ik)
+
+    def fiber(self, axis: str) -> list[int]:
+        """World ranks along ``axis`` ('m', 'n' or 'k') through rank 0 — the
+        representative group the cost models price collectives on."""
+        extent = {"m": self.pm, "n": self.pn, "k": self.pk}[axis]
+        step = self.rank_of(*(a == axis for a in "mnk"))  # rank order is linear
+        return list(range(0, extent * step, step))
+
+    def split_key(self, rank: int, varying: str) -> tuple[int | None, int]:
+        """``(color, key)`` that hands ``Comm.split`` the ranks differing from
+        ``rank`` only along the axes named in ``varying``: 'm', 'n' or 'k' is
+        a fiber, 'mn' a k-task group's plane.  Members are ordered, and groups
+        numbered, column-major over their own axes; idle ranks get ``(None, 0)``.
+        """
+        at = self.coords(rank)
+        if at is None:
+            return None, 0
+        color = key = 0
+        color_stride = key_stride = 1
+        for axis, x, extent in zip("mnk", at, (self.pm, self.pn, self.pk)):
+            if axis in varying:
+                key += x * key_stride
+                key_stride *= extent
+            else:
+                color += x * color_stride
+                color_stride *= extent
+        return color, key
+
     def surface(self, m: int, n: int, k: int) -> float:
         """``S_total`` of eq. (4): total elements moved across all processes."""
         return 2.0 * (self.pm * k * n + self.pn * m * k + self.pk * m * n)
-
-    def block_dims(self, m: int, n: int, k: int) -> tuple[float, float, float]:
-        """Nominal per-process work-cuboid dimensions (may be fractional)."""
-        return m / self.pm, n / self.pn, k / self.pk
 
     def utilization(self) -> float:
         return self.used / self.nprocs

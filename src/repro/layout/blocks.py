@@ -100,6 +100,15 @@ class Rect:
             )
         )
 
+    def strip(self, parts: int, r: int) -> "Rect":
+        """Strip ``r`` of the ``parts`` a k-reduction leaves of this C block:
+        column strips when it is at least as wide as tall, else row strips."""
+        if self.cols >= self.rows:
+            lo, hi = block_range(self.cols, parts, r)
+            return Rect(self.r0, self.r1, self.c0 + lo, self.c0 + hi)
+        lo, hi = block_range(self.rows, parts, r)
+        return Rect(self.r0 + lo, self.r0 + hi, self.c0, self.c1)
+
     def transposed(self) -> "Rect":
         """The same region seen in the transposed matrix."""
         return Rect(self.c0, self.c1, self.r0, self.r1)

@@ -27,14 +27,23 @@ from .blocks import Rect, block_range
 
 
 class Distribution:
-    """Base class; subclasses implement :meth:`owned_rects`."""
+    """Base class; subclasses implement :meth:`owned_rects` — or, when
+    every rank holds at most one rectangle, just :meth:`block`."""
 
     shape: tuple[int, int]
     nranks: int
 
     def owned_rects(self, rank: int) -> list[Rect]:
         """Rectangles owned by ``rank`` (possibly empty), in a fixed order."""
-        raise NotImplementedError
+        rect = self.block(rank)
+        return [] if rect is None or rect.is_empty() else [rect]
+
+    def block(self, rank: int) -> Rect | None:
+        """The one rectangle a block layout assigns ``rank``, **kept when it
+        is empty** (a thin matrix, more ranks than rows) — the shape a
+        kernel's zero-size placeholder for that rank must have.  None where
+        the layout gives the rank no rectangle, or several."""
+        return None
 
     def whole(self) -> Rect:
         m, n = self.shape
@@ -42,9 +51,6 @@ class Distribution:
 
     def owned_elements(self, rank: int) -> int:
         return sum(r.area for r in self.owned_rects(rank))
-
-    def all_rects(self) -> dict[int, list[Rect]]:
-        return {r: self.owned_rects(r) for r in range(self.nranks)}
 
     def rect_index(self) -> tuple:
         """Flat arrays over every (rank, rect) pair: ``(ranks, r0, r1, c0, c1)``.
@@ -93,11 +99,10 @@ class BlockRow1D(Distribution):
     shape: tuple[int, int]
     nranks: int
 
-    def owned_rects(self, rank: int) -> list[Rect]:
+    def block(self, rank: int) -> Rect:
         m, n = self.shape
         lo, hi = block_range(m, self.nranks, rank)
-        rect = Rect(lo, hi, 0, n)
-        return [] if rect.is_empty() else [rect]
+        return Rect(lo, hi, 0, n)
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,10 @@ class BlockCol1D(Distribution):
     shape: tuple[int, int]
     nranks: int
 
-    def owned_rects(self, rank: int) -> list[Rect]:
+    def block(self, rank: int) -> Rect:
         m, n = self.shape
         lo, hi = block_range(n, self.nranks, rank)
-        rect = Rect(0, m, lo, hi)
-        return [] if rect.is_empty() else [rect]
+        return Rect(0, m, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -133,15 +137,14 @@ class Block2D(Distribution):
         if self.pr * self.pc > self.nranks:
             raise ValueError("Block2D grid larger than communicator")
 
-    def owned_rects(self, rank: int) -> list[Rect]:
+    def block(self, rank: int) -> Rect | None:
         if rank >= self.pr * self.pc:
-            return []
+            return None
         m, n = self.shape
         i, j = rank % self.pr, rank // self.pr
         r0, r1 = block_range(m, self.pr, i)
         c0, c1 = block_range(n, self.pc, j)
-        rect = Rect(r0, r1, c0, c1)
-        return [] if rect.is_empty() else [rect]
+        return Rect(r0, r1, c0, c1)
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,10 @@ class Explicit(Distribution):
             tuple(mapping.get(rk, ())) for rk in range(nranks)
         )
         return Explicit(shape=shape, nranks=nranks, rects=table)
+
+    def block(self, rank: int) -> Rect | None:
+        mine = self.rects[rank] if rank < len(self.rects) else ()
+        return mine[0] if len(mine) == 1 else None
 
     def owned_rects(self, rank: int) -> list[Rect]:
         if rank >= len(self.rects):

@@ -92,6 +92,17 @@ class DistMatrix:
     def local_bytes(self) -> int:
         return sum(t.nbytes for t in self.tiles)
 
+    def local_block(self) -> np.ndarray:
+        """This rank's tile of a one-block-per-rank layout — or, where the
+        rank holds nothing, zeros shaped like its own, empty, rectangle
+        (:meth:`Distribution.block`; ``(0, 0)`` where the layout gives it
+        none), so a kernel multiplies, concatenates and sends it like any
+        other block."""
+        if self.tiles:
+            return self.tiles[0]
+        rect = self.dist.block(self.comm.rank)
+        return np.zeros(rect.shape if rect is not None else (0, 0), dtype=self.dtype)
+
     # -------------------------------------------------------- collectives -- #
     def to_global(self) -> np.ndarray:
         """Allgather the full matrix on every rank (test/debug helper)."""

@@ -5,7 +5,7 @@ This subpackage is the substrate substituting for a real MPI cluster
 
 * :func:`run_spmd` — the ``mpiexec`` equivalent,
 * :class:`Comm` — communicators with mpi4py-style p2p and collectives,
-* :class:`Cart2D` — cartesian grid helper,
+* :class:`Cart2D` / :func:`grid_comms` — cartesian grid helpers,
 * wildcard/op constants (:data:`ANY_SOURCE`, :data:`ANY_TAG`,
   :data:`SUM`, :data:`MAX`, :data:`MIN`, :data:`PROD`),
 * :class:`SpmdResult` / :class:`RankTrace` — measured traffic and
@@ -34,7 +34,7 @@ from .errors import (
 from .faults import ANY_RANK, FaultPlan, LinkFault, RankFault, RetryPolicy
 from .request import CollRequest, Request, wait_all, wait_any
 from .runtime import SpmdResult, run_spmd
-from .topology import Cart2D, Cart3D
+from .topology import Cart2D, grid_comms
 from .transport import PhaseStats, RankTrace, Transport
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "Status",
     "Comm",
     "Cart2D",
-    "Cart3D",
+    "grid_comms",
     "Transport",
     "PhaseStats",
     "RankTrace",

@@ -4,23 +4,20 @@ The paper organizes the ``pm x pn x pk`` grid column-major: ranks in the
 same k-task group (and the same Cannon group within it) are contiguous.
 :class:`Cart2D` gives 2D algorithms (Cannon, SUMMA) coordinates, row and
 column subcommunicators, and circular-shift neighbours on an existing
-communicator without reinventing index arithmetic at every call site.
+communicator without reinventing index arithmetic at every call site;
+:func:`grid_comms` cuts the fibers and planes of the 3D grid out of the
+world, idle ranks included, from the rank order ``GridSpec`` states once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .comm import Comm
 from .errors import CommError
 
-
-@dataclass(frozen=True)
-class GridCoords2D:
-    """Coordinates of a rank in a column-major 2D grid."""
-
-    row: int
-    col: int
+if TYPE_CHECKING:  # pragma: no cover - mpi does not depend on grid at run time
+    from ..grid.optimizer import GridSpec
 
 
 class Cart2D:
@@ -45,10 +42,6 @@ class Cart2D:
     def rank_of(self, row: int, col: int) -> int:
         """Local rank of the process at ``(row, col)`` (wrapping)."""
         return (row % self.nrows) + (col % self.ncols) * self.nrows
-
-    @property
-    def coords(self) -> GridCoords2D:
-        return GridCoords2D(self.row, self.col)
 
     # Circular-shift neighbours (used by Cannon's algorithm).
     def left(self, by: int = 1) -> int:
@@ -76,58 +69,19 @@ class Cart2D:
         return sub
 
 
-class Cart3D:
-    """A column-major ``ni x nj x nl`` view of a communicator.
+def grid_comms(comm: Comm, grid: "GridSpec", *varying: str) -> list[Comm | None]:
+    """This rank's sub-communicators of a ``pm x pn x pk`` grid over ``comm``.
 
-    Local rank ``r`` sits at ``(i, j, l)`` with ``i`` fastest:
-    ``r = i + ni*j + ni*nj*l`` — the rank-order convention of the 3D and
-    2.5D algorithms and of CA3DMM's grid (the l/k index outermost).
-    Fiber subcommunicators vary one coordinate while fixing the others.
+    One collective :meth:`Comm.split` per entry of ``varying``, in that
+    order, each by :meth:`GridSpec.split_key`: ``"m"``, ``"n"`` or ``"k"``
+    is the fiber along that axis (the ranks sharing the other two
+    coordinates, ordered by the named one), ``"mn"`` the plane of this
+    rank's k-task group, ordered column-major so ``Cart2D(plane, pm, pn)``
+    puts every rank at its ``(i, j)``.  Idle ranks take part in every
+    split and get ``None`` for each.
     """
-
-    def __init__(self, comm: Comm, ni: int, nj: int, nl: int):
-        if comm.size != ni * nj * nl:
-            raise CommError(
-                f"Cart3D {ni}x{nj}x{nl} needs {ni * nj * nl} ranks, comm has {comm.size}"
-            )
-        self.comm = comm
-        self.ni, self.nj, self.nl = ni, nj, nl
-        self.i = comm.rank % ni
-        self.j = (comm.rank // ni) % nj
-        self.l = comm.rank // (ni * nj)
-
-    def rank_of(self, i: int, j: int, l: int) -> int:
-        """Local rank at ``(i, j, l)`` (coordinates wrap)."""
-        return (
-            (i % self.ni)
-            + (j % self.nj) * self.ni
-            + (l % self.nl) * self.ni * self.nj
+    if grid.nprocs != comm.size:
+        raise CommError(
+            f"grid {grid} was built for {grid.nprocs} ranks, comm has {comm.size}"
         )
-
-    @property
-    def coords(self) -> tuple[int, int, int]:
-        return self.i, self.j, self.l
-
-    def i_fiber(self) -> Comm:
-        """Ranks sharing (j, l), ordered by i (collective)."""
-        sub = self.comm.split(color=self.j + self.nj * self.l, key=self.i)
-        assert sub is not None
-        return sub
-
-    def j_fiber(self) -> Comm:
-        """Ranks sharing (i, l), ordered by j (collective)."""
-        sub = self.comm.split(color=self.i + self.ni * self.l, key=self.j)
-        assert sub is not None
-        return sub
-
-    def l_fiber(self) -> Comm:
-        """Ranks sharing (i, j), ordered by l (collective)."""
-        sub = self.comm.split(color=self.i + self.ni * self.j, key=self.l)
-        assert sub is not None
-        return sub
-
-    def layer(self) -> Comm:
-        """The (i, j) plane at this rank's l, ordered column-major."""
-        sub = self.comm.split(color=self.l, key=self.i + self.ni * self.j)
-        assert sub is not None
-        return sub
+    return [comm.split(*grid.split_key(comm.rank, axes)) for axes in varying]

@@ -421,11 +421,11 @@ def _k_group_imbalance(
     if plan is None or plan.pk <= 1:
         return None
     group_time: dict[int, float] = {}
-    layer = plan.pm * plan.pn
     for trace in result.live_traces:
-        if trace.rank >= plan.active:
+        at = plan.grid.coords(trace.rank)
+        if at is None:
             continue
-        ik = trace.rank // layer
+        ik = at[2]
         group_time[ik] = max(group_time.get(ik, 0.0), trace.time)
     if not group_time:
         return None

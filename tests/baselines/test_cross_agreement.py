@@ -1,8 +1,8 @@
 """All algorithms must agree with each other bit-for-meaning.
 
 One distributed input pair, every algorithm, identical mathematical
-output — the strongest single check that the seven schedules implement
-the same multiplication.
+output — the strongest single check that the schedules of
+``repro.baselines.SCHEDULES`` implement the same multiplication.
 """
 
 from __future__ import annotations
@@ -10,30 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    algo25d_matmul,
-    algo3d_matmul,
-    carma_matmul,
-    cosma_matmul,
-    ctf_matmul,
-    matmul_1d,
-    summa_matmul,
-)
-from repro.core import ca3dmm_matmul
-from repro.core.summa_variant import ca3dmm_s_matmul
 from repro.layout import BlockCol1D, BlockRow1D, DistMatrix, dense_random
-
-ALGOS = [
-    ("ca3dmm", ca3dmm_matmul),
-    ("ca3dmm-s", ca3dmm_s_matmul),
-    ("cosma", cosma_matmul),
-    ("ctf", ctf_matmul),
-    ("summa", summa_matmul),
-    ("1d", matmul_1d),
-    ("3d", algo3d_matmul),
-    ("2.5d", algo25d_matmul),
-    ("carma", carma_matmul),
-]
+from tests.conftest import schedules_for
 
 
 @pytest.mark.parametrize("m,n,k,P", [(24, 20, 28, 8), (40, 8, 8, 12), (9, 9, 60, 16)])
@@ -45,9 +23,7 @@ def test_all_algorithms_agree(spmd, m, n, k, P):
         out_dist = BlockRow1D((m, n), comm.size)
         ref = A @ B
         errs = {}
-        for name, fn in ALGOS:
-            if name == "summa" and P in (13,):
-                continue
+        for name, fn in schedules_for(P).items():
             c = fn(a, b, c_dist=out_dist)
             errs[name] = float(np.max(np.abs(c.to_global() - ref)))
         return errs
@@ -68,7 +44,7 @@ def test_algorithms_preserve_input(spmd):
         b = DistMatrix.from_global(comm, BlockCol1D((16, 10), comm.size), B)
         snap_a = [t.copy() for t in a.tiles]
         snap_b = [t.copy() for t in b.tiles]
-        for _, fn in ALGOS:
+        for fn in schedules_for(comm.size).values():
             fn(a, b)
             assert all(np.array_equal(s, t) for s, t in zip(snap_a, a.tiles))
             assert all(np.array_equal(s, t) for s, t in zip(snap_b, b.tiles))

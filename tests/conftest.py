@@ -9,10 +9,13 @@ two runs of one program must agree down to the raw logs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.baselines import SCHEDULES
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
 
@@ -56,6 +59,13 @@ def run_twice(nprocs, fn, **kw):
     b = run_spmd(nprocs, fn, **kw)
     assert_replay_identical(a, b)
     return a, b
+
+
+def schedules_for(nprocs: int) -> dict:
+    """``repro.baselines.SCHEDULES``, minus Cannon on a world that is not
+    a square — what every sweep over the registry iterates."""
+    square = math.isqrt(nprocs) ** 2 == nprocs
+    return {name: fn for name, fn in SCHEDULES.items() if square or name != "cannon"}
 
 
 def assert_allclose(actual, desired, rtol=1e-12, atol=1e-12):
