@@ -44,6 +44,7 @@ import numpy as np
 
 from ..obs.tracer import CAT_COLLECTIVE
 from .datatypes import INTERNAL_TAG_BASE, Op, SUM
+from .errors import CommError
 from .request import CollRequest
 
 
@@ -101,6 +102,17 @@ BCAST_LONG_THRESHOLD = 64 * 1024
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
+
+
+def _one_per_rank(comm, name: str, values: Sequence[Any] | None) -> None:
+    """Refuse a per-rank sequence of the wrong length before the first
+    message is posted (an ``assert`` would vanish under ``python -O``
+    and surface as an ``IndexError`` halfway through the exchange)."""
+    given = None if values is None else len(values)
+    if given != comm.size:
+        raise CommError(
+            f"{name} needs one value per rank: got {given}, comm.size is {comm.size}"
+        )
 
 
 # ---------------------------------------------------------------- barrier -- #
@@ -241,11 +253,10 @@ def gather(comm, value: Any, root: int = 0) -> list[Any] | None:
 
 def scatter(comm, values: Sequence[Any] | None, root: int = 0) -> Any:
     """Linear scatter; each rank returns its element of root's sequence."""
+    if comm.rank == root:
+        _one_per_rank(comm, "scatter (at the root)", values)
     with _span(comm, "scatter", algo="scatter.linear"):
         if comm.rank == root:
-            assert values is not None and len(values) == comm.size, (
-                "scatter needs one value per rank at the root"
-            )
             for r in range(comm.size):
                 if r != root:
                     comm.send(values[r], r, _TAG_SCATTER)
@@ -280,7 +291,7 @@ def allgather(comm, value: Any) -> list[Any]:
 def alltoall(comm, values: Sequence[Any]) -> list[Any]:
     """Pairwise-exchange alltoall; ``values[r]`` goes to rank ``r``."""
     size, rank = comm.size, comm.rank
-    assert len(values) == size, "alltoall needs one value per rank"
+    _one_per_rank(comm, "alltoall", values)
     if size == 1:
         return [values[0]]
     with _span(comm, "alltoall", algo="alltoall.pairwise"):
@@ -351,7 +362,7 @@ def reduce_scatter(comm, blocks: Sequence[np.ndarray], op: Op = SUM) -> np.ndarr
     transport level; see :mod:`repro.machine.model`.
     """
     size, rank = comm.size, comm.rank
-    assert len(blocks) == size, "reduce_scatter needs one block per rank"
+    _one_per_rank(comm, "reduce_scatter", blocks)
     if size == 1:
         return np.array(np.asarray(blocks[0]), copy=True)
     with _span(comm, "reduce_scatter", algo="reduce_scatter.pairwise"):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import collectives as _coll
 from .datatypes import ANY_SOURCE, ANY_TAG, Op, SUM, Status, payload_pack
-from .errors import CommError, RankError, TagError
+from .errors import BufferError_, CommError, RankError, TagError
 from .request import RecvRequest, Request, SendRequest
 from .transport import Transport
 
@@ -91,17 +91,29 @@ class Comm:
         if tag != ANY_TAG and tag < 0:
             raise TagError(f"invalid tag {tag}")
 
+    def _send_target(self, dest: int, tag: int) -> int:
+        """World rank of ``dest``, for a send with ``tag``.  Wildcards are
+        for receives: ``ANY_SOURCE`` is not a destination (it would park
+        the message in a mailbox nobody owns and wake the wrong rank) and
+        ``ANY_TAG`` is not a tag a message can carry.  Refused here, on
+        the calling rank, before anything is packed, posted or counted."""
+        if tag < 0:
+            raise TagError(
+                "cannot send with ANY_TAG" if tag == ANY_TAG else f"invalid tag {tag}"
+            )
+        if not 0 <= dest < len(self._group):
+            raise RankError(f"cannot send to rank {dest}: out of range for size {self.size}")
+        return self._group[dest]
+
     # --------------------------------------------------------------- p2p -- #
     def send(self, value: Any, dest: int, tag: int = 0) -> None:
         """Blocking eager send of an array or picklable object."""
-        self._check_tag(tag)
-        if tag == ANY_TAG:
-            raise TagError("cannot send with ANY_TAG")
+        dest_world = self._send_target(dest, tag)
         stored, nbytes, is_array = payload_pack(value)
         self._transport.post_send(
             self._ctx,
             self._world_rank,
-            self._to_world(dest),
+            dest_world,
             tag,
             stored,
             nbytes,
@@ -111,11 +123,8 @@ class Comm:
 
     def isend(self, value: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; the buffer is copied, reusable immediately."""
-        self._check_tag(tag)
-        if tag == ANY_TAG:
-            raise TagError("cannot send with ANY_TAG")
+        dest_world = self._send_target(dest, tag)
         stored, nbytes, is_array = payload_pack(value)
-        dest_world = self._to_world(dest)
         arrival, seq = self._transport.post_send(
             self._ctx,
             self._world_rank,
@@ -164,8 +173,6 @@ class Comm:
         if buf is not None:
             arr = np.asarray(value)
             if buf.size != arr.size:
-                from .errors import BufferError_
-
                 raise BufferError_(
                     f"recv buffer size {buf.size} != message size {arr.size}"
                 )
@@ -201,10 +208,10 @@ class Comm:
         Simulated time: the outgoing transfer and the incoming transfer
         overlap; the call completes at the later of the two.
         """
-        self._check_tag(sendtag)
+        dest_world = self._send_target(dest, sendtag)
         self._check_tag(recvtag)
+        source_world = self._to_world(recvsource)
         stored, nbytes, is_array = payload_pack(sendvalue)
-        dest_world = self._to_world(dest)
         arrival_out, seq_out = self._transport.post_send(
             self._ctx,
             self._world_rank,
@@ -216,7 +223,7 @@ class Comm:
             advance_sender=False,
         )
         msg, _st = self._transport.match_recv(
-            self._ctx, self._world_rank, self._to_world(recvsource), recvtag
+            self._ctx, self._world_rank, source_world, recvtag
         )
         # Outgoing side also occupies this rank until arrival_out.
         self._transport.raise_clock(

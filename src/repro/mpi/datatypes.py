@@ -97,5 +97,11 @@ class Message:
     arrival: float  #: simulated time at which the payload is available
     seq: int = field(default=0)  #: global order stamp (FIFO tiebreak)
 
+    def matches(self, src_world: int, tag: int) -> bool:
+        """Whether a receive posted for ``(src_world, tag)`` takes this."""
+        if src_world != ANY_SOURCE and self.src_world != src_world:
+            return False
+        return tag == ANY_TAG or self.tag == tag
+
     def unpack(self) -> Any:
         return payload_unpack(self.stored, self.is_array)

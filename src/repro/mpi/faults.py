@@ -53,14 +53,31 @@ Plans round-trip through JSON (:meth:`FaultPlan.to_json` /
 :meth:`FaultPlan.from_json`, schema :data:`FAULTPLAN_JSON_SCHEMA`) so
 the same fault scenario can be replayed from the ``repro faults`` /
 ``repro recover`` CLI (``--plan``) and CI.
+
+What a plan *does* to a run lives here too: a :class:`FaultInjector`
+exists only for a world that was given a plan, owns the per-link hit
+counters, the held drops and the rank-fault entry counts, and is
+consulted by the transport at five seams — a post (perturb, flip,
+hold), a receive or probe (what a held drop hides; the timeout-retry
+when nothing else matches), the revocation quiescence check, a phase
+entry (stall, abort, kill) and a compute advance (slowdown).  The
+transport keeps what is core state — the mailboxes, the ``dead`` set,
+the message log — and never looks inside a payload.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+import numpy as np
+
+from .datatypes import Message
+from .errors import InjectedAbortError, RankKilledError, RecvTimeoutError
 
 #: Wildcard rank for link-fault endpoints.
 ANY_RANK: int = -1
@@ -88,15 +105,6 @@ class LinkDecision:
     latency_factor: float = 1.0  #: multiplier on the nominal flight time
     drops: int = 0  #: transmissions lost before a retransmit succeeds
     corrupt_elems: int = 0  #: array elements to flip in the payload (ABFT)
-
-    @property
-    def perturbed(self) -> bool:
-        return (
-            self.extra_s > 0.0
-            or self.latency_factor != 1.0
-            or self.drops > 0
-            or self.corrupt_elems > 0
-        )
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,7 @@ class LinkFault:
             dropped = _mix(seed, salt, 3, src, dst, hit) < self.drop_prob
         if self.corrupt_phase is not None:
             # Phase-targeted corruption runs off its own hit counter:
-            # the transport calls :meth:`corrupt_elems_for` with hits
+            # the injector calls :meth:`corrupt_elems_for` with hits
             # counted only inside ``corrupt_phase``.
             elems = 0
         else:
@@ -284,12 +292,6 @@ class RankFault:
     def matches_phase(self, rank: int, phase: str) -> bool:
         return rank == self.rank and (self.phase is None or self.phase == phase)
 
-    def triggers(self, rank: int, phase: str, entry_count: int) -> bool:
-        """Whether entering ``phase`` for the ``entry_count``-th time fires."""
-        if not self.matches_phase(rank, phase):
-            return False
-        return self.occurrence == 0 or entry_count == self.occurrence
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "rank": self.rank,
@@ -371,25 +373,6 @@ class FaultPlan:
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "ranks", tuple(self.ranks))
 
-    # -------------------------------------------------------- decisions -- #
-    def link_rules(self, src: int, dst: int, phase: str):
-        """Indexed rules matching one posted message (salt, rule) pairs."""
-        return [
-            (i, r) for i, r in enumerate(self.links) if r.matches(src, dst, phase)
-        ]
-
-    def compute_factor(self, rank: int, phase: str) -> float:
-        """Combined compute-slowdown multiplier for ``rank`` in ``phase``."""
-        f = 1.0
-        for r in self.ranks:
-            if r.slowdown != 1.0 and r.matches_phase(rank, phase):
-                f *= r.slowdown
-        return f
-
-    @property
-    def has_compute_faults(self) -> bool:
-        return any(r.slowdown != 1.0 for r in self.ranks)
-
     # ---------------------------------------------------- serialization -- #
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -425,6 +408,263 @@ class FaultPlan:
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
         return cls.from_json(Path(path).read_text())
+
+
+# ------------------------------------------------- applying a plan -- #
+@dataclass
+class _Dropped:
+    """A message lost on the wire, awaiting receiver-driven retransmits."""
+
+    msg: Message
+    flight: float  #: perturbed one-transmission flight time
+    drops: int  #: transmissions that must be lost before one succeeds
+    t_post: float  #: sender's clock at the original post (causality floor)
+    attempts: int = 0  #: retransmit requests made by the receiver so far
+
+
+def _inexact_arrays(x: Any, out: list[np.ndarray]) -> list[np.ndarray]:
+    """The non-empty float/complex arrays of a payload, in a fixed walk
+    order.  Only those are corruptible — integer arrays carry control
+    decisions (ABFT votes), and flipping them would corrupt the
+    corrector rather than the data it guards."""
+    if isinstance(x, np.ndarray):
+        if x.size and np.issubdtype(x.dtype, np.inexact):
+            out.append(x)
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            _inexact_arrays(y, out)
+    elif isinstance(x, dict):
+        for k in x:
+            _inexact_arrays(x[k], out)
+    return out
+
+
+class FaultInjector:
+    """What a :class:`FaultPlan` does to one world.
+
+    Built by the transport only when ``run_spmd(faults=...)`` was given a
+    plan, and called only by whoever owns the world (like the transport
+    itself).  It owns the state a plan needs — per-(rule, link) hit
+    counters, messages held as dropped, per-rule phase-entry counts —
+    and charges what it injects to ``world.ranks``.
+    """
+
+    def __init__(self, plan: FaultPlan, world: Any):
+        self.plan = plan
+        self.world = world  #: the :class:`~repro.mpi.transport.Transport`
+        #: whether any rule slows compute (the advance seam's fast test)
+        self.slows_compute = any(r.slowdown != 1.0 for r in plan.ranks)
+        # per-(rule, src, dst) matched-message counters (fault decisions)
+        self._link_hits: dict[tuple, int] = {}
+        # held[(ctx, dst_world)] -> messages lost on the wire
+        self._held: dict[tuple[int, int], list[_Dropped]] = defaultdict(list)
+        # per-rule phase-entry counters for rank faults
+        self._phase_entries: dict[int, int] = {}
+
+    def _hit(self, key: tuple) -> int:
+        hit = self._link_hits.get(key, 0)
+        self._link_hits[key] = hit + 1
+        return hit
+
+    # ------------------------------------------------------------ post -- #
+    def perturb(
+        self, src: int, dst: int, phase: str, t_msg: float, stored: Any
+    ) -> tuple[float, int, bool, Any]:
+        """Apply matching link-fault rules to one posted message.
+
+        Returns ``(perturbed_flight, drops, injected, stored)`` — the
+        returned payload replaces the caller's, because corrupting a
+        pickled container produces a *new* blob.  Factors from
+        multiple matching rules multiply, extra delays add, and drop
+        counts take the max.  Per-(rule, link) hit counters make every
+        decision reproducible (one sender per link).  Rules with
+        ``corrupt_phase`` draw their corruption decisions from a
+        separate per-link hit counter, so adding phase-targeted
+        corruption to a plan never shifts the seeded decisions of
+        existing rules.
+        """
+        seed = self.plan.seed
+        extra = 0.0
+        factor = 1.0
+        drops = 0
+        flips: list[tuple[int, int, int]] = []
+        for idx, rule in enumerate(self.plan.links):  # idx salts the rule's seeds
+            if not rule.matches(src, dst, phase):
+                continue
+            hit = self._hit((idx, src, dst))
+            dec = rule.decide(seed, idx, src, dst, hit, t_msg)
+            extra += dec.extra_s
+            factor *= dec.latency_factor
+            drops = max(drops, dec.drops)
+            if dec.corrupt_elems > 0:
+                flips.append((idx, hit, dec.corrupt_elems))
+            if rule.corrupt_phase is not None and phase == rule.corrupt_phase:
+                chit = self._hit((idx, src, dst, "corrupt"))
+                elems = rule.corrupt_elems_for(seed, idx, src, dst, chit)
+                if elems > 0:
+                    flips.append((idx, chit, elems))
+        corrupted = False
+        if flips:
+            stored, corrupted = self._flip(src, dst, phase, stored, flips)
+        injected = extra > 0.0 or factor != 1.0 or drops > 0 or corrupted
+        return t_msg * factor + extra, drops, injected, stored
+
+    def _flip(
+        self, src: int, dst: int, phase: str, stored: Any,
+        requests: list[tuple[int, int, int]],
+    ) -> tuple[Any, bool]:
+        """Flip seeded elements of an in-flight payload; ``(payload, hit)``.
+
+        A raw array is flipped in place (``payload_pack`` handed the
+        transport a private copy, so the sender's buffer is untouched
+        and the receiver sees the corrupted bits, exactly like a
+        wire-level flip).  Redistribution batches and allgather rounds
+        travel as pickled containers: those are unpickled, flipped and
+        re-pickled into a new blob.  Either way each flip lands on a
+        seeded position of the virtual concatenation of the payload's
+        inexact arrays — a raw array is the one-array case — and adds
+        ``1 + |v|`` to it: large relative to both the value and float64
+        roundoff, hence always detectable by a checksum with a sane
+        tolerance.  Payloads without float arrays (ABFT vote ints,
+        resend nack bools) are incorruptible by construction.
+        """
+        obj = stored
+        if isinstance(stored, (bytes, bytearray)):
+            try:
+                obj = pickle.loads(bytes(stored))
+            except Exception:
+                return stored, False
+        arrays = _inexact_arrays(obj, [])
+        total = sum(a.size for a in arrays)
+        if total == 0:
+            return stored, False
+        st = self.world.ranks[src]
+        for idx, hit, elems in requests:
+            for e in range(elems):
+                pos = int(_mix(self.plan.seed, idx, 5, src, dst, hit, e) * total) % total
+                for a in arrays:
+                    if pos < a.size:
+                        val = a.flat[pos]
+                        a.flat[pos] = val + (1.0 + abs(val))
+                        break
+                    pos -= a.size
+            st.corruptions_injected += 1
+            by_phase = st.corruptions_injected_by_phase
+            by_phase[phase] = by_phase.get(phase, 0) + 1
+        if obj is not stored:
+            stored = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        return stored, True
+
+    def hold(self, msg: Message, flight: float, drops: int, t_post: float) -> None:
+        """Keep a message lost on the wire out of its mailbox until the
+        receiver has timed out ``drops`` times.  The sender is oblivious
+        — its clock and counters were charged as usual."""
+        self._held[(msg.ctx, msg.dst_world)].append(
+            _Dropped(msg=msg, flight=flight, drops=drops, t_post=t_post)
+        )
+
+    # ------------------------------------------------- receive / probe -- #
+    def held(self, ctx: int, dst: int, src: int, tag: int) -> dict[int, _Dropped] | None:
+        """Per sender, the lowest-seq held drop a ``(src, tag)`` receive
+        on ``dst`` matches; ``None`` when there is none.
+
+        The one scan both consumers read.  It caps mailbox selection: a
+        drop from sender A must not be overtaken by A's later messages
+        (non-overtaking is a *per-pair* property; it says nothing about
+        sender B).  And it is what the receive times out against when
+        nothing else matches (:meth:`retry`).
+        """
+        held = self._held.get((ctx, dst))
+        if not held:
+            return None
+        lowest: dict[int, _Dropped] = {}
+        for d in held:
+            if d.msg.matches(src, tag):
+                cur = lowest.get(d.msg.src_world)
+                if cur is None or d.msg.seq < cur.msg.seq:
+                    lowest[d.msg.src_world] = d
+        return lowest or None
+
+    def retry(self, lowest: dict[int, _Dropped]) -> None:
+        """Charge one recv timeout against a held drop of :meth:`held` and
+        either request a retransmit or raise :class:`RecvTimeoutError`.
+
+        Across senders the drop whose original arrival would have been
+        earliest is the one timed out against, with the sender rank as
+        tie-break — virtual-time ordering, never the order the drops
+        were registered in.  The timeout is a *simulated-time*
+        construct: it fires as soon as the transport can prove the
+        awaited message was dropped, and the wait it models
+        (``timeout_s * backoff**(n-1)``) is charged to the receiver's
+        simulated clock as an ``injected=True`` wait.
+        """
+        d = min(lowest.values(), key=lambda d: (d.msg.arrival, d.msg.src_world))
+        world, msg, policy = self.world, d.msg, self.plan.retry
+        dst = msg.dst_world
+        st = world.ranks[dst]
+        d.attempts += 1
+        wait_s = policy.nth_timeout_s(d.attempts)
+        st.timeouts += 1
+        st.injected_wait_s += wait_s
+        world.advance(
+            dst, wait_s, "comm",
+            event_kind="wait", peer=msg.src_world, seq=msg.seq, injected=True,
+        )
+        world.progress += 1
+        if d.attempts > policy.max_retries:
+            waited = sum(policy.nth_timeout_s(i) for i in range(1, d.attempts + 1))
+            raise RecvTimeoutError(dst, msg.src_world, msg.tag, d.attempts, waited)
+        st.retries += 1
+        if d.attempts >= d.drops:
+            # Retransmit succeeds: receiver-driven resend arrives one
+            # flight after the request.  It leaves no earlier than the
+            # receiver's request *and* no earlier than the original
+            # post: a receiver whose timeouts all fired before the
+            # sender even posted (e.g. the sender straggling under a
+            # slowdown fault) must not receive a message from the future.
+            self._held[(msg.ctx, dst)].remove(d)
+            msg.arrival = max(st.clock, d.t_post) + d.flight
+            world.redeliver(msg)
+
+    # ----------------------------------------- phase entry and compute -- #
+    def enter_phase(self, rank: int, name: str) -> None:
+        """Fire matching :class:`RankFault` rules on phase entry (stall
+        windows, scripted aborts and kills; slowdown factors are applied
+        per compute advance by :meth:`slow_compute`)."""
+        for idx, rule in enumerate(self.plan.ranks):
+            if not rule.matches_phase(rank, name):
+                continue
+            count = self._phase_entries.get(idx, 0) + 1
+            self._phase_entries[idx] = count
+            if rule.occurrence not in (0, count):  # 0: every matching entry
+                continue
+            if rule.stall_s > 0.0:
+                self.world.ranks[rank].injected_wait_s += rule.stall_s
+                self.world.advance(
+                    rank, rule.stall_s, "comm", event_kind="wait", injected=True
+                )
+            if rule.abort:
+                raise InjectedAbortError(rank, name, count)
+            if rule.kill:
+                # Permanent death, not a world abort: peers learn of it
+                # from the transport; this rank's strand unwinds with
+                # the typed kill error.
+                self.world.mark_dead(rank)
+                raise RankKilledError(rank, name, count)
+
+    def slow_compute(self, rank: int, dt: float) -> tuple[float, bool]:
+        """A compute interval stretched by the slowdown rules matching the
+        rank's phase, the excess charged as injected wait;
+        ``(interval, whether a rule applied)``."""
+        st = self.world.ranks[rank]
+        factor = 1.0
+        for rule in self.plan.ranks:
+            if rule.slowdown != 1.0 and rule.matches_phase(rank, st.phase):
+                factor *= rule.slowdown
+        if factor == 1.0:
+            return dt, False
+        st.injected_wait_s += dt * factor - dt
+        return dt * factor, True
 
 
 FAULTPLAN_JSON_SCHEMA: dict[str, Any] = {

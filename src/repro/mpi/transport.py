@@ -16,19 +16,23 @@ communicate through.  It provides:
   scatter+allgather bcast, Bruck allgather, pairwise reduce-scatter,
   raw Cannon/redistribution ``p2p``) that the communication audit
   (:mod:`repro.obs.audit`) reads bytes-on-the-wire from,
+* tagged resident-memory watermarks (``mem_alloc``/``mem_free``), part
+  of every rank summary whether or not anything is recorded,
+* the ULFM-style failure surface (``dead``, ``revoke``, ``agree``), and
 * the progress counter the scheduler's probe-poll livelock check
-  samples, and
-* an optional deterministic fault-injection layer
-  (:mod:`repro.mpi.faults`): a :class:`~repro.mpi.faults.FaultPlan`
-  consulted at every ``post_send`` (latency inflation, jitter, bounded
-  reordering, drop-with-resend), phase entry (stalls, scripted aborts),
-  and compute advance (slowdown factors), with receive-side
-  timeout/retry/backoff semantics so a dropped message surfaces as a
-  typed retry — or, when the budget is exhausted, a
-  :class:`~repro.mpi.errors.RecvTimeoutError` — instead of a silent
-  hang.  Injected intervals are tagged ``injected=True`` on their
-  events so the critical-path analyzer can tell injected waits from
-  organic ones.
+  samples.
+
+Messages, clocks and counters — what a
+:class:`~repro.mpi.faults.FaultPlan` does to a run is not here.  A world
+given a plan builds one :class:`~repro.mpi.faults.FaultInjector` and
+consults it at five seams: a post (perturb, corrupt, hold), a receive or
+probe (what a held drop hides; the timeout-retry when nothing else
+matches), the revocation quiescence check, a phase entry (stall, abort,
+kill) and a compute advance (slowdown).  A world without a plan tests
+``self.injector is not None`` there and makes no call.  The transport
+never looks inside a payload; intervals and messages a plan touched are
+tagged ``injected=True`` so the critical-path analyzer can tell injected
+waits from organic ones.
 
 There is no lock here.  Every method is called by whoever owns the
 world — the running strand, or the driver while no strand runs — and
@@ -41,26 +45,16 @@ exactly the ranks an operation could unblock.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from ..machine.model import MachineModel
 from ..obs.tracer import CAT_PHASE, Tracer
-from .datatypes import ANY_SOURCE, ANY_TAG, Message, Status
+from .datatypes import ANY_SOURCE, Message, Status
 from .des import DesScheduler
-from .errors import (
-    AbortError,
-    CommRevokedError,
-    InjectedAbortError,
-    RankFailedError,
-    RankKilledError,
-    RecvTimeoutError,
-)
-from .faults import FaultPlan, _mix
+from .errors import AbortError, CommRevokedError, RankFailedError
+from .faults import FaultInjector, FaultPlan
 
 #: Phase label used when no explicit phase is active.
 DEFAULT_PHASE = "other"
@@ -140,40 +134,38 @@ class PhaseStats:
 
 
 @dataclass
-class RankState:
-    """Mutable per-rank bookkeeping owned by the transport."""
+class RankTrace:
+    """One rank's counters: declared here, once.
 
-    clock: float = 0.0
+    The transport charges a live record per rank (:class:`RankState`,
+    these fields plus the scheduling ones) and :meth:`Transport.trace`
+    returns the driver an independent copy of exactly these fields, so
+    a new counter is one line in this class.
+    """
+
+    rank: int
+    time: float = 0.0  #: the rank's clock, stamped by :meth:`Transport.trace`
     bytes_sent: int = 0
     bytes_recv: int = 0
     msgs_sent: int = 0
     msgs_recv: int = 0
     peak_live_bytes: int = 0
-    resident_bytes: int = 0  #: currently resident tracked bytes (memtrace)
-    resident_peak_bytes: int = 0  #: high-water mark of resident_bytes
-    #: live tracked bytes per purpose tag (``tile.a``, ``cannon.dblbuf``, ...)
-    mem_live: dict[str, int] = field(default_factory=dict)
-    #: per-purpose high-water marks of the purpose's own live bytes
-    mem_peak: dict[str, int] = field(default_factory=dict)
-    #: per-phase high-water marks of total resident bytes
-    phase_mem_peak: dict[str, int] = field(default_factory=dict)
-    phase_stack: list[str] = field(default_factory=list)
-    phase: str = DEFAULT_PHASE  #: top of ``phase_stack``
-    phase_span_stack: list[int] = field(default_factory=list)  #: tracer span ids
     phases: dict[str, PhaseStats] = field(default_factory=dict)
-    coll_stack: list[str] = field(default_factory=list)  #: active collective calls
-    coll: str = DEFAULT_COLL  #: bottom of ``coll_stack``: the outermost label wins
     #: per-phase, per-collective-algorithm traffic: phase -> label -> stats.
     colls: dict[str, dict[str, CollStats]] = field(default_factory=dict)
-    #: where charges go now: ``phases[phase]`` and ``colls[phase][coll]``.
-    #: Dropped when a phase or collective is pushed or popped; the next
-    #: charge points them again (a phase never charged gets no entry).
-    cur_ps: PhaseStats | None = None
-    cur_cs: CollStats | None = None
+    resident_peak_bytes: int = 0  #: measured resident watermark (memtrace)
+    resident_bytes: int = 0  #: tracked bytes currently live
+    #: per-purpose high-water marks of that purpose's live bytes
+    mem_peaks: dict[str, int] = field(default_factory=dict)
+    #: live tracked bytes per purpose tag (``tile.a``, ``cannon.dblbuf``,
+    #: ...); a snapshot keeps only the non-zero ones (leak detector)
+    mem_live: dict[str, int] = field(default_factory=dict)
+    #: per-phase high-water marks of total resident bytes
+    phase_mem_peaks: dict[str, int] = field(default_factory=dict)
     retries: int = 0  #: retransmits requested for dropped messages
     timeouts: int = 0  #: recv timeouts charged (== retries unless fatal)
-    injected_wait_s: float = 0.0  #: simulated time added by injected faults
-    corruptions_injected: int = 0  #: corrupt-rule firings on messages this rank sent
+    injected_wait_s: float = 0.0  #: simulated seconds added by injected faults
+    corruptions_injected: int = 0  #: corrupt-rule firings on this rank's sends
     corruptions_detected: int = 0  #: ABFT checksum mismatches this rank caught
     #: per-phase breakdown of ``corruptions_injected`` (sender's phase at post)
     corruptions_injected_by_phase: dict[str, int] = field(default_factory=dict)
@@ -182,6 +174,23 @@ class RankState:
     recomputed_flops: float = 0.0  #: flops re-executed for ABFT correction
     reused_flops: float = 0.0  #: flops avoided by reusing retained partials
     recoveries: int = 0  #: shrink-replan recovery rounds this rank survived
+
+
+@dataclass
+class RankState(RankTrace):
+    """A rank's live counters plus the transport's scheduling fields."""
+
+    clock: float = 0.0
+    phase_stack: list[str] = field(default_factory=list)
+    phase: str = DEFAULT_PHASE  #: top of ``phase_stack``
+    phase_span_stack: list[int] = field(default_factory=list)  #: tracer span ids
+    coll_stack: list[str] = field(default_factory=list)  #: active collective calls
+    coll: str = DEFAULT_COLL  #: bottom of ``coll_stack``: the outermost label wins
+    #: where charges go now: ``phases[phase]`` and ``colls[phase][coll]``.
+    #: Dropped when a phase or collective is pushed or popped; the next
+    #: charge points them again (a phase never charged gets no entry).
+    cur_ps: PhaseStats | None = None
+    cur_cs: CollStats | None = None
     #: structured wait state, consulted by the revocation quiescence
     #: check: ``(ctx, src, tag)`` while blocked in :meth:`Transport.match_recv`.
     recv_wait: tuple[int, int, int] | None = None
@@ -294,51 +303,17 @@ class MemEvent:
     resident_bytes: int
 
 
-@dataclass
-class RankTrace:
-    """Immutable snapshot of a rank's counters, returned to the driver."""
-
-    rank: int
-    time: float
-    bytes_sent: int
-    bytes_recv: int
-    msgs_sent: int
-    msgs_recv: int
-    peak_live_bytes: int
-    phases: dict[str, PhaseStats]
-    #: per-phase, per-collective-algorithm traffic: phase -> label -> stats.
-    colls: dict[str, dict[str, CollStats]] = field(default_factory=dict)
-    resident_peak_bytes: int = 0  #: measured resident watermark (memtrace)
-    resident_bytes: int = 0  #: tracked bytes still live at snapshot time
-    #: per-purpose high-water marks of that purpose's live bytes
-    mem_peaks: dict[str, int] = field(default_factory=dict)
-    #: purposes with bytes still live at snapshot time (leak detector)
-    mem_live: dict[str, int] = field(default_factory=dict)
-    #: per-phase high-water marks of total resident bytes
-    phase_mem_peaks: dict[str, int] = field(default_factory=dict)
-    retries: int = 0  #: fault-injection retransmits this rank requested
-    timeouts: int = 0  #: fault-injection recv timeouts this rank charged
-    injected_wait_s: float = 0.0  #: simulated seconds added by injected faults
-    corruptions_injected: int = 0  #: corrupt-rule firings on this rank's sends
-    corruptions_detected: int = 0  #: ABFT checksum mismatches this rank caught
-    #: per-phase breakdown of ``corruptions_injected`` (sender's phase at post)
-    corruptions_injected_by_phase: dict[str, int] = field(default_factory=dict)
-    #: per-phase breakdown of ``corruptions_detected`` (detection site)
-    corruptions_detected_by_phase: dict[str, int] = field(default_factory=dict)
-    recomputed_flops: float = 0.0  #: flops re-executed for ABFT correction
-    reused_flops: float = 0.0  #: flops avoided by reusing retained partials
-    recoveries: int = 0  #: shrink-replan recovery rounds this rank survived
+_COUNTERS = [f.name for f in dataclasses.fields(RankTrace)]
 
 
-@dataclass
-class _Dropped:
-    """A message lost on the wire, awaiting receiver-driven retransmits."""
-
-    msg: Message
-    flight: float  #: perturbed one-transmission flight time
-    drops: int  #: transmissions that must be lost before one succeeds
-    t_post: float  #: sender's clock at the original post (causality floor)
-    attempts: int = 0  #: retransmit requests made by the receiver so far
+def _copied(value: Any) -> Any:
+    """A counter value the live record no longer shares: dicts and the
+    stats records inside them are copied, numbers are themselves."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, (PhaseStats, CollStats)):
+        return value.merged(type(value)())
+    return value
 
 
 class Transport:
@@ -357,6 +332,8 @@ class Transport:
         self.machine = machine or MachineModel()
         self.record_events = record_events
         self.faults = faults
+        #: what the plan does to this world; ``None`` without a plan.
+        self.injector = FaultInjector(faults, self) if faults is not None else None
         self.events: list[Event] = []
         #: per-message records (by list index == seq - 1) when recording.
         self.msglog: list[MsgRecord] = []
@@ -367,14 +344,8 @@ class Transport:
         self.tracer = Tracer(enabled=record_events)
         # mailbox[(ctx, dst_world)] -> list of pending Message in seq order
         self._mail: dict[tuple[int, int], list[Message]] = defaultdict(list)
-        # dropped[(ctx, dst_world)] -> messages lost on the wire (faults)
-        self._dropped: dict[tuple[int, int], list[_Dropped]] = defaultdict(list)
-        # per-(rule, src, dst) matched-message counters (fault decisions)
-        self._fault_hits: dict[tuple[int, int, int], int] = {}
-        # per-(rule,) phase-entry counters for rank faults
-        self._rankfault_hits: dict[int, int] = {}
         self._seq = 0
-        self.ranks = [RankState() for _ in range(nprocs)]
+        self.ranks = [RankState(rank=r) for r in range(nprocs)]
         #: bumped on every delivery/removal; the scheduler's livelock
         #: check samples it.
         self.progress = 0
@@ -443,6 +414,14 @@ class Transport:
     def dead_ranks(self) -> frozenset[int]:
         """World ranks permanently failed so far (``RankFault(kill=True)``)."""
         return frozenset(self.dead)
+
+    def mark_dead(self, world_rank: int) -> None:
+        """Permanent death of one rank, not a world abort: wake every
+        blocked peer — their next matching attempt on this rank raises
+        :class:`~repro.mpi.errors.RankFailedError`."""
+        self.dead.add(world_rank)
+        self.progress += 1
+        self.scheduler.wake_all()
 
     def revoke(self) -> None:
         """Revoke communication world-wide (ULFM ``MPI_Comm_revoke`` analog).
@@ -566,17 +545,10 @@ class Transport:
         if dt < 0:
             raise ValueError("negative time advance")
         st = self.ranks[world_rank]
-        if (
-            kind == "compute"
-            and self.faults is not None
-            and self.faults.has_compute_faults
-        ):
-            factor = self.faults.compute_factor(world_rank, st.phase)
-            if factor != 1.0:
-                slowed = dt * factor
-                st.injected_wait_s += slowed - dt
-                dt = slowed
-                injected = True
+        inj = self.injector
+        if kind == "compute" and inj is not None and inj.slows_compute:
+            dt, slowed = inj.slow_compute(world_rank, dt)
+            injected = injected or slowed
         if kind == "comm" and st.async_depth > 0:
             # Inside an async region the transfer progresses on the
             # rank's comm timeline, not its clock.  Time is attributed
@@ -712,42 +684,12 @@ class Transport:
         st = self.ranks[world_rank]
         st.phase_stack.append(name)
         st.phase, st.cur_ps, st.cur_cs = name, None, None
-        if self.faults is not None:
-            self._apply_rank_faults(world_rank, name)
+        if self.injector is not None:
+            self.injector.enter_phase(world_rank, name)
         if self.tracer.enabled:
             st.phase_span_stack.append(
                 self.begin_span(world_rank, name, cat=CAT_PHASE, attrs=attrs)
             )
-
-    def _apply_rank_faults(self, world_rank: int, name: str) -> None:
-        """Fire matching :class:`~repro.mpi.faults.RankFault` rules on
-        phase entry (stall windows and scripted aborts; slowdown factors
-        are applied per compute advance in :meth:`advance`)."""
-        for idx, rule in enumerate(self.faults.ranks):
-            if not rule.matches_phase(world_rank, name):
-                continue
-            count = self._rankfault_hits.get(idx, 0) + 1
-            self._rankfault_hits[idx] = count
-            if not rule.triggers(world_rank, name, count):
-                continue
-            if rule.stall_s > 0.0:
-                st = self.ranks[world_rank]
-                st.injected_wait_s += rule.stall_s
-                self.advance(
-                    world_rank, rule.stall_s, "comm",
-                    event_kind="wait", injected=True,
-                )
-            if rule.abort:
-                raise InjectedAbortError(world_rank, name, count)
-            if rule.kill:
-                # Permanent death, not a world abort: mark the rank dead,
-                # wake every blocked peer (their next matching attempt on
-                # this rank raises RankFailedError), and unwind this
-                # rank's thread with the typed kill error.
-                self.dead.add(world_rank)
-                self.progress += 1
-                self.scheduler.wake_all()
-                raise RankKilledError(world_rank, name, count)
 
     def push_coll(self, world_rank: int, label: str) -> None:
         """Enter a collective call: traffic posted while the stack is
@@ -846,16 +788,11 @@ class Transport:
             st.resident_peak_bytes = st.resident_bytes
         live = st.mem_live.get(purpose, 0) + nbytes
         st.mem_live[purpose] = live
-        if live > st.mem_peak.get(purpose, 0):
-            st.mem_peak[purpose] = live
+        if live > st.mem_peaks.get(purpose, 0):
+            st.mem_peaks[purpose] = live
         phase = st.phase
-        if st.resident_bytes > st.phase_mem_peak.get(phase, 0):
-            st.phase_mem_peak[phase] = st.resident_bytes
-        if purpose == MEM_INFLIGHT and live > st.peak_live_bytes:
-            # Fold the transport packed-copy category into the legacy
-            # in-flight counter so ``peak_live_bytes`` genuinely tracks
-            # transport buffering (plus any self-reported notes).
-            st.peak_live_bytes = live
+        if st.resident_bytes > st.phase_mem_peaks.get(phase, 0):
+            st.phase_mem_peaks[phase] = st.resident_bytes
         if self.record_events:
             self.memlog.append(
                 MemEvent(
@@ -933,11 +870,11 @@ class Transport:
         if high > st.resident_peak_bytes:
             st.resident_peak_bytes = high
         live = st.mem_live.setdefault(MEM_INFLIGHT, 0) + nbytes
-        if live > st.mem_peak.get(MEM_INFLIGHT, 0):
-            st.mem_peak[MEM_INFLIGHT] = live
+        if live > st.mem_peaks.get(MEM_INFLIGHT, 0):
+            st.mem_peaks[MEM_INFLIGHT] = live
         phase = st.phase
-        if high > st.phase_mem_peak.get(phase, 0):
-            st.phase_mem_peak[phase] = high
+        if high > st.phase_mem_peaks.get(phase, 0):
+            st.phase_mem_peaks[phase] = high
         if live > st.peak_live_bytes:
             st.peak_live_bytes = live
         if self.record_events:
@@ -976,10 +913,9 @@ class Transport:
         st = self.ranks[src_world]
         drops = 0
         injected = False
-        if self.faults is not None:
-            t_msg, drops, injected, stored = self._perturb_flight(
-                src_world, dst_world, st.phase, t_msg,
-                stored=stored, is_array=is_array,
+        if self.injector is not None:
+            t_msg, drops, injected, stored = self.injector.perturb(
+                src_world, dst_world, st.phase, t_msg, stored
             )
         in_region = st.async_depth > 0
         base = st.comm_clock if in_region else st.clock
@@ -1063,11 +999,8 @@ class Transport:
         )
         if drops > 0:
             # Lost on the wire: held until the receiver times out and
-            # requests retransmits (see match_recv).  The sender is
-            # oblivious — its clock and counters were charged as usual.
-            self._dropped[(ctx, dst_world)].append(
-                _Dropped(msg=msg, flight=t_msg, drops=drops, t_post=t_post)
-            )
+            # requests retransmits (see match_recv).
+            self.injector.hold(msg, t_msg, drops, t_post)
         else:
             self._mail[(ctx, dst_world)].append(msg)
         self.progress += 1
@@ -1077,169 +1010,6 @@ class Transport:
         self.scheduler.wake_recv(dst_world)
         return arrival, seq
 
-    def _perturb_flight(
-        self,
-        src_world: int,
-        dst_world: int,
-        phase: str,
-        t_msg: float,
-        stored: Any = None,
-        is_array: bool = False,
-    ) -> tuple[float, int, bool, Any]:
-        """Apply matching link-fault rules to one posted message.
-
-        Returns ``(perturbed_flight, drops, injected, stored)`` — the
-        returned payload replaces the caller's, because corrupting a
-        pickled container produces a *new* blob.  Factors from
-        multiple matching rules multiply, extra delays add, and drop
-        counts take the max.  Per-(rule, link) hit counters make every
-        decision reproducible (one sender per link).  Corrupt
-        rules flip seeded elements of ``stored`` (``payload_pack``
-        hands the transport a private copy, so the sender's buffer is
-        untouched and the receiver sees the corrupted bits, exactly
-        like a wire-level flip).  Rules with ``corrupt_phase`` draw
-        their corruption decisions from a separate per-link hit
-        counter, so adding phase-targeted corruption to a plan never
-        shifts the seeded decisions of existing rules.
-        """
-        extra = 0.0
-        factor = 1.0
-        drops = 0
-        corrupt: list[tuple[int, int, int]] = []
-        for idx, rule in self.faults.link_rules(src_world, dst_world, phase):
-            key = (idx, src_world, dst_world)
-            hit = self._fault_hits.get(key, 0)
-            self._fault_hits[key] = hit + 1
-            dec = rule.decide(
-                self.faults.seed, idx, src_world, dst_world, hit, t_msg
-            )
-            extra += dec.extra_s
-            factor *= dec.latency_factor
-            drops = max(drops, dec.drops)
-            if dec.corrupt_elems > 0:
-                corrupt.append((idx, hit, dec.corrupt_elems))
-            if rule.corrupt_phase is not None and phase == rule.corrupt_phase:
-                ckey = (idx, src_world, dst_world, "corrupt")
-                chit = self._fault_hits.get(ckey, 0)
-                self._fault_hits[ckey] = chit + 1
-                elems = rule.corrupt_elems_for(
-                    self.faults.seed, idx, src_world, dst_world, chit
-                )
-                if elems > 0:
-                    corrupt.append((idx, chit, elems))
-        corrupted = False
-        if corrupt:
-            if is_array:
-                corrupted = self._corrupt_payload(
-                    src_world, dst_world, phase, stored, corrupt
-                )
-            else:
-                blob = self._corrupt_container(
-                    src_world, dst_world, phase, stored, corrupt
-                )
-                if blob is not None:
-                    stored = blob
-                    corrupted = True
-        injected = extra > 0.0 or factor != 1.0 or drops > 0 or corrupted
-        return t_msg * factor + extra, drops, injected, stored
-
-    def _record_injection(self, src_world: int, phase: str) -> None:
-        st = self.ranks[src_world]
-        st.corruptions_injected += 1
-        st.corruptions_injected_by_phase[phase] = (
-            st.corruptions_injected_by_phase.get(phase, 0) + 1
-        )
-
-    def _corrupt_payload(
-        self,
-        src_world: int,
-        dst_world: int,
-        phase: str,
-        arr: Any,
-        requests: list[tuple[int, int, int]],
-    ) -> bool:
-        """Flip seeded elements of an in-flight array payload (in place).
-
-        Only inexact (float/complex) arrays are corruptible — integer
-        arrays carry control decisions (ABFT votes), and flipping them
-        would corrupt the corrector rather than the data it guards.
-        Each flip adds ``1 + |v|`` to the chosen element: large
-        relative to both the value and float64 roundoff, hence always
-        detectable by a checksum with a sane tolerance.
-        """
-        if not isinstance(arr, np.ndarray) or arr.size == 0:
-            return False
-        if not np.issubdtype(arr.dtype, np.inexact):
-            return False
-        seed = self.faults.seed
-        for idx, hit, elems in requests:
-            for e in range(elems):
-                pos = int(
-                    _mix(seed, idx, 5, src_world, dst_world, hit, e) * arr.size
-                ) % arr.size
-                val = arr.flat[pos]
-                arr.flat[pos] = val + (1.0 + abs(val))
-            self._record_injection(src_world, phase)
-        return True
-
-    def _corrupt_container(
-        self,
-        src_world: int,
-        dst_world: int,
-        phase: str,
-        blob: Any,
-        requests: list[tuple[int, int, int]],
-    ) -> bytes | None:
-        """Flip seeded elements inside a pickled container payload.
-
-        Redistribution batches and allgather rounds travel as pickled
-        containers of arrays, not raw ndarrays.  Wire corruption
-        reaches them by unpickling the blob, walking it
-        deterministically for inexact arrays, flipping a seeded
-        element of the virtual concatenation of those arrays (same
-        formula as the raw-array path), and re-pickling.  Returns the
-        replacement blob, or ``None`` when there is nothing to flip —
-        payloads without float arrays (ABFT vote ints, resend nack
-        bools) are incorruptible by construction.
-        """
-        if not isinstance(blob, (bytes, bytearray)):
-            return None
-        try:
-            obj = pickle.loads(bytes(blob))
-        except Exception:
-            return None
-        arrays: list[np.ndarray] = []
-
-        def walk(x: Any) -> None:
-            if isinstance(x, np.ndarray):
-                if x.size and np.issubdtype(x.dtype, np.inexact):
-                    arrays.append(x)
-            elif isinstance(x, (list, tuple)):
-                for y in x:
-                    walk(y)
-            elif isinstance(x, dict):
-                for k in x:
-                    walk(x[k])
-
-        walk(obj)
-        total = sum(a.size for a in arrays)
-        if total == 0:
-            return None
-        seed = self.faults.seed
-        for idx, hit, elems in requests:
-            for e in range(elems):
-                pos = int(
-                    _mix(seed, idx, 5, src_world, dst_world, hit, e) * total
-                ) % total
-                for a in arrays:
-                    if pos < a.size:
-                        val = a.flat[pos]
-                        a.flat[pos] = val + (1.0 + abs(val))
-                        break
-                    pos -= a.size
-            self._record_injection(src_world, phase)
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
     def msg_record(self, seq: int) -> MsgRecord | None:
         """The :class:`MsgRecord` for a message seq (None when unknown)."""
         i = seq - 1
@@ -1247,30 +1017,23 @@ class Transport:
             return self.msglog[i]
         return None
 
-    @staticmethod
-    def _matches(msg: Message, src_world: int, tag: int) -> bool:
-        if src_world != ANY_SOURCE and msg.src_world != src_world:
-            return False
-        if tag != ANY_TAG and msg.tag != tag:
-            return False
-        return True
-
     def _select(
         self,
         ctx: int,
         dst_world: int,
         src_world: int,
         tag: int,
-        caps: dict[int, int] | None = None,
+        caps: dict[int, Any] | None = None,
     ) -> int | None:
         """Index of the deliverable mailbox message this receive takes.
 
         Per sender, only that pair's oldest matching message is a
         candidate (mailboxes hold each pair's messages in seq order, so
         the first hit per sender preserves MPI non-overtaking).  ``caps``
-        maps a sender's world rank to the seq of its lowest *held
-        dropped* message matching this receive: candidates at or past
-        the cap are invisible until the retransmit lands.  Among
+        (:meth:`FaultInjector.held <repro.mpi.faults.FaultInjector.held>`)
+        maps a sender's world rank to its lowest *held dropped* message
+        matching this receive: candidates at or past that seq are
+        invisible until the retransmit lands.  Among
         candidates the smallest ``(arrival, src)`` wins — a virtual-time
         tie-break, so an ``ANY_SOURCE`` receive does not depend on the
         order in which the senders reached the mailbox.
@@ -1282,13 +1045,13 @@ class Transport:
         best_key: tuple[float, int] | None = None
         seen: set[int] = set()
         for i, msg in enumerate(box):
-            if not self._matches(msg, src_world, tag):
+            if not msg.matches(src_world, tag):
                 continue
             s = msg.src_world
             if s in seen:
                 continue
             seen.add(s)
-            if caps is not None and s in caps and msg.seq >= caps[s]:
+            if caps is not None and s in caps and msg.seq >= caps[s].msg.seq:
                 continue
             key = (msg.arrival, s)
             if best_key is None or key < best_key:
@@ -1299,120 +1062,24 @@ class Transport:
             return None
         return best_i
 
-    def _find(
-        self,
-        ctx: int,
-        dst_world: int,
-        src_world: int,
-        tag: int,
-        caps: dict[int, int] | None = None,
-    ) -> Message | None:
-        """Pop the matching mailbox message :meth:`_select` chose."""
-        i = self._select(ctx, dst_world, src_world, tag, caps)
-        if i is None:
-            return None
-        return self._mail[(ctx, dst_world)].pop(i)
-
-    def _drop_caps(
-        self, ctx: int, dst_world: int, src_world: int, tag: int
-    ) -> dict[int, int] | None:
-        """Per-sender seq caps from held dropped messages this receive matches.
-
-        Non-overtaking is a *per-pair* property: a drop from sender A
-        must not be overtaken by A's later messages, but says nothing
-        about sender B.
-        """
-        held = self._dropped.get((ctx, dst_world))
-        if not held:
-            return None
-        caps: dict[int, int] = {}
-        for d in held:
-            if self._matches(d.msg, src_world, tag):
-                s = d.msg.src_world
-                if s not in caps or d.msg.seq < caps[s]:
-                    caps[s] = d.msg.seq
-        return caps or None
-
-    def _find_dropped(
-        self, ctx: int, dst_world: int, src_world: int, tag: int
-    ) -> _Dropped | None:
-        """The held dropped message this receive times out against.
-
-        Per sender the lowest-seq matching drop is the candidate (its
-        retransmit must land first); across senders the one whose
-        original arrival would have been earliest wins, with the sender
-        rank as tie-break — virtual-time ordering, never the order
-        the drops were registered in.
-        """
-        held = self._dropped.get((ctx, dst_world))
-        if not held:
-            return None
-        per_src: dict[int, _Dropped] = {}
-        for d in held:
-            if self._matches(d.msg, src_world, tag):
-                cur = per_src.get(d.msg.src_world)
-                if cur is None or d.msg.seq < cur.msg.seq:
-                    per_src[d.msg.src_world] = d
-        if not per_src:
-            return None
-        return min(
-            per_src.values(), key=lambda d: (d.msg.arrival, d.msg.src_world)
-        )
-
-    def _timeout_retry(self, ctx: int, dst_world: int, d: _Dropped) -> None:
-        """Charge one recv timeout against the held dropped message ``d``
-        and either request a retransmit or raise :class:`RecvTimeoutError`.
-
-        The timeout is a *simulated-time* construct: it fires as soon as
-        the transport can prove the awaited message was dropped, and the
-        wait it models (``timeout_s * backoff**(n-1)``) is charged to
-        the receiver's simulated clock as an ``injected=True`` wait.
-        """
-        st = self.ranks[dst_world]
-        policy = self.faults.retry
-        d.attempts += 1
-        wait_s = policy.nth_timeout_s(d.attempts)
-        st.timeouts += 1
-        st.injected_wait_s += wait_s
-        self.advance(
-            dst_world, wait_s, "comm",
-            event_kind="wait", peer=d.msg.src_world, seq=d.msg.seq,
-            injected=True,
-        )
-        self.progress += 1
-        if d.attempts > policy.max_retries:
-            waited = sum(policy.nth_timeout_s(i) for i in range(1, d.attempts + 1))
-            raise RecvTimeoutError(
-                dst_world, d.msg.src_world, d.msg.tag, d.attempts, waited
+    def redeliver(self, msg: Message) -> None:
+        """Put a retransmitted message, its ``arrival`` already moved,
+        into its mailbox and correct its log record."""
+        # Re-insert in seq order: later same-(src, tag) messages may
+        # already sit in the mailbox, and matching pops in list order,
+        # so an append here would let them overtake the retransmit.
+        box = self._mail[(msg.ctx, msg.dst_world)]
+        i = len(box)
+        while i > 0 and box[i - 1].seq > msg.seq:
+            i -= 1
+        box.insert(i, msg)
+        # The msglog record is replaced in place (index == seq - 1
+        # invariant) so the critical-path walk sees the true arrival.
+        rec = self.msg_record(msg.seq)
+        if rec is not None:
+            self.msglog[msg.seq - 1] = dataclasses.replace(
+                rec, arrival=msg.arrival, injected=True
             )
-        st.retries += 1
-        if d.attempts >= d.drops:
-            # Retransmit succeeds: receiver-driven resend arrives one
-            # flight after the request.  The msglog record is replaced
-            # in place (index == seq - 1 invariant) so the critical-path
-            # walk sees the true arrival.
-            self._dropped[(ctx, dst_world)].remove(d)
-            msg = d.msg
-            # The resend leaves no earlier than the receiver's request
-            # *and* no earlier than the original post: a receiver whose
-            # timeouts all fired before the sender even posted (e.g. the
-            # sender straggling under a slowdown fault) must not receive
-            # a message from the future.
-            msg.arrival = max(st.clock, d.t_post) + d.flight
-            # Re-insert in seq order: later same-(src, tag) messages may
-            # already sit in the mailbox, and matching pops in list order,
-            # so an append here would let them overtake the retransmit.
-            box = self._mail[(ctx, dst_world)]
-            i = len(box)
-            while i > 0 and box[i - 1].seq > msg.seq:
-                i -= 1
-            box.insert(i, msg)
-            if self.record_events:
-                i = msg.seq - 1
-                if 0 <= i < len(self.msglog) and self.msglog[i].seq == msg.seq:
-                    self.msglog[i] = dataclasses.replace(
-                        self.msglog[i], arrival=msg.arrival, injected=True
-                    )
 
     def match_recv(
         self,
@@ -1436,19 +1103,17 @@ class Transport:
         """
         st = self.ranks[dst_world]
         st.recv_wait = (ctx, src_world, tag)
+        inj = self.injector
         try:
             while True:
                 self._check_abort()
                 # Non-overtaking: a held dropped message must not be
                 # overtaken by a later message on the same pair, so
                 # mailbox matching is capped at the dropped seqs.
-                caps = (
-                    self._drop_caps(ctx, dst_world, src_world, tag)
-                    if self.faults is not None
-                    else None
-                )
-                msg = self._find(ctx, dst_world, src_world, tag, caps=caps)
-                if msg is not None:
+                caps = inj.held(ctx, dst_world, src_world, tag) if inj is not None else None
+                i = self._select(ctx, dst_world, src_world, tag, caps)
+                if i is not None:
+                    msg = self._mail[(ctx, dst_world)].pop(i)
                     break
                 # A message already on the wire from a now-dead rank
                 # is still deliverable (checked above); with nothing
@@ -1456,10 +1121,8 @@ class Transport:
                 if src_world != ANY_SOURCE and src_world in self.dead:
                     raise RankFailedError(dst_world, src_world, op="recv from")
                 if caps is not None:
-                    d = self._find_dropped(ctx, dst_world, src_world, tag)
-                    if d is not None:
-                        self._timeout_retry(ctx, dst_world, d)
-                        continue
+                    inj.retry(caps)
+                    continue
                 # Quiescence-gated revocation: a deliverable message
                 # always wins over the revoked flag, so the program
                 # point (and virtual clock) at which each survivor
@@ -1508,12 +1171,11 @@ class Transport:
             if w is None:
                 return False  # still running between transport calls
             ctx, src, tag = w
-            if self.faults is not None and self._find_dropped(
-                ctx, r, src, tag
-            ) is not None:
+            inj = self.injector
+            if inj is not None and inj.held(ctx, r, src, tag) is not None:
                 return False  # a retransmit can still release it
             box = self._mail.get((ctx, r))
-            if box and any(self._matches(m, src, tag) for m in box):
+            if box and any(m.matches(src, tag) for m in box):
                 return False  # deliverable: about to make progress
         return True
 
@@ -1528,11 +1190,8 @@ class Transport:
         retransmit lands.
         """
         self._check_abort()
-        caps = (
-            self._drop_caps(ctx, dst_world, src_world, tag)
-            if self.faults is not None
-            else None
-        )
+        inj = self.injector
+        caps = inj.held(ctx, dst_world, src_world, tag) if inj is not None else None
         i = self._select(ctx, dst_world, src_world, tag, caps)
         if i is not None:
             msg = self._mail[(ctx, dst_world)][i]
@@ -1552,40 +1211,12 @@ class Transport:
 
     # ----------------------------------------------------------- tracing -- #
     def trace(self, world_rank: int) -> RankTrace:
+        """An independent copy of a rank's counters, ``time`` its clock."""
         st = self.ranks[world_rank]
-        return RankTrace(
-            rank=world_rank,
-            time=st.clock,
-            bytes_sent=st.bytes_sent,
-            bytes_recv=st.bytes_recv,
-            msgs_sent=st.msgs_sent,
-            msgs_recv=st.msgs_recv,
-            peak_live_bytes=st.peak_live_bytes,
-            phases={k: v.merged(PhaseStats()) for k, v in st.phases.items()},
-            colls={
-                phase: {c: v.merged(CollStats()) for c, v in by_coll.items()}
-                for phase, by_coll in st.colls.items()
-            },
-            resident_peak_bytes=st.resident_peak_bytes,
-            resident_bytes=st.resident_bytes,
-            mem_peaks=dict(st.mem_peak),
-            mem_live={k: v for k, v in st.mem_live.items() if v},
-            phase_mem_peaks=dict(st.phase_mem_peak),
-            retries=st.retries,
-            timeouts=st.timeouts,
-            injected_wait_s=st.injected_wait_s,
-            corruptions_injected=st.corruptions_injected,
-            corruptions_detected=st.corruptions_detected,
-            corruptions_injected_by_phase=dict(
-                st.corruptions_injected_by_phase
-            ),
-            corruptions_detected_by_phase=dict(
-                st.corruptions_detected_by_phase
-            ),
-            recomputed_flops=st.recomputed_flops,
-            reused_flops=st.reused_flops,
-            recoveries=st.recoveries,
-        )
+        snap = RankTrace(**{name: _copied(getattr(st, name)) for name in _COUNTERS})
+        snap.time = st.clock
+        snap.mem_live = {k: v for k, v in st.mem_live.items() if v}
+        return snap
 
     def traces(self) -> list[RankTrace]:
         return [self.trace(r) for r in range(self.nprocs)]

@@ -2,11 +2,38 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, MIN, Op, SUM
+from repro.mpi import MAX, MIN, CommError, Op, SUM
 from repro.mpi.collectives import BCAST_LONG_THRESHOLD
+
+#: Run by ``test_one_value_per_rank_is_a_typed_error_before_any_message``
+#: in a child interpreter (with and without ``-O``): each misuse must be
+#: refused with a ``CommError`` on a world that has posted nothing.
+_MISUSE = """
+import numpy as np
+from repro.mpi import CommError, run_spmd
+
+def misuse(nprocs, call):
+    world = []
+    def body(comm):
+        world.append(comm.transport)
+        call(comm)
+    try:
+        run_spmd(nprocs, body)
+    except RuntimeError as exc:
+        assert type(exc.__cause__) is CommError, repr(exc.__cause__)
+        print(exc.__cause__, "/ posted", sum(st.msgs_sent for st in world[0].ranks))
+
+misuse(3, lambda comm: comm.scatter([1], root=0))
+misuse(3, lambda comm: comm.alltoall([1, 2]))
+misuse(2, lambda comm: comm.reduce_scatter([np.ones(2)]))
+"""
 
 
 class TestBcastThreshold:
@@ -115,13 +142,33 @@ class TestDegenerate:
         assert all(spmd(4, f).results)
 
     def test_scatter_wrong_length_asserts(self, spmd):
+        # "asserts" in the id is history: it is a typed CommError now.
         def f(comm):
             if comm.rank == 0:
-                with pytest.raises(AssertionError):
+                with pytest.raises(CommError, match="scatter.*got 3.*size is 1"):
                     comm.scatter([1, 2, 3], root=0)  # wrong length
             # avoid stranding non-roots: root never sent, so nothing to do
 
         spmd(1, f)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+    def test_one_value_per_rank_is_a_typed_error_before_any_message(self, optimize):
+        """``scatter``, ``alltoall`` and ``reduce_scatter`` given the wrong
+        number of values raise ``CommError`` naming the collective, the
+        length given and ``comm.size`` — also under ``python -O``, where
+        the old ``assert`` vanished and an ``IndexError`` came out of the
+        exchange after the root had already posted messages."""
+        proc = subprocess.run(
+            [sys.executable, *(["-O"] if optimize else []), "-c", _MISUSE],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "scatter (at the root) needs one value per rank: got 1, comm.size is 3 / posted 0",
+            "alltoall needs one value per rank: got 2, comm.size is 3 / posted 0",
+            "reduce_scatter needs one value per rank: got 1, comm.size is 2 / posted 0",
+        ]
 
     def test_sum_of_objects_via_pickle(self, spmd):
         """Object-mode reduce with Python-number payloads."""

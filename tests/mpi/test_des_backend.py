@@ -35,6 +35,7 @@ from repro.mpi import (
     run_spmd,
 )
 from repro.mpi.datatypes import ANY_SOURCE
+from repro.mpi.faults import FaultInjector
 from repro.mpi.transport import Transport
 from repro.obs.ledger import canonical_json, ledger_record
 from repro.obs.tracer import Tracer
@@ -363,8 +364,9 @@ _REF64 = dense_random(M, K, 0) @ dense_random(K, N, 1)
 
 @contextlib.contextmanager
 def owner_checked():
-    """Wrap every ``Transport`` entry point and ``Tracer.begin``/``end``:
-    the caller must own the world.  Yields ``[calls, violations]``."""
+    """Wrap every ``Transport`` and ``FaultInjector`` entry point and
+    ``Tracer.begin``/``end``: the caller must own the world.  Yields
+    ``[calls, violations]``."""
     tally = [0, []]
     sched_of: dict[Tracer, object] = {}
 
@@ -400,6 +402,11 @@ def owner_checked():
         if not name.startswith("_") and callable(fn) and not isinstance(fn, staticmethod)
     ]
     undo += [wrap(Tracer, name, sched_of.__getitem__) for name in ("begin", "end")]
+    undo += [
+        wrap(FaultInjector, name, lambda inj: inj.world.scheduler)
+        for name, fn in list(vars(FaultInjector).items())
+        if not name.startswith("_") and callable(fn)
+    ]
     try:
         yield tally
     finally:

@@ -15,6 +15,9 @@ driver.  One test per collective family plus mid-algorithm crashes.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,9 @@ from repro.mpi import (
     RetryPolicy,
     run_spmd,
 )
+from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Message
 from repro.mpi.faults import validate_fault_plan
+from repro.mpi.transport import Transport
 from repro.obs.critpath import critical_path
 from tests.conftest import assert_replay_identical
 
@@ -295,6 +300,100 @@ class TestLatencyPerturbation:
         t3 = _run(faults=mk(8)).time
         assert t1 == t2
         assert t1 != t3
+
+
+# ------------------------------------------- the injector, no world running -- #
+class TestInjector:
+    """``FaultInjector`` driven by hand: an idle ``Transport`` built with
+    a plan carries one, and nothing here starts a scheduler."""
+
+    PLAN = FaultPlan(
+        seed=9,
+        links=(
+            LinkFault(jitter_s=1e-6, reorder_window=2, drop_prob=0.3, drop_repeat=2),
+            LinkFault(src=1, latency_factor=2.0, corrupt_prob=0.5, corrupt_elems=2),
+            LinkFault(corrupt_phase="b", corrupt_at=(0, 2)),
+        ),
+    )
+    POSTS = [(0, 1, "a"), (1, 2, "b"), (0, 1, "a"), (1, 0, "a"), (1, 2, "b"),
+             (2, 0, "b"), (1, 2, "a"), (1, 2, "b"), (0, 1, "b"), (1, 0, "a")] * 3
+
+    def _decisions(self, plan):
+        inj = Transport(3, faults=plan).injector
+        out = []
+        for src, dst, phase in self.POSTS:
+            flight, drops, injected, stored = inj.perturb(
+                src, dst, phase, 1e-6, np.arange(6.0)
+            )
+            out.append((flight, drops, injected, stored.tolist()))
+        return out, [st.corruptions_injected_by_phase for st in inj.world.ranks]
+
+    def test_same_plan_same_posts_same_decisions(self):
+        first, second = self._decisions(self.PLAN), self._decisions(self.PLAN)
+        assert first == second
+        decisions, injected = first
+        assert any(drops for _f, drops, _i, _s in decisions)
+        assert any(by_phase for by_phase in injected)
+        other = dataclasses.replace(self.PLAN, seed=10)
+        assert self._decisions(other) != first
+
+    def test_no_plan_no_injector_and_no_fault_state(self):
+        clean, planned = Transport(2), Transport(2, faults=FaultPlan())
+        assert clean.injector is None and planned.injector is not None
+        # whatever a plan needs hangs off the injector, not the transport
+        assert set(vars(clean)) == set(vars(planned))
+        assert not {"_dropped", "_fault_hits", "_rankfault_hits"} & set(vars(clean))
+
+    def test_array_and_one_element_container_flip_alike(self):
+        """A raw array is the one-array case of the container walk: same
+        seeded positions, same ``1 + |v|`` flip, same injection count —
+        and a payload without float arrays comes back as it went in."""
+        plan = FaultPlan(seed=3, links=(LinkFault(corrupt_at=(0,), corrupt_elems=3),))
+        clean = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+
+        def post(payload):
+            inj = Transport(2, faults=plan).injector
+            _flight, _drops, injected, stored = inj.perturb(0, 1, "p", 1e-6, payload)
+            return stored, injected, inj.world.ranks[0].corruptions_injected
+
+        raw, raw_injected, raw_count = post(clean.copy())
+        blob, blob_injected, blob_count = post(pickle.dumps([clean.copy()]))
+        (boxed,) = pickle.loads(blob)
+        assert np.array_equal(raw, boxed)
+        assert (raw_injected, raw_count) == (blob_injected, blob_count) == (True, 1)
+        hit = raw != clean
+        assert 1 <= hit.sum() <= 3  # fewer than three when seeded positions collide
+        assert np.all(raw[hit] >= clean[hit] + 1.0 + np.abs(clean[hit]))
+        for incorruptible in (np.arange(6), pickle.dumps(("vote", 3))):
+            stored, injected, count = post(incorruptible)
+            assert stored is incorruptible and not injected and count == 0
+
+    def test_held_scan_is_lowest_seq_per_sender(self):
+        inj = Transport(4, faults=FaultPlan()).injector
+
+        def hold(src, tag, seq, ctx=0, dst=0):
+            msg = Message(ctx, src, dst, tag, b"", 0, False, arrival=1.0, seq=seq)
+            inj.hold(msg, flight=1e-6, drops=1, t_post=0.0)
+
+        for src, tag, seq in [(1, 5, 7), (1, 5, 4), (2, 5, 9), (1, 6, 2)]:
+            hold(src, tag, seq)
+        hold(3, 5, 1, ctx=1)
+        hold(3, 5, 3, dst=2)
+
+        def seqs(ctx, dst, src, tag):
+            held = inj.held(ctx, dst, src, tag)
+            return held and {s: d.msg.seq for s, d in held.items()}
+
+        assert seqs(0, 0, ANY_SOURCE, 5) == {1: 4, 2: 9}
+        assert seqs(0, 0, 1, ANY_TAG) == {1: 2}
+        assert seqs(0, 0, ANY_SOURCE, ANY_TAG) == {1: 2, 2: 9}
+        assert seqs(0, 0, 2, 5) == {2: 9}
+        # nothing for a (src, tag) no held drop matches, another
+        # communicator's drops, another receiver's, or a clean mailbox
+        assert seqs(0, 0, 3, 5) is None
+        assert seqs(0, 0, 2, 6) is None
+        assert seqs(1, 0, 1, 5) is None and seqs(1, 0, 3, 5) == {3: 1}
+        assert seqs(0, 1, ANY_SOURCE, ANY_TAG) is None
 
 
 # --------------------------------------- unscripted crashes must abort -- #

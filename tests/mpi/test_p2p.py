@@ -220,3 +220,52 @@ class TestValidation:
                 comm.send(1, dest=0, tag=ANY_TAG)
 
         spmd(1, f)
+
+    @pytest.mark.parametrize("door", ["send", "isend", "sendrecv"])
+    def test_wildcards_are_for_receives(self, spmd, door):
+        """``ANY_SOURCE`` is not a destination and ``ANY_TAG`` not a send
+        tag, at any of the three send doors: refused on the calling rank
+        before anything is posted or counted."""
+        from repro.mpi import ANY_SOURCE, ANY_TAG
+
+        def send(comm, dest, tag):
+            if door == "sendrecv":
+                return comm.sendrecv(1, dest, 0, sendtag=tag)
+            return getattr(comm, door)(1, dest, tag)
+
+        def f(comm):
+            with pytest.raises(RankError, match="cannot send to rank -1"):
+                send(comm, ANY_SOURCE, 0)
+            with pytest.raises(TagError, match="cannot send with ANY_TAG"):
+                send(comm, 0, ANY_TAG)
+
+        res = spmd(1, f)
+        assert res.traces[0].msgs_sent == 0 and not res.transport._mail
+
+    def test_wildcard_destination_does_not_strand_a_bystander(self, spmd):
+        """``send(x, dest=-1)`` used to be accepted, counted, parked in
+        mailbox ``(ctx, -1)`` — and ``wake_recv(-1)`` flipped the *last*
+        rank's scheduler state, so the correctly written rank 2 died with
+        a spurious ``DeadlockError`` in a program that completes."""
+
+        def f(comm):
+            if comm.rank == 0:
+                comm.recv(1)
+                with pytest.raises(RankError):
+                    comm.send(np.ones(2), dest=-1)
+                sent_before = comm.transport.ranks[0].msgs_sent
+                comm.send(b"go", 1, tag=9)
+                comm.recv(1)
+                comm.send(np.ones(3), 2)
+                return sent_before
+            if comm.rank == 1:
+                comm.send(b"x", 0)
+                comm.recv(0, tag=9)
+                comm.send(b"y", 0)
+                return None
+            return comm.recv(0).tolist()
+
+        res = spmd(3, f)
+        assert res.results == [0, None, [1.0, 1.0, 1.0]]
+        assert [t.msgs_sent for t in res.traces] == [2, 2, 0]
+        assert all(dst >= 0 for _ctx, dst in res.transport._mail)
