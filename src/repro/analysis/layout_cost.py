@@ -3,7 +3,7 @@
 ``redist_cost`` prices a *generic* conversion by total matrix size; this
 module computes the **exact** per-rank send volume between two concrete
 :class:`~repro.layout.distributions.Distribution` objects by rectangle
-intersection — the same arithmetic the executed redistribution performs,
+intersection — the very table the executed redistribution slices by,
 without moving data.  Uses:
 
 * pinning executed redistribution traffic in tests (volume must match
@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..layout.distributions import Distribution
+from ..layout.overlap import overlap_table
 
 
 @dataclass(frozen=True)
@@ -46,32 +49,18 @@ def exact_redist_volume(
     """Words each rank must send to convert ``src`` into ``dst``.
 
     With ``transpose=True``, ``dst`` describes the transposed matrix
-    (same convention as :func:`repro.layout.redistribute.redistribute`).
+    (same convention as :func:`repro.layout.redistribute.redistribute`,
+    and a reduction over the same :func:`~repro.layout.overlap.overlap_table`:
+    per source rank, the areas of the pieces that leave it).
     """
-    if src.nranks != dst.nranks:
-        raise ValueError("distributions span different rank counts")
+    table = overlap_table(src, dst, transpose)
+    moves = table.src_rank != table.dst_rank
+    sent = np.zeros(src.nranks, dtype=np.int64)
+    np.add.at(sent, table.src_rank[moves], table.area[moves])
     m, n = src.shape
-    dm, dn = dst.shape
-    if (transpose and (dm, dn) != (n, m)) or (not transpose and (dm, dn) != (m, n)):
-        raise ValueError(
-            f"shape mismatch: src {src.shape}, dst {dst.shape}, transpose={transpose}"
-        )
-    sent = [0] * src.nranks
-    moved = 0
-    for dst_rank in range(dst.nranks):
-        for want in dst.owned_rects(dst_rank):
-            want_src = want.transposed() if transpose else want
-            for src_rank in range(src.nranks):
-                if src_rank == dst_rank:
-                    continue
-                for owned in src.owned_rects(src_rank):
-                    piece = owned.intersect(want_src)
-                    if not piece.is_empty():
-                        sent[src_rank] += piece.area
-                        moved += piece.area
     return RedistVolume(
-        per_rank_sent=tuple(sent),
-        total_moved=moved,
+        per_rank_sent=tuple(sent.tolist()),
+        total_moved=int(sent.sum()),
         total_area=m * n,
-        max_sent=max(sent) if sent else 0,
+        max_sent=int(sent.max(initial=0)),
     )

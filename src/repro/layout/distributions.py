@@ -27,16 +27,29 @@ from .blocks import Rect, block_range
 
 
 class Distribution:
-    """Base class; subclasses implement :meth:`owned_rects` — or, when
+    """Base class; subclasses implement :meth:`_rects_of` — or, when
     every rank holds at most one rectangle, just :meth:`block`."""
 
     shape: tuple[int, int]
     nranks: int
 
     def owned_rects(self, rank: int) -> list[Rect]:
-        """Rectangles owned by ``rank`` (possibly empty), in a fixed order."""
+        """Rectangles owned by ``rank`` (possibly empty), in a fixed order.
+
+        A fresh list of the same :class:`Rect` objects every time: the
+        per-rank tuples are derived once and kept on the descriptor
+        beside ``_rect_index`` (derived state, like it).
+        """
+        owned = self.__dict__.setdefault("_owned", {})
+        rects = owned.get(rank)
+        if rects is None:
+            rects = owned[rank] = tuple(self._rects_of(rank))
+        return list(rects)
+
+    def _rects_of(self, rank: int) -> Sequence[Rect]:
+        """The non-empty rectangles of ``rank``, derived from the fields."""
         rect = self.block(rank)
-        return [] if rect is None or rect.is_empty() else [rect]
+        return () if rect is None or rect.is_empty() else (rect,)
 
     def block(self, rank: int) -> Rect | None:
         """The one rectangle a block layout assigns ``rank``, **kept when it
@@ -167,7 +180,7 @@ class BlockCyclic2D(Distribution):
         if self.bs < 1:
             raise ValueError("block size must be >= 1")
 
-    def owned_rects(self, rank: int) -> list[Rect]:
+    def _rects_of(self, rank: int) -> list[Rect]:
         if rank >= self.pr * self.pc:
             return []
         m, n = self.shape
@@ -206,7 +219,16 @@ class Explicit(Distribution):
         mine = self.rects[rank] if rank < len(self.rects) else ()
         return mine[0] if len(mine) == 1 else None
 
-    def owned_rects(self, rank: int) -> list[Rect]:
+    def _rects_of(self, rank: int) -> list[Rect]:
         if rank >= len(self.rects):
             return []
         return [r for r in self.rects[rank] if not r.is_empty()]
+
+    def __hash__(self) -> int:
+        """The field hash, computed once: ``rects`` holds O(P) rectangles
+        and the overlap table is looked up by value on every conversion."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.shape, self.nranks, self.rects))
+            self.__dict__["_hash"] = cached
+        return cached

@@ -111,12 +111,17 @@ class DistMatrix:
         everyone = self.comm.allgather(mine)
         out = np.zeros((m, n), dtype=self.dtype)
         seen = np.zeros((m, n), dtype=bool)
-        for contrib in everyone:
+        for rank, contrib in enumerate(everyone):
             for rect, tile in contrib:
                 out[rect.r0 : rect.r1, rect.c0 : rect.c1] = tile
-                assert not seen[rect.r0 : rect.r1, rect.c0 : rect.c1].any(), (
-                    "overlapping ownership while gathering"
-                )
+                if seen[rect.r0 : rect.r1, rect.c0 : rect.c1].any():
+                    raise ValueError(
+                        f"rank {rank}: {rect} overlaps a rect gathered before it"
+                    )
                 seen[rect.r0 : rect.r1, rect.c0 : rect.c1] = True
-        assert seen.all() or (m * n == 0), "distribution did not cover the matrix"
+        if not seen.all():
+            raise ValueError(
+                f"{type(self.dist).__name__} over {self.dist.nranks} ranks "
+                f"does not cover the {m}x{n} matrix"
+            )
         return out

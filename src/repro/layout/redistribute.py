@@ -3,9 +3,11 @@
 CA3DMM (like COSMA and CARMA) has library-native partitionings, so user
 matrices must be converted on entry and exit.  The paper implements this
 with block pack/unpack plus ``MPI_Neighbor_alltoallv`` and explicitly does
-not optimize it further; we do the same: every rank intersects its owned
-rectangles with every destination rank's needed rectangles, exchanges the
-pieces with one alltoall, and reassembles.
+not optimize it further; we do the same: every rank cuts the pieces its
+rectangles share with each destination rank's, exchanges them with one
+alltoall, and writes each arriving piece into its tile.  Which pieces
+those are is a function of the two layouts alone, derived once per pair
+of layouts — not once per rank — in :mod:`repro.layout.overlap`.
 
 Transposition (``op(A)`` in the paper) is folded into the conversion:
 when ``transpose=True`` the destination distribution describes
@@ -34,6 +36,7 @@ from ..mpi.datatypes import INTERNAL_TAG_BASE, MAX
 from .blocks import Rect
 from .distributions import Distribution
 from .matrix import DistMatrix
+from .overlap import overlap_table
 
 _TAG_REDIST = INTERNAL_TAG_BASE + 401
 _TAG_REDIST_NACK = INTERNAL_TAG_BASE + 402
@@ -54,48 +57,6 @@ def _batch_bad(envelope: list[int], batch: list[tuple[Rect, np.ndarray]]) -> boo
         zlib.crc32(np.ascontiguousarray(data).tobytes()) != crc
         for crc, (_rect, data) in zip(envelope, batch)
     )
-
-
-def _plan_sends(
-    my_rects: list[Rect],
-    my_tiles: list[np.ndarray],
-    dst_dist: Distribution,
-    transpose: bool,
-) -> dict[int, list[tuple[Rect, np.ndarray]]]:
-    """The (src-coord rect, data) pieces to send, by destination rank:
-    only destinations that get something, in ascending order."""
-    out: dict[int, list[tuple[Rect, np.ndarray]]] = {}
-    if not my_rects:
-        return out
-    # Vectorized destination prefilter: a destination is a candidate
-    # only if one of its wanted rects (taken in source coordinates)
-    # meets the bounding box of what this rank holds.  The bbox test
-    # over the flat rect index replaces an O(P) Python scan per source
-    # rank — the difference between minutes and seconds at 1024 ranks.
-    # np.unique keeps destinations ascending, so the send plan (and
-    # every message ordering downstream) is unchanged.
-    br0 = min(r.r0 for r in my_rects)
-    br1 = max(r.r1 for r in my_rects)
-    bc0 = min(r.c0 for r in my_rects)
-    bc1 = max(r.c1 for r in my_rects)
-    ranks, w_r0, w_r1, w_c0, w_c1 = dst_dist.rect_index()
-    if transpose:
-        w_r0, w_r1, w_c0, w_c1 = w_c0, w_c1, w_r0, w_r1
-    hit = (w_r0 < br1) & (w_r1 > br0) & (w_c0 < bc1) & (w_c1 > bc0)
-    for dst_rank in np.unique(ranks[hit]):
-        dst_rank = int(dst_rank)
-        batch = []
-        for want in dst_dist.owned_rects(dst_rank):
-            want_src = want.transposed() if transpose else want
-            for mine, tile in zip(my_rects, my_tiles):
-                piece = mine.intersect(want_src)
-                if piece.is_empty():
-                    continue
-                rs, cs = mine.local_slice(piece)
-                batch.append((piece, np.ascontiguousarray(tile[rs, cs])))
-        if batch:
-            out[dst_rank] = batch
-    return out
 
 
 def _verify_batches(
@@ -183,57 +144,33 @@ def redistribute(
         raise ValueError(
             f"destination spans {dst_dist.nranks} ranks, communicator has {comm.size}"
         )
-    sm, sn = src.shape
-    dm, dn = dst_dist.shape
-    if (transpose and (dm, dn) != (sn, sm)) or (not transpose and (dm, dn) != (sm, sn)):
-        raise ValueError(
-            f"shape mismatch: src {src.shape}, dst {dst_dist.shape}, transpose={transpose}"
-        )
+    me = comm.rank
+    table = overlap_table(src.dist, dst_dist, transpose)
 
     with comm.phase(phase):
-        sends = _plan_sends(src.owned_rects, src.tiles, dst_dist, transpose)
-
         # Like MPI_Neighbor_alltoallv, only pairs with actual overlap
-        # exchange messages.  Both sides derive the neighbourhood from
-        # the (globally known) distributions, so no handshaking and no
-        # empty messages are needed — a native-to-native conversion
-        # sends nothing at all.
-        my_needs = [
-            (w.transposed() if transpose else w)
-            for w in dst_dist.owned_rects(comm.rank)
-        ]
-        recv_sources = []
-        if my_needs:
-            # Same vectorized bbox prefilter as _plan_sends, applied to
-            # the receive side: only sources whose holdings can touch
-            # this rank's needs get the exact (pairwise) overlap check.
-            nr0 = min(w.r0 for w in my_needs)
-            nr1 = max(w.r1 for w in my_needs)
-            nc0 = min(w.c0 for w in my_needs)
-            nc1 = max(w.c1 for w in my_needs)
-            ranks, o_r0, o_r1, o_c0, o_c1 = src.dist.rect_index()
-            hit = (o_r0 < nr1) & (o_r1 > nr0) & (o_c0 < nc1) & (o_c1 > nc0)
-            for src_rank in np.unique(ranks[hit]):
-                src_rank = int(src_rank)
-                if src_rank == comm.rank:
-                    continue
-                overlap = any(
-                    not owned.intersect(need).is_empty()
-                    for owned in src.dist.owned_rects(src_rank)
-                    for need in my_needs
-                )
-                if overlap:
-                    recv_sources.append(src_rank)
+        # exchange messages.  Both sides read the neighbourhood off the
+        # same table of the (globally known) distributions, so no
+        # handshaking and no empty messages are needed — a
+        # native-to-native conversion sends nothing at all.
+        src_tiles = src.tiles
+        sends = {
+            dst_rank: [
+                (rect, np.ascontiguousarray(src_tiles[t][rs, cs]))
+                for rect, t, rs, cs in cuts
+            ]
+            for dst_rank, cuts in table.sends(me)
+        }
+        recv_sources = table.sources(me)
 
-        me = comm.rank
         send_dsts = [d for d in sends if d != me]
         pending = []
         for dst_rank in send_dsts:
             batch = sends[dst_rank]
             payload = (_batch_crcs(batch), batch) if verify else batch
             pending.append(comm.isend(payload, dst_rank, _TAG_REDIST))
+        received = [sends[me]] if me in sends else []
         if not verify:
-            received = [sends.get(me, [])]
             for src_rank in recv_sources:
                 received.append(comm.recv(source=src_rank, tag=_TAG_REDIST))
             for req in pending:
@@ -245,35 +182,46 @@ def redistribute(
             for req in pending:
                 req.wait()
             _verify_batches(comm, phase, sends, send_dsts, recv_sources, got)
-            received = [sends.get(me, [])]
             received.extend(got[s][1] for s in recv_sources)
 
-        my_rects = dst_dist.owned_rects(comm.rank)
-        tiles = [np.zeros(r.shape, dtype=src.dtype) for r in my_rects]
+        # A tile takes the dtype of the data that fills it: a rank that
+        # owned nothing has no dtype of its own to offer.
+        dtypes = {data.dtype for batch in received for _rect, data in batch}
+        if len(dtypes) > 1:
+            raise ValueError(
+                f"rank {me}: pieces of mixed dtypes "
+                f"{sorted(map(str, dtypes))} in one redistribution"
+            )
+        dtype = dtypes.pop() if dtypes else src.dtype
+        my_rects = dst_dist.owned_rects(me)
+        tiles = [np.zeros(r.shape, dtype=dtype) for r in my_rects]
         # Destination tiles coexist with the received pieces until
         # reassembly finishes; charge that window to redist.tiles.
         staged = sum(t.nbytes for t in tiles) + sum(
             data.nbytes for batch in received for _rect, data in batch
         )
         with comm.mem("redist.tiles", staged):
+            # The table's area sums cannot see a hole that an overlap
+            # elsewhere in the same rect pays for; the mask can.
             filled = [np.zeros(r.shape, dtype=bool) for r in my_rects]
-            for batch in received:
-                for src_rect, data in batch:
-                    dst_rect = src_rect.transposed() if transpose else src_rect
+            for (src_rank, lands), batch in zip(table.recvs(me), received):
+                if len(batch) != len(lands):
+                    raise ValueError(
+                        f"rank {me}: {len(batch)} pieces from rank {src_rank}, "
+                        f"the layouts call for {len(lands)}"
+                    )
+                for (rect, t, rs, cs), (got_rect, data) in zip(lands, batch):
+                    if got_rect != rect:
+                        raise ValueError(
+                            f"rank {me}: received piece {got_rect} from rank "
+                            f"{src_rank} where the layouts call for {rect}"
+                        )
                     payload = data.T if transpose else data
-                    if conjugate:
-                        payload = np.conj(payload)
-                    placed = False
-                    for rect, tile, mask in zip(my_rects, tiles, filled):
-                        piece = rect.intersect(dst_rect)
-                        if piece.is_empty():
-                            continue
-                        rs, cs = rect.local_slice(piece)
-                        prs, pcs = dst_rect.local_slice(piece)
-                        tile[rs, cs] = payload[prs, pcs]
-                        mask[rs, cs] = True
-                        placed = True
-                    assert placed, "received a piece no local rect wants"
-            for mask in filled:
-                assert mask.all(), "redistribution left holes in a local tile"
+                    tiles[t][rs, cs] = np.conj(payload) if conjugate else payload
+                    filled[t][rs, cs] = True
+            for rect, mask in zip(my_rects, filled):
+                if not mask.all():
+                    raise ValueError(
+                        f"rank {me}: redistribution left holes in local tile {rect}"
+                    )
     return DistMatrix(comm, dst_dist, tiles)

@@ -5,19 +5,38 @@ The fixed tests cover the named layouts; these generate random
 every layout CA3DMM produces) assigned to random ranks — including
 ranks owning several rectangles and ranks owning nothing — and check
 any-to-any conversion, with and without transposition.
+
+The second half holds ``repro.layout.overlap`` — one table per pair of
+layouts — to the per-rank pairwise scans it replaced
+(``reference_redistribute.py``, the parent's code verbatim): same
+messages to the same ranks in the same order, byte for byte.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.layout.blocks import Rect
-from repro.layout.distributions import Explicit
+from repro.layout.distributions import (
+    Block2D,
+    BlockCol1D,
+    BlockCyclic2D,
+    BlockRow1D,
+    Explicit,
+)
 from repro.layout.matrix import DistMatrix, dense_random
+from repro.layout.overlap import overlap_table
 from repro.layout.redistribute import redistribute
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
+from tests.layout.reference_redistribute import reference_redistribute
 
 
 def _guillotine(rng: np.random.Generator, rect: Rect, pieces: int) -> list[Rect]:
@@ -135,3 +154,239 @@ def test_traffic_bounded_by_moved_area(m, n, p, seed):
     for sent, moved_bytes in res.results:
         # pickle envelope: rects + array headers per piece
         assert sent <= moved_bytes + 4096
+
+
+# ------------------------------------------- the table against the scans -- #
+class _Tap:
+    """A communicator that notes what is sent to whom and who is awaited."""
+
+    def __init__(self, comm):
+        self._comm = comm
+        self.log = []
+
+    def __getattr__(self, name):
+        return getattr(self._comm, name)
+
+    def isend(self, payload, dest, tag):
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        self.log.append(("isend", dest, tag, blob))
+        return self._comm.isend(payload, dest, tag)
+
+    def recv(self, source, tag):
+        self.log.append(("recv", source, tag))
+        return self._comm.recv(source=source, tag=tag)
+
+
+def _grid(rng: np.random.Generator, p: int) -> tuple[int, int]:
+    """A process grid of at most ``p`` ranks: the rest own nothing."""
+    pr = int(rng.integers(1, p + 1))
+    return pr, int(rng.integers(1, p // pr + 1))
+
+
+_LAYOUTS = {
+    "row": lambda rng, shape, p: BlockRow1D(shape, p),
+    "col": lambda rng, shape, p: BlockCol1D(shape, p),
+    "2d": lambda rng, shape, p: Block2D(shape, p, *_grid(rng, p)),
+    "cyclic": lambda rng, shape, p: BlockCyclic2D(
+        shape, p, *_grid(rng, p), bs=int(rng.integers(1, 6))
+    ),
+    "explicit": lambda rng, shape, p: _random_layout(rng, *shape, p),
+}
+
+
+def _messages(log):
+    """A tap's log with every batch opened up, so a mismatch names the
+    destination or the piece, not a position in a pickle."""
+    out = []
+    for entry in log:
+        if entry[0] == "isend":
+            payload = pickle.loads(entry[3])
+            crcs, batch = payload if isinstance(payload, tuple) else (None, payload)
+            if isinstance(batch, list):
+                payload = (crcs, [(rect, d.dtype, d.shape, d.tobytes()) for rect, d in batch])
+            entry = entry[:3] + (payload,)
+        out.append(entry)
+    return out
+
+
+@settings(deadline=None)  # --hypothesis-profile thorough: 2 000 examples
+@given(
+    m=st.integers(1, 24),
+    n=st.integers(1, 24),
+    p=st.sampled_from([1, 2, 3, 5, 7, 12, 16]),
+    src_kind=st.sampled_from(sorted(_LAYOUTS)),
+    dst_kind=st.sampled_from(sorted(_LAYOUTS)),
+    transpose=st.booleans(),
+    conjugate=st.booleans(),
+    verify=st.booleans(),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_the_table_sends_what_the_pairwise_scans_sent(
+    m, n, p, src_kind, dst_kind, transpose, conjugate, verify, seed
+):
+    """Per rank: destinations, piece rects, piece bytes, whom it awaits (all
+    in order), every batch's pickle and the assembled tiles are the
+    oracle's — thin matrices with more ranks than rows, ranks that own
+    nothing and prime communicators included."""
+    rng = np.random.default_rng(seed)
+    src = _LAYOUTS[src_kind](rng, (m, n), p)
+    dst = _LAYOUTS[dst_kind](rng, (n, m) if transpose else (m, n), p)
+    # The oracle gives a rank that owned nothing float64 tiles (the defect
+    # this PR fixes), so complex data only where every rank owns some.
+    everyone_owns = all(src.owned_rects(r) for r in range(p))
+    ref = dense_random(m, n, seed % 997, np.complex128 if everyone_owns else np.float64)
+
+    def f(comm):
+        out = []
+        for convert in (redistribute, reference_redistribute):
+            tap = _Tap(comm)
+            y = convert(
+                DistMatrix.from_global(tap, src, ref), dst,
+                transpose=transpose, conjugate=conjugate, verify=verify,
+            )
+            out.append((tap.log, y.tiles))
+        return out
+
+    res = run_spmd(p, f, machine=laptop(), deadlock_timeout=30.0)
+    want = ref.T if transpose else ref
+    want = np.conj(want) if conjugate else want
+    for rank, ((log, tiles), (ref_log, ref_tiles)) in enumerate(res.results):
+        assert _messages(log) == _messages(ref_log), rank
+        assert log == ref_log, rank
+        assert len(tiles) == len(ref_tiles)
+        for rect, tile, ref_tile in zip(dst.owned_rects(rank), tiles, ref_tiles):
+            assert tile.dtype == ref_tile.dtype == ref.dtype
+            assert np.array_equal(tile, ref_tile)
+            assert np.array_equal(tile, want[rect.r0 : rect.r1, rect.c0 : rect.c1])
+
+
+def test_equal_layouts_built_rank_by_rank_share_one_table():
+    """The table is looked up by value: ``ft.recovery`` has every rank
+    construct its own (equal) ``Explicit`` layouts."""
+    p, shape = 6, (12, 10)
+    ref = dense_random(*shape, 5)
+
+    def layouts():
+        rows = BlockRow1D(shape, p)
+        return (
+            Explicit.from_mapping(shape, p, {r: rows.owned_rects(r) for r in range(p)}),
+            Explicit.from_mapping(shape, p, {r: BlockCol1D(shape, p).owned_rects(r)
+                                             for r in range(p)}),
+        )
+
+    def f(comm):
+        src, dst = layouts()
+        y = redistribute(DistMatrix.from_global(comm, src, ref), dst)
+        return np.array_equal(y.to_global(), ref)
+
+    overlap_table.cache_clear()
+    assert all(run_spmd(p, f, machine=laptop()).results)
+    info = overlap_table.cache_info()
+    assert (info.misses, info.hits) == (1, p - 1)
+    assert hash(layouts()[0]) == hash(layouts()[0])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64])
+def test_a_rank_that_owned_nothing_gets_the_dtype_of_what_fills_its_tile(dtype):
+    """4 columns over 6 ranks: ranks 0 and 3 own no source tile.  Their
+    destination tiles were ``float64`` — imaginary parts dropped."""
+    src, dst = BlockCol1D((8, 4), 6), BlockRow1D((8, 4), 6)
+    assert not src.owned_rects(0) and not src.owned_rects(3)
+    ref = dense_random(8, 4, 3, np.complex128) * 100
+    ref = (ref if dtype is np.complex128 else ref.real).astype(dtype)
+
+    def f(comm):
+        y = redistribute(DistMatrix.from_global(comm, src, ref), dst)
+        return list(zip(y.owned_rects, y.tiles))
+
+    for owned in run_spmd(6, f, machine=laptop()).results:
+        for rect, tile in owned:
+            assert tile.dtype == dtype
+            assert np.array_equal(tile, ref[rect.r0 : rect.r1, rect.c0 : rect.c1])
+
+
+def test_mixed_dtypes_in_one_call_are_refused_by_the_receiving_rank():
+    src, dst = BlockRow1D((4, 4), 2), BlockCol1D((4, 4), 2)
+    ref = dense_random(4, 4, 1)
+
+    def f(comm):
+        mine = ref.astype(np.float32 if comm.rank == 0 else np.float64)
+        with pytest.raises(ValueError, match=rf"rank {comm.rank}: pieces of mixed dtypes"):
+            redistribute(DistMatrix.from_global(comm, src, mine), dst)
+        return True
+
+    assert all(run_spmd(2, f, machine=laptop()).results)
+
+
+_MALFORMED = """
+import numpy as np
+from repro.layout.blocks import Rect
+from repro.layout.distributions import BlockCol1D, Explicit
+from repro.layout.matrix import DistMatrix
+from repro.layout.redistribute import redistribute
+from repro.mpi import run_spmd
+
+def refused(body):
+    world = []
+    def rank_body(comm):
+        world.append(comm.transport)
+        body(comm)
+    try:
+        run_spmd(2, rank_body)
+        print("not refused")
+    except RuntimeError as exc:
+        print(type(exc.__cause__).__name__, exc.__cause__,
+              "/ posted", sum(st.msgs_sent for st in world[0].ranks))
+
+def explicit(*rects):
+    return Explicit.from_mapping((8, 4), 2, dict(enumerate(rects)))
+
+def held(comm, layout):
+    return DistMatrix(comm, layout, [np.ones(r.shape) for r in layout.owned_rects(comm.rank)])
+
+top, bottom = Rect(0, 4, 0, 4), Rect(4, 8, 0, 4)
+cols = BlockCol1D((8, 4), 2)
+holes = explicit([top], [Rect(5, 8, 0, 4)])
+overlap = explicit([top], [Rect(3, 8, 0, 4)])
+# An overlap that pays for a hole in the same destination rect: the areas
+# add up, the tile is not full.
+both = explicit([top, Rect(0, 1, 0, 4)], [Rect(5, 8, 0, 4)])
+refused(lambda comm: redistribute(held(comm, holes), cols))
+refused(lambda comm: redistribute(held(comm, overlap), cols))
+refused(lambda comm: redistribute(held(comm, both), cols))
+# Ranks that disagree about a (well-formed) source layout cut other pieces
+# than their neighbours were told to expect.
+split_at_3 = explicit([Rect(0, 3, 0, 4)], [Rect(3, 8, 0, 4)])
+refused(lambda comm: redistribute(
+    held(comm, explicit([top], [bottom]) if comm.rank == 0 else split_at_3), cols))
+refused(lambda comm: held(comm, holes).to_global())
+refused(lambda comm: held(comm, overlap).to_global())
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+def test_malformed_layouts_are_typed_errors_also_under_python_O(optimize):
+    """Holes and overlaps in a source are refused when the table is built —
+    before any message — a piece other than the planned one on arrival, and
+    ``to_global`` refuses both: ``ValueError`` naming rank and rect, where
+    four ``assert``s used to vanish under ``python -O``."""
+    proc = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", _MALFORMED],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    box = "Rect(r0={}, r1={}, c0={}, c1={})".format
+    assert proc.stdout.splitlines() == [
+        f"ValueError rank 0: source layout leaves holes in destination rect "
+        f"{box(0, 8, 0, 2)} (14 of 16 elements arrive) / posted 0",
+        f"ValueError rank 0: source layout overlaps itself on destination rect "
+        f"{box(0, 8, 0, 2)} (18 of 16 elements arrive) / posted 0",
+        f"ValueError rank 1: redistribution left holes in local tile "
+        f"{box(0, 8, 2, 4)} / posted 2",
+        f"ValueError rank 1: received piece {box(0, 4, 2, 4)} from rank 0 where "
+        f"the layouts call for {box(0, 3, 2, 4)} / posted 2",
+        "ValueError Explicit over 2 ranks does not cover the 8x4 matrix / posted 2",
+        f"ValueError rank 1: {box(3, 8, 0, 4)} overlaps a rect gathered before it"
+        " / posted 2",
+    ]
