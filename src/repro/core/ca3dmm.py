@@ -20,24 +20,64 @@ step   operation                      phase        paper cost
 ====== ============================== =========== =====================
 
 Idle ranks (world size > ``pm*pn*pk``) take part only in steps 4 and 8.
+
+:meth:`Ca3dmm.multiply` is those five steps and nothing else: steps 4 and
+8 are :func:`~repro.core.steps.enter` and :func:`~repro.core.steps.leave`
+— the ones every schedule in :mod:`repro.baselines` goes through — steps
+5 to 7 the three step functions, and the memory spans of its buffers
+live in :class:`_Held`.  What checksum protection adds to each step
+lives in :mod:`repro.ft` (the table in docs/RECOVERY.md): the engine
+holds that one object, or ``None``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
-from ..layout.redistribute import redistribute
 from ..mpi.comm import Comm
-from ..mpi.datatypes import MAX
 from ..mpi.topology import Cart2D
 from ..grid.optimizer import DEFAULT_L, GridSpec
 from .cannon import cannon_multiply
 from .plan import shared_plan
 from .reduce_c import reduce_partial_c
 from .replicate import replicate_block
-from .steps import _norm_op, problem_dims
+from .steps import enter, leave, problem_dims
+
+
+class _Held:
+    """The memtrace spans one multiply has open, oldest first.
+
+    The engine's buffers come to life one by one and die in two batches
+    (the operand tiles once the partial C is final, the rest when the
+    multiply hands its result back), so their spans are not lexical:
+    they are charged here as they are allocated and freed in allocation
+    order.  The resident watermark this produces is what the eq. (11)
+    audit and the pebbling bound consume (docs/OBSERVABILITY.md); the
+    analytic estimate it replaced is ``plan.grid.memory_words(m, n, k)``.
+    """
+
+    def __init__(self, comm: Comm):
+        self.comm = comm
+        self.spans: list[tuple[str, int]] = []
+
+    def hold(self, purpose: str, nbytes: int) -> None:
+        self.comm.mem_alloc(purpose, nbytes)
+        self.spans.append((purpose, int(nbytes)))
+
+    def release(self, keep: tuple[str, ...] = ()) -> None:
+        for span in [s for s in self.spans if s[0] not in keep]:
+            self.comm.mem_free(*span)
+            self.spans.remove(span)
+
+    def __enter__(self) -> "_Held":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
 
 class Ca3dmm:
@@ -63,14 +103,13 @@ class Ca3dmm:
             memory_limit_words=memory_limit_words,
         )
         self.shifts_per_gemm = shifts_per_gemm
-        # ABFT: checksum-protect the Cannon stage (docs/RECOVERY.md).
-        # ``True`` means the default policy; an AbftPolicy tunes it.
+        # Checksum protection (docs/RECOVERY.md) is one object, built
+        # only when asked for; every step below asks whether it is there.
+        self.guard = None
         if abft:
-            from ..ft.abft import AbftPolicy  # deferred: repro.ft imports us
+            from ..ft.abft import AbftGuard  # deferred: repro.ft imports us
 
-            self.abft = AbftPolicy() if abft is True else abft
-        else:
-            self.abft = None
+            self.guard = AbftGuard(comm, abft)
         colors = self.plan.split_colors(comm.rank)
         # One split per subgroup kind; idle ranks pass color None and
         # receive no subcommunicator (they only join redistribution).
@@ -80,47 +119,6 @@ class Ca3dmm:
         self.kred_comm = comm.split(*colors["kred"])
         self.role = self.plan.role(comm.rank)
 
-    # ------------------------------------------------------------ helpers -- #
-    def _replicate_verified(
-        self, piece: np.ndarray, axis: int, row_checksum: bool
-    ) -> np.ndarray:
-        """Replicate an *augmented* operand piece and verify its border.
-
-        The piece arrives carrying its own Huang-Abraham checksum (the
-        border commutes bit-identically with the allgather
-        concatenation), so a flipped element anywhere in the replicate
-        wire traffic shows up as a border mismatch on some replica.  A
-        detection vote over ``replica_comm`` sends the whole group back
-        into the allgather from their retained local pieces — the
-        one-shot corruption is consumed, the re-run is clean — bounded
-        by ``AbftPolicy.max_recomputes``.
-        """
-        from ..ft.abft import operand_checksum_errors
-        from ..ft.errors import CorruptionError
-
-        comm = self.comm
-        rounds = 0
-        while True:
-            full = replicate_block(self.replica_comm, piece, axis=axis)
-            bad = operand_checksum_errors(full, row_checksum, self.abft.rel_tol)
-            if bad:
-                comm.transport.add_ft(
-                    comm.world_rank, detected=1, phase="replicate"
-                )
-            any_bad = self.replica_comm.allreduce(int(bool(bad)), op=MAX)
-            if not any_bad:
-                return full
-            rounds += 1
-            if rounds > self.abft.max_recomputes:
-                raise CorruptionError(
-                    comm.world_rank,
-                    rounds - 1,
-                    () if row_checksum else bad,
-                    bad if row_checksum else (),
-                    phase="replicate",
-                )
-
-    # ------------------------------------------------------------ multiply -- #
     def multiply(
         self,
         a: DistMatrix,
@@ -151,215 +149,96 @@ class Ca3dmm:
         Cholesky / QR panel factorizations).
 
         ``on_partial`` (``(role, c_loc) -> None``), when given, is
-        called on every active rank with its verified partial C block —
-        after the ABFT guard has stripped/validated it, before the
-        k-group reduce-scatter consumes it.  The fault-tolerance layer
-        uses this retention hook to keep surviving k-group partials
-        across a failure (partial-result reuse, docs/RECOVERY.md); the
-        block is *unscaled* (``alpha`` is applied after the reduce).
+        called on every active rank with its partial C block — verified
+        first, its checksums stripped, when protection is on — before the
+        k-group reduce-scatter consumes it.  The fault-tolerance layer uses this
+        retention hook to keep surviving k-group partials across a
+        failure (partial-result reuse, docs/RECOVERY.md); the block is
+        *unscaled* (``alpha`` is applied after the reduce).
         """
-        plan, comm = self.plan, self.comm
-        m, n, k = plan.m, plan.n, plan.k
-        transa, conja = _norm_op(transa)
-        transb, conjb = _norm_op(transb)
-        a_shape = (k, m) if transa else (m, k)
-        b_shape = (n, k) if transb else (k, n)
-        if tuple(a.shape) != a_shape:
-            raise ValueError(f"A has shape {a.shape}, expected {a_shape} (transa={transa})")
-        if tuple(b.shape) != b_shape:
-            raise ValueError(f"B has shape {b.shape}, expected {b_shape} (transb={transb})")
+        plan, comm, role = self.plan, self.comm, self.role
+        guard, verify = self.guard, self.guard is not None
+        dims = problem_dims(a, b, transa, transb)
+        if dims != (plan.m, plan.n, plan.k):
+            raise ValueError(f"engine planned for {(plan.m, plan.n, plan.k)}, call needs {dims}")
         if beta != 0.0 and c_in is None:
             raise ValueError("beta != 0 requires the c_in accumulation operand")
-        if c_in is not None and tuple(c_in.shape) != (m, n):
-            raise ValueError(f"C_in has shape {c_in.shape}, expected {(m, n)}")
-
-        # Steps 4: user layout -> native layout (transposes folded in).
-        # With ABFT on, redistribution traffic travels under a per-tile
-        # CRC envelope (corrupted transfers are re-requested).
-        verify = self.abft is not None
-        a_nat = redistribute(a, plan.a_dist, transpose=transa, phase="redist",
-                             conjugate=conja, verify=verify)
-        b_nat = redistribute(b, plan.b_dist, transpose=transb, phase="redist",
-                             conjugate=conjb, verify=verify)
-
+        if c_in is not None and tuple(c_in.shape) != (plan.m, plan.n):
+            raise ValueError(f"C_in has shape {c_in.shape}, expected {(plan.m, plan.n)}")
         out_dtype = np.promote_types(a.dtype, b.dtype)
-        if self.role is None:
-            # Idle rank: owns nothing of native C; still participates in
-            # the closing redistribution.
-            c_nat = DistMatrix(comm, plan.c_dist, [])
-        else:
-            role = self.role
-            a_piece, b_piece = a_nat.local_block(), b_nat.local_block()
+        keep = None if on_partial is None else partial(on_partial, role)
 
-            # Measured working set: tagged memtrace spans charged as the
-            # engine's buffers come to life, freed together when the
-            # multiply hands its result back.  The resident watermark
-            # this produces is what the eq. (11) audit and the pebbling
-            # bound consume (docs/OBSERVABILITY.md) — the analytic
-            # estimate this replaces is recoverable as
-            # ``plan.grid.memory_words(m, n, k)``.
-            held: list[tuple[str, int]] = []
+        # Step 4: user layout -> native layout (op codes folded in; a
+        # protected run's conversions travel under a per-tile CRC).
+        native = (plan.a_dist, plan.b_dist, plan.c_dist)
+        a_run, b_run = enter(a, b, native, transa, transb, verify=verify)
 
-            def _hold(purpose: str, nbytes: int) -> None:
-                comm.mem_alloc(purpose, nbytes)
-                held.append((purpose, int(nbytes)))
-
-            try:
-                abft_on = self.abft is not None
-                if abft_on:
-                    from ..ft.abft import AbftGuard, augment_a, augment_b
-
-                a_run, b_run = a_piece, b_piece
-                # With ABFT and replication, augment *before* step 5: the
-                # checksum border commutes bit-identically with the
-                # allgather concatenation, so the replicated operand
-                # arrives carrying its own checksums and the replicate
-                # wire traffic itself is covered.
-                early_aug = abft_on and plan.c > 1
-                if early_aug:
-                    a_run = a_run.astype(out_dtype, copy=False)
-                    b_run = b_run.astype(out_dtype, copy=False)
-                    pre = a_run.nbytes + b_run.nbytes
-                    a_run = augment_a(a_run)
-                    b_run = augment_b(b_run)
-                    _hold("abft.checksum", a_run.nbytes + b_run.nbytes - pre)
+        strip = np.zeros((0, 0), out_dtype)  # an idle rank's share: it joins steps 4 and 8 only
+        with _Held(comm) as held:
+            if role is not None:
+                # Checksums commute with the allgather, so a plan that
+                # replicates adds them first and step 5 carries its own.
+                if verify and plan.c > 1:
+                    a_run, b_run = guard.augment(a_run, b_run, out_dtype, held.hold)
 
                 # Step 5: replicate the smaller operand across Cannon groups.
                 with comm.phase("replicate", c=plan.c,
                                 operand="A" if plan.replicates_a else "B"):
                     if plan.c > 1:
+                        replicate = guard.replicate if verify else replicate_block
                         if plan.replicates_a:
-                            if early_aug:
-                                a_run = self._replicate_verified(
-                                    a_run, axis=1, row_checksum=True
-                                )
-                            else:
-                                a_run = replicate_block(
-                                    self.replica_comm, a_run, axis=1
-                                )
+                            a_run = replicate(self.replica_comm, a_run, axis=1)
                         else:
-                            if early_aug:
-                                b_run = self._replicate_verified(
-                                    b_run, axis=0, row_checksum=False
-                                )
-                            else:
-                                b_run = replicate_block(
-                                    self.replica_comm, b_run, axis=0
-                                )
-
-                a_blk = plan.a_cannon_block(role)
-                b_blk = plan.b_cannon_block(role)
-                border = 1 if early_aug else 0
-                a_body_shape = (a_run.shape[0] - border, a_run.shape[1])
-                b_body_shape = (b_run.shape[0], b_run.shape[1] - border)
-                if a_body_shape != a_blk.shape:
+                            b_run = replicate(self.replica_comm, b_run, axis=0)
+                a_blk, b_blk = plan.a_cannon_block(role), plan.b_cannon_block(role)
+                if (a_run.shape[1], b_run.shape[0]) != (a_blk.cols, b_blk.rows):
                     raise AssertionError(
-                        f"A block shape {a_body_shape} != planned {a_blk.shape}"
+                        f"Cannon blocks span {a_run.shape[1]} and {b_run.shape[0]} of k, "
+                        f"planned {a_blk.cols} and {b_blk.rows}"
                     )
-                if b_body_shape != b_blk.shape:
-                    raise AssertionError(
-                        f"B block shape {b_body_shape} != planned {b_blk.shape}"
-                    )
-                a_border_nbytes = border * a_run.shape[1] * a_run.itemsize
-                b_border_nbytes = border * b_run.shape[0] * b_run.itemsize
-                _hold("tile.a", a_run.nbytes - a_border_nbytes)
-                _hold("tile.b", b_run.nbytes - b_border_nbytes)
+                held.hold("tile.a", a_blk.area * a_run.itemsize)
+                held.hold("tile.b", b_blk.area * b_run.itemsize)
 
-                # Step 6: Cannon's algorithm inside the s x s group.  With
-                # ABFT on, the unskewed blocks get Huang-Abraham checksum
-                # borders first (already present when replication added
-                # them early); the kernel itself is unchanged and the
-                # bordered result is verified (and recomputed if
-                # corrupted) before the reduce-scatter strips it.
-                if not early_aug:
-                    a_run = a_run.astype(out_dtype, copy=False)
-                    b_run = b_run.astype(out_dtype, copy=False)
-                guard = None
+                # Step 6: Cannon's algorithm inside the s x s group (the
+                # same kernel whether or not the blocks carry checksums).
+                a_run = a_run.astype(out_dtype, copy=False)
+                b_run = b_run.astype(out_dtype, copy=False)
                 with comm.phase("cannon", s=plan.s,
-                                shifts_per_gemm=self.shifts_per_gemm,
-                                abft=abft_on):
+                                shifts_per_gemm=self.shifts_per_gemm, abft=verify):
                     cart = Cart2D(self.cannon_comm, plan.s, plan.s)
-                    if abft_on:
-                        if not early_aug:
-                            pre = a_run.nbytes + b_run.nbytes
-                            a_run = augment_a(a_run)
-                            b_run = augment_b(b_run)
-                            _hold("abft.checksum",
-                                  a_run.nbytes + b_run.nbytes - pre)
-                        k0, k1 = plan.k_range(role.ik)
-                        guard = AbftGuard(
-                            comm=comm,
-                            group_comm=self.cannon_comm,
-                            policy=self.abft,
-                            recompute=lambda: cannon_multiply(
-                                cart, a_run, b_run,
-                                shifts_per_gemm=self.shifts_per_gemm,
-                            ),
-                            flops=2.0 * a_run.shape[0] * b_run.shape[1] * (k1 - k0),
+                    if verify and plan.c == 1:
+                        a_run, b_run = guard.augment(a_run, b_run, out_dtype, held.hold)
+
+                    def cannon() -> np.ndarray:
+                        return cannon_multiply(
+                            cart, a_run, b_run, shifts_per_gemm=self.shifts_per_gemm
                         )
-                    c_loc = cannon_multiply(
-                        cart, a_run, b_run,
-                        shifts_per_gemm=self.shifts_per_gemm,
-                    )
-                _hold("tile.c", c_loc.nbytes)
+
+                    c_loc = cannon()
+                held.hold("tile.c", c_loc.nbytes)
 
                 # Step 7: reduce-scatter partial C blocks across k-groups.
-                # Verification runs first so the retention hook only ever
-                # sees a partial the ABFT guard has already vouched for;
-                # the checksum border then rides *through* the reduction
-                # and each reduced strip is re-verified on arrival.
+                # The hook only ever sees a final partial: a protected one
+                # is verified (and Cannon re-run if it must be) first.
                 with comm.phase("reduce", pk=plan.pk):
-                    if guard is not None:
-                        c_loc = guard.verified_bordered(c_loc)
-                        if on_partial is not None:
-                            on_partial(
-                                role, np.ascontiguousarray(c_loc[:-1, :-1])
-                            )
-                    elif on_partial is not None:
-                        on_partial(role, c_loc)
-                    # The operand tiles (and checksum borders) die once
-                    # the partial is verified — the ABFT recompute can no
-                    # longer fire — so release them before the
-                    # reduce-scatter stages its scratch strip on top.
-                    dead = [h for h in held
-                            if h[0] in ("tile.a", "tile.b", "abft.checksum")]
-                    for purpose, nbytes in dead:
-                        comm.mem_free(purpose, nbytes)
-                        held.remove((purpose, nbytes))
+                    if verify:
+                        k0, k1 = plan.k_range(role.ik)
+                        c_loc = guard.verified_bordered(
+                            self.cannon_comm, c_loc, cannon, 2.0 * c_loc.size * (k1 - k0), keep
+                        )
+                    elif keep is not None:
+                        keep(c_loc)
+                    # The operand tiles die here — nothing can ask for a
+                    # re-run any more — before the reduce-scatter stages
+                    # its scratch strip on top.
+                    held.release(keep=("tile.c",))
                     by_cols = plan.c_split_cols(role.i, role.j)
-                    strip = reduce_partial_c(
-                        self.kred_comm, c_loc, by_cols,
-                        abft=guard, pre_verified=True,
-                    )
+                    strip = reduce_partial_c(self.kred_comm, c_loc, by_cols, abft=guard)
+        if alpha != 1.0:
+            strip = alpha * np.ascontiguousarray(strip)
 
-                rect = plan.c_owned(comm.rank)
-                if rect is None or rect.is_empty():
-                    tiles = []
-                else:
-                    strip = np.ascontiguousarray(strip)
-                    if alpha != 1.0:
-                        strip = alpha * strip
-                    tiles = [strip]
-                c_nat = DistMatrix(comm, plan.c_dist, tiles)
-            finally:
-                for purpose, nbytes in held:
-                    comm.mem_free(purpose, nbytes)
-
-        # Accumulation operand: fold in beta * C_in (in the native layout,
-        # where every rank holds exactly its strip).
-        if beta != 0.0 and c_in is not None:
-            c_prev = redistribute(c_in, plan.c_dist, phase="redist",
-                                  verify=verify)
-            tiles = [
-                t + beta * p.astype(t.dtype, copy=False)
-                for t, p in zip(c_nat.tiles, c_prev.tiles)
-            ]
-            c_nat = DistMatrix(comm, plan.c_dist, tiles)
-
-        # Step 8: native layout -> user layout.
-        if c_dist is None:
-            return c_nat
-        return redistribute(c_nat, c_dist, phase="redist", verify=verify)
+        # Step 8: fold in beta * C_in; native layout -> user layout.
+        return leave(comm, plan.c_dist, strip, c_dist, beta=beta, c_in=c_in, verify=verify)
 
 
 def ca3dmm_matmul(

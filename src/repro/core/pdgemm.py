@@ -56,11 +56,6 @@ def pdgemm(
         )
     out_dist = c.dist if c is not None else c_dist
     eng = engine if engine is not None else Ca3dmm(a.comm, m, n, k, abft=abft)
-    if (eng.plan.m, eng.plan.n, eng.plan.k) != (m, n, k):
-        raise ValueError(
-            f"engine planned for {(eng.plan.m, eng.plan.n, eng.plan.k)}, "
-            f"call needs {(m, n, k)}"
-        )
     return eng.multiply(
         a, b,
         c_dist=out_dist,

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..layout.blocks import block_range
 from ..mpi.comm import Comm
-from ..mpi.datatypes import MAX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ft.abft import AbftGuard
@@ -56,14 +55,27 @@ def split_block(c_loc: np.ndarray, parts: int, by_cols: bool) -> list[np.ndarray
     return out
 
 
-def reduce_over_k(kcomm: Comm, c_part: np.ndarray) -> np.ndarray:
+def reduce_over_k(
+    kcomm: Comm, c_part: np.ndarray, by_cols: bool | None = None
+) -> np.ndarray:
     """Step 7 for any schedule: sum the ``pk`` partial blocks of one C
     block over its k-fiber and keep strip ``kcomm.rank`` — column strips
-    when the block is at least as wide as tall, row strips otherwise."""
+    when the block is at least as wide as tall, row strips otherwise
+    (``by_cols`` overrides the rule for a block that carries a checksum
+    border and must be split like the body it borders)."""
     if kcomm.size == 1:
         return c_part
-    by_cols = c_part.shape[1] >= c_part.shape[0]
+    if by_cols is None:
+        by_cols = c_part.shape[1] >= c_part.shape[0]
     return kcomm.reduce_scatter(split_block(c_part, kcomm.size, by_cols))
+
+
+def reduce_scratch(kcomm: Comm, c_part: np.ndarray, by_cols: bool):
+    """The ``reduce.scratch`` memtrace span of CA3DMM's step 7: the
+    pairwise exchange accumulates into a private copy of this rank's
+    strip, and that copy is what the span charges."""
+    mine = split_block(c_part, kcomm.size, by_cols)[kcomm.rank]
+    return kcomm.mem("reduce.scratch", mine.nbytes)
 
 
 def reduce_partial_c(
@@ -71,69 +83,22 @@ def reduce_partial_c(
     c_loc: np.ndarray,
     by_cols: bool,
     abft: "AbftGuard | None" = None,
-    *,
-    pre_verified: bool = False,
 ) -> np.ndarray:
     """Reduce-scatter this rank's partial C block; return its final strip.
 
     ``kred_comm`` orders its ``pk`` members by k-group index, so rank
     ``ik`` receives strip ``ik`` — matching
-    :meth:`~repro.core.plan.Ca3dmmPlan.c_owned`.
+    :meth:`~repro.core.plan.Ca3dmmPlan.c_owned`.  This is
+    :func:`reduce_over_k` inside the engine's :func:`reduce_scratch` span.
 
-    With an :class:`~repro.ft.abft.AbftGuard`, ``c_loc`` is the
-    checksum-bordered Cannon result: it is verified — and the Cannon
-    stage recomputed if corrupted — and then *one* checksum border is
-    carried through the reduce-scatter (the checksum row when splitting
-    by columns, the checksum column when splitting by rows; the other
-    border would land on a single member and is dropped).  Because the
-    reduction is linear, a clean reduced strip's border still matches
-    its body, so each rank re-verifies its strip after the exchange —
-    catching corruption injected into the reduce-scatter wire traffic
-    itself — and a detection vote over ``kred_comm`` sends the whole
-    group back into the exchange from their retained clean strips,
-    bounded by ``AbftPolicy.max_recomputes``.
+    With an :class:`~repro.ft.abft.AbftGuard`, ``c_loc`` is the verified
+    checksum-bordered Cannon result and the guard reduces it
+    (:meth:`~repro.ft.abft.AbftGuard.reduce`): one border rides through
+    the same exchange and every reduced strip is re-verified on arrival.
     """
-    if abft is None:
-        if kred_comm.size == 1:
-            return c_loc
-        strips = split_block(c_loc, kred_comm.size, by_cols)
-        # The pairwise exchange accumulates into a private copy of this
-        # rank's strip; charge that accumulator to the reduce.scratch
-        # span.
-        with kred_comm.mem("reduce.scratch", strips[kred_comm.rank].nbytes):
-            return kred_comm.reduce_scatter(strips)
-
-    from ..ft.abft import strip_checksum_errors
-    from ..ft.errors import CorruptionError
-
-    # ``pre_verified`` lets the engine verify the Cannon result itself
-    # (it hands the clean body to the partial-retention hook first)
-    # without a second, redundant group vote here.
-    c_f = c_loc if pre_verified else abft.verified_bordered(c_loc)
+    if abft is not None:
+        return abft.reduce(kred_comm, c_loc, by_cols)
     if kred_comm.size == 1:
-        return np.ascontiguousarray(c_f[:-1, :-1])
-    work = c_f[:, :-1] if by_cols else c_f[:-1, :]
-    strips = split_block(work, kred_comm.size, by_cols)
-    rel_tol = abft.policy.rel_tol
-    rounds = 0
-    with kred_comm.mem("reduce.scratch", strips[kred_comm.rank].nbytes):
-        while True:
-            strip = kred_comm.reduce_scatter(strips)
-            bad = strip_checksum_errors(strip, by_cols, rel_tol)
-            if bad:
-                kred_comm.transport.add_ft(
-                    kred_comm.world_rank, detected=1, phase="reduce"
-                )
-            any_bad = kred_comm.allreduce(int(bool(bad)), op=MAX)
-            if not any_bad:
-                body = strip[:-1, :] if by_cols else strip[:, :-1]
-                return np.ascontiguousarray(body)
-            rounds += 1
-            if rounds > abft.policy.max_recomputes:
-                raise CorruptionError(
-                    kred_comm.world_rank,
-                    rounds - 1,
-                    () if by_cols else bad,
-                    bad if by_cols else (),
-                    phase="reduce",
-                )
+        return c_loc
+    with reduce_scratch(kred_comm, c_loc, by_cols):
+        return reduce_over_k(kred_comm, c_loc, by_cols)

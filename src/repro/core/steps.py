@@ -10,8 +10,10 @@ kernel* and takes the rest from here: the one shape check
 sits where is :class:`~repro.grid.optimizer.GridSpec`'s, the
 sub-communicators :func:`~repro.mpi.topology.grid_comms`', step 7
 :func:`~repro.core.reduce_c.reduce_over_k`.
-:class:`~repro.core.ca3dmm.Ca3dmm` keeps its own steps 4 and 8 — they
-alone carry op codes, CRC envelopes and ``c_in``.
+:class:`~repro.core.ca3dmm.Ca3dmm` enters and leaves through the same
+two functions; it alone passes what a full GEMM adds to them — op codes
+folded into step 4, ``beta * C_in`` folded in before step 8, and
+``verify`` (the CRC envelope of an ABFT run) on every conversion.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ..mpi.comm import Comm
 NativeDists = tuple[Distribution, Distribution, Distribution]
 
 
-def _norm_op(op) -> tuple[bool, bool]:
+def norm_op(op) -> tuple[bool, bool]:
     """Normalize a BLAS-style op code to (transpose, conjugate).
 
     Accepts booleans (backward compatible: True means 'T') or the
@@ -56,8 +58,8 @@ def problem_dims(
     before any message is sent: op(A) and op(B) must share k, and no
     dimension may be zero (a :class:`~repro.core.plan.Ca3dmmPlan`'s error)."""
     (am, an), (bm, bn) = a.shape, b.shape
-    m, k = (an, am) if _norm_op(transa)[0] else (am, an)
-    k2, n = (bn, bm) if _norm_op(transb)[0] else (bm, bn)
+    m, k = (an, am) if norm_op(transa)[0] else (am, an)
+    k2, n = (bn, bm) if norm_op(transb)[0] else (bm, bn)
     if k != k2:
         raise ValueError(
             f"inner dimensions differ: op(A) is {m}x{k}, op(B) is {k2}x{n}"
@@ -68,15 +70,25 @@ def problem_dims(
 
 
 def enter(
-    a: DistMatrix, b: DistMatrix, native: NativeDists
+    a: DistMatrix,
+    b: DistMatrix,
+    native: NativeDists,
+    transa: bool | str = False,
+    transb: bool | str = False,
+    verify: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Step 4: convert A and B to a schedule's native layouts; returns
+    """Step 4: convert A and B to a schedule's native layouts — op codes
+    folded into the conversion, ``verify`` putting it under the CRC
+    envelope of :func:`~repro.layout.redistribute.redistribute`; returns
     this rank's block of each (:meth:`DistMatrix.local_block`: an empty
     one is zeros of the rank's own empty rectangle, never a guess)."""
     a_dist, b_dist, _ = native
+    (ta, ca), (tb, cb) = norm_op(transa), norm_op(transb)
     return (
-        redistribute(a, a_dist, phase="redist").local_block(),
-        redistribute(b, b_dist, phase="redist").local_block(),
+        redistribute(a, a_dist, transpose=ta, phase="redist",
+                     conjugate=ca, verify=verify).local_block(),
+        redistribute(b, b_dist, transpose=tb, phase="redist",
+                     conjugate=cb, verify=verify).local_block(),
     )
 
 
@@ -85,13 +97,23 @@ def leave(
     native_c: Distribution,
     c_loc: np.ndarray | None,
     c_dist: Distribution | None,
+    beta: float = 0.0,
+    c_in: DistMatrix | None = None,
+    verify: bool = False,
 ) -> DistMatrix:
     """Step 8: wrap this rank's block of C in the native layout — no tile
-    when the block is empty or the rank ends with none (``None``) — and
-    convert to ``c_dist`` when the caller named one."""
+    when the block is empty or the rank ends with none (``None``) — fold
+    in ``beta * c_in`` there, where every rank holds exactly its block
+    (promoting as numpy does), and convert to ``c_dist`` when the caller
+    named one.  The block's dtype is the result's even where no tile is."""
     tiles = [] if c_loc is None or not c_loc.size else [np.ascontiguousarray(c_loc)]
-    c_nat = DistMatrix(comm, native_c, tiles)
-    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist")
+    dtype = None if c_loc is None else c_loc.dtype
+    if beta != 0.0 and c_in is not None:
+        c_prev = redistribute(c_in, native_c, phase="redist", verify=verify)
+        tiles = [t + beta * p for t, p in zip(tiles, c_prev.tiles)]
+        dtype = np.result_type(dtype, c_prev.dtype, beta)
+    c_nat = DistMatrix(comm, native_c, tiles, dtype=dtype)
+    return c_nat if c_dist is None else redistribute(c_nat, c_dist, phase="redist", verify=verify)
 
 
 @lru_cache(maxsize=64)

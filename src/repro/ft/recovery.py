@@ -68,9 +68,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.ca3dmm import Ca3dmm, _norm_op
+from ..core.ca3dmm import Ca3dmm
 from ..core.plan import Ca3dmmPlan
-from ..core.steps import problem_dims
+from ..core.steps import norm_op, problem_dims
 from ..grid.optimizer import DEFAULT_L, GridSpec
 from ..layout.blocks import Rect
 from ..layout.distributions import Distribution, Explicit
@@ -544,8 +544,8 @@ def resilient_multiply(
     survivor holds a backup and nobody is left to agree — and raises
     the same typed error instead of an untyped abort.
     """
-    ta, _ = _norm_op(transa)
-    tb, _ = _norm_op(transb)
+    ta, _ = norm_op(transa)
+    tb, _ = norm_op(transb)
     m, n, k = problem_dims(a, b, transa, transb)
     abft_policy: AbftPolicy | None
     if abft is True:

@@ -32,10 +32,14 @@ def dense_random(m: int, n: int, seed: int, dtype=np.float64) -> np.ndarray:
 class DistMatrix:
     """One rank's share of a distributed matrix."""
 
-    def __init__(self, comm: Comm, dist: Distribution, tiles: Sequence[np.ndarray]):
+    def __init__(
+        self, comm: Comm, dist: Distribution, tiles: Sequence[np.ndarray], dtype=None
+    ):
         self.comm = comm
         self.dist = dist
         self.tiles = list(tiles)
+        #: the global matrix's dtype, for a rank that holds no tile to read it from
+        self._dtype = np.dtype(np.float64 if dtype is None else dtype)
         rects = dist.owned_rects(comm.rank)
         if len(rects) != len(self.tiles):
             raise ValueError(
@@ -55,7 +59,7 @@ class DistMatrix:
             np.ascontiguousarray(global_mat[r.r0 : r.r1, r.c0 : r.c1])
             for r in dist.owned_rects(comm.rank)
         ]
-        return cls(comm, dist, tiles)
+        return cls(comm, dist, tiles, dtype=global_mat.dtype)
 
     @classmethod
     def random(cls, comm: Comm, dist: Distribution, seed: int, dtype=np.float64) -> "DistMatrix":
@@ -72,7 +76,7 @@ class DistMatrix:
     @classmethod
     def zeros(cls, comm: Comm, dist: Distribution, dtype=np.float64) -> "DistMatrix":
         tiles = [np.zeros(r.shape, dtype=dtype) for r in dist.owned_rects(comm.rank)]
-        return cls(comm, dist, tiles)
+        return cls(comm, dist, tiles, dtype=dtype)
 
     # ----------------------------------------------------------- queries -- #
     @property
@@ -81,9 +85,7 @@ class DistMatrix:
 
     @property
     def dtype(self):
-        if self.tiles:
-            return self.tiles[0].dtype
-        return np.dtype(np.float64)
+        return self.tiles[0].dtype if self.tiles else self._dtype
 
     @property
     def owned_rects(self) -> list[Rect]:

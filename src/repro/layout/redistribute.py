@@ -224,4 +224,4 @@ def redistribute(
                     raise ValueError(
                         f"rank {me}: redistribution left holes in local tile {rect}"
                     )
-    return DistMatrix(comm, dst_dist, tiles)
+    return DistMatrix(comm, dst_dist, tiles, dtype=dtype)

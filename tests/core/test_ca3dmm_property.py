@@ -95,3 +95,72 @@ def test_traffic_never_exceeds_schedule_bound(m, n, k, p):
     q_bound = theoretical_metrics(plan).q_words * 8
     overhead = 512 * (plan.s + plan.pk + plan.c)  # pickle headers etc.
     assert max(res.results) <= q_bound * 1.2 + overhead
+
+
+_OPS = {"N": lambda x: x, "T": lambda x: x.T, "C": lambda x: x.conj().T}
+
+
+def _small_ints(rng, shape, dtype):
+    """Small (Gaussian) integers: every product and sum below is exact
+    in all four dtypes, so ABFT's tolerance never sees roundoff and the
+    comparison with numpy is equality."""
+    mat = rng.integers(-3, 4, shape).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        mat = mat + 1j * rng.integers(-3, 4, shape)
+    return mat.astype(dtype)
+
+
+@settings(deadline=None)  # max_examples is the profile's: 100, or 2 000 under ``thorough``
+@given(
+    dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    p=st.sampled_from([1, 2, 3, 5, 7, 8, 12]),
+    dtype=st.sampled_from(["float32", "float64", "complex64", "complex128"]),
+    c_dtype=st.sampled_from(["float32", "float64", "complex64", "complex128"]),
+    transa=st.sampled_from("NTC"),
+    transb=st.sampled_from("NTC"),
+    alpha=st.sampled_from([1.0, -2.0, 0.5, 2 - 1j]),
+    beta=st.sampled_from([0.0, 1.0, -0.5, 1j]),
+    with_c=st.booleans(),
+    abft=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_pdgemm_matches_numpy(dims, p, dtype, c_dtype, transa, transb, alpha, beta,
+                              with_c, abft, seed):
+    """The one entry point applications use, against
+    ``alpha * op(A) @ op(B) + beta * C`` — values and dtype (numpy's
+    promotion, ``C`` included) — over every dtype, op code and scalar,
+    with and without a C operand, checksums off and on, idle ranks and
+    worlds larger than the matrices."""
+    from repro.core.pdgemm import pdgemm
+    from repro.layout import BlockCyclic2D
+
+    m, n, k = dims
+    rng = np.random.default_rng(seed)
+    a_mat = _small_ints(rng, (k, m) if transa != "N" else (m, k), dtype)
+    b_mat = _small_ints(rng, (n, k) if transb != "N" else (k, n), dtype)
+    c_mat = _small_ints(rng, (m, n), c_dtype)
+    if not with_c:
+        beta = 0.0
+    ref = alpha * (_OPS[transa](a_mat) @ _OPS[transb](b_mat))
+    if beta != 0.0:
+        ref = ref + beta * c_mat
+
+    def f(comm):
+        a = DistMatrix.from_global(comm, BlockCol1D(a_mat.shape, comm.size), a_mat)
+        b = DistMatrix.from_global(comm, BlockRow1D(b_mat.shape, comm.size), b_mat)
+        c = None
+        if with_c:
+            pr = 2 if comm.size > 1 else 1
+            c = DistMatrix.from_global(
+                comm, BlockCyclic2D((m, n), comm.size, pr, comm.size // pr, bs=2), c_mat
+            )
+        out = pdgemm(transa, transb, alpha, a, b, beta, c, abft=abft or None)
+        return out.owned_rects, out.tiles
+
+    res = run_spmd(p, f, machine=laptop(), deadlock_timeout=30.0)
+    got = np.zeros_like(ref)
+    for rects, tiles in res.results:
+        for rect, tile in zip(rects, tiles):
+            assert tile.dtype == ref.dtype
+            got[rect.r0:rect.r1, rect.c0:rect.c1] = tile
+    np.testing.assert_array_equal(got, ref)

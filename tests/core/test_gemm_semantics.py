@@ -82,6 +82,30 @@ class TestAlphaBeta:
 
         spmd(2, f)
 
+    @pytest.mark.parametrize(
+        "ab_dtype, c_dtype",
+        [(np.float64, np.complex128), (np.float32, np.float64)],
+        ids=["real_product_complex_c", "float32_product_float64_c"],
+    )
+    def test_beta_c_in_promotes_like_numpy(self, spmd, ab_dtype, c_dtype):
+        """``beta * C_in`` used to be cast to the product's dtype: a
+        complex C_in under real A, B lost its imaginary part (max error
+        7.5 on this problem) and a float64 one came back float32."""
+        A, B = dense_random(12, 8, 1, ab_dtype), dense_random(8, 10, 2, ab_dtype)
+        C0 = dense_random(12, 10, 3, c_dtype)
+        ref = 1.5 * (A @ B) + 2.0 * C0
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, BlockCol1D((12, 8), comm.size), A)
+            b = DistMatrix.from_global(comm, BlockCol1D((8, 10), comm.size), B)
+            c0 = DistMatrix.from_global(comm, BlockRow1D((12, 10), comm.size), C0)
+            c = ca3dmm_matmul(a, b, alpha=1.5, beta=2.0, c_in=c0)
+            return c.to_global(), {t.dtype for t in c.tiles}
+
+        for got, tile_dtypes in spmd(4, f).results:
+            assert tile_dtypes == {ref.dtype}
+            np.testing.assert_allclose(got, ref, rtol=1e-5 if ab_dtype is np.float32 else 1e-12)
+
     def test_idle_ranks_with_accumulation(self, spmd):
         """beta-folding must work when some ranks are idle (P=17-like)."""
 
@@ -95,3 +119,26 @@ class TestAlphaBeta:
             return np.allclose(c.to_global(), A @ B + C0, atol=1e-10)
 
         assert all(spmd(7, f).results)
+
+
+class TestRanksWithoutTiles:
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.complex128])
+    def test_a_world_larger_than_the_matrices_keeps_the_dtype(self, spmd, dtype):
+        """A rank holding no tile of an operand used to take it for
+        float64: a 1x1x2 complex product on 7 ranks lost its imaginary
+        part, a 1x1x1 complex64 one on 8 ranks raised inside Cannon, and
+        float32 came back float64."""
+        A, B = dense_random(1, 2, 1, dtype), dense_random(2, 1, 2, dtype)
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, BlockCol1D((1, 2), comm.size), A)
+            b = DistMatrix.from_global(comm, BlockRow1D((2, 1), comm.size), B)
+            c = ca3dmm_matmul(a, b)
+            return c.owned_rects, c.tiles, c.dtype
+
+        tiles = []
+        for rects, mine, seen_dtype in spmd(7, f).results:
+            assert seen_dtype == dtype  # also where the rank holds nothing of C
+            tiles += mine
+        assert len(tiles) == 1 and tiles[0].dtype == dtype
+        np.testing.assert_allclose(tiles[0], A @ B, rtol=1e-5)

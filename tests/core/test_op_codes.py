@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 
 from repro.core import ca3dmm_matmul
-from repro.core.ca3dmm import _norm_op
+from repro.core.steps import norm_op
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 
 
 class TestNormOp:
     def test_codes(self):
-        assert _norm_op("N") == (False, False)
-        assert _norm_op("n") == (False, False)
-        assert _norm_op("T") == (True, False)
-        assert _norm_op("C") == (True, True)
-        assert _norm_op(False) == (False, False)
-        assert _norm_op(True) == (True, False)
+        assert norm_op("N") == (False, False)
+        assert norm_op("n") == (False, False)
+        assert norm_op("T") == (True, False)
+        assert norm_op("C") == (True, True)
+        assert norm_op(False) == (False, False)
+        assert norm_op(True) == (True, False)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            _norm_op("X")
+            norm_op("X")
 
 
 def _run(spmd, transa, transb, dtype=np.complex128):

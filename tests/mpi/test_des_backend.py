@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import ca3dmm_matmul
 from repro.core.plan import shared_plan
+from repro.ft.abft import AbftGuard
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import MachineModel, laptop
 from repro.mpi import (
@@ -358,15 +359,31 @@ def _resilient64(comm):
     return resilient_multiply(comm, *_operands64(comm), max_recoveries=2).to_global()
 
 
+def _guarded64(comm):
+    """ABFT on a grid that replicates (4x8x2: c = 2, s = 4, pk = 2), so
+    the guard stands in at every step it can."""
+    from repro.core import Ca3dmm
+    from repro.grid.optimizer import GridSpec
+
+    engine = Ca3dmm(comm, M, N, K, grid=GridSpec(4, 8, 2, P64), abft=True)
+    a = DistMatrix.from_global(comm, BlockCol1D((M, K), P64), dense_random(M, K, 0))
+    b = DistMatrix.from_global(comm, BlockCol1D((K, N), P64), dense_random(K, N, 1))
+    return engine.multiply(a, b).to_global()
+
+
 _KILL = FaultPlan(ranks=(RankFault(rank=1, phase="cannon", occurrence=1, kill=True),))
+#: one flip in each stage the guard verifies: every retry path runs
+_FLIPS = FaultPlan(seed=3, links=tuple(
+    LinkFault(corrupt_phase=phase, corrupt_at=(0,)) for phase in ("replicate", "cannon", "reduce")
+))
 _REF64 = dense_random(M, K, 0) @ dense_random(K, N, 1)
 
 
 @contextlib.contextmanager
 def owner_checked():
-    """Wrap every ``Transport`` and ``FaultInjector`` entry point and
-    ``Tracer.begin``/``end``: the caller must own the world.  Yields
-    ``[calls, violations]``."""
+    """Wrap every ``Transport``, ``FaultInjector`` and ``AbftGuard`` entry
+    point and ``Tracer.begin``/``end``: the caller must own the world.
+    Yields ``[calls, violations]``."""
     tally = [0, []]
     sched_of: dict[Tracer, object] = {}
 
@@ -407,6 +424,11 @@ def owner_checked():
         for name, fn in list(vars(FaultInjector).items())
         if not name.startswith("_") and callable(fn)
     ]
+    undo += [
+        wrap(AbftGuard, name, lambda guard: guard.comm.transport.scheduler)
+        for name, fn in list(vars(AbftGuard).items())
+        if not name.startswith("_") and callable(fn)
+    ]
     try:
         yield tally
     finally:
@@ -424,8 +446,9 @@ class TestOwnership:
             (_matmul64, dict(record_events=True)),
             (_summa64, dict(machine=laptop().with_overlap("full"), record_events=True)),
             (_resilient64, dict(faults=_KILL)),
+            (_guarded64, dict(faults=_FLIPS)),
         ],
-        ids=["recorded", "overlap_full", "kill_recovery"],
+        ids=["recorded", "overlap_full", "kill_recovery", "abft_flips"],
     )
     def test_every_entry_is_by_the_owner_under_the_world_lock(self, body, kw):
         with owner_checked() as tally:
