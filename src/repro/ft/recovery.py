@@ -64,6 +64,7 @@ re-runs the identical schedule, is bit-identical; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -271,50 +272,56 @@ def _gather_reuse(
     )
 
 
+def _k_pieces(rect: Rect, k_ranges, axis: int):
+    """``(lo, hi, rect')`` per range of ``k_ranges`` that ``rect`` meets
+    along ``axis`` (0 = rows, 1 = cols): the span it cuts from a tile of
+    ``rect``, and where the piece lands once the ranges are laid end to
+    end, renumbering coordinates monotonically."""
+    lo, hi = (rect.r0, rect.r1) if axis == 0 else (rect.c0, rect.c1)
+    off = 0
+    for k0, k1 in k_ranges:
+        s0, s1 = max(lo, k0), min(hi, k1)
+        if s0 < s1:
+            n0, n1 = s0 - k0 + off, s1 - k0 + off
+            yield s0 - lo, s1 - lo, (
+                Rect(n0, n1, rect.c0, rect.c1) if axis == 0
+                else Rect(rect.r0, rect.r1, n0, n1)
+            )
+        off += k1 - k0
+
+
+@lru_cache(maxsize=64)
+def _compacted_layout(dist: Distribution, k_ranges: tuple, axis: int) -> Explicit:
+    """``dist`` sliced to the concatenation of ``k_ranges`` along ``axis``.
+
+    A pure function of the old layout, looked up by value: the ranks of a
+    round share one :class:`Explicit`, which feeds the engine's ordinary
+    redistribution directly.
+    """
+    mapping = {
+        rank: [
+            piece
+            for rect in dist.owned_rects(rank)
+            for _lo, _hi, piece in _k_pieces(rect, k_ranges, axis)
+        ]
+        for rank in range(dist.nranks)
+    }
+    total = sum(k1 - k0 for k0, k1 in k_ranges)
+    shape = (total, dist.shape[1]) if axis == 0 else (dist.shape[0], total)
+    return Explicit.from_mapping(shape, dist.nranks, mapping)
+
+
 def _compact_k(mat: DistMatrix, k_ranges, axis: int) -> DistMatrix:
     """Slice a DistMatrix to the concatenation of ``k_ranges`` along
-    ``axis`` (0 = rows, 1 = cols), renumbering coordinates monotonically.
-
-    Every rank derives the same :class:`Explicit` layout (the remap is a
-    pure function of the old layout), so the compacted matrix can feed
-    the engine's ordinary redistribution directly.
-    """
-    offsets = []
-    total = 0
-    for k0, k1 in k_ranges:
-        offsets.append((k0, k1, total))
-        total += k1 - k0
-    mapping: dict[int, list[Rect]] = {}
-    my_tiles: list[np.ndarray] = []
-    me = mat.comm.rank
-    for rank in range(mat.dist.nranks):
-        rects = mat.dist.owned_rects(rank)
-        out_rects: list[Rect] = []
-        for ri, rect in enumerate(rects):
-            lo, hi = (rect.r0, rect.r1) if axis == 0 else (rect.c0, rect.c1)
-            for k0, k1, off in offsets:
-                s0, s1 = max(lo, k0), min(hi, k1)
-                if s0 >= s1:
-                    continue
-                n0, n1 = s0 - k0 + off, s1 - k0 + off
-                if axis == 0:
-                    out_rects.append(Rect(n0, n1, rect.c0, rect.c1))
-                else:
-                    out_rects.append(Rect(rect.r0, rect.r1, n0, n1))
-                if rank == me:
-                    tile = mat.tiles[ri]
-                    piece = (
-                        tile[s0 - lo:s1 - lo, :]
-                        if axis == 0
-                        else tile[:, s0 - lo:s1 - lo]
-                    )
-                    my_tiles.append(np.ascontiguousarray(piece))
-        mapping[rank] = out_rects
-    shape = (
-        (total, mat.shape[1]) if axis == 0 else (mat.shape[0], total)
-    )
-    dist = Explicit.from_mapping(shape, mat.dist.nranks, mapping)
-    return DistMatrix(mat.comm, dist, my_tiles)
+    ``axis`` (0 = rows, 1 = cols): the shared :func:`_compacted_layout`,
+    and this rank's own tiles cut to it."""
+    k_ranges = tuple(map(tuple, k_ranges))
+    my_tiles = [
+        np.ascontiguousarray(tile[lo:hi, :] if axis == 0 else tile[:, lo:hi])
+        for rect, tile in zip(mat.owned_rects, mat.tiles)
+        for lo, hi, _piece in _k_pieces(rect, k_ranges, axis)
+    ]
+    return DistMatrix(mat.comm, _compacted_layout(mat.dist, k_ranges, axis), my_tiles)
 
 
 def _reuse_multiply(

@@ -43,7 +43,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..obs.tracer import CAT_COLLECTIVE
-from .datatypes import INTERNAL_TAG_BASE, Op, SUM
+from .datatypes import INTERNAL_TAG_BASE, Hop, Op, SUM, detached, is_immutable
 from .errors import CommError
 from .request import CollRequest
 
@@ -269,22 +269,43 @@ def allgather(comm, value: Any) -> list[Any]:
     """Bruck allgather: ⌈log2 P⌉ rounds, works for any P and any sizes.
 
     Returns the list of every rank's contribution, ordered by rank.
+
+    A hop forwards blocks it received.  While every block a rank holds
+    is immutable (``Comm.split``'s ``(color, key, rank)`` triples) the
+    window travels as a :class:`~repro.mpi.datatypes.Hop`: priced as the
+    pickle of the list like any other, handed over instead of unpickled
+    and pickled again at each of the ⌈log2 P⌉ ranks it passes.  Each
+    rank looks at its own block only, once; an incoming window says for
+    itself which kind it is.  One block that is anything else (an
+    ndarray, a list) and the hops that carry it are pickled lists.
     """
     size, rank = comm.size, comm.rank
     if size == 1:
         return [value]
     with _span(comm, "allgather", algo="allgather.bruck"):
-        held: list[Any] = [value]  # blocks of ranks rank, rank+1, ... (mod P)
+        frozen = is_immutable(value)
+        # Every rank runs in this process, so two ranks' equal constants
+        # can be one object, which a pickle writes once: a block that is
+        # handed on goes in as the copy its first receiver used to make.
+        # held: the blocks of ranks rank, rank+1, ... (mod P)
+        held: list[Any] = [detached(value) if frozen else value]
         h = 1
         while h < size:
             cnt = min(h, size - h)
             dest = (rank - h) % size
             src = (rank + h) % size
-            incoming = comm.sendrecv(held[:cnt], dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER)
+            window = held[:cnt]
+            incoming = comm.sendrecv(
+                Hop(window) if frozen else window, dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER
+            )
+            if type(incoming) is Hop:
+                incoming = incoming.blocks
+            else:
+                frozen = False
             held.extend(incoming)
             h += cnt
         # held[i] is the block of rank (rank + i) % size; rotate to absolute.
-        return [held[(r - rank) % size] for r in range(size)]
+        return held[size - rank:] + held[:size - rank]
 
 
 # --------------------------------------------------------------- alltoall -- #

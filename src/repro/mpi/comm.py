@@ -16,6 +16,7 @@ up as a :class:`~repro.mpi.errors.DeadlockError`.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -107,9 +108,15 @@ class Comm:
 
     # --------------------------------------------------------------- p2p -- #
     def send(self, value: Any, dest: int, tag: int = 0) -> None:
-        """Blocking eager send of an array or picklable object."""
+        """Blocking eager send of an array or picklable object.
+
+        An array arrives as a copy, any other object as an unpickled
+        copy; a value nobody can change (``None``, a number, a string, a
+        tuple of such) arrives as the sender's own object.  All three
+        cost the wire the same as before: the array's bytes, or the
+        length of the pickle."""
         dest_world = self._send_target(dest, tag)
-        stored, nbytes, is_array = payload_pack(value)
+        stored, nbytes, handed = payload_pack(value)
         self._transport.post_send(
             self._ctx,
             self._world_rank,
@@ -117,14 +124,14 @@ class Comm:
             tag,
             stored,
             nbytes,
-            is_array,
+            handed,
             advance_sender=True,
         )
 
     def isend(self, value: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; the buffer is copied, reusable immediately."""
         dest_world = self._send_target(dest, tag)
-        stored, nbytes, is_array = payload_pack(value)
+        stored, nbytes, handed = payload_pack(value)
         arrival, seq = self._transport.post_send(
             self._ctx,
             self._world_rank,
@@ -132,7 +139,7 @@ class Comm:
             tag,
             stored,
             nbytes,
-            is_array,
+            handed,
             advance_sender=False,
         )
         return SendRequest(
@@ -211,7 +218,7 @@ class Comm:
         dest_world = self._send_target(dest, sendtag)
         self._check_tag(recvtag)
         source_world = self._to_world(recvsource)
-        stored, nbytes, is_array = payload_pack(sendvalue)
+        stored, nbytes, handed = payload_pack(sendvalue)
         arrival_out, seq_out = self._transport.post_send(
             self._ctx,
             self._world_rank,
@@ -219,7 +226,7 @@ class Comm:
             sendtag,
             stored,
             nbytes,
-            is_array,
+            handed,
             advance_sender=False,
         )
         msg, _st = self._transport.match_recv(
@@ -293,8 +300,16 @@ class Comm:
         """Partition the communicator by color; order members by key.
 
         ``color=None`` (MPI's ``MPI_UNDEFINED``) yields ``None``.
-        Collective over the communicator.
+        Collective over the communicator.  A color or key that is not an
+        integer is a :class:`~repro.mpi.errors.CommError` on the calling
+        rank, before anything is sent.
         """
+        if color is not None and not isinstance(color, numbers.Integral):
+            raise CommError(
+                f"split color must be an integer or None, got {type(color).__name__}"
+            )
+        if not isinstance(key, numbers.Integral):
+            raise CommError(f"split key must be an integer, got {type(key).__name__}")
         self._split_seq += 1
         triples = _coll.allgather(self, (color, key, self._rank))
         if color is None:

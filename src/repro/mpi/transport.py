@@ -51,7 +51,7 @@ from typing import Any, Sequence
 
 from ..machine.model import MachineModel
 from ..obs.tracer import CAT_PHASE, Tracer
-from .datatypes import ANY_SOURCE, Message, Status
+from .datatypes import ANY_SOURCE, ANY_TAG, Message, Status
 from .des import DesScheduler
 from .errors import AbortError, CommRevokedError, RankFailedError
 from .faults import FaultInjector, FaultPlan
@@ -330,6 +330,12 @@ class Transport:
             raise ValueError("nprocs must be >= 1")
         self.nprocs = nprocs
         self.machine = machine or MachineModel()
+        # What ``machine.msg_time`` reads, read once: the model is frozen.
+        m = self.machine
+        self._per_node = max(1, m.ranks_per_node)
+        self._link_intra = (m.alpha_intra, m.beta_intra)
+        self._link_inter = (m.alpha, m.beta)
+        self._nic_queues = m.overlap == "partial"
         self.record_events = record_events
         self.faults = faults
         #: what the plan does to this world; ``None`` without a plan.
@@ -892,7 +898,7 @@ class Transport:
         tag: int,
         stored: Any,
         nbytes: int,
-        is_array: bool,
+        handed: bool,
         advance_sender: bool,
     ) -> tuple[float, int]:
         """Deposit a message; return ``(arrival_time, seq)``.
@@ -903,8 +909,12 @@ class Transport:
         ``seq`` identifies the message in :attr:`msglog` (and on the
         send/recv events bracketing its transfer) when recording.
         """
-        t_msg = self.machine.msg_time(nbytes, src_world, dst_world)
-        self._check_abort()
+        per_node = self._per_node
+        same_node = src_world // per_node == dst_world // per_node
+        alpha, beta = self._link_intra if same_node else self._link_inter
+        t_msg = alpha + beta * nbytes  # machine.msg_time, to the bit
+        if self.aborted is not None:  # _check_abort, without the call
+            raise self.aborted
         # Sends always succeed locally, even to dead ranks and on a
         # revoked world (eager-buffered / dead-letter semantics).
         # Failure detection is the receiver's job (recv-from-dead,
@@ -920,9 +930,7 @@ class Transport:
         in_region = st.async_depth > 0
         base = st.comm_clock if in_region else st.clock
         nic_serialized = (
-            self.machine.overlap == "partial"
-            and not self.machine.same_node(src_world, dst_world)
-            and (in_region or not advance_sender)
+            self._nic_queues and not same_node and (in_region or not advance_sender)
         )
         if nic_serialized:
             # One NIC stream per rank in partial mode: an in-flight
@@ -993,7 +1001,7 @@ class Transport:
             tag=tag,
             stored=stored,
             nbytes=nbytes,
-            is_array=is_array,
+            handed=handed,
             arrival=arrival,
             seq=seq,
         )
@@ -1040,6 +1048,12 @@ class Transport:
         """
         box = self._mail.get((ctx, dst_world))
         if not box:
+            return None
+        if caps is None and src_world != ANY_SOURCE:
+            # One pair, nothing held: its oldest tag match is the answer.
+            for i, msg in enumerate(box):
+                if msg.src_world == src_world and (tag == ANY_TAG or msg.tag == tag):
+                    return i
             return None
         best_i = -1
         best_key: tuple[float, int] | None = None
@@ -1106,7 +1120,8 @@ class Transport:
         inj = self.injector
         try:
             while True:
-                self._check_abort()
+                if self.aborted is not None:
+                    raise self.aborted
                 # Non-overtaking: a held dropped message must not be
                 # overtaken by a later message on the same pair, so
                 # mailbox matching is capped at the dropped seqs.

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.ft import UnrecoverableError, resilient_multiply
-from repro.layout import BlockCol1D, DistMatrix, dense_random
+from repro.ft.recovery import _compact_k, _compacted_layout
+from repro.layout import BlockCol1D, BlockCyclic2D, DistMatrix, Rect, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, RankFault, run_spmd
 from tests.conftest import assert_replay_identical
@@ -281,6 +282,80 @@ class TestPartialReuse:
         assert fm.reused_flops > 0
         for c in (r for r in res.results if r is not None):
             assert float(np.abs(c - REF).max()) <= TOL
+
+
+def _reference_compact(dist, tiles, me, k_ranges, axis):
+    """The one-rank-at-a-time derivation ``_compact_k`` replaced, kept as
+    it was: ``(rank -> rects, rank me's tiles)``."""
+    offsets, total = [], 0
+    for k0, k1 in k_ranges:
+        offsets.append((k0, k1, total))
+        total += k1 - k0
+    mapping, my_tiles = {}, []
+    for rank in range(dist.nranks):
+        out_rects = []
+        for ri, rect in enumerate(dist.owned_rects(rank)):
+            lo, hi = (rect.r0, rect.r1) if axis == 0 else (rect.c0, rect.c1)
+            for k0, k1, off in offsets:
+                s0, s1 = max(lo, k0), min(hi, k1)
+                if s0 >= s1:
+                    continue
+                n0, n1 = s0 - k0 + off, s1 - k0 + off
+                if axis == 0:
+                    out_rects.append(Rect(n0, n1, rect.c0, rect.c1))
+                else:
+                    out_rects.append(Rect(rect.r0, rect.r1, n0, n1))
+                if rank == me:
+                    tile = tiles[ri]
+                    my_tiles.append(
+                        tile[s0 - lo:s1 - lo, :] if axis == 0 else tile[:, s0 - lo:s1 - lo]
+                    )
+        mapping[rank] = out_rects
+    return mapping, my_tiles
+
+
+class TestCompactK:
+    """Slicing the inputs to the k-ranges that died: one layout per
+    ``(layout, k_ranges, axis)`` shared by the ranks, each cutting only
+    its own tiles."""
+
+    RANGES = [[(0, 5)], [(3, 9), (14, 20)], [(0, 0), (7, 8)], [(2, 11), (11, 13), (19, 20)]]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("k_ranges", RANGES, ids=str)
+    def test_equals_the_per_rank_derivation(self, k_ranges, axis):
+        p, glob = 6, dense_random(20, 20, seed=3)
+        dist = BlockCyclic2D((20, 20), p, 2, 3, bs=3)
+
+        def f(comm):
+            mat = DistMatrix.from_global(comm, dist, glob)
+            cut = _compact_k(mat, k_ranges, axis)
+            twice = _compact_k(cut, [(1, 3)], 1 - axis)  # an Explicit source
+            return cut, twice.to_global()
+
+        res = run_spmd(p, f, machine=laptop())
+        keep = np.r_[tuple(slice(k0, k1) for k0, k1 in k_ranges)]
+        want = glob[keep, :] if axis == 0 else glob[:, keep]
+        for rank, (cut, twice) in enumerate(res.results):
+            tiles = [glob[r.r0:r.r1, r.c0:r.c1] for r in dist.owned_rects(rank)]
+            mapping, my_tiles = _reference_compact(dist, tiles, rank, k_ranges, axis)
+            assert cut.dist is res.results[0][0].dist
+            assert cut.dist.shape == want.shape
+            assert [cut.dist.owned_rects(r) for r in range(p)] == [
+                [x for x in mapping[r] if not x.is_empty()] for r in range(p)
+            ]
+            assert cut.dist.rects == tuple(tuple(mapping[r]) for r in range(p))
+            np.testing.assert_equal(cut.tiles, my_tiles)
+            assert all(t.flags.c_contiguous for t in cut.tiles)
+            np.testing.assert_equal(twice, want[1:3, :] if axis == 1 else want[:, 1:3])
+
+    def test_a_recovery_round_derives_each_layout_once(self):
+        """Layouts built per round do not scale with the ranks asking."""
+        _compacted_layout.cache_clear()
+        res = _run(faults=FaultPlan(seed=0, ranks=(_kill(3),)), record_events=False)
+        assert res.metrics.reused_flops > 0
+        info = _compacted_layout.cache_info()
+        assert info.misses == 2 and info.hits == 2 * (P - 1) - 2, info  # A and B, P - 1 survivors
 
 
 class TestBackupValidation:

@@ -1,8 +1,13 @@
-"""What one delivered message costs the host, as a count of Python calls.
+"""What one delivered message costs the host, as a count of Python calls
+and of bytes unpickled.
 
-A count, not a stopwatch: for a given interpreter the number of function
+Counts, not a stopwatch: for a given interpreter the number of function
 calls a run makes repeats exactly, so it can be gated tightly where wall
-time on a shared runner cannot.  ``calls_per_message`` is also what the
+time on a shared runner cannot.  A call count cannot see the bytes
+inside one C call, though — ``pickle.loads`` of a 64-entry rank table
+and of a 1024-entry one are one call each — so the bytes handed to
+``pickle.loads`` are counted beside it (exact on any interpreter).
+``calls_per_message`` and ``pickle_bytes_per_message`` are also what the
 ``des-smoke`` CI job runs at 1024 ranks.
 
 The calls are counted by a ``sys.setprofile`` hook installed in every
@@ -16,11 +21,14 @@ are all alive at once.
 from __future__ import annotations
 
 import contextlib
+import pickle
 import sys
 import threading
+import types
 
 from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
 from repro.machine.model import pace_phoenix_cpu
+from repro.mpi import datatypes
 from repro.mpi.des import DesScheduler
 
 
@@ -87,6 +95,42 @@ def calls_per_message(p: int, n: int = 256) -> float:
     return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
 
 
+def pickle_bytes_per_message(p: int, n: int = 256) -> tuple[float, float]:
+    """``(unpickled, pickled)`` bytes per delivered message of the same
+    run: what ``repro.mpi.datatypes`` hands to ``pickle.loads`` and gets
+    back from ``pickle.dumps``.  The first must not grow with ``p``; the
+    second still does (a split's rank table is sized by pickling it)."""
+    run = _matmul_run(p, n)
+    loaded = dumped = 0
+
+    def loads(blob):
+        nonlocal loaded
+        loaded += len(blob)
+        return pickle.loads(blob)
+
+    def dumps(value, protocol):
+        nonlocal dumped
+        blob = pickle.dumps(value, protocol=protocol)
+        dumped += len(blob)
+        return blob
+
+    original = datatypes.pickle
+    datatypes.pickle = types.SimpleNamespace(
+        loads=loads, dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL
+    )
+    try:
+        result = run()
+    finally:
+        datatypes.pickle = original
+    msgs = sum(t.msgs_sent for t in result.traces)
+    return loaded / msgs, dumped / msgs
+
+
+def unpickled_bytes_per_message(p: int, n: int = 256) -> float:
+    """The gated half of :func:`pickle_bytes_per_message`."""
+    return pickle_bytes_per_message(p, n)[0]
+
+
 class _CountingLock:
     """A ``threading.Lock`` that counts its acquisitions."""
 
@@ -129,14 +173,28 @@ def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
 
 
 def test_message_budget_and_flatness():
-    """≤ 115 calls per message at 64 and at 256 ranks (99 and 88 on 3.11;
-    153 and 156 before the baton handoff, one-pass accounting and the
-    shared split grouping), and no growth with P: what a rank does per
-    message must stay O(1) in P."""
+    """≤ 75 calls per message at 64 and at 256 ranks (69 and 62 on 3.11;
+    80 and 73 while every Bruck hop of a split was unpickled and pickled
+    again; 153 and 156 before the baton handoff, one-pass accounting and
+    the shared split grouping), and no growth with P: what a rank does
+    per message must stay O(1) in P."""
     at64 = calls_per_message(64)
     at256 = calls_per_message(256)
-    assert at64 <= 115 and at256 <= 115, (at64, at256)
+    assert at64 <= 75 and at256 <= 75, (at64, at256)
     assert at256 / at64 <= 1.05, (at64, at256)
+
+
+def test_unpickled_bytes_per_message_do_not_grow_with_p():
+    """A split's rank table is handed from hop to hop, so the bytes a
+    rank unpickles per message do not grow from 64 ranks to 256 (2.7 and
+    1.9 — each rank's own block, copied once per allgather; 69.4 and
+    175.2 when each hop was a pickle).  A difference, not a ratio: the
+    value may be zero."""
+    at64, pickled64 = pickle_bytes_per_message(64)
+    at256, pickled256 = pickle_bytes_per_message(256)
+    print(f"unpickled bytes/message: {at64:.1f} @64, {at256:.1f} @256; "
+          f"pickled (still O(P)): {pickled64:.1f} @64, {pickled256:.1f} @256")
+    assert at256 <= at64 + 1.0, (at64, at256)
 
 
 def test_world_lock_is_taken_once_per_slice_not_per_call():

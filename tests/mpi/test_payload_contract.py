@@ -1,0 +1,270 @@
+"""What a payload costs the wire and what the receiver may do to it.
+
+The contract (docs/VIRTUAL_MPI.md, "Point-to-point semantics"): an array
+arrives as a copy, any other object as an unpickled copy, a value nobody
+can change as the sender's own object — and all of them cost the wire
+what they always did, the array's bytes or the length of the pickle.
+``Comm.split`` is the heavy user of the third kind: its ``(color, key,
+rank)`` table passes through ⌈log2 P⌉ Bruck hops per rank.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.machine.model import laptop
+from repro.mpi import run_spmd
+from repro.mpi.datatypes import is_immutable
+from repro.mpi.errors import CommError
+from repro.mpi.faults import FaultPlan, LinkFault
+
+
+def _nbytes(value) -> int:
+    return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _copied(value):
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def bruck_bytes(blocks: list) -> list[tuple[int, int]]:
+    """``(bytes_sent, bytes_recv)`` per rank of a Bruck allgather of
+    ``blocks[r]`` from rank ``r``, every hop a pickled list — and every
+    block in it an object of its own, as a receiver's copy was."""
+    size = len(blocks)
+    sent, recv = [0] * size, [0] * size
+    h = 1
+    while h < size:
+        cnt = min(h, size - h)
+        for rank in range(size):
+            window = [_copied(blocks[(rank + i) % size]) for i in range(cnt)]
+            sent[rank] += _nbytes(window)
+            recv[(rank - h) % size] += _nbytes(window)
+        h += cnt
+    return list(zip(sent, recv))
+
+
+def allgather_bytes(result) -> list[tuple[int, int]]:
+    """What each rank's trace charged to the Bruck allgather."""
+    out = []
+    for trace in result.traces:
+        cs = trace.colls.get("other", {}).get("allgather.bruck")
+        out.append((0, 0) if cs is None else (cs.bytes_sent, cs.bytes_recv))
+    return out
+
+
+COLORS = st.sampled_from([None, -70_000, -1, 0, 3, 255, 256, 65_535, 65_536, 10 ** 12])
+
+
+class TestSplitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(COLORS, st.integers(-3, 3)), min_size=1, max_size=17))
+    def test_groups_and_hop_bytes(self, spec):
+        """``spec[r]`` is rank r's ``(color, key)``: primes and powers of
+        two, one-byte to eight-byte colors, tied and negative keys."""
+        p = len(spec)
+
+        def body(comm):
+            sub = comm.split(*spec[comm.rank])
+            return None if sub is None else sub.group
+
+        res = run_spmd(p, body, machine=laptop())
+        for rank, (color, _key) in enumerate(spec):
+            members = sorted(
+                (k, r) for r, (c, k) in enumerate(spec) if c == color and c is not None
+            )
+            expected = None if color is None else tuple(r for _k, r in members)
+            assert res.results[rank] == expected
+        triples = [(c, k, r) for r, (c, k) in enumerate(spec)]
+        assert allgather_bytes(res) == bruck_bytes(triples)
+
+    @pytest.mark.parametrize("p", [2, 5, 8, 13])
+    def test_one_constant_from_every_rank_costs_what_copies_cost(self, p):
+        """Every rank contributes the *same object*; a pickle writes a
+        repeated object once, so handing blocks on must not let two ranks'
+        blocks become one."""
+        constant = ("ok", (1.5, "ok"), b"\x00\x01")
+
+        def body(comm):
+            return comm.allgather(constant)
+
+        res = run_spmd(p, body, machine=laptop())
+        assert res.results == [[constant] * p] * p
+        assert allgather_bytes(res) == bruck_bytes([constant] * p)
+
+    def test_mixed_allgather_is_the_pickled_one(self):
+        """Rank 0 contributes an ndarray, the rest ``None``."""
+        p = 7
+        block = np.arange(12.0).reshape(3, 4)
+
+        def body(comm):
+            return comm.allgather(block if comm.rank == 0 else None)
+
+        res = run_spmd(p, body, machine=laptop())
+        for rank, got in enumerate(res.results):
+            np.testing.assert_equal(got, [block] + [None] * (p - 1))
+            assert (got[0] is block) == (rank == 0)
+        assert allgather_bytes(res) == bruck_bytes([block] + [None] * (p - 1))
+
+
+class TestSplitArguments:
+    @pytest.mark.parametrize(
+        "color, key",
+        [([0], 0), ("a", 0), (0.0, 0), (0, "k"), (0, None), (0, 1.0), (None, "k")],
+    )
+    def test_refused_before_the_first_hop(self, color, key):
+        def body(comm):
+            with pytest.raises(CommError, match="split (color|key) must be"):
+                comm.split(color, key)
+
+        res = run_spmd(4, body, machine=laptop())
+        assert [t.msgs_sent for t in res.traces] == [0] * 4
+
+    def test_numpy_integers_and_bools_are_integers(self):
+        def body(comm):
+            sub = comm.split(np.int64(comm.rank % 2), np.int32(-comm.rank))
+            same = comm.split(True, comm.rank)
+            return sub.group, same.group
+
+        res = run_spmd(5, body, machine=laptop())
+        assert res.results[0] == ((4, 2, 0), (0, 1, 2, 3, 4))
+        assert res.results[1] == ((3, 1), (0, 1, 2, 3, 4))
+
+
+# ---------------------------------------------------------------- isolation -- #
+MUTABLE = {
+    "list": lambda: [1, [2, 3]],
+    "dict": lambda: {"a": [1], "b": 2},
+    "ndarray": lambda: np.arange(6.0),
+    "tuple_of_list": lambda: (1, [2, 3]),
+    "tuple_of_ndarray": lambda: ("tile", (np.ones(3), 4)),
+}
+IMMUTABLE = [None, True, 7, -(10 ** 30), 2.5, "text", b"raw", (), (1, "a", (2.5, None, b"x"))]
+
+
+def poke(obj, who: int):
+    """Change ``obj`` in place wherever it can be changed; returns it."""
+    if isinstance(obj, np.ndarray):
+        obj += who + 1
+    elif isinstance(obj, list):
+        for x in obj:
+            poke(x, who)
+        obj.append(who)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            poke(x, who)
+        obj["poked"] = who
+    elif isinstance(obj, tuple):
+        for x in obj:
+            poke(x, who)
+    return obj
+
+
+def _exchange(op: str, comm, value):
+    """What ``comm.rank`` receives from the others under ``op``."""
+    if op == "allgather":
+        got = comm.allgather(value)
+        return got[:comm.rank] + got[comm.rank + 1:]
+    if op == "bcast":
+        got = comm.bcast(value if comm.rank == 0 else None)
+        return [] if comm.rank == 0 else [got]
+    if comm.rank == 0:
+        for dest in range(1, comm.size):
+            comm.send(value, dest, tag=3)
+        return []
+    return [comm.recv(source=0, tag=3)]
+
+
+class TestIsolation:
+    @pytest.mark.parametrize("op", ["allgather", "send", "bcast"])
+    @pytest.mark.parametrize("kind", sorted(MUTABLE))
+    def test_a_receiver_changes_nothing_but_its_own(self, op, kind):
+        make = MUTABLE[kind]
+
+        def body(comm):
+            mine = make()
+            got = _exchange(op, comm, mine)
+            for x in got:
+                poke(x, comm.rank)
+            comm.barrier()
+            return mine, got
+
+        res = run_spmd(5, body, machine=laptop())
+        for rank, (mine, got) in enumerate(res.results):
+            np.testing.assert_equal(mine, make())
+            for x in got:
+                np.testing.assert_equal(x, poke(make(), rank))
+
+    @pytest.mark.parametrize("op", ["send", "bcast"])
+    @pytest.mark.parametrize("value", IMMUTABLE, ids=repr)
+    def test_an_immutable_value_is_handed_over(self, op, value):
+        assert is_immutable(value)
+
+        def body(comm):
+            return _exchange(op, comm, value)
+
+        res = run_spmd(5, body, machine=laptop())
+        got = [x for received in res.results for x in received]
+        assert len(got) == 4 and all(x == value and type(x) is type(value) for x in got)
+        if type(value) is tuple:
+            assert all(x is value for x in got)
+
+    def test_allgather_hands_every_rank_the_same_immutable_blocks(self):
+        def body(comm):
+            return comm.allgather((comm.rank, "r%d" % comm.rank))
+
+        res = run_spmd(6, body, machine=laptop())
+        first = res.results[0]
+        assert first == [(r, "r%d" % r) for r in range(6)]
+        for got in res.results[1:]:
+            assert got == first and all(x is y for x, y in zip(got, first))
+            assert got is not first  # the list is each rank's own
+
+    @pytest.mark.parametrize(
+        "value", [[1], {"a": 1}, np.int64(3), (1, [2]), (1, np.float64(2.0)), bytearray(b"x"), 2j],
+        ids=repr,
+    )
+    def test_anything_else_is_not(self, value):
+        assert not is_immutable(value)
+
+    def test_deep_nesting_is_no_recursion(self):
+        value = ()
+        for _ in range(50_000):
+            value = (value, 1)
+        assert is_immutable(value)
+
+
+# ------------------------------------------------------------------- faults -- #
+class TestCorruptionFindsNothingToFlip:
+    PLAN = FaultPlan(seed=5, links=(LinkFault(corrupt_prob=1.0, corrupt_elems=2),))
+
+    def test_split_traffic(self):
+        def body(comm):
+            sub = comm.split(comm.rank % 3, -comm.rank)
+            return sub.group
+
+        res = run_spmd(11, body, machine=laptop(), faults=self.PLAN)
+        for rank, group in enumerate(res.results):
+            assert group == tuple(r for r in range(10, -1, -1) if r % 3 == rank % 3)
+        assert all(t.msgs_sent > 0 for t in res.traces)
+        assert [t.corruptions_injected for t in res.traces] == [0] * 11
+        assert not any(t.corruptions_injected_by_phase for t in res.traces)
+
+    def test_bytes_that_look_like_a_pickled_array(self):
+        """``bytes`` the user sends are the user's, whatever they spell."""
+        blob = pickle.dumps([np.linspace(0.0, 1.0, 8)])
+
+        def body(comm):
+            if comm.rank == 0:
+                comm.send(blob, 1)
+                comm.send(("framed", blob), 1)
+                return None
+            return comm.recv(source=0), comm.recv(source=0)
+
+        res = run_spmd(2, body, machine=laptop(), faults=self.PLAN)
+        assert res.results[1] == (blob, ("framed", blob))
+        assert [t.corruptions_injected for t in res.traces] == [0, 0]
