@@ -23,10 +23,12 @@ from ..machine.model import MachineModel
 from .costs import (
     ITEM,
     CostReport,
-    PhaseCost,
-    _bcast_vdg,
     _bruck_allgather,
+    _layered_cannon,
+    _local_gemm,
+    _p2p,
     _reduce_scatter,
+    _summa_panels,
 )
 
 
@@ -34,6 +36,8 @@ def algo1d_cost(
     m: int, n: int, k: int, nprocs: int, machine: MachineModel, variant: str = "auto"
 ) -> CostReport:
     """1D m/n/k-partition algorithms (replicate-one-operand or reduce-C)."""
+    if nprocs < 1:
+        raise ValueError(f"nprocs must be >= 1, not {nprocs}")
     if variant == "auto":
         variant = "m" if m >= max(n, k) else ("n" if n >= k else "k")
     rep = CostReport(
@@ -42,18 +46,14 @@ def algo1d_cost(
     )
     ranks = list(range(nprocs))
     if variant == "m":
-        rep.phase("replicate").__iadd__(
-            _bruck_allgather(machine, ranks, k * n * ITEM)
-        )
+        rep.phase("replicate").__iadd__(_bruck_allgather(machine, ranks, k * n * ITEM))
         rep.phase("compute").time += machine.gemm_time(
             math.ceil(m / nprocs), n, k,
             stage_bytes=int((m / nprocs * k + k * n + m / nprocs * n) * ITEM),
         )
         rep.mem_words = (m / nprocs) * k + k * n + (m / nprocs) * n
     elif variant == "n":
-        rep.phase("replicate").__iadd__(
-            _bruck_allgather(machine, ranks, m * k * ITEM)
-        )
+        rep.phase("replicate").__iadd__(_bruck_allgather(machine, ranks, m * k * ITEM))
         rep.phase("compute").time += machine.gemm_time(
             m, math.ceil(n / nprocs), k,
             stage_bytes=int((m * k + k * n / nprocs + m * n / nprocs) * ITEM),
@@ -82,6 +82,8 @@ def summa_cost(
     panel: int = 256,
 ) -> CostReport:
     """Stationary-C SUMMA on a ``pr x pc`` grid with panel width b."""
+    if panel < 1:
+        raise ValueError(f"panel must be >= 1, not {panel}")
     pr, pc = grid if grid is not None else near_square_pair(nprocs)
     rep = CostReport(
         algo="summa", m=m, n=n, k=k, nprocs=nprocs,
@@ -90,17 +92,8 @@ def summa_cost(
     mb, nb = m / pr, n / pc
     iters = max(1, math.ceil(k / panel))
     b = k / iters
-    g = GridSpec(pr, pc, 1, nprocs)
-    ph = rep.phase("replicate")
-    for _ in range(iters):
-        if pc > 1:  # A panel along the grid row
-            ph.__iadd__(_bcast_vdg(machine, g.fiber("n"), mb * b * ITEM))
-        if pr > 1:  # B panel along the grid column
-            ph.__iadd__(_bcast_vdg(machine, g.fiber("m"), b * nb * ITEM))
-    rep.phase("compute").time += machine.gemm_time(
-        int(mb), int(nb), max(1, int(k)),
-        stage_bytes=int((mb * k + k * nb + mb * nb) * ITEM),
-    )
+    _summa_panels(rep, GridSpec(pr, pc, 1, nprocs), mb, nb, b, iters)
+    rep.phase("compute").time += _local_gemm(machine, mb, nb, k)
     rep.flops_per_rank = 2.0 * mb * nb * k
     # stationary blocks + one in-flight panel pair
     rep.mem_words = mb * k / pc + k * nb / pr + mb * nb + mb * b + b * nb
@@ -125,32 +118,8 @@ def algo25d_cost(
         algo="2.5d", m=m, n=n, k=k, nprocs=nprocs,
         grid=f"{sq}x{sq}x{c}", machine=machine,
     )
-    mb, nb, kb = m / sq, n / sq, k / sq
-    fiber = GridSpec(sq, sq, c, nprocs).fiber("k")  # one rank per layer
-    ph = rep.phase("replicate")
-    if c > 1:
-        ph.__iadd__(_bcast_vdg(machine, fiber, mb * kb * ITEM))
-        ph.__iadd__(_bcast_vdg(machine, fiber, kb * nb * ITEM))
-    steps = math.ceil(sq / c)
-    gemm_step = machine.gemm_time(
-        int(mb), int(nb), max(1, int(kb)),
-        stage_bytes=int((mb * kb + kb * nb + mb * nb) * ITEM),
-    )
-    if sq > 1:
-        shift_pair = machine.msg_time(mb * kb * ITEM, 0, sq) + machine.msg_time(
-            kb * nb * ITEM, 0, 1
-        )
-        ph.time += shift_pair  # alignment
-        ph.words += mb * kb + kb * nb
-        ph.msgs += 2
-        ph.time += max(0, steps - 1) * shift_pair  # per-step shifts, no overlap
-        ph.words += max(0, steps - 1) * (mb * kb + kb * nb)
-        ph.msgs += 2 * max(0, steps - 1)
-    rep.phase("compute").time += steps * gemm_step
-    rep.flops_per_rank = 2.0 * mb * nb * kb * steps
-    if c > 1:
-        rep.phase("reduce").__iadd__(_reduce_scatter(machine, fiber, mb * nb * ITEM))
-    rep.mem_words = 2.0 * (mb * kb + kb * nb) + mb * nb
+    c_words = _layered_cannon(rep, sq, c)
+    rep.mem_words += c_words  # one C block
     return rep
 
 
@@ -167,6 +136,8 @@ def carma_cost(
     """
     from ..baselines.carma import active_count
 
+    if nprocs < 1:
+        raise ValueError(f"nprocs must be >= 1, not {nprocs}")
     act = active_count(nprocs)
     rep = CostReport(
         algo="carma", m=m, n=n, k=k, nprocs=nprocs,
@@ -174,26 +145,18 @@ def carma_cost(
     )
     fm, fn, fk = float(m), float(n), float(k)
     # Track per-rank holdings (words) of A and B down the recursion.
-    a_hold = fm * fk / act
-    b_hold = fk * fn / act
+    a_hold, b_hold = fm * fk / act, fk * fn / act
     size = act
     ph_rep = rep.phase("replicate")
     ph_red = rep.phase("reduce")
-    c_words = 0.0
     k_splits: list[float] = []
     while size > 1:
         if fm >= fn and fm >= fk:
-            ph_rep.__iadd__(PhaseCost(
-                time=machine.msg_time(b_hold * ITEM, 0, size // 2),
-                words=b_hold, msgs=1,
-            ))
+            ph_rep += _p2p(machine, 0, size // 2, b_hold * ITEM)
             b_hold *= 2.0
             fm /= 2.0
         elif fn >= fk:
-            ph_rep.__iadd__(PhaseCost(
-                time=machine.msg_time(a_hold * ITEM, 0, size // 2),
-                words=a_hold, msgs=1,
-            ))
+            ph_rep += _p2p(machine, 0, size // 2, a_hold * ITEM)
             a_hold *= 2.0
             fn /= 2.0
         else:
@@ -211,10 +174,7 @@ def carma_cost(
     # Unwind: each k-split trades half the current C piece pairwise.
     c_words = fm * fn
     for size in reversed(k_splits):
-        ph_red.__iadd__(PhaseCost(
-            time=machine.msg_time(c_words / 2.0 * ITEM, 0, size // 2),
-            words=c_words / 2.0, msgs=1,
-        ))
+        ph_red += _p2p(machine, 0, size // 2, c_words / 2.0 * ITEM)
         c_words /= 2.0
     rep.mem_words = a_hold + b_hold + fm * fn
     return rep

@@ -71,6 +71,17 @@ class Breakdown:
         }
 
 
+def _charge(out: Breakdown, bucket: str, seconds: float) -> None:
+    if bucket == "replicate A, B":
+        out.replicate_ab += seconds
+    elif bucket == "reduce C":
+        out.reduce_c += seconds
+    elif bucket == "local computation":
+        out.local_compute += seconds
+    else:
+        out.other += seconds
+
+
 def breakdown_from_traces(result: SpmdResult, algo: str) -> Breakdown:
     """Fig. 5 buckets from an executed run's phase-tagged traces.
 
@@ -81,31 +92,15 @@ def breakdown_from_traces(result: SpmdResult, algo: str) -> Breakdown:
     crit = max(result.traces, key=lambda t: t.time)
     out = Breakdown(algo)
     for name, stats in crit.phases.items():
-        bucket = _PHASE_BUCKET.get(name, "other")
         out.local_compute += stats.compute_time
-        comm = stats.time - stats.compute_time
-        if bucket == "replicate A, B":
-            out.replicate_ab += comm
-        elif bucket == "reduce C":
-            out.reduce_c += comm
-        elif bucket == "local computation":
-            out.local_compute += comm
-        else:
-            out.other += comm
+        _charge(out, _PHASE_BUCKET.get(name, "other"), stats.time - stats.compute_time)
     return out
 
 
 def breakdown_from_report(report: CostReport) -> Breakdown:
-    """Fig. 5 buckets from an analytic cost report."""
+    """Fig. 5 buckets from an analytic cost report, through the same
+    phase-tag map (CTF's "framework" and a layout conversion are "other")."""
     out = Breakdown(report.algo)
     for name, ph in report.phases.items():
-        if name == "compute":
-            out.local_compute += ph.time
-        elif name in ("replicate", "framework"):
-            out.replicate_ab += ph.time if name == "replicate" else 0.0
-            out.other += ph.time if name == "framework" else 0.0
-        elif name == "reduce":
-            out.reduce_c += ph.time
-        else:
-            out.other += ph.time
+        _charge(out, _PHASE_BUCKET.get(name, "other"), ph.time)
     return out

@@ -1,13 +1,21 @@
 """Closed-form per-phase cost models of the executed algorithms.
 
-The executed engine (threads + real data) validates correctness and
-measures traffic at small P; this module prices the *same schedules* at
-the paper's scale (hundreds of matrix-dimension-thousands, thousands of
-ranks) where executing real data is impossible in Python.  Planning is
-shared — grid selection, group shapes, and per-rank block sizes come
-from the identical code paths — so the analytic engine only replaces
-data movement with the α-β formulas of :mod:`repro.machine.collcost`,
-which the executed collectives are tested to match.
+The executed engine (ranks on the virtual MPI's discrete-event
+scheduler, real data) validates correctness and measures traffic at
+small P; this module prices the *same schedules* at the paper's scale
+(hundreds of matrix-dimension-thousands, thousands of ranks) where
+executing real data is impossible in Python.  Planning is shared — grid
+selection, group shapes, and per-rank block sizes come from the
+identical code paths — so the analytic engine only replaces data
+movement with the α-β formulas of :mod:`repro.machine.collcost`, which
+the executed collectives are tested to match.
+
+Each closed form reads like its schedule, grid → moves → local GEMM, and
+each move is priced once: :func:`_layered_cannon` is the 2.5D layer
+schedule behind ``algo25d_cost`` and :func:`ctf_cost` (as ``ctf_matmul``
+is ``algo25d_matmul`` on ``ctf_grid``), :func:`_summa_panels` the panel
+loop behind ``summa_cost`` and CA3DMM-S, :func:`_local_gemm` one rank's
+GEMM and :func:`_custom_layout` the conversion from a user's layout.
 
 Node-awareness: every collective is priced on the *world ranks* of the
 representative (rank-0) group, so intra-node vs inter-node links and the
@@ -28,6 +36,21 @@ from ..grid.optimizer import GridSpec, ca3dmm_grid, cosma_grid, ctf_grid
 from ..machine.model import MachineModel
 
 ITEM = 8  #: bytes per word (float64)
+
+#: :func:`redist_cost`'s alltoall bandwidth derate (many small per-pair
+#: pieces, a global traffic pattern) and per-rank pack/unpack bandwidth.
+REDIST_CONGESTION = 4.0
+REDIST_PACK_BW = 4e9
+#: Share of COSMA's replication its pipelined one-sided communication
+#: hides behind the GEMM, by ``MachineModel.overlap``: 0.35 with the
+#: engine off (COSMA's own progress thread still earns some cover on
+#: hardware the runtime does not model), the COSMA-style overlap bound
+#: the crossover maps price against with it on.
+COSMA_OVERLAP = {"none": 0.35, "partial": 0.6, "full": 0.9}
+#: CTF's local-GEMM derate and per-rank pack/unpack bandwidth (bytes/s)
+#: for its internal cyclic layouts (see :func:`ctf_cost`).
+CTF_GEMM_EFFICIENCY = 0.3
+CTF_PACK_BW = 8e9
 
 
 @dataclass
@@ -168,14 +191,18 @@ def _p2p(machine: MachineModel, src: int, dst: int, nbytes: float) -> PhaseCost:
     return PhaseCost(time=machine.msg_time(nbytes, src, dst), words=nbytes / ITEM, msgs=1)
 
 
+def _local_gemm(machine: MachineModel, mb: float, nb: float, kb: float) -> float:
+    """One rank's ``mb x kb`` by ``kb x nb`` GEMM, PCIe staging of the three
+    blocks included (GPU mode)."""
+    return machine.gemm_time(
+        int(mb), int(nb), max(1, int(kb)),
+        stage_bytes=int((mb * kb + kb * nb + mb * nb) * ITEM),
+    )
+
+
 # ------------------------------------------------------ layout conversion -- #
 def redist_cost(
-    machine: MachineModel,
-    total_words: float,
-    nprocs: int,
-    overlap: float = 0.0,
-    congestion: float = 4.0,
-    pack_bw: float = 4e9,
+    machine: MachineModel, total_words: float, nprocs: int, overlap: float = 0.0
 ) -> PhaseCost:
     """Cost of converting ``total_words`` between unrelated layouts.
 
@@ -184,20 +211,71 @@ def redist_cost(
     conversion subroutine is deliberately unoptimized ("simply packs and
     unpacks matrix blocks and exchanges data using
     MPI_Neighbor_alltoallv"), so two real-world penalties are applied:
-    ``pack_bw`` charges two memory passes (pack + unpack) over the share
-    at a per-rank memory bandwidth, and ``congestion`` derates the
-    alltoall bandwidth for the many small per-pair pieces and the global
-    traffic pattern.  These reproduce the paper's Fig. 3 finding that an
-    unfavourable 1D layout can dominate the runtime for tall-and-skinny
-    problems.
+    two memory passes (pack + unpack) over the share at
+    ``REDIST_PACK_BW``, and the alltoall time derated by
+    ``REDIST_CONGESTION``.  These reproduce the paper's Fig. 3 finding
+    that an unfavourable 1D layout can dominate the runtime for
+    tall-and-skinny problems.
     """
     if nprocs <= 1 or overlap >= 1.0:
         return PhaseCost()
     share = total_words / nprocs * (1.0 - overlap) * ITEM
     cost = _pairwise(machine, list(range(nprocs)), share / max(1, nprocs - 1))
-    cost.time *= congestion
-    cost.time += 2.0 * share / pack_bw
+    cost.time *= REDIST_CONGESTION
+    cost.time += 2.0 * share / REDIST_PACK_BW
     return cost
+
+
+def _custom_layout(rep: CostReport) -> None:
+    """Steps 1 and 9 from a user's layout: A, B and C converted once, as
+    the first phase of the report."""
+    m, n, k = rep.m, rep.n, rep.k
+    rep.phases["redist"] = redist_cost(rep.machine, float(m * k + k * n + m * n), rep.nprocs)
+
+
+# ------------------------------------------------------- shared schedules -- #
+def _summa_panels(
+    rep: CostReport, g: GridSpec, mb: float, nb: float, width: float, iters: int
+) -> PhaseCost:
+    """SUMMA's panel loop on ``g``'s m x n face (``core.summa.summa_on_grid``):
+    ``iters`` panels of ``width``, each A strip broadcast along the n-fiber,
+    then its B strip along the m-fiber.  The two broadcasts are priced once
+    and added in that order per panel — bit-identical to pricing each panel
+    again.  Returns the replicate phase."""
+    ph = rep.phase("replicate")
+    strip_a = _bcast_vdg(rep.machine, g.fiber("n"), mb * width * ITEM)
+    strip_b = _bcast_vdg(rep.machine, g.fiber("m"), width * nb * ITEM)
+    for _ in range(iters):
+        ph += strip_a
+        ph += strip_b
+    return ph
+
+
+def _layered_cannon(rep: CostReport, sq: int, c: int) -> float:
+    """The 2.5D schedule (``baselines.algo25d.algo25d_matmul``) on an
+    ``sq x sq x c`` grid: A and B broadcast down the layer fibers, each
+    layer's alignment and ⌈sq/c⌉-1 blocking shift pairs (no overlap),
+    ⌈sq/c⌉ GEMM steps, and the reduction of C to layer 0.  Sets
+    ``mem_words`` to the operand blocks' dual buffers and returns one C
+    block's words, so each caller adds its own C buffers."""
+    machine = rep.machine
+    mb, nb, kb = rep.m / sq, rep.n / sq, rep.k / sq
+    fiber = GridSpec(sq, sq, c, rep.nprocs).fiber("k")  # one rank per layer
+    ph = rep.phase("replicate")
+    ph += _bcast_vdg(machine, fiber, mb * kb * ITEM)
+    ph += _bcast_vdg(machine, fiber, kb * nb * ITEM)
+    steps = math.ceil(sq / c)
+    if sq > 1:  # the alignment, then steps - 1 shifts: one A/B pair each
+        pair = _p2p(machine, 0, sq, mb * kb * ITEM)
+        pair += _p2p(machine, 0, 1, kb * nb * ITEM)
+        for _ in range(steps):
+            ph += pair
+    rep.phase("compute").time += steps * _local_gemm(machine, mb, nb, kb)
+    rep.flops_per_rank = 2.0 * mb * nb * kb * steps
+    if c > 1:
+        rep.phase("reduce").__iadd__(_reduce_scatter(machine, fiber, mb * nb * ITEM))
+    rep.mem_words = 2.0 * (mb * kb + kb * nb)
+    return mb * nb
 
 
 # --------------------------------------------------------------- CA3DMM -- #
@@ -213,9 +291,10 @@ def ca3dmm_cost(
     summa_panel_frac: float = 1.0,
 ) -> CostReport:
     """Predicted cost of CA3DMM (or CA3DMM-S with ``inner='summa'``)."""
-    g = grid if grid is not None else (
-        ca3dmm_grid(m, n, k, nprocs) if inner == "cannon" else cosma_grid(m, n, k, nprocs)
-    )
+    if inner not in ("cannon", "summa"):
+        raise ValueError(f"inner must be 'cannon' or 'summa', not {inner!r}")
+    search = ca3dmm_grid if inner == "cannon" else cosma_grid
+    g = grid if grid is not None else search(m, n, k, nprocs)
     pm, pn, pk = g.pm, g.pn, g.pk
     rep = CostReport(
         algo="ca3dmm" if inner == "cannon" else "ca3dmm-s",
@@ -223,43 +302,32 @@ def ca3dmm_cost(
         grid=f"{pm}x{pn}x{pk}", machine=machine,
     )
     mb, nb, kg = m / pm, n / pn, k / pk
-
     if custom_layout:
-        rep.phase("redist").__iadd__(
-            redist_cost(machine, float(m * k + k * n + m * n), nprocs)
-        )
+        _custom_layout(rep)
 
     if inner == "cannon":
         s, c = g.s, g.c
         kb = kg / s  # Cannon block k-extent
-        blk_a = mb * kb * ITEM
-        blk_b = kb * nb * ITEM
+        blk_a, blk_b = mb * kb * ITEM, kb * nb * ITEM
+        ph_rep = rep.phase("replicate")  # shifts count as "replicate A,B" (Fig. 5)
 
-        # Step 5: allgather replication over the c-rank replica group.
+        # Step 5: allgather replication over the c-rank replica group
+        # (replicas of A sit one Cannon group apart, of B one column).
         if c > 1:
-            if g.replicates_a:
-                stride = pm * s  # replicas sit one Cannon group apart
-                repl_bytes = blk_a
-            else:
-                stride = s
-                repl_bytes = blk_b
-            ranks = [i * stride for i in range(c)]
-            rep.phase("replicate").__iadd__(_bruck_allgather(machine, ranks, repl_bytes))
+            stride, repl_bytes = (pm * s, blk_a) if g.replicates_a else (s, blk_b)
+            ph_rep += _bruck_allgather(machine, [i * stride for i in range(c)], repl_bytes)
 
         # Step 6: skew + s-1 overlapped shift steps.
-        gemm_step = machine.gemm_time(
-            int(mb), int(nb), max(1, int(kb)), stage_bytes=int((mb * kb + kb * nb + mb * nb) * ITEM)
-        )
-        ph_rep = rep.phase("replicate")  # shifts count as "replicate A,B" (Fig. 5)
+        gemm_step = _local_gemm(machine, mb, nb, kb)
         ph_cmp = rep.phase("compute")
         if s > 1:
             # Initial skew: A travels u columns left (world-rank stride
             # s per column in the column-major group), B travels v rows
             # up (stride 1).
             skew = _p2p(machine, 0, s, blk_a)
-            skew.__iadd__(_p2p(machine, 0, 1, blk_b))
+            skew += _p2p(machine, 0, 1, blk_b)
             skew.msgs = 1  # the A/B pair travels in one round: eq. (10) counts s
-            ph_rep.__iadd__(skew)
+            ph_rep += skew
             # Dual-buffer overlap: each of the s-1 shift steps costs the
             # larger of the transfer pair and the local GEMM step; only
             # the non-hidden communication remainder lands in "replicate".
@@ -277,30 +345,14 @@ def ca3dmm_cost(
             ph_rep.time += (s - 1) * max(0.0, shift_pair - gemm_step)
             ph_rep.words += (s - 1) * (blk_a + blk_b) / ITEM
             ph_rep.msgs += s - 1
-            ph_cmp.time += s * gemm_step
-        else:
-            ph_cmp.time += gemm_step
+        ph_cmp.time += s * gemm_step
 
-        repl_factor_a = c if g.replicates_a else 1
-        repl_factor_b = 1 if g.replicates_a else c
-        rep.mem_words = (
-            2.0 * (repl_factor_a * m * k + repl_factor_b * k * n) / g.used
-            + pk * m * n / g.used
-        )
+        repl_a, repl_b = (c, 1) if g.replicates_a else (1, c)
+        rep.mem_words = 2.0 * (repl_a * m * k + repl_b * k * n) / g.used + pk * m * n / g.used
     else:  # SUMMA inner kernel (CA3DMM-S)
         panel = max(1.0, kg * summa_panel_frac)
         iters = math.ceil(kg / panel)
-        ph_rep = rep.phase("replicate")
-        ph_cmp = rep.phase("compute")
-        for _ in range(iters):
-            if pn > 1:
-                ph_rep.__iadd__(
-                    _bcast_vdg(machine, g.fiber("n"), mb * panel * ITEM)
-                )
-            if pm > 1:
-                ph_rep.__iadd__(
-                    _bcast_vdg(machine, g.fiber("m"), panel * nb * ITEM)
-                )
+        ph_rep = _summa_panels(rep, g, mb, nb, panel, iters)
         gemm = machine.gemm_time(int(mb), int(nb), max(1, int(kg)))
         if machine.overlap_enabled and iters > 1:
             # Pipelined multicast: panel p+1's broadcasts ride the async
@@ -312,17 +364,13 @@ def ca3dmm_cost(
             if machine.overlap == "partial":
                 frac *= 0.5
             ph_rep.time -= frac * min(ph_rep.time, gemm)
-        ph_cmp.time += gemm
+        rep.phase("compute").time += gemm
         rep.mem_words = 2.0 * (m * k + k * n) / g.used + pk * m * n / g.used
 
     # Step 7, either kernel: reduce-scatter over the pk-rank k-fiber.
     rep.flops_per_rank = 2.0 * mb * nb * kg
     if pk > 1:
-        rep.phase("reduce").__iadd__(
-            _reduce_scatter(machine, g.fiber("k"), mb * nb * ITEM)
-        )
-    if custom_layout:
-        rep.phase("redist").__iadd__(PhaseCost())  # C conversion folded above
+        rep.phase("reduce").__iadd__(_reduce_scatter(machine, g.fiber("k"), mb * nb * ITEM))
     return rep
 
 
@@ -335,24 +383,14 @@ def cosma_cost(
     machine: MachineModel,
     grid: GridSpec | None = None,
     custom_layout: bool = False,
-    overlap_factor: float | None = None,
 ) -> CostReport:
     """Predicted cost of the COSMA-like schedule (Section III-C).
 
-    ``overlap_factor`` is the fraction of replication time COSMA hides
+    COSMA hides ``COSMA_OVERLAP[machine.overlap]`` of its replication
     behind computation with its pipelined one-sided communication (the
     paper credits COSMA with overlap; CA3DMM gets its overlap from the
-    Cannon dual buffer instead).  When ``None`` it is derived from the
-    machine's async-engine capability: the historical 0.35 under
-    ``overlap="none"`` (COSMA's own progress thread still earns some
-    cover on hardware the runtime does not model), 0.9 under ``"full"``
-    and 0.6 under ``"partial"`` — the COSMA-style overlap bound the
-    bench crossover maps price against.
+    Cannon dual buffer instead).
     """
-    if overlap_factor is None:
-        overlap_factor = {"none": 0.35, "partial": 0.6, "full": 0.9}[
-            machine.overlap
-        ]
     g = grid if grid is not None else cosma_grid(m, n, k, nprocs)
     pm, pn, pk = g.pm, g.pn, g.pk
     rep = CostReport(
@@ -360,23 +398,17 @@ def cosma_cost(
         grid=f"{pm}x{pn}x{pk}", machine=machine,
     )
     mb, nb, kg = m / pm, n / pn, k / pk
-
     if custom_layout:
-        rep.phase("redist").__iadd__(
-            redist_cost(machine, float(m * k + k * n + m * n), nprocs)
-        )
+        _custom_layout(rep)
 
-    gemm = machine.gemm_time(
-        int(mb), int(nb), max(1, int(kg)),
-        stage_bytes=int((mb * kg + kg * nb + mb * nb) * ITEM),
-    )
+    gemm = _local_gemm(machine, mb, nb, kg)
     ph_rep = rep.phase("replicate")
     if pn > 1:  # allgather A over the n-groups
-        ph_rep.__iadd__(_bruck_allgather(machine, g.fiber("n"), mb * kg * ITEM))
+        ph_rep += _bruck_allgather(machine, g.fiber("n"), mb * kg * ITEM)
     if pm > 1:  # allgather B over the m-groups
-        ph_rep.__iadd__(_bruck_allgather(machine, g.fiber("m"), kg * nb * ITEM))
+        ph_rep += _bruck_allgather(machine, g.fiber("m"), kg * nb * ITEM)
     # Pipelined overlap hides part of the replication behind the GEMM.
-    hidden = min(ph_rep.time * overlap_factor, gemm * 0.9)
+    hidden = min(ph_rep.time * COSMA_OVERLAP[machine.overlap], gemm * 0.9)
     ph_rep.time -= hidden
 
     rep.phase("compute").time += gemm
@@ -392,9 +424,7 @@ def cosma_cost(
     # initial 1/P shares the allgathers started from.  (Unlike CA3DMM's
     # dual-buffered Cannon blocks, COSMA's buffers hold each operand
     # once — the allgather output *is* the compute operand.)
-    rep.mem_words = (
-        mb * kg + kg * nb + mb * nb + (m * k + k * n) / max(1, g.used)
-    )
+    rep.mem_words = mb * kg + kg * nb + mb * nb + (m * k + k * n) / max(1, g.used)
     return rep
 
 
@@ -406,19 +436,22 @@ def ctf_cost(
     nprocs: int,
     machine: MachineModel,
     grid: GridSpec | None = None,
-    framework_overhead: bool = True,
-    gemm_efficiency: float = 0.3,
 ) -> CostReport:
-    """Predicted cost of the CTF-like 2.5D schedule.
+    """Predicted cost of the CTF-like schedule: the 2.5D layers on
+    ``ctf_grid`` plus three tensor-framework costs the paper's CTF
+    measurements include.
 
-    ``framework_overhead`` adds the tensor-framework costs the paper's
-    CTF measurements include: internal cyclic-layout packing/unpacking
-    of every operand element (memory-bandwidth bound) and no
-    communication/computation overlap.  ``gemm_efficiency`` derates the
-    local GEMM rate — the paper states CTF "is not fine tuned for matrix
-    multiplication, so its parallel efficiency is less satisfying", and
-    its Fig. 3 CTF curves sit a factor ~3-5 below the tuned libraries
-    across all P, which a pure communication model cannot produce.
+    * Internal cyclic-layout packing/unpacking of every operand element,
+      memory-bandwidth bound (``CTF_PACK_BW``), as a "framework" phase.
+    * The local GEMM derated to ``CTF_GEMM_EFFICIENCY`` — the paper
+      states CTF "is not fine tuned for matrix multiplication, so its
+      parallel efficiency is less satisfying", and its Fig. 3 CTF curves
+      sit a factor ~3-5 below the tuned libraries across all P, which a
+      pure communication model cannot produce.
+    * A second C buffer.
+
+    There is no communication/computation overlap.  The traffic alone
+    is ``algo25d_cost(sq=g.pm, c=min(g.pk, g.pm))`` on ``ctf_grid``'s face.
     """
     g = grid if grid is not None else ctf_grid(m, n, k, nprocs)
     sq, c = g.pm, min(g.pk, g.pm)
@@ -426,44 +459,9 @@ def ctf_cost(
         algo="ctf", m=m, n=n, k=k, nprocs=nprocs,
         grid=f"{sq}x{sq}x{c}", machine=machine,
     )
-    mb, nb = m / sq, n / sq
-    kb = k / sq  # Cannon-block k extent on the sq x sq face
-    fiber = GridSpec(sq, sq, c, g.nprocs).fiber("k")  # one rank per layer
-
-    ph_rep = rep.phase("replicate")
-    if c > 1:  # broadcast A and B down the layer fibers
-        ph_rep.__iadd__(_bcast_vdg(machine, fiber, mb * kb * ITEM))
-        ph_rep.__iadd__(_bcast_vdg(machine, fiber, kb * nb * ITEM))
-    steps = math.ceil(sq / c)
-    if sq > 1:
-        # Alignment + per-step shifts (no overlap in CTF mode).
-        ph_rep.time += machine.msg_time(mb * kb * ITEM, 0, sq) + machine.msg_time(
-            kb * nb * ITEM, 0, 1
-        )
-        ph_rep.words += mb * kb + kb * nb
-        ph_rep.msgs += 2
-        for _ in range(max(0, steps - 1)):
-            ph_rep.time += machine.msg_time(mb * kb * ITEM, 0, sq) + machine.msg_time(
-                kb * nb * ITEM, 0, 1
-            )
-            ph_rep.words += mb * kb + kb * nb
-            ph_rep.msgs += 2
-    ph_cmp = rep.phase("compute")
-    eff = gemm_efficiency if framework_overhead else 1.0
-    ph_cmp.time += steps * machine.gemm_time(
-        int(mb), int(nb), max(1, int(kb)),
-        stage_bytes=int((mb * kb + kb * nb + mb * nb) * ITEM),
-    ) / eff
-    rep.flops_per_rank = 2.0 * mb * nb * kb * steps
-    if c > 1:
-        rep.phase("reduce").__iadd__(
-            _reduce_scatter(machine, fiber, mb * nb * ITEM)
-        )
-
-    if framework_overhead:
-        local_words = (m * k + k * n + 2 * m * n) / max(1, g.used)
-        mem_bw = 8e9  # bytes/s per rank for pack/unpack of cyclic layouts
-        rep.phase("framework").time += local_words * ITEM * 2.0 / mem_bw
-    rep.mem_words = 2.0 * (mb * kb + kb * nb) + 2.0 * mb * nb
+    c_words = _layered_cannon(rep, sq, c)
+    rep.phases["compute"].time /= CTF_GEMM_EFFICIENCY
+    local_words = (m * k + k * n + 2 * m * n) / max(1, g.used)
+    rep.phase("framework").time += local_words * ITEM * 2.0 / CTF_PACK_BW
+    rep.mem_words += 2.0 * c_words
     return rep
-

@@ -38,8 +38,11 @@ def grid_25d(nprocs: int, c: int | None = None) -> tuple[int, int]:
 
     When ``c`` is given it is honoured (sq maximal for that c); otherwise
     the utilization-maximal pair with the largest c at most ``sq`` wins.
+    A given ``c`` below 1 is a ``ValueError``.
     """
     if c is not None:
+        if c < 1:
+            raise ValueError(f"replication factor c must be >= 1, not {c}")
         sq = 1
         while (sq + 1) ** 2 * c <= nprocs:
             sq += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.baseline_costs import algo1d_cost, carma_cost, summa_cost
 from repro.analysis.costs import (
     ITEM,
     _bcast_vdg,
@@ -120,6 +121,26 @@ class TestRedistCost:
         big = redist_cost(mach, 1e8, 64)
         assert big.time > small.time
         assert big.words == pytest.approx(100 * small.words, rel=1e-6)
+
+
+class TestRefusals:
+    """What a closed form cannot price is a ``ValueError`` naming the
+    argument, not a label on another schedule's price, a negative time, a
+    ``ZeroDivisionError`` or a one-rank run."""
+
+    @pytest.mark.parametrize("argument,price", [
+        ("inner", lambda mach: ca3dmm_cost(64, 64, 64, 8, mach, inner="summa-b")),
+        ("inner", lambda mach: ca3dmm_cost(64, 64, 64, 8, mach, inner="Cannon")),
+        ("nprocs", lambda mach: algo1d_cost(64, 64, 64, 0, mach)),
+        ("nprocs", lambda mach: algo1d_cost(64, 64, 64, -1, mach, variant="k")),
+        ("nprocs", lambda mach: carma_cost(64, 64, 64, 0, mach)),
+        ("panel", lambda mach: summa_cost(64, 64, 64, 4, mach, panel=0)),
+        ("panel", lambda mach: summa_cost(64, 64, 64, 4, mach, panel=-64)),
+    ], ids=["ca3dmm-summa-b", "ca3dmm-Cannon", "1d-P0", "1d-k-P-1", "carma-P0",
+            "summa-panel0", "summa-panel-64"])
+    def test_unpriceable_input_is_a_value_error(self, argument, price):
+        with pytest.raises(ValueError, match=argument):
+            price(laptop())
 
 
 class TestPatternPricingIsBitIdentical:

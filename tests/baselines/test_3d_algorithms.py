@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -78,6 +82,49 @@ class TestAlgo25D:
         assert all(
             spmd(10, lambda comm: _check(comm, algo25d_matmul, 12, 12, 12, c_factor=2, sq=2)).results
         )
+
+    @pytest.mark.parametrize("c", [0, -1])
+    @pytest.mark.parametrize("engine", ["analytic", "executed"])
+    def test_replication_factor_below_one_is_a_value_error(self, engine, c):
+        """``grid_25d(P, c)`` with ``c < 1`` used to search for ``sq``
+        forever: ``algo25d_cost`` spun, and so did every rank of
+        ``algo25d_matmul`` without entering the transport, where the
+        scheduler cannot see it.  Run in a subprocess so a hang fails."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _BAD_C, engine, str(c)],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = f"replication factor c must be >= 1, not {c}"
+        assert proc.stdout.splitlines() == [want if engine == "analytic" else f"{want} / sent 0"]
+
+
+_BAD_C = """
+import sys
+from repro.analysis.baseline_costs import algo25d_cost
+from repro.baselines import algo25d_matmul
+from repro.layout import BlockCol1D, DistMatrix
+from repro.machine.model import laptop
+from repro.mpi import run_spmd
+
+engine, c = sys.argv[1], int(sys.argv[2])
+if engine == "analytic":
+    try:
+        algo25d_cost(64, 64, 64, 16, laptop(), c=c)
+    except ValueError as err:
+        print(err)
+else:
+    def body(comm):
+        a = DistMatrix.random(comm, BlockCol1D((8, 8), comm.size), seed=0)
+        b = DistMatrix.random(comm, BlockCol1D((8, 8), comm.size), seed=1)
+        sent = comm.transport.trace(comm.world_rank).msgs_sent
+        try:
+            algo25d_matmul(a, b, c_factor=c)
+        except ValueError as err:
+            return f"{err} / sent {comm.transport.trace(comm.world_rank).msgs_sent - sent}"
+    print(*set(run_spmd(4, body, machine=laptop()).results))
+"""
 
 
 class TestCtfLike:
