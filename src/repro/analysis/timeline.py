@@ -75,7 +75,7 @@ def render_timeline(
     simulated clock) render an explanatory placeholder instead of
     raising.
     """
-    events = result.transport.events
+    events = result.tracer.events
     if not events:
         return (
             "(no timeline: no events recorded — run with "
@@ -138,7 +138,7 @@ def _kind_of(glyph: str) -> str:
 def phase_spans(result: SpmdResult) -> dict[str, tuple[float, float]]:
     """Simulated [start, end] interval of each phase across all ranks."""
     spans: dict[str, tuple[float, float]] = {}
-    for e in result.transport.events:
+    for e in result.tracer.events:
         lo, hi = spans.get(e.phase, (float("inf"), 0.0))
         spans[e.phase] = (min(lo, e.t0), max(hi, e.t1))
     return spans
@@ -153,7 +153,7 @@ def critical_rank(result: SpmdResult) -> int:
     falls back to the rank with the largest simulated clock — the same
     value the chain would end on.
     """
-    if result.transport.events:
+    if result.tracer.events:
         from ..obs.critpath import critical_path
 
         return critical_path(result).final_rank
@@ -163,6 +163,6 @@ def critical_rank(result: SpmdResult) -> int:
 def event_totals(result: SpmdResult) -> dict[int, dict[str, float]]:
     """Per-rank seconds spent in each event kind."""
     out: dict[int, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-    for e in result.transport.events:
+    for e in result.tracer.events:
         out[e.rank][e.kind] += e.duration
     return {r: dict(v) for r, v in out.items()}

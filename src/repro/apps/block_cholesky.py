@@ -67,6 +67,7 @@ def block_cholesky(
             comm,
             _column_slice_dist(n, j, b, comm.size),
             _column_slice_tiles(work, j, b),
+            dtype=work.dtype,
         )
         panel_global = _full_on_all(redistribute(panel, panel_dist))[j:, :]
 
@@ -151,7 +152,7 @@ def _extract_trailing(work: DistMatrix, j1: int) -> DistMatrix:
     dist = Explicit.from_mapping(
         (rest, rest), comm.size, {r: rects for r, rects in all_maps if rects}
     )
-    src = DistMatrix(comm, dist, tiles)
+    src = DistMatrix(comm, dist, tiles, dtype=work.dtype)
     del full
     return redistribute(src, BlockRow1D((rest, rest), comm.size))
 

@@ -276,7 +276,7 @@ def restart(
                     (int(info["shape"][0]), int(info["shape"][1])),
                     comm.size, mapping,
                 )
-                state[name] = DistMatrix(comm, dist, tiles)
+                state[name] = DistMatrix(comm, dist, tiles, dtype=info["dtype"])
     return state, int(man["step"]) + 1
 
 

@@ -177,7 +177,7 @@ def _recover_matrix(
                 recoveries=recoveries,
             )
         tiles.extend(tile for _rect, tile in backup)
-    return DistMatrix(new_comm, dist, tiles)
+    return DistMatrix(new_comm, dist, tiles, dtype=old_mat.dtype)
 
 
 def _resolve_c_dist(c_dist, comm: Comm):
@@ -321,7 +321,8 @@ def _compact_k(mat: DistMatrix, k_ranges, axis: int) -> DistMatrix:
         for rect, tile in zip(mat.owned_rects, mat.tiles)
         for lo, hi, _piece in _k_pieces(rect, k_ranges, axis)
     ]
-    return DistMatrix(mat.comm, _compacted_layout(mat.dist, k_ranges, axis), my_tiles)
+    dist = _compacted_layout(mat.dist, k_ranges, axis)
+    return DistMatrix(mat.comm, dist, my_tiles, dtype=mat.dtype)
 
 
 def _reuse_multiply(
@@ -343,17 +344,17 @@ def _reuse_multiply(
     """Recompute only the truly missing ``(i, j, k)`` cells; fold in the rest.
 
     K-slices with *nothing* retained are multiplied together as one
-    compacted sub-problem (``m x n x k_miss``) on the shrunk grid.  Each
-    complete retained k-group is expressed as an :class:`Explicit` block
-    layout over its holders, redistributed to the output layout, and
-    summed in.  Each *partially* retained k-group is salvaged per cell:
-    every missing ``(i, j)`` block becomes its own compacted
-    sub-multiply (``mb x nb x kb`` — rows ``i``, columns ``j``, k-slice
-    ``ik`` of the inputs), and the computed cells plus the retained
-    cells tile the group's full ``(m, n)`` contribution, which is
-    redistributed and summed in like a complete group.  Retained bodies
-    and per-cell products are unscaled; ``alpha`` is applied at the
-    final accumulation.
+    compacted sub-problem (``m x n x k_miss``) on the shrunk grid.  Every
+    retained k-group — complete ones first, then partial ones, each in
+    ascending order — is expressed as an :class:`Explicit` block layout
+    over its holders, redistributed to the output layout, and summed in.
+    A *partially* retained group is first completed per cell: every
+    missing ``(i, j)`` block becomes its own compacted sub-multiply
+    (``mb x nb x kb`` — rows ``i``, columns ``j``, k-slice ``ik`` of the
+    inputs), and the computed cells plus the retained cells tile the
+    group's full ``(m, n)`` contribution (a complete group has no
+    missing cell).  Retained bodies and per-cell products are unscaled;
+    ``alpha`` is applied at the final accumulation.
     """
     plan_old = reuse.plan
     m, n = plan_old.m, plan_old.n
@@ -365,6 +366,7 @@ def _reuse_multiply(
     k_ranges = [plan_old.k_range(ik) for ik in missing]
     k_miss = sum(k1 - k0 for k0, k1 in k_ranges)
     needed = {(i, j) for i in range(plan_old.pm) for j in range(plan_old.pn)}
+    dtype = np.promote_types(cur_a.dtype, cur_b.dtype)
     with cur_comm.span(
         "ft_reuse", cat="ft",
         reused_groups=len(reuse.reusable),
@@ -395,10 +397,7 @@ def _reuse_multiply(
                 final_dist = Ca3dmmPlan(
                     m, n, plan_old.k, cur_comm.size, l=l
                 ).c_dist
-            c = DistMatrix.zeros(
-                cur_comm, final_dist,
-                dtype=np.promote_types(cur_a.dtype, cur_b.dtype),
-            )
+            c = DistMatrix.zeros(cur_comm, final_dist, dtype=dtype)
 
         def _accumulate(part: DistMatrix) -> DistMatrix:
             got = redistribute(part, final_dist, phase="redist",
@@ -409,26 +408,12 @@ def _reuse_multiply(
                     t + alpha * g.astype(t.dtype, copy=False)
                     for t, g in zip(c.tiles, got.tiles)
                 ],
+                dtype=c.dtype,
             )
 
-        for ik in sorted(reuse.reusable):
-            mapping = {
-                r: [plan_old.c_block(i, j)]
-                for r, (rik, i, j) in reuse.coords.items()
-                if rik == ik
-            }
-            dist_ik = Explicit.from_mapping((m, n), cur_comm.size, mapping)
-            my = reuse.coords.get(cur_comm.rank)
-            tiles = (
-                [np.ascontiguousarray(reuse.mine)]
-                if reuse.mine is not None and my is not None and my[0] == ik
-                else []
-            )
-            c = _accumulate(DistMatrix(cur_comm, dist_ik, tiles))
-
-        for ik in sorted(reuse.partial):
+        groups = [(ik, needed) for ik in sorted(reuse.reusable)]
+        for ik, cells in groups + sorted(reuse.partial.items()):
             k0, k1 = plan_old.k_range(ik)
-            cells = reuse.partial[ik]
             mapping = {r: [] for r in range(cur_comm.size)}
             my_tiles: list[np.ndarray] = []
             for r, (rik, i, j) in sorted(reuse.coords.items()):
@@ -472,7 +457,7 @@ def _reuse_multiply(
                         continue
                     my_tiles.append(tile)
             dist_ik = Explicit.from_mapping((m, n), cur_comm.size, mapping)
-            c = _accumulate(DistMatrix(cur_comm, dist_ik, my_tiles))
+            c = _accumulate(DistMatrix(cur_comm, dist_ik, my_tiles, dtype=dtype))
     return c
 
 

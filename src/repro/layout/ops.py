@@ -33,11 +33,17 @@ def _check_compatible(a: DistMatrix, b: DistMatrix) -> None:
         )
 
 
+def _empty(a: DistMatrix) -> np.ndarray:
+    """What a rank holding no tile applies an operation to, for its dtype."""
+    return np.zeros((0, 0), dtype=a.dtype)
+
+
 def elementwise(a: DistMatrix, b: DistMatrix, fn: Callable) -> DistMatrix:
     """Apply a binary numpy callable tile-by-tile; returns a new matrix."""
     _check_compatible(a, b)
     tiles = [fn(x, y) for x, y in zip(a.tiles, b.tiles)]
-    return DistMatrix(a.comm, a.dist, tiles)
+    dtype = None if tiles else np.asarray(fn(_empty(a), _empty(b))).dtype
+    return DistMatrix(a.comm, a.dist, tiles, dtype=dtype)
 
 
 def add(a: DistMatrix, b: DistMatrix, alpha: float = 1.0, beta: float = 1.0) -> DistMatrix:
@@ -47,13 +53,14 @@ def add(a: DistMatrix, b: DistMatrix, alpha: float = 1.0, beta: float = 1.0) -> 
 
 def scale(a: DistMatrix, alpha: float) -> DistMatrix:
     """``alpha * A``."""
-    return DistMatrix(a.comm, a.dist, [alpha * t for t in a.tiles])
+    return apply(a, lambda t: alpha * t)
 
 
 def apply(a: DistMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> DistMatrix:
     """Apply a unary elementwise callable to every tile."""
     tiles = [np.asarray(fn(t)) for t in a.tiles]
-    return DistMatrix(a.comm, a.dist, tiles)
+    dtype = None if tiles else np.asarray(fn(_empty(a))).dtype
+    return DistMatrix(a.comm, a.dist, tiles, dtype=dtype)
 
 
 def identity(comm, dist: Distribution, dtype=np.float64) -> DistMatrix:
@@ -71,7 +78,7 @@ def identity(comm, dist: Distribution, dtype=np.float64) -> DistMatrix:
             idx = np.arange(lo, hi)
             t[idx - rect.r0, idx - rect.c0] = 1.0
         tiles.append(t)
-    return DistMatrix(comm, dist, tiles)
+    return DistMatrix(comm, dist, tiles, dtype=dtype)
 
 
 def trace(a: DistMatrix) -> float:

@@ -52,7 +52,7 @@ from .request import CollRequest
 def _span(comm, name: str, algo: str | None = None) -> Iterator[None]:
     """Trace one collective call as a span and attribute its traffic.
 
-    The tracer span is a fast no-op when tracing is off; the algorithm
+    The span is recorded only when the world has a tracer; the algorithm
     label (``algo``, defaulting to ``name``) is *always* pushed so the
     transport can attribute every message to its originating collective
     algorithm (``RankTrace.colls``).  Labels nest outermost-wins: the
@@ -62,16 +62,16 @@ def _span(comm, name: str, algo: str | None = None) -> Iterator[None]:
     label = name if algo is None else algo  # algo="" defers to inner _algo
     if label:
         transport.push_coll(comm.world_rank, label)
+    tr = transport.tracer
     sid = None
-    if transport.tracer.enabled:
-        sid = transport.begin_span(
-            comm.world_rank, name, cat=CAT_COLLECTIVE, attrs={"comm_size": comm.size}
-        )
+    if tr is not None:
+        rank = comm.world_rank
+        sid = tr.begin(rank, name, transport.now(rank), CAT_COLLECTIVE, {"comm_size": comm.size})
     try:
         yield
     finally:
         if sid is not None:
-            transport.end_span(comm.world_rank, sid)
+            tr.end(rank, sid, transport.now(rank))
         if label:
             transport.pop_coll(comm.world_rank)
 

@@ -436,11 +436,13 @@ class Comm:
         Unlike :meth:`phase`, traffic counters keep charging the current
         phase; the span only records the interval and its deltas.
         """
-        sid = self._transport.begin_span(self._world_rank, name, cat=cat, attrs=attrs or None)
+        tr, rank = self._transport.tracer, self._world_rank
+        sid = None if tr is None else tr.begin(rank, name, self.now(), cat, attrs)
         try:
             yield
         finally:
-            self._transport.end_span(self._world_rank, sid)
+            if sid is not None:
+                tr.end(rank, sid, self.now())
 
     def note_live_bytes(self, nbytes: int) -> None:
         """Report current live matrix bytes for peak-memory tracking.
@@ -462,11 +464,11 @@ class Comm:
         deliberately left live (output tiles) — the balance shows up in
         the rank trace's ``mem_live``.
         """
-        self._transport.mem_alloc(self._world_rank, purpose, nbytes)
+        self._transport.mem(self._world_rank, purpose, nbytes, "alloc")
 
     def mem_free(self, purpose: str, nbytes: int) -> None:
         """Release tracked resident bytes charged with :meth:`mem_alloc`."""
-        self._transport.mem_free(self._world_rank, purpose, nbytes)
+        self._transport.mem(self._world_rank, purpose, nbytes, "free")
 
     @contextlib.contextmanager
     def mem(self, purpose: str, nbytes: int) -> Iterator[None]:
@@ -477,11 +479,11 @@ class Comm:
         the block (use for scratch whose lifetime is the block; use the
         explicit pair for buffers with non-lexical lifetimes).
         """
-        self._transport.mem_alloc(self._world_rank, purpose, nbytes)
+        self._transport.mem(self._world_rank, purpose, nbytes, "alloc")
         try:
             yield
         finally:
-            self._transport.mem_free(self._world_rank, purpose, nbytes)
+            self._transport.mem(self._world_rank, purpose, nbytes, "free")
 
     def now(self) -> float:
         """This rank's simulated clock, in seconds."""

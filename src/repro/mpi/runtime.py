@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..machine.model import MachineModel
+from ..obs.tracer import Span, Tracer
 from .comm import Comm
 from .des import run_des
 from .errors import AbortError, RankKilledError
@@ -46,9 +47,15 @@ class SpmdResult:
         return max((t.time for t in self.traces), default=0.0)
 
     @property
-    def spans(self):
-        """Tracer spans recorded during the run (requires record_events)."""
-        return self.transport.tracer.spans
+    def tracer(self) -> Tracer:
+        """What the run recorded (``events``, ``msglog``, ``memlog``,
+        spans): its tracer, or an empty one without ``record_events``."""
+        tracer = self.transport.tracer
+        return tracer if tracer is not None else Tracer()
+
+    @property
+    def spans(self) -> list[Span]:
+        return self.tracer.spans
 
     @property
     def metrics(self):
@@ -121,9 +128,10 @@ def run_spmd(
         virtual progress before the run is aborted as deadlocked.
         Blocked worlds are detected structurally and do not wait for it.
     record_events:
-        Record per-rank simulated-time :class:`~repro.mpi.transport.Event`
-        intervals (send/recv/wait/compute) on ``result.transport.events``
-        for timeline rendering (:mod:`repro.analysis.timeline`).
+        Build the world's :class:`~repro.obs.tracer.Tracer`
+        (``result.tracer``): per-rank simulated-time intervals, one
+        record per message, the memory timeline and spans — what
+        timeline rendering, the critical path and the exporters read.
     faults:
         Optional deterministic :class:`~repro.mpi.faults.FaultPlan` the
         transport consults to perturb messages and ranks

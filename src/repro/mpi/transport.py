@@ -16,14 +16,18 @@ communicate through.  It provides:
   scatter+allgather bcast, Bruck allgather, pairwise reduce-scatter,
   raw Cannon/redistribution ``p2p``) that the communication audit
   (:mod:`repro.obs.audit`) reads bytes-on-the-wire from,
-* tagged resident-memory watermarks (``mem_alloc``/``mem_free``), part
+* tagged resident-memory watermarks (:meth:`Transport.mem`), part
   of every rank summary whether or not anything is recorded,
 * the ULFM-style failure surface (``dead``, ``revoke``, ``agree``), and
 * the progress counter the scheduler's probe-poll livelock check
   samples.
 
-Messages, clocks and counters — what a
-:class:`~repro.mpi.faults.FaultPlan` does to a run is not here.  A world
+Messages, clocks and counters — what a run records beyond them is not
+here.  A recorded world builds one :class:`~repro.obs.tracer.Tracer`
+(``self.tracer``; ``None`` otherwise), which owns the interval, message
+and memory logs and the spans; each recording site below tests
+``self.tracer is not None`` and makes one call.  Nor is what a
+:class:`~repro.mpi.faults.FaultPlan` does to a run.  A world
 given a plan builds one :class:`~repro.mpi.faults.FaultInjector` and
 consults it at five seams: a post (perturb, corrupt, hold), a receive or
 probe (what a held drop hides; the timeout-retry when nothing else
@@ -183,7 +187,6 @@ class RankState(RankTrace):
     clock: float = 0.0
     phase_stack: list[str] = field(default_factory=list)
     phase: str = DEFAULT_PHASE  #: top of ``phase_stack``
-    phase_span_stack: list[int] = field(default_factory=list)  #: tracer span ids
     coll_stack: list[str] = field(default_factory=list)  #: active collective calls
     coll: str = DEFAULT_COLL  #: bottom of ``coll_stack``: the outermost label wins
     #: where charges go now: ``phases[phase]`` and ``colls[phase][coll]``.
@@ -223,86 +226,6 @@ class RankState(RankTrace):
         return cs
 
 
-@dataclass(frozen=True)
-class Event:
-    """One simulated-time interval on a rank (optional event recording).
-
-    ``kind`` is one of ``"send"``, ``"recv"``, ``"wait"`` (clock raised
-    to a message arrival or request completion), or ``"compute"``.
-    ``peer`` is the world rank on the other side of a transfer (-1 for
-    compute/wait).  ``seq`` is the transport sequence number of the
-    message behind a send/recv interval (-1 otherwise); it keys into
-    :attr:`Transport.msglog`, so the critical-path analyzer
-    (:mod:`repro.obs.critpath`) can match every blocking receive to the
-    exact send that released it.  Intervals use the simulated clock, in
-    seconds.
-    """
-
-    rank: int
-    kind: str
-    phase: str
-    t0: float
-    t1: float
-    nbytes: int = 0
-    peer: int = -1
-    seq: int = -1
-    injected: bool = False  #: interval caused/extended by fault injection
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
-
-@dataclass(frozen=True)
-class MsgRecord:
-    """One message's life on the wire (recorded with ``record_events``).
-
-    ``t_post`` is the sender's simulated clock when the message was
-    posted; ``arrival = t_post + msg_time`` is when it becomes
-    receivable.  ``seq`` matches :attr:`Event.seq` on both the send- and
-    recv-side events, giving the wait-for DAG its edges.
-    """
-
-    seq: int
-    src: int
-    dst: int
-    t_post: float
-    arrival: float
-    nbytes: int
-    tag: int
-    ctx: int
-    phase: str  #: the sender's active phase at post time
-    injected: bool = False  #: flight perturbed (delayed/dropped) by a fault
-    coll: str = DEFAULT_COLL  #: the sender's originating collective algorithm
-
-    @property
-    def flight(self) -> float:
-        return self.arrival - self.t_post
-
-
-@dataclass(frozen=True)
-class MemEvent:
-    """One tagged allocation or free on a rank's resident-memory timeline.
-
-    ``kind`` is ``"alloc"`` or ``"free"``; ``purpose`` is the span tag
-    (``tile.a``, ``replicate.buf``, ``cannon.dblbuf``, ``abft.checksum``,
-    ``ckpt.staging``, ``transport.inflight``, ...); ``t`` is the rank's
-    simulated clock at the event and ``resident_bytes`` the rank's total
-    tracked resident bytes *after* applying it.  Events are appended in
-    the owning rank's program order, so the per-rank timeline — and every
-    watermark derived from it — replays byte-identically under a seeded
-    :class:`~repro.mpi.faults.FaultPlan`.
-    """
-
-    rank: int
-    kind: str
-    purpose: str
-    phase: str
-    t: float
-    nbytes: int
-    resident_bytes: int
-
-
 _COUNTERS = [f.name for f in dataclasses.fields(RankTrace)]
 
 
@@ -336,22 +259,15 @@ class Transport:
         self._link_intra = (m.alpha_intra, m.beta_intra)
         self._link_inter = (m.alpha, m.beta)
         self._nic_queues = m.overlap == "partial"
-        self.record_events = record_events
         self.faults = faults
         #: what the plan does to this world; ``None`` without a plan.
         self.injector = FaultInjector(faults, self) if faults is not None else None
-        self.events: list[Event] = []
-        #: per-message records (by list index == seq - 1) when recording.
-        self.msglog: list[MsgRecord] = []
-        #: tagged alloc/free timeline (populated only with record_events;
-        #: the watermark counters themselves are always on).
-        self.memlog: list[MemEvent] = []
-        #: structured span tracer (repro.obs); enabled with record_events.
-        self.tracer = Tracer(enabled=record_events)
         # mailbox[(ctx, dst_world)] -> list of pending Message in seq order
         self._mail: dict[tuple[int, int], list[Message]] = defaultdict(list)
         self._seq = 0
         self.ranks = [RankState(rank=r) for r in range(nprocs)]
+        #: what a recorded run records (repro.obs.tracer); ``None`` unrecorded.
+        self.tracer = Tracer(self.ranks) if record_events else None
         #: bumped on every delivery/removal; the scheduler's livelock
         #: check samples it.
         self.progress = 0
@@ -570,19 +486,10 @@ class Transport:
             ps.comm_time += dt
         elif kind == "compute":
             ps.compute_time += dt
-        if self.record_events and dt > 0:
-            self.events.append(
-                Event(
-                    rank=world_rank,
-                    kind=event_kind or ("compute" if kind == "compute" else "wait"),
-                    phase=st.phase,
-                    t0=t0,
-                    t1=st.clock,
-                    nbytes=nbytes,
-                    peer=peer,
-                    seq=seq,
-                    injected=injected,
-                )
+        if self.tracer is not None and dt > 0:
+            self.tracer.interval(
+                world_rank, event_kind or ("compute" if kind == "compute" else "wait"),
+                st.phase, t0, st.clock, nbytes, peer, seq, injected,
             )
 
     def raise_clock(
@@ -611,19 +518,9 @@ class Transport:
             ps = st.cur_ps or st.phase_stats()
             ps.time += dt
             ps.comm_time += dt
-            if self.record_events:
-                self.events.append(
-                    Event(
-                        rank=world_rank,
-                        kind=event_kind,
-                        phase=st.phase,
-                        t0=t0,
-                        t1=t,
-                        nbytes=nbytes,
-                        peer=peer,
-                        seq=seq,
-                        injected=injected,
-                    )
+            if self.tracer is not None:
+                self.tracer.interval(
+                    world_rank, event_kind, st.phase, t0, t, nbytes, peer, seq, injected
                 )
 
     # ------------------------------------------------- async comm engine -- #
@@ -692,10 +589,8 @@ class Transport:
         st.phase, st.cur_ps, st.cur_cs = name, None, None
         if self.injector is not None:
             self.injector.enter_phase(world_rank, name)
-        if self.tracer.enabled:
-            st.phase_span_stack.append(
-                self.begin_span(world_rank, name, cat=CAT_PHASE, attrs=attrs)
-            )
+        if self.tracer is not None:
+            self.tracer.begin(world_rank, name, st.clock, CAT_PHASE, attrs)
 
     def push_coll(self, world_rank: int, label: str) -> None:
         """Enter a collective call: traffic posted while the stack is
@@ -718,99 +613,67 @@ class Transport:
         name = st.phase_stack.pop()
         st.phase = st.phase_stack[-1] if st.phase_stack else DEFAULT_PHASE
         st.cur_ps = st.cur_cs = None
-        if st.phase_span_stack:
-            self.end_span(world_rank, st.phase_span_stack.pop())
+        if self.tracer is not None:  # the phase's span is the rank's innermost open one
+            self.tracer.end(world_rank, None, st.clock)
         return name
-
-    # ------------------------------------------------------------- spans -- #
-    def _counter_snapshot(self, world_rank: int) -> tuple[int, int, int, int]:
-        st = self.ranks[world_rank]
-        return (st.bytes_sent, st.bytes_recv, st.msgs_sent, st.msgs_recv)
-
-    def begin_span(
-        self,
-        world_rank: int,
-        name: str,
-        cat: str = "user",
-        attrs: dict | None = None,
-    ) -> int | None:
-        """Open a tracer span at the rank's current simulated clock.
-
-        Returns the span id, or ``None`` when tracing is disabled (the
-        fast path: one attribute read).  The rank's traffic
-        counters are snapshotted so :meth:`end_span` can attach the
-        bytes/messages attributed to the span.
-        """
-        if not self.tracer.enabled:
-            return None
-        t = self.ranks[world_rank].clock
-        sid = self.tracer.begin(world_rank, name, t, cat=cat, attrs=attrs)
-        self.tracer.annotate(sid, _snap=self._counter_snapshot(world_rank))
-        return sid
-
-    def end_span(self, world_rank: int, sid: int | None) -> None:
-        """Close a span opened with :meth:`begin_span` (``None`` is a no-op)."""
-        if sid is None or not self.tracer.enabled:
-            return
-        snap = self._counter_snapshot(world_rank)
-        prev = self.tracer.take_attr(sid, "_snap")
-        deltas = {}
-        if prev is not None:
-            deltas = {
-                "bytes_sent": snap[0] - prev[0],
-                "bytes_recv": snap[1] - prev[1],
-                "msgs_sent": snap[2] - prev[2],
-                "msgs_recv": snap[3] - prev[3],
-            }
-        self.tracer.end(world_rank, sid, self.ranks[world_rank].clock, attrs=deltas)
 
     def note_live_bytes(self, world_rank: int, nbytes: int) -> None:
         """Record a high-water mark of self-reported live bytes on a rank.
 
         Kept for engines that estimate their footprint analytically
         (e.g. the COSMA baseline); measured footprint lives in the
-        memtrace counters (:meth:`mem_alloc` / :meth:`mem_free`).
+        memtrace counters (:meth:`mem`).
         """
         st = self.ranks[world_rank]
         if nbytes > st.peak_live_bytes:
             st.peak_live_bytes = nbytes
 
     # ---------------------------------------------------------- memtrace -- #
-    def mem_alloc(self, world_rank: int, purpose: str, nbytes: int) -> None:
-        """Charge ``nbytes`` of tracked resident memory to ``purpose``.
+    def mem(self, world_rank: int, purpose: str, nbytes: int, kind: str) -> None:
+        """The one update of a rank's tracked memory: ``kind`` ``"alloc"``
+        charges ``nbytes`` to ``purpose``, ``"free"`` releases them and
+        ``"pulse"`` does both at once (a send's packed copy: only the
+        high-water marks move).
 
-        Updates the rank's resident total, its watermark, the
-        per-purpose and per-phase high-water marks, and (when recording
-        events) appends a :class:`MemEvent` at the rank's simulated
-        clock.  Must only be called from the owning rank's program order
-        so watermarks stay replay-deterministic.
+        A charge moves the high-water marks (resident, purpose, phase
+        and, for ``MEM_INFLIGHT``, ``peak_live_bytes``); each step is one
+        ``MemEvent`` when recording.  A release of more than the
+        purpose's live bytes raises :class:`ValueError` — an
+        instrumentation bug that clamping would hide in every watermark
+        downstream.  Called in the owning rank's program order only, so
+        every watermark replays byte-identically.
         """
-        nbytes = int(nbytes)
-        if nbytes < 0:
-            raise ValueError(f"mem_alloc of negative size {nbytes}")
+        if kind != "pulse":  # the caller's count, which may be a numpy integer
+            nbytes = int(nbytes)
+            if nbytes < 0:
+                raise ValueError(f"mem_{kind} of negative size {nbytes}")
         st = self.ranks[world_rank]
-        st.resident_bytes += nbytes
-        if st.resident_bytes > st.resident_peak_bytes:
-            st.resident_peak_bytes = st.resident_bytes
-        live = st.mem_live.get(purpose, 0) + nbytes
-        st.mem_live[purpose] = live
-        if live > st.mem_peaks.get(purpose, 0):
-            st.mem_peaks[purpose] = live
-        phase = st.phase
-        if st.resident_bytes > st.phase_mem_peaks.get(phase, 0):
-            st.phase_mem_peaks[phase] = st.resident_bytes
-        if self.record_events:
-            self.memlog.append(
-                MemEvent(
-                    rank=world_rank,
-                    kind="alloc",
-                    purpose=purpose,
-                    phase=phase,
-                    t=st.clock,
-                    nbytes=nbytes,
-                    resident_bytes=st.resident_bytes,
+        tr = self.tracer
+        live = st.mem_live.get(purpose, 0)
+        if kind != "free":
+            live += nbytes
+            resident = st.resident_bytes = st.resident_bytes + nbytes
+            if resident > st.resident_peak_bytes:
+                st.resident_peak_bytes = resident
+            if live > st.mem_peaks.get(purpose, 0):
+                st.mem_peaks[purpose] = live
+            if resident > st.phase_mem_peaks.get(st.phase, 0):
+                st.phase_mem_peaks[st.phase] = resident
+            if purpose == MEM_INFLIGHT and live > st.peak_live_bytes:
+                st.peak_live_bytes = live
+            if tr is not None:
+                tr.mem(world_rank, "alloc", purpose, st.phase, st.clock, nbytes, resident)
+        if kind != "alloc":
+            if nbytes > live:
+                raise ValueError(
+                    f"mem_free({purpose!r}) of {nbytes} bytes exceeds live "
+                    f"{live} on rank {world_rank}"
                 )
-            )
+            live -= nbytes
+            st.resident_bytes -= nbytes
+            if tr is not None:
+                tr.mem(world_rank, "free", purpose, st.phase, st.clock, nbytes, st.resident_bytes)
+        st.mem_live[purpose] = live
 
     def release_rank_memory(self, world_rank: int) -> None:
         """Free every span still open on a rank whose program unwound.
@@ -831,63 +694,7 @@ class Transport:
         for purpose in sorted(st.mem_live):
             live = st.mem_live[purpose]
             if live > 0:
-                self.mem_free(world_rank, purpose, live)
-
-    def mem_free(self, world_rank: int, purpose: str, nbytes: int) -> None:
-        """Release ``nbytes`` previously charged to ``purpose``.
-
-        Raises :class:`ValueError` when the free exceeds the purpose's
-        live bytes — that is an instrumentation bug, not a runtime
-        condition, and silently clamping would corrupt every watermark
-        downstream of it.
-        """
-        nbytes = int(nbytes)
-        if nbytes < 0:
-            raise ValueError(f"mem_free of negative size {nbytes}")
-        st = self.ranks[world_rank]
-        live = st.mem_live.get(purpose, 0)
-        if nbytes > live:
-            raise ValueError(
-                f"mem_free({purpose!r}) of {nbytes} bytes exceeds live "
-                f"{live} on rank {world_rank}"
-            )
-        st.mem_live[purpose] = live - nbytes
-        st.resident_bytes -= nbytes
-        if self.record_events:
-            self.memlog.append(
-                MemEvent(
-                    rank=world_rank,
-                    kind="free",
-                    purpose=purpose,
-                    phase=st.phase,
-                    t=st.clock,
-                    nbytes=nbytes,
-                    resident_bytes=st.resident_bytes,
-                )
-            )
-
-    def _inflight_pulse(self, world_rank: int, nbytes: int) -> None:
-        """The packed copy of one send: a ``MEM_INFLIGHT`` alloc and free
-        back to back.  The live totals end where they were, so only the
-        high-water marks move; recorded as the same event pair."""
-        st = self.ranks[world_rank]
-        low = st.resident_bytes
-        high = low + nbytes
-        if high > st.resident_peak_bytes:
-            st.resident_peak_bytes = high
-        live = st.mem_live.setdefault(MEM_INFLIGHT, 0) + nbytes
-        if live > st.mem_peaks.get(MEM_INFLIGHT, 0):
-            st.mem_peaks[MEM_INFLIGHT] = live
-        phase = st.phase
-        if high > st.phase_mem_peaks.get(phase, 0):
-            st.phase_mem_peaks[phase] = high
-        if live > st.peak_live_bytes:
-            st.peak_live_bytes = live
-        if self.record_events:
-            for kind, resident in (("alloc", high), ("free", low)):
-                self.memlog.append(
-                    MemEvent(world_rank, kind, MEM_INFLIGHT, phase, st.clock, nbytes, resident)
-                )
+                self.mem(world_rank, purpose, live, "free")
 
     # --------------------------------------------------------------- p2p -- #
     def post_send(
@@ -906,8 +713,8 @@ class Transport:
         ``advance_sender=True`` models a blocking send (the sender's
         clock moves past the transfer); ``False`` models a nonblocking
         send whose cost is accounted at ``wait`` time by the caller.
-        ``seq`` identifies the message in :attr:`msglog` (and on the
-        send/recv events bracketing its transfer) when recording.
+        ``seq`` identifies the message in the tracer's ``msglog`` (and on
+        the send/recv events bracketing its transfer) when recording.
         """
         per_node = self._per_node
         same_node = src_world // per_node == dst_world // per_node
@@ -945,21 +752,10 @@ class Transport:
             st.nic_free = arrival
         self._seq += 1
         seq = self._seq
-        if self.record_events:
-            self.msglog.append(
-                MsgRecord(
-                    seq=seq,
-                    src=src_world,
-                    dst=dst_world,
-                    t_post=t_post,
-                    arrival=arrival,
-                    nbytes=nbytes,
-                    tag=tag,
-                    ctx=ctx,
-                    phase=st.phase,
-                    injected=injected,
-                    coll=st.coll,
-                )
+        if self.tracer is not None:
+            self.tracer.message(
+                seq, src_world, dst_world, t_post, arrival, nbytes, tag, ctx,
+                st.phase, injected, st.coll,
             )
         if in_region:
             # The transfer rides the comm timeline; its cost is
@@ -991,9 +787,10 @@ class Transport:
         cs.msgs_sent += 1
         st.bytes_sent += nbytes
         st.msgs_sent += 1
-        # Sender-side packed copy: charged transiently in the
-        # sender's own program order (deterministic on replay).
-        self._inflight_pulse(src_world, nbytes)
+        # Sender-side packed copy: charged and released at once, in the
+        # sender's own program order (deterministic on replay); only the
+        # high-water marks move.
+        self.mem(src_world, MEM_INFLIGHT, nbytes, "pulse")
         msg = Message(
             ctx=ctx,
             src_world=src_world,
@@ -1017,13 +814,6 @@ class Transport:
         # must start charging its timeout/retry clock.
         self.scheduler.wake_recv(dst_world)
         return arrival, seq
-
-    def msg_record(self, seq: int) -> MsgRecord | None:
-        """The :class:`MsgRecord` for a message seq (None when unknown)."""
-        i = seq - 1
-        if 0 <= i < len(self.msglog) and self.msglog[i].seq == seq:
-            return self.msglog[i]
-        return None
 
     def _select(
         self,
@@ -1087,13 +877,8 @@ class Transport:
         while i > 0 and box[i - 1].seq > msg.seq:
             i -= 1
         box.insert(i, msg)
-        # The msglog record is replaced in place (index == seq - 1
-        # invariant) so the critical-path walk sees the true arrival.
-        rec = self.msg_record(msg.seq)
-        if rec is not None:
-            self.msglog[msg.seq - 1] = dataclasses.replace(
-                rec, arrival=msg.arrival, injected=True
-            )
+        if self.tracer is not None:
+            self.tracer.redelivered(msg.seq, msg.arrival)
 
     def match_recv(
         self,

@@ -8,8 +8,8 @@ elapsed times — phases overlap across ranks — but the length of one
 connected wait-for chain through the run's events.
 
 From a run recorded with ``run_spmd(..., record_events=True)`` the
-transport keeps, besides the per-rank :class:`~repro.mpi.transport.Event`
-intervals, a :class:`~repro.mpi.transport.MsgRecord` per message carrying
+tracer keeps, besides the per-rank :class:`~repro.obs.tracer.Event`
+intervals, a :class:`~repro.obs.tracer.MsgRecord` per message carrying
 its post time and arrival.  Every clock movement is evented, so each
 rank's events tile ``[0, clock]`` exactly; every blocking receive carries
 the ``seq`` of the message that released it.  That makes the wait-for DAG
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import SpmdResult
-    from ..mpi.transport import Event
+    from .tracer import Event
 
 #: Relative tolerance when anchoring a chain cursor on an event boundary.
 _REL_TOL = 1e-9
@@ -273,14 +273,14 @@ def critical_path(result: "SpmdResult") -> CriticalPath:
     Requires ``record_events=True``; without events the returned path is
     empty (and marked complete only for a zero makespan).
     """
-    transport = result.transport
+    tracer, nprocs = result.tracer, result.transport.nprocs
     makespan = result.time
     clocks = [t.time for t in result.traces]
     final_rank = min(
-        (r for r in range(transport.nprocs) if clocks[r] == makespan),
+        (r for r in range(nprocs) if clocks[r] == makespan),
         default=0,
     )
-    if not transport.events or makespan <= 0.0:
+    if not tracer.events or makespan <= 0.0:
         return CriticalPath(
             segments=[],
             makespan=makespan,
@@ -288,15 +288,15 @@ def critical_path(result: "SpmdResult") -> CriticalPath:
             complete=makespan <= 0.0,
         )
 
-    by_rank: dict[int, list[Event]] = {r: [] for r in range(transport.nprocs)}
-    for e in transport.events:
+    by_rank: dict[int, list[Event]] = {r: [] for r in range(nprocs)}
+    for e in tracer.events:
         by_rank[e.rank].append(e)
     timelines = {r: _RankTimeline(evs) for r, evs in by_rank.items()}
 
     segments: list[PathSegment] = []
     rank, t = final_rank, makespan
     complete = False
-    max_steps = len(transport.events) + len(transport.msglog) + 4
+    max_steps = len(tracer.events) + len(tracer.msglog) + 4
     for _ in range(max_steps):
         if t <= 0.0:
             complete = True
@@ -304,7 +304,7 @@ def critical_path(result: "SpmdResult") -> CriticalPath:
         e = timelines[rank].ending_at(t)
         if e is None:
             break  # untracked clock movement; report a partial chain
-        msg = transport.msg_record(e.seq) if e.seq >= 0 else None
+        msg = tracer.msg_record(e.seq) if e.seq >= 0 else None
         if e.kind == "recv" and msg is not None:
             # The rank idled until this message arrived: the chain is the
             # flight, continuing on the sender at its post time.
@@ -373,12 +373,12 @@ def waitfor_edges(result: "SpmdResult") -> list[WaitEdge]:
     message some rank actually idled for.  Messages that arrived before
     their receiver asked for them never block and contribute no edge.
     """
-    transport = result.transport
+    tracer = result.tracer
     edges: list[WaitEdge] = []
-    for e in transport.events:
+    for e in tracer.events:
         if e.kind not in (SEG_RECV, SEG_SEND) or e.seq < 0:
             continue
-        msg = transport.msg_record(e.seq)
+        msg = tracer.msg_record(e.seq)
         if msg is None:
             continue
         edges.append(
@@ -400,13 +400,12 @@ def waitfor_edges(result: "SpmdResult") -> list[WaitEdge]:
 # ----------------------------------------------------------- decomposition -- #
 def rank_decomposition(result: "SpmdResult") -> dict[int, RankBreakdown]:
     """Per-rank makespan decomposition: compute / comm / wait / tail idle."""
-    transport = result.transport
     makespan = result.time
     sums: dict[int, dict[str, float]] = {
         r: {SEG_COMPUTE: 0.0, SEG_SEND: 0.0, SEG_WAIT: 0.0}
-        for r in range(transport.nprocs)
+        for r in range(result.transport.nprocs)
     }
-    for e in transport.events:
+    for e in result.tracer.events:
         bucket = sums[e.rank]
         if e.kind == SEG_COMPUTE:
             bucket[SEG_COMPUTE] += e.duration
@@ -438,7 +437,7 @@ def phase_blame(
     for s in path.segments:
         critical[s.phase] = critical.get(s.phase, 0.0) + s.duration
     extents: dict[str, tuple[float, float]] = {}
-    for e in result.transport.events:
+    for e in result.tracer.events:
         lo, hi = extents.get(e.phase, (float("inf"), 0.0))
         extents[e.phase] = (min(lo, e.t0), max(hi, e.t1))
     denom = max(path.makespan, 1e-300)

@@ -171,7 +171,7 @@ def validate_run_json(doc: Any) -> None:
 # ---------------------------------------------------------- chrome trace -- #
 def _span_event(span: Span, epoch: float) -> dict[str, Any]:
     t1 = span.t1 if span.t1 is not None else span.t0
-    args = {k: v for k, v in span.attrs.items() if not k.startswith("_")}
+    args = dict(span.attrs)
     args["sid"] = span.sid
     if span.parent >= 0:
         args["parent"] = span.parent
@@ -198,26 +198,26 @@ def chrome_trace(
     slices and keeps only the structured spans (phases, collectives) —
     smaller files for large runs.
     """
-    transport = result.transport
-    spans = transport.tracer.spans
+    tracer, nprocs = result.tracer, result.transport.nprocs
+    spans = tracer.spans
     epoch = min(
-        transport.tracer.epoch(),
-        min((e.t0 for e in transport.events), default=0.0),
-        min((e.t for e in transport.memlog), default=float("inf"))
-        if transport.memlog else 0.0,
+        tracer.epoch(),
+        min((e.t0 for e in tracer.events), default=0.0),
+        min((e.t for e in tracer.memlog), default=float("inf"))
+        if tracer.memlog else 0.0,
     )
     events: list[dict[str, Any]] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",
          "args": {"name": label}},
     ]
-    for rank in range(transport.nprocs):
+    for rank in range(nprocs):
         events.append(
             {"ph": "M", "pid": 0, "tid": rank, "name": "thread_name",
              "args": {"name": f"rank {rank}"}}
         )
     events.extend(_span_event(s, epoch) for s in spans)
     if include_transport_events:
-        for e in transport.events:
+        for e in tracer.events:
             events.append(
                 {
                     "ph": "X",
@@ -237,7 +237,7 @@ def chrome_trace(
         # One "C" sample per memtrace alloc/free: Perfetto draws each
         # rank's resident footprint as a step-function counter track.
         # Args stay purely numeric — string args would become series.
-        for me in transport.memlog:
+        for me in tracer.memlog:
             events.append(
                 {
                     "ph": "C",
@@ -254,7 +254,7 @@ def chrome_trace(
         "displayTimeUnit": _DISPLAY_UNIT,
         "otherData": {
             "generator": "repro.obs",
-            "nprocs": transport.nprocs,
+            "nprocs": nprocs,
             "makespan_us": result.time * 1e6,
             "q_words": run_totals(result.traces).q_words,
         },
@@ -305,15 +305,15 @@ def write_chrome_trace(
 # ---------------------------------------------------------------- jsonl -- #
 def jsonl_records(result: "SpmdResult") -> Iterator[dict[str, Any]]:
     """Structured-log records for one run: header, spans, rank summaries."""
-    transport = result.transport
+    transport, tracer = result.transport, result.tracer
     yield {
         "type": "run",
         "nprocs": transport.nprocs,
         "makespan_s": result.time,
-        "record_events": transport.record_events,
+        "record_events": transport.tracer is not None,
     }
-    epoch = transport.tracer.epoch()
-    for span in transport.tracer.spans:
+    epoch = tracer.epoch()
+    for span in tracer.spans:
         yield {
             "type": "span",
             "sid": span.sid,
@@ -323,7 +323,7 @@ def jsonl_records(result: "SpmdResult") -> Iterator[dict[str, Any]]:
             "cat": span.cat,
             "t0_s": span.t0 - epoch,
             "t1_s": (span.t1 if span.t1 is not None else span.t0) - epoch,
-            "attrs": {k: v for k, v in span.attrs.items() if not k.startswith("_")},
+            "attrs": dict(span.attrs),
         }
     for trace in result.traces:
         yield {

@@ -1,16 +1,15 @@
 """Rank-level memory-footprint report and the eq. (11) audit gate.
 
-The transport's memtrace counters (:meth:`Transport.mem_alloc` /
-:meth:`Transport.mem_free`, charged by the engines through
-``Comm.mem(purpose, nbytes)``) record every tagged allocation span a
-rank holds: operand tiles, replication buffers, Cannon double buffers,
-ABFT checksum borders, checkpoint staging copies, write-behind delta
-snapshots (``ckpt.writebehind`` — resident from the step that dirtied a
-matrix until the commit barrier proves the flushed tiles durable), and
-in-flight transport payloads.  This module distils those counters into a
-:class:`MemReport` — per-rank resident watermarks, per-purpose and
-per-phase peaks, top-offender ranks — and closes the loop against the
-paper's analytic model:
+The transport's memtrace counters (:meth:`Transport.mem`, charged by
+the engines through ``Comm.mem(purpose, nbytes)``) record every tagged
+allocation span a rank holds: operand tiles, replication buffers,
+Cannon double buffers, ABFT checksum borders, checkpoint staging
+copies, write-behind delta snapshots (``ckpt.writebehind`` — resident
+from the step that dirtied a matrix until the commit barrier proves the
+flushed tiles durable), and in-flight transport payloads.  This module
+distils those counters into a :class:`MemReport` — per-rank resident
+watermarks, per-purpose and per-phase peaks, top-offender ranks — and
+closes the loop against the paper's analytic model:
 
 * **eq. (11)** (:meth:`GridSpec.memory_words`) predicts the peak matrix
   words an active process holds.  The measured resident watermark must

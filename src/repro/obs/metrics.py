@@ -353,7 +353,7 @@ def run_totals(traces: "list[RankTrace]", nruns: int = 1) -> RunTotals:
 
 def _shift_latencies(result: "SpmdResult", reg: MetricsRegistry) -> None:
     hist = reg.histogram("cannon_shift_seconds")
-    for e in result.transport.events:
+    for e in result.tracer.events:
         if e.phase == "cannon" and e.kind in ("recv", "wait") and e.duration > 0:
             hist.observe(e.duration)
 

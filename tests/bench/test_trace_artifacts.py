@@ -84,7 +84,7 @@ class TestOneRunHelper:
         dist, a_shape, b_shape = result.results[0]
         assert isinstance(dist, BlockCol1D)
         assert (a_shape, b_shape) == ((28, 24), (28, 20))
-        assert result.transport.events == []
+        assert result.tracer.events == []
 
 
 class TestTraceArtifact:

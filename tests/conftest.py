@@ -46,9 +46,9 @@ def assert_replay_identical(a, b):
     np.testing.assert_equal(a.results, b.results)
     assert a.traces == b.traces
     assert a.metrics.to_dict() == b.metrics.to_dict()
-    assert a.transport.events == b.transport.events
-    assert a.transport.msglog == b.transport.msglog
-    assert a.transport.memlog == b.transport.memlog
+    assert a.tracer.events == b.tracer.events
+    assert a.tracer.msglog == b.tracer.msglog
+    assert a.tracer.memlog == b.tracer.memlog
 
 
 def run_twice(nprocs, fn, **kw):

@@ -191,8 +191,9 @@ def digest(name: str, overlap: str, recorded: bool) -> str:
     except RuntimeError as exc:
         h.update(f"{type(exc.__cause__).__name__}: {exc.__cause__}".encode())
     transport = world[0]
-    for log in (transport.events, transport.msglog, transport.memlog,
-                transport.tracer.spans, transport.traces()):
+    tracer = transport.tracer  # the recorded logs; None when unrecorded
+    logs = () if tracer is None else (tracer.events, tracer.msglog, tracer.memlog, tracer.spans)
+    for log in (*logs, transport.traces()):
         for rec in log:
             h.update(repr(rec).encode())
     for rects, tiles, seen in results:

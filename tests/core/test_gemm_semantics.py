@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import ca3dmm_matmul
 from repro.layout import Block2D, BlockCol1D, BlockRow1D, DistMatrix, dense_random
+from repro.layout.ops import identity, scale
 
 
 class TestAlphaBeta:
@@ -142,3 +145,26 @@ class TestRanksWithoutTiles:
             tiles += mine
         assert len(tiles) == 1 and tiles[0].dtype == dtype
         np.testing.assert_allclose(tiles[0], A @ B, rtol=1e-5)
+
+    def test_scale_keeps_a_complex_matrix_complex_on_every_rank(self, spmd):
+        """A rank holding no tile of ``A`` built ``scale(A)`` as float64, so
+        its ``to_global()`` came back real (with a ``ComplexWarning``)."""
+        A = dense_random(1, 2, 3, np.complex128)
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, BlockCol1D((1, 2), comm.size), A)
+            return len(a.tiles), scale(a, 2.0).to_global()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            results = spmd(4, f).results
+        assert sorted(n for n, _got in results) == [0, 0, 1, 1]
+        for _n, got in results:
+            assert got.dtype == np.complex128
+            np.testing.assert_array_equal(got, 2.0 * A)
+
+    def test_identity_has_its_dtype_on_ranks_without_a_tile(self, spmd):
+        def f(comm):
+            return identity(comm, BlockCol1D((1, 1), comm.size), dtype=np.complex128).dtype
+
+        assert spmd(4, f).results == [np.complex128] * 4

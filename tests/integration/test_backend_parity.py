@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import SCHEDULES
 from repro.bench.harness import TRACE_WORKLOADS, executed_workload
 from repro.core import ca3dmm_matmul
 from repro.core.plan import Ca3dmmPlan, shared_plan
-from repro.layout import DistMatrix, dense_random
+from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop, pace_phoenix_cpu
 from repro.mpi import run_spmd
 from repro.mpi.faults import FaultPlan, LinkFault, RankFault
@@ -140,7 +141,6 @@ def test_kill_recovery_parity():
     """A permanent rank kill plus shrink-replan recovery replays
     identically, down to the raw logs."""
     from repro.ft import resilient_multiply
-    from repro.layout import BlockCol1D
 
     m, n, k, P = 24, 20, 28, 6
     faults = FaultPlan(ranks=(
@@ -182,13 +182,44 @@ def test_backend_keyword_selects_nothing():
     assert records[0] == records[1]
 
 
-def test_traces_dataclass_fields_identical():
+def _assert_recording_observes(p, body, **kw):
     """Recording must not perturb the simulated machine: the full
-    RankTrace dataclasses (clocks, counters, per-phase stats) match field
-    for field with event recording on and off."""
+    RankTrace dataclasses (clocks, counters, per-phase stats), the
+    results and the makespan match with event recording on and off, and
+    only the recorded run has logs."""
+    on = run_spmd(p, body, record_events=True, **kw)
+    off = run_spmd(p, body, record_events=False, **kw)
+    assert on.traces == off.traces
+    assert on.time == off.time
+    np.testing.assert_equal(on.results, off.results)
+    assert on.tracer.events and on.tracer.msglog and on.tracer.memlog and on.spans
+    assert off.tracer.events == off.tracer.msglog == off.tracer.memlog == off.spans == []
+
+
+def test_traces_dataclass_fields_identical():
     m, n, k, p = TRACE_WORKLOADS["fig5"]
     body = _matmul_body(Ca3dmmPlan(m, n, k, p), m, n, k)
-    mach = pace_phoenix_cpu("mpi")
-    on = run_spmd(p, body, machine=mach, record_events=True)
-    off = run_spmd(p, body, machine=mach, record_events=False)
-    assert on.traces == off.traces
+    _assert_recording_observes(p, body, machine=pace_phoenix_cpu("mpi"))
+
+
+def _schedule_body(name: str, m: int = 24, n: int = 20, k: int = 28):
+    """One ``SCHEDULES`` entry from 1D column bands, returning the tiles."""
+
+    def f(comm):
+        a = DistMatrix.from_global(comm, BlockCol1D((m, k), comm.size), dense_random(m, k, 0))
+        b = DistMatrix.from_global(comm, BlockCol1D((k, n), comm.size), dense_random(k, n, 1))
+        c = SCHEDULES[name](a, b)
+        return c.owned_rects, c.tiles
+
+    return f
+
+
+@pytest.mark.parametrize("overlap", ["none", "full"])
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_recording_is_an_observer_of_every_schedule(name, overlap):
+    _assert_recording_observes(16, _schedule_body(name), machine=laptop().with_overlap(overlap))
+
+
+def test_recording_is_an_observer_under_link_drops():
+    drops = FaultPlan(seed=7, links=(LinkFault(drop_prob=0.1, jitter_s=2e-6),))
+    _assert_recording_observes(16, _schedule_body("ca3dmm"), machine=laptop(), faults=drops)

@@ -264,7 +264,7 @@ class TestDeterminismFixes:
 
         res, _ = run_twice(2, f, machine=machine, faults=plan)
         assert res.results[1].tolist() == [1.0] * 4
-        for rec in res.transport.msglog:
+        for rec in res.tracer.msglog:
             assert rec.arrival >= rec.t_post - 1e-15
 
 
@@ -381,9 +381,9 @@ _REF64 = dense_random(M, K, 0) @ dense_random(K, N, 1)
 
 @contextlib.contextmanager
 def owner_checked():
-    """Wrap every ``Transport``, ``FaultInjector`` and ``AbftGuard`` entry
-    point and ``Tracer.begin``/``end``: the caller must own the world.
-    Yields ``[calls, violations]``."""
+    """Wrap every ``Transport``, ``Tracer``, ``FaultInjector`` and
+    ``AbftGuard`` entry point: the caller must own the world.  Yields
+    ``[calls, violations]``."""
     tally = [0, []]
     sched_of: dict[Tracer, object] = {}
 
@@ -410,7 +410,8 @@ def owner_checked():
         return owner, name, original
 
     def transport_sched(t):
-        sched_of[t.tracer] = t.scheduler
+        if t.tracer is not None:
+            sched_of[t.tracer] = t.scheduler
         return t.scheduler
 
     undo = [
@@ -418,7 +419,11 @@ def owner_checked():
         for name, fn in list(vars(Transport).items())
         if not name.startswith("_") and callable(fn) and not isinstance(fn, staticmethod)
     ]
-    undo += [wrap(Tracer, name, sched_of.__getitem__) for name in ("begin", "end")]
+    undo += [
+        wrap(Tracer, name, sched_of.__getitem__)
+        for name, fn in list(vars(Tracer).items())
+        if not name.startswith("_") and callable(fn)
+    ]
     undo += [
         wrap(FaultInjector, name, lambda inj: inj.world.scheduler)
         for name, fn in list(vars(FaultInjector).items())

@@ -167,7 +167,7 @@ class TestWaitAll:
         res = run_spmd(2, f, machine=laptop(), record_events=True)
         assert res.results[1] == ((1 << 16) * 8, 64)
         recvs = [
-            e for e in res.transport.events if e.rank == 1 and e.kind == "recv"
+            e for e in res.tracer.events if e.rank == 1 and e.kind == "recv"
         ]
         small_ev = [e for e in recvs if e.nbytes == 64]
         big_ev = [e for e in recvs if e.nbytes == (1 << 16) * 8]

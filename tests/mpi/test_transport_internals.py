@@ -174,7 +174,7 @@ class TestMessageLog:
 
     def test_msglog_records_every_message(self):
         res = self._recorded_pingpong()
-        log = res.transport.msglog
+        log = res.tracer.msglog
         assert len(log) == 2
         assert [m.seq for m in log] == [1, 2]
         for m in log:
@@ -184,18 +184,19 @@ class TestMessageLog:
 
     def test_msg_record_lookup(self):
         res = self._recorded_pingpong()
-        t = res.transport
-        for m in t.msglog:
-            assert t.msg_record(m.seq) is m
-        assert t.msg_record(0) is None
-        assert t.msg_record(99) is None
+        tr = res.tracer
+        assert tr is res.transport.tracer
+        for m in tr.msglog:
+            assert tr.msg_record(m.seq) is m
+        assert tr.msg_record(0) is None
+        assert tr.msg_record(99) is None
 
     def test_blocking_recv_events_carry_the_seq(self):
         res = self._recorded_pingpong()
-        recvs = [e for e in res.transport.events if e.kind == "recv"]
+        recvs = [e for e in res.tracer.events if e.kind == "recv"]
         assert recvs
         for e in recvs:
-            msg = res.transport.msg_record(e.seq)
+            msg = res.tracer.msg_record(e.seq)
             assert msg is not None
             assert msg.dst == e.rank
             # the clock raise landed exactly on the arrival
@@ -208,4 +209,15 @@ class TestMessageLog:
             comm.sendrecv(np.zeros(4), 1 - comm.rank, 1 - comm.rank)
 
         res = run_spmd(2, f, machine=laptop())
-        assert res.transport.msglog == []
+        tr = res.tracer
+        assert tr.msglog == tr.events == tr.memlog == res.spans == []
+
+
+class TestRecorder:
+    def test_no_recording_no_tracer_and_no_log_state(self):
+        clean, recorded = Transport(2), Transport(2, record_events=True)
+        assert clean.tracer is None and recorded.tracer is not None
+        # whatever recording needs hangs off the tracer, not the transport
+        assert set(vars(clean)) == set(vars(recorded))
+        assert not {"record_events", "events", "msglog", "memlog"} & set(vars(clean))
+        assert "phase_span_stack" not in vars(clean.ranks[0])

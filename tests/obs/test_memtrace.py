@@ -120,7 +120,7 @@ class TestEventBalance:
     def test_memlog_allocs_and_frees_balance(self):
         plan, res = _executed(record_events=True)
         per_rank: dict[int, dict[str, int]] = {}
-        for ev in res.transport.memlog:
+        for ev in res.tracer.memlog:
             assert ev.kind in ("alloc", "free")
             assert ev.nbytes >= 0
             assert ev.resident_bytes >= 0
@@ -141,7 +141,7 @@ class TestEventBalance:
         plan, res = _executed(record_events=True)
         running: dict[int, int] = {}
         peak: dict[int, int] = {}
-        for ev in res.transport.memlog:
+        for ev in res.tracer.memlog:
             cur = running.get(ev.rank, 0)
             cur += ev.nbytes if ev.kind == "alloc" else -ev.nbytes
             assert cur == ev.resident_bytes  # event carries the total
@@ -173,7 +173,7 @@ class TestFaultedReplay:
         allocations included."""
         first, second = (
             _executed(24, 20, 28, 8, record_events=True, abft=True,
-                      faults=self.FAULTS)[1].transport.memlog
+                      faults=self.FAULTS)[1].tracer.memlog
             for _ in range(2)
         )
         assert first and first == second
