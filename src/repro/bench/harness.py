@@ -41,9 +41,6 @@ class BenchResult:
     text: str
     data: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.text
-
 
 # ------------------------------------------------------- executed workloads -- #
 #: Small executed stand-ins per generator, used for trace artifacts: the

@@ -32,10 +32,6 @@ class Problem:
     def dims(self) -> tuple[int, int, int]:
         return self.m, self.n, self.k
 
-    @property
-    def flops(self) -> float:
-        return 2.0 * self.m * self.n * self.k
-
     def label(self) -> str:
         def fmt(x: int) -> str:
             return f"{x // 1000}k" if x % 1000 == 0 and x >= 1000 else str(x)

@@ -32,7 +32,6 @@ import os
 import sys
 import tempfile
 import uuid
-from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .bench.harness import (
 )
 from .bench.report import format_ledger
 from .core.ca3dmm import Ca3dmm, ca3dmm_matmul
+from .core.plan import Ca3dmmPlan
 from .grid.optimizer import GridSpec
 from .layout.distributions import BlockCol1D
 from .machine.model import pace_phoenix_cpu, pace_phoenix_gpu
@@ -57,12 +57,10 @@ from .obs.audit import audit_run
 from .obs.baseline import (
     BaselineStore,
     GateError,
-    PerfTolerance,
     check_gate,
     write_gate,
 )
 from .obs.critpath import critpath_report
-from .obs.drift import drift_report
 from .obs.export import (
     validate_run_json,
     write_chrome_trace,
@@ -82,6 +80,10 @@ _OP_CODES = {"0": "N", "1": "T", "N": "N", "T": "T", "C": "C"}
 
 #: ``dense_random`` seeds of A and B for every run this module sets up.
 _SEEDS = (7, 8)
+
+
+class _InputError(Exception):
+    """An input the run cannot start from: one stderr line, exit 2."""
 
 
 def _op_arg(value: str) -> str:
@@ -115,13 +117,8 @@ def _partition_doc(args, plan, metrics) -> dict:
 def _example_main(args) -> int:
     m, n, k, p = args.M, args.N, args.K, args.nprocs
     machine = pace_phoenix_gpu() if args.dtype else pace_phoenix_cpu("mpi")
-
-    grid = None
-    if args.mp and args.np_ and args.kp:
-        if args.mp * args.np_ * args.kp > p:
-            print("mp * np * kp must be <= nprocs", file=sys.stderr)
-            return 2
-        grid = GridSpec(pm=args.mp, pn=args.np_, pk=args.kp, nprocs=p)
+    dims = (args.mp, args.np_, args.kp)
+    grid = _forced_grid(args, dims if all(dims) else None)
     transa, transb = args.transA != "N", args.transB != "N"
     nruns = max(1, args.ntest)
 
@@ -199,7 +196,6 @@ def _example_main(args) -> int:
             "correctness": {"validated": bool(args.validation), "errors": errors},
             "peak_bytes": int(peak),
             "metrics": snapshot_run(result, plan).to_dict(),
-            "drift": drift_report(result, plan, nruns=nruns).to_dict(),
             "audit": audit_run(result, plan, machine=machine,
                                nruns=nruns).to_dict(),
         }
@@ -243,18 +239,25 @@ def _shape(args) -> tuple[int, int, int, int]:
     return args.M, args.N, args.K, args.nprocs
 
 
+def _forced_grid(args, dims) -> GridSpec | None:
+    """The grid ``dims`` (pm, pn, pk) forces, or None; one the plan would
+    refuse is an input error, reported before anything runs."""
+    if dims is None:
+        return None
+    try:
+        grid = GridSpec(*dims, nprocs=args.nprocs)
+        Ca3dmmPlan(args.M, args.N, args.K, args.nprocs, grid=grid)
+    except ValueError as exc:
+        raise _InputError(exc) from None
+    return grid
+
+
 def _obs_common(args):
     """The machine model and forced grid a subcommand's flags select."""
     machine = pace_phoenix_gpu() if args.dtype else pace_phoenix_cpu("mpi")
     if args.overlap:
         machine = machine.with_overlap(args.overlap)
-    grid = None
-    if args.grid:
-        mp, np_, kp = args.grid
-        if mp * np_ * kp > args.nprocs:
-            raise SystemExit("grid mp * np * kp must be <= nprocs")
-        grid = GridSpec(pm=mp, pn=np_, pk=kp, nprocs=args.nprocs)
-    return machine, grid
+    return machine, _forced_grid(args, args.grid)
 
 
 def _run(args, memory_limit_words: float | None = None):
@@ -323,7 +326,6 @@ def _trace_main(args) -> int:
     try:
         doc = write_chrome_trace(
             result, args.output,
-            include_transport_events=not args.no_transport_events,
             label=f"ca3dmm {args.M}x{args.N}x{args.K} P={args.nprocs}",
         )
         print(f"wrote {args.output}: {len(doc['traceEvents'])} events, "
@@ -333,8 +335,8 @@ def _trace_main(args) -> int:
             n = write_jsonl(result, args.jsonl)
             print(f"wrote {args.jsonl}: {n} records")
     except OSError as exc:
-        raise SystemExit(f"cannot write trace: {exc}")
-    report = drift_report(result, plan, byte_tol=args.tol, machine=machine)
+        raise _InputError(f"cannot write trace: {exc}") from None
+    report = audit_run(result, plan, machine=machine)
     print(report.format())
     _append_ledger(args, result, plan, "cli.trace")
     return 1 if (args.strict and not report.ok) else 0
@@ -347,7 +349,7 @@ def _critpath_main(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(report.format(max_segments=args.max_segments))
+        print(report.format())
         _print_timeline(args, result)
     return 0 if report.path.complete else 1
 
@@ -358,30 +360,16 @@ def _perfdiff_main(args) -> int:
     if unknown:
         print(f"unknown workload(s): {' '.join(unknown)}", file=sys.stderr)
         return 2
-    tol = PerfTolerance(time_rel=args.time_tol, phase_rel=args.phase_tol,
-                        bytes_rel=args.bytes_tol)
-    machine = None  # the stand-ins' own: pace_phoenix_cpu("mpi")
-    if args.inject_latency != 1.0:
-        x = args.inject_latency
-        machine = pace_phoenix_cpu("mpi")
-        machine = replace(
-            machine,
-            alpha=machine.alpha * x,
-            nic_beta=machine.nic_beta * x,
-            alpha_intra=machine.alpha_intra * x,
-            beta_intra=machine.beta_intra * x,
-        )
-
     if args.update:
         for name in names:
-            path = baseline_artifact(name, args.baseline_dir, machine)
+            path = baseline_artifact(name, args.baseline_dir)
             if not args.json:
                 print(f"baseline refreshed: {path}")
         return 0
     store = BaselineStore(args.baseline_dir)
     diffs, missing = [], []
     for name in names:
-        diff = store.compare(name, workload_baseline(name, machine), tol)
+        diff = store.compare(name, workload_baseline(name))
         if diff is None:
             missing.append(name)
         else:
@@ -460,7 +448,7 @@ def _faults_main(args) -> int:
     print(f"injected wait     : {fm.injected_wait_s * 1e3:.6f} ms")
     print(f"result            : {'bit-identical to clean run' if correct else 'MISMATCH'}")
     print()
-    print(report.format(max_segments=args.max_segments))
+    print(report.format())
     _print_timeline(args, faulted)
     return 0 if ok else 1
 
@@ -731,14 +719,14 @@ def _checkpoint_main(args) -> int:
 def _stats_main(args) -> int:
     machine, plan, result = _run(args)
     metrics = snapshot_run(result, plan)
-    report = drift_report(result, plan, byte_tol=args.tol, machine=machine)
+    report = audit_run(result, plan, machine=machine)
     analytic_q = theoretical_metrics(plan).q_words
     q_over_analytic = metrics.q_words / analytic_q if analytic_q > 0 else None
     _append_ledger(args, result, plan, "cli.stats")
     if args.json:
         print(json.dumps({
             "metrics": metrics.to_dict(),
-            "drift": report.to_dict(),
+            "audit": report.to_dict(),
             # transport in-flight / self-reported peak, NOT the resident
             # footprint (that is resident_peak_bytes)
             "transport_inflight_peak_bytes": max(
@@ -759,7 +747,7 @@ def _stats_main(args) -> int:
 
 def _audit_main(args) -> int:
     machine, plan, result = _run(args)
-    report = audit_run(result, plan, machine=machine, byte_tol=args.tol)
+    report = audit_run(result, plan, machine=machine)
     _append_ledger(args, result, plan, "cli.audit", audit_ok=report.ok)
 
     values = {
@@ -837,23 +825,19 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                                "see docs/VIRTUAL_MPI.md)")
     workload.add_argument("--grid", type=int, nargs=3, metavar=("MP", "NP", "KP"),
                           help="force the process grid pm pn pk")
-    workload.add_argument("--tol", type=float, default=0.05,
-                          help="drift-guard byte tolerance (relative)")
     as_json = parent()
     as_json.add_argument("--json", action="store_true",
                          help="emit one JSON document instead of text")
     strict = parent()
     strict.add_argument("--strict", action="store_true",
-                        help="exit nonzero when the drift guard fails / measured "
-                             "traffic leaves the tolerance band")
+                        help="exit 1 when the audit fails: a phase's measured "
+                             "words leave eq. (4)'s band (5%% or 64 words) or "
+                             "its message count differs")
     timeline = parent()
     timeline.add_argument("--timeline", action="store_true",
                           help="also render the (faulted) run's per-rank "
                                "timeline: upper-case glyphs mark the binding "
                                "chain, '!' injected intervals")
-    chain = parent(timeline)
-    chain.add_argument("--max-segments", type=int, default=12,
-                       help="chain segments shown in text mode")
     gate = parent()
     gate.add_argument("--gate", default=None, metavar="FILE",
                       help="compare the gated values against this committed "
@@ -911,20 +895,17 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
     ap = command(
         "trace", _trace_main, [workload, strict],
         help="execute one multiplication with event recording and export a "
-             "Chrome-trace/Perfetto JSON plus its drift-guard report",
+             "Chrome-trace/Perfetto JSON plus its communication audit",
     )
     ap.add_argument("-o", "--output", default="ca3dmm.trace.json",
                     help="Chrome-trace output path (load in Perfetto)")
     ap.add_argument("--jsonl", default=None,
                     help="also write a JSONL structured log to this path")
-    ap.add_argument("--no-transport-events", action="store_true",
-                    help="export only spans (phases/collectives), not "
-                         "per-message slices")
 
     command(
         "stats", _stats_main, [workload, as_json, strict],
         help="execute one multiplication and print its metrics snapshot and "
-             "drift-guard report",
+             "communication audit",
     )
 
     command(
@@ -969,7 +950,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                     help="only the newest N matching records")
 
     command(
-        "critpath", _critpath_main, [workload, as_json, chain],
+        "critpath", _critpath_main, [workload, as_json, timeline],
         help="reconstruct the dependency chain that bounds one "
              "multiplication's simulated makespan",
         more=": per-phase blame, per-rank idle decomposition, stragglers",
@@ -991,19 +972,9 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                     help="rewrite the baselines from this run instead of comparing")
     ap.add_argument("--verbose", action="store_true",
                     help="list every compared metric, not only changes")
-    ap.add_argument("--time-tol", type=float, default=PerfTolerance.time_rel,
-                    help="relative makespan tolerance (default %(default)s)")
-    ap.add_argument("--phase-tol", type=float, default=PerfTolerance.phase_rel,
-                    help="relative per-phase critical-time tolerance "
-                         "(default %(default)s)")
-    ap.add_argument("--bytes-tol", type=float, default=PerfTolerance.bytes_rel,
-                    help="relative traffic tolerance (default %(default)s)")
-    ap.add_argument("--inject-latency", type=float, default=1.0, metavar="X",
-                    help="scale the machine model's link latency/bandwidth "
-                         "costs by X before running (gate self-test; 1.0 = off)")
 
     command(
-        "faults", _faults_main, [workload, as_json, chain, scripted],
+        "faults", _faults_main, [workload, as_json, timeline, scripted],
         help="execute one multiplication clean and under a deterministic "
              "fault plan (docs/FAULTS.md) and report the degradation",
         more=": makespan delta, retry counters, result correctness, and the "
@@ -1088,7 +1059,7 @@ def main(argv: list[str] | None = None) -> int:
     args = root.parse_args(argv)
     try:
         return args.main(args)
-    except GateError as exc:
+    except (GateError, _InputError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

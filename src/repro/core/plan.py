@@ -127,9 +127,6 @@ class Ca3dmmPlan:
         """A is the replicated operand iff ``pn > pm`` (Example 1)."""
         return self.pn > self.pm
 
-    def is_active(self, rank: int) -> bool:
-        return rank < self.active
-
     # -------------------------------------------------------------- roles -- #
     def role(self, rank: int) -> RankRole | None:
         """Grid/Cannon coordinates of ``rank``; None for idle ranks."""

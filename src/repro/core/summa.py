@@ -49,7 +49,6 @@ def summa_on_grid(
     n: int,
     k: int,
     panel: int = DEFAULT_PANEL,
-    pipeline: bool | None = None,
 ) -> np.ndarray:
     """Run SUMMA on an existing grid; returns this rank's C block.
 
@@ -57,13 +56,14 @@ def summa_on_grid(
     ``(i, j)``; ``b_loc`` the ``(k_i, n_j)`` block of B.  The result is
     the ``(m_i, n_j)`` block of C.
 
-    ``pipeline`` selects the pipelined-multicast schedule: panel
-    ``p + 1``'s A/B broadcasts are posted as nonblocking collectives
-    (``ibcast``) before panel ``p``'s GEMM, so their transfer time hides
-    under the running compute on machines whose async comm engine is on.
-    Defaults to ``machine.overlap != "none"`` — with the engine off the
-    synchronous loop runs bit-for-bit as before (a pre-completed request
-    charges exactly like the blocking call it wraps).
+    Each panel's A/B strips are broadcast as nonblocking collectives
+    (``ibcast``).  When the machine's async comm engine is on
+    (``machine.overlap != "none"``) panel ``p + 1``'s broadcasts are
+    posted before panel ``p``'s GEMM — a pipelined multicast whose
+    transfer time hides under the running compute.  With the engine off
+    they are posted after it, the synchronous schedule: a request is
+    then pre-completed and charges exactly like the blocking broadcast
+    it wraps.
     """
     comm = cart.comm
     pr, pc = cart.nrows, cart.ncols
@@ -79,52 +79,33 @@ def summa_on_grid(
     out_dtype = np.promote_types(a_loc.dtype, b_loc.dtype)
     c_loc = np.zeros((m1 - m0, n1 - n0), dtype=out_dtype)
 
-    if pipeline is None:
-        pipeline = comm.machine.overlap_enabled
-
-    if not pipeline:
-        for lo, hi in panel_ranges(k, pr, pc, panel):
-            if hi <= lo:
-                continue
-            a_owner = block_owner(k, pc, lo)  # grid column holding this A panel
-            b_owner = block_owner(k, pr, lo)  # grid row holding this B panel
-            a_panel = a_loc[:, lo - ak0 : hi - ak0] if j == a_owner else None
-            b_panel = b_loc[lo - bk0 : hi - bk0, :] if i == b_owner else None
-            # row communicator is ordered by grid column; broadcast A panel.
-            a_panel = row.bcast(a_panel, root=a_owner)
-            # column communicator is ordered by grid row; broadcast B panel.
-            b_panel = col.bcast(b_panel, root=b_owner)
-            comm.gemm_tick(c_loc.shape[0], c_loc.shape[1], hi - lo)
-            if a_panel.size and b_panel.size:
-                np.add(c_loc, a_panel @ b_panel, out=c_loc)
-        return c_loc
-
-    # Pipelined multicast: panel 0's broadcasts are an exposed prologue;
-    # from then on panel p+1's broadcasts ride the async comm engine
-    # under panel p's GEMM.  Posting *is* the data movement, so the
-    # posts stay SPMD-ordered exactly like the blocking loop.
+    # Panel 0's broadcasts are an exposed prologue; panel p+1's are posted
+    # before panel p's GEMM when the async engine can hide them (``ahead``)
+    # and after it otherwise.  Posting *is* the data movement, so the
+    # posts are SPMD-ordered on every rank.
+    ahead = comm.machine.overlap_enabled
     ranges = [(lo, hi) for lo, hi in panel_ranges(k, pr, pc, panel) if hi > lo]
-    if not ranges:
-        return c_loc
 
     def post(lo: int, hi: int):
-        a_owner = block_owner(k, pc, lo)
-        b_owner = block_owner(k, pr, lo)
+        a_owner = block_owner(k, pc, lo)  # grid column holding this A panel
+        b_owner = block_owner(k, pr, lo)  # grid row holding this B panel
         a_panel = a_loc[:, lo - ak0 : hi - ak0] if j == a_owner else None
         b_panel = b_loc[lo - bk0 : hi - bk0, :] if i == b_owner else None
-        return (
-            row.ibcast(a_panel, root=a_owner),
-            col.ibcast(b_panel, root=b_owner),
-        )
+        # row communicator is ordered by grid column, column communicator
+        # by grid row: A's panel goes along rows, B's along columns.
+        return row.ibcast(a_panel, root=a_owner), col.ibcast(b_panel, root=b_owner)
 
-    reqs = post(*ranges[0])
+    reqs = post(*ranges[0]) if ranges else None
     for idx, (lo, hi) in enumerate(ranges):
         ra, rb = reqs
         a_panel = ra.wait()
         b_panel = rb.wait()
-        if idx + 1 < len(ranges):
+        more = idx + 1 < len(ranges)
+        if more and ahead:
             reqs = post(*ranges[idx + 1])
         comm.gemm_tick(c_loc.shape[0], c_loc.shape[1], hi - lo)
         if a_panel.size and b_panel.size:
             np.add(c_loc, a_panel @ b_panel, out=c_loc)
+        if more and not ahead:
+            reqs = post(*ranges[idx + 1])
     return c_loc

@@ -488,6 +488,3 @@ class Comm:
     def now(self) -> float:
         """This rank's simulated clock, in seconds."""
         return self._transport.now(self._world_rank)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Comm(rank={self._rank}, size={self.size}, ctx={self._ctx})"

@@ -53,9 +53,6 @@ class Op:
     def __call__(self, a: Any, b: Any) -> Any:
         return self.fn(a, b)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Op({self.name})"
-
 
 SUM = Op(lambda a, b: a + b, "sum")
 PROD = Op(lambda a, b: a * b, "prod")

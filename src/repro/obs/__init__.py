@@ -1,4 +1,4 @@
-"""Observability for the executed engine: spans, metrics, exporters, drift.
+"""Observability for the executed engine: spans, metrics, exporters, audits.
 
 The :mod:`repro.obs` subsystem makes the paper's quantitative claims
 checkable on every run:
@@ -10,11 +10,11 @@ checkable on every run:
   from a run (``SpmdResult.metrics``);
 * :mod:`~repro.obs.export` — Chrome-trace/Perfetto JSON and JSONL
   structured logs, schema-validated;
-* :mod:`~repro.obs.drift` — measured-vs-analytic per-phase traffic
-  guard (eq. 9 / Section III-D as a runtime assertion);
-* :mod:`~repro.obs.audit` — transport-truth communication audit:
-  per-collective-algorithm attribution, eq. (4)/collcost conformance,
-  and the measured red-blue pebbling optimality ratio;
+* :mod:`~repro.obs.audit` — transport-truth communication audit, the
+  one check of measured per-phase traffic against eq. (4) (words within
+  tolerance, message counts exact), with per-collective-algorithm
+  attribution, the α-β collcost column and the measured red-blue
+  pebbling optimality ratio;
 * :mod:`~repro.obs.memtrace` — per-rank resident-memory report from the
   transport's tagged allocation spans, gated against the paper's
   eq. (11) footprint prediction and any ``memory_limit_words`` cap;
@@ -61,13 +61,7 @@ from .critpath import (
     validate_critpath_json,
     waitfor_edges,
 )
-from .drift import (
-    DriftError,
-    DriftReport,
-    check_drift,
-    drift_report,
-    expected_phase_traffic,
-)
+from .drift import drift_report
 from .export import (
     CHROME_TRACE_SCHEMA,
     RUN_JSON_SCHEMA,
@@ -120,8 +114,6 @@ __all__ = [
     "CritPathReport",
     "CriticalPath",
     "DEFAULT_LEDGER_PATH",
-    "DriftError",
-    "DriftReport",
     "Gauge",
     "Histogram",
     "LEDGER_RECORD_SCHEMA",
@@ -149,14 +141,12 @@ __all__ = [
     "audit_run",
     "capture_baseline",
     "check_audit",
-    "check_drift",
     "check_mem",
     "chrome_trace",
     "compare_baseline",
     "critical_path",
     "critpath_report",
     "drift_report",
-    "expected_phase_traffic",
     "format_metrics",
     "jsonl_records",
     "ledger_record",

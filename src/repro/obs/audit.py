@@ -1,21 +1,22 @@
 """Transport-truth communication audit for executed CA3DMM runs.
 
-Where :mod:`repro.obs.drift` asserts that measured per-phase traffic
-matches the paper's closed forms, the audit goes further and answers
-*"is the run communication-optimal, as measured on the wire?"*:
+The one report that checks measured traffic against the paper's model,
+answering *"does the run move what eq. (4) schedules, and is it
+communication-optimal, as measured on the wire?"*:
 
+* per phase, measured critical-rank words and messages are compared
+  against the paper's eq. (4)/Section III-D schedule
+  (:func:`~repro.analysis.verify.expected_phase_traffic`, the one block
+  derivation) by :func:`compare_phases`, the one measured-vs-expected
+  rule: words within tolerance, message counts exact.  When a machine
+  is given, the α-β collective accounting
+  (:func:`repro.machine.collcost.ca3dmm_phase_costs`) rides along as a
+  second prediction column;
 * every message carries the collective algorithm that posted it
   (``RankTrace.colls``, written by the transport — binomial vs
   scatter+allgather broadcast, Bruck allgather, pairwise
-  reduce-scatter, raw Cannon/redistribution ``p2p``), so the audit can
-  attribute each phase's bytes to the algorithm that moved them;
-* per phase, measured critical-rank words are compared against **two**
-  predictions over the one block derivation of
-  :mod:`repro.analysis.verify` — the paper's eq. (4)/Section III-D
-  schedule (:func:`~repro.analysis.verify.expected_phase_traffic`, by
-  the rule of :func:`repro.obs.drift.compare_phases`) and the α-β
-  collective accounting (:func:`repro.machine.collcost.ca3dmm_phase_costs`)
-  — with the excess attributed per collective algorithm;
+  reduce-scatter, raw Cannon/redistribution ``p2p``), so the audit
+  attributes each phase's bytes to the algorithm that moved them;
 * the run's Q (max words sent by any rank) is set against the paper's
   eq. (9) bound ``3(mnk/P)^(2/3)`` *and* the red-blue pebbling I/O
   lower bound ``2mnk/(P·√M)`` of Kwasniewski et al. (the COSMA bound,
@@ -27,36 +28,41 @@ matches the paper's closed forms, the audit goes further and answers
   hid behind compute.
 
 :func:`audit_run` builds the :class:`AuditReport`;
-:meth:`AuditReport.check` is the drift-style gate raising a typed
-:class:`AuditError` when measured bytes leave the tolerance band.  The
-predictions model the fault-free, unguarded schedule: ABFT-verified
-runs move slightly more (checksum borders ride the replicate / Cannon /
-reduce traffic, CRC envelopes and detection votes ride the
-redistributions), and corrupted runs add resend rounds on top — gate on
-clean, unguarded configurations and read guarded runs diagnostically.
-Attribution counters are always on (they are plain integers bumped
-by the strand that posts or receives), so the audit needs no event
-recording.
+:meth:`AuditReport.check` raises a typed :class:`AuditError` when a
+phase leaves the tolerance band.  Any change that silently alters the
+communication schedule trips it.  The predictions model the fault-free,
+unguarded schedule: ABFT-verified runs move slightly more (checksum
+borders ride the replicate / Cannon / reduce traffic, CRC envelopes
+and detection votes ride the redistributions), and corrupted runs add
+resend rounds on top — gate on clean, unguarded configurations and read
+guarded runs diagnostically.  Attribution counters are always on (they
+are plain integers bumped by the strand that posts or receives), so the
+audit needs no event recording.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..analysis.verify import (
+    PhaseExpectation,
     eq9_lower_bound,
     expected_phase_traffic,
     pebbling_lower_bound,
 )
 from ..machine.collcost import ca3dmm_phase_costs
-from .drift import compare_phases
-from .metrics import ITEM, overlap_by_phase, run_totals, words
+from .metrics import ITEM, RunTotals, overlap_by_phase, run_totals, words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
+    from ..machine.collcost import CollCost
     from ..machine.model import MachineModel
     from ..mpi.runtime import SpmdResult
+
+#: Executed phases with closed-form traffic predictions.
+GUARDED_PHASES = ("replicate", "cannon", "reduce")
 
 
 class AuditError(AssertionError):
@@ -319,6 +325,53 @@ def validate_audit_json(doc: Any) -> None:
 
 
 # ------------------------------------------------------------------ audit -- #
+def compare_phases(
+    totals: RunTotals,
+    expected: dict[str, PhaseExpectation],
+    collcosts: "dict[str, CollCost]",
+    overlap: dict[str, float],
+    byte_tol: float,
+    abs_tol_words: float,
+) -> list[PhaseAudit]:
+    """The one measured-vs-expected rule: a row per guarded phase, ``ok``
+    when its words are within ``byte_tol`` of eq. (4) (or within the
+    absolute floor ``abs_tol_words``) and its message count is exact.  A
+    phase eq. (4) does not schedule passes only with no traffic at all."""
+    rows = []
+    for name in GUARDED_PHASES:
+        pt = totals.phases.get(name)
+        measured, msgs = (pt.crit_words, pt.crit_msgs) if pt else (0.0, 0)
+        exp = expected.get(name)
+        if exp is None:
+            model, model_msgs = 0.0, 0
+            ok = measured == 0 and msgs == 0
+            rel = 0.0 if ok else math.inf
+        else:
+            model, model_msgs = exp.words, exp.msgs
+            err = abs(measured - model)
+            rel = err / model if model > 0 else (0.0 if err == 0 else math.inf)
+            ok = rel <= byte_tol or err <= abs_tol_words
+        cc = collcosts.get(name)
+        cc_words = words(cc.bytes_sent) if cc is not None else None
+        rows.append(PhaseAudit(
+            phase=name,
+            measured_words=measured,
+            model_words=model,
+            collcost_words=cc_words,
+            measured_msgs=msgs,
+            model_msgs=model_msgs,
+            rel_err_model=rel,
+            rel_err_collcost=(abs(measured - cc_words) / cc_words
+                              if cc_words else None),
+            excess_words=measured - model,
+            overlap=overlap.get(name),
+            covered_s=totals.covered_by_phase.get(name, 0.0),
+            colls=pt.colls if pt else {},
+            ok=ok and msgs == model_msgs,
+        ))
+    return rows
+
+
 def audit_run(
     result: "SpmdResult",
     plan: "Ca3dmmPlan",
@@ -329,47 +382,24 @@ def audit_run(
 ) -> AuditReport:
     """Audit an executed run's wire traffic against the paper's model.
 
-    Parameters mirror :func:`repro.obs.drift.drift_report`: ``byte_tol``
-    is the allowed relative error on per-phase critical-rank words (the
-    default 5% absorbs pickle framing on object sends; balanced
-    divisible grids measure exact), ``abs_tol_words`` the absolute floor
-    protecting tiny problems, ``nruns`` the number of multiplies the
-    counters accumulated.  When ``machine`` is given, the α-β collective
-    accounting of :func:`~repro.machine.collcost.ca3dmm_phase_costs`
-    is included as a second prediction column (same blocks, α-β priced).
+    ``byte_tol`` is the allowed relative error on per-phase
+    critical-rank words (the default 5% absorbs ragged-block rounding
+    and pickle framing on object sends; balanced divisible grids measure
+    exact), ``abs_tol_words`` the absolute floor below which a words
+    difference never fails (tiny problems, where framing dominates);
+    message counts are compared exactly.  ``nruns`` is the number of
+    multiplies the counters accumulated (they are divided by it).  When
+    ``machine`` is given, the α-β collective accounting of
+    :func:`~repro.machine.collcost.ca3dmm_phase_costs` is included as a
+    second prediction column (same blocks, α-β priced).
     """
     collcosts = {}
     if machine is not None:
         collcosts = ca3dmm_phase_costs(plan, machine, item=ITEM)
     totals = run_totals(result.live_traces, nruns)
     overlap = overlap_by_phase(result)
-    phases: list[PhaseAudit] = []
-    for r in compare_phases(
-        totals, expected_phase_traffic(plan), byte_tol, abs_tol_words
-    ):
-        cc = collcosts.get(r.phase)
-        cc_words = words(cc.bytes_sent) if cc is not None else None
-        rel_cc = None
-        if cc_words is not None and cc_words > 0:
-            rel_cc = abs(r.measured_words - cc_words) / cc_words
-        pt = totals.phases.get(r.phase)
-        phases.append(
-            PhaseAudit(
-                phase=r.phase,
-                measured_words=r.measured_words,
-                model_words=r.expected_words,
-                collcost_words=cc_words,
-                measured_msgs=r.measured_msgs,
-                model_msgs=r.expected_msgs,
-                rel_err_model=r.words_rel_err,
-                rel_err_collcost=rel_cc,
-                excess_words=r.measured_words - r.expected_words,
-                overlap=overlap.get(r.phase),
-                covered_s=totals.covered_by_phase.get(r.phase, 0.0),
-                colls=pt.colls if pt else {},
-                ok=r.ok,
-            )
-        )
+    phases = compare_phases(totals, expected_phase_traffic(plan), collcosts,
+                            overlap, byte_tol, abs_tol_words)
 
     # The pebbling M is the measured footprint: the memtrace resident
     # watermark, or the in-flight counter for self-reporting engines.

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from .critpath import critpath_report
 
@@ -374,9 +374,6 @@ class BaselineStore:
                 f"this run is {current['workload']}"
             )
         return compare_baseline(base, current, tol)
-
-    def __iter__(self) -> Iterator[str]:  # pragma: no cover - convenience
-        return iter(self.names())
 
 
 # ---------------------------------------------------------------- gate -- #

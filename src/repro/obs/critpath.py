@@ -160,18 +160,6 @@ class WaitEdge:
     released: str
     blocked_from: float  #: when the released rank started idling
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "src": self.src,
-            "dst": self.dst,
-            "t_post_s": self.t_post,
-            "arrival_s": self.arrival,
-            "nbytes": self.nbytes,
-            "released": self.released,
-            "blocked_from_s": self.blocked_from,
-        }
-
 
 @dataclass
 class RankBreakdown:

@@ -141,7 +141,6 @@ RUN_JSON_SCHEMA: dict[str, Any] = {
         },
         "peak_bytes": {"type": "integer", "minimum": 0},
         "metrics": {"type": "object"},
-        "drift": {"type": "object"},
         "audit": {"type": "object"},
     },
 }

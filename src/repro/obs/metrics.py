@@ -16,7 +16,7 @@ Two layers:
 executed run carries its metrics without extra plumbing at call sites.
 
 :func:`run_totals` is the one pass that turns a list of rank traces into
-measured words and messages; every report (metrics, drift, audit,
+measured words and messages; every report (metrics, audit,
 memtrace, ledger, the exporters) reads it and none counts bytes itself.
 """
 

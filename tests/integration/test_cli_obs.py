@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.audit import validate_audit_json
 from repro.obs.export import validate_chrome_trace, validate_run_json
 
 
@@ -28,7 +29,9 @@ class TestJsonMode:
         rc = main(["-np", "8", "64", "64", "64", "N", "N", "1", "1", "0", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert doc["drift"]["ok"] is True
+        # the audit is the one verdict on measured traffic vs eq. (4)
+        assert "drift" not in doc
+        assert doc["audit"]["ok"] is True
         assert doc["metrics"]["q_words"] > 0
         assert set(doc["phases"]) >= {"cannon", "reduce"}
 
@@ -77,7 +80,7 @@ class TestTraceSubcommand:
                    "-o", str(trace), "--jsonl", str(log)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "wrote" in out and "Drift guard" in out
+        assert "wrote" in out and "Communication audit" in out
         validate_chrome_trace(json.loads(trace.read_text()))
         assert log.exists()
 
@@ -85,12 +88,64 @@ class TestTraceSubcommand:
         trace = tmp_path / "g.trace.json"
         rc = main(["trace", "64", "64", "64", "-np", "8",
                    "--grid", "2", "2", "2", "-o", str(trace), "--strict"])
-        assert rc == 0  # balanced grid: drift guard passes
+        assert rc == 0  # balanced grid: the audit passes
 
-    def test_oversized_grid_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["trace", "64", "64", "64", "-np", "4", "--grid", "2", "2", "2",
-                  "-o", "/dev/null"])
+    def test_oversized_grid_rejected(self, tmp_path, capsys):
+        rc = main(["trace", "64", "64", "64", "-np", "4", "--grid", "2", "2", "2",
+                   "-o", "/dev/null"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "trace: grid 2x2x2 needs 8 > 4 ranks\n"
+
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        rc = main(["trace", "32", "32", "32", "-np", "4",
+                   "-o", str(tmp_path / "missing" / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("trace: cannot write trace: ") and err.count("\n") == 1
+
+
+class TestInputErrors:
+    """A grid the plan refuses exits 2 with one stderr line, before any
+    rank runs; exit 1 stays "the run failed or regressed"."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stats", "32", "32", "32", "-np", "8", "--grid", "2", "3", "1"],
+         "stats: grid 2x3x1 (P=8, idle=2) violates constraint (7)"),
+        (["stats", "32", "32", "32", "-np", "8", "--grid", "0", "1", "1"],
+         "stats: grid dimensions must be positive"),
+        (["audit", "32", "32", "32", "-np", "8", "--grid", "4", "4", "4"],
+         "audit: grid 4x4x4 needs 64 > 8 ranks"),
+        (["-np", "8", "32", "32", "32", "N", "N", "1", "1", "0", "2", "3", "1"],
+         "example_AB: grid 2x3x1 (P=8, idle=2) violates constraint (7)"),
+        (["-np", "8", "32", "32", "32", "N", "N", "1", "1", "0", "4", "4", "4"],
+         "example_AB: grid 4x4x4 needs 64 > 8 ranks"),
+    ], ids=["stats-constraint-7", "stats-zero-dim", "audit-oversized",
+            "example-constraint-7", "example-oversized"])
+    def test_refused_grid_exits_two(self, argv, message, capsys):
+        rc = main(argv)
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert cap.err == message + "\n"
+        assert cap.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "32", "32", "32", "--no-transport-events"],
+        ["stats", "32", "32", "32", "--tol", "0.1"],
+        ["critpath", "32", "32", "32", "--max-segments", "3"],
+        ["perfdiff", "fig2", "--inject-latency", "2.0"],
+        ["perfdiff", "fig2", "--time-tol", "5.0"],
+    ], ids=["no-transport-events", "tol", "max-segments", "inject-latency", "time-tol"])
+    def test_removed_flags_rejected(self, argv):
+        """Flags nothing but tests set are gone; each is its default."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_zero_means_no_forced_grid_for_example_ab(self, capsys):
+        rc = main(["-np", "8", "32", "32", "32", "N", "N", "1", "1", "0", "0", "1", "1"])
+        assert rc == 0
+        assert "CA3DMM output : 0 error(s)" in capsys.readouterr().out
 
 
 class TestStatsSubcommand:
@@ -99,13 +154,15 @@ class TestStatsSubcommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Run metrics" in out
-        assert "Drift guard" in out
+        assert "Communication audit" in out
 
     def test_json_output(self, capsys):
         rc = main(["stats", "64", "64", "64", "-np", "8", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert doc["drift"]["ok"] is True
+        assert "drift" not in doc
+        assert doc["audit"]["ok"] is True
+        validate_audit_json(doc["audit"])
         assert doc["metrics"]["q_words"] > 0
         # byte fields come from the traces' byte counters (ints), and the
         # in-flight peak has one name

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from repro import obs
+from repro.analysis.verify import expected_phase_traffic
 from repro.bench.harness import TRACE_WORKLOADS, executed_workload
 from repro.core import ca3dmm_matmul
 from repro.core.plan import Ca3dmmPlan
@@ -19,22 +22,52 @@ from repro.obs.audit import (
     pebbling_lower_bound,
     validate_audit_json,
 )
-from repro.obs.drift import drift_report
 from repro.obs.export import TraceSchemaError
 from repro.obs.ledger import ledger_record
 from repro.obs.memtrace import memprof_run
 from repro.obs.metrics import ITEM, run_totals, snapshot_run
 
 
-def _executed(m=64, n=64, k=64, P=16):
+def _executed(m=64, n=64, k=64, P=16, nruns=1, extra=None):
+    """``nruns`` multiplications; then ``extra(comm)``, if given."""
     plan = Ca3dmmPlan(m, n, k, P)
 
     def f(comm):
         a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 0))
         b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 1))
-        ca3dmm_matmul(a, b)
+        for _ in range(nruns):
+            ca3dmm_matmul(a, b)
+        if extra is not None:
+            extra(comm)
 
     return plan, run_spmd(P, f, machine=laptop(), record_events=False)
+
+
+class TestExpectedTraffic:
+    def test_closed_forms_on_balanced_cube(self):
+        plan = Ca3dmmPlan(64, 64, 64, 8)  # 2 x 2 x 2, s=2, c=1
+        exp = expected_phase_traffic(plan)
+        mb, nb, kb = 32.0, 32.0, 16.0
+        assert "replicate" not in exp  # c == 1
+        assert exp["cannon"].words == (mb * kb + kb * nb) * plan.s
+        assert exp["cannon"].msgs == 2 * plan.s
+        assert exp["reduce"].words == mb * nb * (plan.pk - 1) / plan.pk
+        assert exp["reduce"].msgs == plan.pk - 1
+
+    def test_replication_appears_when_c_gt_1(self):
+        plan = Ca3dmmPlan(64, 64, 64, 16)  # 2 x 4 x 2 grid: c = 2
+        assert plan.c > 1
+        exp = expected_phase_traffic(plan)
+        assert exp["replicate"].msgs == math.ceil(math.log2(plan.c))
+        assert exp["replicate"].words > 0
+
+    def test_degenerate_phases_absent(self):
+        plan = Ca3dmmPlan(64, 64, 16, 4)
+        exp = expected_phase_traffic(plan)
+        if plan.pk == 1:
+            assert "reduce" not in exp
+        if plan.s == 1:
+            assert "cannon" not in exp
 
 
 class TestPebblingBound:
@@ -114,6 +147,71 @@ class TestAuditRun:
         with pytest.raises(ValueError):
             audit_run(res, plan, nruns=0)
 
+    def test_balanced_grid_is_exact(self):
+        plan, res = _executed(P=8)
+        report = audit_run(res, plan)
+        assert report.ok
+        by_phase = {p.phase: p for p in report.phases}
+        for name in ("cannon", "reduce"):
+            assert by_phase[name].rel_err_model == 0.0
+            assert by_phase[name].measured_msgs == by_phase[name].model_msgs
+
+    def test_acceptance_balanced_p64_within_tolerance(self):
+        """Balanced P=64, m=n=k: measured per-phase volume matches eq. (4)
+        within 5% (exactly, for the divisible cube), messages exactly."""
+        plan, res = _executed(P=64)
+        report = check_audit(res, plan, byte_tol=0.05)  # must not raise
+        assert report.max_rel_err <= 0.05
+        for p in report.phases:
+            if p.model_words > 0:
+                assert p.measured_words == p.model_words  # exact volume
+            assert p.measured_msgs == p.model_msgs
+
+    def test_nruns_normalizes_accumulated_counters(self):
+        plan, res = _executed(P=8, nruns=3)
+        assert audit_run(res, plan, nruns=3).ok
+        # the same counters read as a single run are ~3x the model
+        assert not audit_run(res, plan, nruns=1, abs_tol_words=0.0).ok
+
+    def test_extra_message_fails_the_phase(self):
+        """One near-empty message more than eq. (4) schedules: its words
+        hide under the 64-word floor, its count does not."""
+
+        def one_more(comm):
+            with comm.phase("cannon"):
+                peer = comm.rank ^ 1
+                comm.sendrecv(b"", peer, peer)
+
+        plan, res = _executed(P=8, extra=one_more)
+        report = audit_run(res, plan)
+        cannon = next(p for p in report.phases if p.phase == "cannon")
+        assert abs(cannon.excess_words) <= 64.0
+        assert cannon.measured_msgs == cannon.model_msgs + 1
+        assert not cannon.ok and not report.ok
+        with pytest.raises(AuditError, match="cannon"):
+            report.check()
+
+    def test_unscheduled_phase_traffic_fails(self, spmd):
+        plan = Ca3dmmPlan(32, 32, 32, 2)  # s == 1: no cannon scheduled
+        assert plan.s == 1
+
+        def f(comm):
+            with comm.phase("cannon"):
+                comm.allgather(np.zeros(8))
+
+        report = audit_run(spmd(2, f), plan)
+        assert not report.ok
+        assert report.max_rel_err == math.inf
+        with pytest.raises(AuditError):
+            report.check()
+
+    def test_mismatched_plan_raises(self):
+        plan, res = _executed(P=8)
+        other = Ca3dmmPlan(128, 128, 128, 8)
+        assert not audit_run(res, other, abs_tol_words=0.0).ok
+        with pytest.raises(AuditError):
+            check_audit(res, other, abs_tol_words=0.0)
+
 
 class TestAuditSchema:
     def test_to_dict_validates(self):
@@ -150,8 +248,8 @@ class TestAuditSchema:
 
 
 class TestReportsAgree:
-    """Drift, audit, memtrace, ledger and metrics read one measurement
-    and one set of closed forms, so their shared numbers are equal."""
+    """Audit, memtrace, ledger and metrics read one measurement and one
+    set of closed forms, so their shared numbers are equal."""
 
     @staticmethod
     def _check_live_reports(plan, res, mach):
@@ -175,14 +273,11 @@ class TestReportsAgree:
         mach = pace_phoenix_cpu("mpi").with_overlap(overlap)
         plan, res = executed_workload(name, machine=mach)
         audit, rec = self._check_live_reports(plan, res, mach)
-        drift = drift_report(res, plan, machine=mach)
-        assert [
-            (d.phase, d.measured_words, d.expected_words, d.measured_msgs,
-             d.expected_msgs, d.words_rel_err) for d in drift.phases
-        ] == [
-            (a.phase, a.measured_words, a.model_words, a.measured_msgs,
-             a.model_msgs, a.rel_err_model) for a in audit.phases
-        ]
+        # every phase moves what eq. (4) schedules, message for message
+        assert audit.ok
+        assert all(p.measured_msgs == p.model_msgs for p in audit.phases)
+        # the host benchmark's old name for the audit is the audit
+        assert obs.drift_report(res, plan, machine=mach).to_dict() == audit.to_dict()
         metrics = snapshot_run(res, plan)
         assert metrics.q_words == audit.q_words
         assert metrics.total_words == rec["traffic"]["total_words"]

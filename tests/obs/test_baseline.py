@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from repro.bench.harness import (
     executed_workload,
     workload_baseline,
 )
-from repro.machine.model import laptop
+from repro.machine.model import laptop, pace_phoenix_cpu
 from repro.obs.baseline import (
     BaselineStore,
     GateError,
@@ -200,6 +201,24 @@ class TestBenchArtifact:
         doc = json.loads(path.read_text())
         validate_baseline_json(doc)
         assert doc["workload"] == {"m": 32, "n": 64, "k": 16, "nprocs": 8}
+
+    def test_doubled_link_costs_fail_the_gate(self):
+        """The perf gate's self-test: fig2 re-executed on a machine whose
+        α and β are doubled must regress against its own baseline, and
+        only a tolerance wider than the slowdown lets it through."""
+        machine = pace_phoenix_cpu("mpi")
+        slow = replace(
+            machine,
+            alpha=2 * machine.alpha, nic_beta=2 * machine.nic_beta,
+            alpha_intra=2 * machine.alpha_intra, beta_intra=2 * machine.beta_intra,
+        )
+        base, cur = workload_baseline("fig2"), workload_baseline("fig2", machine=slow)
+        diff = compare_baseline(base, cur)
+        assert not diff.ok
+        (makespan,) = [d for d in diff.deltas if d.metric == "makespan_s"]
+        assert makespan.regressed and makespan.current > makespan.baseline
+        assert "REGRESSED" in diff.format()
+        assert compare_baseline(base, cur, PerfTolerance(time_rel=5.0, phase_rel=5.0)).ok
 
 
 class TestGate:
