@@ -232,3 +232,20 @@ class Explicit(Distribution):
             cached = hash((self.shape, self.nranks, self.rects))
             self.__dict__["_hash"] = cached
         return cached
+
+    def __eq__(self, other: object) -> bool:
+        """Equality by value, at identity speed after the first time.
+
+        The by-value caches keep the first plan's layouts as keys, so an
+        equal plan built anew is compared with them on every lookup.  A
+        different cached hash settles it at once; two equal layouts
+        compare their rectangles once and then share the one ``rects``
+        tuple, which the next comparison finds by identity.
+        """
+        if type(other) is not Explicit:
+            return NotImplemented
+        if self.rects is not other.rects:
+            if hash(self) != hash(other) or self.rects != other.rects:
+                return False
+            object.__setattr__(other, "rects", self.rects)
+        return self.shape == other.shape and self.nranks == other.nranks

@@ -275,9 +275,12 @@ def allgather(comm, value: Any) -> list[Any]:
     window travels as a :class:`~repro.mpi.datatypes.Hop`: priced as the
     pickle of the list like any other, handed over instead of unpickled
     and pickled again at each of the ⌈log2 P⌉ ranks it passes.  Each
-    rank looks at its own block only, once; an incoming window says for
-    itself which kind it is.  One block that is anything else (an
-    ndarray, a list) and the hops that carry it are pickled lists.
+    block's share of that pickle is measured once, at its origin, and
+    travels beside it, so a hop of atoms and flat tuples of atoms is
+    priced by a sum, not a pickle.  Each rank looks at its own block
+    only, once; an incoming window says for itself which kind it is.
+    One block that is anything else (an ndarray, a list) and the hops
+    that carry it are pickled lists.
     """
     size, rank = comm.size, comm.rank
     if size == 1:
@@ -287,8 +290,11 @@ def allgather(comm, value: Any) -> list[Any]:
         # Every rank runs in this process, so two ranks' equal constants
         # can be one object, which a pickle writes once: a block that is
         # handed on goes in as the copy its first receiver used to make.
-        # held: the blocks of ranks rank, rank+1, ... (mod P)
-        held: list[Any] = [detached(value) if frozen else value]
+        # held: the blocks of ranks rank, rank+1, ... (mod P); sizes: the
+        # bytes each adds to a hop's pickle (read only while frozen).
+        mine, nbytes = detached(value) if frozen else (value, None)
+        held: list[Any] = [mine]
+        sizes = [nbytes]
         h = 1
         while h < size:
             cnt = min(h, size - h)
@@ -296,13 +302,15 @@ def allgather(comm, value: Any) -> list[Any]:
             src = (rank + h) % size
             window = held[:cnt]
             incoming = comm.sendrecv(
-                Hop(window) if frozen else window, dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER
+                Hop(window, sizes[:cnt]) if frozen else window,
+                dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER,
             )
             if type(incoming) is Hop:
+                sizes += incoming.sizes
                 incoming = incoming.blocks
             else:
                 frozen = False
-            held.extend(incoming)
+            held += incoming
             h += cnt
         # held[i] is the block of rank (rank + i) % size; rotate to absolute.
         return held[size - rank:] + held[:size - rank]

@@ -78,17 +78,37 @@ def is_immutable(value: Any) -> bool:
     return True
 
 
+#: Atoms a pickle never memoizes.  One of them, or a flat tuple of them
+#: that is an object of its own, adds the same bytes to any list it sits
+#: in: nothing in it is written as a back-reference, and from protocol 4
+#: on MEMOIZE takes no index.  (A ``str`` or ``bytes`` repeated in a list
+#: is written once.)
+_UNMEMOIZED = frozenset({type(None), bool, int, float})
+
+#: What a list's pickle holds besides its items and their APPEND/APPENDS:
+#: PROTO (2), FRAME (9), EMPTY_LIST + MEMOIZE (2), STOP (1).
+_LIST_FRAMING = 14
+
+#: The pickler's frame target, 64 KiB: a pickle this long may be cut into
+#: frames, so a window this big is priced by pickling it.  It is also the
+#: size :func:`detached` gives a block whose bytes depend on its neighbours.
+_FRAME_TARGET = 64 * 1024
+
+
 class Hop:
     """The window one collective hop carries: a list the collective
     built for this message and lets go of, every block of it immutable
     (:func:`is_immutable`), so nothing reachable from it can be changed
-    by anyone who keeps a reference.  It costs the wire what the plain
-    list costs and arrives as this object."""
+    by anyone who keeps a reference.  ``sizes[i]`` is what ``blocks[i]``
+    adds to the list's pickle, as :func:`detached` measured it at the
+    block's origin.  It costs the wire what the plain list costs and
+    arrives as this object."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "sizes")
 
-    def __init__(self, blocks: list):
+    def __init__(self, blocks: list, sizes: list):
         self.blocks = blocks
+        self.sizes = sizes
 
 
 def payload_pack(value: Any) -> tuple[Any, int, bool]:
@@ -103,11 +123,22 @@ def payload_pack(value: Any) -> tuple[Any, int, bool]:
     object travels as the pickle, which isolates the receiver from later
     sender-side mutation.  A top-level ``bytes`` stays a pickle too: to
     whoever holds ``stored`` it would look like one.
+
+    A :class:`Hop` is not pickled at all: the length of its list's pickle
+    is the framing plus its blocks' sizes plus one APPEND after a single
+    block, else a MARK/APPENDS pair per 1 000 (the pickler's batch) —
+    byte for byte, until it nears the frame target or holds a block of
+    unknown size, when the list is pickled after all.
     """
     if isinstance(value, np.ndarray):
         stored = np.ascontiguousarray(value).copy()
         return stored, stored.nbytes, True
     kind = type(value)
+    if kind is Hop:
+        n = len(value.sizes)
+        nbytes = _LIST_FRAMING + sum(value.sizes) + (1 if n == 1 else (n + 999) // 1000 * 2)
+        if nbytes < _FRAME_TARGET:
+            return value, nbytes, True
     blob = pickle.dumps(
         value.blocks if kind is Hop else value, protocol=pickle.HIGHEST_PROTOCOL
     )
@@ -123,12 +154,21 @@ def payload_unpack(stored: Any, handed: bool) -> Any:
     return pickle.loads(stored)
 
 
-def detached(value: Any) -> Any:
+def detached(value: Any) -> tuple[Any, int]:
     """A copy of ``value`` sharing no object with it — what every
-    receiver of a pickled payload gets.  (The list is only there because
-    a list is never handed over.)"""
-    stored, _nbytes, handed = payload_pack([value])
-    return payload_unpack(stored, handed)[0]
+    receiver of a pickled payload gets — and the bytes the copy adds to
+    any pickled list it sits in: its pickle's length, when ``value`` is
+    an atom of :data:`_UNMEMOIZED` or a flat tuple of them, and
+    ``_FRAME_TARGET`` (unknown: price the list by pickling it)
+    otherwise.  (The list is only there because a list is never handed
+    over; its pickle is the framing, the block and one APPEND.)"""
+    stored, nbytes, handed = payload_pack([value])
+    kind = type(value)
+    if kind in _UNMEMOIZED or (kind is tuple and _UNMEMOIZED.issuperset(map(type, value))):
+        nbytes -= _LIST_FRAMING + 1
+    else:
+        nbytes = _FRAME_TARGET
+    return payload_unpack(stored, handed)[0], nbytes
 
 
 @dataclass

@@ -5,20 +5,25 @@ arrives as a copy, any other object as an unpickled copy, a value nobody
 can change as the sender's own object — and all of them cost the wire
 what they always did, the array's bytes or the length of the pickle.
 ``Comm.split`` is the heavy user of the third kind: its ``(color, key,
-rank)`` table passes through ⌈log2 P⌉ Bruck hops per rank.
+rank)`` table passes through ⌈log2 P⌉ Bruck hops per rank, each priced
+by adding up its blocks' sizes instead of pickling it (``TestHopPricing``
+holds that sum to the pickle, byte for byte).
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import pickle
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine.model import laptop
-from repro.mpi import run_spmd
-from repro.mpi.datatypes import is_immutable
+from repro.mpi import datatypes, run_spmd
+from repro.mpi.datatypes import Hop, detached, is_immutable, payload_pack
 from repro.mpi.errors import CommError
 from repro.mpi.faults import FaultPlan, LinkFault
 
@@ -59,6 +64,11 @@ def allgather_bytes(result) -> list[tuple[int, int]]:
 
 COLORS = st.sampled_from([None, -70_000, -1, 0, 3, 255, 256, 65_535, 65_536, 10 ** 12])
 
+#: Each side of every int opcode boundary (BININT1, BININT2, BININT,
+#: LONG1), both infinities, nan, the bools and None.
+INT_EDGES = [0, 255, 256, 65_535, 65_536, 2 ** 31 - 1, -1, -(2 ** 31), 2 ** 31, 2 ** 63, 10 ** 40]
+EDGE_ATOMS = [*INT_EDGES, 0.0, -2.5, math.inf, -math.inf, math.nan, True, False, None]
+
 
 class TestSplitOracle:
     @settings(max_examples=60, deadline=None)
@@ -95,6 +105,26 @@ class TestSplitOracle:
         res = run_spmd(p, body, machine=laptop())
         assert res.results == [[constant] * p] * p
         assert allgather_bytes(res) == bruck_bytes([constant] * p)
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 64])
+    def test_flat_tuples_of_every_size_class(self, p):
+        """Hops priced by their blocks' sizes: rank r contributes a flat
+        tuple of ``r % 7`` edge atoms (``()`` at 0), or at ``r % 7 == 6``
+        a bare one, so every int opcode, ±inf, nan, the bools and None
+        cross every hop."""
+
+        def block(r):
+            if r % 7 == 6:
+                return EDGE_ATOMS[r % len(EDGE_ATOMS)]
+            return tuple(EDGE_ATOMS[(r + i) % len(EDGE_ATOMS)] for i in range(r % 7))
+
+        def body(comm):
+            return comm.allgather(block(comm.rank))
+
+        res = run_spmd(p, body, machine=laptop())
+        expected = [block(r) for r in range(p)]
+        assert all(repr(got) == repr(expected) for got in res.results)  # nan != nan
+        assert allgather_bytes(res) == bruck_bytes(expected)
 
     def test_mixed_allgather_is_the_pickled_one(self):
         """Rank 0 contributes an ndarray, the rest ``None``."""
@@ -133,6 +163,120 @@ class TestSplitArguments:
         res = run_spmd(5, body, machine=laptop())
         assert res.results[0] == ((4, 2, 0), (0, 1, 2, 3, 4))
         assert res.results[1] == ((3, 1), (0, 1, 2, 3, 4))
+
+
+# -------------------------------------------------------------- hop pricing -- #
+@contextlib.contextmanager
+def dumps_calls():
+    """The values ``repro.mpi.datatypes`` hands to ``pickle.dumps`` inside
+    the block."""
+    seen: list = []
+
+    def dumps(value, protocol):
+        seen.append(value)
+        return pickle.dumps(value, protocol=protocol)
+
+    datatypes.pickle = types.SimpleNamespace(
+        dumps=dumps, loads=pickle.loads, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL
+    )
+    try:
+        yield seen
+    finally:
+        datatypes.pickle = pickle
+
+
+def priced(blocks: list) -> tuple[int, bool]:
+    """``(nbytes, pickled)`` of the window ``allgather`` sends of
+    ``blocks``: a :class:`Hop` of their origin copies and sizes when every
+    block is immutable, else the plain list — and whether pricing it
+    called ``pickle.dumps``."""
+    if all(map(is_immutable, blocks)):
+        copies, sizes = zip(*map(detached, blocks))
+        window = Hop(list(copies), list(sizes))
+    else:
+        window = list(blocks)
+    with dumps_calls() as seen:
+        _stored, nbytes, _handed = payload_pack(window)
+    return nbytes, bool(seen)
+
+
+def oracle(blocks: list) -> int:
+    """The pickle of the list a receiver would have built: every block
+    its own unpickled copy."""
+    return _nbytes([_copied(b) for b in blocks])
+
+
+ATOM = st.one_of(st.sampled_from(EDGE_ATOMS), st.integers(), st.floats())
+SIZED_BLOCK = st.one_of(ATOM, st.lists(ATOM, max_size=6).map(tuple))
+
+
+class TestHopPricing:
+    """A hop's ``nbytes`` against the pickle of receiver-style copies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SIZED_BLOCK, min_size=1, max_size=40))
+    def test_atoms_and_flat_tuples_are_summed(self, blocks):
+        """Arithmetic path: any mix of atoms and flat tuples of atoms."""
+        nbytes, pickled = priced(blocks)
+        assert nbytes == oracle(blocks)
+        assert not pickled
+
+    @pytest.mark.parametrize("atom", EDGE_ATOMS, ids=repr)
+    def test_every_opcode_boundary(self, atom):
+        """Arithmetic path: each edge atom bare, in a tuple of one and of
+        four (TUPLE1 / MARK…TUPLE), alone and beside ``()``."""
+        for blocks in ([atom], [(atom,)], [(atom, atom, atom, atom)], [atom, (), (atom,)]):
+            nbytes, pickled = priced(blocks)
+            assert nbytes == oracle(blocks), blocks
+            assert not pickled
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001, 2500])
+    def test_appends_batching(self, n):
+        """Arithmetic path: one APPEND after a single block, else a
+        MARK/APPENDS pair per 1 000 blocks."""
+        atoms = [EDGE_ATOMS[i % len(EDGE_ATOMS)] for i in range(n)]
+        blocks = [(atom,) if i % 3 else atom for i, atom in enumerate(atoms)]
+        nbytes, pickled = priced(blocks)
+        assert nbytes == oracle(blocks)
+        assert not pickled
+
+    def test_a_window_near_the_frame_target_is_pickled(self):
+        """Both paths: windows of 63-byte tuples from just under 64 KiB to
+        past it (where a pickle starts a second frame), and one tuple that
+        is bigger than a frame by itself, all priced as their pickle."""
+        block = tuple(range(256, 276))
+        paths = set()
+        for n in range(1030, 1050):
+            nbytes, pickled = priced([block] * n)
+            assert nbytes == oracle([block] * n), n
+            assert pickled == (nbytes >= 64 * 1024), n
+            paths.add(pickled)
+        assert paths == {False, True}
+        huge = [7, tuple(range(256, 256 + 30_000))]
+        nbytes, pickled = priced(huge)
+        assert nbytes == oracle(huge) and pickled
+
+    @pytest.mark.parametrize(
+        "odd",
+        ["text", b"raw", (1, (2.5, None)), ("same", "same"), np.arange(3.0)],
+        ids=["str", "bytes", "nested_tuple", "repeated_str", "ndarray"],
+    )
+    def test_a_block_of_unknown_size_is_pickled(self, odd):
+        """Pickle path: one block whose bytes depend on what else is in
+        the pickle (a memoized str or bytes, a nested tuple) or that is no
+        Hop's at all (an ndarray) among blocks that could be summed."""
+        blocks = [7, (1, 2.5), odd, None, (65_536,)]
+        nbytes, pickled = priced(blocks)
+        assert nbytes == oracle(blocks)
+        assert pickled
+
+    def test_a_shared_constant(self):
+        """Both paths: the same object from several origins, a flat tuple
+        of atoms (summed: each origin copies it) and one holding strings
+        (pickled)."""
+        flat, worded = (1, 2.5, None), ("ok", (1.5, "ok"))
+        assert priced([flat, 3, flat, flat]) == (oracle([flat, 3, flat, flat]), False)
+        assert priced([worded, 3, worded]) == (oracle([worded, 3, worded]), True)
 
 
 # ---------------------------------------------------------------- isolation -- #
