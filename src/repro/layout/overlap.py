@@ -10,12 +10,16 @@ numpy, and hands each rank its slice: what to cut from which tile for
 whom (:meth:`OverlapTable.sends`) and whom to expect, with where each
 arriving piece lands (:meth:`OverlapTable.recvs`).
 
-**The order of pieces is part of the wire format** (a batch travels
-pickled, its length is ``nbytes``, ``nbytes`` is virtual time), so it is
-fixed here, in one place: a sender lists destinations ascending, within
-one the wanted rectangles in the destination's order, within one of those
-its own rectangles in its order; a receiver takes its own batch first,
-then its sources ascending, each batch in its sender's order.
+**The order of pieces is part of the wire format** (a batch costs the
+length of its list's pickle, that length is ``nbytes``, ``nbytes`` is
+virtual time), so it is fixed here, in one place: a sender lists
+destinations ascending, within one the wanted rectangles in the
+destination's order, within one of those its own rectangles in its order;
+a receiver takes its own batch first, then its sources ascending, each
+batch in its sender's order.  A batch is handed over, not pickled: what
+each piece adds to that length is a sum, and the six ints it writes
+(``r0``, ``r1``, ``c0``, ``c1`` and the piece's shape) are a layout
+constant the table holds beside the piece.
 """
 
 from __future__ import annotations
@@ -34,9 +38,17 @@ from .distributions import Distribution
 PAIR_CHUNK = 1 << 16
 
 #: One piece of a rank's slice: the rectangle (source coordinates, as it
-#: travels), the index of the local tile it is cut from / lands in, and
-#: the slices of that tile.
-Piece = tuple[Rect, int, slice, slice]
+#: travels), the index of the local tile it is cut from / lands in, the
+#: slices of that tile, and the bytes its six ints take in a pickle
+#: (:func:`pickled_int_bytes`).
+Piece = tuple[Rect, int, slice, slice, int]
+
+
+def pickled_int_bytes(*values):
+    """Bytes a pickle spends writing each of ``values`` — non-negative ints
+    below 2**31: BININT1 (2) below 256, BININT2 (3) below 65 536, else
+    BININT (5) — summed; elementwise when they are arrays."""
+    return sum(2 + (v >= 256) + 2 * (v >= 65_536) for v in values)
 
 
 def _overlapping_pairs(src: tuple, dst: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +87,17 @@ def _spans(ranks: np.ndarray, nranks: int) -> list[int]:
 def _batches(fields: np.ndarray) -> list[tuple[int, list[Piece]]]:
     """One rank's pieces, grouped by peer in the order stored.  ``fields``
     has a row each for peer rank, r0, r1, c0, c1, tile index, the piece's
-    row and column offset in that tile, and its height and width there."""
+    row and column offset in that tile, its height and width there, and
+    the bytes its ints take in a pickle."""
     out: list[tuple[int, list[Piece]]] = []
     prev = None
-    for peer, r0, r1, c0, c1, tile, ro, co, h, w in zip(*fields.tolist()):
+    for peer, r0, r1, c0, c1, tile, ro, co, h, w, ints in zip(*fields.tolist()):
         if peer != prev:
             prev, pieces = peer, []
             out.append((peer, pieces))
-        pieces.append((Rect(r0, r1, c0, c1), tile, slice(ro, ro + h), slice(co, co + w)))
+        pieces.append(
+            (Rect(r0, r1, c0, c1), tile, slice(ro, ro + h), slice(co, co + w), ints)
+        )
     return out
 
 
@@ -91,8 +106,8 @@ class OverlapTable:
 
     ``src_rank``, ``dst_rank`` and ``area`` are arrays over the pieces in
     sender order.  :meth:`sends`, :meth:`sources` and :meth:`recvs` cut one
-    rank's slice out of the table.  What is kept between calls is twenty
-    ``int32`` per piece, not the Python objects of every rank: a
+    rank's slice out of the table.  What is kept between calls is
+    twenty-two ``int32`` per piece, not the Python objects of every rank: a
     1024-rank conversion has 51 200 pieces, and held as objects they
     added 53 MB to a 283 MB run.
     """
@@ -133,9 +148,10 @@ class OverlapTable:
                 f"elements arrive)"
             )
 
+        ints = pickled_int_bytes(r0, r1, c0, c1, h, w)
         self._send = np.array([
             self.dst_rank, r0, r1, c0, c1,
-            _local_index(s_rank)[i], r0 - s_box[0][i], c0 - s_box[2][i], h, w,
+            _local_index(s_rank)[i], r0 - s_box[0][i], c0 - s_box[2][i], h, w, ints,
         ], dtype=np.int32)
         self._send_span = _spans(self.src_rank, src.nranks)
         # Seen from the destination the piece is transposed if asked: its
@@ -147,6 +163,7 @@ class OverlapTable:
         self._recv = np.array([
             self.src_rank, r0, r1, c0, c1,
             _local_index(d_rank)[j], land_r - d_r0[j], land_c - d_c0[j], land_h, land_w,
+            ints,
         ], dtype=np.int32)[:, arrival]
         self._recv_span = _spans(self.dst_rank[arrival], dst.nranks)
 

@@ -9,6 +9,15 @@ alltoall, and writes each arriving piece into its tile.  Which pieces
 those are is a function of the two layouts alone, derived once per pair
 of layouts — not once per rank — in :mod:`repro.layout.overlap`.
 
+A batch costs the wire the length of the pickle of its ``[(Rect,
+ndarray), ...]`` list, but it is not pickled: like the paper's packed
+buffers it is handed over, as a :class:`~repro.mpi.datatypes.Hop` whose
+pieces are private copies cut for the message.  Each piece's share of
+that pickle is a sum — a per-dtype constant, the bytes of its six ints
+(a layout constant of the overlap table) and its elements' bytes — and a
+batch the sum cannot vouch for (an odd tile or dtype, see :func:`_hop`)
+is priced by pickling its list instead.
+
 Transposition (``op(A)`` in the paper) is folded into the conversion:
 when ``transpose=True`` the destination distribution describes
 ``src.T``, pieces travel untransposed, and each piece is transposed
@@ -28,15 +37,16 @@ transient wire fault from a persistent one
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
 from ..mpi.comm import Comm
-from ..mpi.datatypes import INTERNAL_TAG_BASE, MAX
+from ..mpi.datatypes import FRAME_TARGET, INTERNAL_TAG_BASE, MAX, Hop, payload_pack
 from .blocks import Rect
 from .distributions import Distribution
 from .matrix import DistMatrix
-from .overlap import overlap_table
+from .overlap import Piece, overlap_table
 
 _TAG_REDIST = INTERNAL_TAG_BASE + 401
 _TAG_REDIST_NACK = INTERNAL_TAG_BASE + 402
@@ -44,6 +54,59 @@ _TAG_REDIST_RESEND = INTERNAL_TAG_BASE + 403
 
 #: Resend rounds allowed before a persistent corruption becomes typed.
 MAX_RESEND_ROUNDS = 2
+
+
+@lru_cache(maxsize=None)
+def _piece_bytes(dtype: np.dtype) -> tuple[int, int] | None:
+    """``(first, later)``: what a piece of ``dtype`` adds to its batch's
+    pickle besides its six ints and its elements' bytes — as the first
+    piece of the batch, which also writes the globals (the ``Rect`` class,
+    numpy's array constructor, the dtype), and as any later one, which
+    refers back to them.  Measured once per process by pickling two tiny
+    batches.  ``None`` for a dtype the sum cannot price: one that is not
+    a native-order builtin numeric type.  (The caller rules out metadata
+    first: its pickle writes it, yet the dtype equals the plain one.)"""
+    if not dtype.isnative or dtype.kind not in "biufc":
+        return None
+    one = np.zeros((1, 1), dtype)
+    batch = [(Rect(0, 1, 0, 1), one)]
+    fixed = 6 * 2 + one.nbytes  # six BININT1 ints and the element
+    # The list's own bytes are whatever payload_pack adds to a Hop's sizes.
+    first = payload_pack(batch)[1] - payload_pack(Hop([one], [0]))[1] - fixed
+    batch.append((Rect(0, 1, 0, 1), one.copy()))
+    both = payload_pack(batch)[1] - payload_pack(Hop([one, one], [0, 0]))[1]
+    return first, both - first - 2 * fixed
+
+
+def _hop(tiles: list[np.ndarray], cuts: list[Piece]) -> Hop:
+    """One batch for another rank: each piece ``(rect, copy of its cut)``,
+    sized as ``(rect, np.ascontiguousarray(cut))`` — what a sender that
+    pickled its batch sent — adds to a pickled list.  A piece whose tile
+    is not an exact, writeable ndarray of the batch's one dtype object
+    (an unpickled array brings a dtype object of its own, written out in
+    full), or of a dtype that is not a native builtin numeric one, is
+    sized :data:`~repro.mpi.datatypes.FRAME_TARGET`, so the batch is
+    priced by pickling its list; its copy pickles as that cut did (an
+    exact ndarray, read-only where the cut was a contiguous view of a
+    read-only tile)."""
+    dtype = tiles[cuts[0][1]].dtype
+    prices = _piece_bytes(dtype) if dtype.metadata is None else None
+    first, later = prices or (FRAME_TARGET, FRAME_TARGET)
+    blocks, sizes = [], []
+    for rect, t, rs, cs, ints in cuts:
+        tile = tiles[t]
+        cut = tile[rs, cs]
+        if type(tile) is np.ndarray and tile.flags.writeable and tile.dtype is dtype:
+            data = cut.copy()
+            sizes.append(later + ints + data.nbytes)
+        else:
+            data = np.array(cut, order="C")
+            if not tile.flags.writeable and cut.flags.c_contiguous:
+                data.flags.writeable = False
+            sizes.append(FRAME_TARGET)
+        blocks.append((rect, data))
+    sizes[0] += first - later
+    return Hop(blocks, sizes)
 
 
 def _batch_crcs(batch: list[tuple[Rect, np.ndarray]]) -> list[int]:
@@ -135,9 +198,10 @@ def redistribute(
     during reassembly (combined with ``transpose`` this implements the
     BLAS 'C' op; alone it is the rarely-used 'R').  ``verify`` wraps
     every cross-rank batch in a CRC envelope with nack/resend
-    correction (see the module docstring); the ``verify=False`` wire
-    format is byte-for-byte what it always was.  Returns the converted
-    :class:`DistMatrix`.
+    correction (see the module docstring); without it a batch is a
+    :class:`~repro.mpi.datatypes.Hop` of private copies, priced as the
+    pickle of its ``[(Rect, ndarray)]`` list and handed over.  Returns
+    the converted :class:`DistMatrix`.
     """
     comm: Comm = src.comm
     if dst_dist.nranks != comm.size:
@@ -154,13 +218,17 @@ def redistribute(
         # handshaking and no empty messages are needed — a
         # native-to-native conversion sends nothing at all.
         src_tiles = src.tiles
-        sends = {
-            dst_rank: [
-                (rect, np.ascontiguousarray(src_tiles[t][rs, cs]))
-                for rect, t, rs, cs in cuts
-            ]
-            for dst_rank, cuts in table.sends(me)
-        }
+        sends = {}
+        for dst_rank, cuts in table.sends(me):
+            if dst_rank == me:  # never leaves: the tiles' own views
+                sends[me] = [(rect, src_tiles[t][rs, cs]) for rect, t, rs, cs, _i in cuts]
+            elif verify:
+                sends[dst_rank] = [
+                    (rect, np.ascontiguousarray(src_tiles[t][rs, cs]))
+                    for rect, t, rs, cs, _i in cuts
+                ]
+            else:
+                sends[dst_rank] = _hop(src_tiles, cuts)
         recv_sources = table.sources(me)
 
         send_dsts = [d for d in sends if d != me]
@@ -172,7 +240,7 @@ def redistribute(
         received = [sends[me]] if me in sends else []
         if not verify:
             for src_rank in recv_sources:
-                received.append(comm.recv(source=src_rank, tag=_TAG_REDIST))
+                received.append(comm.recv(source=src_rank, tag=_TAG_REDIST).blocks)
             for req in pending:
                 req.wait()
         else:
@@ -210,7 +278,7 @@ def redistribute(
                         f"rank {me}: {len(batch)} pieces from rank {src_rank}, "
                         f"the layouts call for {len(lands)}"
                     )
-                for (rect, t, rs, cs), (got_rect, data) in zip(lands, batch):
+                for (rect, t, rs, cs, _i), (got_rect, data) in zip(lands, batch):
                     if got_rect != rect:
                         raise ValueError(
                             f"rank {me}: received piece {got_rect} from rank "

@@ -92,17 +92,22 @@ _LIST_FRAMING = 14
 #: The pickler's frame target, 64 KiB: a pickle this long may be cut into
 #: frames, so a window this big is priced by pickling it.  It is also the
 #: size :func:`detached` gives a block whose bytes depend on its neighbours.
-_FRAME_TARGET = 64 * 1024
+FRAME_TARGET = 64 * 1024
 
 
 class Hop:
-    """The window one collective hop carries: a list the collective
-    built for this message and lets go of, every block of it immutable
-    (:func:`is_immutable`), so nothing reachable from it can be changed
-    by anyone who keeps a reference.  ``sizes[i]`` is what ``blocks[i]``
-    adds to the list's pickle, as :func:`detached` measured it at the
-    block's origin.  It costs the wire what the plain list costs and
-    arrives as this object."""
+    """A list handed to its receiver instead of pickled: one collective
+    hop's window or one redistribution batch.  The sender built
+    ``blocks`` for this message and lets go of it, and nobody else can
+    reach what is in it to change it: every block is immutable
+    (:func:`is_immutable`) or a private copy made for this message (a
+    redistribution batch's ``(Rect, ndarray)`` pieces).  ``sizes[i]`` is
+    what ``blocks[i]`` adds to the list's pickle — measured by
+    :func:`detached` at an allgather block's origin, summed from a
+    piece's parts by :mod:`repro.layout.redistribute` — or
+    :data:`FRAME_TARGET` when it cannot be told without pickling.  It
+    costs the wire what the plain list costs and arrives as this
+    object."""
 
     __slots__ = ("blocks", "sizes")
 
@@ -118,8 +123,9 @@ def payload_pack(value: Any) -> tuple[Any, int, bool]:
     MPI buffer semantics: the sender may overwrite its buffer immediately
     after ``send`` returns) and the copy is handed to the receiver.
     Everything else is priced by the length of its pickle.  An immutable
-    value (and a :class:`Hop`) needs the pickle for nothing else: the
-    receiver is handed the object, which it cannot change.  Any other
+    value needs the pickle for nothing else: the receiver is handed the
+    object, which it cannot change — and so is a :class:`Hop`, whose
+    blocks nobody but the receiver can change.  Any other
     object travels as the pickle, which isolates the receiver from later
     sender-side mutation.  A top-level ``bytes`` stays a pickle too: to
     whoever holds ``stored`` it would look like one.
@@ -137,7 +143,7 @@ def payload_pack(value: Any) -> tuple[Any, int, bool]:
     if kind is Hop:
         n = len(value.sizes)
         nbytes = _LIST_FRAMING + sum(value.sizes) + (1 if n == 1 else (n + 999) // 1000 * 2)
-        if nbytes < _FRAME_TARGET:
+        if nbytes < FRAME_TARGET:
             return value, nbytes, True
     blob = pickle.dumps(
         value.blocks if kind is Hop else value, protocol=pickle.HIGHEST_PROTOCOL
@@ -159,7 +165,7 @@ def detached(value: Any) -> tuple[Any, int]:
     receiver of a pickled payload gets — and the bytes the copy adds to
     any pickled list it sits in: its pickle's length, when ``value`` is
     an atom of :data:`_UNMEMOIZED` or a flat tuple of them, and
-    ``_FRAME_TARGET`` (unknown: price the list by pickling it)
+    ``FRAME_TARGET`` (unknown: price the list by pickling it)
     otherwise.  (The list is only there because a list is never handed
     over; its pickle is the framing, the block and one APPEND.)"""
     stored, nbytes, handed = payload_pack([value])
@@ -167,7 +173,7 @@ def detached(value: Any) -> tuple[Any, int]:
     if kind in _UNMEMOIZED or (kind is tuple and _UNMEMOIZED.issuperset(map(type, value))):
         nbytes -= _LIST_FRAMING + 1
     else:
-        nbytes = _FRAME_TARGET
+        nbytes = FRAME_TARGET
     return payload_unpack(stored, handed)[0], nbytes
 
 

@@ -76,7 +76,7 @@ from typing import Any
 
 import numpy as np
 
-from .datatypes import Message
+from .datatypes import Hop, Message
 from .errors import InjectedAbortError, RankKilledError, RecvTimeoutError
 
 #: Wildcard rank for link-fault endpoints.
@@ -426,10 +426,13 @@ def _inexact_arrays(x: Any, out: list[np.ndarray]) -> list[np.ndarray]:
     """The non-empty float/complex arrays of a payload, in a fixed walk
     order.  Only those are corruptible — integer arrays carry control
     decisions (ABFT votes), and flipping them would corrupt the
-    corrector rather than the data it guards."""
+    corrector rather than the data it guards.  A :class:`Hop` is walked
+    as its list of blocks."""
     if isinstance(x, np.ndarray):
         if x.size and np.issubdtype(x.dtype, np.inexact):
             out.append(x)
+    elif type(x) is Hop:
+        _inexact_arrays(x.blocks, out)
     elif isinstance(x, (list, tuple)):
         for y in x:
             _inexact_arrays(y, out)
@@ -518,8 +521,10 @@ class FaultInjector:
         A raw array is flipped in place (``payload_pack`` handed the
         transport a private copy, so the sender's buffer is untouched
         and the receiver sees the corrupted bits, exactly like a
-        wire-level flip).  Redistribution batches and allgather rounds
-        travel as pickled containers: those are unpickled, flipped and
+        wire-level flip), and so is a redistribution batch, a
+        :class:`~repro.mpi.datatypes.Hop` whose pieces are private copies
+        too.  Allgather rounds of arrays and CRC-enveloped batches travel
+        as pickled containers: those are unpickled, flipped and
         re-pickled into a new blob.  Either way each flip lands on a
         seeded position of the virtual concatenation of the payload's
         inexact arrays — a raw array is the one-array case — and adds

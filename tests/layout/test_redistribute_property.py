@@ -36,6 +36,7 @@ from repro.layout.overlap import overlap_table
 from repro.layout.redistribute import redistribute
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
+from repro.mpi.datatypes import Hop
 from tests.layout.reference_redistribute import reference_redistribute
 
 
@@ -158,7 +159,11 @@ def test_traffic_bounded_by_moved_area(m, n, p, seed):
 
 # ------------------------------------------- the table against the scans -- #
 class _Tap:
-    """A communicator that notes what is sent to whom and who is awaited."""
+    """A communicator that notes what is sent to whom and who is awaited.
+
+    A batch handed over as a :class:`~repro.mpi.datatypes.Hop` is logged
+    as the pickle of its list — what the pairwise scans sent — and the
+    message must cost exactly that pickle's length."""
 
     def __init__(self, comm):
         self._comm = comm
@@ -168,9 +173,14 @@ class _Tap:
         return getattr(self._comm, name)
 
     def isend(self, payload, dest, tag):
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        sent = type(payload) is Hop
+        blob = pickle.dumps(payload.blocks if sent else payload, protocol=pickle.HIGHEST_PROTOCOL)
         self.log.append(("isend", dest, tag, blob))
-        return self._comm.isend(payload, dest, tag)
+        trace = self._comm.transport.trace
+        before = trace(self._comm.world_rank).bytes_sent
+        req = self._comm.isend(payload, dest, tag)
+        assert trace(self._comm.world_rank).bytes_sent - before == len(blob)
+        return req
 
     def recv(self, source, tag):
         self.log.append(("recv", source, tag))

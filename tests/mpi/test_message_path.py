@@ -27,6 +27,7 @@ import threading
 import types
 
 from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
+from repro.layout.distributions import BlockCol1D
 from repro.layout.overlap import overlap_table
 from repro.machine.model import pace_phoenix_cpu
 from repro.mpi import datatypes
@@ -64,17 +65,20 @@ def counted_strands():
         threading.Thread.run = original
 
 
-def _matmul_run(p: int, n: int):
+def _matmul_run(p: int, n: int, layout=None):
     """``run()`` executes one ``ca3dmm_matmul`` n³ on ``p`` ranks (native
-    layouts, nothing recorded); plans and imports are memoized by a
-    first, uncounted run."""
+    layouts, or both operands in ``layout(shape, p)`` — steps 4 and 8
+    then redistribute them; nothing recorded); plans and imports are
+    memoized by a first, uncounted run."""
     plan = Ca3dmmPlan(n, n, n, p)
     a, b = dense_random(n, n, 0), dense_random(n, n, 1)
+    a_dist = layout((n, n), p) if layout else plan.a_dist
+    b_dist = layout((n, n), p) if layout else plan.b_dist
 
     def body(comm):
         c = ca3dmm_matmul(
-            DistMatrix.from_global(comm, plan.a_dist, a),
-            DistMatrix.from_global(comm, plan.b_dist, b),
+            DistMatrix.from_global(comm, a_dist, a),
+            DistMatrix.from_global(comm, b_dist, b),
         )
         return c.owned_rects, c.tiles
 
@@ -96,14 +100,15 @@ def calls_per_message(p: int, n: int = 256) -> float:
     return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
 
 
-def pickle_bytes_per_message(p: int, n: int = 256) -> tuple[float, float]:
+def pickle_bytes_per_message(p: int, n: int = 256, layout=None) -> tuple[float, float]:
     """``(unpickled, pickled)`` bytes per delivered message of the same
-    run: what ``repro.mpi.datatypes`` hands to ``pickle.loads`` and gets
-    back from ``pickle.dumps``.  Neither may grow with ``p``: a split's
-    rank table is handed from hop to hop and each hop is sized from its
-    blocks' sizes, so what is left is each rank's own block, pickled and
-    unpickled once per allgather."""
-    run = _matmul_run(p, n)
+    run (from ``layout`` if given): what ``repro.mpi.datatypes`` hands to
+    ``pickle.loads`` and gets back from ``pickle.dumps``.  Neither may
+    grow with ``p``: a split's rank table is handed from hop to hop and
+    each hop is sized from its blocks' sizes, a redistribution batch is
+    handed over and sized from its pieces' parts, so what is left is
+    each rank's own block, pickled and unpickled once per allgather."""
+    run = _matmul_run(p, n, layout)
     loaded = dumped = 0
 
     def loads(blob):
@@ -127,6 +132,18 @@ def pickle_bytes_per_message(p: int, n: int = 256) -> tuple[float, float]:
         datatypes.pickle = original
     msgs = sum(t.msgs_sent for t in result.traces)
     return loaded / msgs, dumped / msgs
+
+
+def test_a_foreign_layout_pickles_no_batch():
+    """From ``BlockCol1D`` operands steps 4 and 8 send a batch per pair of
+    ranks whose pieces meet; each is handed over and priced by a sum, so
+    the bytes pickled and unpickled per message stay those of a native
+    run: ≤ 3 at 64 and 256 ranks (339 and 139 of each while every batch
+    was pickled at the sender and unpickled at the receiver)."""
+    at64 = pickle_bytes_per_message(64, layout=BlockCol1D)
+    at256 = pickle_bytes_per_message(256, layout=BlockCol1D)
+    print(f"BlockCol1D (unpickled, pickled) bytes/message: {at64} @64, {at256} @256")
+    assert max(at64) <= 3.0 and max(at256) <= 3.0, (at64, at256)
 
 
 def unpickled_bytes_per_message(p: int, n: int = 256) -> float:

@@ -7,7 +7,9 @@ what they always did, the array's bytes or the length of the pickle.
 ``Comm.split`` is the heavy user of the third kind: its ``(color, key,
 rank)`` table passes through ⌈log2 P⌉ Bruck hops per rank, each priced
 by adding up its blocks' sizes instead of pickling it (``TestHopPricing``
-holds that sum to the pickle, byte for byte).
+holds that sum to the pickle, byte for byte).  A redistribution batch is
+the other: its ``(Rect, ndarray)`` pieces are private copies, handed
+over and priced by a sum as well (``TestBatchPricing``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.layout.blocks import Rect
+from repro.layout.distributions import BlockRow1D
+from repro.layout.matrix import DistMatrix
+from repro.layout.overlap import pickled_int_bytes
+from repro.layout.redistribute import _hop
 from repro.machine.model import laptop
 from repro.mpi import datatypes, run_spmd
 from repro.mpi.datatypes import Hop, detached, is_immutable, payload_pack
@@ -277,6 +284,158 @@ class TestHopPricing:
         flat, worded = (1, 2.5, None), ("ok", (1.5, "ok"))
         assert priced([flat, 3, flat, flat]) == (oracle([flat, 3, flat, flat]), False)
         assert priced([worded, 3, worded]) == (oracle([worded, 3, worded]), True)
+
+
+# ---------------------------------------------------- redistribution batches -- #
+#: Each side of every int opcode boundary a coordinate or an extent can
+#: reach: BININT1, BININT2, BININT (the table refuses 2**31 and beyond).
+COORD_EDGES = [0, 255, 256, 65_535, 65_536, 2 ** 31 - 1]
+BATCH_DTYPES = [np.float32, np.float64, np.complex64, np.complex128, np.int64, np.bool_]
+
+
+def cut_of(tiles: list, rect: Rect, t: int, rs: slice, cs: slice):
+    """A send-plan piece, as :meth:`OverlapTable.sends` yields it."""
+    h, w = rs.stop - rs.start, cs.stop - cs.start
+    return rect, t, rs, cs, pickled_int_bytes(*rect, h, w)
+
+
+def batch_priced(tiles: list, cuts: list) -> tuple[int, bool, Hop]:
+    """``(nbytes, pickled, hop)`` of the batch ``redistribute`` hands
+    over for ``cuts``: and whether pricing it pickled its list."""
+    hop = _hop(tiles, cuts)
+    with dumps_calls() as seen:
+        stored, nbytes, handed = payload_pack(hop)
+    assert stored is hop and handed
+    return nbytes, any(v is hop.blocks for v in seen), hop
+
+
+def sent_list(tiles: list, cuts: list) -> list:
+    """The list a sender that pickled its batch sent for the same cuts."""
+    return [(rect, np.ascontiguousarray(tiles[t][rs, cs])) for rect, t, rs, cs, _i in cuts]
+
+
+def assert_priced_as_sent(tiles: list, cuts: list) -> bool:
+    """The handed batch costs what :func:`sent_list` pickles to and holds
+    its pieces, each a private copy; returns whether it was pickled."""
+    nbytes, pickled, hop = batch_priced(tiles, cuts)
+    sent = sent_list(tiles, cuts)
+    assert nbytes == _nbytes(sent)
+    assert len(hop.sizes) == len(hop.blocks) == len(sent)
+    for (rect, data), (want_rect, want) in zip(hop.blocks, sent):
+        assert rect == want_rect and type(data) is np.ndarray
+        assert data.dtype == want.dtype and np.array_equal(data, want)
+        assert not any(np.shares_memory(data, tile) for tile in tiles)
+    return pickled
+
+
+@st.composite
+def batches(draw):
+    """Pieces at every coordinate and extent boundary: an extent at 255
+    and beyond comes with a zero one, so its tile stays small."""
+    dtype = np.dtype(draw(st.sampled_from(BATCH_DTYPES)))
+    if draw(st.booleans()):  # every tile an unpickled array's: one fresh dtype object
+        dtype = _copied(np.zeros(1, dtype)).dtype
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from([999, 1000, 1001])))
+    edge = st.sampled_from(COORD_EDGES)
+    small = st.integers(1, 3) if n < 999 else st.just(1)
+    tiles, cuts = [], []
+    for i in range(n):
+        if i < 6:  # long batches cut their last tile again and again
+            h, w = draw(st.one_of(st.tuples(small, small), st.tuples(edge, st.just(0)),
+                                  st.tuples(st.just(0), edge), st.tuples(edge, st.just(1))
+                                  .filter(lambda hw: hw[0] <= 256)))
+            # Offsets into the tile, none beside a zero extent: that tile
+            # holds no element, however long its other side.
+            ro, co = draw(st.integers(0, int(h > 0))), draw(st.integers(0, int(w > 0)))
+            shape = h + ro, w + co
+            tiles.append((np.arange(shape[0] * shape[1]) % 7).astype(dtype).reshape(shape))
+            coords = [draw(edge if n < 999 else st.sampled_from([0, 255])) for _ in range(4)]
+        # Every piece's Rect is an object of its own, as the table makes them.
+        cuts.append(cut_of(tiles, Rect(*coords), len(tiles) - 1,
+                           slice(ro, ro + h), slice(co, co + w)))
+    return tiles, cuts
+
+
+class TestBatchPricing:
+    """A redistribution batch's ``nbytes`` against ``pickle.dumps`` of the
+    list a pickling sender sent, ``[(rect, np.ascontiguousarray(cut))]``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches())
+    def test_summed_wherever_it_fits_a_frame(self, batch):
+        """Arithmetic path for every builtin numeric dtype, int opcode
+        width and batch length, unless the list reaches 64 KiB."""
+        tiles, cuts = batch
+        pickled = assert_priced_as_sent(tiles, cuts)
+        assert pickled == (_nbytes(sent_list(tiles, cuts)) >= 64 * 1024)
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001])
+    @pytest.mark.parametrize("dtype", [np.bool_, np.float32])
+    def test_appends_batching(self, n, dtype):
+        """Arithmetic path: one APPEND after a single piece, else a
+        MARK/APPENDS pair per 1 000 pieces."""
+        tiles = [np.ones((2, 2), dtype), np.zeros((3, 1), dtype)]
+        cuts = [cut_of(tiles, Rect(i % 3, 255, 0, i % 2), i % 2, slice(1, 2), slice(0, 1))
+                for i in range(n)]
+        assert not assert_priced_as_sent(tiles, cuts)
+
+    def test_a_batch_straddling_the_frame_target_is_pickled(self):
+        """Both paths: batches of 2 KiB pieces from just under 64 KiB to
+        past it, each priced as the pickle of the sent list."""
+        tile = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
+        paths = set()
+        for n in range(28, 36):
+            cuts = [cut_of([tile], Rect(0, 16, 0, 16), 0, slice(0, 16), slice(0, 16))
+                    for _ in range(n)]
+            pickled = assert_priced_as_sent([tile], cuts)
+            assert pickled == (_nbytes(sent_list([tile], cuts)) >= 64 * 1024), n
+            paths.add(pickled)
+        assert paths == {False, True}
+
+    @pytest.mark.parametrize("cut", ["contiguous", "strided"])
+    def test_a_read_only_tile_is_pickled(self, cut):
+        """Pickle path: ``from_global`` of a read-only global hands a rank
+        views of it; a contiguous cut of one is a read-only view, pickled
+        as BINBYTES, a strided one a copy."""
+        g = np.arange(48.0).reshape(6, 8)
+        g.setflags(write=False)
+        (tile,) = DistMatrix.from_global(
+            types.SimpleNamespace(rank=0), BlockRow1D((6, 8), 1), g
+        ).tiles
+        assert not tile.flags.writeable
+        cs = slice(0, 8) if cut == "contiguous" else slice(2, 5)
+        cuts = [cut_of([tile], Rect(1, 3, cs.start, cs.stop), 0, slice(1, 3), cs),
+                cut_of([tile], Rect(4, 5, 0, 8), 0, slice(4, 5), slice(0, 8))]
+        assert assert_priced_as_sent([tile], cuts)
+        _n, _p, hop = batch_priced([tile], cuts)
+        assert [d.flags.writeable for _r, d in hop.blocks] == [cut == "strided", False]
+
+    class Tagged(np.ndarray):
+        pass
+
+    @pytest.mark.parametrize("odd", ["fresh_dtype_object", ">f8", "subclass", "metadata"])
+    def test_an_odd_tile_is_pickled(self, odd):
+        """Pickle path: a second dtype object for the same dtype (an
+        unpickled tile's, which a pickle writes out again in full), a
+        non-native byte order, an ndarray subclass and a dtype with
+        metadata — in the middle of a batch the sum could price."""
+        plain = np.arange(12.0).reshape(3, 4)
+        tile = {
+            "fresh_dtype_object": lambda: _copied(plain),
+            ">f8": lambda: plain.astype(">f8"),
+            "subclass": lambda: plain.view(self.Tagged),
+            "metadata": lambda: plain.astype(np.dtype(np.float64, metadata={"m": 1})),
+        }[odd]()
+        tiles = [plain, tile]
+        cuts = [cut_of(tiles, Rect(0, 2, 0, 2), t, slice(0, 2), slice(t, t + 2))
+                for t in (0, 1, 0)]
+        assert assert_priced_as_sent(tiles, cuts)
+        # The odd tile alone: a dtype the sum has no constant for, or —
+        # an unpickled tile's dtype object — the batch's only one.
+        assert assert_priced_as_sent([tile], [cut_of([tile], Rect(0, 1, 0, 4), 0,
+                                                       slice(0, 1), slice(0, 4))]) == (
+            odd != "fresh_dtype_object"
+        )
 
 
 # ---------------------------------------------------------------- isolation -- #
