@@ -18,8 +18,13 @@ Timestamps are microseconds of *simulated* time, re-zeroed to the trace
 epoch.  :data:`CHROME_TRACE_SCHEMA` is the JSON Schema every export is
 checked against, each event of it, before a byte is written;
 :func:`validate_chrome_trace` applies it through :mod:`repro.obs.schema`,
-the compiled checker all the package's schemas share (numpy is the only
-dependency; ``jsonschema`` is the tests' reference for it).
+the generated checker all the package's schemas share (numpy is the only
+dependency; ``jsonschema`` is the tests' reference for it).  The text is
+the C encoder's, complete before the file is opened: what JSON cannot
+hold — a NaN, a value of a type it does not know, a cycle — is a
+:class:`TraceSchemaError` naming its JSON path, found only on that
+error path.  The transport and memory events are built by unpacking the
+tracer's records, which are tuples, in field order.
 
 :func:`jsonl_records` / :func:`write_jsonl` produce a line-per-record
 structured log (run header, spans, per-rank summaries) for downstream
@@ -31,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .metrics import run_totals
@@ -216,38 +222,35 @@ def chrome_trace(
         )
     events.extend(_span_event(s, epoch) for s in spans)
     if include_transport_events:
-        for e in tracer.events:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": e.rank,
-                    "name": e.kind,
-                    "cat": "transport",
-                    "ts": (e.t0 - epoch) * 1e6,
-                    "dur": max(0.0, (e.t1 - e.t0) * 1e6),
-                    "args": {
-                        "phase": e.phase,
-                        "nbytes": e.nbytes,
-                        "peer": e.peer,
-                    },
-                }
-            )
+        events += [
+            {
+                "ph": "X",
+                "pid": 0,
+                "tid": rank,
+                "name": kind,
+                "cat": "transport",
+                "ts": (t0 - epoch) * 1e6,
+                "dur": max(0.0, (t1 - t0) * 1e6),
+                "args": {"phase": phase, "nbytes": nbytes, "peer": peer},
+            }
+            for rank, kind, phase, t0, t1, nbytes, peer, _seq, _injected in tracer.events
+        ]
         # One "C" sample per memtrace alloc/free: Perfetto draws each
         # rank's resident footprint as a step-function counter track.
         # Args stay purely numeric — string args would become series.
-        for me in tracer.memlog:
-            events.append(
-                {
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": me.rank,
-                    "name": f"resident_bytes rank {me.rank}",
-                    "cat": "memory",
-                    "ts": max(0.0, (me.t - epoch) * 1e6),
-                    "args": {"resident_bytes": me.resident_bytes},
-                }
-            )
+        counters = [f"resident_bytes rank {rank}" for rank in range(nprocs)]
+        events += [
+            {
+                "ph": "C",
+                "pid": 0,
+                "tid": rank,
+                "name": counters[rank],
+                "cat": "memory",
+                "ts": max(0.0, (t - epoch) * 1e6),
+                "args": {"resident_bytes": resident},
+            }
+            for rank, _kind, _purpose, _phase, t, _nbytes, resident in tracer.memlog
+        ]
     return {
         "traceEvents": events,
         "displayTimeUnit": _DISPLAY_UNIT,
@@ -264,24 +267,42 @@ _STRICT = json.JSONEncoder(allow_nan=False)  # the C encoder, built once
 
 
 def _strict_json(doc: Any, *at: Any) -> str:
-    """``json.dumps(doc)``, refusing the NaN/Infinity no strict parser reads;
+    """``json.dumps(doc)``, refusing what no strict parser reads back;
     ``at`` locates ``doc`` when it is one part of what is written."""
     try:
         return _STRICT.encode(doc)
-    except ValueError as exc:
-        raise TraceSchemaError(f"{_nonfinite(doc, at)} cannot be written as JSON") from exc
+    except (TypeError, ValueError) as exc:
+        found = _unwritable(doc, at, set()) or f"{json_path(at)}: {exc}"
+        raise TraceSchemaError(f"{found} cannot be written as JSON") from exc
 
 
-def _nonfinite(node: Any, path: tuple[Any, ...]) -> str | None:
-    """``$.path: value`` of the first float that is NaN or infinite."""
+def _finite_scalar(node: Any) -> bool:
+    return (node is None or isinstance(node, (str, int))
+            or isinstance(node, float) and math.isfinite(node))
+
+
+def _unwritable(node: Any, path: tuple[Any, ...], above: set[int]) -> str | None:
+    """``$.path: value`` of the first part of ``node`` JSON cannot hold: a
+    NaN or infinity, an object of a type it does not know, a key that is
+    not a scalar, or a container inside itself — ``above`` holds the ids
+    of the containers on the way down, so a cycle ends the walk."""
+    if _finite_scalar(node):
+        return None
     if isinstance(node, float):
-        return None if math.isfinite(node) else f"{json_path(path)}: {node!r}"
-    children = (node.items() if isinstance(node, dict)
-                else enumerate(node) if isinstance(node, (list, tuple)) else ())
-    for key, child in children:
-        found = _nonfinite(child, (*path, key))
+        return f"{json_path(path)}: {node!r}"
+    if not isinstance(node, (dict, list, tuple)):
+        return f"{json_path(path)}: {reprlib.repr(node)} (of type {type(node).__name__})"
+    if id(node) in above:
+        return f"{json_path(path)}: {reprlib.repr(node)} (a container inside itself)"
+    above.add(id(node))
+    is_dict = isinstance(node, dict)
+    for key, child in node.items() if is_dict else enumerate(node):
+        if is_dict and not _finite_scalar(key):
+            return f"{json_path(path)}: the key {reprlib.repr(key)}"
+        found = _unwritable(child, (*path, key), above)
         if found:
             return found
+    above.discard(id(node))
     return None
 
 

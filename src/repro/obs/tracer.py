@@ -22,6 +22,12 @@ Design constraints:
 * **Nothing when off.**  An unrecorded world has no tracer at all: each
   recording site in the transport and the collectives pays one
   ``tracer is not None`` test and nothing else.
+* **A record is a tuple.**  :class:`Event`, :class:`MsgRecord` and
+  :class:`MemEvent` are ``NamedTuple`` classes: immutable, without a
+  ``__dict__``, built without a ``__setattr__`` per field, and equal
+  when their fields are; a record changes only by being replaced
+  (``rec._replace(...)``).  Their ``repr`` is the one the transport and
+  engine digests hash.
 * **One writer at a time.**  Ranks share one tracer, and only the
   strand that owns the world (:mod:`repro.mpi.des`) records into it,
   so the logs need no lock of their own.
@@ -34,11 +40,10 @@ Design constraints:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 #: Span categories used by the built-in instrumentation.
 CAT_PHASE = "phase"  #: a CA3DMM schedule stage (redist/replicate/cannon/...)
@@ -50,8 +55,7 @@ _TRAFFIC = ("bytes_sent", "bytes_recv", "msgs_sent", "msgs_recv")
 _traffic = attrgetter(*_TRAFFIC)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One simulated-time interval on a rank.
 
     ``kind`` is one of ``"send"``, ``"recv"``, ``"wait"`` (clock raised
@@ -80,8 +84,7 @@ class Event:
         return self.t1 - self.t0
 
 
-@dataclass(frozen=True)
-class MsgRecord:
+class MsgRecord(NamedTuple):
     """One message's life on the wire.
 
     ``t_post`` is the sender's simulated clock when the message was
@@ -108,8 +111,7 @@ class MsgRecord:
         return self.arrival - self.t_post
 
 
-@dataclass(frozen=True)
-class MemEvent:
+class MemEvent(NamedTuple):
     """One tagged allocation or free on a rank's resident-memory timeline.
 
     ``kind`` is ``"alloc"`` or ``"free"``; ``purpose`` is the span tag
@@ -192,7 +194,7 @@ class Tracer:
         replaced in place, so the critical-path walk sees the true one."""
         rec = self.msg_record(seq)
         if rec is not None:
-            self.msglog[seq - 1] = dataclasses.replace(rec, arrival=arrival, injected=True)
+            self.msglog[seq - 1] = rec._replace(arrival=arrival, injected=True)
 
     def msg_record(self, seq: int) -> MsgRecord | None:
         """The :class:`MsgRecord` for a message seq (None when unknown)."""

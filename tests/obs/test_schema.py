@@ -3,7 +3,12 @@
 ``repro.obs.schema`` is the only validator ``src/`` has; ``jsonschema``
 is installed for the tests alone, as the oracle: on a valid document of
 every schema, taken from a real run, and on mutations of it, the two
-must return the same verdict.
+must return the same verdict.  What a failure *says* is held to
+``schema_message_digests.json``: per schema, a sha256 over the
+``TraceSchemaError`` text (or ``ok``) of every single edit, recorded with
+the closure-tree checker the generated one replaced.  Re-record it (only
+for a change that means to alter a message) with
+``PYTHONPATH=src:. python -c "import json, tests.obs.test_schema as t; print(json.dumps({n: t.message_digest(n) for n in sorted(t.SCHEMAS)}, indent=1, sort_keys=True))" > tests/obs/schema_message_digests.json``.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +38,7 @@ from repro.layout import DistMatrix, dense_random
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
 from repro.mpi.faults import FaultPlan, LinkFault, RankFault
-from repro.obs.schema import KEYWORDS, TraceSchemaError, compile as compile_schema
+from repro.obs.schema import KEYWORDS, TraceSchemaError, compile as compile_schema, json_path
 
 SCHEMAS = {
     name: schema
@@ -38,6 +46,13 @@ SCHEMAS = {
     for name, schema in sorted(vars(module).items())
     if name.endswith("_SCHEMA") and isinstance(schema, dict)
 }
+MESSAGE_DIGESTS = Path(__file__).with_name("schema_message_digests.json")
+
+
+@functools.cache
+def checker(name: str):
+    """``name``'s schema compiled once per test process (codegen takes ms)."""
+    return compile_schema(SCHEMAS[name])
 
 
 @functools.cache
@@ -66,7 +81,8 @@ def documents() -> dict[str, dict]:
     docs = {
         "CHROME_TRACE_SCHEMA": repro.obs.chrome_trace(run),
         "RUN_JSON_SCHEMA": json.loads(out.getvalue()),
-        "LEDGER_RECORD_SCHEMA": repro.obs.ledger_record(run, plan, "test", audit_ok=True),
+        "LEDGER_RECORD_SCHEMA": repro.obs.ledger_record(run, plan, "test", audit_ok=True,
+                                                        run_id="0" * 32),
         "CRITPATH_JSON_SCHEMA": repro.obs.critpath_report(run).to_dict(),
         "AUDIT_JSON_SCHEMA": repro.obs.audit_run(run, plan, machine=laptop()).to_dict(),
         "BASELINE_JSON_SCHEMA": repro.obs.capture_baseline(
@@ -143,12 +159,27 @@ def edit(doc, path, op, value):
         (parent[last] if path else doc).append(copy.deepcopy(value))
 
 
-def accepts(check, doc) -> bool:
+def verdict(check, doc) -> str:
+    """``ok``, or the text of the :class:`TraceSchemaError` ``check`` raises."""
     try:
         check(doc)
-    except TraceSchemaError:
-        return False
-    return True
+    except TraceSchemaError as exc:
+        return str(exc)
+    return "ok"
+
+
+def accepts(check, doc) -> bool:
+    return verdict(check, doc) == "ok"
+
+
+def message_digest(name: str) -> str:
+    """sha256 over the verdict of every single edit of ``name``'s document."""
+    digest, text = hashlib.sha256(), json.dumps(documents()[name])
+    for path, op, value in edits(documents()[name], SCHEMAS[name]):
+        doc = json.loads(text)
+        edit(doc, path, op, value)
+        digest.update(verdict(checker(name), doc).encode() + b"\n")
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
@@ -156,12 +187,12 @@ class TestAgainstJsonschema:
     def test_the_real_document_is_valid_for_both(self, name):
         jsonschema = pytest.importorskip("jsonschema")
         assert jsonschema.Draft7Validator(SCHEMAS[name]).is_valid(documents()[name])
-        compile_schema(SCHEMAS[name])(documents()[name])
+        checker(name)(documents()[name])
 
     def test_every_single_edit_gets_the_same_verdict(self, name):
         jsonschema = pytest.importorskip("jsonschema")
         reference = jsonschema.Draft7Validator(SCHEMAS[name])
-        check = compile_schema(SCHEMAS[name])
+        check = checker(name)
         text, verdicts = json.dumps(documents()[name]), set()
         for path, op, value in edits(documents()[name], SCHEMAS[name]):
             doc = json.loads(text)  # a fresh copy, faster than deepcopy
@@ -181,12 +212,16 @@ class TestAgainstJsonschema:
             done.append(data.draw(st.sampled_from(list(edits(doc, SCHEMAS[name])))))
             edit(doc, *done[-1])
         expected = jsonschema.Draft7Validator(SCHEMAS[name]).is_valid(doc)
-        assert accepts(compile_schema(SCHEMAS[name]), doc) == expected, done
+        assert accepts(checker(name), doc) == expected, done
+
+    def test_every_single_edit_fails_with_the_recorded_message(self, name):
+        assert message_digest(name) == json.loads(MESSAGE_DIGESTS.read_text())[name]
 
 
 class TestCompile:
     def test_there_are_nine_schemas_and_each_has_a_document(self):
         assert len(SCHEMAS) == 9 and set(documents()) == set(SCHEMAS)
+        assert set(json.loads(MESSAGE_DIGESTS.read_text())) == set(SCHEMAS)
 
     @pytest.mark.parametrize("name", sorted(SCHEMAS))
     def test_every_schema_of_the_package_compiles(self, name):
@@ -220,6 +255,39 @@ class TestCompile:
         del doc["traceEvents"][1]["tid"]
         with pytest.raises(TraceSchemaError, match=event + ": .* fails 'required': 'tid'"):
             repro.obs.validate_chrome_trace(doc)
+
+    @pytest.mark.parametrize("key", ['"); import os; ("', "'''", "\\", "{v}", "v", "c0", "\n"])
+    def test_a_property_name_is_data_not_code(self, key):
+        schema = {
+            "type": "object",
+            "required": [key],
+            "properties": {key: {"type": "integer", "minimum": 0, "enum": [1, 2]}},
+            "additionalProperties": {"type": "string", "pattern": re.escape(key)},
+            "allOf": [{"if": {"properties": {key: {"const": 2}}}, "then": {"required": [key + "!"]}}],
+        }
+        check = compile_schema(schema)
+        for doc in ({key: 1}, {key: 1, "x": f"a{key}"}, {key: 2, key + "!": key}):
+            check(doc)
+        for doc, message in [
+            ({key: -1}, f"{json_path([key])}: -1 fails 'minimum': 0"),
+            ({key: 3}, f"{json_path([key])}: 3 fails 'enum': [1, 2]"),
+            ({}, f"$: {{}} fails 'required': {key!r}"),
+            ({key: 1, "x": 3}, "$.x: 3 fails 'type': 'string'"),
+            ({key: 1, "x": "a"}, "$.x: 'a' fails 'pattern'"),
+            ({key: 2}, f"fails 'required': {key + '!'!r}"),
+        ]:
+            with pytest.raises(TraceSchemaError, match=re.escape(message)):
+                check(doc)
+
+    @pytest.mark.parametrize("value, ok", [(5, True), (50, False), (-50, True), (50.5, False),
+                                           ("x", True)])
+    def test_an_if_inside_the_condition_of_an_if(self, value, ok):
+        """Then ``value <= 10`` holds when (not an integer or ``>= 0``)."""
+        schema = {"if": {"if": {"type": "integer"}, "then": {"minimum": 0}},
+                  "then": {"maximum": 10}}
+        assert accepts(compile_schema(schema), value) is ok
+        jsonschema = pytest.importorskip("jsonschema")
+        assert jsonschema.Draft7Validator(schema).is_valid(value) is ok
 
     @pytest.mark.parametrize("schema, value, ok", [
         ({"const": 1}, 1, True), ({"const": 1}, 1.0, True), ({"const": 1}, True, False),
