@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..mpi.comm import Comm
-from ..mpi.datatypes import FRAME_TARGET, INTERNAL_TAG_BASE, MAX, Hop, payload_pack
+from ..mpi.datatypes import INTERNAL_TAG_BASE, MAX, Form, Hop, measure_form
 from .blocks import Rect
 from .distributions import Distribution
 from .matrix import DistMatrix
@@ -56,57 +56,59 @@ _TAG_REDIST_RESEND = INTERNAL_TAG_BASE + 403
 MAX_RESEND_ROUNDS = 2
 
 
+def _parts(piece: tuple[Rect, np.ndarray]) -> tuple[tuple[int, ...], np.ndarray]:
+    rect, data = piece
+    return (rect.r0, rect.r1, rect.c0, rect.c1, *data.shape), data
+
+
 @lru_cache(maxsize=None)
-def _piece_bytes(dtype: np.dtype) -> tuple[int, int] | None:
-    """``(first, later)``: what a piece of ``dtype`` adds to its batch's
-    pickle besides its six ints and its elements' bytes — as the first
-    piece of the batch, which also writes the globals (the ``Rect`` class,
-    numpy's array constructor, the dtype), and as any later one, which
-    refers back to them.  Measured once per process by pickling two tiny
-    batches.  ``None`` for a dtype the sum cannot price: one that is not
-    a native-order builtin numeric type.  (The caller rules out metadata
-    first: its pickle writes it, yet the dtype equals the plain one.)"""
+def _piece_form(dtype: np.dtype) -> Form | None:
+    """How a piece of ``dtype`` sits in its batch's pickle, as the first
+    piece of the batch, which also writes the globals (the ``Rect``
+    class, numpy's array constructor, the dtype), and as any later one,
+    which refers back to them — measured once per process on a batch of
+    two tiny pieces.  ``None`` for a dtype the sum cannot price: one that
+    is not a native-order builtin numeric type.  (The caller rules out
+    metadata first: its pickle writes it, yet the dtype equals the plain
+    one.)"""
     if not dtype.isnative or dtype.kind not in "biufc":
         return None
     one = np.zeros((1, 1), dtype)
-    batch = [(Rect(0, 1, 0, 1), one)]
-    fixed = 6 * 2 + one.nbytes  # six BININT1 ints and the element
-    # The list's own bytes are whatever payload_pack adds to a Hop's sizes.
-    first = payload_pack(batch)[1] - payload_pack(Hop([one], [0]))[1] - fixed
-    batch.append((Rect(0, 1, 0, 1), one.copy()))
-    both = payload_pack(batch)[1] - payload_pack(Hop([one, one], [0, 0]))[1]
-    return first, both - first - 2 * fixed
+    batch = [(Rect(1, 2, 3, 4), one), (Rect(5, 6, 7, 8), one.copy())]
+    return measure_form(batch, _parts, ("piece", dtype.str))
 
 
 def _hop(tiles: list[np.ndarray], cuts: list[Piece]) -> Hop:
     """One batch for another rank: each piece ``(rect, copy of its cut)``,
     sized as ``(rect, np.ascontiguousarray(cut))`` — what a sender that
-    pickled its batch sent — adds to a pickled list.  A piece whose tile
-    is not an exact, writeable ndarray of the batch's one dtype object
-    (an unpickled array brings a dtype object of its own, written out in
-    full), or of a dtype that is not a native builtin numeric one, is
-    sized :data:`~repro.mpi.datatypes.FRAME_TARGET`, so the batch is
-    priced by pickling its list; its copy pickles as that cut did (an
-    exact ndarray, read-only where the cut was a contiguous view of a
-    read-only tile)."""
+    pickled its batch sent — adds to a pickled list as a later piece:
+    its :class:`~repro.mpi.datatypes.Form`'s base, the pickled widths of
+    its six ints and its buffer (``hop_bytes`` adds what the first piece
+    writes and the frames).  A piece whose tile is not an exact,
+    writeable ndarray of the batch's one dtype object (an unpickled array
+    brings a dtype object of its own, written out in full), or of a
+    dtype that is not a native builtin numeric one, is sized ``None``, so
+    the batch is priced by pickling its list into a byte counter; its
+    copy pickles as that cut did (an exact ndarray, read-only where the
+    cut was a contiguous view of a read-only tile)."""
     dtype = tiles[cuts[0][1]].dtype
-    prices = _piece_bytes(dtype) if dtype.metadata is None else None
-    first, later = prices or (FRAME_TARGET, FRAME_TARGET)
+    form = _piece_form(dtype) if dtype.metadata is None else None
+    base = None if form is None else form.base + 9  # BYTEARRAY8
     blocks, sizes = [], []
     for rect, t, rs, cs, ints in cuts:
         tile = tiles[t]
         cut = tile[rs, cs]
-        if type(tile) is np.ndarray and tile.flags.writeable and tile.dtype is dtype:
+        if base is not None and type(tile) is np.ndarray and tile.flags.writeable \
+                and tile.dtype is dtype:
             data = cut.copy()
-            sizes.append(later + ints + data.nbytes)
+            sizes.append(base + ints + data.nbytes)
         else:
             data = np.array(cut, order="C")
             if not tile.flags.writeable and cut.flags.c_contiguous:
                 data.flags.writeable = False
-            sizes.append(FRAME_TARGET)
+            sizes.append(None)
         blocks.append((rect, data))
-    sizes[0] += first - later
-    return Hop(blocks, sizes)
+    return Hop(blocks, sizes, [form] * len(blocks))
 
 
 def _batch_crcs(batch: list[tuple[Rect, np.ndarray]]) -> list[int]:

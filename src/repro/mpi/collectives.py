@@ -43,7 +43,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..obs.tracer import CAT_COLLECTIVE
-from .datatypes import INTERNAL_TAG_BASE, Hop, Op, SUM, detached, is_immutable
+from .datatypes import (
+    INTERNAL_TAG_BASE, SUM, Hop, Op, array_form, detached, hand_over, handed_array,
+    is_immutable,
+)
 from .errors import CommError
 from .request import CollRequest
 
@@ -268,31 +271,50 @@ def scatter(comm, values: Sequence[Any] | None, root: int = 0) -> Any:
 def allgather(comm, value: Any) -> list[Any]:
     """Bruck allgather: ⌈log2 P⌉ rounds, works for any P and any sizes.
 
-    Returns the list of every rank's contribution, ordered by rank.
+    Returns the list of every rank's contribution, ordered by rank: the
+    contributing rank's own object, and copies of everyone else's.
 
     A hop forwards blocks it received.  While every block a rank holds
-    is immutable (``Comm.split``'s ``(color, key, rank)`` triples) the
+    is immutable (``Comm.split``'s ``(color, key, rank)`` triples) or an
+    array (CA3DMM's replication step, the 1D and COSMA schedules) the
     window travels as a :class:`~repro.mpi.datatypes.Hop`: priced as the
     pickle of the list like any other, handed over instead of unpickled
     and pickled again at each of the ⌈log2 P⌉ ranks it passes.  Each
-    block's share of that pickle is measured once, at its origin, and
-    travels beside it, so a hop of atoms and flat tuples of atoms is
-    priced by a sum, not a pickle.  Each rank looks at its own block
-    only, once; an incoming window says for itself which kind it is.
-    One block that is anything else (an ndarray, a list) and the hops
-    that carry it are pickled lists.
+    array in it is a private copy made for that message (a forwarded
+    block is copied again at every hop, so no two ranks hold the same
+    array), looking like the unpickled one.  Each block's share of the
+    pickle is measured once, at its origin, and travels beside it with
+    an array's :class:`~repro.mpi.datatypes.Form`, so a hop of atoms,
+    flat tuples of atoms and arrays of one dtype is priced by a sum, not
+    a pickle.  Each rank looks at its own block only, once; an incoming
+    window says for itself which kind it is.  One block that is anything
+    else (a list, an ``object`` array) and the hops that carry it are
+    pickled lists.
     """
     size, rank = comm.size, comm.rank
     if size == 1:
         return [value]
     with _span(comm, "allgather", algo="allgather.bruck"):
-        frozen = is_immutable(value)
-        # Every rank runs in this process, so two ranks' equal constants
-        # can be one object, which a pickle writes once: a block that is
-        # handed on goes in as the copy its first receiver used to make.
-        # held: the blocks of ranks rank, rank+1, ... (mod P); sizes: the
-        # bytes each adds to a hop's pickle (read only while frozen).
-        mine, nbytes = detached(value) if frozen else (value, None)
+        # held: the blocks of ranks rank, rank+1, ... (mod P), this rank's
+        # as given; sizes: what each (an array's copy) adds to a hop's
+        # pickle; forms: how an array among them sits in it (None for an
+        # atom; the list is None until an array is seen).  Every rank runs
+        # in this process, so two ranks' equal constants can be one
+        # object, which a pickle writes once: an immutable block goes in
+        # as the copy its first receiver used to make.
+        plain = wire = False
+        forms = None
+        if is_immutable(value):
+            mine, nbytes = detached(value)
+        elif handed_array(value):
+            mine = value
+            form = array_form(value)
+            nbytes = None if form is None else form.size(value)
+            forms = [form]
+            # A strided block is pickled unlike its copies: price it as is.
+            wire = not (value.flags.c_contiguous or value.flags.f_contiguous)
+        else:
+            mine, nbytes, plain = value, None, True
         held: list[Any] = [mine]
         sizes = [nbytes]
         h = 1
@@ -301,15 +323,22 @@ def allgather(comm, value: Any) -> list[Any]:
             dest = (rank - h) % size
             src = (rank + h) % size
             window = held[:cnt]
-            incoming = comm.sendrecv(
-                Hop(window, sizes[:cnt]) if frozen else window,
-                dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER,
-            )
+            if plain:
+                payload = window
+            elif forms is None:
+                payload = Hop(window, sizes[:cnt])
+            else:
+                payload = hand_over(window, sizes[:cnt], forms[:cnt], window if wire else None)
+            incoming = comm.sendrecv(payload, dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER)
             if type(incoming) is Hop:
+                if incoming.forms is not None and forms is None:
+                    forms = [None] * len(sizes)
                 sizes += incoming.sizes
+                if forms is not None:
+                    forms += incoming.forms or [None] * len(incoming.sizes)
                 incoming = incoming.blocks
             else:
-                frozen = False
+                plain = True
             held += incoming
             h += cnt
         # held[i] is the block of rank (rank + i) % size; rotate to absolute.

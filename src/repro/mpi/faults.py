@@ -521,11 +521,12 @@ class FaultInjector:
         A raw array is flipped in place (``payload_pack`` handed the
         transport a private copy, so the sender's buffer is untouched
         and the receiver sees the corrupted bits, exactly like a
-        wire-level flip), and so is a redistribution batch, a
-        :class:`~repro.mpi.datatypes.Hop` whose pieces are private copies
-        too.  Allgather rounds of arrays and CRC-enveloped batches travel
-        as pickled containers: those are unpickled, flipped and
-        re-pickled into a new blob.  Either way each flip lands on a
+        wire-level flip), and so is a
+        :class:`~repro.mpi.datatypes.Hop` — an allgather window of arrays
+        or a redistribution batch, whose arrays are private copies too.
+        CRC-enveloped batches and other containers of arrays travel as
+        pickles: those are unpickled, flipped and re-pickled into a new
+        blob.  Either way each flip lands on a
         seeded position of the virtual concatenation of the payload's
         inexact arrays — a raw array is the one-array case — and adds
         ``1 + |v|`` to it: large relative to both the value and float64

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import Ca3dmm
 from repro.core.plan import shared_plan
-from repro.ft import CorruptionError
+from repro.ft import CorruptionError, resilient_multiply
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, LinkFault, run_spmd
@@ -106,6 +106,25 @@ class TestPhaseCoverage:
         m = clean.metrics
         assert m.corruptions_injected_by_phase == {}
         assert m.corruptions_detected_by_phase == {}
+
+
+def test_resilient_multiply_corrects_a_replicate_flip(clean):
+    """The replication step hands each allgather window over as private
+    copies; a flip on the first ``replicate`` message of each link lands
+    on a receiver's copy, and ``resilient_multiply(abft=True)`` detects
+    it and returns the clean product, bit for bit."""
+
+    def mult(comm):
+        a = DistMatrix.from_global(comm, BlockCol1D((M, K), comm.size), dense_random(M, K, seed=7))
+        b = DistMatrix.from_global(comm, BlockCol1D((K, N), comm.size), dense_random(K, N, seed=8))
+        c = resilient_multiply(comm, a, b, c_dist=BlockCol1D((M, N), comm.size), abft=True)
+        return c.to_global()
+
+    res = run_spmd(P, mult, machine=laptop(), faults=_one_shot("replicate"))
+    m = res.metrics
+    assert m.corruptions_injected_by_phase.get("replicate", 0) >= 1
+    assert m.corruptions_detected_by_phase.get("replicate", 0) >= 1
+    assert np.array_equal(res.results[0], clean.results[0])
 
 
 class TestPersistentCorruptionIsTyped:

@@ -27,6 +27,7 @@ import threading
 import types
 
 from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
+from repro.baselines import matmul_1d
 from repro.layout.distributions import BlockCol1D
 from repro.layout.overlap import overlap_table
 from repro.machine.model import pace_phoenix_cpu
@@ -65,18 +66,20 @@ def counted_strands():
         threading.Thread.run = original
 
 
-def _matmul_run(p: int, n: int, layout=None):
-    """``run()`` executes one ``ca3dmm_matmul`` n³ on ``p`` ranks (native
-    layouts, or both operands in ``layout(shape, p)`` — steps 4 and 8
-    then redistribute them; nothing recorded); plans and imports are
-    memoized by a first, uncounted run."""
-    plan = Ca3dmmPlan(n, n, n, p)
-    a, b = dense_random(n, n, 0), dense_random(n, n, 1)
-    a_dist = layout((n, n), p) if layout else plan.a_dist
-    b_dist = layout((n, n), p) if layout else plan.b_dist
+def _matmul_run(p: int, n: int, layout=None, schedule=ca3dmm_matmul, shape=None):
+    """``run()`` executes one ``schedule`` (``ca3dmm_matmul``) of
+    ``shape`` (n³) on ``p`` ranks (native layouts, or both operands in
+    ``layout(shape, p)`` — steps 4 and 8 then redistribute them; nothing
+    recorded); plans and imports are memoized by a first, uncounted
+    run."""
+    m, nn, k = shape or (n, n, n)
+    plan = Ca3dmmPlan(m, nn, k, p)
+    a, b = dense_random(m, k, 0), dense_random(k, nn, 1)
+    a_dist = layout((m, k), p) if layout else plan.a_dist
+    b_dist = layout((k, nn), p) if layout else plan.b_dist
 
     def body(comm):
-        c = ca3dmm_matmul(
+        c = schedule(
             DistMatrix.from_global(comm, a_dist, a),
             DistMatrix.from_global(comm, b_dist, b),
         )
@@ -100,15 +103,18 @@ def calls_per_message(p: int, n: int = 256) -> float:
     return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
 
 
-def pickle_bytes_per_message(p: int, n: int = 256, layout=None) -> tuple[float, float]:
+def pickle_bytes_per_message(p: int, n: int = 256, layout=None, **run) -> tuple[float, float]:
     """``(unpickled, pickled)`` bytes per delivered message of the same
-    run (from ``layout`` if given): what ``repro.mpi.datatypes`` hands to
-    ``pickle.loads`` and gets back from ``pickle.dumps``.  Neither may
-    grow with ``p``: a split's rank table is handed from hop to hop and
-    each hop is sized from its blocks' sizes, a redistribution batch is
-    handed over and sized from its pieces' parts, so what is left is
-    each rank's own block, pickled and unpickled once per allgather."""
-    run = _matmul_run(p, n, layout)
+    run (from ``layout``, of another ``schedule`` or ``shape`` if given):
+    what ``repro.mpi.datatypes`` hands to ``pickle.loads`` and gets back
+    from ``pickle.dumps``.  Neither may grow with ``p``: a split's rank
+    table is handed from hop to hop and each hop is sized from its
+    blocks' sizes, a redistribution batch and an allgather's window of
+    arrays are handed over and sized from their blocks' parts (what the
+    sum cannot vouch for is pickled into a byte counter, which builds no
+    blob and is not counted here), so what is left is each rank's own
+    block of a split, pickled and unpickled once per allgather."""
+    run = _matmul_run(p, n, layout, **run)
     loaded = dumped = 0
 
     def loads(blob):
@@ -123,9 +129,7 @@ def pickle_bytes_per_message(p: int, n: int = 256, layout=None) -> tuple[float, 
         return blob
 
     original = datatypes.pickle
-    datatypes.pickle = types.SimpleNamespace(
-        loads=loads, dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL
-    )
+    datatypes.pickle = types.SimpleNamespace(**{**vars(pickle), "loads": loads, "dumps": dumps})
     try:
         result = run()
     finally:
@@ -144,6 +148,22 @@ def test_a_foreign_layout_pickles_no_batch():
     at256 = pickle_bytes_per_message(256, layout=BlockCol1D)
     print(f"BlockCol1D (unpickled, pickled) bytes/message: {at64} @64, {at256} @256")
     assert max(at64) <= 3.0 and max(at256) <= 3.0, (at64, at256)
+
+
+def test_an_allgather_of_arrays_pickles_nothing():
+    """A Bruck window of arrays is handed over and priced by a sum, so a
+    schedule that replicates an operand pickles and unpickles per message
+    no more than a native run: ≤ 3 bytes for ``matmul_1d`` 256³ at
+    P = 64 from ``BlockCol1D`` (3 943 of each while every window was
+    pickled at the sender and unpickled at the receiver), ≤ 5 for
+    ``ca3dmm_matmul`` 256×1024×256 at P = 64, whose grid replicates an
+    operand 4 times (1 873)."""
+    one_d = pickle_bytes_per_message(64, layout=BlockCol1D, schedule=matmul_1d)
+    wide = pickle_bytes_per_message(64, shape=(256, 1024, 256))
+    print(f"(unpickled, pickled) bytes/message: matmul_1d 256^3 {one_d}, "
+          f"ca3dmm 256x1024x256 {wide} @64")
+    assert max(one_d) <= 3.0, one_d
+    assert max(wide) <= 5.0, wide
 
 
 def unpickled_bytes_per_message(p: int, n: int = 256) -> float:
