@@ -6,9 +6,9 @@ source rectangle intersected with one destination rectangle.  This module
 derives all of them at once — the slicing primitive of Brock & Golin,
 "Slicing Is All You Need" — by intersecting the two
 :meth:`~repro.layout.distributions.Distribution.rect_index` arrays in
-numpy, and hands each rank its slice: what to cut from which tile for
-whom (:meth:`OverlapTable.sends`) and whom to expect, with where each
-arriving piece lands (:meth:`OverlapTable.recvs`).
+numpy, and hands each rank its slice as int rows (what to cut for whom,
+where each arriving piece lands); whom it hears from and which of its
+tiles the pieces leave holes in are derived with the table, not per call.
 
 **The order of pieces is part of the wire format** (a batch costs the
 length of its list's pickle, that length is ``nbytes``, ``nbytes`` is
@@ -36,12 +36,6 @@ from .distributions import Distribution
 #: dense S x D array is ever built (2 304 block-cyclic rects against 1 024
 #: native ones would be 2.4 M pairs).
 PAIR_CHUNK = 1 << 16
-
-#: One piece of a rank's slice: the rectangle (source coordinates, as it
-#: travels), the index of the local tile it is cut from / lands in, the
-#: slices of that tile, and the bytes its six ints take in a pickle
-#: (:func:`pickled_int_bytes`).
-Piece = tuple[Rect, int, slice, slice, int]
 
 
 def pickled_int_bytes(*values):
@@ -79,37 +73,39 @@ def _local_index(ranks: np.ndarray) -> np.ndarray:
     return np.arange(len(ranks)) - np.searchsorted(ranks, ranks, side="left")
 
 
-def _spans(ranks: np.ndarray, nranks: int) -> list[int]:
+def _spans(ranks: np.ndarray, nranks: int) -> np.ndarray:
     """Offsets ``[lo_0, lo_1, ..., lo_P]`` of each rank's run in ascending ``ranks``."""
-    return np.searchsorted(ranks, np.arange(nranks + 1)).tolist()
+    return np.searchsorted(ranks, np.arange(nranks + 1))
 
 
-def _batches(fields: np.ndarray) -> list[tuple[int, list[Piece]]]:
-    """One rank's pieces, grouped by peer in the order stored.  ``fields``
-    has a row each for peer rank, r0, r1, c0, c1, tile index, the piece's
-    row and column offset in that tile, its height and width there, and
-    the bytes its ints take in a pickle."""
-    out: list[tuple[int, list[Piece]]] = []
-    prev = None
-    for peer, r0, r1, c0, c1, tile, ro, co, h, w, ints in zip(*fields.tolist()):
-        if peer != prev:
-            prev, pieces = peer, []
-            out.append((peer, pieces))
-        pieces.append(
-            (Rect(r0, r1, c0, c1), tile, slice(ro, ro + h), slice(co, co + w), ints)
-        )
-    return out
+def _untiled(j: np.ndarray, piece: tuple, rect: tuple) -> np.ndarray:
+    """Rects, ascending, that their pieces (``piece[k]`` in ``rect[j[k]]``,
+    each ``(r0, r1, c0, c1)`` arrays) do not tile: a rect is tiled iff its
+    pieces' corners (+ at r0c0 and r1c1, - at r0c1 and r1c0) and its own,
+    negated, cancel.  Each rect keys its corner points in a block of its
+    own, so both sorted lists hold a rect's keys at the same positions."""
+    shared = np.flatnonzero(np.bincount(j)[j] > 1)  # one piece is the rect
+    ids, k = np.unique(j[shared], return_inverse=True)
+    d_r0, d_r1, d_c0, d_c1 = (a[ids] for a in rect)
+    width = d_c1 - d_c0 + 1
+    base = np.cumsum((d_r1 - d_r0 + 1) * width) - (d_r1 - d_r0 + 1) * width
+    at = base - d_r0 * width - d_c0  # key of (r, c) in rect i: at[i] + r * width[i] + c
+    p_at, p_w, (r0, r1, c0, c1) = at[k], width[k], (a[shared] for a in piece)
+    plus = np.sort(np.concatenate([p_at + r0 * p_w + c0, p_at + r1 * p_w + c1,
+                                   at + d_r0 * width + d_c1, at + d_r1 * width + d_c0]))
+    minus = np.sort(np.concatenate([p_at + r0 * p_w + c1, p_at + r1 * p_w + c0,
+                                    at + d_r0 * width + d_c0, at + d_r1 * width + d_c1]))
+    return ids[np.unique(np.searchsorted(base, plus[plus != minus], side="right") - 1)]
 
 
 class OverlapTable:
     """Every piece of one ``(src, dst, transpose)`` conversion.
 
     ``src_rank``, ``dst_rank`` and ``area`` are arrays over the pieces in
-    sender order.  :meth:`sends`, :meth:`sources` and :meth:`recvs` cut one
-    rank's slice out of the table.  What is kept between calls is
-    twenty-two ``int32`` per piece, not the Python objects of every rank: a
-    1024-rank conversion has 51 200 pieces, and held as objects they
-    added 53 MB to a 283 MB run.
+    sender order; the methods read one rank's slice off the table.  It
+    keeps numpy arrays only, twenty-one ``int32`` per piece besides those
+    three: a 1024-rank conversion has 51 200 pieces, and held as
+    per-rank Python objects they added 53 MB to a 283 MB run.
     """
 
     def __init__(self, src: Distribution, dst: Distribution, transpose: bool):
@@ -127,9 +123,7 @@ class OverlapTable:
         c0 = np.maximum(s_box[2][i], d_box[2][j])
         c1 = np.minimum(s_box[3][i], d_box[3][j])
         h, w = r1 - r0, c1 - c0
-        self.src_rank = s_rank[i]
-        self.dst_rank = d_rank[j]
-        self.area = h * w
+        self.src_rank, self.dst_rank, self.area = s_rank[i], d_rank[j], h * w
 
         # A source with holes or overlaps is refused here, on every rank
         # alike, before the first message: the pieces of each destination
@@ -147,45 +141,56 @@ class OverlapTable:
                 f"destination rect {rect} ({int(covered[b])} of {rect.area} "
                 f"elements arrive)"
             )
+        # An overlap that pays for a hole in the same rect the sums cannot
+        # see: found here, refused by the holed ranks after the exchange.
+        d_local, holed = _local_index(d_rank), _untiled(j, (r0, r1, c0, c1), d_box)
+        self._holes = np.full(dst.nranks, -1, dtype=np.int32)
+        first = np.unique(d_rank[holed], return_index=True)[1]
+        self._holes[d_rank[holed[first]]] = d_local[holed[first]]
 
         ints = pickled_int_bytes(r0, r1, c0, c1, h, w)
         self._send = np.array([
             self.dst_rank, r0, r1, c0, c1,
             _local_index(s_rank)[i], r0 - s_box[0][i], c0 - s_box[2][i], h, w, ints,
-        ], dtype=np.int32)
+        ], dtype=np.int32).T
         self._send_span = _spans(self.src_rank, src.nranks)
         # Seen from the destination the piece is transposed if asked: its
         # offsets in the destination tile are taken in destination coordinates.
         land_r, land_c, land_h, land_w = (c0, r0, w, h) if transpose else (r0, c0, h, w)
-        arrival = np.lexsort(
-            (self.src_rank, self.src_rank != self.dst_rank, self.dst_rank)
-        )
+        arrival = np.lexsort((self.src_rank, self.src_rank != self.dst_rank, self.dst_rank))
         self._recv = np.array([
             self.src_rank, r0, r1, c0, c1,
-            _local_index(d_rank)[j], land_r - d_r0[j], land_c - d_c0[j], land_h, land_w,
-            ints,
-        ], dtype=np.int32)[:, arrival]
+            d_local[j], land_r - d_r0[j], land_c - d_c0[j], land_h, land_w,
+        ], dtype=np.int32)[:, arrival].T
         self._recv_span = _spans(self.dst_rank[arrival], dst.nranks)
+        # Whom each rank hears from: the first piece of each other source.
+        s, d = self.src_rank[arrival], self.dst_rank[arrival]
+        first = (s != d) & np.concatenate([[True], (s[1:] != s[:-1]) | (d[1:] != d[:-1])])
+        self._sources = s[first].astype(np.int32)
+        self._source_span = _spans(d[first], dst.nranks)
 
-    def sends(self, rank: int) -> list[tuple[int, list[Piece]]]:
-        """``rank``'s send plan: ``(dst_rank, pieces)`` batches, destinations
-        ascending, its own batch included; a piece names the local tile to
-        cut it from and the slices of that tile."""
-        lo, hi = self._send_span[rank : rank + 2]
-        return _batches(self._send[:, lo:hi])
+    def send_rows(self, rank: int) -> list[list[int]]:
+        """``rank``'s pieces, destinations ascending: ``[dst_rank, r0, r1, c0,
+        c1, t, ro, co, h, w, ints]``, cut as ``tiles[t][ro:ro + h, co:co + w]``;
+        ``ints`` is what its six ints take in a pickle."""
+        lo, hi = self._send_span[rank : rank + 2].tolist()
+        return self._send[lo:hi].tolist()
 
     def sources(self, rank: int) -> list[int]:
         """The ranks other than itself ``rank`` expects a batch from, ascending."""
-        lo, hi = self._recv_span[rank : rank + 2]
-        return [s for s in np.unique(self._recv[0, lo:hi]).tolist() if s != rank]
+        lo, hi = self._source_span[rank : rank + 2].tolist()
+        return self._sources[lo:hi].tolist()
 
-    def recvs(self, rank: int) -> list[tuple[int, list[Piece]]]:
-        """``rank``'s receive plan: ``(src_rank, pieces)`` batches, its own
-        first, then sources ascending, each in its sender's order; a piece
-        names the local tile it lands in and the slices of that tile (of
-        the transposed piece under ``transpose``)."""
-        lo, hi = self._recv_span[rank : rank + 2]
-        return _batches(self._recv[:, lo:hi])
+    def recv_rows(self, rank: int) -> list[list[int]]:
+        """``rank``'s arriving pieces, its own first, then by source:
+        ``[src_rank, r0, r1, c0, c1, t, ro, co, h, w]``, landing (transposed
+        under ``transpose``) in ``tiles[t][ro:ro + h, co:co + w]``."""
+        lo, hi = self._recv_span[rank : rank + 2].tolist()
+        return self._recv[lo:hi].tolist()
+
+    def holed_tile(self, rank: int) -> int | None:
+        """The first of ``rank``'s tiles the pieces leave holes in, if any."""
+        return None if self._holes[rank] < 0 else int(self._holes[rank])
 
 
 @lru_cache(maxsize=64)
@@ -197,11 +202,8 @@ def overlap_table(src: Distribution, dst: Distribution, transpose: bool) -> Over
     fit, or the source leaves holes in / overlaps on a destination rect.
     """
     if src.nranks != dst.nranks:
-        raise ValueError(
-            f"source spans {src.nranks} ranks, destination {dst.nranks}"
-        )
+        raise ValueError(f"source spans {src.nranks} ranks, destination {dst.nranks}")
     if tuple(dst.shape) != (tuple(src.shape)[::-1] if transpose else tuple(src.shape)):
-        raise ValueError(
-            f"shape mismatch: src {src.shape}, dst {dst.shape}, transpose={transpose}"
-        )
+        raise ValueError(f"shape mismatch: src {src.shape}, dst {dst.shape}, "
+                         f"transpose={transpose}")
     return OverlapTable(src, dst, transpose)

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from ..mpi.datatypes import INTERNAL_TAG_BASE, MAX, Form, Hop, measure_form
 from .blocks import Rect
 from .distributions import Distribution
 from .matrix import DistMatrix
-from .overlap import Piece, overlap_table
+from .overlap import overlap_table
 
 _TAG_REDIST = INTERNAL_TAG_BASE + 401
 _TAG_REDIST_NACK = INTERNAL_TAG_BASE + 402
@@ -78,26 +80,26 @@ def _piece_form(dtype: np.dtype) -> Form | None:
     return measure_form(batch, _parts, ("piece", dtype.str))
 
 
-def _hop(tiles: list[np.ndarray], cuts: list[Piece]) -> Hop:
-    """One batch for another rank: each piece ``(rect, copy of its cut)``,
-    sized as ``(rect, np.ascontiguousarray(cut))`` — what a sender that
-    pickled its batch sent — adds to a pickled list as a later piece:
-    its :class:`~repro.mpi.datatypes.Form`'s base, the pickled widths of
-    its six ints and its buffer (``hop_bytes`` adds what the first piece
-    writes and the frames).  A piece whose tile is not an exact,
-    writeable ndarray of the batch's one dtype object (an unpickled array
-    brings a dtype object of its own, written out in full), or of a
+def _hop(tiles: list[np.ndarray], rows: list[list[int]]) -> Hop:
+    """One batch for another rank, from its send rows: each piece ``(rect,
+    copy of its cut)``, sized as ``(rect, np.ascontiguousarray(cut))`` —
+    what a sender that pickled its batch sent — adds to a pickled list as
+    a later piece: its :class:`~repro.mpi.datatypes.Form`'s base, the
+    pickled widths of its six ints and its buffer (``hop_bytes`` adds what
+    the first piece writes and the frames).  A piece whose tile is not an
+    exact, writeable ndarray of the batch's one dtype object (an unpickled
+    array brings a dtype object of its own, written out in full), or of a
     dtype that is not a native builtin numeric one, is sized ``None``, so
-    the batch is priced by pickling its list into a byte counter; its
-    copy pickles as that cut did (an exact ndarray, read-only where the
-    cut was a contiguous view of a read-only tile)."""
-    dtype = tiles[cuts[0][1]].dtype
+    the batch is priced by pickling its list into a byte counter; its copy
+    pickles as that cut did (an exact ndarray, read-only where the cut was
+    a contiguous view of a read-only tile)."""
+    dtype = tiles[rows[0][5]].dtype
     form = _piece_form(dtype) if dtype.metadata is None else None
     base = None if form is None else form.base + 9  # BYTEARRAY8
     blocks, sizes = [], []
-    for rect, t, rs, cs, ints in cuts:
+    for _dst, r0, r1, c0, c1, t, ro, co, h, w, ints in rows:
         tile = tiles[t]
-        cut = tile[rs, cs]
+        cut = tile[ro : ro + h, co : co + w]
         if base is not None and type(tile) is np.ndarray and tile.flags.writeable \
                 and tile.dtype is dtype:
             data = cut.copy()
@@ -107,7 +109,7 @@ def _hop(tiles: list[np.ndarray], cuts: list[Piece]) -> Hop:
             if not tile.flags.writeable and cut.flags.c_contiguous:
                 data.flags.writeable = False
             sizes.append(None)
-        blocks.append((rect, data))
+        blocks.append((Rect(r0, r1, c0, c1), data))
     return Hop(blocks, sizes, [form] * len(blocks))
 
 
@@ -207,9 +209,7 @@ def redistribute(
     """
     comm: Comm = src.comm
     if dst_dist.nranks != comm.size:
-        raise ValueError(
-            f"destination spans {dst_dist.nranks} ranks, communicator has {comm.size}"
-        )
+        raise ValueError(f"destination spans {dst_dist.nranks} ranks, communicator has {comm.size}")
     me = comm.rank
     table = overlap_table(src.dist, dst_dist, transpose)
 
@@ -220,25 +220,20 @@ def redistribute(
         # handshaking and no empty messages are needed — a
         # native-to-native conversion sends nothing at all.
         src_tiles = src.tiles
-        sends = {}
-        for dst_rank, cuts in table.sends(me):
-            if dst_rank == me:  # never leaves: the tiles' own views
-                sends[me] = [(rect, src_tiles[t][rs, cs]) for rect, t, rs, cs, _i in cuts]
-            elif verify:
-                sends[dst_rank] = [
-                    (rect, np.ascontiguousarray(src_tiles[t][rs, cs]))
-                    for rect, t, rs, cs, _i in cuts
-                ]
-            else:
-                sends[dst_rank] = _hop(src_tiles, cuts)
+        sends, pending = {}, []
+        for dst_rank, rows in groupby(table.send_rows(me), itemgetter(0)):
+            if dst_rank != me and not verify:  # posted at once: this rank keeps no copy
+                pending.append(comm.isend(_hop(src_tiles, list(rows)), dst_rank, _TAG_REDIST))
+                continue
+            keep = np.asanyarray if dst_rank == me else np.ascontiguousarray  # own: the views
+            sends[dst_rank] = [(Rect(r0, r1, c0, c1), keep(src_tiles[t][ro : ro + h, co : co + w]))
+                               for _d, r0, r1, c0, c1, t, ro, co, h, w, _i in rows]
         recv_sources = table.sources(me)
 
-        send_dsts = [d for d in sends if d != me]
-        pending = []
+        send_dsts = [d for d in sends if d != me]  # verify keeps them for resends
         for dst_rank in send_dsts:
             batch = sends[dst_rank]
-            payload = (_batch_crcs(batch), batch) if verify else batch
-            pending.append(comm.isend(payload, dst_rank, _TAG_REDIST))
+            pending.append(comm.isend((_batch_crcs(batch), batch), dst_rank, _TAG_REDIST))
         received = [sends[me]] if me in sends else []
         if not verify:
             for src_rank in recv_sources:
@@ -258,10 +253,8 @@ def redistribute(
         # owned nothing has no dtype of its own to offer.
         dtypes = {data.dtype for batch in received for _rect, data in batch}
         if len(dtypes) > 1:
-            raise ValueError(
-                f"rank {me}: pieces of mixed dtypes "
-                f"{sorted(map(str, dtypes))} in one redistribution"
-            )
+            raise ValueError(f"rank {me}: pieces of mixed dtypes "
+                             f"{sorted(map(str, dtypes))} in one redistribution")
         dtype = dtypes.pop() if dtypes else src.dtype
         my_rects = dst_dist.owned_rects(me)
         tiles = [np.zeros(r.shape, dtype=dtype) for r in my_rects]
@@ -271,27 +264,30 @@ def redistribute(
             data.nbytes for batch in received for _rect, data in batch
         )
         with comm.mem("redist.tiles", staged):
-            # The table's area sums cannot see a hole that an overlap
-            # elsewhere in the same rect pays for; the mask can.
-            filled = [np.zeros(r.shape, dtype=bool) for r in my_rects]
-            for (src_rank, lands), batch in zip(table.recvs(me), received):
-                if len(batch) != len(lands):
+            # Read only now (a rank parked mid-exchange holds no list per piece),
+            # grouped by source in this order: a batch's rows end at ``end`` iff
+            # it holds as many pieces, and zip(batch, lands) takes no row past it.
+            rows = table.recv_rows(me)
+            lands, end, last = iter(rows), 0, len(rows) - 1
+            for src_rank, batch in zip(([me] if me in sends else []) + recv_sources, received):
+                end += len(batch)
+                if rows[end - 1][0] != src_rank or (end <= last and rows[end][0] == src_rank):
                     raise ValueError(
                         f"rank {me}: {len(batch)} pieces from rank {src_rank}, "
-                        f"the layouts call for {len(lands)}"
+                        f"the layouts call for {sum(row[0] == src_rank for row in rows)}"
                     )
-                for (rect, t, rs, cs, _i), (got_rect, data) in zip(lands, batch):
-                    if got_rect != rect:
+                for (rect, data), (_s, r0, r1, c0, c1, t, ro, co, h, w) in zip(batch, lands):
+                    if rect.r0 != r0 or rect.r1 != r1 or rect.c0 != c0 or rect.c1 != c1:
                         raise ValueError(
-                            f"rank {me}: received piece {got_rect} from rank "
-                            f"{src_rank} where the layouts call for {rect}"
+                            f"rank {me}: received piece {rect} from rank {src_rank} "
+                            f"where the layouts call for {Rect(r0, r1, c0, c1)}"
                         )
                     payload = data.T if transpose else data
-                    tiles[t][rs, cs] = np.conj(payload) if conjugate else payload
-                    filled[t][rs, cs] = True
-            for rect, mask in zip(my_rects, filled):
-                if not mask.all():
-                    raise ValueError(
-                        f"rank {me}: redistribution left holes in local tile {rect}"
-                    )
+                    tiles[t][ro : ro + h, co : co + w] = np.conj(payload) if conjugate else payload
+            # An overlap that pays for a hole in the same rect, found with the table.
+            hole = table.holed_tile(me)
+            if hole is not None:
+                raise ValueError(
+                    f"rank {me}: redistribution left holes in local tile {my_rects[hole]}"
+                )
     return DistMatrix(comm, dst_dist, tiles, dtype=dtype)

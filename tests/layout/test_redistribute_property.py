@@ -9,7 +9,9 @@ any-to-any conversion, with and without transposition.
 The second half holds ``repro.layout.overlap`` — one table per pair of
 layouts — to the per-rank pairwise scans it replaced
 (``reference_redistribute.py``, the parent's code verbatim): same
-messages to the same ranks in the same order, byte for byte.
+messages to the same ranks in the same order, byte for byte.  The last
+holds the table's tiling check, made once per pair of layouts, to
+painting every source rect onto the matrix.
 """
 
 from __future__ import annotations
@@ -400,3 +402,116 @@ def test_malformed_layouts_are_typed_errors_also_under_python_O(optimize):
         f"ValueError rank 1: {box(3, 8, 0, 4)} overlaps a rect gathered before it"
         " / posted 2",
     ]
+
+
+# ------------------------------------- the tiling check against painting -- #
+def _punched(rect: Rect, row: int, col: int) -> list[Rect]:
+    """``rect`` less its cell ``(row, col)``: the bands above and below it
+    and the two runs beside it on its row, the empty ones left out."""
+    parts = [
+        Rect(rect.r0, row, rect.c0, rect.c1),
+        Rect(row + 1, rect.r1, rect.c0, rect.c1),
+        Rect(row, row + 1, rect.c0, col),
+        Rect(row, row + 1, col + 1, rect.c1),
+    ]
+    return [r for r in parts if not r.is_empty()]
+
+
+@st.composite
+def _malformed_sources(draw):
+    """``(src, dst, transpose)``: a random guillotine source, then cells
+    punched out of it and cells owned twice — anywhere, or one of each in
+    the same destination rect, so that their areas still add up."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    p = draw(st.integers(1, 7))
+    transpose = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    dst = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](
+        rng, (n, m) if transpose else (m, n), p)
+    mapping = {r: list(rects) for r, rects in
+               enumerate(_random_layout(rng, m, n, p).owned_rects(r) for r in range(p))}
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    punch, twice = draw(st.lists(cell, max_size=2)), draw(st.lists(cell, max_size=2))
+    wide = [r for rank in range(p) for r in dst.owned_rects(rank) if r.area >= 2]
+    if wide and draw(st.booleans()):
+        d = draw(st.sampled_from(wide))
+        d = Rect(d.c0, d.c1, d.r0, d.r1) if transpose else d  # in source coordinates
+        cells = [(i, j) for i in range(d.r0, d.r1) for j in range(d.c0, d.c1)]
+        hole, extra = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2,
+                                    unique=True))
+        punch, twice = punch + [hole], twice + [extra]
+    for row, col in punch:
+        for rank, rects in mapping.items():
+            hit = [r for r in rects if r.r0 <= row < r.r1 and r.c0 <= col < r.c1]
+            if hit:
+                rects.remove(hit[0])
+                rects.extend(_punched(hit[0], row, col))
+                break
+    for row, col in twice:
+        mapping[draw(st.integers(0, p - 1))].append(Rect(row, row + 1, col, col + 1))
+    return Explicit.from_mapping((m, n), p, mapping), dst, transpose
+
+
+def _painted(src: Explicit, dst, transpose: bool) -> tuple[str | None, dict[int, str]]:
+    """The verdict of painting every source rect onto the matrix: the
+    error the table raises (the first destination rect whose coverage
+    does not add up to its area), else each rank's error for the first of
+    its tiles left with a hole."""
+    cover = np.zeros(src.shape, dtype=int)
+    for rank in range(src.nranks):
+        for r in src.owned_rects(rank):
+            cover[r.r0 : r.r1, r.c0 : r.c1] += 1
+    cover = cover.T if transpose else cover
+    tiles = [(rank, d, cover[d.r0 : d.r1, d.c0 : d.c1])
+             for rank in range(dst.nranks) for d in dst.owned_rects(rank)]
+    for rank, d, got in tiles:
+        if got.sum() != d.area:
+            how = "leaves holes in" if got.sum() < d.area else "overlaps itself on"
+            return (f"rank {rank}: source layout {how} destination rect {d} "
+                    f"({got.sum()} of {d.area} elements arrive)"), {}
+    holed = {}
+    for rank, d, got in tiles:
+        if (got == 0).any() and rank not in holed:
+            holed[rank] = f"rank {rank}: redistribution left holes in local tile {d}"
+    return None, holed
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_malformed_sources())
+def test_the_tables_tiling_verdict_is_painting(case):
+    """Holes, overlaps, both, and overlaps that pay for a hole in the same
+    destination rect: the table refuses what the area sums see with the
+    painting's first rect, and names exactly the tiles painting finds
+    holes in; ``redistribute`` refuses on exactly those ranks, after the
+    exchange, and a well-formed source converts exactly."""
+    src, dst, transpose = case
+    refused, holed = _painted(src, dst, transpose)
+    overlap_table.cache_clear()
+    if refused is not None:
+        with pytest.raises(ValueError) as exc:
+            overlap_table(src, dst, transpose)
+        assert str(exc.value) == refused
+    else:
+        table = overlap_table(src, dst, transpose)
+        for rank in range(src.nranks):
+            t = table.holed_tile(rank)
+            got = None if t is None else (
+                f"rank {rank}: redistribution left holes in local tile "
+                f"{dst.owned_rects(rank)[t]}")
+            assert got == holed.get(rank), rank
+    ref = dense_random(*src.shape, 5)
+
+    def f(comm):
+        x = DistMatrix(comm, src, [ref[r.r0 : r.r1, r.c0 : r.c1].copy()
+                                   for r in src.owned_rects(comm.rank)])
+        try:
+            y = redistribute(x, dst, transpose=transpose)
+        except ValueError as err:
+            return str(err)
+        want = ref.T if transpose else ref
+        return all(np.array_equal(tile, want[r.r0 : r.r1, r.c0 : r.c1])
+                   for r, tile in zip(y.owned_rects, y.tiles))
+
+    results = run_spmd(src.nranks, f, machine=laptop(), deadlock_timeout=30.0).results
+    for rank, got in enumerate(results):
+        assert got == (refused or holed.get(rank, True)), rank

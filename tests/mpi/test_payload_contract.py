@@ -24,6 +24,8 @@ import math
 import pickle
 import pickletools
 import types
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -507,9 +509,9 @@ class TestArrayWindows:
             assert path_of(seen) == "counted"
             assert allgather_bytes(res) == pickled_allgather(values)[0]
             tile = np.arange(12.0).reshape(3, 4)
-            cuts = [cut_of([tile], Rect(0, 2, 0, 2), 0, slice(0, 2), slice(c, c + 2))
+            rows = [row_of([tile], Rect(0, 2, 0, 2), 0, slice(0, 2), slice(c, c + 2))
                     for c in (0, 2)]
-            assert assert_priced_as_sent([tile], cuts)
+            assert assert_priced_as_sent([tile], rows)
         finally:
             for cache in caches:
                 cache.cache_clear()
@@ -575,8 +577,9 @@ class TestArrayWindows:
                        if rec.phase == "moved")
         _bytes, gathered = pickled_allgather(values)
         table = overlap_table(dist, strips, False)
-        want = sorted((r, dst, _nbytes(sent_list(tiles_of(gathered[r], r), cuts)))
-                      for r in range(p) for dst, cuts in table.sends(r) if dst != r)
+        want = sorted((r, dst, _nbytes(sent_list(tiles_of(gathered[r], r), rows)))
+                      for r in range(p)
+                      for dst, rows in groupby(table.send_rows(r), itemgetter(0)) if dst != r)
         assert moved == want and len(moved) > 0
 
 
@@ -655,10 +658,10 @@ class TestFrames:
         """Arithmetic path: a batch of pieces each written outside any
         frame, beside small ones."""
         tile = np.arange(100 * 100.0).reshape(100, 100)
-        cuts = [cut_of([tile], Rect(0, 100, 0, 100), 0, slice(0, 100), slice(0, 100 if i % 2
+        rows = [row_of([tile], Rect(0, 100, 0, 100), 0, slice(0, 100), slice(0, 100 if i % 2
                                                                                else 3))
                 for i in range(n)]
-        assert not assert_priced_as_sent([tile], cuts)
+        assert not assert_priced_as_sent([tile], rows)
 
 
 def _copied_blob(blocks: list) -> bytes:
@@ -673,17 +676,18 @@ COORD_EDGES = [0, 255, 256, 65_535, 65_536, 2 ** 31 - 1]
 BATCH_DTYPES = [np.float32, np.float64, np.complex64, np.complex128, np.int64, np.bool_]
 
 
-def cut_of(tiles: list, rect: Rect, t: int, rs: slice, cs: slice):
-    """A send-plan piece, as :meth:`OverlapTable.sends` yields it."""
+def row_of(tiles: list, rect: Rect, t: int, rs: slice, cs: slice) -> list[int]:
+    """A send row for the piece ``tiles[t][rs, cs]`` at ``rect``, as
+    :meth:`OverlapTable.send_rows` yields it (to rank 1)."""
     h, w = rs.stop - rs.start, cs.stop - cs.start
-    return rect, t, rs, cs, pickled_int_bytes(*rect, h, w)
+    return [1, *rect, t, rs.start, cs.start, h, w, pickled_int_bytes(*rect, h, w)]
 
 
-def batch_priced(tiles: list, cuts: list) -> tuple[int, bool, Hop]:
+def batch_priced(tiles: list, rows: list) -> tuple[int, bool, Hop]:
     """``(nbytes, pickled, hop)`` of the batch ``redistribute`` hands
-    over for ``cuts``: and whether pricing it pickled its list (into a
+    over for ``rows``: and whether pricing it pickled its list (into a
     byte counter: a batch is never pickled into a blob)."""
-    hop = _hop(tiles, cuts)
+    hop = _hop(tiles, rows)
     with pickling() as seen:
         stored, nbytes, handed = payload_pack(hop)
     assert stored is hop and handed
@@ -691,16 +695,17 @@ def batch_priced(tiles: list, cuts: list) -> tuple[int, bool, Hop]:
     return nbytes, any(v is hop.blocks for _path, v in seen), hop
 
 
-def sent_list(tiles: list, cuts: list) -> list:
-    """The list a sender that pickled its batch sent for the same cuts."""
-    return [(rect, np.ascontiguousarray(tiles[t][rs, cs])) for rect, t, rs, cs, _i in cuts]
+def sent_list(tiles: list, rows: list) -> list:
+    """The list a sender that pickled its batch sent for the same rows."""
+    return [(Rect(r0, r1, c0, c1), np.ascontiguousarray(tiles[t][ro : ro + h, co : co + w]))
+            for _d, r0, r1, c0, c1, t, ro, co, h, w, _i in rows]
 
 
-def assert_priced_as_sent(tiles: list, cuts: list) -> bool:
+def assert_priced_as_sent(tiles: list, rows: list) -> bool:
     """The handed batch costs what :func:`sent_list` pickles to and holds
     its pieces, each a private copy; returns whether it was pickled."""
-    nbytes, pickled, hop = batch_priced(tiles, cuts)
-    sent = sent_list(tiles, cuts)
+    nbytes, pickled, hop = batch_priced(tiles, rows)
+    sent = sent_list(tiles, rows)
     assert nbytes == _nbytes(sent)
     assert len(hop.sizes) == len(hop.blocks) == len(sent)
     for (rect, data), (want_rect, want) in zip(hop.blocks, sent):
@@ -720,7 +725,7 @@ def batches(draw):
     n = draw(st.one_of(st.integers(1, 6), st.sampled_from([999, 1000, 1001])))
     edge = st.sampled_from(COORD_EDGES)
     small = st.integers(1, 3) if n < 999 else st.just(1)
-    tiles, cuts = [], []
+    tiles, rows = [], []
     for i in range(n):
         if i < 6:  # long batches cut their last tile again and again
             h, w = draw(st.one_of(st.tuples(small, small), st.tuples(edge, st.just(0)),
@@ -732,10 +737,9 @@ def batches(draw):
             shape = h + ro, w + co
             tiles.append((np.arange(shape[0] * shape[1]) % 7).astype(dtype).reshape(shape))
             coords = [draw(edge if n < 999 else st.sampled_from([0, 255])) for _ in range(4)]
-        # Every piece's Rect is an object of its own, as the table makes them.
-        cuts.append(cut_of(tiles, Rect(*coords), len(tiles) - 1,
+        rows.append(row_of(tiles, Rect(*coords), len(tiles) - 1,
                            slice(ro, ro + h), slice(co, co + w)))
-    return tiles, cuts
+    return tiles, rows
 
 
 class TestBatchPricing:
@@ -747,8 +751,8 @@ class TestBatchPricing:
     def test_summed_at_every_size(self, batch):
         """Arithmetic path for every builtin numeric dtype, int opcode
         width and batch length, whether or not the list reaches 64 KiB."""
-        tiles, cuts = batch
-        assert not assert_priced_as_sent(tiles, cuts)
+        tiles, rows = batch
+        assert not assert_priced_as_sent(tiles, rows)
 
     @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001])
     @pytest.mark.parametrize("dtype", [np.bool_, np.float32])
@@ -756,9 +760,9 @@ class TestBatchPricing:
         """Arithmetic path: one APPEND after a single piece, else a
         MARK/APPENDS pair per 1 000 pieces."""
         tiles = [np.ones((2, 2), dtype), np.zeros((3, 1), dtype)]
-        cuts = [cut_of(tiles, Rect(i % 3, 255, 0, i % 2), i % 2, slice(1, 2), slice(0, 1))
+        rows = [row_of(tiles, Rect(i % 3, 255, 0, i % 2), i % 2, slice(1, 2), slice(0, 1))
                 for i in range(n)]
-        assert not assert_priced_as_sent(tiles, cuts)
+        assert not assert_priced_as_sent(tiles, rows)
 
     def test_a_batch_straddling_the_frame_target_is_summed(self):
         """Arithmetic path: batches of 2 KiB pieces from just under 64, 128
@@ -767,10 +771,10 @@ class TestBatchPricing:
         tile = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
         frames = set()
         for n in [*range(28, 36), *range(60, 68), *range(92, 100)]:
-            cuts = [cut_of([tile], Rect(0, 16, 0, 16), 0, slice(0, 16), slice(0, 16))
+            rows = [row_of([tile], Rect(0, 16, 0, 16), 0, slice(0, 16), slice(0, 16))
                     for _ in range(n)]
-            assert not assert_priced_as_sent([tile], cuts), n
-            frames.add(_nbytes(sent_list([tile], cuts)) // (64 * 1024))
+            assert not assert_priced_as_sent([tile], rows), n
+            frames.add(_nbytes(sent_list([tile], rows)) // (64 * 1024))
         assert frames == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("cut", ["contiguous", "strided"])
@@ -785,10 +789,10 @@ class TestBatchPricing:
         ).tiles
         assert not tile.flags.writeable
         cs = slice(0, 8) if cut == "contiguous" else slice(2, 5)
-        cuts = [cut_of([tile], Rect(1, 3, cs.start, cs.stop), 0, slice(1, 3), cs),
-                cut_of([tile], Rect(4, 5, 0, 8), 0, slice(4, 5), slice(0, 8))]
-        assert assert_priced_as_sent([tile], cuts)
-        _n, _p, hop = batch_priced([tile], cuts)
+        rows = [row_of([tile], Rect(1, 3, cs.start, cs.stop), 0, slice(1, 3), cs),
+                row_of([tile], Rect(4, 5, 0, 8), 0, slice(4, 5), slice(0, 8))]
+        assert assert_priced_as_sent([tile], rows)
+        _n, _p, hop = batch_priced([tile], rows)
         assert [d.flags.writeable for _r, d in hop.blocks] == [cut == "strided", False]
 
     class Tagged(np.ndarray):
@@ -808,12 +812,12 @@ class TestBatchPricing:
             "metadata": lambda: plain.astype(np.dtype(np.float64, metadata={"m": 1})),
         }[odd]()
         tiles = [plain, tile]
-        cuts = [cut_of(tiles, Rect(0, 2, 0, 2), t, slice(0, 2), slice(t, t + 2))
+        rows = [row_of(tiles, Rect(0, 2, 0, 2), t, slice(0, 2), slice(t, t + 2))
                 for t in (0, 1, 0)]
-        assert assert_priced_as_sent(tiles, cuts)
+        assert assert_priced_as_sent(tiles, rows)
         # The odd tile alone: a dtype the sum has no constant for, or —
         # an unpickled tile's dtype object — the batch's only one.
-        assert assert_priced_as_sent([tile], [cut_of([tile], Rect(0, 1, 0, 4), 0,
+        assert assert_priced_as_sent([tile], [row_of([tile], Rect(0, 1, 0, 4), 0,
                                                        slice(0, 1), slice(0, 4))]) == (
             odd != "fresh_dtype_object"
         )
