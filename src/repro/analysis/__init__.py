@@ -17,10 +17,8 @@ from .timeline import (
     render_timeline,
 )
 from .verify import (
-    ExecutedMetrics,
     PaperMetrics,
     eq9_lower_bound,
-    executed_metrics,
     theoretical_metrics,
 )
 
@@ -37,9 +35,7 @@ __all__ = [
     "breakdown_from_traces",
     "breakdown_from_report",
     "PaperMetrics",
-    "ExecutedMetrics",
     "theoretical_metrics",
-    "executed_metrics",
     "eq9_lower_bound",
     "render_timeline",
     "phase_spans",

@@ -7,8 +7,11 @@ small P; this module prices the *same schedules* at the paper's scale
 executing real data is impossible in Python.  Planning is shared — grid
 selection, group shapes, and per-rank block sizes come from the
 identical code paths — so the analytic engine only replaces data
-movement with the α-β formulas of :mod:`repro.machine.collcost`, which
-the executed collectives are tested to match.
+movement with α-β prices.  The pattern pricers below (:func:`_pairwise`,
+:func:`_bruck_allgather`, :func:`_reduce_scatter`, :func:`_bcast_vdg`,
+:func:`_p2p`) are the one home of those prices under ``src/``, and the
+executed collectives are tested against them
+(``tests/analysis/test_collcost.py``).
 
 Each closed form reads like its schedule, grid → moves → local GEMM, and
 each move is priced once: :func:`_layered_cannon` is the 2.5D layer
@@ -347,8 +350,7 @@ def ca3dmm_cost(
             ph_rep.msgs += s - 1
         ph_cmp.time += s * gemm_step
 
-        repl_a, repl_b = (c, 1) if g.replicates_a else (1, c)
-        rep.mem_words = 2.0 * (repl_a * m * k + repl_b * k * n) / g.used + pk * m * n / g.used
+        rep.mem_words = g.memory_words(m, n, k)
     else:  # SUMMA inner kernel (CA3DMM-S)
         panel = max(1.0, kg * summa_panel_frac)
         iters = math.ceil(kg / panel)

@@ -1,11 +1,9 @@
-"""The paper's closed forms, and the executed metrics they are checked against.
+"""The paper's closed forms: the expected values executed runs are checked against.
 
 The one home of every "expected" value the reports compare a run with:
 
 * :func:`expected_phase_traffic` — per-phase words, messages and block
-  sizes of the eq. (4) schedule (Section III-D), the one derivation
-  (:func:`repro.machine.collcost.ca3dmm_phase_costs` prices the same
-  blocks in the α-β model);
+  sizes of the eq. (4) schedule (Section III-D), the one derivation;
 * ``Q`` — communication size: max over ranks of *words sent*; the sum
   of the phase traffic, which is paper eq. (9) ``3 (mnk/P)^(2/3)``
   (:func:`eq9_lower_bound`) under the balanced-grid assumptions;
@@ -16,9 +14,8 @@ The one home of every "expected" value the reports compare a run with:
 * :func:`pebbling_lower_bound` — the red-blue pebbling I/O bound
   ``2mnk/(P·√M)`` of Kwasniewski et al.
 
-:func:`theoretical_metrics` bundles Q/L/S for a plan and
-:func:`executed_metrics` extracts the same three from executed traces,
-so tests (and the verification bench) can assert agreement.
+:func:`theoretical_metrics` bundles Q/L/S for a plan; the measured
+side of every comparison is :func:`repro.obs.metrics.run_totals`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
-    from ..mpi.runtime import SpmdResult
 
 
 @dataclass(frozen=True)
@@ -115,33 +111,4 @@ def theoretical_metrics(plan: "Ca3dmmPlan") -> PaperMetrics:
         q_words=sum((e.words for e in expected_phase_traffic(plan).values()), 0.0),
         l_rounds=plan.grid.latency_ca3dmm(),
         s_words=plan.grid.memory_words(plan.m, plan.n, plan.k),
-    )
-
-
-@dataclass
-class ExecutedMetrics:
-    """Q/L/S observed in an executed run (matrix words / rounds)."""
-
-    q_words: float
-    msgs: int
-    s_words: float
-    time: float
-
-
-def executed_metrics(result: "SpmdResult") -> ExecutedMetrics:
-    """Extract the paper's metrics from executed traces.
-
-    ``msgs`` counts individual messages (the executed Cannon stage sends
-    A and B separately, so it is up to ~2x the paper's *round* count L;
-    tests account for that factor explicitly).  S is the measured
-    footprint (:attr:`~repro.obs.metrics.RunTotals.footprint_words`).
-    """
-    from ..obs.metrics import run_totals
-
-    totals = run_totals(result.traces)
-    return ExecutedMetrics(
-        q_words=totals.q_words,
-        msgs=totals.max_msgs,
-        s_words=totals.footprint_words,
-        time=result.time,
     )

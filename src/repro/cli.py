@@ -196,8 +196,7 @@ def _example_main(args) -> int:
             "correctness": {"validated": bool(args.validation), "errors": errors},
             "peak_bytes": int(peak),
             "metrics": snapshot_run(result, plan).to_dict(),
-            "audit": audit_run(result, plan, machine=machine,
-                               nruns=nruns).to_dict(),
+            "audit": audit_run(result, plan, nruns=nruns).to_dict(),
         }
         validate_run_json(doc)
         print(json.dumps(doc, indent=2))
@@ -262,13 +261,12 @@ def _obs_common(args):
 
 def _run(args, memory_limit_words: float | None = None):
     """One native-layout multiplication of ``M N K -np P`` with event
-    recording; returns ``(machine, plan, result)``."""
+    recording; returns ``(plan, result)``."""
     machine, grid = _obs_common(args)
-    plan, result = executed_workload(
+    return executed_workload(
         _shape(args), machine, grid=grid, seeds=_SEEDS,
         memory_limit_words=memory_limit_words,
     )
-    return machine, plan, result
 
 
 def _print_makespans(pair) -> None:
@@ -322,7 +320,7 @@ def _print_gated(args, to_dict, fmt, text: tuple[str, str, int],
 
 # ------------------------------------------------------------ subcommands -- #
 def _trace_main(args) -> int:
-    machine, plan, result = _run(args)
+    plan, result = _run(args)
     try:
         doc = write_chrome_trace(
             result, args.output,
@@ -336,14 +334,14 @@ def _trace_main(args) -> int:
             print(f"wrote {args.jsonl}: {n} records")
     except OSError as exc:
         raise _InputError(f"cannot write trace: {exc}") from None
-    report = audit_run(result, plan, machine=machine)
+    report = audit_run(result, plan)
     print(report.format())
     _append_ledger(args, result, plan, "cli.trace")
     return 1 if (args.strict and not report.ok) else 0
 
 
 def _critpath_main(args) -> int:
-    _machine, plan, result = _run(args)
+    plan, result = _run(args)
     report = critpath_report(result)
     _append_ledger(args, result, plan, "cli.critpath")
     if args.json:
@@ -717,9 +715,9 @@ def _checkpoint_main(args) -> int:
 
 
 def _stats_main(args) -> int:
-    machine, plan, result = _run(args)
+    plan, result = _run(args)
     metrics = snapshot_run(result, plan)
-    report = audit_run(result, plan, machine=machine)
+    report = audit_run(result, plan)
     analytic_q = theoretical_metrics(plan).q_words
     q_over_analytic = metrics.q_words / analytic_q if analytic_q > 0 else None
     _append_ledger(args, result, plan, "cli.stats")
@@ -746,8 +744,8 @@ def _stats_main(args) -> int:
 
 
 def _audit_main(args) -> int:
-    machine, plan, result = _run(args)
-    report = audit_run(result, plan, machine=machine)
+    plan, result = _run(args)
+    report = audit_run(result, plan)
     _append_ledger(args, result, plan, "cli.audit", audit_ok=report.ok)
 
     values = {
@@ -762,7 +760,7 @@ def _audit_main(args) -> int:
 
 
 def _memprof_main(args) -> int:
-    _machine, plan, result = _run(args, memory_limit_words=args.memory_limit)
+    plan, result = _run(args, memory_limit_words=args.memory_limit)
     report = memprof_run(result, plan, tol=args.mem_tol)
     _append_ledger(args, result, plan, "cli.memprof")
 

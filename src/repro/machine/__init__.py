@@ -1,14 +1,6 @@
-"""Machine models and analytic collective costs (DESIGN.md §2-3)."""
+"""Machine models (DESIGN.md §2-3); the collectives are priced in
+:mod:`repro.analysis.costs`."""
 
-from .collcost import (
-    CollCost,
-    allgather_cost,
-    alltoall_cost,
-    barrier_cost,
-    bcast_cost,
-    p2p_cost,
-    reduce_scatter_cost,
-)
 from .model import MachineModel, laptop, pace_phoenix_cpu, pace_phoenix_gpu
 
 __all__ = [
@@ -16,11 +8,4 @@ __all__ = [
     "laptop",
     "pace_phoenix_cpu",
     "pace_phoenix_gpu",
-    "CollCost",
-    "allgather_cost",
-    "bcast_cost",
-    "reduce_scatter_cost",
-    "alltoall_cost",
-    "barrier_cost",
-    "p2p_cost",
 ]

@@ -13,8 +13,7 @@ checkable on every run:
 * :mod:`~repro.obs.audit` — transport-truth communication audit, the
   one check of measured per-phase traffic against eq. (4) (words within
   tolerance, message counts exact), with per-collective-algorithm
-  attribution, the α-β collcost column and the measured red-blue
-  pebbling optimality ratio;
+  attribution and the measured red-blue pebbling optimality ratio;
 * :mod:`~repro.obs.memtrace` — per-rank resident-memory report from the
   transport's tagged allocation spans, gated against the paper's
   eq. (11) footprint prediction and any ``memory_limit_words`` cap;
@@ -39,7 +38,6 @@ from .baseline import (
     BaselineStore,
     PerfDelta,
     PerfDiff,
-    PerfTolerance,
     capture_baseline,
     compare_baseline,
     validate_baseline_json,
@@ -126,7 +124,6 @@ __all__ = [
     "PathSegment",
     "PerfDelta",
     "PerfDiff",
-    "PerfTolerance",
     "PhaseAudit",
     "PhaseBlame",
     "RUN_JSON_SCHEMA",

@@ -8,10 +8,7 @@ communication-optimal, as measured on the wire?"*:
   against the paper's eq. (4)/Section III-D schedule
   (:func:`~repro.analysis.verify.expected_phase_traffic`, the one block
   derivation) by :func:`compare_phases`, the one measured-vs-expected
-  rule: words within tolerance, message counts exact.  When a machine
-  is given, the α-β collective accounting
-  (:func:`repro.machine.collcost.ca3dmm_phase_costs`) rides along as a
-  second prediction column;
+  rule: words within tolerance, message counts exact;
 * every message carries the collective algorithm that posted it
   (``RankTrace.colls``, written by the transport — binomial vs
   scatter+allgather broadcast, Bruck allgather, pairwise
@@ -52,12 +49,10 @@ from ..analysis.verify import (
     expected_phase_traffic,
     pebbling_lower_bound,
 )
-from ..machine.collcost import ca3dmm_phase_costs
-from .metrics import ITEM, RunTotals, overlap_by_phase, run_totals, words
+from .metrics import RunTotals, overlap_by_phase, run_totals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
-    from ..machine.collcost import CollCost
     from ..machine.model import MachineModel
     from ..mpi.runtime import SpmdResult
 
@@ -119,18 +114,15 @@ AUDIT_JSON_SCHEMA: dict[str, Any] = {
                     "phase",
                     "measured_words",
                     "model_words",
-                    "collcost_words",
                     "ok",
                 ],
                 "properties": {
                     "phase": {"type": "string"},
                     "measured_words": {"type": "number", "minimum": 0},
                     "model_words": {"type": "number", "minimum": 0},
-                    "collcost_words": {"type": ["number", "null"]},
                     "measured_msgs": {"type": "integer", "minimum": 0},
                     "model_msgs": {"type": "integer", "minimum": 0},
                     "rel_err_model": {"type": "number"},
-                    "rel_err_collcost": {"type": ["number", "null"]},
                     "excess_words": {"type": "number"},
                     "overlap": {"type": ["number", "null"]},
                     "covered_s": {"type": "number", "minimum": 0},
@@ -152,11 +144,9 @@ class PhaseAudit:
     phase: str
     measured_words: float  #: critical-rank words sent, per multiply
     model_words: float  #: eq. (4)/Section III-D prediction
-    collcost_words: float | None  #: α-β accounting (None when unscheduled)
     measured_msgs: int
     model_msgs: int
     rel_err_model: float
-    rel_err_collcost: float | None
     excess_words: float  #: measured - model (signed)
     overlap: float | None  #: volume-weighted overlap efficiency
     #: comm seconds the async engine hid under compute (0 when off) —
@@ -173,11 +163,9 @@ class PhaseAudit:
             "phase": self.phase,
             "measured_words": self.measured_words,
             "model_words": self.model_words,
-            "collcost_words": self.collcost_words,
             "measured_msgs": self.measured_msgs,
             "model_msgs": self.model_msgs,
             "rel_err_model": self.rel_err_model,
-            "rel_err_collcost": self.rel_err_collcost,
             "excess_words": self.excess_words,
             "overlap": self.overlap,
             "colls": {c: dict(v) for c, v in sorted(self.colls.items())},
@@ -295,16 +283,11 @@ class AuditReport:
             "(not footprint)",
         ]
         for p in self.phases:
-            cc = (
-                f"{p.collcost_words:>12.0f}"
-                if p.collcost_words is not None
-                else " " * 11 + "-"
-            )
             ov = f"{100 * p.overlap:5.1f}%" if p.overlap is not None else "    - "
             hid = f"  hidden {p.covered_s:.3e}s" if p.covered_s > 0 else ""
             lines.append(
                 f"  {p.phase:<10} measured {p.measured_words:>12.0f} "
-                f"model {p.model_words:>12.0f} collcost {cc} "
+                f"model {p.model_words:>12.0f} "
                 f"({100 * p.rel_err_model:6.2f}%)  overlap {ov}  "
                 + ("ok" if p.ok else "EXCESS")
                 + hid
@@ -328,7 +311,6 @@ def validate_audit_json(doc: Any) -> None:
 def compare_phases(
     totals: RunTotals,
     expected: dict[str, PhaseExpectation],
-    collcosts: "dict[str, CollCost]",
     overlap: dict[str, float],
     byte_tol: float,
     abs_tol_words: float,
@@ -351,18 +333,13 @@ def compare_phases(
             err = abs(measured - model)
             rel = err / model if model > 0 else (0.0 if err == 0 else math.inf)
             ok = rel <= byte_tol or err <= abs_tol_words
-        cc = collcosts.get(name)
-        cc_words = words(cc.bytes_sent) if cc is not None else None
         rows.append(PhaseAudit(
             phase=name,
             measured_words=measured,
             model_words=model,
-            collcost_words=cc_words,
             measured_msgs=msgs,
             model_msgs=model_msgs,
             rel_err_model=rel,
-            rel_err_collcost=(abs(measured - cc_words) / cc_words
-                              if cc_words else None),
             excess_words=measured - model,
             overlap=overlap.get(name),
             covered_s=totals.covered_by_phase.get(name, 0.0),
@@ -388,18 +365,15 @@ def audit_run(
     exact), ``abs_tol_words`` the absolute floor below which a words
     difference never fails (tiny problems, where framing dominates);
     message counts are compared exactly.  ``nruns`` is the number of
-    multiplies the counters accumulated (they are divided by it).  When
-    ``machine`` is given, the α-β collective accounting of
-    :func:`~repro.machine.collcost.ca3dmm_phase_costs` is included as a
-    second prediction column (same blocks, α-β priced).
+    multiplies the counters accumulated (they are divided by it).
+    ``machine`` is a compatibility keyword from when the audit carried
+    an α-β column; it selects nothing (the frozen host benchmark still
+    passes it).
     """
-    collcosts = {}
-    if machine is not None:
-        collcosts = ca3dmm_phase_costs(plan, machine, item=ITEM)
     totals = run_totals(result.live_traces, nruns)
     overlap = overlap_by_phase(result)
-    phases = compare_phases(totals, expected_phase_traffic(plan), collcosts,
-                            overlap, byte_tol, abs_tol_words)
+    phases = compare_phases(totals, expected_phase_traffic(plan), overlap,
+                            byte_tol, abs_tol_words)
 
     # The pebbling M is the measured footprint: the memtrace resident
     # watermark, or the in-flight counter for self-reporting engines.

@@ -14,8 +14,8 @@ A baseline document records, per workload: the makespan, the per-phase
 :mod:`repro.obs.critpath` — the quantity that actually prices the
 schedule, unlike overlappable per-phase elapsed times), per-phase
 elapsed seconds for context, and the traffic counters the paper's Q/L
-metrics read.  :func:`compare_baseline` diffs two documents under a
-:class:`PerfTolerance` and classifies every metric as ok / improved /
+metrics read.  :func:`compare_baseline` diffs two documents under the
+tolerances below and classifies every metric as ok / improved /
 regressed; ``repro perfdiff`` turns that into an exit code, and the CI
 perf-gate job runs it against the committed baselines on every push.
 
@@ -108,23 +108,17 @@ def validate_baseline_json(doc: Any) -> None:
     _validate(doc, BASELINE_JSON_SCHEMA)
 
 
-@dataclass(frozen=True)
-class PerfTolerance:
-    """Allowed drift before a metric counts as a regression.
-
-    Executed runs are deterministic, so the defaults are tight: they
-    absorb float noise and minor pickle-framing variation across Python
-    versions, not real schedule changes.  ``phase_abs_s`` is an absolute
-    floor under which per-phase critical-time changes never fail
-    (protects near-empty phases where one latency α is a huge relative
-    change).
-    """
-
-    time_rel: float = 0.03
-    phase_rel: float = 0.10
-    phase_abs_s: float = 1e-7
-    bytes_rel: float = 0.02
-    msgs_abs: int = 0
+#: Allowed drift before a metric counts as a regression.  Executed runs
+#: are deterministic, so these are tight: they absorb float noise and
+#: minor pickle-framing variation across Python versions, not real
+#: schedule changes.  ``PHASE_ABS_S`` is an absolute floor under which
+#: per-phase critical-time changes never fail (protects near-empty
+#: phases where one latency α is a huge relative change); message
+#: counts must match exactly.
+TIME_REL = 0.03
+PHASE_REL = 0.10
+PHASE_ABS_S = 1e-7
+BYTES_REL = 0.02
 
 
 @dataclass(frozen=True)
@@ -265,11 +259,7 @@ def _delta(
     )
 
 
-def compare_baseline(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    tol: PerfTolerance | None = None,
-) -> PerfDiff:
+def compare_baseline(baseline: dict[str, Any], current: dict[str, Any]) -> PerfDiff:
     """Diff two baseline documents (``baseline`` committed, ``current`` fresh).
 
     Compared metrics: makespan, per-phase critical seconds (union of
@@ -279,13 +269,12 @@ def compare_baseline(
     changed, whether or not it got faster — while time/byte improvements
     beyond tolerance are reported as such without failing.
     """
-    tol = tol or PerfTolerance()
     deltas: list[PerfDelta] = [
         _delta(
             "makespan_s",
             float(baseline["makespan_s"]),
             float(current["makespan_s"]),
-            tol.time_rel,
+            TIME_REL,
         )
     ]
     base_ph = baseline.get("phase_critical_s", {})
@@ -296,8 +285,8 @@ def compare_baseline(
                 f"phase_critical_s[{phase}]",
                 float(base_ph.get(phase, 0.0)),
                 float(cur_ph.get(phase, 0.0)),
-                tol.phase_rel,
-                abs_tol=tol.phase_abs_s,
+                PHASE_REL,
+                abs_tol=PHASE_ABS_S,
             )
         )
     base_tr = baseline.get("traffic", {})
@@ -308,7 +297,7 @@ def compare_baseline(
                 f"traffic[{key}]",
                 float(base_tr.get(key, 0)),
                 float(cur_tr.get(key, 0)),
-                tol.bytes_rel,
+                BYTES_REL,
             )
         )
     deltas.append(
@@ -317,7 +306,6 @@ def compare_baseline(
             float(base_tr.get("max_msgs_sent", 0)),
             float(cur_tr.get("max_msgs_sent", 0)),
             0.0,
-            abs_tol=float(tol.msgs_abs),
             fail_on_decrease=True,
         )
     )
@@ -357,9 +345,7 @@ class BaselineStore:
             fh.write("\n")
         return path
 
-    def compare(
-        self, name: str, current: dict[str, Any], tol: PerfTolerance | None = None
-    ) -> PerfDiff | None:
+    def compare(self, name: str, current: dict[str, Any]) -> PerfDiff | None:
         """Diff ``current`` against the stored baseline (None if missing).
 
         Raises :class:`GateError` when the stored document was captured
@@ -373,7 +359,7 @@ class BaselineStore:
                 f"baseline {self.path(name)} is for workload {base['workload']}, "
                 f"this run is {current['workload']}"
             )
-        return compare_baseline(base, current, tol)
+        return compare_baseline(base, current)
 
 
 # ---------------------------------------------------------------- gate -- #

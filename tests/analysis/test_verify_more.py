@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.costs import ITEM
 from repro.analysis.verify import (
     PaperMetrics,
     eq9_lower_bound,
@@ -13,8 +12,6 @@ from repro.analysis.verify import (
 )
 from repro.core.plan import Ca3dmmPlan
 from repro.grid.optimizer import GridSpec
-from repro.machine.collcost import ca3dmm_phase_costs
-from repro.machine.model import laptop
 
 
 class TestEq9:
@@ -81,14 +78,3 @@ class TestOneDerivation:
             l_rounds=plan.grid.latency_ca3dmm(),
             s_words=plan.grid.memory_words(*shape),
         )
-
-    @pytest.mark.parametrize("shape", _SHAPES)
-    @pytest.mark.parametrize("nprocs", _PROCS)
-    def test_collcost_prices_the_same_blocks(self, shape, nprocs):
-        plan = Ca3dmmPlan(*shape, nprocs)
-        expected = expected_phase_traffic(plan)
-        costs = ca3dmm_phase_costs(plan, laptop(), item=ITEM)
-        assert set(costs) == set(expected)  # the same phases are scheduled
-        for phase, exp in expected.items():
-            assert costs[phase].bytes_sent / ITEM == exp.words
-            assert costs[phase].msgs == exp.msgs

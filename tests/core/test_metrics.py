@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.verify import eq9_lower_bound, executed_metrics, theoretical_metrics
+from repro.analysis.verify import eq9_lower_bound, theoretical_metrics
 from repro.core import Ca3dmm
 from repro.core.plan import Ca3dmmPlan
 from repro.grid.optimizer import GridSpec
 from repro.layout.matrix import DistMatrix, dense_random
+from repro.obs.metrics import run_totals
 
 
 from dataclasses import replace
@@ -54,7 +55,7 @@ def _run_native(spmd, m, n, k, P, grid=None):
         before = comm.transport.trace(comm.world_rank)
         c = eng.multiply(a, b)
         after = comm.transport.trace(comm.world_rank)
-        # A real RankTrace (executed_metrics reads it through the shared
+        # A real RankTrace (run_totals reads it through the shared
         # pass): the memory watermarks are measured, not differenced.
         delta = replace(
             after,
@@ -83,7 +84,7 @@ class TestCommunicationSize:
         """Executed max-bytes-sent equals the schedule's exact Q."""
         plan, res = _run_native(spmd, m, n, k, P)
         metrics = theoretical_metrics(plan)
-        measured = executed_metrics(res)
+        measured = run_totals(res.traces)
         # Executed traffic includes the allgather-of-lists pickling
         # overhead for the replication step; tolerate a few percent.
         assert measured.q_words == pytest.approx(metrics.q_words, rel=0.10, abs=64)
@@ -94,7 +95,7 @@ class TestCommunicationSize:
         P = 8  # grid 2x2x2, d = 24 everywhere
         plan, res = _run_native(spmd, m, n, k, P, grid=GridSpec(2, 2, 2, 8))
         bound = eq9_lower_bound(m, n, k, P)
-        measured = executed_metrics(res)
+        measured = run_totals(res.traces)
         # Cannon shifting transfers each block s times rather than the
         # one-touch ideal; the schedule stays within a small constant of
         # the lower bound (here s = 2).
@@ -120,9 +121,9 @@ class TestLatency:
         """
         plan, res = _run_native(spmd, m, n, k, P)
         metrics = theoretical_metrics(plan)
-        measured = executed_metrics(res)
-        assert measured.msgs <= 2 * metrics.l_rounds
-        assert measured.msgs >= metrics.l_rounds * 0.5
+        measured = run_totals(res.traces)
+        assert measured.max_msgs <= 2 * metrics.l_rounds
+        assert measured.max_msgs >= metrics.l_rounds * 0.5
 
     def test_eq10_value(self):
         plan = Ca3dmmPlan(32, 64, 16, 8)  # c=2, s=2, pk=1
@@ -140,10 +141,10 @@ class TestMemory:
         """Executed peak live words per rank ≈ eq. (11)."""
         plan, res = _run_native(spmd, m, n, k, P)
         metrics = theoretical_metrics(plan)
-        measured = executed_metrics(res)
+        measured = run_totals(res.traces)
         # eq. (11) is exact under divisibility; balanced splits make the
         # real peak differ by ceil effects only.
-        assert measured.s_words == pytest.approx(metrics.s_words, rel=0.30)
+        assert measured.footprint_words == pytest.approx(metrics.s_words, rel=0.30)
 
     def test_eq11_square_asymptotics(self):
         """For m=n=k, S = 4m²/P + m²/P^(2/3) (the paper's square case)."""

@@ -93,10 +93,6 @@ class TestAuditRun:
             assert p.ok, p.to_dict()
             # within 5% or inside the 64-word pickle-framing floor
             assert p.rel_err_model <= 0.05 or abs(p.excess_words) <= 64.0
-        # the α-β collcost column must agree with eq. (4) on balanced grids
-        for p in report.phases:
-            if p.collcost_words and p.model_words:
-                assert p.collcost_words == pytest.approx(p.model_words)
 
     def test_bounds_and_ratios(self):
         plan, res = _executed()
