@@ -34,10 +34,6 @@ class _Snapshot:
     def total_bytes(self):
         return sum(t.bytes_sent for t in self.traces)
 
-    @property
-    def time(self):
-        return max(t.time for t in self.traces)
-
 
 def _run_native(spmd, m, n, k, P, grid=None):
     """Run CA3DMM with native layouts so no redistribution traffic occurs."""
