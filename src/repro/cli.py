@@ -95,6 +95,16 @@ def _op_arg(value: str) -> str:
     return code
 
 
+def _count_arg(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value!r}")
+    return count
+
+
 def _partition_doc(args, plan, metrics) -> dict:
     m, n, k, p = args.M, args.N, args.K, args.nprocs
     mb = -(-m // plan.pm)
@@ -924,7 +934,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
     )
     ap.add_argument("--mem-tol", type=float, default=0.10,
                     help="relative headroom allowed over eq. (11) / the cap")
-    ap.add_argument("--top", type=int, default=3,
+    ap.add_argument("--top", type=_count_arg, default=3,
                     help="top-offender ranks listed in text mode")
     ap.add_argument("--memory-limit", type=float, default=None,
                     metavar="WORDS",
@@ -944,7 +954,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                     help="only records for this problem shape")
     ap.add_argument("-np", "--nprocs", type=int, default=None,
                     help="only records for this world size")
-    ap.add_argument("--last", type=int, default=None, metavar="N",
+    ap.add_argument("--last", type=_count_arg, default=None, metavar="N",
                     help="only the newest N matching records")
 
     command(

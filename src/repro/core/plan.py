@@ -77,8 +77,8 @@ class Ca3dmmPlan:
         self.memory_limit_words = memory_limit_words
         #: True when ``memory_limit_words`` excluded every candidate grid
         #: and the search fell back to the minimum-memory grid (the cap
-        #: is then NOT honoured); surfaced as the ``mem_limit_infeasible``
-        #: gauge and checked by the memprof gate.
+        #: is then NOT honoured); surfaced as ``RunMetrics.mem_limit_infeasible``
+        #: and checked by the memprof gate.
         self.mem_limit_infeasible = False
         if grid is not None:
             self.grid = grid

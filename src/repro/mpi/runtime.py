@@ -75,7 +75,7 @@ class SpmdResult:
     @property
     def live_traces(self) -> list[RankTrace]:
         """Traces of surviving ranks only (dead ranks' clocks stopped at
-        the kill point and would skew overlap/imbalance gauges)."""
+        the kill point and would skew overlap/imbalance numbers)."""
         dead = self.transport.dead_ranks()
         if not dead:
             return self.traces

@@ -6,8 +6,9 @@ checkable on every run:
 * :mod:`~repro.obs.tracer` — nested spans on the simulated clock,
   recorded by the transport for every CA3DMM phase and collective when
   ``run_spmd(..., record_events=True)``;
-* :mod:`~repro.obs.metrics` — counters/gauges/histograms snapshotted
-  from a run (``SpmdResult.metrics``);
+* :mod:`~repro.obs.metrics` — a run's headline numbers
+  (``SpmdResult.metrics``) and :func:`~repro.obs.metrics.run_totals`,
+  the one pass that turns rank traces into measured words;
 * :mod:`~repro.obs.export` — Chrome-trace/Perfetto JSON and JSONL
   structured logs, schema-validated;
 * :mod:`~repro.obs.audit` — transport-truth communication audit, the
@@ -89,10 +90,6 @@ from .memtrace import (
     validate_memprof_json,
 )
 from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     RunMetrics,
     format_metrics,
     overlap_by_phase,
@@ -108,19 +105,15 @@ __all__ = [
     "BaselineStore",
     "CHROME_TRACE_SCHEMA",
     "CRITPATH_JSON_SCHEMA",
-    "Counter",
     "CritPathReport",
     "CriticalPath",
     "DEFAULT_LEDGER_PATH",
-    "Gauge",
-    "Histogram",
     "LEDGER_RECORD_SCHEMA",
     "Ledger",
     "LedgerError",
     "MEMPROF_JSON_SCHEMA",
     "MemAuditError",
     "MemReport",
-    "MetricsRegistry",
     "PathSegment",
     "PerfDelta",
     "PerfDiff",

@@ -219,16 +219,14 @@ def capture_baseline(
         "critical_rank": report.path.final_rank,
         "path_segments": len(report.path.segments),
     }
-    retries = sum(t.retries for t in result.traces)
-    timeouts = sum(t.timeouts for t in result.traces)
-    injected_wait = sum(t.injected_wait_s for t in result.traces)
-    if retries or timeouts or injected_wait or report.path.injected_s:
+    m = result.metrics
+    if m.total_retries or m.total_timeouts or m.injected_wait_s or report.path.injected_s:
         # Only faulted runs carry the block, so organic baselines stay
         # byte-identical to pre-fault-layer captures.
         doc["faults"] = {
-            "total_retries": retries,
-            "total_timeouts": timeouts,
-            "injected_wait_s": injected_wait,
+            "total_retries": m.total_retries,
+            "total_timeouts": m.total_timeouts,
+            "injected_wait_s": m.injected_wait_s,
             "injected_critical_s": report.path.injected_s,
         }
     validate_baseline_json(doc)

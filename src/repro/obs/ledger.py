@@ -344,7 +344,10 @@ class Ledger:
         nprocs: int | None = None,
         last: int | None = None,
     ) -> list[dict[str, Any]]:
-        """Filter records by producer kind and/or problem shape."""
+        """Filter records by producer kind and/or problem shape; ``last``
+        keeps the newest ``last`` of them (0 keeps none)."""
+        if last is not None and last < 0:
+            raise ValueError(f"last must be >= 0, got {last}")
         out = []
         for rec in self.records():
             if kind is not None and rec["kind"] != kind:
@@ -360,5 +363,5 @@ class Ledger:
                 continue
             out.append(rec)
         if last is not None:
-            out = out[-last:]
+            out = out[-last:] if last else []
         return out

@@ -161,6 +161,8 @@ class MemReport:
 
     def top_offenders(self, count: int = 3) -> list[RankMemProfile]:
         """The ``count`` ranks with the highest resident watermark."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         return sorted(
             self.ranks, key=lambda r: (-r.resident_peak_words, r.rank)
         )[:count]

@@ -1,16 +1,12 @@
-"""Metrics registry + run snapshots for executed CA3DMM runs.
+"""Run snapshots and the one pass over rank traces, for executed runs.
 
-Two layers:
-
-* a small, dependency-free **registry** of :class:`Counter` /
-  :class:`Gauge` / :class:`Histogram` instruments keyed by name +
-  labels (Prometheus-style, but in-process and simulation-clocked);
-* :func:`snapshot_run`, which distils one
-  :class:`~repro.mpi.runtime.SpmdResult` into a :class:`RunMetrics`
-  snapshot: bytes/messages per phase per rank, Cannon shift latency
-  distribution, per-k-task-group imbalance, and the skew/shift
-  overlap ratio (how much of the Cannon transfer time the dual-buffer
-  hid behind local GEMMs).
+:func:`snapshot_run` distils one :class:`~repro.mpi.runtime.SpmdResult`
+into a :class:`RunMetrics` snapshot of headline numbers: Q, total words
+and messages, memory watermarks, per-phase overlap and hidden comm time,
+per-k-task-group imbalance, the fault and ABFT totals, and the Cannon
+shift latencies behind :func:`format_metrics`' p50/p95 line.  Per-rank
+numbers are not copied into it: they live in the rank traces
+(``result.traces[r]``) and the JSONL ``rank`` records.
 
 ``SpmdResult.metrics`` calls :func:`snapshot_run` lazily, so every
 executed run carries its metrics without extra plumbing at call sites.
@@ -22,7 +18,6 @@ memtrace, ledger, the exporters) reads it and none counts bytes itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -34,146 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.transport import RankTrace
 
 
-# ------------------------------------------------------------ instruments -- #
-@dataclass
-class Counter:
-    """Monotonically increasing count (bytes, messages, calls)."""
-
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A point-in-time value (ratio, clock, high-water mark)."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-@dataclass
-class Histogram:
-    """A distribution of observations with quantile queries."""
-
-    samples: list[float] = field(default_factory=list)
-
-    def observe(self, value: float) -> None:
-        self.samples.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def sum(self) -> float:
-        return math.fsum(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.samples else 0.0
-
-    @property
-    def min(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def max(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile, q in [0, 1].
-
-        Raises :class:`ValueError` on an empty histogram — a silent 0.0
-        is indistinguishable from a real zero-latency measurement.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if not self.samples:
-            raise ValueError("quantile of an empty histogram")
-        xs = sorted(self.samples)
-        pos = q * (len(xs) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(xs) - 1)
-        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
-
-    def summary(self) -> dict[str, Any]:
-        """Headline stats; ``{"count": 0.0, "empty": True}`` when no
-        samples were observed, so exports can't mistake absence for
-        measured zeros."""
-        if not self.samples:
-            return {"count": 0.0, "empty": True}
-        return {
-            "count": float(self.count),
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.min,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
-            "max": self.max,
-        }
-
-
-_LabelKey = tuple[str, tuple[tuple[str, Any], ...]]
-
-
-def _key(name: str, labels: dict[str, Any]) -> _LabelKey:
-    return name, tuple(sorted(labels.items()))
-
-
-class MetricsRegistry:
-    """Get-or-create registry of labelled instruments."""
-
-    def __init__(self) -> None:
-        self._counters: dict[_LabelKey, Counter] = {}
-        self._gauges: dict[_LabelKey, Gauge] = {}
-        self._histograms: dict[_LabelKey, Histogram] = {}
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._counters.setdefault(_key(name, labels), Counter())
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._gauges.setdefault(_key(name, labels), Gauge())
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._histograms.setdefault(_key(name, labels), Histogram())
-
-    # ------------------------------------------------------------ export -- #
-    @staticmethod
-    def _rows(table: dict[_LabelKey, Any], render) -> list[dict[str, Any]]:
-        return [
-            {"name": name, "labels": dict(labels), **render(inst)}
-            for (name, labels), inst in sorted(table.items())
-        ]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "counters": self._rows(self._counters, lambda c: {"value": c.value}),
-            "gauges": self._rows(self._gauges, lambda g: {"value": g.value}),
-            "histograms": self._rows(self._histograms, lambda h: h.summary()),
-        }
-
-    def find(self, name: str) -> list[tuple[dict[str, Any], Any]]:
-        """All instruments with ``name`` as ``(labels, instrument)`` pairs."""
-        out: list[tuple[dict[str, Any], Any]] = []
-        for table in (self._counters, self._gauges, self._histograms):
-            for (nm, labels), inst in table.items():
-                if nm == name:
-                    out.append((dict(labels), inst))
-        return out
-
-
 # ------------------------------------------------------------- snapshots -- #
 @dataclass
 class RunMetrics:
-    """One executed run distilled into a registry + headline numbers."""
+    """One executed run distilled into headline numbers."""
 
-    registry: MetricsRegistry
     makespan: float
     q_words: float  #: max over ranks of words sent (the paper's Q)
     total_words: float
@@ -209,6 +69,10 @@ class RunMetrics:
     mem_by_purpose: dict[str, float] = field(default_factory=dict)
     #: the plan's memory_limit_words filtered out every candidate grid
     mem_limit_infeasible: bool = False
+    #: max over ranks of words sent per phase (per-phase Q; text only)
+    phase_q_words: dict[str, float] = field(default_factory=dict)
+    #: sorted Cannon recv/wait durations of a recorded run (text only)
+    cannon_shift_s: tuple[float, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -239,28 +103,7 @@ class RunMetrics:
             ),
             "recomputed_flops": self.recomputed_flops,
             "reused_flops": self.reused_flops,
-            "registry": self.registry.to_dict(),
         }
-
-
-def _phase_tables(result: "SpmdResult", reg: MetricsRegistry) -> None:
-    for trace in result.traces:
-        for phase, st in trace.phases.items():
-            reg.counter("bytes_sent", rank=trace.rank, phase=phase).inc(st.bytes_sent)
-            reg.counter("bytes_recv", rank=trace.rank, phase=phase).inc(st.bytes_recv)
-            reg.counter("msgs_sent", rank=trace.rank, phase=phase).inc(st.msgs_sent)
-            reg.counter("msgs_recv", rank=trace.rank, phase=phase).inc(st.msgs_recv)
-            reg.gauge("phase_time_s", rank=trace.rank, phase=phase).set(st.time)
-            reg.gauge("phase_comm_time_s", rank=trace.rank, phase=phase).set(st.comm_time)
-            reg.gauge("phase_compute_time_s", rank=trace.rank, phase=phase).set(
-                st.compute_time
-            )
-            if st.comm_covered_time > 0:
-                # Only engine-on runs carry the gauge, so legacy
-                # snapshots stay identical under overlap="none".
-                reg.gauge(
-                    "phase_comm_covered_time_s", rank=trace.rank, phase=phase
-                ).set(st.comm_covered_time)
 
 
 def words(nbytes: float) -> float:
@@ -351,13 +194,6 @@ def run_totals(traces: "list[RankTrace]", nruns: int = 1) -> RunTotals:
     )
 
 
-def _shift_latencies(result: "SpmdResult", reg: MetricsRegistry) -> None:
-    hist = reg.histogram("cannon_shift_seconds")
-    for e in result.tracer.events:
-        if e.phase == "cannon" and e.kind in ("recv", "wait") and e.duration > 0:
-            hist.observe(e.duration)
-
-
 def overlap_by_phase(result: "SpmdResult") -> dict[str, float]:
     """Volume-weighted overlap efficiency per phase, over live ranks.
 
@@ -393,25 +229,17 @@ def overlap_by_phase(result: "SpmdResult") -> dict[str, float]:
     return out
 
 
-def _overlap_ratio(
-    result: "SpmdResult", critical_rank: bool = False
-) -> float | None:
-    """Overlap efficiency of the Cannon stage.
-
-    By default this is the volume-weighted aggregate over all live ranks
-    (see :func:`overlap_by_phase`); ``critical_rank=True`` restores the
-    historical reading from the slowest live trace only.
-    """
-    if critical_rank:
-        traces = result.live_traces
-        if not traces:
-            return None
-        crit = max(traces, key=lambda t: t.time)
-        st = crit.phases.get("cannon")
-        if st is None or st.time <= 0:
-            return None
-        return max(0.0, min(1.0, 1.0 - st.comm_time / st.time))
-    return overlap_by_phase(result).get("cannon")
+def _critical_rank_overlap(result: "SpmdResult") -> float | None:
+    """Overlap efficiency of the Cannon stage on the slowest live trace
+    only (the volume-weighted aggregate is ``overlap_by_phase(result)``)."""
+    traces = result.live_traces
+    if not traces:
+        return None
+    crit = max(traces, key=lambda t: t.time)
+    st = crit.phases.get("cannon")
+    if st is None or st.time <= 0:
+        return None
+    return max(0.0, min(1.0, 1.0 - st.comm_time / st.time))
 
 
 def _k_group_imbalance(
@@ -438,77 +266,11 @@ def snapshot_run(
 ) -> RunMetrics:
     """Distil an executed run into a :class:`RunMetrics` snapshot.
 
-    ``plan`` (optional) enables plan-aware instruments such as the
-    k-task-group imbalance gauge.
+    ``plan`` (optional) enables plan-aware numbers such as the
+    k-task-group imbalance.
     """
-    reg = MetricsRegistry()
     totals = run_totals(result.traces)
-    _phase_tables(result, reg)
-    for phase, pt in totals.phases.items():
-        reg.gauge("phase_q_words", phase=phase).set(pt.crit_words)
-        reg.gauge("phase_max_msgs", phase=phase).set(pt.crit_msgs)
-    _shift_latencies(result, reg)
-    for trace in result.traces:
-        reg.gauge("rank_clock_s", rank=trace.rank).set(trace.time)
-        reg.gauge("peak_live_bytes", rank=trace.rank).set(trace.peak_live_bytes)
-        if trace.resident_peak_bytes:
-            reg.gauge("resident_peak_bytes", rank=trace.rank).set(
-                trace.resident_peak_bytes
-            )
-            for purpose, peak in sorted(trace.mem_peaks.items()):
-                reg.gauge(
-                    "mem_purpose_peak_bytes", rank=trace.rank, purpose=purpose
-                ).set(peak)
-            for phase, peak in sorted(trace.phase_mem_peaks.items()):
-                reg.gauge(
-                    "phase_mem_peak_bytes", rank=trace.rank, phase=phase
-                ).set(peak)
-        if trace.retries or trace.timeouts or trace.injected_wait_s:
-            reg.counter("fault_retries", rank=trace.rank).inc(trace.retries)
-            reg.counter("fault_timeouts", rank=trace.rank).inc(trace.timeouts)
-            reg.gauge("injected_wait_s", rank=trace.rank).set(trace.injected_wait_s)
-        if (
-            trace.recoveries
-            or trace.corruptions_injected
-            or trace.corruptions_detected
-        ):
-            reg.counter("ft_recoveries", rank=trace.rank).inc(trace.recoveries)
-            reg.counter("corruptions_injected", rank=trace.rank).inc(
-                trace.corruptions_injected
-            )
-            reg.counter("corruptions_detected", rank=trace.rank).inc(
-                trace.corruptions_detected
-            )
-            reg.counter("recomputed_flops", rank=trace.rank).inc(
-                trace.recomputed_flops
-            )
-            for ph, n in sorted(trace.corruptions_injected_by_phase.items()):
-                reg.counter(
-                    "corruptions_injected", rank=trace.rank, phase=ph
-                ).inc(n)
-            for ph, n in sorted(trace.corruptions_detected_by_phase.items()):
-                reg.counter(
-                    "corruptions_detected", rank=trace.rank, phase=ph
-                ).inc(n)
-        if trace.reused_flops:
-            reg.counter("reused_flops", rank=trace.rank).inc(trace.reused_flops)
-
     phase_overlap = overlap_by_phase(result)
-    overlap = phase_overlap.get("cannon")
-    overlap_crit = _overlap_ratio(result, critical_rank=True)
-    imbalance = _k_group_imbalance(result, plan)
-    for phase, ratio in phase_overlap.items():
-        reg.gauge("phase_overlap_ratio", phase=phase).set(ratio)
-    # Hidden seconds are summed over survivors only: a killed rank's
-    # clock stopped mid-phase.
-    covered_by_phase = run_totals(result.live_traces).covered_by_phase
-    for ph, s in sorted(covered_by_phase.items()):
-        reg.gauge("phase_comm_covered_s", phase=ph).set(s)
-    if overlap is not None:
-        reg.gauge("cannon_overlap_ratio").set(overlap)
-    if imbalance is not None:
-        reg.gauge("k_group_imbalance").set(imbalance)
-
     injected_by_phase: dict[str, int] = {}
     detected_by_phase: dict[str, int] = {}
     for trace in result.traces:
@@ -517,21 +279,19 @@ def snapshot_run(
         for ph, n in trace.corruptions_detected_by_phase.items():
             detected_by_phase[ph] = detected_by_phase.get(ph, 0) + n
 
-    infeasible = bool(getattr(plan, "mem_limit_infeasible", False))
-    reg.gauge("mem_limit_infeasible").set(float(infeasible))
-
     return RunMetrics(
-        registry=reg,
         makespan=result.time,
         q_words=totals.q_words,
         total_words=totals.total_words,
         max_msgs=totals.max_msgs,
         peak_live_words=totals.peak_live_words,
-        cannon_overlap_ratio=overlap,
-        cannon_overlap_critical_rank=overlap_crit,
+        cannon_overlap_ratio=phase_overlap.get("cannon"),
+        cannon_overlap_critical_rank=_critical_rank_overlap(result),
         overlap_by_phase=phase_overlap,
-        covered_by_phase=covered_by_phase,
-        k_group_imbalance=imbalance,
+        # Hidden seconds are summed over survivors only: a killed rank's
+        # clock stopped mid-phase.
+        covered_by_phase=run_totals(result.live_traces).covered_by_phase,
+        k_group_imbalance=_k_group_imbalance(result, plan),
         total_retries=sum(t.retries for t in result.traces),
         total_timeouts=sum(t.timeouts for t in result.traces),
         injected_wait_s=sum(t.injected_wait_s for t in result.traces),
@@ -546,8 +306,21 @@ def snapshot_run(
         reused_flops=sum(t.reused_flops for t in result.traces),
         resident_peak_words=totals.resident_peak_words,
         mem_by_purpose=totals.mem_by_purpose,
-        mem_limit_infeasible=infeasible,
+        mem_limit_infeasible=bool(getattr(plan, "mem_limit_infeasible", False)),
+        phase_q_words={ph: pt.crit_words for ph, pt in totals.phases.items()},
+        cannon_shift_s=tuple(sorted(
+            e.duration for e in result.tracer.events
+            if e.phase == "cannon" and e.kind in ("recv", "wait") and e.duration > 0
+        )),
     )
+
+
+def _quantile(xs: tuple[float, ...], q: float) -> float:
+    """Linear-interpolated quantile of the sorted, non-empty ``xs``."""
+    pos = q * (len(xs) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(xs) - 1)
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def format_metrics(metrics: RunMetrics) -> str:
@@ -615,15 +388,13 @@ def format_metrics(metrics: RunMetrics) -> str:
                 f"{metrics.corruptions_injected_by_phase.get(ph, 0)} injected, "
                 f"{metrics.corruptions_detected_by_phase.get(ph, 0)} detected"
             )
-    shift = metrics.registry.histogram("cannon_shift_seconds")
-    if shift.count:
+    shift = metrics.cannon_shift_s
+    if shift:
         lines.append(
-            f"  shift latency       : n={shift.count} "
-            f"p50={shift.quantile(0.5) * 1e6:.2f}us p95={shift.quantile(0.95) * 1e6:.2f}us"
+            f"  shift latency       : n={len(shift)} "
+            f"p50={_quantile(shift, 0.5) * 1e6:.2f}us p95={_quantile(shift, 0.95) * 1e6:.2f}us"
         )
     lines.append("  per-phase Q (words):")
-    for labels, gauge in sorted(
-        metrics.registry.find("phase_q_words"), key=lambda lg: lg[0]["phase"]
-    ):
-        lines.append(f"    {labels['phase']:<10}: {gauge.value:.0f}")
+    for phase, q in sorted(metrics.phase_q_words.items()):
+        lines.append(f"    {phase:<10}: {q:.0f}")
     return "\n".join(lines)

@@ -117,12 +117,7 @@ class TestEmptyStripMetrics:
     PCIe, charging phantom compute time (regression)."""
 
     def _compute_time(self, res):
-        m = res.metrics
-        total = 0.0
-        for row in m.registry.to_dict()["gauges"]:
-            if row["name"] == "phase_compute_time_s":
-                total += row["value"]
-        return total
+        return sum(st.compute_time for t in res.traces for st in t.phases.values())
 
     def test_k_smaller_than_grid_charges_one_gemm_per_rank(self, spmd):
         """k=1 on a 2x2 grid: every rank sees one real and one empty

@@ -170,6 +170,16 @@ class TestLedgerRoundtrip:
         assert docs[0]["kind"] == "cli.stats"
         assert docs[0]["problem"]["nprocs"] == 8
 
+    @pytest.mark.parametrize("argv", [
+        ["ledger", "--last", "-1"],
+        ["memprof", "16", "16", "16", "-np", "4", "--top", "-1"],
+    ])
+    def test_a_negative_count_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a count >= 0" in capsys.readouterr().err
+
     def test_env_var_opt_in(self, tmp_path, capsys, monkeypatch):
         led = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(led))

@@ -148,6 +148,17 @@ class TestLedgerFile:
         assert len(led.query(last=2)) == 2
         assert led.query(kind="kind.a", last=1)[0]["kind"] == "kind.a"
 
+    def test_newest_zero_is_none_and_negative_is_refused(self, tmp_path):
+        plan, res = _executed()
+        led = Ledger(tmp_path / "ledger.jsonl")
+        for kind in ("kind.a", "kind.b", "kind.c"):
+            led.append(ledger_record(res, plan, kind))
+        assert led.query(last=0) == []
+        assert [r["kind"] for r in led.query(last=5)] == ["kind.a", "kind.b", "kind.c"]
+        assert [r["kind"] for r in led.query(last=1)] == ["kind.c"]
+        with pytest.raises(ValueError, match="last"):
+            led.query(last=-1)
+
 
 class TestEnvOptIn:
     def test_unset_means_disabled(self, monkeypatch):

@@ -232,6 +232,14 @@ class TestMemReport:
         assert peaks == sorted(peaks, reverse=True)
         assert peaks[0] == report.resident_peak_words
 
+    def test_top_zero_is_none_and_negative_is_refused(self):
+        plan, res = _executed()
+        report = memprof_run(res, plan)
+        assert report.top_offenders(0) == []
+        assert "ranks by resident peak" not in report.format(top=0)
+        with pytest.raises(ValueError, match="count"):
+            report.top_offenders(-1)
+
     def test_negative_tol_rejected(self):
         plan, res = _executed()
         with pytest.raises(ValueError):

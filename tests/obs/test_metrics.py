@@ -1,4 +1,4 @@
-"""Metrics registry instruments and executed-run snapshots."""
+"""Executed-run snapshots and the one pass over rank traces."""
 
 from __future__ import annotations
 
@@ -13,75 +13,15 @@ from repro.machine.model import laptop
 from repro.mpi import run_spmd
 from repro.obs.metrics import (
     ITEM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     PhaseTotals,
     RunTotals,
-    _overlap_ratio,
+    _critical_rank_overlap,
     format_metrics,
     overlap_by_phase,
     run_totals,
     snapshot_run,
     words,
 )
-
-
-class TestInstruments:
-    def test_counter_monotone(self):
-        c = Counter()
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge(self):
-        g = Gauge()
-        g.set(3.5)
-        g.set(1.0)
-        assert g.value == 1.0
-
-    def test_histogram_stats(self):
-        h = Histogram()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == 10.0
-        assert h.mean == 2.5
-        assert h.min == 1.0 and h.max == 4.0
-        assert h.quantile(0.5) == 2.5
-        assert h.quantile(0.0) == 1.0 and h.quantile(1.0) == 4.0
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_empty_histogram_is_explicit(self):
-        h = Histogram()
-        with pytest.raises(ValueError):
-            h.quantile(0.5)
-        assert h.summary() == {"count": 0.0, "empty": True}
-
-
-class TestRegistry:
-    def test_get_or_create_by_name_and_labels(self):
-        reg = MetricsRegistry()
-        a = reg.counter("bytes", rank=0, phase="cannon")
-        b = reg.counter("bytes", phase="cannon", rank=0)  # label order irrelevant
-        c = reg.counter("bytes", rank=1, phase="cannon")
-        assert a is b and a is not c
-
-    def test_to_dict_and_find(self):
-        reg = MetricsRegistry()
-        reg.counter("msgs", rank=0).inc(3)
-        reg.gauge("clock", rank=0).set(1.5)
-        reg.histogram("lat").observe(0.1)
-        doc = reg.to_dict()
-        assert doc["counters"][0] == {"name": "msgs", "labels": {"rank": 0}, "value": 3.0}
-        assert doc["gauges"][0]["value"] == 1.5
-        assert doc["histograms"][0]["count"] == 1.0
-        (labels, inst) = reg.find("msgs")[0]
-        assert labels == {"rank": 0} and inst.value == 3.0
 
 
 def _executed(m=32, n=32, k=64, P=8, record_events=True):
@@ -107,22 +47,24 @@ class TestSnapshot:
     def test_per_phase_q_gauges(self):
         plan, res = _executed(m=64, n=64, k=64, P=16)  # c > 1: replication runs
         m = snapshot_run(res, plan)
-        phases = {labels["phase"] for labels, _ in m.registry.find("phase_q_words")}
-        assert {"replicate", "cannon", "reduce"} <= phases
-        for labels, gauge in m.registry.find("phase_q_words"):
+        assert {"replicate", "cannon", "reduce"} <= set(m.phase_q_words)
+        for phase, q in m.phase_q_words.items():
             expect = max(
-                (t.phases[labels["phase"]].bytes_sent
-                 for t in res.traces if labels["phase"] in t.phases),
+                (t.phases[phase].bytes_sent for t in res.traces if phase in t.phases),
                 default=0,
             ) / ITEM
-            assert gauge.value == expect
+            assert q == expect
+            assert f"    {phase:<10}: {expect:.0f}" in format_metrics(m)
 
     def test_shift_latency_histogram_populated(self):
         plan, res = _executed()
         m = snapshot_run(res, plan)
-        hist = m.registry.histogram("cannon_shift_seconds")
-        assert hist.count > 0
-        assert hist.min > 0
+        shifts = [e.duration for e in res.tracer.events
+                  if e.phase == "cannon" and e.kind in ("recv", "wait") and e.duration > 0]
+        assert shifts
+        assert m.cannon_shift_s == tuple(sorted(shifts))
+        assert m.cannon_shift_s[0] > 0
+        assert f"shift latency       : n={len(shifts)} " in format_metrics(m)
 
     def test_overlap_ratio_in_unit_interval(self):
         plan, res = _executed()
@@ -141,7 +83,8 @@ class TestSnapshot:
     def test_snapshot_without_events(self):
         plan, res = _executed(record_events=False)
         m = snapshot_run(res, plan)
-        assert m.registry.histogram("cannon_shift_seconds").count == 0
+        assert m.cannon_shift_s == ()
+        assert "shift latency" not in format_metrics(m)
         assert m.q_words > 0
 
     def test_result_metrics_property_cached(self):
@@ -168,7 +111,6 @@ class TestSnapshot:
             den += weight
         assert den > 0
         expect = num / den
-        assert _overlap_ratio(res) == pytest.approx(expect)
         assert overlap_by_phase(res)["cannon"] == pytest.approx(expect)
         assert snapshot_run(res, plan).cannon_overlap_ratio == pytest.approx(expect)
 
@@ -177,7 +119,7 @@ class TestSnapshot:
         crit = max(res.traces, key=lambda t: t.time)
         st = crit.phases["cannon"]
         expect = max(0.0, min(1.0, 1.0 - st.comm_time / st.time))
-        assert _overlap_ratio(res, critical_rank=True) == pytest.approx(expect)
+        assert _critical_rank_overlap(res) == pytest.approx(expect)
         m = snapshot_run(res, plan)
         assert m.cannon_overlap_critical_rank == pytest.approx(expect)
 
@@ -186,11 +128,6 @@ class TestSnapshot:
         m = snapshot_run(res, plan)
         ov = overlap_by_phase(res)
         assert ov and all(0.0 <= v <= 1.0 for v in ov.values())
-        gauges = {
-            labels["phase"]: g.value
-            for labels, g in m.registry.find("phase_overlap_ratio")
-        }
-        assert gauges == pytest.approx(ov)
         assert m.overlap_by_phase == pytest.approx(ov)
         assert m.to_dict()["overlap_by_phase"] == pytest.approx(ov)
 
@@ -201,11 +138,27 @@ class TestSnapshot:
         doc = snapshot_run(res, plan).to_dict()
         json.dumps(doc)  # must not raise
         assert doc["q_words"] > 0
-        assert "registry" in doc
+        assert "registry" not in doc
+        assert not {"phase_q_words", "cannon_shift_s"} & set(doc)  # text only
+
+    def test_the_document_does_not_grow_with_the_world(self):
+        """No per-rank number is in the snapshot: at 16 and 128 ranks its
+        JSON differs only by the per-phase and per-purpose keys and the
+        digits of the values (a per-rank registry made it 102 056 and
+        628 590 bytes longer at 64^3 / P = 16 and 256^3 / P = 128)."""
+        import json
+
+        sizes = {}
+        for nprocs in (16, 128):
+            plan, res = _executed(m=64, n=64, k=64, P=nprocs)
+            doc = snapshot_run(res, plan).to_dict()
+            keyed = [v for k, v in doc.items() if k.endswith(("_by_phase", "_by_purpose"))]
+            sizes[nprocs] = len(json.dumps(doc)) - sum(len(json.dumps(v)) for v in keyed)
+        assert abs(sizes[16] - sizes[128]) <= 64, sizes
 
 
 class TestShrunkWorld:
-    """Faulted/shrunk worlds: dead ranks must not skew the gauges."""
+    """Faulted/shrunk worlds: dead ranks must not skew the snapshot."""
 
     def _killed_run(self):
         from repro.ft import resilient_multiply
@@ -260,7 +213,7 @@ class TestShrunkWorld:
 
         m = snapshot_run(res)
         assert m.recoveries >= 1
-        json.dumps(m.to_dict())  # gauges stay serializable on shrunk worlds
+        json.dumps(m.to_dict())  # the snapshot stays serializable on shrunk worlds
 
 
 class TestRunTotals:
