@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.ca3dmm import Ca3dmm
-from ..core.plan import Ca3dmmPlan
+from ..core.plan import Ca3dmmPlan, shared_plan
 from ..core.steps import norm_op, problem_dims
 from ..grid.optimizer import DEFAULT_L, GridSpec
 from ..layout.blocks import Rect
@@ -394,7 +394,7 @@ def _reuse_multiply(
             # only to combine.
             final_dist = _resolve_c_dist(c_dist, cur_comm)
             if final_dist is None:
-                final_dist = Ca3dmmPlan(
+                final_dist = shared_plan(
                     m, n, plan_old.k, cur_comm.size, l=l
                 ).c_dist
             c = DistMatrix.zeros(cur_comm, final_dist, dtype=dtype)
@@ -575,9 +575,10 @@ def resilient_multiply(
                     )
                 else:
                     # The plan is a pure local computation, identical on
-                    # every rank, so each survivor can later name what
-                    # the failed attempt retained.
-                    attempt_plan = Ca3dmmPlan(
+                    # every rank (one shared instance, the engine's), so
+                    # each survivor can later name what the failed
+                    # attempt retained.
+                    attempt_plan = shared_plan(
                         m, n, k, cur_comm.size, grid=cur_grid, l=l
                     )
 

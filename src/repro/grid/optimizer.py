@@ -16,10 +16,14 @@ ranks).  Three selectors are provided:
   replication factor ``c``, with no rectangular-problem optimization
   (the reason the paper's CTF numbers trail on rectangular problems).
 
-The first two are one search, :func:`best_grids`: the candidates of
-eqs. (5)/(7) live in integer arrays (:func:`_candidates`), a float64
-screen keeps the handful that can win, and the exact
-:func:`_sorted_key` — Python-int arithmetic — decides among those.
+The first two are one search, :func:`best_grids`, in two halves.  The
+candidates of eqs. (5)/(7) depend on ``(P, l, require_divisible)`` alone,
+never on the matrix: :func:`_candidates` builds their integer arrays once
+per key per process (a bounded cache, read-only arrays), and every
+search, enumeration and plan on that key shares the table.  The
+shape-dependent half runs per call: a float64 screen keeps the handful
+that can win, and the exact :func:`_sorted_key` — Python-int arithmetic —
+decides among those.
 
 All selectors are deterministic; ties resolve lexicographically, so
 every rank computes the same grid independently.
@@ -31,6 +35,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,11 +209,12 @@ def _sorted_key(m: int, n: int, k: int, use_latency: bool = True):
     return key
 
 
-def _check_search_args(nprocs: int, l: float, dims: tuple = ()) -> None:
-    """Reject inputs for which no search is defined, before any work."""
+def _check_search_args(nprocs: int, l: float | None, dims: tuple = ()) -> None:
+    """Reject inputs for which no search is defined, before any work
+    (``l is None``: a search without eq. (5), :func:`ctf_grid`)."""
     if not isinstance(nprocs, numbers.Integral) or nprocs < 1:
         raise ValueError(f"nprocs must be a positive integer, got {nprocs!r}")
-    if not 0 < l <= 1:  # also catches nan
+    if l is not None and not 0 < l <= 1:  # also catches nan
         raise ValueError(
             f"l must satisfy 0 < l <= 1 (eq. (5): l*P <= pm*pn*pk <= P), got {l!r}"
         )
@@ -216,6 +222,12 @@ def _check_search_args(nprocs: int, l: float, dims: tuple = ()) -> None:
         raise ValueError(f"matrix dimensions must be non-negative, got {dims}")
 
 
+# Eqs. (5) and (7) never look at the matrix: one table per key serves every
+# shape.  One repetition of the paper's figures and tables asks for 37 keys
+# (306 searches).  A table at P = 3072 is 50-300 kB for l >= 0.85, one at
+# P = 4096 with a vanishing l 0.8 MB: up to P = 4096 the bound holds the
+# cache under 110 MB.
+@lru_cache(maxsize=128)
 def _candidates(
     nprocs: int, l: float, require_divisible: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,8 +242,10 @@ def _candidates(
 
     Pairs come in lexicographic ``(pm, pn)`` order, ``pn <= P // pm``
     (``P ln P`` of them before the masks: 25 151 at P = 3072, a few
-    200 kB temporaries).  With ``0 < l <= 1`` the bound never exceeds P,
-    so ``1 x 1 x P`` always passes and the result is never empty.
+    200 kB temporaries, made once per key: the table is cached per
+    process and its arrays are read-only, shared by every caller).  With
+    ``0 < l <= 1`` the bound never exceeds P, so ``1 x 1 x P`` always
+    passes and the result is never empty.
     """
     lo = max(1, math.floor(l * nprocs + 1e-9))
     # Eq. (5) and pk depend on the product q = pm*pn alone, so both are
@@ -247,6 +261,8 @@ def _candidates(
     if require_divisible:
         keep = np.flatnonzero((pm % pn == 0) | (pn % pm == 0))
         pm, pn, pk = pm[keep], pn[keep], pk[keep]
+    for a in (pm, pn, pk):
+        a.flags.writeable = False
     return pm, pn, pk
 
 
@@ -422,7 +438,11 @@ def ctf_grid(m: int, n: int, k: int, nprocs: int) -> GridSpec:
     Deliberately ignores the matrix aspect ratio, reproducing CTF's
     behaviour on rectangular problems reported in the paper (Section
     IV-A, citing [18]).
+
+    Same argument contract as :func:`ca3dmm_grid`, less ``l``.
     """
+    _check_search_args(nprocs, None, (m, n, k))
+    nprocs = int(nprocs)
     best: tuple[tuple[int, int], GridSpec] | None = None
     c_max = max(1, round(nprocs ** (1.0 / 3.0)))
     for c in divisors(nprocs):

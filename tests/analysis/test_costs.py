@@ -136,8 +136,14 @@ class TestRefusals:
         ("nprocs", lambda mach: carma_cost(64, 64, 64, 0, mach)),
         ("panel", lambda mach: summa_cost(64, 64, 64, 4, mach, panel=0)),
         ("panel", lambda mach: summa_cost(64, 64, 64, 4, mach, panel=-64)),
+        ("dimensions", lambda mach: ca3dmm_cost(-4, 4, 4, 8, mach)),
+        ("dimensions", lambda mach: cosma_cost(4, -4, 4, 8, mach)),
+        ("dimensions", lambda mach: ctf_cost(-4, 4, 4, 8, mach)),
+        ("nprocs", lambda mach: ctf_cost(64, 64, 64, 0, mach)),
+        ("nprocs", lambda mach: ctf_cost(64, 64, 64, 2.5, mach)),
     ], ids=["ca3dmm-summa-b", "ca3dmm-Cannon", "1d-P0", "1d-k-P-1", "carma-P0",
-            "summa-panel0", "summa-panel-64"])
+            "summa-panel0", "summa-panel-64", "ca3dmm-m-4", "cosma-n-4", "ctf-m-4",
+            "ctf-P0", "ctf-P2.5"])
     def test_unpriceable_input_is_a_value_error(self, argument, price):
         with pytest.raises(ValueError, match=argument):
             price(laptop())

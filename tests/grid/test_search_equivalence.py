@@ -31,6 +31,7 @@ from repro.grid.optimizer import (
     best_grids,
     ca3dmm_grid,
     cosma_grid,
+    ctf_grid,
     enumerate_grids,
 )
 from repro.machine.model import pace_phoenix_cpu, pace_phoenix_gpu
@@ -215,32 +216,47 @@ def test_candidates_honour_eqs_5_and_7(P, l, divisible):
         assert not divisible or max(a, b) % min(a, b) == 0
 
 
-SEARCHES = {
+#: The searches bounded by eq. (5), called on ``(nprocs, l)``.
+EQ5_SEARCHES = {
     "ca3dmm_grid": lambda nprocs, l: ca3dmm_grid(4, 4, 4, nprocs, l),
     "cosma_grid": lambda nprocs, l: cosma_grid(4, 4, 4, nprocs, l),
     "enumerate_grids": lambda nprocs, l: enumerate_grids(nprocs, l),
 }
+#: ``ctf_grid`` has no ``l``; everything else of the contract is the same.
+SEARCHES = {**EQ5_SEARCHES, "ctf_grid": lambda nprocs, l: ctf_grid(4, 4, 4, nprocs)}
 
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """A rejected call must not have started enumerating."""
+    """A rejected call must not have started enumerating: the candidate
+    table of eqs. (5)/(7), or the divisors ``ctf_grid`` walks."""
 
     def started(*args):
         raise AssertionError("the search ran on arguments it should have refused")
 
     monkeypatch.setattr(optimizer, "_candidates", started)
+    monkeypatch.setattr(optimizer, "divisors", started)
 
 
 @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+def test_no_search_stops_a_search_that_starts(search, no_search):
+    """The fixture patches what every search really calls — else the
+    refusals below would pass without a search to stop."""
+    with pytest.raises(AssertionError, match="should have refused"):
+        search(17, 0.95)
+
+
 class TestRejectedArguments:
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
     @pytest.mark.parametrize("nprocs", [0, -1, -4096, 2.5, 16.0, "16", None])
     def test_nprocs_must_be_a_positive_integer(self, search, nprocs, no_search):
-        """``cosma_grid(4, 4, 4, 0)`` used to spin forever and
-        ``enumerate_grids(0)`` returned ``[]``."""
+        """``cosma_grid(4, 4, 4, 0)`` used to spin forever,
+        ``enumerate_grids(0)`` returned ``[]`` and ``ctf_grid`` built a
+        grid of 2.5 ranks."""
         with pytest.raises(ValueError, match="nprocs"):
             search(nprocs, 0.95)
 
+    @pytest.mark.parametrize("search", EQ5_SEARCHES.values(), ids=EQ5_SEARCHES.keys())
     @pytest.mark.parametrize(
         "l", [0.0, -0.0, -1.0, 1.0000001, 2.0, math.inf, -math.inf, math.nan]
     )
@@ -251,11 +267,22 @@ class TestRejectedArguments:
             search(17, l)
 
 
-@pytest.mark.parametrize("search", [ca3dmm_grid, cosma_grid])
+#: What a search returns on zero dimensions: the oracle's grid, and for
+#: ``ctf_grid``, which ignores the shape, its grid for any shape.
+ZERO_DIMS_REFERENCE = {
+    ca3dmm_grid: oracle.ca3dmm_grid,
+    cosma_grid: oracle.cosma_grid,
+    ctf_grid: lambda m, n, k, nprocs: ctf_grid(1, 1, 1, nprocs),
+}
+
+
+@pytest.mark.parametrize("search", list(ZERO_DIMS_REFERENCE))
 def test_negative_dimensions_are_refused_and_zero_is_not(search, monkeypatch):
-    assert search(0, 4, 4, 8) == getattr(oracle, search.__name__)(0, 4, 4, 8)
-    assert search(0, 0, 0, 8) == getattr(oracle, search.__name__)(0, 0, 0, 8)
+    reference = ZERO_DIMS_REFERENCE[search]
+    assert search(0, 4, 4, 8) == reference(0, 4, 4, 8)
+    assert search(0, 0, 0, 8) == reference(0, 0, 0, 8)
     monkeypatch.setattr(optimizer, "_candidates", None)  # not reached
+    monkeypatch.setattr(optimizer, "divisors", None)
     for shape in ((-1, 4, 4), (4, -1, 4), (4, 4, -1)):
         with pytest.raises(ValueError, match="non-negative"):
             search(*shape, 8)
