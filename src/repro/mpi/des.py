@@ -2,12 +2,12 @@
 
 This module keeps the rank *programs* exactly as they are — arbitrary
 Python calling deep into the engines — but takes scheduling away from
-the OS.  Each rank still owns a thread (its stack is where the program's
-state lives), yet **at most one rank thread runs at any instant**: a
-rank runs until it must block inside the transport, parks on its private
-baton — a raw lock used as a binary semaphore, released by whoever
-dispatches the rank — and hands the world to the runnable rank with the
-*lowest virtual clock*.  The result is a single-threaded
+the OS.  Each rank still runs on a thread of its own (its stack is where
+the program's state lives), yet **at most one rank thread runs at any
+instant**: a rank runs until it must block inside the transport, parks
+on its private baton — a raw lock used as a binary semaphore, released
+by whoever dispatches the rank — and hands the world to the runnable
+rank with the *lowest virtual clock*.  The result is a single-threaded
 discrete-event simulation in all but mechanism:
 
 * event ordering is a pure function of the virtual clocks and each
@@ -41,11 +41,27 @@ unsticks a revoked-and-quiescent world or declares a structural
 deadlock.  The one wall-clock rule left is for pure probe-polling
 livelocks, where ranks stay runnable but the world makes no virtual
 progress for ``deadlock_timeout`` seconds.
+
+**Threads outlive worlds.**  The strands run on a process-wide pool of
+OS threads: slot ``r`` is a daemon thread that runs one strand after
+another, and a world takes the lowest free slots, starting threads only
+for the ones missing.  So rank ``r`` of world after world runs on the
+same thread — its ``threading.local`` values and the allocator arena
+glibc gave it are kept (its name is set per strand, ``vmpi-des-{rank}``),
+and a world of a size seen before starts no thread.  A slot's thread
+sleeps on the baton of the rank it was handed, so it first wakes at that
+rank's first dispatch.  Each strand runs in a fresh
+``contextvars.Context``, as it would on a new thread.  A slot is free
+again once ``strand_main`` has returned, however it returned; an
+exception that escapes it goes to :func:`threading.excepthook` and the
+thread serves the next world.  A forked child starts with an empty pool.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+import os
 import threading
 from collections import deque
 from typing import TYPE_CHECKING, Callable
@@ -65,17 +81,18 @@ class DesScheduler:
     """Cooperative rank scheduler driving one transport's world.
 
     Every :class:`~repro.mpi.transport.Transport` owns one; it is idle
-    until :func:`run_des` starts the strands.  The transport calls the
-    ``wake_*`` hooks and ``park`` / ``poll_yield`` as the running strand,
-    which owns the world from its dispatch to its park, so a
-    park-then-wake can never be lost.
+    until :func:`run_des` hands its strands to the pool's slots.  The
+    transport calls the ``wake_*`` hooks and ``park`` / ``poll_yield`` as
+    the running strand, which owns the world from its dispatch to its
+    park, so a park-then-wake can never be lost.
     """
 
     def __init__(self, transport: "Transport"):
         self.transport = transport
         self.nprocs = nprocs = transport.nprocs
         #: one baton per strand, held while it is parked and released by
-        #: whoever dispatches it (a second dispatch is ``release``'s error).
+        #: whoever dispatches it (a second dispatch is ``release``'s error);
+        #: :func:`run_des` swaps in those of the pool slots it takes.
         self._batons = [threading.Lock() for _ in range(nprocs)]
         for baton in self._batons:
             baton.acquire()
@@ -211,7 +228,7 @@ class DesScheduler:
 
     # ------------------------------------------------------------ strands -- #
     def strand_main(self, rank: int, body: Callable[[int], None]) -> None:
-        """Thread target for one rank strand."""
+        """One rank strand: what a pool slot runs for ``rank``."""
         self._own_world(rank)
         try:
             body(rank)
@@ -222,6 +239,108 @@ class DesScheduler:
             self._running = None
             self._dispatch()
             self._world.release()
+
+
+class _Slot:
+    """One pool thread: runs the strand it is handed, then waits again."""
+
+    __slots__ = ("index", "job", "baton", "thread")
+
+    def __init__(self, index: int, rank: int) -> None:
+        self.index = index
+        self.job: tuple | None = None
+        #: the baton of the rank this slot runs: held while idle, so the
+        #: thread first wakes when its rank is first dispatched
+        self.baton = threading.Lock()
+        self.baton.acquire()
+        self.thread = threading.Thread(
+            target=self._serve, name=f"vmpi-des-{rank}", daemon=True
+        )
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.baton.acquire()
+            self.baton.release()  # strand_main takes it again at once
+            self._run_job()
+
+    def _run_job(self) -> None:
+        """Run one strand in a fresh context and give the slot back."""
+        run, rank, strand_main, body = self.job
+        self.job = None
+        self.thread.name = f"vmpi-des-{rank}"
+        try:
+            contextvars.Context().run(strand_main, rank, body)
+        except BaseException as exc:  # noqa: BLE001 - reported as a thread would
+            threading.excepthook(
+                threading.ExceptHookArgs(
+                    (type(exc), exc, exc.__traceback__, self.thread)
+                )
+            )
+        # Not in a ``finally``: a hook that raises ends this thread, and a
+        # dead slot must never go back to the pool.
+        _pool.give_back(self, run)
+
+
+class _Run:
+    """The strands of one world still out on slots."""
+
+    __slots__ = ("left", "done")
+
+    def __init__(self, left: int) -> None:
+        self.left = left
+        #: released when the last strand's slot is back in the pool
+        self.done = threading.Lock()
+        self.done.acquire()
+
+
+class _Pool:
+    """Every rank-strand thread of the process, and the free ones."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.slots: list[_Slot] = []
+        #: min-heap of idle slot indices: a world takes the lowest
+        self.free: list[int] = []
+
+    def start(
+        self, strand_main: Callable[[int, Callable[[int], None]], None],
+        body: Callable[[int], None], nprocs: int,
+    ) -> tuple[_Run, list[threading.Lock]]:
+        """Hand rank ``r`` of a new world to the ``r``-th lowest free
+        slot, starting a thread for every slot missing; returns the run
+        and the slots' batons, rank by rank."""
+        run = _Run(nprocs)
+        with self.lock:
+            free, slots = self.free, self.slots
+            taken = [slots[heapq.heappop(free)] for _ in range(min(nprocs, len(free)))]
+            for rank in range(len(taken), nprocs):
+                slot = _Slot(len(slots), rank)
+                slots.append(slot)
+                taken.append(slot)
+        for rank, slot in enumerate(taken):
+            slot.job = (run, rank, strand_main, body)
+        return run, [slot.baton for slot in taken]
+
+    def give_back(self, slot: _Slot, run: _Run) -> None:
+        with self.lock:
+            heapq.heappush(self.free, slot.index)
+            run.left -= 1
+            last = not run.left
+        if last:
+            run.done.release()
+
+
+_pool = _Pool()
+
+
+def _empty_pool_after_fork() -> None:
+    # Only the forking thread exists in the child: none of the slots do.
+    global _pool
+    _pool = _Pool()
+
+
+os.register_at_fork(after_in_child=_empty_pool_after_fork)
 
 
 def run_des(
@@ -238,17 +357,8 @@ def run_des(
     """
     sched = transport.scheduler
     nprocs = transport.nprocs
-    threads = [
-        threading.Thread(
-            target=sched.strand_main,
-            args=(r, rank_body),
-            name=f"vmpi-des-{r}",
-            daemon=True,
-        )
-        for r in range(nprocs)
-    ]
-    for t in threads:
-        t.start()
+    # A slot's thread sleeps on its baton until the rank's first dispatch.
+    run, sched._batons = _pool.start(sched.strand_main, rank_body, nprocs)
     with sched._world:
         for r in range(nprocs):
             sched.make_ready(r)
@@ -343,7 +453,6 @@ def run_des(
                 # world has drained.
                 transport.abort(AbortError(-1, deadlock))
 
-    for t in threads:
-        t.join(timeout=5.0)
+    run.done.acquire(timeout=5.0)
     if deadlock is not None:
         raise deadlock

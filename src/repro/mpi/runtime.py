@@ -9,6 +9,10 @@ at most one rank runs at a time, chosen by virtual clock, and a world
 with nothing runnable is reported as
 :class:`~repro.mpi.errors.DeadlockError` at once.  Runs are
 replay-deterministic by construction and scale to thousands of ranks.
+Rank ``r`` of every world runs on the same pooled OS thread, so a
+process can run world after world without starting a thread or growing
+its heap; ``threading.local`` values outlive a world, ``contextvars``
+do not.
 
 Failure handling mirrors a batch MPI job: the first rank to raise
 aborts the world (all blocked ranks are woken with
@@ -18,6 +22,8 @@ re-raised on the driver thread.
 
 from __future__ import annotations
 
+import math
+import numbers
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -111,7 +117,7 @@ def run_spmd(
     Parameters
     ----------
     nprocs:
-        World size.
+        World size: an ``int`` ≥ 1 (not a ``bool``).
     backend:
         Compatibility keyword from when there were two schedulers; it
         selects nothing.  ``None`` and ``"des"`` are accepted, anything
@@ -125,8 +131,9 @@ def run_spmd(
         Cost model; defaults to :class:`~repro.machine.model.MachineModel`.
     deadlock_timeout:
         Wall-clock seconds a pure probe-polling loop may spin without
-        virtual progress before the run is aborted as deadlocked.
-        Blocked worlds are detected structurally and do not wait for it.
+        virtual progress before the run is aborted as deadlocked: a
+        finite number > 0.  Blocked worlds are detected structurally and
+        do not wait for it.
     record_events:
         Build the world's :class:`~repro.obs.tracer.Tracer`
         (``result.tracer``): per-rank simulated-time intervals, one
@@ -143,12 +150,27 @@ def run_spmd(
         typed original is re-raised (chained) on the driver thread.
 
         A permanent kill (``RankFault(kill=True)``) is different: the
-        killed rank's thread just ends (its result stays ``None``) and
-        the world keeps running.  Survivors that touch the dead rank see
+        killed rank's strand just ends (its result stays ``None``), its
+        thread goes back to the pool, and the world keeps running.  Survivors that touch the dead rank see
         :class:`~repro.mpi.errors.RankFailedError`, which — absent a
         recovery driver (:func:`repro.ft.resilient_multiply`) — aborts
         the world like any other rank error.
+
+    A malformed ``nprocs`` or ``deadlock_timeout`` raises
+    :class:`ValueError` naming it before any rank starts.
     """
+    if not isinstance(nprocs, numbers.Integral) or isinstance(nprocs, bool) or nprocs < 1:
+        raise ValueError(f"nprocs={nprocs!r}: the world size must be an int >= 1")
+    if (
+        not isinstance(deadlock_timeout, numbers.Real)
+        or isinstance(deadlock_timeout, bool)
+        or not math.isfinite(deadlock_timeout)
+        or deadlock_timeout <= 0
+    ):
+        raise ValueError(
+            f"deadlock_timeout={deadlock_timeout!r}: must be a finite number of seconds > 0"
+        )
+    nprocs = int(nprocs)
     if backend not in (None, "des"):
         raise ValueError(
             f"backend={backend!r}: the DES scheduler is the only way to run "

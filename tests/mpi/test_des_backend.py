@@ -1,4 +1,5 @@
-"""Discrete-event scheduler: the vestigial ``backend`` keyword, semantics, scale.
+"""Discrete-event scheduler: the vestigial ``backend`` keyword, semantics,
+the strand pool, scale.
 
 The scheduler runs at most one rank at a time, ordered by virtual
 clock, and detects deadlocks structurally (every live rank parked with
@@ -15,9 +16,13 @@ and pin the bugfixes that made runs deterministic:
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import os
+import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +40,9 @@ from repro.mpi import (
     RankFault,
     run_spmd,
 )
+from repro.mpi import des
 from repro.mpi.datatypes import ANY_SOURCE
+from repro.mpi.des import run_des
 from repro.mpi.faults import FaultInjector
 from repro.mpi.transport import Transport
 from repro.obs.ledger import canonical_json, ledger_record
@@ -324,6 +331,180 @@ class TestBaton:
         res, _ = run_twice(5, f, machine=laptop())
         assert res.results == [(False, (0, 1, 2, 3))] * 4 + [None]
         assert res.transport.scheduler._agree_parked == 0
+
+
+def _strand(comm):
+    """The thread a rank ran on: ``(ident, name)``."""
+    me = threading.current_thread()
+    return me.ident, me.name
+
+
+_CV: contextvars.ContextVar[int] = contextvars.ContextVar("_CV")
+
+
+class TestStrandPool:
+    """Rank ``r`` of every world runs on the pool's ``r``-th lowest free
+    thread: a world starts no thread it can borrow, and every way a
+    strand ends gives its thread back."""
+
+    def test_a_second_world_starts_no_thread(self):
+        first = _run(8, _strand).results
+        threads = threading.active_count()
+        second = _run(8, lambda comm: (_strand(comm), threading.active_count())).results
+        assert [alive for _, alive in second] == [threads] * 8
+        assert [strand for strand, _ in second] == first
+        assert [name for _, name in first] == [f"vmpi-des-{r}" for r in range(8)]
+
+    def test_a_rank_body_runs_a_nested_world(self):
+        def outer(comm):
+            inner = _run(3, lambda c: (c.allreduce(c.rank), _strand(c))).results
+            return _strand(comm), inner
+
+        res = _run(2, outer).results
+        for rank, ((ident, name), inner) in enumerate(res):
+            assert name == f"vmpi-des-{rank}"
+            assert [total for total, _ in inner] == [3, 3, 3]
+            assert [name for _, (_, name) in inner] == ["vmpi-des-0", "vmpi-des-1", "vmpi-des-2"]
+            assert ident not in {i for _, (i, _) in inner}
+
+    def test_two_drivers_run_worlds_at_once(self):
+        """Rank 0 of each world waits for rank 0 of the other: both
+        worlds must be out on the pool at the same time, on disjoint
+        threads."""
+        meet = threading.Barrier(2, timeout=10.0)
+        got: dict[str, object] = {}
+
+        def body(comm):
+            if comm.rank == 0:
+                meet.wait()
+            return comm.allreduce(comm.rank), _strand(comm)
+
+        def drive(key):
+            try:
+                got[key] = _run(4, body).results
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                got[key] = exc
+
+        drivers = [threading.Thread(target=drive, args=(k,)) for k in "ab"]
+        for t in drivers:
+            t.start()
+        for t in drivers:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        a, b = got["a"], got["b"]
+        assert [total for total, _ in a] == [6] * 4 and [total for total, _ in b] == [6] * 4
+        assert {i for _, (i, _) in a}.isdisjoint(i for _, (i, _) in b)
+
+    def test_drivers_under_preemption_lose_no_slot(self):
+        """Four drivers start and end worlds of 1-6 ranks at once under a
+        1 us switch interval: every world is right, and afterwards every
+        slot that was free is free again, exactly once."""
+        pool = des._pool
+        with pool.lock:
+            busy = set(range(len(pool.slots))) - set(pool.free)
+        errors = []
+
+        def drive(seed):
+            try:
+                for i in range(12):
+                    size = 1 + (seed + i) % 6
+                    assert _run(size, lambda comm: comm.allreduce(1)).results == [size] * size
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            drivers = [threading.Thread(target=drive, args=(k,)) for k in range(4)]
+            for t in drivers:
+                t.start()
+            for t in drivers:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        assert errors == []
+        with pool.lock:
+            assert sorted(pool.free) == sorted(set(range(len(pool.slots))) - busy)
+
+    def test_every_failed_world_gives_its_slots_back(self):
+        baseline = _run(4, _strand).results
+        threads = threading.active_count()
+
+        def kill(comm):
+            with comm.phase("cannon"):
+                pass
+
+        def abort(comm):
+            if comm.rank == 2:
+                raise ValueError("boom")
+            comm.recv(source=2)
+
+        def deadlock(comm):
+            comm.recv(source=(comm.rank + 1) % comm.size)
+
+        res = _run(4, kill, faults=FaultPlan(ranks=(RankFault(rank=1, phase="cannon", kill=True),)))
+        assert res.failed_ranks == [1]
+        assert _run(4, _strand).results == baseline
+        with pytest.raises(RuntimeError, match="rank 2 failed"):
+            _run(4, abort)
+        assert _run(4, _strand).results == baseline
+        with pytest.raises(DeadlockError):
+            _run(4, deadlock)
+        assert _run(4, _strand).results == baseline
+        assert threading.active_count() == threads
+
+    def test_an_escaping_exception_is_reported_and_the_slot_serves_on(self, monkeypatch):
+        """An exception that leaves ``strand_main`` goes to
+        ``threading.excepthook``; the world still ends and the thread runs
+        the next world."""
+        baseline = _run(3, _strand).results
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: hooked.append(
+            (args.exc_type, args.thread.name)))
+
+        def body(rank):
+            if rank == 1:
+                raise KeyError(rank)
+
+        run_des(Transport(3), body)
+        assert hooked == [(KeyError, "vmpi-des-1")]
+        assert _run(3, _strand).results == baseline
+
+    def test_context_vars_do_not_cross_worlds_thread_locals_do(self):
+        local = threading.local()
+
+        def first(comm):
+            _CV.set(comm.rank)
+            local.rank = comm.rank
+
+        def second(comm):
+            return _CV.get(None), getattr(local, "rank", None)
+
+        _run(4, first)
+        assert _run(4, second).results == [(None, r) for r in range(4)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_a_world(self):
+        _run(4, _strand)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through its exit code
+            code = 1
+            try:
+                res = run_spmd(4, lambda comm: comm.allreduce(comm.rank))
+                code = 0 if res.results == [6] * 4 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's world hung")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ------------------------------------------------------------ ownership -- #

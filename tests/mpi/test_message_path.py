@@ -37,15 +37,16 @@ from repro.mpi.des import DesScheduler
 
 @contextlib.contextmanager
 def counted_strands():
-    """Count the calls made by every thread started inside the block.
+    """Count the calls made by every rank strand run inside the block.
 
-    ``threading.Thread.run`` is wrapped for the duration and restored;
-    the value is the list of per-thread counters.
+    ``DesScheduler.strand_main`` — what a pool thread runs for one rank
+    of one world — is wrapped for the duration and restored; the value
+    is the list of per-strand counters.
     """
     cells: list[list[int]] = []
-    original = threading.Thread.run
+    original = DesScheduler.strand_main
 
-    def run(self):
+    def strand_main(self, rank, body):
         cell = [0]
         cells.append(cell)
 
@@ -55,15 +56,15 @@ def counted_strands():
 
         sys.setprofile(hook)
         try:
-            original(self)
+            original(self, rank, body)
         finally:
             sys.setprofile(None)
 
-    threading.Thread.run = run
+    DesScheduler.strand_main = strand_main
     try:
         yield cells
     finally:
-        threading.Thread.run = original
+        DesScheduler.strand_main = original
 
 
 def _matmul_run(p: int, n: int, layout=None, schedule=ca3dmm_matmul, shape=None):

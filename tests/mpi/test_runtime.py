@@ -24,6 +24,26 @@ class TestResults:
         with pytest.raises(ValueError):
             run_spmd(0, lambda comm: None)
 
+    def test_world_size_must_be_an_int(self):
+        """``True`` used to run a 1-rank world, ``2.0`` and ``"2"`` died
+        with a bare ``TypeError``; each is refused by name before a rank
+        runs."""
+        ran = []
+        for nprocs in (True, 2.0, "2", -1, None):
+            with pytest.raises(ValueError, match="nprocs"):
+                run_spmd(nprocs, ran.append)
+        assert ran == []
+
+    def test_deadlock_timeout_must_be_finite_and_positive(self):
+        """NaN never trips the probe-poll stall rule (a livelock hung);
+        0 and -1 declared deadlock on the first sample; ``inf`` disables
+        it."""
+        ran = []
+        for timeout in (float("nan"), 0, -1.0, float("inf"), "1", True):
+            with pytest.raises(ValueError, match="deadlock_timeout"):
+                run_spmd(2, ran.append, deadlock_timeout=timeout)
+        assert ran == []
+
 
 class TestTraces:
     def test_traffic_counted_both_sides(self, spmd):
