@@ -181,8 +181,12 @@ def run_spmd(
     results: list[Any] = [None] * nprocs
     errors: list[tuple[int, BaseException, str]] = []
 
+    # One group tuple shared by every rank: ``Comm`` copies any other
+    # sequence, O(P) per rank and P^2 words per world.
+    world = tuple(range(nprocs))
+
     def rank_body(rank: int) -> None:
-        comm = Comm(transport, WORLD_CTX, range(nprocs), rank)
+        comm = Comm(transport, WORLD_CTX, world, rank)
         try:
             results[rank] = fn(comm, *args)
         except AbortError:
