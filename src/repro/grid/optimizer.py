@@ -66,6 +66,8 @@ class GridSpec:
     nprocs: int
 
     def __post_init__(self) -> None:
+        for name in ("pm", "pn", "pk", "nprocs"):
+            _check_int(name, getattr(self, name))
         if min(self.pm, self.pn, self.pk) < 1:
             raise ValueError("grid dimensions must be positive")
         if self.used > self.nprocs:
@@ -209,10 +211,18 @@ def _sorted_key(m: int, n: int, k: int, use_latency: bool = True):
     return key
 
 
+def _check_int(name: str, value) -> None:
+    """A grid size is an integer (numpy's too), and never a ``bool``."""
+    if type(value) is not int and (not isinstance(value, numbers.Integral)
+                                   or isinstance(value, bool)):
+        raise ValueError(f"{name}={value!r}: a grid size must be an int")
+
+
 def _check_search_args(nprocs: int, l: float | None, dims: tuple = ()) -> None:
     """Reject inputs for which no search is defined, before any work
     (``l is None``: a search without eq. (5), :func:`ctf_grid`)."""
-    if not isinstance(nprocs, numbers.Integral) or nprocs < 1:
+    _check_int("nprocs", nprocs)
+    if nprocs < 1:
         raise ValueError(f"nprocs must be a positive integer, got {nprocs!r}")
     if l is not None and not 0 < l <= 1:  # also catches nan
         raise ValueError(

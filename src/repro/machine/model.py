@@ -25,7 +25,22 @@ between phases and between algorithms are.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
+
+#: The numeric fields of :class:`MachineModel` -> (what each must be, the test).
+_NUMBERS = {
+    **dict.fromkeys(
+        ("alpha", "alpha_intra", "nic_beta", "beta_intra", "gamma", "gpu_stage_beta"),
+        ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    ),
+    **dict.fromkeys(
+        ("peak_gamma", "nic_share", "rs_degrade_factor"),
+        ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    ),
+    "rs_degrade_threshold": (">= 0 (inf allowed)", lambda v: v >= 0),
+}
 
 
 @dataclass(frozen=True)
@@ -96,11 +111,22 @@ class MachineModel:
     OVERLAP_MODES = ("none", "full", "partial")
 
     def __post_init__(self) -> None:
+        """Reject a field no price can be made of, naming it: a malformed
+        model would otherwise fail inside a run or, for
+        ``ranks_per_node``, price every message silently wrong."""
         if self.overlap not in self.OVERLAP_MODES:
             raise ValueError(
                 f"unknown overlap mode {self.overlap!r}; "
                 f"expected one of {self.OVERLAP_MODES}"
             )
+        for name, (rule, holds) in _NUMBERS.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not holds(value):
+                raise ValueError(f"{name}={value!r}: must be a number {rule}")
+        for name in ("cores_per_node", "ranks_per_node"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name}={value!r}: must be an int >= 1")
 
     # ------------------------------------------------------------------ #
     @property
@@ -121,7 +147,7 @@ class MachineModel:
         share = self.nic_share
         if self.overlap_enabled:
             share = min(share, 1.0)
-        return self.nic_beta * max(1, self.ranks_per_node) / share
+        return self.nic_beta * self.ranks_per_node / share
 
     @property
     def peak_rate(self) -> float:
@@ -130,7 +156,7 @@ class MachineModel:
 
     def node_of(self, world_rank: int) -> int:
         """Node index for a rank under contiguous block mapping."""
-        return world_rank // max(1, self.ranks_per_node)
+        return world_rank // self.ranks_per_node
 
     def same_node(self, r0: int, r1: int) -> bool:
         return self.node_of(r0) == self.node_of(r1)
@@ -154,7 +180,7 @@ class MachineModel:
         """
         intra = self.alpha_intra + self.beta_intra * nbytes
         inter = self.alpha + self.beta * nbytes
-        per_node = max(1, self.ranks_per_node)
+        per_node = self.ranks_per_node
         home = ranks[0] // per_node
         t = 0.0
         for r in ranks[1:]:

@@ -255,7 +255,7 @@ class Transport:
         self.machine = machine or MachineModel()
         # What ``machine.msg_time`` reads, read once: the model is frozen.
         m = self.machine
-        self._per_node = max(1, m.ranks_per_node)
+        self._per_node = m.ranks_per_node
         self._link_intra = (m.alpha_intra, m.beta_intra)
         self._link_inter = (m.alpha, m.beta)
         self._nic_queues = m.overlap == "partial"

@@ -9,12 +9,9 @@ every case's ``(algo, grid, phases in insertion order as (name, time,
 words, msgs), mem_words, flops_per_rank)`` — insertion order, because
 ``CostReport.t_total`` adds the phases in that order — over the shapes
 and world sizes below.  It was recorded at the commit *before* the
-closed forms were rewritten over shared pricers, with
-:func:`record`; re-record only for a change that means to move a price,
-with::
-
-    PYTHONPATH=src:. python -c "from tests.analysis.test_cost_identity \
-import record; record()"
+closed forms were rewritten over shared pricers; re-record only for a
+change that means to move a price, with ``python -m tests.oracles record
+cost`` (see :mod:`tests.oracles`).
 
 One difference is tolerated: ``algo25d_cost`` used to add its
 ``steps - 1`` shift pairs as one product, and now adds them one at a
@@ -22,17 +19,15 @@ time as ``ctf_cost`` always did (CTF feeds Fig. 3, 2.5D only the
 four-decimal crossover map).  For the 2.5D entries the record also
 holds a digest with the replicate phase's time and words left out and
 those two values plus ``t_total`` and ``q_words`` per case; a case may
-differ from them by a relative 4e-15, everything else must be equal.
+differ from them by a relative 4e-15, everything else must be equal.  A
+group that differs in that way alone digests as its record, so
+re-recording leaves the record as it was.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import functools
 import math
-from pathlib import Path
-
-import pytest
 
 from repro.analysis.baseline_costs import algo1d_cost, algo25d_cost, carma_cost, summa_cost
 from repro.analysis.costs import ca3dmm_cost, cosma_cost, ctf_cost, redist_cost
@@ -40,8 +35,7 @@ from repro.bench import CPU_PROBLEMS, GPU_PROBLEMS
 from repro.grid.factorize import near_square_pair
 from repro.grid.optimizer import GridSpec, cosma_grid, ctf_grid
 from repro.machine.model import laptop, pace_phoenix_cpu, pace_phoenix_gpu
-
-DIGESTS = Path(__file__).with_name("cost_digests.json")
+from tests import oracles
 
 MACHINES = {
     "mpi": pace_phoenix_cpu("mpi"),
@@ -156,11 +150,7 @@ def _row(cost, hide_replicate=False):
     return (cost.algo, cost.grid, phases, cost.mem_words, cost.flops_per_rank)
 
 
-def _sha(rows) -> str:
-    return hashlib.sha256(repr(rows).encode()).hexdigest()
-
-
-def evaluate(group: str) -> dict:
+def evaluate(group: str, run=None) -> dict:
     """The record of one group: its case count and digest, and for 2.5D
     the digest without the replicate time/words plus the values left out."""
     variant, mach = group.split("@")
@@ -173,41 +163,36 @@ def evaluate(group: str) -> dict:
             rest.append((dims, _row(cost, hide_replicate=True)))
             ph = cost.phases["replicate"]
             values.append([ph.time, ph.words, cost.t_total, cost.q_words])
-    out = {"cases": len(rows), "digest": _sha(rows)}
+    out = {"cases": len(rows), "digest": oracles.sha(repr(rows))}
     if values:
-        out.update(rest=_sha(rest), values=values)
+        out.update(rest=oracles.sha(repr(rest)), values=values)
     return out
 
 
-def record() -> None:
-    table = {group: evaluate(group) for group in GROUPS}
-    DIGESTS.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
-
-
-RECORDED = json.loads(DIGESTS.read_text())
 #: relative difference tolerated on the 2.5D replicate sums (float order)
 REL_25D = 4e-15
 
 
+def _digest(group: str, got: dict) -> dict:
+    """``got``, or the record if ``got`` moved from it only in the float
+    order of 2.5D's shift sums, each value by a relative ``REL_25D``."""
+    want = ORACLE.recorded.get(group, {})
+    if "values" not in want or (got["cases"], got.get("rest")) != (want["cases"], want["rest"]):
+        return got
+    within = all(abs(a - b) <= REL_25D * abs(b)
+                 for new, old in zip(got["values"], want["values"]) for a, b in zip(new, old))
+    return want if within else got
+
+
+ORACLE = oracles.Oracle("cost", __file__, {
+    group: (oracles.Run(functools.partial(evaluate, group)), functools.partial(_digest, group))
+    for group in GROUPS
+}, indent=0)
+
+
 def test_every_group_is_recorded_and_nothing_else():
-    assert sorted(RECORDED) == sorted(GROUPS)
+    assert sorted(ORACLE.recorded) == sorted(GROUPS)
     assert len(SHAPES) == 17 and len(GROUPS) == 156
 
 
-@pytest.mark.parametrize("group", GROUPS)
-def test_prices_are_bit_identical(group):
-    want, got = RECORDED[group], evaluate(group)
-    assert got["cases"] == want["cases"]
-    if got["digest"] == want["digest"]:
-        return
-    # Only 2.5D may differ, and only in the float order of its shift sums.
-    assert "values" in want, f"{group}: a price moved"
-    assert got["rest"] == want["rest"], f"{group}: more than the replicate sums moved"
-    moved = 0
-    for new, old in zip(got["values"], want["values"]):
-        if new != old:
-            moved += 1
-            for a, b in zip(new, old):
-                assert abs(a - b) <= REL_25D * abs(b), (group, new, old)
-    assert moved
-    print(f"{group}: {moved} of {want['cases']} cases differ in float order only")
+test_prices_are_bit_identical = ORACLE.test({group: [group] for group in GROUPS})

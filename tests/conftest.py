@@ -18,11 +18,17 @@ from hypothesis import settings
 from repro.baselines import SCHEDULES
 from repro.machine.model import laptop
 from repro.mpi import run_spmd
+from tests import oracles
 
 #: ``--hypothesis-profile thorough``: 2 000 examples for the properties
 #: that leave ``max_examples`` to the profile (the grid-search
 #: differential suite, ``tests/grid/test_search_equivalence.py``).
 settings.register_profile("thorough", max_examples=2000)
+
+
+def pytest_collection_finish(session):
+    """Tell the oracles' run cache how many selected tests take each run."""
+    oracles.expect(session.items)
 
 
 @pytest.fixture

@@ -14,12 +14,10 @@ or nothing, idle ranks, ``shifts_per_gemm=2``, an ``on_partial`` hook
 each guarded phase, and an exhausted ``max_recomputes`` (the
 :class:`~repro.ft.CorruptionError` text).  ``engine_digests.json`` was
 recorded at the commit *before* steps 4, 7 and 8 of ``Ca3dmm.multiply``
-moved into ``core.steps`` and ABFT into ``ft.abft`` (PR 23) with
-:func:`digest` below; re-record only for a change that means to move a
-message, span or ``MemEvent`` of the engine, with::
-
-    PYTHONPATH=src:. python -c "from tests.core.test_engine_identity \
-import record; record()"
+moved into ``core.steps`` and ABFT into ``ft.abft``; re-record
+only for a change that means to move a message, span or ``MemEvent`` of
+the engine, with ``python -m tests.oracles record engine`` (see
+:mod:`tests.oracles`).
 
 The operands are small integers (Gaussian integers for the complex
 cases) and the scalars too, so every product, sum, checksum and
@@ -28,21 +26,18 @@ cases) and the scalars too, so every product, sum, checksum and
 
 from __future__ import annotations
 
-import hashlib
-import json
+import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro import BlockCol1D, BlockCyclic2D, BlockRow1D, DistMatrix, GridSpec, run_spmd
+from repro import BlockCol1D, BlockCyclic2D, BlockRow1D, DistMatrix, GridSpec
 from repro.core import Ca3dmm
 from repro.ft import AbftPolicy
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, LinkFault
+from tests import oracles
 
-DIGESTS = Path(__file__).with_name("engine_digests.json")
 OVERLAPS = ("none", "full")
 
 #: name -> (m, n, k, P, (pm, pn, pk) or None for the planner's choice)
@@ -146,8 +141,7 @@ def _operand(rng, shape, dtype):
     return mat
 
 
-def digest(name: str, overlap: str, recorded: bool) -> str:
-    case = CASES_BY_NAME[name]
+def _run(case: Case, run: oracles.Run) -> oracles.Outcome:
     m, n, k, nprocs, dims = GRIDS[case.grid]
     grid = GridSpec(*dims, nprocs) if dims else None
     ta = case.transa not in (False, "N")
@@ -156,11 +150,8 @@ def digest(name: str, overlap: str, recorded: bool) -> str:
     a_mat = _operand(rng, (k, m) if ta else (m, k), case.dtype)
     b_mat = _operand(rng, (n, k) if tb else (k, n), case.dtype)
     c_mat = _operand(rng, (m, n), case.dtype)
-    world = []  # the transport, kept in hand for a run that fails
 
     def body(comm):
-        if comm.rank == 0:
-            world.append(comm.transport)
         a = DistMatrix.from_global(comm, BlockCol1D(a_mat.shape, nprocs), a_mat)
         b = DistMatrix.from_global(comm, BlockRow1D(b_mat.shape, nprocs), b_mat)
         c_in = None
@@ -181,53 +172,31 @@ def digest(name: str, overlap: str, recorded: bool) -> str:
         )
         return c.owned_rects, c.tiles, seen
 
-    h = hashlib.sha256()
-    results = []
-    try:
-        results = run_spmd(
-            nprocs, body, machine=laptop().with_overlap(overlap),
-            record_events=recorded, faults=case.faults,
-        ).results
-    except RuntimeError as exc:
-        h.update(f"{type(exc.__cause__).__name__}: {exc.__cause__}".encode())
-    transport = world[0]
-    tracer = transport.tracer  # the recorded logs; None when unrecorded
-    logs = () if tracer is None else (tracer.events, tracer.msglog, tracer.memlog, tracer.spans)
-    for log in (*logs, transport.traces()):
-        for rec in log:
-            h.update(repr(rec).encode())
-    for rects, tiles, seen in results:
+    return oracles.spmd(run, body)
+
+
+def digest(outcome: oracles.Outcome) -> str:
+    """:func:`tests.oracles.raw_logs`, then every rank's hooked blocks and tiles."""
+    h = oracles.raw_logs(outcome)
+    for rects, tiles, seen in outcome.results:
         for role, blk in seen:
-            h.update(repr((role, blk.dtype.str, blk.shape)).encode())
-            h.update(np.ascontiguousarray(blk).tobytes())
-        for rect, tile in zip(rects, tiles):
-            h.update(repr((tuple(rect), tile.dtype.str, tile.shape)).encode())
-            h.update(np.ascontiguousarray(tile).tobytes())
+            oracles.array(h, role, blk)
+        oracles.tiles(h, rects, tiles)
     return h.hexdigest()
 
 
-#: "case/overlap/recorded|unrecorded" -> digest() arguments
-CASES = {
-    f"{name}/{overlap}/{'recorded' if recorded else 'unrecorded'}": (name, overlap, recorded)
-    for name in CASES_BY_NAME
-    for overlap in OVERLAPS
-    for recorded in (True, False)
-}
-
-
-def record() -> None:
-    table = {key: digest(*case) for key, case in CASES.items()}
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-
-
-RECORDED = json.loads(DIGESTS.read_text())
+#: "case/overlap/recorded|unrecorded" -> (run, digest)
+CASES = oracles.modes({
+    name: oracles.Run(functools.partial(_run, case), GRIDS[case.grid][:3], GRIDS[case.grid][3],
+                      laptop(), faults=case.faults)
+    for name, case in CASES_BY_NAME.items()
+}, OVERLAPS, digest)
+ORACLE = oracles.Oracle("engine", __file__, CASES)
 
 
 def test_every_case_is_recorded_and_nothing_else():
-    assert sorted(RECORDED) == sorted(CASES)
+    assert sorted(ORACLE.recorded) == sorted(CASES)
     assert len(CASES) == 4 * len(CASES_BY_NAME)  # 2 overlap modes x recorded or not
 
 
-@pytest.mark.parametrize("key", sorted(CASES))
-def test_raw_logs_and_results_are_byte_identical(key):
-    assert digest(*CASES[key]) == RECORDED[key]
+test_raw_logs_and_results_are_byte_identical = ORACLE.test()

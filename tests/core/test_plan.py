@@ -162,6 +162,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ca3dmmPlan(0, 4, 4, 4)
 
+    def test_a_bool_world_is_rejected(self):
+        """``Ca3dmmPlan(4, 4, 4, True)`` used to plan a 1-rank grid."""
+        with pytest.raises(ValueError, match="nprocs"):
+            Ca3dmmPlan(4, 4, 4, True)
+
     def test_rank_of_roundtrip(self):
         plan = Ca3dmmPlan(32, 32, 64, 16)
         for rank in range(plan.active):

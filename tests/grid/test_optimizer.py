@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,19 @@ class TestGridSpec:
             GridSpec(pm=0, pn=1, pk=1, nprocs=4)
         with pytest.raises(ValueError):
             GridSpec(pm=4, pn=4, pk=4, nprocs=16)
+
+    @pytest.mark.parametrize("field", ["pm", "pn", "pk", "nprocs"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_a_grid_size_must_be_an_int(self, field, value):
+        """``GridSpec(2.0, 1, 1, 2)`` used to build a ``2.0x1x1`` grid and
+        ``nprocs=True`` a world of one rank."""
+        sizes = {"pm": 1, "pn": 1, "pk": 1, "nprocs": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field}="):
+            GridSpec(**sizes)
+
+    def test_numpy_integers_are_grid_sizes(self):
+        g = GridSpec(*np.array([2, 1, 1, 2]))
+        assert g.used == 2 and g == GridSpec(2, 1, 1, 2)
 
     def test_c_raises_on_incompatible(self):
         g = GridSpec(pm=2, pn=3, pk=1, nprocs=6)

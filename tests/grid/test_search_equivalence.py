@@ -248,11 +248,11 @@ def test_no_search_stops_a_search_that_starts(search, no_search):
 
 class TestRejectedArguments:
     @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
-    @pytest.mark.parametrize("nprocs", [0, -1, -4096, 2.5, 16.0, "16", None])
+    @pytest.mark.parametrize("nprocs", [0, -1, -4096, 2.5, 16.0, "16", None, True])
     def test_nprocs_must_be_a_positive_integer(self, search, nprocs, no_search):
         """``cosma_grid(4, 4, 4, 0)`` used to spin forever,
-        ``enumerate_grids(0)`` returned ``[]`` and ``ctf_grid`` built a
-        grid of 2.5 ranks."""
+        ``enumerate_grids(0)`` returned ``[]``, ``ctf_grid`` built a
+        grid of 2.5 ranks and every search took ``True`` for one rank."""
         with pytest.raises(ValueError, match="nprocs"):
             search(nprocs, 0.95)
 

@@ -10,25 +10,20 @@ use_latency=False, count=8)``).  The calls visit each world size's
 turn, for every ``l`` in turn — so a candidate table reused under a key that
 leaves out ``P``, ``l`` or the divisibility flag hands some selector the
 wrong candidates and moves its digest.  It was recorded before the
-candidate tables were shared, with :func:`record`; re-record only for a
-change that means to move a grid, with::
-
-    PYTHONPATH=src:. python -c "from tests.grid.test_search_identity \
-import record; record()"
+candidate tables were shared; re-record only for a change that means to
+move a grid, with ``python -m tests.oracles record search`` (see
+:mod:`tests.oracles`).  The four selectors' cases are one run of
+:func:`evaluate`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
-
-import pytest
+from operator import itemgetter
 
 from repro.bench.workloads import CPU_PROBLEMS, SCALING_PROCS
 from repro.grid.optimizer import best_grids, ca3dmm_grid, cosma_grid, enumerate_grids
-
-DIGESTS = Path(__file__).with_name("search_digests.json")
+from tests import oracles
 
 PROCS = tuple(dict.fromkeys(list(range(1, 257)) + list(SCALING_PROCS)))
 LS = (0.85, 0.9, 0.95, 0.99, 1.0)
@@ -40,7 +35,7 @@ def _near_optimal(m, n, k, P, l):
     return best_grids(m, n, k, P, l, require_divisible=True, use_latency=False, count=8)
 
 
-def evaluate() -> dict:
+def evaluate(run=None) -> dict:
     """One interleaved pass over every key: per selector, the number of
     calls and the digest of their rows."""
     sha = {name: hashlib.sha256() for name in SELECTORS}
@@ -63,23 +58,14 @@ def evaluate() -> dict:
     return {name: {"calls": calls[name], "digest": sha[name].hexdigest()} for name in SELECTORS}
 
 
-def record() -> None:
-    DIGESTS.write_text(json.dumps(evaluate(), indent=0, sort_keys=True) + "\n")
-
-
-RECORDED = json.loads(DIGESTS.read_text())
-
-
-@pytest.fixture(scope="module")
-def evaluated() -> dict:
-    return evaluate()
+#: one run of :func:`evaluate` for the four selectors
+ORACLE = oracles.Oracle("search", __file__, {
+    name: (oracles.Run(evaluate), itemgetter(name)) for name in SELECTORS}, indent=0)
 
 
 def test_every_selector_is_recorded_and_nothing_else():
-    assert sorted(RECORDED) == sorted(SELECTORS)
+    assert sorted(ORACLE.recorded) == sorted(SELECTORS)
     assert len(PROCS) == 260
 
 
-@pytest.mark.parametrize("selector", SELECTORS)
-def test_selections_are_identical(selector, evaluated):
-    assert evaluated[selector] == RECORDED[selector]
+test_selections_are_identical = ORACLE.test()

@@ -14,24 +14,19 @@ run, one phase each); ``Explicit`` layouts shaped like ``ft.recovery``'s
 (a survivor holding its dead neighbour's rects, a layout compacted to
 some k ranges) converted to and from block layouts; and every malformed
 source of ``_MALFORMED`` and one that miscounts, with and without ``verify``.
-``redistribute_digests.json`` was recorded with :func:`digests`;
-re-record only for a change that means to move what a redistribution
-sends or returns, with::
-
-    PYTHONPATH=src:. python -c "from tests.layout.test_redistribute_identity \
-import record; record()"
+Re-record ``redistribute_digests.json`` only for a change that means to
+move what a redistribution sends or returns, with ``python -m
+tests.oracles record redistribute`` (see :mod:`tests.oracles`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
-import json
 import zlib
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.ft.recovery import _compacted_layout, _survivor_layout
 from repro.layout.blocks import Rect
@@ -39,10 +34,8 @@ from repro.layout.distributions import Block2D, BlockCol1D, BlockRow1D, Explicit
 from repro.layout.matrix import DistMatrix, dense_random
 from repro.layout.redistribute import redistribute
 from repro.machine.model import laptop
-from repro.mpi import run_spmd
+from tests import oracles
 from tests.layout.test_redistribute_property import _LAYOUTS
-
-DIGESTS = Path(__file__).with_name("redistribute_digests.json")
 
 SHAPE = (24, 20)
 DTYPES = ("float32", "float64", "complex128")
@@ -125,82 +118,62 @@ def _malformed(source: str, verify: bool):
     return 2, body
 
 
-def _cases() -> dict:
-    """key -> (the run's set-up function, its arguments, the phases hashed
-    as a case each; ``None`` for a refusal, hashed as the case ``key``)."""
-    cases = {}
-    pair_phases = [_phase(*flags) for flags in FLAGS]
+def _execute(build, run: oracles.Run) -> oracles.Outcome:
+    p, body = build(*run.shape)
+    return oracles.spmd(run._replace(P=p), body)
+
+
+def _converted(phase: str, outcome: oracles.Outcome) -> str:
+    """One phase of a run: every rank's output, then the phase's messages."""
+    assert outcome.error is None, outcome.error
+    h = hashlib.sha256()
+    for per_rank in outcome.results:
+        y = per_rank[phase]
+        for rect, tile in zip(y.owned_rects, y.tiles):
+            oracles.array(h, rect, tile)
+    h.update("".join(repr((rec.src, rec.dst, rec.tag, rec.nbytes, rec.t_post, rec.arrival))
+                     for rec in outcome.result.tracer.msglog if rec.phase == phase).encode())
+    return h.hexdigest()
+
+
+def _refused(outcome: oracles.Outcome) -> str:
+    assert outcome.error is not None, "not refused"
+    posted = sum(st.msgs_sent for st in outcome.transport.ranks)
+    return oracles.sha(f"{outcome.error} / posted {posted}")
+
+
+def _table():
+    """``{run key: its case names}`` and ``{case: (run, digest)}``: a case
+    per phase of a conversion, or a refusal, hashed as the key of its run."""
+    names, cases = {}, {}
+
+    def add(key, build, args, phases=None):
+        run = oracles.Run(functools.partial(_execute, build), args, machine=laptop())
+        digests = {key: _refused} if phases is None else {
+            f"{key}/{phase}": functools.partial(_converted, phase) for phase in phases}
+        names[key] = list(digests)
+        cases.update((name, (run, digest)) for name, digest in digests.items())
+
     for src_kind, dst_kind in itertools.product(sorted(_LAYOUTS), repeat=2):
         for p in (1, 3, 7, 16, 64):
             for dtype in DTYPES:
-                cases[f"pair/{src_kind}/{dst_kind}/P{p}/{dtype}"] = (
-                    _pair, (src_kind, dst_kind, p, dtype), pair_phases)
+                add(f"pair/{src_kind}/{dst_kind}/P{p}/{dtype}", _pair,
+                    (src_kind, dst_kind, p, dtype), [_phase(*flags) for flags in FLAGS])
     for kind in ("survivor", "compacted/0", "compacted/1"):
-        cases[f"recovery/{kind}"] = (_recovery, (kind,), ["there", "back"])
+        add(f"recovery/{kind}", _recovery, (kind,), ["there", "back"])
     for source in ("holes", "overlap", "both", "disagree", "miscounted"):
         for verify in (False, True):
-            cases[f"malformed/{source}/{'verify' if verify else 'plain'}"] = (
-                _malformed, (source, verify), None)
-    return cases
+            add(f"malformed/{source}/{'verify' if verify else 'plain'}", _malformed,
+                (source, verify))
+    return dict(sorted(names.items())), cases
 
 
-def _names(key: str) -> list[str]:
-    phases = CASES[key][2]
-    return [key] if phases is None else [f"{key}/{phase}" for phase in phases]
-
-
-CASES = _cases()
-
-
-def digests(key: str) -> dict[str, str]:
-    """``{case: sha256}`` of one run: a case per phase, or the refusal."""
-    build, args, phases = CASES[key]
-    p, body = build(*args)
-    world = []
-
-    def rank_body(comm):
-        world.append(comm.transport)
-        return body(comm)
-
-    try:
-        result = run_spmd(p, rank_body, machine=laptop(), record_events=True)
-    except RuntimeError as exc:
-        assert phases is None, exc
-        posted = sum(st.msgs_sent for st in world[0].ranks)
-        cause = exc.__cause__
-        text = f"{type(cause).__name__}: {cause} / posted {posted}"
-        return {key: hashlib.sha256(text.encode()).hexdigest()}
-    assert phases is not None, "not refused"
-    out = {}
-    for phase in phases:
-        h = hashlib.sha256()
-        for per_rank in result.results:
-            y = per_rank[phase]
-            for rect, tile in zip(y.owned_rects, y.tiles):
-                h.update(repr((rect, tile.dtype.str, tile.shape)).encode())
-                h.update(np.ascontiguousarray(tile).tobytes())
-        for rec in result.tracer.msglog:
-            if rec.phase == phase:
-                h.update(repr((rec.src, rec.dst, rec.tag, rec.nbytes,
-                               rec.t_post, rec.arrival)).encode())
-        out[f"{key}/{phase}"] = h.hexdigest()
-    return out
-
-
-def record() -> None:
-    table = {}
-    for key in CASES:
-        table.update(digests(key))
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-
-
-RECORDED = json.loads(DIGESTS.read_text())
+NAMES, CASES = _table()
+ORACLE = oracles.Oracle("redistribute", __file__, CASES)
 
 
 def test_every_case_is_recorded_and_nothing_else():
-    assert sorted(RECORDED) == sorted(name for key in CASES for name in _names(key))
+    assert sorted(ORACLE.recorded) == sorted(CASES)
 
 
-@pytest.mark.parametrize("key", sorted(CASES))
-def test_every_redistribution_sends_and_returns_what_it_did(key):
-    assert digests(key) == {name: RECORDED.get(name) for name in _names(key)}
+test_every_redistribution_sends_and_returns_what_it_did = ORACLE.test(NAMES)

@@ -2,10 +2,42 @@
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
+import math
 
-from repro.machine.model import MachineModel, pace_phoenix_cpu
+import numpy as np
+import pytest
+
+from repro.machine.model import MachineModel, laptop, pace_phoenix_cpu
 from repro.mpi import run_spmd
+
+
+class TestFieldChecks:
+    """A model no price can be made of is refused when built, by field:
+    ``alpha=-1`` used to fail at the first send as "negative time
+    advance", ``nic_share=0`` as a ``ZeroDivisionError`` at the first
+    inter-node send, and ``ranks_per_node=0`` ran as one rank per node."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", -1.0), ("alpha_intra", -1e-9), ("nic_beta", -1.0), ("beta_intra", math.inf),
+        ("gamma", math.nan), ("gpu_stage_beta", -1.0), ("alpha", "1e-6"), ("gamma", True),
+        ("peak_gamma", 0.0), ("nic_share", 0.0), ("nic_share", math.inf),
+        ("rs_degrade_factor", -1.0), ("rs_degrade_threshold", -1.0),
+        ("rs_degrade_threshold", math.nan), ("cores_per_node", 0), ("ranks_per_node", 0),
+        ("ranks_per_node", -2), ("ranks_per_node", True), ("ranks_per_node", 2.0),
+    ])
+    def test_a_malformed_field_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            MachineModel(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field}="):
+            dataclasses.replace(laptop(), **{field: value})
+
+    def test_free_links_and_an_unbounded_threshold_are_models(self):
+        m = MachineModel(alpha=0.0, alpha_intra=0.0, nic_beta=0.0, beta_intra=0.0, gamma=0.0,
+                         gpu_stage_beta=0.0, rs_degrade_threshold=math.inf,
+                         ranks_per_node=np.int64(2))
+        assert m.msg_time(1e6, 0, 3) == 0.0
+        assert m.node_of(5) == 2
 
 
 class TestNodeAwareExecution:

@@ -11,31 +11,25 @@ block; P = 2, 3, 5, 7, 8 and 64), allgathers that mix ``None`` and
 arrays, ``ca3dmm_matmul`` on grids that replicate an operand (with and
 without ABFT), redistributions whose batches straddle 64 and 128 KiB or
 hold one piece of more than 64 KiB, and a redistribution from tiles that
-came out of an allgather.  ``payload_digests.json`` was recorded with
-:func:`digest` below; re-record only for a change that means to move
-what a payload costs, with::
-
-    PYTHONPATH=src:. python -c "from tests.mpi.test_payload_identity \
-import record; record()"
+came out of an allgather.  ``payload_digests.json`` was recorded before
+allgather windows of arrays were handed over; re-record only for a
+change that means to move what a payload costs, with ``python -m
+tests.oracles record payload`` (see :mod:`tests.oracles`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
+import functools
 
 import numpy as np
-import pytest
 
-from repro import BlockCol1D, BlockCyclic2D, BlockRow1D, DistMatrix, run_spmd
+from repro import BlockCol1D, BlockCyclic2D, BlockRow1D, DistMatrix
 from repro.core import Ca3dmm, Ca3dmmPlan
 from repro.layout.blocks import Rect
 from repro.layout.distributions import Explicit
 from repro.layout.redistribute import redistribute
 from repro.machine.model import laptop
-
-DIGESTS = Path(__file__).with_name("payload_digests.json")
+from tests import oracles
 
 DTYPES = ("float32", "float64", "complex64", "complex128", "int64", "bool")
 
@@ -151,30 +145,18 @@ def _cases() -> dict:
     return cases
 
 
-CASES = _cases()
+def digest(outcome: oracles.Outcome) -> str:
+    return oracles.sha("".join(repr((rec.src, rec.dst, rec.tag, rec.nbytes))
+                               for rec in outcome.result.tracer.msglog))
 
 
-def digest(key: str) -> str:
-    p, body = CASES[key]
-    result = run_spmd(p, body, machine=laptop(), record_events=True)
-    h = hashlib.sha256()
-    for rec in result.tracer.msglog:
-        h.update(repr((rec.src, rec.dst, rec.tag, rec.nbytes)).encode())
-    return h.hexdigest()
-
-
-def record() -> None:
-    table = {key: digest(key) for key in CASES}
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-
-
-RECORDED = json.loads(DIGESTS.read_text())
+CASES = {key: (oracles.Run(functools.partial(oracles.spmd, body=body), key, p, laptop()), digest)
+         for key, (p, body) in _cases().items()}
+ORACLE = oracles.Oracle("payload", __file__, CASES)
 
 
 def test_every_case_is_recorded_and_nothing_else():
-    assert sorted(RECORDED) == sorted(CASES)
+    assert sorted(ORACLE.recorded) == sorted(CASES)
 
 
-@pytest.mark.parametrize("key", sorted(CASES))
-def test_every_message_costs_what_it_did(key):
-    assert digest(key) == RECORDED[key]
+test_every_message_costs_what_it_did = ORACLE.test()

@@ -9,12 +9,10 @@ one sha256 per (plan, overlap mode, recorded or not) over everything the
 transport logs — ``events``, ``msglog``, ``memlog``, ``tracer.spans``,
 ``traces()`` — and every rank's result.  ``transport_digests.json`` was
 recorded at the commit *before* the fault machinery moved out of
-``mpi/transport.py`` (PR 21) with :func:`digest` below; re-record only
-for a change that means to alter what a plan does (or adds a
-``RankTrace`` field — its ``repr`` is digested), with::
-
-    PYTHONPATH=src:. python -c "from tests.mpi.test_transport_identity \
-import record; record()"
+``mpi/transport.py``; re-record only for a change that means to
+alter what a plan does (or adds a ``RankTrace`` field — its ``repr`` is
+digested), with ``python -m tests.oracles record transport`` (see
+:mod:`tests.oracles`).
 
 The operands are small integers, so products, partial sums, checksums
 and ``1 + |v|`` flips are exact in float64 whatever the BLAS build.  A
@@ -29,20 +27,16 @@ pinned too.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from pathlib import Path
+import functools
 
 import numpy as np
-import pytest
 
-from repro import BlockCol1D, DistMatrix, run_spmd
+from repro import BlockCol1D, DistMatrix
 from repro.core import Ca3dmm, ca3dmm_matmul
 from repro.ft import resilient_multiply
 from repro.machine.model import laptop
 from repro.mpi import ANY_SOURCE, FaultPlan, LinkFault, RankFault, RetryPolicy, Status
-
-DIGESTS = Path(__file__).with_name("transport_digests.json")
+from tests import oracles
 M, N, K, P = 24, 20, 28, 8
 OVERLAPS = ("none", "partial", "full")
 
@@ -127,76 +121,47 @@ def _gossip(comm):
         return [row.tolist() for row in census.wait()], heard
 
 
-def _machine(overlap: str):
-    """Two ranks to a node, so that ``partial``'s one NIC stream per rank
-    has inter-node sends to serialise and the three modes differ."""
-    return dataclasses.replace(laptop(), ranks_per_node=2).with_overlap(overlap)
-
-
-def digest(name: str, overlap: str, recorded: bool) -> str:
-    multiply, plan = PLANS[name]
+def _run(multiply, run: oracles.Run) -> oracles.Outcome:
     rng = np.random.default_rng(21)
     a_mat = rng.integers(-4, 5, (M, K)).astype(np.float64)
     b_mat = rng.integers(-4, 5, (K, N)).astype(np.float64)
-    world = []  # the transport, kept in hand for a run that fails
 
     def body(comm):
-        if comm.rank == 0:
-            world.append(comm.transport)
         a = DistMatrix.from_global(comm, BlockCol1D((M, K), P), a_mat)
         b = DistMatrix.from_global(comm, BlockCol1D((K, N), P), b_mat)
         c = multiply(comm, a, b)
         return c.owned_rects, c.tiles, _gossip(c.comm)
 
-    h = hashlib.sha256()
-    results = []
-    try:
-        results = run_spmd(
-            P, body, machine=_machine(overlap),
-            record_events=recorded, faults=plan,
-        ).results
-    except RuntimeError as exc:
-        h.update(f"{type(exc.__cause__).__name__}: {exc.__cause__}".encode())
-    transport = world[0]
-    tracer = transport.tracer  # the recorded logs; None when unrecorded
-    logs = () if tracer is None else (tracer.events, tracer.msglog, tracer.memlog, tracer.spans)
-    for log in (*logs, transport.traces()):
-        for rec in log:
-            h.update(repr(rec).encode())
-    for result in results:
+    return oracles.spmd(run, body)
+
+
+def digest(outcome: oracles.Outcome) -> str:
+    """:func:`tests.oracles.raw_logs`, then what every rank heard and its tiles."""
+    h = oracles.raw_logs(outcome)
+    for result in outcome.results:
         if result is None:  # a killed rank returns nothing
             h.update(b"dead")
             continue
         rects, tiles, heard = result
         h.update(repr(heard).encode())
-        for rect, tile in zip(rects, tiles):
-            h.update(repr((tuple(rect), tile.dtype.str, tile.shape)).encode())
-            h.update(np.ascontiguousarray(tile).tobytes())
+        oracles.tiles(h, rects, tiles)
     return h.hexdigest()
 
 
-#: "plan/overlap/recorded|unrecorded" -> digest() arguments
-CASES = {
-    f"{name}/{overlap}/{'recorded' if recorded else 'unrecorded'}": (name, overlap, recorded)
-    for name in PLANS
-    for overlap in OVERLAPS
-    for recorded in (True, False)
-}
-
-
-def record() -> None:
-    table = {key: digest(*case) for key, case in CASES.items()}
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-
-
-RECORDED = json.loads(DIGESTS.read_text())
+#: Two ranks to a node, so that ``partial``'s one NIC stream per rank has
+#: inter-node sends to serialise and the three modes differ.
+MACHINE = dataclasses.replace(laptop(), ranks_per_node=2)
+#: "plan/overlap/recorded|unrecorded" -> (run, digest)
+CASES = oracles.modes({
+    name: oracles.Run(functools.partial(_run, multiply), (M, N, K), P, MACHINE, faults=plan)
+    for name, (multiply, plan) in PLANS.items()
+}, OVERLAPS, digest)
+ORACLE = oracles.Oracle("transport", __file__, CASES)
 
 
 def test_every_case_is_recorded_and_nothing_else():
-    assert sorted(RECORDED) == sorted(CASES)
+    assert sorted(ORACLE.recorded) == sorted(CASES)
     assert len(CASES) == 102  # 17 plans x 3 overlap modes x recorded or not
 
 
-@pytest.mark.parametrize("key", sorted(CASES))
-def test_raw_logs_and_results_are_byte_identical(key):
-    assert digest(*CASES[key]) == RECORDED[key]
+test_raw_logs_and_results_are_byte_identical = ORACLE.test()

@@ -7,8 +7,8 @@ must return the same verdict.  What a failure *says* is held to
 ``schema_message_digests.json``: per schema, a sha256 over the
 ``TraceSchemaError`` text (or ``ok``) of every single edit, recorded with
 the closure-tree checker the generated one replaced.  Re-record it (only
-for a change that means to alter a message) with
-``PYTHONPATH=src:. python -c "import json, tests.obs.test_schema as t; print(json.dumps({n: t.message_digest(n) for n in sorted(t.SCHEMAS)}, indent=1, sort_keys=True))" > tests/obs/schema_message_digests.json``.
+for a change that means to alter a message) with ``python -m
+tests.oracles record schema`` (see :mod:`tests.oracles`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import hashlib
 import io
 import json
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +38,7 @@ from repro.machine.model import laptop
 from repro.mpi import run_spmd
 from repro.mpi.faults import FaultPlan, LinkFault, RankFault
 from repro.obs.schema import KEYWORDS, TraceSchemaError, compile as compile_schema, json_path
+from tests import oracles
 
 SCHEMAS = {
     name: schema
@@ -46,7 +46,6 @@ SCHEMAS = {
     for name, schema in sorted(vars(module).items())
     if name.endswith("_SCHEMA") and isinstance(schema, dict)
 }
-MESSAGE_DIGESTS = Path(__file__).with_name("schema_message_digests.json")
 
 
 @functools.cache
@@ -172,7 +171,7 @@ def accepts(check, doc) -> bool:
     return verdict(check, doc) == "ok"
 
 
-def message_digest(name: str) -> str:
+def message_digest(name: str, run=None) -> str:
     """sha256 over the verdict of every single edit of ``name``'s document."""
     digest, text = hashlib.sha256(), json.dumps(documents()[name])
     for path, op, value in edits(documents()[name], SCHEMAS[name]):
@@ -180,6 +179,11 @@ def message_digest(name: str) -> str:
         edit(doc, path, op, value)
         digest.update(verdict(checker(name), doc).encode() + b"\n")
     return digest.hexdigest()
+
+
+ORACLE = oracles.Oracle("schema", __file__, {
+    name: (oracles.Run(functools.partial(message_digest, name)), str) for name in SCHEMAS
+}, file="schema_message_digests.json")
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
@@ -214,14 +218,15 @@ class TestAgainstJsonschema:
         expected = jsonschema.Draft7Validator(SCHEMAS[name]).is_valid(doc)
         assert accepts(checker(name), doc) == expected, done
 
+    @ORACLE.takes(lambda params: [params["name"]])
     def test_every_single_edit_fails_with_the_recorded_message(self, name):
-        assert message_digest(name) == json.loads(MESSAGE_DIGESTS.read_text())[name]
+        ORACLE.check(name)
 
 
 class TestCompile:
     def test_there_are_nine_schemas_and_each_has_a_document(self):
         assert len(SCHEMAS) == 9 and set(documents()) == set(SCHEMAS)
-        assert set(json.loads(MESSAGE_DIGESTS.read_text())) == set(SCHEMAS)
+        assert set(ORACLE.recorded) == set(SCHEMAS)
 
     @pytest.mark.parametrize("name", sorted(SCHEMAS))
     def test_every_schema_of_the_package_compiles(self, name):
