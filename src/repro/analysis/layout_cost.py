@@ -7,7 +7,7 @@ intersection — the very table the executed redistribution slices by,
 without moving data.  Uses:
 
 * pinning executed redistribution traffic in tests (volume must match
-  to the byte, minus pickle envelopes),
+  to the byte, minus each piece's four rectangle ints),
 * quantifying how much of a conversion is "already in place" (the
   ``overlap`` argument of :func:`repro.analysis.costs.redist_cost`),
 * choosing between candidate output layouts for a driver application.

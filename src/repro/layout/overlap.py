@@ -10,16 +10,14 @@ numpy, and hands each rank its slice as int rows (what to cut for whom,
 where each arriving piece lands); whom it hears from and which of its
 tiles the pieces leave holes in are derived with the table, not per call.
 
-**The order of pieces is part of the wire format** (a batch costs the
-length of its list's pickle, that length is ``nbytes``, ``nbytes`` is
-virtual time), so it is fixed here, in one place: a sender lists
-destinations ascending, within one the wanted rectangles in the
-destination's order, within one of those its own rectangles in its order;
-a receiver takes its own batch first, then its sources ascending, each
-batch in its sender's order.  A batch is handed over, not pickled: what
-each piece adds to that length is a sum, and the six ints it writes
-(``r0``, ``r1``, ``c0``, ``c1`` and the piece's shape) are a layout
-constant the table holds beside the piece.
+**The order of pieces is fixed here, in one place** — it is the order of
+every batch's messages and of their pieces, which replays and digests
+see: a sender lists destinations ascending, within one the wanted
+rectangles in the destination's order, within one of those its own
+rectangles in its order; a receiver takes its own batch first, then its
+sources ascending, each batch in its sender's order.  What a batch
+weighs does not depend on that order: its pieces' rectangles and
+elements.
 """
 
 from __future__ import annotations
@@ -36,13 +34,6 @@ from .distributions import Distribution
 #: dense S x D array is ever built (2 304 block-cyclic rects against 1 024
 #: native ones would be 2.4 M pairs).
 PAIR_CHUNK = 1 << 16
-
-
-def pickled_int_bytes(*values):
-    """Bytes a pickle spends writing each of ``values`` — non-negative ints
-    below 2**31: BININT1 (2) below 256, BININT2 (3) below 65 536, else
-    BININT (5) — summed; elementwise when they are arrays."""
-    return sum(2 + (v >= 256) + 2 * (v >= 65_536) for v in values)
 
 
 def _overlapping_pairs(src: tuple, dst: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +94,7 @@ class OverlapTable:
 
     ``src_rank``, ``dst_rank`` and ``area`` are arrays over the pieces in
     sender order; the methods read one rank's slice off the table.  It
-    keeps numpy arrays only, twenty-one ``int32`` per piece besides those
+    keeps numpy arrays only, twenty ``int32`` per piece besides those
     three: a 1024-rank conversion has 51 200 pieces, and held as
     per-rank Python objects they added 53 MB to a 283 MB run.
     """
@@ -148,10 +139,9 @@ class OverlapTable:
         first = np.unique(d_rank[holed], return_index=True)[1]
         self._holes[d_rank[holed[first]]] = d_local[holed[first]]
 
-        ints = pickled_int_bytes(r0, r1, c0, c1, h, w)
         self._send = np.array([
             self.dst_rank, r0, r1, c0, c1,
-            _local_index(s_rank)[i], r0 - s_box[0][i], c0 - s_box[2][i], h, w, ints,
+            _local_index(s_rank)[i], r0 - s_box[0][i], c0 - s_box[2][i], h, w,
         ], dtype=np.int32).T
         self._send_span = _spans(self.src_rank, src.nranks)
         # Seen from the destination the piece is transposed if asked: its
@@ -171,8 +161,7 @@ class OverlapTable:
 
     def send_rows(self, rank: int) -> list[list[int]]:
         """``rank``'s pieces, destinations ascending: ``[dst_rank, r0, r1, c0,
-        c1, t, ro, co, h, w, ints]``, cut as ``tiles[t][ro:ro + h, co:co + w]``;
-        ``ints`` is what its six ints take in a pickle."""
+        c1, t, ro, co, h, w]``, cut as ``tiles[t][ro:ro + h, co:co + w]``."""
         lo, hi = self._send_span[rank : rank + 2].tolist()
         return self._send[lo:hi].tolist()
 

@@ -9,14 +9,11 @@ alltoall, and writes each arriving piece into its tile.  Which pieces
 those are is a function of the two layouts alone, derived once per pair
 of layouts — not once per rank — in :mod:`repro.layout.overlap`.
 
-A batch costs the wire the length of the pickle of its ``[(Rect,
-ndarray), ...]`` list, but it is not pickled: like the paper's packed
-buffers it is handed over, as a :class:`~repro.mpi.datatypes.Hop` whose
-pieces are private copies cut for the message.  Each piece's share of
-that pickle is a sum — a per-dtype constant, the bytes of its six ints
-(a layout constant of the overlap table) and its elements' bytes — and a
-batch the sum cannot vouch for (an odd tile or dtype, see :func:`_hop`)
-is priced by pickling its list instead.
+A batch of ``[(Rect, ndarray), ...]`` pieces weighs what it carries
+(:func:`~repro.mpi.datatypes.nbytes_of`): each piece its rectangle's
+four ints and its elements.  Like the paper's packed buffers it is handed
+over, not pickled, as a :class:`~repro.mpi.datatypes.Hop` whose pieces
+are private copies cut for the message.
 
 Transposition (``op(A)`` in the paper) is folded into the conversion:
 when ``transpose=True`` the destination distribution describes
@@ -37,14 +34,13 @@ transient wire fault from a persistent one
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
 from ..mpi.comm import Comm
-from ..mpi.datatypes import INTERNAL_TAG_BASE, MAX, Form, Hop, measure_form
+from ..mpi.datatypes import INTERNAL_TAG_BASE, MAX, Hop, nbytes_of
 from .blocks import Rect
 from .distributions import Distribution
 from .matrix import DistMatrix
@@ -58,59 +54,20 @@ _TAG_REDIST_RESEND = INTERNAL_TAG_BASE + 403
 MAX_RESEND_ROUNDS = 2
 
 
-def _parts(piece: tuple[Rect, np.ndarray]) -> tuple[tuple[int, ...], np.ndarray]:
-    rect, data = piece
-    return (rect.r0, rect.r1, rect.c0, rect.c1, *data.shape), data
-
-
-@lru_cache(maxsize=None)
-def _piece_form(dtype: np.dtype) -> Form | None:
-    """How a piece of ``dtype`` sits in its batch's pickle, as the first
-    piece of the batch, which also writes the globals (the ``Rect``
-    class, numpy's array constructor, the dtype), and as any later one,
-    which refers back to them — measured once per process on a batch of
-    two tiny pieces.  ``None`` for a dtype the sum cannot price: one that
-    is not a native-order builtin numeric type.  (The caller rules out
-    metadata first: its pickle writes it, yet the dtype equals the plain
-    one.)"""
-    if not dtype.isnative or dtype.kind not in "biufc":
-        return None
-    one = np.zeros((1, 1), dtype)
-    batch = [(Rect(1, 2, 3, 4), one), (Rect(5, 6, 7, 8), one.copy())]
-    return measure_form(batch, _parts, ("piece", dtype.str))
+#: What a piece's rectangle weighs on the wire.
+_RECT_BYTES = nbytes_of(Rect(0, 0, 0, 0))
 
 
 def _hop(tiles: list[np.ndarray], rows: list[list[int]]) -> Hop:
-    """One batch for another rank, from its send rows: each piece ``(rect,
-    copy of its cut)``, sized as ``(rect, np.ascontiguousarray(cut))`` —
-    what a sender that pickled its batch sent — adds to a pickled list as
-    a later piece: its :class:`~repro.mpi.datatypes.Form`'s base, the
-    pickled widths of its six ints and its buffer (``hop_bytes`` adds what
-    the first piece writes and the frames).  A piece whose tile is not an
-    exact, writeable ndarray of the batch's one dtype object (an unpickled
-    array brings a dtype object of its own, written out in full), or of a
-    dtype that is not a native builtin numeric one, is sized ``None``, so
-    the batch is priced by pickling its list into a byte counter; its copy
-    pickles as that cut did (an exact ndarray, read-only where the cut was
-    a contiguous view of a read-only tile)."""
-    dtype = tiles[rows[0][5]].dtype
-    form = _piece_form(dtype) if dtype.metadata is None else None
-    base = None if form is None else form.base + 9  # BYTEARRAY8
+    """One batch for another rank, from its send rows: each piece
+    ``(rect, C-order copy of its cut)``, weighing its rectangle and its
+    elements."""
     blocks, sizes = [], []
-    for _dst, r0, r1, c0, c1, t, ro, co, h, w, ints in rows:
-        tile = tiles[t]
-        cut = tile[ro : ro + h, co : co + w]
-        if base is not None and type(tile) is np.ndarray and tile.flags.writeable \
-                and tile.dtype is dtype:
-            data = cut.copy()
-            sizes.append(base + ints + data.nbytes)
-        else:
-            data = np.array(cut, order="C")
-            if not tile.flags.writeable and cut.flags.c_contiguous:
-                data.flags.writeable = False
-            sizes.append(None)
+    for _dst, r0, r1, c0, c1, t, ro, co, h, w in rows:
+        data = np.array(tiles[t][ro : ro + h, co : co + w], order="C")
         blocks.append((Rect(r0, r1, c0, c1), data))
-    return Hop(blocks, sizes, [form] * len(blocks))
+        sizes.append(_RECT_BYTES + nbytes_of(data))
+    return Hop(blocks, sizes)
 
 
 def _batch_crcs(batch: list[tuple[Rect, np.ndarray]]) -> list[int]:
@@ -203,8 +160,8 @@ def redistribute(
     BLAS 'C' op; alone it is the rarely-used 'R').  ``verify`` wraps
     every cross-rank batch in a CRC envelope with nack/resend
     correction (see the module docstring); without it a batch is a
-    :class:`~repro.mpi.datatypes.Hop` of private copies, priced as the
-    pickle of its ``[(Rect, ndarray)]`` list and handed over.  Returns
+    :class:`~repro.mpi.datatypes.Hop` of private copies, weighing its
+    pieces' rectangles and elements, and handed over.  Returns
     the converted :class:`DistMatrix`.
     """
     comm: Comm = src.comm
@@ -227,7 +184,7 @@ def redistribute(
                 continue
             keep = np.asanyarray if dst_rank == me else np.ascontiguousarray  # own: the views
             sends[dst_rank] = [(Rect(r0, r1, c0, c1), keep(src_tiles[t][ro : ro + h, co : co + w]))
-                               for _d, r0, r1, c0, c1, t, ro, co, h, w, _i in rows]
+                               for _d, r0, r1, c0, c1, t, ro, co, h, w in rows]
         recv_sources = table.sources(me)
 
         send_dsts = [d for d in sends if d != me]  # verify keeps them for resends

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import collectives as _coll
 from .datatypes import ANY_SOURCE, ANY_TAG, Op, SUM, Status, payload_pack
-from .errors import BufferError_, CommError, RankError, TagError
-from .request import RecvRequest, Request, SendRequest
+from .errors import CommError, RankError, TagError
+from .request import RecvRequest, Request, SendRequest, fill_buffer
 from .transport import Transport
 
 
@@ -113,8 +113,9 @@ class Comm:
         An array arrives as a copy, any other object as an unpickled
         copy; a value nobody can change (``None``, a number, a string, a
         tuple of such) arrives as the sender's own object.  All three
-        cost the wire the same as before: the array's bytes, or the
-        length of the pickle."""
+        cost the wire what the value weighs
+        (:func:`~repro.mpi.datatypes.nbytes_of`): an array its bytes, a
+        number 8, a container the sum of what it holds."""
         dest_world = self._send_target(dest, tag)
         stored, nbytes, handed = payload_pack(value)
         self._transport.post_send(
@@ -178,13 +179,7 @@ class Comm:
             status.tag = st.tag
             status.nbytes = st.nbytes
         if buf is not None:
-            arr = np.asarray(value)
-            if buf.size != arr.size:
-                raise BufferError_(
-                    f"recv buffer size {buf.size} != message size {arr.size}"
-                )
-            buf.reshape(-1)[:] = arr.reshape(-1)
-            return buf
+            return fill_buffer(buf, value, "recv")
         return value
 
     def irecv(
@@ -311,11 +306,12 @@ class Comm:
         if not isinstance(key, numbers.Integral):
             raise CommError(f"split key must be an integer, got {type(key).__name__}")
         self._split_seq += 1
-        triples = _coll.allgather(self, (color, key, self._rank))
+        # As MPI_Comm_split: each rank's (color, key), its rank the position.
+        pairs = _coll.allgather(self, (None if color is None else int(color), int(key)))
         if color is None:
             return None
         group = self._transport.split_groups(
-            (self._ctx, self._split_seq), triples, self._group
+            (self._ctx, self._split_seq), pairs, self._group
         )[color]
         ctx = self._transport.context_for_key(
             (self._ctx, "split", self._split_seq, color)

@@ -40,6 +40,18 @@ from .datatypes import Status
 from .errors import BufferError_
 
 
+def fill_buffer(buf: np.ndarray, value: Any, what: str) -> np.ndarray:
+    """Copy an array payload into a receive buffer and return it: element
+    by element in C order, whatever either's shape (the sizes must
+    match), through ``buf`` itself — a strided buffer included, whose
+    ``reshape`` would be a copy the write is lost in."""
+    arr = np.asarray(value)
+    if buf.size != arr.size:
+        raise BufferError_(f"{what} buffer size {buf.size} != message size {arr.size}")
+    buf[...] = arr.reshape(buf.shape)
+    return buf
+
+
 class Request:
     """Base request; concrete behaviour provided by subclasses."""
 
@@ -150,13 +162,7 @@ class RecvRequest(Request):
             source=self._to_local(status.source), tag=status.tag, nbytes=status.nbytes
         )
         if self._buf is not None:
-            arr = np.asarray(value)
-            if self._buf.size != arr.size:
-                raise BufferError_(
-                    f"irecv buffer size {self._buf.size} != message size {arr.size}"
-                )
-            self._buf.reshape(-1)[:] = arr.reshape(-1)
-            value = self._buf
+            value = fill_buffer(self._buf, value, "irecv")
         self._done = True
         self._value = value
         return value

@@ -304,15 +304,16 @@ class Transport:
         return ctx
 
     def split_groups(
-        self, key: tuple[int, int], triples: Sequence[tuple], parent_group: Sequence[int]
+        self, key: tuple[int, int], pairs: Sequence[tuple], parent_group: Sequence[int]
     ) -> dict[Any, tuple[int, ...]]:
         """``{color: member world ranks}`` of one ``Comm.split`` call: every
-        member holds the same ``(color, key, rank)`` triples, the first one
-        here orders each color by ``(key, parent rank)``, the rest share it."""
+        member holds the same ``(color, key)`` pairs, rank r's at position
+        r; the first one here orders each color by ``(key, parent rank)``,
+        the rest share it."""
         groups = self._split_groups.get(key)
         if groups is None:
             members: dict[Any, list[tuple[Any, int]]] = {}
-            for color, k, r in triples:
+            for r, (color, k) in enumerate(pairs):
                 if color is not None:
                     members.setdefault(color, []).append((k, r))
             groups = self._split_groups[key] = {

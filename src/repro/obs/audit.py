@@ -361,9 +361,9 @@ def audit_run(
 
     ``byte_tol`` is the allowed relative error on per-phase
     critical-rank words (the default 5% absorbs ragged-block rounding
-    and pickle framing on object sends; balanced divisible grids measure
-    exact), ``abs_tol_words`` the absolute floor below which a words
-    difference never fails (tiny problems, where framing dominates);
+    and control words; balanced divisible grids measure exact),
+    ``abs_tol_words`` the absolute floor below which a words difference
+    never fails (tiny problems, where control words dominate);
     message counts are compared exactly.  ``nruns`` is the number of
     multiplies the counters accumulated (they are divided by it).
     ``machine`` is a compatibility keyword from when the audit carried

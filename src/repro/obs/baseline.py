@@ -109,9 +109,8 @@ def validate_baseline_json(doc: Any) -> None:
 
 
 #: Allowed drift before a metric counts as a regression.  Executed runs
-#: are deterministic, so these are tight: they absorb float noise and
-#: minor pickle-framing variation across Python versions, not real
-#: schedule changes.  ``PHASE_ABS_S`` is an absolute floor under which
+#: are deterministic, so these are tight: they absorb float noise, not
+#: real schedule changes.  ``PHASE_ABS_S`` is an absolute floor under which
 #: per-phase critical-time changes never fail (protects near-empty
 #: phases where one latency α is a huge relative change); message
 #: counts must match exactly.

@@ -40,6 +40,7 @@ from repro.machine.model import laptop
 from repro.mpi import run_spmd
 from repro.mpi.datatypes import Hop
 from tests.layout.reference_redistribute import reference_redistribute
+from tests.mpi.test_payload_contract import weight
 
 
 def _guillotine(rng: np.random.Generator, rect: Rect, pieces: int) -> list[Rect]:
@@ -155,7 +156,7 @@ def test_traffic_bounded_by_moved_area(m, n, p, seed):
 
     res = run_spmd(p, f, machine=laptop(), deadlock_timeout=30.0)
     for sent, moved_bytes in res.results:
-        # pickle envelope: rects + array headers per piece
+        # each piece also carries its rect's four ints
         assert sent <= moved_bytes + 4096
 
 
@@ -164,8 +165,9 @@ class _Tap:
     """A communicator that notes what is sent to whom and who is awaited.
 
     A batch handed over as a :class:`~repro.mpi.datatypes.Hop` is logged
-    as the pickle of its list — what the pairwise scans sent — and the
-    message must cost exactly that pickle's length."""
+    as the pickle of its list — what the pairwise scans sent, compared
+    by content — and the message must cost what the size rule weighs
+    that list at (:func:`tests.mpi.test_payload_contract.weight`)."""
 
     def __init__(self, comm):
         self._comm = comm
@@ -175,13 +177,13 @@ class _Tap:
         return getattr(self._comm, name)
 
     def isend(self, payload, dest, tag):
-        sent = type(payload) is Hop
-        blob = pickle.dumps(payload.blocks if sent else payload, protocol=pickle.HIGHEST_PROTOCOL)
+        sent = payload.blocks if type(payload) is Hop else payload
+        blob = pickle.dumps(sent, protocol=pickle.HIGHEST_PROTOCOL)
         self.log.append(("isend", dest, tag, blob))
         trace = self._comm.transport.trace
         before = trace(self._comm.world_rank).bytes_sent
         req = self._comm.isend(payload, dest, tag)
-        assert trace(self._comm.world_rank).bytes_sent - before == len(blob)
+        assert trace(self._comm.world_rank).bytes_sent - before == weight(sent)
         return req
 
     def recv(self, source, tag):

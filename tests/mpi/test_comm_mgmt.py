@@ -101,7 +101,7 @@ class TestDupCreate:
 
 
 class TestSplitGrouping:
-    """One rank groups a split's triples for all of them; every rank's
+    """One rank groups a split's (color, key) pairs for all of them; every rank's
     view must still be the brute-force answer."""
 
     @settings(max_examples=40, deadline=None)

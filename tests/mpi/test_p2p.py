@@ -63,6 +63,24 @@ class TestSendRecv:
         res = spmd(2, f)
         assert res.results[1] == 21.0
 
+    def test_recv_into_a_column_block(self, spmd):
+        """A strided buffer — two columns of a 4x4 array — is written
+        through, element by element in C order; the other columns stay."""
+
+        def f(comm):
+            if comm.rank == 0:
+                comm.send(np.arange(1.0, 9.0), dest=1)
+            elif comm.rank == 1:
+                whole = np.zeros((4, 4))
+                buf = whole[:, :2]
+                out = comm.recv(source=0, buf=buf)
+                assert out is buf
+                return whole
+
+        whole = spmd(2, f).results[1]
+        np.testing.assert_equal(whole[:, :2], np.arange(1.0, 9.0).reshape(4, 2))
+        assert not whole[:, 2:].any()
+
     def test_recv_buffer_size_mismatch(self, spmd):
         def f(comm):
             if comm.rank == 0:

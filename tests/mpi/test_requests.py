@@ -95,6 +95,24 @@ class TestRecvRequest:
 
         assert spmd(2, f).results[1]
 
+    def test_irecv_into_a_column_block(self, spmd):
+        """A strided buffer — two columns of a 4x4 array — is written
+        through, element by element in C order; the other columns stay."""
+
+        def f(comm):
+            if comm.rank == 0:
+                comm.send(np.arange(1.0, 9.0).reshape(2, 4), dest=1)
+            else:
+                whole = np.zeros((4, 4))
+                buf = whole[:, :2]
+                req = comm.irecv(source=0, buf=buf)
+                assert req.wait() is buf
+                return whole
+
+        whole = spmd(2, f).results[1]
+        np.testing.assert_equal(whole[:, :2], np.arange(1.0, 9.0).reshape(4, 2))
+        assert not whole[:, 2:].any()
+
     def test_irecv_buffer_mismatch(self, spmd):
         def f(comm):
             if comm.rank == 0:
