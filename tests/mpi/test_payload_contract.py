@@ -162,14 +162,21 @@ class TestSizeRule:
     @pytest.mark.parametrize("p", [2, 5, 8])
     def test_a_split_exchanges_color_and_key(self, p):
         """As ``MPI_Comm_split``: a word for the color (nothing for
-        ``None``) and one for the key, per rank, gathered by Bruck."""
+        ``None``) and one for the key, per rank, gathered by Bruck; each
+        group ordered by ``(key, rank)``, narrow and wide colors alike."""
+        colors = [None, -70_000, 10 ** 12, 255]
+        spec = [(colors[r % 4], -(r // 2)) for r in range(p)]
 
         def body(comm):
-            comm.split(None if comm.rank == 1 else comm.rank % 2, -comm.rank)
+            sub = comm.split(*spec[comm.rank])
+            return None if sub is None else sub.group
 
         res = run_spmd(p, body, machine=laptop())
-        pairs = [(None if r == 1 else r % 2, -r) for r in range(p)]
-        assert [sent for sent, _recv in allgather_bytes(res)] == bruck_weights(pairs)
+        for rank, (color, _key) in enumerate(spec):
+            members = sorted((k, r) for r, (c, k) in enumerate(spec) if c == color)
+            want = None if color is None else tuple(r for _k, r in members)
+            assert res.results[rank] == want
+        assert [sent for sent, _recv in allgather_bytes(res)] == bruck_weights(spec)
 
 
 class TestSplitArguments:
