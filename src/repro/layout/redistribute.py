@@ -67,7 +67,7 @@ def _hop(tiles: list[np.ndarray], rows: list[list[int]]) -> Hop:
         data = np.array(tiles[t][ro : ro + h, co : co + w], order="C")
         blocks.append((Rect(r0, r1, c0, c1), data))
         sizes.append(_RECT_BYTES + nbytes_of(data))
-    return Hop(blocks, sizes)
+    return Hop(blocks, sizes, True)
 
 
 def _batch_crcs(batch: list[tuple[Rect, np.ndarray]]) -> list[int]:

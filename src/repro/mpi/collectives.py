@@ -292,20 +292,28 @@ def allgather(comm, value: Any) -> list[Any]:
         return [value]
     with _span(comm, "allgather", algo="allgather.bruck"):
         # held: the blocks of ranks rank, rank+1, ... (mod P), this rank's
-        # as given; sizes: what each weighs, None once a window is pickled.
+        # as given; sizes: what each weighs, None once a window is pickled;
+        # arrays: whether a held block may be an array, copied at each hop.
         held: list[Any] = [value]
-        sizes = [nbytes_of(value)] if is_immutable(value) or handed_array(value) else None
+        arrays = handed_array(value)
+        sizes = [nbytes_of(value)] if arrays or is_immutable(value) else None
         h = 1
         while h < size:
             cnt = min(h, size - h)
             dest = (rank - h) % size
             src = (rank + h) % size
             window = held[:cnt]
-            payload = window if sizes is None else hand_over(window, sizes[:cnt])
+            if sizes is None:
+                payload = window
+            elif arrays:
+                payload = hand_over(window, sizes[:cnt])
+            else:
+                payload = Hop(window, sizes[:cnt], False)
             incoming = comm.sendrecv(payload, dest, src, _TAG_ALLGATHER, _TAG_ALLGATHER)
             if type(incoming) is Hop:
                 if sizes is not None:
                     sizes += incoming.sizes
+                    arrays = arrays or incoming.arrays
                 incoming = incoming.blocks
             else:
                 sizes = None

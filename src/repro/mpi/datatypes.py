@@ -153,13 +153,16 @@ class Hop:
     allgather's arrays, see :func:`hand_over`; a redistribution batch's
     ``(Rect, ndarray)`` pieces).  ``sizes[i]`` is what ``blocks[i]``
     weighs (:func:`nbytes_of`), taken once where the block was made; the
-    hop weighs their sum."""
+    hop weighs their sum.  ``arrays`` says whether a block may be an
+    array, which whoever forwards it must copy again; a hop of immutable
+    blocks is forwarded without looking at them."""
 
-    __slots__ = ("blocks", "sizes")
+    __slots__ = ("blocks", "sizes", "arrays")
 
-    def __init__(self, blocks: list, sizes: list):
+    def __init__(self, blocks: list, sizes: list, arrays: bool):
         self.blocks = blocks
         self.sizes = sizes
+        self.arrays = arrays
 
 
 def hand_over(window: list, sizes: list) -> Hop:
@@ -171,7 +174,7 @@ def hand_over(window: list, sizes: list) -> Hop:
     for i, block in enumerate(window):
         if type(block) is np.ndarray:
             window[i] = block.copy("A")
-    return Hop(window, sizes)
+    return Hop(window, sizes, True)
 
 
 def payload_pack(value: Any) -> tuple[Any, int, bool]:

@@ -108,13 +108,11 @@ def pickle_bytes_per_message(p: int, n: int = 256, layout=None, **run) -> tuple[
     """``(unpickled, pickled)`` bytes per delivered message of the same
     run (from ``layout``, of another ``schedule`` or ``shape`` if given):
     what ``repro.mpi.datatypes`` hands to ``pickle.loads`` and gets back
-    from ``pickle.dumps``.  Neither may grow with ``p``: a split's rank
-    table is handed from hop to hop and each hop is sized from its
-    blocks' sizes, a redistribution batch and an allgather's window of
-    arrays are handed over and sized from their blocks' parts (what the
-    sum cannot vouch for is pickled into a byte counter, which builds no
-    blob and is not counted here), so what is left is each rank's own
-    block of a split, pickled and unpickled once per allgather."""
+    from ``pickle.dumps``.  Neither may grow with ``p``: a split's table
+    of ``(color, key)`` pairs is handed from hop to hop, and a
+    redistribution batch and an allgather's window of arrays are handed
+    over; each weighs its blocks by the size rule, which pickles
+    nothing it knows, so a native run pickles 0 bytes."""
     run = _matmul_run(p, n, layout, **run)
     loaded = dumped = 0
 
@@ -141,7 +139,7 @@ def pickle_bytes_per_message(p: int, n: int = 256, layout=None, **run) -> tuple[
 
 def test_a_foreign_layout_pickles_no_batch():
     """From ``BlockCol1D`` operands steps 4 and 8 send a batch per pair of
-    ranks whose pieces meet; each is handed over and priced by a sum, so
+    ranks whose pieces meet; each is handed over and weighed by a sum, so
     the bytes pickled and unpickled per message stay those of a native
     run: ≤ 3 at 64 and 256 ranks (339 and 139 of each while every batch
     was pickled at the sender and unpickled at the receiver)."""
@@ -152,7 +150,7 @@ def test_a_foreign_layout_pickles_no_batch():
 
 
 def test_an_allgather_of_arrays_pickles_nothing():
-    """A Bruck window of arrays is handed over and priced by a sum, so a
+    """A Bruck window of arrays is handed over and weighed by a sum, so a
     schedule that replicates an operand pickles and unpickles per message
     no more than a native run: ≤ 3 bytes for ``matmul_1d`` 256³ at
     P = 64 from ``BlockCol1D`` (3 943 of each while every window was
@@ -214,7 +212,7 @@ def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
 
 
 def test_message_budget_and_flatness():
-    """≤ 75 calls per message at 64 and at 256 ranks (68.6 and 61.0 on 3.11;
+    """≤ 75 calls per message at 64 and at 256 ranks (65.9 and 59.0 on 3.11;
     80 and 73 while every Bruck hop of a split was unpickled and pickled
     again; 153 and 156 before the baton handoff, one-pass accounting and
     the shared split grouping), and no growth with P: what a rank does
@@ -227,13 +225,13 @@ def test_message_budget_and_flatness():
 
 def test_unpickled_bytes_per_message_do_not_grow_with_p():
     """A split's rank table is handed from hop to hop, so the bytes a
-    rank unpickles per message do not grow from 64 ranks to 256 (2.7 and
-    1.9 — each rank's own block, copied once per allgather; 69.4 and
-    175.2 when each hop was a pickle).  Each hop is sized from the sizes
-    its blocks brought from their origins, so the bytes pickled do not
-    grow either (the same 2.7 and 1.9; 72.1 and 177.0 while every hop was
-    sized by pickling its window).  Differences, not ratios: the values
-    may be zero."""
+    rank unpickles per message do not grow from 64 ranks to 256 (0.0 and
+    0.0; 2.7 and 1.9 while each rank's own block was copied through a
+    pickle once per allgather, 69.4 and 175.2 when each hop was a
+    pickle).  Each hop weighs the sizes its blocks brought from their
+    origins, so the bytes pickled do not grow either (0.0; 72.1 and
+    177.0 while every hop was sized by pickling its window).
+    Differences, not ratios: the values may be zero."""
     at64, pickled64 = pickle_bytes_per_message(64)
     at256, pickled256 = pickle_bytes_per_message(256)
     print(f"unpickled bytes/message: {at64:.1f} @64, {at256:.1f} @256; "

@@ -116,7 +116,7 @@ class TestSizeRule:
         ("text", 4), ("\u00e9t\u00e9", 5), (b"raw", 3), (bytearray(b"xy"), 2),
         ([1, [2.5, None]], 16), ((1, "ab"), 10), ({"k": np.ones(2)}, 17), ({}, 0),
         (_object_array(["y" * 10, 1]), 18), (Rect(0, 1, 2, 3), 32),
-        (Hop([np.ones(3), (1, 2)], [24, 16]), 40),
+        (Hop([np.ones(3), (1, 2)], [24, 16], True), 40),
         (frozenset({1}), len(pickle.dumps(frozenset({1}), protocol=pickle.HIGHEST_PROTOCOL))),
     ], ids=repr)
     def test_each_line_of_the_rule(self, value, nbytes):

@@ -91,7 +91,7 @@ class TestAuditRun:
         assert report.ok
         for p in report.phases:
             assert p.ok, p.to_dict()
-            # within 5% or inside the 64-word pickle-framing floor
+            # within 5% or inside the 64-word floor
             assert p.rel_err_model <= 0.05 or abs(p.excess_words) <= 64.0
 
     def test_bounds_and_ratios(self):
