@@ -212,7 +212,7 @@ def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
 
 
 def test_message_budget_and_flatness():
-    """≤ 75 calls per message at 64 and at 256 ranks (65.9 and 59.0 on 3.11;
+    """≤ 75 calls per message at 64 and at 256 ranks (64.6 and 57.8 on 3.11;
     80 and 73 while every Bruck hop of a split was unpickled and pickled
     again; 153 and 156 before the baton handoff, one-pass accounting and
     the shared split grouping), and no growth with P: what a rank does
