@@ -7,24 +7,41 @@ weighs by one rule (``repro.mpi.datatypes.nbytes_of``): an array its
 ``nbytes``, a number a word, a string its bytes, a container the sum of
 what it holds.  :func:`weight` below is that rule written out once more,
 recursively, and ``TestSizeRule`` holds every door of the message path
-to it.  An allgather of arrays hands its windows over as private copies
-(``TestArrayWindows``); ``TestIsolation`` checks that no receiver can
-reach a sender's object through any of them.
+to it.  Three kinds of message are handed over instead of pickled, and
+each is weighed by adding up its blocks: ``Comm.split``'s ``(color,
+key)`` table on its Bruck hops (``TestSplitOracle``, ``TestHopPricing``),
+an allgather of arrays, whose windows are private copies
+(``TestArrayWindows``), and a redistribution batch of ``(Rect, ndarray)``
+pieces (``TestBatchPricing``).  None of them is ever pickled, and none
+weighs more than its data wherever a pickler would cut frames
+(``TestFrames``).  ``TestIsolation`` checks that no receiver can reach a
+sender's object through any of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fractions
+import math
 import pickle
+import pickletools
+import types
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.layout.blocks import Rect
+from repro.layout.distributions import BlockRow1D
+from repro.layout.matrix import DistMatrix
+from repro.layout.redistribute import _hop
 from repro.machine.model import laptop
-from repro.mpi import Status, run_spmd
-from repro.mpi.datatypes import Hop, is_immutable, nbytes_of
+from repro.mpi import Status, datatypes, run_spmd
+from repro.mpi.datatypes import (
+    Hop, hand_over, handed_array, is_immutable, nbytes_of, payload_pack,
+)
 from repro.mpi.errors import CommError
 from repro.mpi.faults import FaultPlan, LinkFault
 
@@ -65,6 +82,22 @@ def bruck_weights(values: list) -> list[int]:
             sent[rank] += sum(weight(values[(rank + i) % size]) for i in range(cnt))
         h += cnt
     return sent
+
+
+def bruck_bytes(values: list) -> list[tuple[int, int]]:
+    """``(bytes_sent, bytes_recv)`` per rank of a Bruck allgather of
+    ``values[r]`` from rank ``r``, each window weighing its blocks."""
+    size = len(values)
+    sent = bruck_weights(values)
+    recv = [0] * size
+    h = 1
+    while h < size:
+        cnt = min(h, size - h)
+        for rank in range(size):
+            recv[(rank - h) % size] += sum(
+                weight(values[(rank + i) % size]) for i in range(cnt))
+        h += cnt
+    return list(zip(sent, recv))
 
 
 def allgather_bytes(result) -> list[tuple[int, int]]:
@@ -203,6 +236,210 @@ class TestSplitArguments:
         assert res.results[1] == ((3, 1), (0, 1, 2, 3, 4))
 
 
+COLORS = st.sampled_from([None, -70_000, -1, 0, 3, 255, 256, 65_535, 65_536, 10 ** 12])
+
+#: Each side of every int opcode boundary a pickle has (BININT1, BININT2,
+#: BININT, LONG1), both infinities, nan, the bools and None: a word each.
+INT_EDGES = [0, 255, 256, 65_535, 65_536, 2 ** 31 - 1, -1, -(2 ** 31), 2 ** 31, 2 ** 63, 10 ** 40]
+EDGE_ATOMS = [*INT_EDGES, 0.0, -2.5, math.inf, -math.inf, math.nan, True, False, None]
+
+
+class TestSplitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(COLORS, st.integers(-3, 3)), min_size=1, max_size=17))
+    def test_groups_and_hop_bytes(self, spec):
+        """``spec[r]`` is rank r's ``(color, key)``: primes and powers of
+        two, narrow and wide colors, tied and negative keys.  Every hop
+        weighs a word per color (nothing for ``None``) and per key."""
+        p = len(spec)
+
+        def body(comm):
+            sub = comm.split(*spec[comm.rank])
+            return None if sub is None else sub.group
+
+        res = run_spmd(p, body, machine=laptop())
+        for rank, (color, _key) in enumerate(spec):
+            members = sorted(
+                (k, r) for r, (c, k) in enumerate(spec) if c == color and c is not None
+            )
+            expected = None if color is None else tuple(r for _k, r in members)
+            assert res.results[rank] == expected
+        assert allgather_bytes(res) == bruck_bytes(spec)
+
+    @pytest.mark.parametrize("p", [2, 5, 8, 13])
+    def test_one_constant_from_every_rank_costs_what_copies_cost(self, p):
+        """Every rank contributes the *same object*: each block still
+        weighs what it holds on every hop that carries it, however many
+        of a window's blocks are one object."""
+        constant = ("ok", (1.5, "ok"), b"\\x00\\x01")
+
+        def body(comm):
+            return comm.allgather(constant)
+
+        res = run_spmd(p, body, machine=laptop())
+        assert res.results == [[constant] * p] * p
+        assert all(x is constant for got in res.results for x in got)
+        assert allgather_bytes(res) == bruck_bytes([constant] * p)
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 64])
+    def test_flat_tuples_of_every_size_class(self, p):
+        """Rank r contributes a flat tuple of ``r % 7`` edge atoms (``()``
+        at 0), or at ``r % 7 == 6`` a bare one, so every int size, ±inf,
+        nan, the bools and None cross every hop, a word each."""
+
+        def block(r):
+            if r % 7 == 6:
+                return EDGE_ATOMS[r % len(EDGE_ATOMS)]
+            return tuple(EDGE_ATOMS[(r + i) % len(EDGE_ATOMS)] for i in range(r % 7))
+
+        def body(comm):
+            return comm.allgather(block(comm.rank))
+
+        res = run_spmd(p, body, machine=laptop())
+        expected = [block(r) for r in range(p)]
+        assert all(repr(got) == repr(expected) for got in res.results)  # nan != nan
+        assert allgather_bytes(res) == bruck_bytes(expected)
+
+    def test_mixed_allgather_is_handed_over(self):
+        """Rank 0 contributes an ndarray, the rest ``None``: every window
+        is a handed hop weighed by a sum, and nothing is pickled."""
+        p = 7
+        block = np.arange(12.0).reshape(3, 4)
+
+        def body(comm):
+            return comm.allgather(block if comm.rank == 0 else None)
+
+        with pickling() as seen:
+            res = run_spmd(p, body, machine=laptop())
+        assert seen == []
+        for rank, got in enumerate(res.results):
+            np.testing.assert_equal(got, [block] + [None] * (p - 1))
+            assert (got[0] is block) == (rank == 0)
+        assert allgather_bytes(res) == bruck_bytes([block] + [None] * (p - 1))
+
+
+# -------------------------------------------------------------- hop pricing -- #
+@contextlib.contextmanager
+def pickling():
+    """Each value ``repro.mpi.datatypes`` pickles inside the block, to
+    send it or to weigh an object the size rule does not know."""
+    seen: list = []
+    blob = datatypes._blob
+
+    def spy(value):
+        seen.append(value)
+        return blob(value)
+
+    datatypes._blob = spy
+    try:
+        yield seen
+    finally:
+        datatypes._blob = blob
+
+
+def priced(blocks: list) -> tuple[int, str]:
+    """``(nbytes, path)`` of the window ``allgather`` sends of ``blocks``:
+    a :class:`Hop` of them and their sizes when every block is immutable,
+    of private copies when the rest are arrays, else the plain list — and
+    ``"summed"`` when weighing and packing it pickled nothing, else
+    ``"blob"``.  A handed window must hold what ``blocks`` holds, each
+    array a copy of its own."""
+    with pickling() as seen:
+        sizes = [nbytes_of(b) for b in blocks]
+        if all(map(is_immutable, blocks)):
+            window = Hop(list(blocks), sizes, False)
+        elif all(is_immutable(b) or handed_array(b) for b in blocks):
+            window = hand_over(list(blocks), sizes)
+        else:
+            window = list(blocks)
+        stored, nbytes, handed = payload_pack(window)
+    if type(window) is Hop:
+        assert stored is window and handed
+        np.testing.assert_equal(window.blocks, blocks)
+        for got, block in zip(window.blocks, blocks):
+            if type(block) is np.ndarray:
+                assert got is not block and not np.shares_memory(got, block)
+    return nbytes, "blob" if seen else "summed"
+
+
+ATOM = st.one_of(st.sampled_from(EDGE_ATOMS), st.integers(), st.floats())
+SIZED_BLOCK = st.one_of(ATOM, st.lists(ATOM, max_size=6).map(tuple))
+
+
+class TestHopPricing:
+    """A hop's ``nbytes`` against :func:`weight` of its blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SIZED_BLOCK, min_size=1, max_size=40))
+    def test_atoms_and_flat_tuples_are_summed(self, blocks):
+        """Any mix of atoms and flat tuples of atoms."""
+        assert priced(blocks) == (weight(blocks), "summed")
+
+    @pytest.mark.parametrize("atom", EDGE_ATOMS, ids=repr)
+    def test_every_opcode_boundary(self, atom):
+        """Each edge atom bare, in a tuple of one and of four, alone and
+        beside ``()``: a word however a pickle would write it."""
+        for blocks in ([atom], [(atom,)], [(atom, atom, atom, atom)], [atom, (), (atom,)]):
+            words = sum(len(b) if type(b) is tuple else 1 for b in blocks)
+            assert priced(blocks) == (0 if atom is None else 8 * words, "summed"), blocks
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001, 2500])
+    def test_appends_batching(self, n):
+        """Around each 1 000 blocks, where a pickle starts another
+        MARK/APPENDS pair: the window weighs its blocks and nothing more."""
+        atoms = [EDGE_ATOMS[i % len(EDGE_ATOMS)] for i in range(n)]
+        blocks = [(atom,) if i % 3 else atom for i, atom in enumerate(atoms)]
+        assert priced(blocks) == (weight(blocks), "summed")
+
+    def test_a_window_near_the_frame_target_is_never_a_blob(self):
+        """Windows of 20-int tuples from just under 64 KiB of pickle to
+        past it, one tuple bigger than a frame by itself, and 20 000 bare
+        ints: each weighs its words, and none is ever pickled."""
+        block = tuple(range(256, 276))
+        for n in range(1030, 1050):
+            assert priced([block] * n) == (n * 20 * 8, "summed"), n
+        huge = [7, tuple(range(256, 256 + 30_000))]
+        assert priced(huge) == (30_001 * 8, "summed")
+        atoms = [2 ** 20 + i for i in range(20_000)]
+        assert priced(atoms) == (20_000 * 8, "summed")
+
+    @pytest.mark.parametrize(
+        "odd",
+        ["text", b"raw", (1, (2.5, None)), ("same", "same")],
+        ids=["str", "bytes", "nested_tuple", "repeated_str"],
+    )
+    def test_a_block_of_unknown_size_is_counted(self, odd):
+        """One block whose pickle depends on what else is in the message
+        (a str or bytes a pickle memoizes, a nested tuple) among plain
+        ones: the rule counts it like any other, its own bytes or words."""
+        blocks = [7, (1, 2.5), odd, None, (65_536,)]
+        assert priced(blocks) == (weight(blocks), "summed")
+        assert weight(blocks) == 8 + 16 + weight(odd) + 8
+
+    def test_an_array_among_atoms_is_summed(self):
+        """An ndarray among atoms and tuples: handed over as a copy and
+        weighed by its ``nbytes``."""
+        blocks = [7, (1, 2.5), np.arange(3.0), None, (65_536,)]
+        assert priced(blocks) == (8 + 16 + 24 + 8, "summed")
+
+    @pytest.mark.parametrize("n", [200, 201, 400])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_tuples_before_the_first_array(self, n, order):
+        """However many tuples come before two arrays of one shape (where
+        a pickle's back-references to the first grow), each array weighs
+        its ``nbytes``, in either order."""
+        first = np.zeros((2, 3), order=order)
+        blocks = [(i,) for i in range(n)] + [first, first.copy("A")]
+        assert priced(blocks) == (8 * n + 2 * 48, "summed")
+
+    def test_a_shared_constant(self):
+        """The same object from several origins, a flat tuple of atoms and
+        one holding strings, weighs what it holds once per block."""
+        flat, worded = (1, 2.5, None), ("ok", (1.5, "ok"))
+        assert priced([flat, 3, flat, flat]) == (3 * 16 + 8, "summed")
+        assert priced([worded, 3, worded]) == (2 * 12 + 8, "summed")
+
+
 # ------------------------------------------------------------ array windows -- #
 WINDOW_DTYPES = ["float32", "float64", "complex64", "complex128", "int64", "bool"]
 
@@ -265,6 +502,44 @@ class TestArrayWindows:
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(received) for b in received[i + 1:])
 
+    @pytest.mark.parametrize("kinds", [("grid", "read_only", "vector", "empty", "cube"),
+                                       ("fortran",)], ids=["C", "F"])
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    @pytest.mark.parametrize("dtype", WINDOW_DTYPES)
+    def test_one_dtype_and_order_is_summed(self, p, dtype, kinds):
+        """Blocks of one dtype and order, any shape, writeable or not:
+        nothing is pickled, and every window weighs its arrays' bytes."""
+        values = [_array(dtype, kinds[r % len(kinds)], r) for r in range(p)]
+
+        def body(comm):
+            return comm.allgather(values[comm.rank])
+
+        with pickling() as seen:
+            res = run_spmd(p, body, machine=laptop())
+        assert seen == []
+        assert allgather_bytes(res) == bruck_bytes(values)
+        for got in res.results:
+            np.testing.assert_equal(got, values)
+
+    def test_a_strided_block_is_priced_as_it_is(self):
+        """A rank's own strided view weighs its elements, as the
+        contiguous copies the other ranks get of it do."""
+        p = 4
+
+        def block(r):
+            return _array("float64", "strided" if r == 1 else "grid", r)
+
+        def body(comm):
+            return comm.allgather(block(comm.rank))
+
+        with pickling() as seen:
+            res = run_spmd(p, body, machine=laptop())
+        assert seen == []
+        assert allgather_bytes(res) == bruck_bytes([block(r) for r in range(p)])
+        for rank, got in enumerate(res.results):
+            np.testing.assert_equal(got[1], block(1))
+            assert got[1].flags.c_contiguous == (rank != 1)
+
     def test_a_receiver_writes_into_every_block(self):
         """Every rank adds its rank + 1 to every block it received: what
         every other rank holds, its own block included, is unchanged."""
@@ -284,6 +559,256 @@ class TestArrayWindows:
             for r, block in enumerate(got):
                 np.testing.assert_equal(
                     block, _array("float64", "grid", r) + (0 if r == rank else rank + 1))
+
+    def test_a_redistribution_from_gathered_tiles_weighs_its_pieces(self):
+        """Rank r's tiles are halves of the strips of ranks r+1 and r+2 as
+        the allgather delivered them: each batch weighs its rectangles'
+        four words and its cuts' elements, whatever arrays it was cut from."""
+        from repro.layout.distributions import BlockCol1D, Explicit
+        from repro.layout.overlap import overlap_table
+        from repro.layout.redistribute import redistribute
+
+        p, m = 6, 16
+        strips = BlockCol1D((m, 4 * p), p)
+        values = [np.arange(m * 4.0).reshape(m, 4) + r for r in range(p)]
+        rects = {r: [Rect(0, m // 2, 4 * ((r + 1) % p), 4 * ((r + 1) % p) + 4),
+                     Rect(m // 2, m, 4 * ((r + 2) % p), 4 * ((r + 2) % p) + 4)]
+                 for r in range(p)}
+        dist = Explicit.from_mapping((m, 4 * p), p, rects)
+
+        def tiles_of(got, r):
+            return [got[(r + 1) % p][: m // 2], got[(r + 2) % p][m // 2:]]
+
+        def body(comm):
+            got = comm.allgather(values[comm.rank])
+            out = redistribute(DistMatrix(comm, dist, tiles_of(got, comm.rank)), strips,
+                               phase="moved")
+            return out.tiles
+
+        res = run_spmd(p, body, machine=laptop(), record_events=True)
+        moved = sorted((rec.src, rec.dst, rec.nbytes) for rec in res.tracer.msglog
+                       if rec.phase == "moved")
+        table = overlap_table(dist, strips, False)
+        want = sorted((r, dst, weight(sent_list(tiles_of(values, r), list(rows))))
+                      for r in range(p)
+                      for dst, rows in groupby(table.send_rows(r), itemgetter(0)) if dst != r)
+        assert moved == want and len(moved) > 0
+        for r, (tile,) in enumerate(res.results):
+            np.testing.assert_equal(tile, values[r])
+
+
+# ------------------------------------------------------------------- frames -- #
+def unframed_tail(blob: bytes) -> int:
+    """Bytes after the last FRAME's contents: a last frame shorter than 4
+    bytes, which the pickler writes without a header."""
+    frames = [(pos, arg) for op, arg, pos in pickletools.genops(blob) if op.name == "FRAME"]
+    pos, length = frames[-1]
+    return len(blob) - (pos + 9 + length)
+
+
+class TestFrames:
+    """Windows and batches whose pickle a pickler would cut into frames
+    (at the first block boundary where a frame holds 64 KiB, and around
+    every buffer of 64 KiB or more): they weigh their data, no more."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(6, 26), st.integers(0, 1100), st.sampled_from(["float64", "bool"]))
+    def test_windows_straddling_64_128_and_192_kib(self, n, extra, dtype):
+        """``n`` 8 KiB arrays and one of ``extra`` more elements put the
+        list's end anywhere around each frame target."""
+        size = 8192 // np.dtype(dtype).itemsize
+        blocks = [np.zeros(size + (extra if i == n - 1 else i % 3), dtype) for i in range(n)]
+        assert priced(blocks) == (sum(b.nbytes for b in blocks), "summed")
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_a_buffer_of_64_kib_or_more(self, at, read_only):
+        """A buffer a pickle writes outside any frame, first, in the
+        middle and last, writeable or not, among small blocks and atoms:
+        each handed copy is writeable either way."""
+        big = np.arange(9000.0).reshape(90, 100)
+        big.flags.writeable = not read_only
+        small = [np.ones((3, 3)), None, np.ones(2)]
+        blocks = {"first": [big, *small], "middle": [small[0], big, *small[1:]],
+                  "last": [*small, big]}[at]
+        blocks = [b for b in blocks if b is not None] if at == "first" else blocks
+        assert priced(blocks) == (72_000 + 72 + 16, "summed")
+        window = hand_over(list(blocks), [nbytes_of(b) for b in blocks])
+        assert all(b.flags.writeable for b in window.blocks if b is not None)
+
+    def test_a_buffer_right_after_a_commit(self):
+        """A first block ending anywhere around 64 KiB, then one of 64 KiB
+        or more, where a pickle commits a frame at the second block."""
+        big = np.zeros(70_000, np.uint8)
+        for n in range(65_400, 65_540):
+            blocks = [np.zeros(n, np.uint8), big]
+            assert priced(blocks) == (n + 70_000, "summed"), n
+
+    def test_a_last_frame_shorter_than_4_bytes(self):
+        """Windows whose pickle commits a frame at the boundary of its
+        last block, ``None``, leaving a frame of 3 bytes without a header:
+        they weigh their array."""
+        tails = set()
+        for n in range(8040, 8200):
+            blocks = [np.zeros(n), None]
+            assert priced(blocks) == (8 * n, "summed"), n
+            tails.add(unframed_tail(pickle.dumps(blocks, protocol=pickle.HIGHEST_PROTOCOL)))
+        assert 3 in tails
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001])
+    def test_appends_batching(self, n):
+        """Around each 1 000 arrays, where a pickle starts another
+        MARK/APPENDS pair, with a frame committed somewhere in each."""
+        blocks = [np.full(8 + i % 5, float(i)) for i in range(n)]
+        assert priced(blocks) == (sum(8 * (8 + i % 5) for i in range(n)), "summed")
+
+    @pytest.mark.parametrize("n", [3, 31, 65])
+    def test_pieces_of_64_kib_or_more(self, n):
+        """A batch of pieces of 80 000 bytes beside small ones."""
+        tile = np.arange(100 * 100.0).reshape(100, 100)
+        rows = [row_of(Rect(0, 100, 0, 100), 0, slice(0, 100), slice(0, 100 if i % 2 else 3))
+                for i in range(n)]
+        assert assert_priced_as_sent([tile], rows) == sum(
+            32 + (80_000 if i % 2 else 2_400) for i in range(n))
+
+
+# ---------------------------------------------------- redistribution batches -- #
+#: Each side of every int size a pickle has that a coordinate or an extent
+#: can reach: BININT1, BININT2, BININT.
+COORD_EDGES = [0, 255, 256, 65_535, 65_536, 2 ** 31 - 1]
+BATCH_DTYPES = [np.float32, np.float64, np.complex64, np.complex128, np.int64, np.bool_]
+
+
+def row_of(rect: Rect, t: int, rs: slice, cs: slice) -> list[int]:
+    """A send row for the piece ``tiles[t][rs, cs]`` at ``rect``, as
+    :meth:`OverlapTable.send_rows` yields it (to rank 1)."""
+    return [1, *rect, t, rs.start, cs.start, rs.stop - rs.start, cs.stop - cs.start]
+
+
+def sent_list(tiles: list, rows: list) -> list:
+    """The pieces a batch for ``rows`` holds, ``[(rect, cut)]``."""
+    return [(Rect(r0, r1, c0, c1), np.ascontiguousarray(tiles[t][ro : ro + h, co : co + w]))
+            for _d, r0, r1, c0, c1, t, ro, co, h, w in rows]
+
+
+def assert_priced_as_sent(tiles: list, rows: list) -> int:
+    """The batch ``redistribute`` hands over for ``rows`` weighs what
+    :func:`sent_list` holds by the rule, is handed over without a pickle,
+    and holds those pieces, each a private copy; returns its weight."""
+    hop = _hop(tiles, rows)
+    with pickling() as seen:
+        stored, nbytes, handed = payload_pack(hop)
+    assert stored is hop and handed and seen == []
+    sent = sent_list(tiles, rows)
+    assert nbytes == weight(sent) == sum(hop.sizes)
+    assert len(hop.sizes) == len(hop.blocks) == len(sent)
+    for (rect, data), (want_rect, want) in zip(hop.blocks, sent):
+        assert rect == want_rect and type(data) is np.ndarray
+        assert data.dtype == want.dtype and np.array_equal(data, want)
+        assert data.flags.c_contiguous and data.flags.writeable
+        assert not any(np.shares_memory(data, tile) for tile in tiles)
+    return nbytes
+
+
+@st.composite
+def batches(draw):
+    """Pieces at every coordinate and extent boundary: an extent at 255
+    and beyond comes with a zero one, so its tile stays small."""
+    dtype = np.dtype(draw(st.sampled_from(BATCH_DTYPES)))
+    if draw(st.booleans()):  # every tile an unpickled array's: one fresh dtype object
+        dtype = pickle.loads(pickle.dumps(np.zeros(1, dtype))).dtype
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from([999, 1000, 1001])))
+    edge = st.sampled_from(COORD_EDGES)
+    small = st.integers(1, 3) if n < 999 else st.just(1)
+    tiles, rows = [], []
+    for i in range(n):
+        if i < 6:  # long batches cut their last tile again and again
+            h, w = draw(st.one_of(st.tuples(small, small), st.tuples(edge, st.just(0)),
+                                  st.tuples(st.just(0), edge), st.tuples(edge, st.just(1))
+                                  .filter(lambda hw: hw[0] <= 256)))
+            # Offsets into the tile, none beside a zero extent: that tile
+            # holds no element, however long its other side.
+            ro, co = draw(st.integers(0, int(h > 0))), draw(st.integers(0, int(w > 0)))
+            shape = h + ro, w + co
+            tiles.append((np.arange(shape[0] * shape[1]) % 7).astype(dtype).reshape(shape))
+            coords = [draw(edge if n < 999 else st.sampled_from([0, 255])) for _ in range(4)]
+        rows.append(row_of(Rect(*coords), len(tiles) - 1, slice(ro, ro + h), slice(co, co + w)))
+    return tiles, rows
+
+
+class TestBatchPricing:
+    """A redistribution batch's ``nbytes`` against :func:`weight` of the
+    pieces it holds, ``[(rect, np.ascontiguousarray(cut))]``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches())
+    def test_summed_at_every_size(self, batch):
+        """Every builtin numeric dtype, coordinate width and batch length,
+        whether or not its pickle would reach 64 KiB."""
+        tiles, rows = batch
+        assert assert_priced_as_sent(tiles, rows) == sum(
+            32 + h * w * tiles[t].itemsize for *_d, t, _ro, _co, h, w in rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001])
+    @pytest.mark.parametrize("dtype", [np.bool_, np.float32])
+    def test_appends_batching(self, n, dtype):
+        """One piece, two, and around each 1 000, where a pickle starts
+        another MARK/APPENDS pair: four words and an element a piece."""
+        tiles = [np.ones((2, 2), dtype), np.zeros((3, 1), dtype)]
+        rows = [row_of(Rect(i % 3, 255, 0, i % 2), i % 2, slice(1, 2), slice(0, 1))
+                for i in range(n)]
+        assert assert_priced_as_sent(tiles, rows) == n * (32 + np.dtype(dtype).itemsize)
+
+    def test_a_batch_straddling_the_frame_target_is_summed(self):
+        """Batches of 2 KiB pieces from just under 64, 128 and 192 KiB of
+        pickle to past each, where a pickler cuts another frame."""
+        tile = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
+        frames = set()
+        for n in [*range(28, 36), *range(60, 68), *range(92, 100)]:
+            rows = [row_of(Rect(0, 16, 0, 16), 0, slice(0, 16), slice(0, 16))
+                    for _ in range(n)]
+            assert assert_priced_as_sent([tile], rows) == n * (32 + 2048), n
+            blob = pickle.dumps(sent_list([tile], rows), protocol=pickle.HIGHEST_PROTOCOL)
+            frames.add(len(blob) // (64 * 1024))
+        assert frames == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("cut", ["contiguous", "strided"])
+    def test_a_read_only_tile_is_copied(self, cut):
+        """``from_global`` of a read-only global hands a rank views of it;
+        a contiguous cut of one and a strided one both travel as writeable
+        copies of their own."""
+        g = np.arange(48.0).reshape(6, 8)
+        g.setflags(write=False)
+        (tile,) = DistMatrix.from_global(
+            types.SimpleNamespace(rank=0), BlockRow1D((6, 8), 1), g
+        ).tiles
+        assert not tile.flags.writeable
+        cs = slice(0, 8) if cut == "contiguous" else slice(2, 5)
+        rows = [row_of(Rect(1, 3, cs.start, cs.stop), 0, slice(1, 3), cs),
+                row_of(Rect(4, 5, 0, 8), 0, slice(4, 5), slice(0, 8))]
+        assert assert_priced_as_sent([tile], rows) == 64 + 8 * (2 * (cs.stop - cs.start) + 8)
+
+    class Tagged(np.ndarray):
+        pass
+
+    @pytest.mark.parametrize("odd", ["fresh_dtype_object", ">f8", "subclass", "metadata"])
+    def test_an_odd_tile_is_summed(self, odd):
+        """A second dtype object for the same dtype (an unpickled tile's),
+        a non-native byte order, an ndarray subclass and a dtype with
+        metadata, alone and in the middle of a batch of plain tiles: each
+        piece a plain ndarray of the tile's dtype, weighing its elements."""
+        plain = np.arange(12.0).reshape(3, 4)
+        tile = {
+            "fresh_dtype_object": lambda: pickle.loads(pickle.dumps(plain)),
+            ">f8": lambda: plain.astype(">f8"),
+            "subclass": lambda: plain.view(self.Tagged),
+            "metadata": lambda: plain.astype(np.dtype(np.float64, metadata={"m": 1})),
+        }[odd]()
+        tiles = [plain, tile]
+        rows = [row_of(Rect(0, 2, 0, 2), t, slice(0, 2), slice(t, t + 2)) for t in (0, 1, 0)]
+        assert assert_priced_as_sent(tiles, rows) == 3 * (32 + 32)
+        assert assert_priced_as_sent([tile], [row_of(Rect(0, 1, 0, 4), 0, slice(0, 1),
+                                                     slice(0, 4))]) == 32 + 32
 
 
 # ---------------------------------------------------------------- isolation -- #
