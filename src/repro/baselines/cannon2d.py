@@ -15,6 +15,7 @@ from ..core.cannon import cannon_multiply
 from ..core.steps import block2d_native_dists, enter, leave, problem_dims
 from ..layout.distributions import Block2D, Distribution
 from ..layout.matrix import DistMatrix
+from ..mpi.datatypes import freeze
 from ..mpi.topology import Cart2D
 
 
@@ -41,7 +42,8 @@ def cannon_matmul(
     native = cannon_native_dists(m, n, k, s, comm.size)
     a_loc, b_loc = enter(a, b, native)
     with comm.phase("cannon"):
+        # enter() allocated both blocks and nobody writes them: frozen, no shift copies them.
         c_loc = cannon_multiply(
-            Cart2D(comm, s, s), a_loc, b_loc, shifts_per_gemm=shifts_per_gemm
+            Cart2D(comm, s, s), freeze(a_loc), freeze(b_loc), shifts_per_gemm=shifts_per_gemm
         )
     return leave(comm, native[2], c_loc, c_dist)

@@ -39,6 +39,7 @@ import numpy as np
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
 from ..mpi.comm import Comm
+from ..mpi.datatypes import freeze
 from ..mpi.topology import Cart2D
 from ..grid.optimizer import DEFAULT_L, GridSpec
 from .cannon import cannon_multiply
@@ -208,12 +209,10 @@ class Ca3dmm:
                     cart = Cart2D(self.cannon_comm, plan.s, plan.s)
                     if verify and plan.c == 1:
                         a_run, b_run = guard.augment(a_run, b_run, out_dtype, held.hold)
-
-                    def cannon() -> np.ndarray:
-                        return cannon_multiply(
-                            cart, a_run, b_run, shifts_per_gemm=self.shifts_per_gemm
-                        )
-
+                    # This rank allocated both blocks and nobody writes them:
+                    # frozen, they travel every shift without a copy.
+                    cannon = partial(cannon_multiply, cart, freeze(a_run), freeze(b_run),
+                                     shifts_per_gemm=self.shifts_per_gemm)
                     c_loc = cannon()
                 held.hold("tile.c", c_loc.nbytes)
 
@@ -232,6 +231,7 @@ class Ca3dmm:
                     # re-run any more — before the reduce-scatter stages
                     # its scratch strip on top.
                     held.release(keep=("tile.c",))
+                    del a_run, b_run, cannon
                     by_cols = plan.c_split_cols(role.i, role.j)
                     strip = reduce_partial_c(self.kred_comm, c_loc, by_cols, abft=guard)
         if alpha != 1.0:

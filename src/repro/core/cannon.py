@@ -23,6 +23,12 @@ and must produce ``C_{u, v} = Σ_t A_{u,t} B_{t,v}``.
   pins the per-capability arithmetic.)  The shift waits drain in
   arrival order (:func:`repro.mpi.wait_all`), so an early block is
   never billed a late block's wait.
+* **Frozen blocks** — no rank ever writes a Cannon block, so every
+  block a rank receives is frozen (:func:`repro.mpi.datatypes.freeze`):
+  the transport made it for this rank, and from then on it is handed
+  from rank to rank as it is, never copied again.  The caller's own
+  ``a_blk``/``b_blk`` are never frozen here; a caller that allocated
+  them itself freezes them first, and they travel without a copy too.
 * **Multi-shift aggregation** — when Cannon blocks have a small
   k-extent, ``shifts_per_gemm > 1`` gathers several A/B block pairs and
   multiplies them as one concatenated local GEMM, the paper's "multiple
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mpi.datatypes import INTERNAL_TAG_BASE
+from ..mpi.datatypes import INTERNAL_TAG_BASE, freeze
 from ..mpi.request import wait_all
 from ..mpi.topology import Cart2D
 
@@ -52,13 +58,13 @@ def _skew(cart: Cart2D, a_blk: np.ndarray, b_blk: np.ndarray):
     """Initial alignment: A left by ``u``, B up by ``v``."""
     u, v = cart.row, cart.col
     if u > 0:
-        a_blk = cart.comm.sendrecv(
+        a_blk = freeze(cart.comm.sendrecv(
             a_blk, cart.left(u), cart.right(u), _TAG_SKEW_A, _TAG_SKEW_A
-        )
+        ))
     if v > 0:
-        b_blk = cart.comm.sendrecv(
+        b_blk = freeze(cart.comm.sendrecv(
             b_blk, cart.up(v), cart.down(v), _TAG_SKEW_B, _TAG_SKEW_B
-        )
+        ))
     return a_blk, b_blk
 
 
@@ -136,8 +142,8 @@ def cannon_multiply(
                 # is charged first, so the A wait never absorbs B's
                 # flight (or vice versa).
                 vals = wait_all([req_ar, req_br, req_as, req_bs])
-                a_cur = vals[0]
-                b_cur = vals[1]
+                a_cur = freeze(vals[0])
+                b_cur = freeze(vals[1])
                 comm.mem_free("cannon.dblbuf", dblbuf)
         flush()
         return c_loc

@@ -112,8 +112,9 @@ class Comm:
 
         An array arrives as a copy, any other object as an unpickled
         copy; a value nobody can change (``None``, a number, a string, a
-        tuple of such) arrives as the sender's own object.  All three
-        cost the wire what the value weighs
+        tuple of such, a frozen array —
+        :func:`~repro.mpi.datatypes.is_frozen`) arrives as the sender's
+        own object.  All of them cost the wire what the value weighs
         (:func:`~repro.mpi.datatypes.nbytes_of`): an array its bytes, a
         number 8, a container the sum of what it holds."""
         dest_world = self._send_target(dest, tag)
@@ -130,7 +131,8 @@ class Comm:
         )
 
     def isend(self, value: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; the buffer is copied, reusable immediately."""
+        """Nonblocking send; the buffer is copied (a frozen array is
+        not: nobody can write it), reusable immediately."""
         dest_world = self._send_target(dest, tag)
         stored, nbytes, handed = payload_pack(value)
         arrival, seq = self._transport.post_send(

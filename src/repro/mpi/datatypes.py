@@ -10,10 +10,10 @@ the executed volumes compare with the paper's word counts (eq. (9)).
 
 How a payload reaches its receiver is a separate matter, isolation.  As
 in mpi4py's buffer mode a plain numpy array is copied; a value nobody can
-change — numbers, strings, tuples of them — is handed to the receiver as
-it is, and so is a :class:`Hop`, a list of such values and of private
-copies of arrays; any other object travels as its pickle, so the
-receiver gets a copy the sender cannot reach.
+change — numbers, strings, tuples of them, a frozen array — is handed to
+the receiver as it is, and so is a :class:`Hop`, a list of such values
+and of private copies of arrays; any other object travels as its pickle,
+so the receiver gets a copy the sender cannot reach.
 """
 
 from __future__ import annotations
@@ -82,6 +82,20 @@ def is_immutable(value: Any) -> bool:
         elif t not in _ATOMS:
             return False
     return True
+
+
+def is_frozen(value: Any) -> bool:
+    """Whether ``value`` is an exact, non-``object`` ndarray that owns its
+    memory and is not writeable: no view of it can be made writeable and
+    ``src/`` never re-enables a write, so nobody can change it."""
+    return (type(value) is np.ndarray and not value.dtype.hasobject
+            and value.flags.owndata and not value.flags.writeable)
+
+
+def freeze(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: frozen (:func:`is_frozen`) if it owns its memory."""
+    array.flags.writeable = False
+    return array
 
 
 #: What a Python scalar weighs: a word, two for a complex, nothing for None.
@@ -181,19 +195,20 @@ def payload_pack(value: Any) -> tuple[Any, int, bool]:
     """Prepare ``value`` for transport.
 
     Returns ``(stored, nbytes, handed)``; ``nbytes`` is what ``value``
-    weighs (:func:`nbytes_of`).  An exact ndarray whose dtype holds no
-    object references is copied (emulating MPI buffer semantics: the
-    sender may overwrite its buffer immediately after ``send`` returns)
-    and the copy is handed to the receiver.  A value nobody can change
-    (:func:`is_immutable`) is handed over as it is, and so is a
-    :class:`Hop`, whose blocks nobody but the receiver can change.  Any
-    other object travels as its pickle, which isolates the receiver from
-    later sender-side mutation.  A top-level ``bytes`` stays a pickle
-    too: to whoever holds ``stored`` it would look like one.
+    weighs (:func:`nbytes_of`).  An exact non-``object`` ndarray is
+    copied once, into C order and its own shape (MPI buffer semantics:
+    the sender may overwrite its buffer once ``send`` returns), and the
+    copy is handed to the receiver; a frozen one (:func:`is_frozen`),
+    which nobody can overwrite, is handed over as it is.  So is a value
+    nobody can change (:func:`is_immutable`), and a :class:`Hop`, whose
+    blocks nobody but the receiver can change.  Any other object travels
+    as its pickle, which isolates the receiver from later sender-side
+    mutation.  A top-level ``bytes`` stays a pickle too: to whoever
+    holds ``stored`` it would look like one.
     """
     kind = type(value)
     if kind is np.ndarray and not value.dtype.hasobject:
-        stored = np.ascontiguousarray(value).copy()
+        stored = value if is_frozen(value) else value.copy("C")
         return stored, stored.nbytes, True
     if kind is Hop:
         return value, sum(value.sizes), True

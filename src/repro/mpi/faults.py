@@ -76,7 +76,7 @@ from typing import Any
 
 import numpy as np
 
-from .datatypes import Hop, Message
+from .datatypes import Hop, Message, freeze, is_frozen
 from .errors import InjectedAbortError, RankKilledError, RecvTimeoutError
 
 #: Wildcard rank for link-fault endpoints.
@@ -521,7 +521,8 @@ class FaultInjector:
         A raw array is flipped in place (``payload_pack`` handed the
         transport a private copy, so the sender's buffer is untouched
         and the receiver sees the corrupted bits, exactly like a
-        wire-level flip), and so is a
+        wire-level flip) — a frozen one, which is the sender's own
+        array, on a frozen copy that replaces it — and so is a
         :class:`~repro.mpi.datatypes.Hop` — an allgather window of arrays
         or a redistribution batch, whose arrays are private copies too.
         CRC-enveloped batches and other containers of arrays travel as
@@ -544,6 +545,9 @@ class FaultInjector:
         total = sum(a.size for a in arrays)
         if total == 0:
             return stored, False
+        frozen = is_frozen(stored)
+        if frozen:
+            stored = arrays[0] = stored.copy()
         st = self.world.ranks[src]
         for idx, hit, elems in requests:
             for e in range(elems):
@@ -557,7 +561,9 @@ class FaultInjector:
             st.corruptions_injected += 1
             by_phase = st.corruptions_injected_by_phase
             by_phase[phase] = by_phase.get(phase, 0) + 1
-        if obj is not stored:
+        if frozen:
+            freeze(stored)
+        elif obj is not stored:
             stored = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         return stored, True
 

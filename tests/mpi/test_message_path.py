@@ -8,7 +8,10 @@ inside one C call, though — ``pickle.loads`` of a 64-entry rank table
 and of a 1024-entry one are one call each — so the bytes handed to
 ``pickle.loads`` are counted beside it (exact on any interpreter).
 ``calls_per_message`` and ``pickle_bytes_per_message`` are also what the
-``des-smoke`` CI job runs at 1024 ranks.
+``des-smoke`` CI job runs at 1024 ranks.  ``array_bytes_copied`` counts
+the bytes of arrays the sends copy, by phase: Cannon's blocks travel
+frozen, so phase ``cannon`` copies none (the ``perf-gate`` job runs it
+on ``dense_blockcyclic_p16``'s pdgemm).
 
 The calls are counted by a ``sys.setprofile`` hook installed in every
 strand (``call`` + ``c_call`` events — what ``cProfile`` sums into
@@ -26,12 +29,15 @@ import sys
 import threading
 import types
 
+import numpy as np
+
 from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
 from repro.baselines import matmul_1d
-from repro.layout.distributions import BlockCol1D
+from repro.core.pdgemm import pdgemm
+from repro.layout.distributions import BlockCol1D, BlockCyclic2D
 from repro.layout.overlap import overlap_table
 from repro.machine.model import pace_phoenix_cpu
-from repro.mpi import datatypes
+from repro.mpi import comm as comm_module, datatypes
 from repro.mpi.des import DesScheduler
 
 
@@ -135,6 +141,52 @@ def pickle_bytes_per_message(p: int, n: int = 256, layout=None, **run) -> tuple[
         datatypes.pickle = original
     msgs = sum(t.msgs_sent for t in result.traces)
     return loaded / msgs, dumped / msgs
+
+
+def array_bytes_copied(run) -> dict[str, int]:
+    """Bytes of arrays ``datatypes.payload_pack`` copies while ``run()``
+    executes, by the sending rank's phase.  The pack is wrapped where
+    ``Comm``'s three doors (``send``, ``isend``, ``sendrecv``) call it;
+    the wrapper's caller is the ``Comm``, whose rank's phase is the
+    message's."""
+    copied: dict[str, int] = {}
+    original = comm_module.payload_pack
+
+    def payload_pack(value):
+        packed = original(value)
+        stored = packed[0]
+        if type(stored) is np.ndarray and stored is not value:
+            comm = sys._getframe(1).f_locals["self"]
+            phase = comm.transport.ranks[comm.world_rank].phase
+            copied[phase] = copied.get(phase, 0) + stored.nbytes
+        return packed
+
+    comm_module.payload_pack = payload_pack
+    try:
+        run()
+    finally:
+        comm_module.payload_pack = original
+    return copied
+
+
+def blockcyclic_pdgemm_run(n: int, bs: int, p: int = 16):
+    """``run()`` executes ``dense_blockcyclic_p16``'s pdgemm — ``C =
+    AᵀB``, n², every operand ``BlockCyclic2D`` on a 4 x 4 grid of
+    ``bs``² blocks — on ``p`` ranks, after a first, uncounted run."""
+    return _matmul_run(
+        p, n, layout=lambda shape, procs: BlockCyclic2D(shape, procs, 4, 4, bs),
+        schedule=lambda a, b: pdgemm("T", "N", 1.0, a, b, c_dist=a.dist),
+    )
+
+
+def test_cannon_copies_no_block_it_owns():
+    """Cannon's skew and shifts hand frozen blocks over, so the sends of
+    phase ``cannon`` copy no array; the reduce-scatter's still do (the
+    count counts).  256² from ``BlockCyclic2D`` at P = 16."""
+    copied = array_bytes_copied(blockcyclic_pdgemm_run(256, 32))
+    print(f"array bytes copied by phase: {copied}")
+    assert copied.get("cannon", 0) == 0, copied
+    assert copied.get("reduce", 0) > 0, copied
 
 
 def test_a_foreign_layout_pickles_no_batch():

@@ -2,7 +2,8 @@
 
 The contract (docs/VIRTUAL_MPI.md, "Point-to-point semantics"): an array
 arrives as a copy, any other object as an unpickled copy, a value nobody
-can change as the sender's own object — and each costs the wire what it
+can change — a frozen array among them (``TestFrozenArrays``) — as the
+sender's own object; and each costs the wire what it
 weighs by one rule (``repro.mpi.datatypes.nbytes_of``): an array its
 ``nbytes``, a number a word, a string its bytes, a container the sum of
 what it holds.  :func:`weight` below is that rule written out once more,
@@ -25,6 +26,7 @@ import fractions
 import math
 import pickle
 import pickletools
+import tracemalloc
 import types
 from itertools import groupby
 from operator import itemgetter
@@ -40,7 +42,7 @@ from repro.layout.redistribute import _hop
 from repro.machine.model import laptop
 from repro.mpi import Status, datatypes, run_spmd
 from repro.mpi.datatypes import (
-    Hop, hand_over, handed_array, is_immutable, nbytes_of, payload_pack,
+    Hop, freeze, hand_over, handed_array, is_frozen, is_immutable, nbytes_of, payload_pack,
 )
 from repro.mpi.errors import CommError
 from repro.mpi.faults import FaultPlan, LinkFault
@@ -952,8 +954,104 @@ class TestIsolation:
         assert nbytes_sent == 10_000 + 8
 
 
+# ------------------------------------------------------------ frozen arrays -- #
+def frozen_block() -> np.ndarray:
+    """A 3 x 4 float64 array that owns its memory, made read-only."""
+    return freeze(np.arange(12.0).reshape(3, 4).copy())
+
+
+class TestFrozenArrays:
+    """An array that owns its memory and is not writeable is handed over as
+    it is, like an immutable value; every other array is copied once."""
+
+    @pytest.mark.parametrize("door", ["send", "isend", "sendrecv"])
+    def test_a_frozen_array_arrives_as_the_same_object(self, door):
+        block = frozen_block()
+        assert is_frozen(block)
+
+        def body(comm):
+            if door == "sendrecv":
+                return comm.sendrecv(block, 1 - comm.rank, 1 - comm.rank)
+            if comm.rank == 1:
+                return comm.recv(source=0)
+            if door == "send":
+                comm.send(block, 1)
+            else:
+                comm.isend(block, 1).wait()
+            return None
+
+        res = run_spmd(2, body, machine=laptop())
+        got = [g for g in res.results if g is not None]
+        assert got and all(g is block for g in got)
+        assert not block.flags.writeable
+        assert res.traces[0].bytes_sent == block.nbytes == 96
+
+    @pytest.mark.parametrize("kind", ["writeable", "read_only_view", "read_only_slice"])
+    def test_anything_else_is_copied(self, kind):
+        """A writeable array and read-only views (of a writeable array, and
+        a slice of a frozen one) each travel as a writeable C-order copy
+        of their own: only an array that owns its memory is frozen."""
+        base = np.arange(24.0).reshape(4, 6).copy()
+        if kind == "writeable":
+            value = base
+        elif kind == "read_only_view":
+            value = base.reshape(6, 4)
+            value.flags.writeable = False
+        else:
+            value = frozen_block()[:, 1::2]
+        assert not is_frozen(value)
+        stored, nbytes, handed = payload_pack(value)
+        assert handed and stored is not value and not np.shares_memory(stored, value)
+        assert stored.flags.writeable and stored.flags.c_contiguous
+        assert np.array_equal(stored, value) and nbytes == value.nbytes
+
+    def test_a_0d_array_stays_0d(self):
+        stored, nbytes, handed = payload_pack(np.array(3.0))
+        assert stored.shape == () and stored == 3.0 and nbytes == 8 and handed
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_a_non_contiguous_array_is_copied_once(self, layout):
+        """The copy is the only buffer the pack allocates: a C-contiguous
+        staging copy and a second copy of it (1 MiB each here) would
+        double the peak."""
+        base = np.ones((512, 512))
+        value = base[:, ::2] if layout == "strided" else np.asfortranarray(base[:, :256])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stored, nbytes, _handed = payload_pack(value)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert stored.flags.c_contiguous and np.array_equal(stored, value)
+        assert nbytes == value.nbytes == 1 << 20
+        assert value.nbytes <= peak < 1.5 * value.nbytes, peak
+
+
 # ------------------------------------------------------------------- faults -- #
 class TestCorruptionLandsOnTheReceiversCopy:
+    def test_a_frozen_array_is_flipped_on_a_copy(self):
+        """``corrupt_at=(0,)`` on the link 0 → 1: rank 1 gets a read-only
+        copy with one element flipped, then the sender's own array; the
+        sender's array is unchanged."""
+        plan = FaultPlan(seed=3, links=(LinkFault(src=0, dst=1, corrupt_at=(0,)),))
+        block = frozen_block()
+
+        def body(comm):
+            if comm.rank == 1:
+                return comm.recv(source=0), comm.recv(source=0)
+            comm.send(block, 1)
+            comm.send(block, 1)
+            return None
+
+        res = run_spmd(2, body, machine=laptop(), faults=plan)
+        flipped, clean = res.results[1]
+        assert np.array_equal(block, frozen_block()) and not block.flags.writeable
+        assert flipped is not block and is_frozen(flipped)
+        assert int(np.count_nonzero(flipped != block)) == 1
+        assert clean is block
+        assert [t.corruptions_injected for t in res.traces] == [1, 0]
+
     def test_one_flip_in_one_copy(self):
         """``corrupt_at=(0,)`` on the link 2 → 0 in phase ``replicate``: on
         the last hop of a 4-rank allgather rank 2 hands rank 0 copies of
