@@ -25,6 +25,7 @@ from ..core.reduce_c import split_block
 from ..core.steps import NativeDists, enter, leave, problem_dims
 from ..layout.distributions import BlockCol1D, BlockRow1D, Distribution
 from ..layout.matrix import DistMatrix
+from ..mpi.datatypes import freeze
 
 
 @lru_cache(maxsize=64)
@@ -44,7 +45,8 @@ def matmul_1d_m(a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
     native = _native_dists("m", m, n, k, comm.size)
     a_loc, b_loc = enter(a, b, native)
     with comm.phase("replicate"):
-        b_full = np.concatenate(comm.allgather(b_loc), axis=0)
+        # enter() allocated the band and nobody writes it: frozen, no hop copies it.
+        b_full = np.concatenate(comm.allgather(freeze(b_loc)), axis=0)
     with comm.phase("compute"):
         comm.gemm_tick(a_loc.shape[0], n, k)
         c_loc = a_loc @ b_full
@@ -58,7 +60,7 @@ def matmul_1d_n(a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
     native = _native_dists("n", m, n, k, comm.size)
     a_loc, b_loc = enter(a, b, native)
     with comm.phase("replicate"):
-        a_full = np.concatenate(comm.allgather(a_loc), axis=1)
+        a_full = np.concatenate(comm.allgather(freeze(a_loc)), axis=1)
     with comm.phase("compute"):
         comm.gemm_tick(m, b_loc.shape[1], k)
         c_loc = a_full @ b_loc

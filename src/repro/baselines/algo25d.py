@@ -23,7 +23,7 @@ from ..grid.optimizer import GridSpec
 from ..layout.blocks import block_range
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
-from ..mpi.datatypes import INTERNAL_TAG_BASE
+from ..mpi.datatypes import INTERNAL_TAG_BASE, freeze
 from ..mpi.topology import Cart2D, grid_comms
 from .cannon2d import cannon_native_dists
 
@@ -84,15 +84,18 @@ def algo25d_matmul(
     at = g.coords(comm.rank)
     if at is not None:
         u, v, l = at
-        # Only layer 0 holds blocks; an empty one travels as None.
+        # Only layer 0 holds blocks; an empty one travels as None.  No
+        # rank writes a block: each is frozen where it is made or
+        # received, and no broadcast hop, alignment or shift copies it.
         with comm.phase("replicate"):
-            a_blk = fiber.bcast(a_loc if a_loc.size else None, root=0)
-            b_blk = fiber.bcast(b_loc if b_loc.size else None, root=0)
+            a_blk = fiber.bcast(freeze(a_loc) if a_loc.size else None, root=0)
+            b_blk = fiber.bcast(freeze(b_loc) if b_loc.size else None, root=0)
         face = g.rank_of(u, v, 0)
         if a_blk is None:
             a_blk = np.zeros(native[0].block(face).shape, dtype=a.dtype)
         if b_blk is None:
             b_blk = np.zeros(native[1].block(face).shape, dtype=b.dtype)
+        a_blk, b_blk = freeze(a_blk), freeze(b_blk)
 
         cart = Cart2D(layer, sq, sq)
         t0, t1 = block_range(sq, c, l)  # this layer's Cannon-step slice
@@ -102,24 +105,24 @@ def algo25d_matmul(
         with comm.phase("cannon"):
             # Alignment: A left by (u + t0), B up by (v + t0).
             if (u + t0) % sq:
-                a_blk = layer.sendrecv(
+                a_blk = freeze(layer.sendrecv(
                     a_blk, cart.left(u + t0), cart.right(u + t0), _TAG_ALIGN_A, _TAG_ALIGN_A
-                )
+                ))
             if (v + t0) % sq:
-                b_blk = layer.sendrecv(
+                b_blk = freeze(layer.sendrecv(
                     b_blk, cart.up(v + t0), cart.down(v + t0), _TAG_ALIGN_B, _TAG_ALIGN_B
-                )
+                ))
             for t in range(t0, t1):
                 comm.gemm_tick(c_part.shape[0], c_part.shape[1], a_blk.shape[1])
                 if a_blk.shape[1]:
                     np.add(c_part, a_blk @ b_blk, out=c_part)
                 if t < t1 - 1:
-                    a_blk = layer.sendrecv(
+                    a_blk = freeze(layer.sendrecv(
                         a_blk, cart.left(1), cart.right(1), _TAG_SHIFT_A, _TAG_SHIFT_A
-                    )
-                    b_blk = layer.sendrecv(
+                    ))
+                    b_blk = freeze(layer.sendrecv(
                         b_blk, cart.up(1), cart.down(1), _TAG_SHIFT_B, _TAG_SHIFT_B
-                    )
+                    ))
         with comm.phase("reduce"):
             c_sum = fiber.reduce(c_part, root=0)
     return leave(comm, native[2], c_sum, c_dist)

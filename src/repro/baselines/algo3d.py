@@ -29,6 +29,7 @@ from ..grid.optimizer import GridSpec
 from ..layout.blocks import Rect, block_range
 from ..layout.distributions import Distribution, Explicit
 from ..layout.matrix import DistMatrix
+from ..mpi.datatypes import freeze
 from ..mpi.topology import grid_comms
 
 
@@ -88,9 +89,11 @@ def algo3d_matmul(
     if at is not None:
         i, j, l = at
         # Only the face ranks hold a block; an empty one travels as None.
+        # enter() allocated the blocks and nobody writes them: frozen, no
+        # tree hop copies them.
         with comm.phase("replicate"):
-            a_blk = nfiber.bcast(a_loc if a_loc.size else None, root=0)
-            b_blk = mfiber.bcast(b_loc if b_loc.size else None, root=0)
+            a_blk = nfiber.bcast(freeze(a_loc) if a_loc.size else None, root=0)
+            b_blk = mfiber.bcast(freeze(b_loc) if b_loc.size else None, root=0)
         if a_blk is None:
             a_blk = np.zeros(native[0].block(cube.rank_of(i, 0, l)).shape, dtype=a.dtype)
         if b_blk is None:

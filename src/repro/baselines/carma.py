@@ -38,7 +38,7 @@ from ..layout.blocks import Rect, block_range
 from ..layout.distributions import Distribution, Explicit
 from ..layout.matrix import DistMatrix
 from ..mpi.comm import Comm
-from ..mpi.datatypes import INTERNAL_TAG_BASE
+from ..mpi.datatypes import INTERNAL_TAG_BASE, freeze
 
 _TAG_XCHG = INTERNAL_TAG_BASE + 301
 _TAG_CRED = INTERNAL_TAG_BASE + 302
@@ -252,8 +252,10 @@ def _recurse(
             mine, theirs = c_loc[keep_lo:keep_hi, :], c_loc[send_lo:send_hi, :]
             new_rect = Rect(rect.r0 + keep_lo, rect.r0 + keep_hi, rect.c0, rect.c1)
         with comm.phase("reduce"):
+            # A column half is a fresh contiguous copy already: frozen, the
+            # send hands it over instead of copying it again.
             got = comm.sendrecv(
-                np.ascontiguousarray(theirs), partner, partner, _TAG_CRED, _TAG_CRED
+                freeze(np.ascontiguousarray(theirs)), partner, partner, _TAG_CRED, _TAG_CRED
             )
         return new_rect, mine + got
     return rect, c_loc
@@ -275,8 +277,12 @@ def carma_matmul(
         # An empty native rectangle is not a piece: the recursion ships
         # its holdings, and k-splits legitimately own nothing.
         a_rect, b_rect, c_rect = (dist.block(comm.rank) for dist in native)
-        a_pieces = [(a_rect.c0, a_rect.c1, a_loc.astype(dtype, copy=False))] if a_loc.size else []
-        b_pieces = [(b_rect.r0, b_rect.r1, b_loc.astype(dtype, copy=False))] if b_loc.size else []
+        # enter() allocated both blocks and nobody writes them: frozen, no
+        # exchange copies a piece.
+        a_pieces = [(a_rect.c0, a_rect.c1, freeze(a_loc.astype(dtype, copy=False)))
+                    ] if a_loc.size else []
+        b_pieces = [(b_rect.r0, b_rect.r1, freeze(b_loc.astype(dtype, copy=False)))
+                    ] if b_loc.size else []
         rect, c_loc = _recurse(
             comm, _Prob.root(m, n, k), 0, act, a_pieces, b_pieces, dtype
         )

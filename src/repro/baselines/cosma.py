@@ -37,6 +37,7 @@ from ..core.steps import enter, grid_native_dists, leave, problem_dims
 from ..grid.optimizer import DEFAULT_L, GridSpec, cosma_grid
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
+from ..mpi.datatypes import freeze
 from ..mpi.topology import grid_comms
 
 
@@ -86,17 +87,19 @@ def cosma_matmul(
 
     c_strip = None
     if kgroup is not None:  # an active rank
-        # Replicate A and B fully before computing (the COSMA schedule).
+        # Replicate A and B fully before computing (the COSMA schedule);
+        # enter() allocated the pieces and nobody writes them: frozen, no
+        # hop copies them.
         with comm.phase("replicate"):
             a_blk = (
                 a_piece
                 if ngroup.size == 1
-                else np.concatenate(ngroup.allgather(a_piece), axis=1)
+                else np.concatenate(ngroup.allgather(freeze(a_piece)), axis=1)
             )
             b_blk = (
                 b_piece
                 if mgroup.size == 1
-                else np.concatenate(mgroup.allgather(b_piece), axis=0)
+                else np.concatenate(mgroup.allgather(freeze(b_piece)), axis=0)
             )
         mi, ni = a_blk.shape[0], b_blk.shape[1]
         comm.note_live_bytes(

@@ -14,6 +14,7 @@ from ..core.summa import DEFAULT_PANEL, panel_ranges, summa_on_grid  # noqa: F40
 from ..grid.factorize import near_square_pair
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
+from ..mpi.datatypes import freeze
 from ..mpi.topology import Cart2D
 
 
@@ -40,7 +41,10 @@ def summa_matmul(
     native = block2d_native_dists(m, n, k, pr, pc, comm.size)
     a_loc, b_loc = enter(a, b, native)
     with comm.phase("summa"):
-        c_loc = summa_on_grid(Cart2D(comm, pr, pc), a_loc, b_loc, m, n, k, panel=panel)
+        # enter() allocated both blocks and nobody writes them: frozen,
+        # every panel is a frozen view that no broadcast hop copies.
+        c_loc = summa_on_grid(Cart2D(comm, pr, pc), freeze(a_loc), freeze(b_loc), m, n, k,
+                              panel=panel)
     return leave(comm, native[2], c_loc, c_dist)
 
 

@@ -39,7 +39,7 @@ from ..layout.blocks import block_owner, block_range
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
 from ..layout.redistribute import redistribute
-from ..mpi.datatypes import INTERNAL_TAG_BASE
+from ..mpi.datatypes import INTERNAL_TAG_BASE, freeze
 from ..mpi.topology import Cart2D
 from .summa import summa_grid
 
@@ -69,6 +69,10 @@ def summa_stationary_a_matmul(
 
     out_dtype = np.promote_types(a.dtype, b.dtype)
     c_loc = np.zeros((a_loc.shape[0], b_loc.shape[1]), dtype=out_dtype)
+    # Every block below is this rank's and nobody writes it once made: B's
+    # block (enter() allocated it), the send buffers cut from it, the
+    # routed pieces and the partial panels each travel frozen, uncopied.
+    freeze(b_loc)
 
     with comm.phase("summa"):
         # Panels refine B's column partition (over pc) so each panel has
@@ -91,11 +95,10 @@ def summa_stationary_a_matmul(
                     lo_r = max(bk[0], t0)
                     hi_r = min(bk[1], t1)
                     if hi_r > lo_r:
-                        sendbufs.append(
-                            (lo_r, np.ascontiguousarray(my_panel[lo_r - bk[0] : hi_r - bk[0], :]))
-                        )
+                        cut = np.ascontiguousarray(my_panel[lo_r - bk[0] : hi_r - bk[0], :])
                     else:
-                        sendbufs.append((lo_r, np.zeros((0, width), dtype=my_panel.dtype)))
+                        cut = np.zeros((0, width), dtype=my_panel.dtype)
+                    sendbufs.append((lo_r, freeze(cut)))
                 # column-comm alltoall would re-split among pr ranks; we
                 # need pc pieces, so route directly: rank (σ(jj), jc)
                 # assembles piece jj, where σ(jj) = jj % pr round-robins
@@ -109,7 +112,7 @@ def summa_stationary_a_matmul(
                             lo_r, data = contrib[jj]
                             if data.shape[0]:
                                 buf[lo_r - t0 : lo_r - t0 + data.shape[0], :] = data
-                        pieces[jj] = buf
+                        pieces[jj] = freeze(buf)
 
             # (2) route piece jj from (jj % pr, jc) to (jj % pr, jj),
             # then broadcast it down grid column jj.
@@ -137,7 +140,7 @@ def summa_stationary_a_matmul(
             )
 
             # (4) reduce the partial panel onto the owner column.
-            summed = row.reduce(contrib, root=jc)
+            summed = row.reduce(freeze(contrib), root=jc)
             if j == jc and summed is not None:
                 c_loc[:, lo - nn[0] : hi - nn[0]] += summed.astype(out_dtype, copy=False)
 

@@ -182,15 +182,15 @@ class Ca3dmm:
                 if verify and plan.c > 1:
                     a_run, b_run = guard.augment(a_run, b_run, out_dtype, held.hold)
 
-                # Step 5: replicate the smaller operand across Cannon groups.
+                # Step 5: replicate the smaller operand (its piece frozen: no hop copies it).
                 with comm.phase("replicate", c=plan.c,
                                 operand="A" if plan.replicates_a else "B"):
                     if plan.c > 1:
                         replicate = guard.replicate if verify else replicate_block
                         if plan.replicates_a:
-                            a_run = replicate(self.replica_comm, a_run, axis=1)
+                            a_run = replicate(self.replica_comm, freeze(a_run), axis=1)
                         else:
-                            b_run = replicate(self.replica_comm, b_run, axis=0)
+                            b_run = replicate(self.replica_comm, freeze(b_run), axis=0)
                 a_blk, b_blk = plan.a_cannon_block(role), plan.b_cannon_block(role)
                 if (a_run.shape[1], b_run.shape[0]) != (a_blk.cols, b_blk.rows):
                     raise AssertionError(

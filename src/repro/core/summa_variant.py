@@ -25,6 +25,7 @@ from ..grid.optimizer import DEFAULT_L, GridSpec, cosma_grid
 from ..layout.blocks import block_size
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
+from ..mpi.datatypes import freeze
 from ..mpi.topology import Cart2D, grid_comms
 from .reduce_c import reduce_over_k
 from .steps import enter, grid_native_dists, leave, problem_dims
@@ -52,7 +53,9 @@ def ca3dmm_s_matmul(
         kg = block_size(k, g.pk, g.coords(comm.rank)[2])  # my k-task group's extent
         with comm.phase("summa"):
             cart = Cart2D(kgroup, g.pm, g.pn)
-            c_part = summa_on_grid(cart, a_loc, b_loc, m, n, kg, panel=panel)
+            # enter() allocated both blocks and nobody writes them: frozen,
+            # every panel is a frozen view that no broadcast hop copies.
+            c_part = summa_on_grid(cart, freeze(a_loc), freeze(b_loc), m, n, kg, panel=panel)
         with comm.phase("reduce"):
             c_strip = reduce_over_k(kred, c_part)
     return leave(comm, native[2], c_strip, c_dist)

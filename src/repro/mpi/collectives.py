@@ -47,7 +47,8 @@ import numpy as np
 
 from ..obs.tracer import CAT_COLLECTIVE
 from .datatypes import (
-    INTERNAL_TAG_BASE, SUM, Hop, Op, hand_over, handed_array, is_immutable, nbytes_of,
+    INTERNAL_TAG_BASE, SUM, Hop, Op, freeze, hand_over, handed_array, is_frozen, is_immutable,
+    nbytes_of,
 )
 from .errors import CommError
 from .request import CollRequest
@@ -178,7 +179,10 @@ def bcast(comm, value: Any, root: int = 0) -> Any:
         with _algo(comm, "bcast.scatter_allgather"):
             shape, dtype = meta
             if comm.rank == root:
-                chunks = np.array_split(np.ascontiguousarray(value).reshape(-1), comm.size)
+                flat = np.ascontiguousarray(value)
+                if flat is not value:  # a staging copy of our own: its chunks travel frozen
+                    freeze(flat)
+                chunks = np.array_split(flat.reshape(-1), comm.size)
             else:
                 chunks = None
             mine = scatter(comm, chunks, root)
@@ -191,7 +195,9 @@ def reduce(comm, value: Any, op: Op = SUM, root: int = 0) -> Any:
     """Binomial-tree reduction to ``root``; root returns the result.
 
     Operands are combined child-over-parent in a fixed order, so results
-    are deterministic for a given communicator size.
+    are deterministic for a given communicator size.  A partial result
+    this rank made (``op``'s array, never the caller's ``value``) is
+    dead once sent, so it travels frozen, without a copy.
     """
     size = comm.size
     if size == 1:
@@ -203,6 +209,8 @@ def reduce(comm, value: Any, op: Op = SUM, root: int = 0) -> Any:
         while mask < size:
             if vrank & mask:
                 parent = vrank & ~mask
+                if acc is not value and type(acc) is np.ndarray:
+                    freeze(acc)
                 comm.send(acc, (parent + root) % size, _TAG_REDUCE)
                 return None
             child = vrank | mask
@@ -274,29 +282,37 @@ def allgather(comm, value: Any) -> list[Any]:
     """Bruck allgather: ⌈log2 P⌉ rounds, works for any P and any sizes.
 
     Returns the list of every rank's contribution, ordered by rank: the
-    contributing rank's own object, and copies of everyone else's.
+    contributing rank's own object, and copies of everyone else's — of a
+    frozen contribution, the contributor's own object.
 
     A hop forwards blocks it received.  While every block a rank holds
     is immutable (``Comm.split``'s ``(color, key)`` pairs) or an array
     (CA3DMM's replication step, the 1D and COSMA schedules) the window
     travels as a :class:`~repro.mpi.datatypes.Hop`, handed over instead
     of unpickled and pickled again at each of the ⌈log2 P⌉ ranks it
-    passes.  Each array in it is a private copy made for that message (a
-    forwarded block is copied again at every hop, so no two ranks hold
-    the same array).  Each block is weighed once, at its origin, and its
-    size travels beside it.  One block that is anything else (a list, an
-    ``object`` array) and the hops that carry it are pickled lists.
+    passes.  A frozen array (:func:`~repro.mpi.datatypes.is_frozen`),
+    which nobody can write, travels every hop as it is, so every rank
+    holds the same object; any other array in a window is a private copy
+    made for that message, and is copied again at every hop it is
+    forwarded, so no two ranks hold the same writeable array.  Each block
+    is weighed once, at its origin, and its size travels beside it.  One
+    block that is anything else (a list, an ``object`` array) makes every
+    hop that carries it a plain list, handed over as a private copy
+    (:func:`~repro.mpi.datatypes.private_copy`) or, holding something the
+    size rule does not know, pickled.
     """
     size, rank = comm.size, comm.rank
     if size == 1:
         return [value]
     with _span(comm, "allgather", algo="allgather.bruck"):
         # held: the blocks of ranks rank, rank+1, ... (mod P), this rank's
-        # as given; sizes: what each weighs, None once a window is pickled;
-        # arrays: whether a held block may be an array, copied at each hop.
+        # as given; sizes: what each weighs, None once a window is a plain
+        # list; arrays: whether a held block may be an array that is not
+        # frozen, copied at each hop.
         held: list[Any] = [value]
-        arrays = handed_array(value)
-        sizes = [nbytes_of(value)] if arrays or is_immutable(value) else None
+        frozen = is_frozen(value)
+        arrays = handed_array(value) and not frozen
+        sizes = [nbytes_of(value)] if arrays or frozen or is_immutable(value) else None
         h = 1
         while h < size:
             cnt = min(h, size - h)

@@ -110,11 +110,13 @@ class Comm:
     def send(self, value: Any, dest: int, tag: int = 0) -> None:
         """Blocking eager send of an array or picklable object.
 
-        An array arrives as a copy, any other object as an unpickled
-        copy; a value nobody can change (``None``, a number, a string, a
-        tuple of such, a frozen array —
+        An array arrives as a copy, a list, tuple or dict as a private
+        copy (:func:`~repro.mpi.datatypes.private_copy`), any other
+        object as an unpickled copy; a value nobody can change
+        (``None``, a number, a string, a tuple of such, a frozen array —
         :func:`~repro.mpi.datatypes.is_frozen`) arrives as the sender's
-        own object.  All of them cost the wire what the value weighs
+        own object, and so does a frozen array inside a container.
+        All of them cost the wire what the value weighs
         (:func:`~repro.mpi.datatypes.nbytes_of`): an array its bytes, a
         number 8, a container the sum of what it holds."""
         dest_world = self._send_target(dest, tag)

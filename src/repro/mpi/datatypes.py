@@ -10,14 +10,19 @@ the executed volumes compare with the paper's word counts (eq. (9)).
 
 How a payload reaches its receiver is a separate matter, isolation.  As
 in mpi4py's buffer mode a plain numpy array is copied; a value nobody can
-change — numbers, strings, tuples of them, a frozen array — is handed to
-the receiver as it is, and so is a :class:`Hop`, a list of such values
-and of private copies of arrays; any other object travels as its pickle,
-so the receiver gets a copy the sender cannot reach.
+change — numbers, strings, tuples of them, a frozen array or a read-only
+view of one — is handed to the receiver as it is, and so is a
+:class:`Hop`, a list of such values and of private copies of arrays.  A
+list, tuple or dict of values the size rule knows travels as a private
+copy made for the message (:func:`private_copy`: its frozen arrays
+shared, every other array copied once); only a value holding something
+else travels as its pickle.  Either way the receiver gets what the
+sender cannot reach.
 """
 
 from __future__ import annotations
 
+import operator
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -85,15 +90,19 @@ def is_immutable(value: Any) -> bool:
 
 
 def is_frozen(value: Any) -> bool:
-    """Whether ``value`` is an exact, non-``object`` ndarray that owns its
-    memory and is not writeable: no view of it can be made writeable and
-    ``src/`` never re-enables a write, so nobody can change it."""
-    return (type(value) is np.ndarray and not value.dtype.hasobject
-            and value.flags.owndata and not value.flags.writeable)
+    """Whether ``value`` is an exact, non-``object``, read-only ndarray
+    whose memory belongs to a read-only ndarray — itself, or the ``base``
+    a view of it names.  numpy makes no view of such an array writeable
+    and ``src/`` never re-enables a write, so nobody can change it."""
+    if type(value) is not np.ndarray or value.dtype.hasobject or value.flags.writeable:
+        return False
+    owner = value if value.flags.owndata else value.base
+    return type(owner) is np.ndarray and owner.flags.owndata and not owner.flags.writeable
 
 
 def freeze(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only: frozen (:func:`is_frozen`) if it owns its memory."""
+    """``array``, made read-only: frozen (:func:`is_frozen`) if it owns its
+    memory or is a view of a frozen array."""
     array.flags.writeable = False
     return array
 
@@ -162,14 +171,15 @@ class Hop:
     """A list handed to its receiver instead of pickled: one collective
     hop's window or one redistribution batch.  The sender built
     ``blocks`` for this message and lets go of it, and nobody else can
-    reach what is in it to change it: every block is immutable
-    (:func:`is_immutable`) or a private copy made for this message (an
-    allgather's arrays, see :func:`hand_over`; a redistribution batch's
-    ``(Rect, ndarray)`` pieces).  ``sizes[i]`` is what ``blocks[i]``
-    weighs (:func:`nbytes_of`), taken once where the block was made; the
-    hop weighs their sum.  ``arrays`` says whether a block may be an
-    array, which whoever forwards it must copy again; a hop of immutable
-    blocks is forwarded without looking at them."""
+    change what is in it: every block is immutable (:func:`is_immutable`),
+    a frozen array (:func:`is_frozen`), or a private copy made for this
+    message (an allgather's other arrays, see :func:`hand_over`; a
+    redistribution batch's ``(Rect, ndarray)`` pieces).  ``sizes[i]`` is
+    what ``blocks[i]`` weighs (:func:`nbytes_of`), taken once where the
+    block was made; the hop weighs their sum.  ``arrays`` says whether a
+    block may be an array that is not frozen, which whoever forwards it
+    must copy again; a hop of immutable and frozen blocks is forwarded
+    without looking at them."""
 
     __slots__ = ("blocks", "sizes", "arrays")
 
@@ -181,14 +191,72 @@ class Hop:
 
 def hand_over(window: list, sizes: list) -> Hop:
     """A Bruck window, a list built for this message, as a :class:`Hop`:
-    each array in it replaced by a private copy, in the order it was in
-    (Fortran stays Fortran, anything else becomes C); atoms travel as
-    they are.  The list is changed in place, not copied: a second list
-    per hop raised ``des_scale_p512``'s peak RSS by 8 %."""
+    each array in it that is not frozen replaced by a private copy, in
+    the order it was in (Fortran stays Fortran, anything else becomes
+    C); frozen arrays and atoms travel as they are.  The list is changed
+    in place, not copied: a second list per hop raised
+    ``des_scale_p512``'s peak RSS by 8 %."""
     for i, block in enumerate(window):
-        if type(block) is np.ndarray:
+        if type(block) is np.ndarray and not is_frozen(block):
             window[i] = block.copy("A")
     return Hop(window, sizes, True)
+
+
+class _Unknown(Exception):
+    """Raised by :func:`private_copy` on a value it cannot copy without a pickle."""
+
+
+#: Leaves a container's private copy keeps as they are: nobody can change them.
+_KEPT = _ATOMS | {complex}
+
+
+def private_copy(value: Any, memo: dict | None = None) -> Any:
+    """``value`` as only its receiver can reach it: atoms, numpy scalars,
+    ``Rect``s, frozen arrays (:func:`is_frozen`) and tuples of nothing
+    else as they are; every other array copied once (Fortran stays
+    Fortran, anything else becomes C); lists, dicts and bytearrays built
+    anew.  ``memo`` maps the id of each mutable value copied so far to
+    its copy, so a value held twice is copied once and held twice, as a
+    pickle would.  :class:`_Unknown` for anything the size rule does not
+    know, and for an ``object`` array; ``RecursionError`` for a nesting
+    deeper than the interpreter recurses."""
+    if memo is None:
+        memo = {}
+    t = type(value)
+    if t in _KEPT:
+        return value
+    if t is np.ndarray and not value.dtype.hasobject:
+        if is_frozen(value):
+            return value
+        copy = memo.get(id(value))
+        if copy is None:
+            copy = memo[id(value)] = value.copy("A")
+        return copy
+    if t is tuple:
+        items = [private_copy(v, memo) for v in value]
+        return value if all(map(operator.is_, items, value)) else tuple(items)
+    if t is list or t is dict or t is bytearray:
+        copy = memo.get(id(value))
+        if copy is None:
+            if t is list:
+                copy = memo[id(value)] = []
+                copy.extend(private_copy(v, memo) for v in value)
+            elif t is dict:
+                copy = memo[id(value)] = {}
+                for k, v in value.items():
+                    copy[private_copy(k, memo)] = private_copy(v, memo)
+            else:
+                copy = memo[id(value)] = bytearray(value)
+        return copy
+    if t is np.void:  # a structured scalar may be a view into its array
+        return value.copy()
+    if isinstance(value, np.generic):
+        return value
+    from ..layout.blocks import Rect  # repro.layout imports this module
+
+    if t is Rect:
+        return value
+    raise _Unknown
 
 
 def payload_pack(value: Any) -> tuple[Any, int, bool]:
@@ -201,10 +269,12 @@ def payload_pack(value: Any) -> tuple[Any, int, bool]:
     copy is handed to the receiver; a frozen one (:func:`is_frozen`),
     which nobody can overwrite, is handed over as it is.  So is a value
     nobody can change (:func:`is_immutable`), and a :class:`Hop`, whose
-    blocks nobody but the receiver can change.  Any other object travels
-    as its pickle, which isolates the receiver from later sender-side
-    mutation.  A top-level ``bytes`` stays a pickle too: to whoever
-    holds ``stored`` it would look like one.
+    blocks nobody but the receiver can change.  A list, tuple or dict is
+    handed over as a :func:`private_copy`.  Any other object — and a
+    container holding one — travels as its pickle, which isolates the
+    receiver from later sender-side mutation.  A top-level ``bytes``
+    stays a pickle too: to whoever holds ``stored`` it would look like
+    one.
     """
     kind = type(value)
     if kind is np.ndarray and not value.dtype.hasobject:
@@ -215,6 +285,11 @@ def payload_pack(value: Any) -> tuple[Any, int, bool]:
     nbytes = nbytes_of(value)
     if kind is not bytes and is_immutable(value):
         return value, nbytes, True
+    if kind is list or kind is tuple or kind is dict:
+        try:
+            return private_copy(value), nbytes, True
+        except (_Unknown, RecursionError):
+            pass
     return _blob(value), nbytes, False
 
 

@@ -76,7 +76,7 @@ from typing import Any
 
 import numpy as np
 
-from .datatypes import Hop, Message, freeze, is_frozen
+from .datatypes import Hop, Message, freeze
 from .errors import InjectedAbortError, RankKilledError, RecvTimeoutError
 
 #: Wildcard rank for link-fault endpoints.
@@ -442,6 +442,28 @@ def _inexact_arrays(x: Any, out: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _swapped(x: Any, copies: dict[int, np.ndarray]) -> Any:
+    """``x`` with every array whose id ``copies`` names replaced by its
+    copy.  A payload's lists and dicts are its own (a window, a private
+    copy, an unpickled object) and change in place; a tuple holding a
+    replaced array is built anew."""
+    if isinstance(x, np.ndarray):
+        return copies.get(id(x), x)
+    if type(x) is Hop:
+        _swapped(x.blocks, copies)
+    elif isinstance(x, list):
+        for i, y in enumerate(x):
+            x[i] = _swapped(y, copies)
+    elif isinstance(x, dict):
+        for k in x:
+            x[k] = _swapped(x[k], copies)
+    elif isinstance(x, tuple):
+        items = [_swapped(y, copies) for y in x]
+        if any(got is not y for got, y in zip(items, x)):
+            return tuple(items) if type(x) is tuple else type(x)(*items)
+    return x
+
+
 class FaultInjector:
     """What a :class:`FaultPlan` does to one world.
 
@@ -521,13 +543,16 @@ class FaultInjector:
         A raw array is flipped in place (``payload_pack`` handed the
         transport a private copy, so the sender's buffer is untouched
         and the receiver sees the corrupted bits, exactly like a
-        wire-level flip) — a frozen one, which is the sender's own
-        array, on a frozen copy that replaces it — and so is a
-        :class:`~repro.mpi.datatypes.Hop` — an allgather window of arrays
-        or a redistribution batch, whose arrays are private copies too.
-        CRC-enveloped batches and other containers of arrays travel as
-        pickles: those are unpickled, flipped and re-pickled into a new
-        blob.  Either way each flip lands on a
+        wire-level flip), and so are the arrays of a
+        :class:`~repro.mpi.datatypes.Hop` — an allgather window or a
+        redistribution batch — and of a container handed over as a
+        private copy (:func:`~repro.mpi.datatypes.private_copy`).  A
+        read-only array among them is shared — a frozen block is the
+        sender's own, and every receiver of a forwarded window holds it —
+        so a flip lands on a frozen copy that replaces it in this message
+        alone.  Containers holding what the size rule does not know
+        travel as pickles: those are unpickled, flipped and re-pickled
+        into a new blob.  Either way each flip lands on a
         seeded position of the virtual concatenation of the payload's
         inexact arrays — a raw array is the one-array case — and adds
         ``1 + |v|`` to it: large relative to both the value and float64
@@ -536,7 +561,8 @@ class FaultInjector:
         resend nack bools) are incorruptible by construction.
         """
         obj = stored
-        if isinstance(stored, (bytes, bytearray)):
+        blob = isinstance(stored, (bytes, bytearray))
+        if blob:
             try:
                 obj = pickle.loads(bytes(stored))
             except Exception:
@@ -545,27 +571,37 @@ class FaultInjector:
         total = sum(a.size for a in arrays)
         if total == 0:
             return stored, False
-        frozen = is_frozen(stored)
-        if frozen:
-            stored = arrays[0] = stored.copy()
         st = self.world.ranks[src]
+        hits: list[tuple[int, int]] = []  # (array, element), in flip order
         for idx, hit, elems in requests:
             for e in range(elems):
                 pos = int(_mix(self.plan.seed, idx, 5, src, dst, hit, e) * total) % total
-                for a in arrays:
+                for i, a in enumerate(arrays):
                     if pos < a.size:
-                        val = a.flat[pos]
-                        a.flat[pos] = val + (1.0 + abs(val))
+                        hits.append((i, pos))
                         break
                     pos -= a.size
             st.corruptions_injected += 1
             by_phase = st.corruptions_injected_by_phase
             by_phase[phase] = by_phase.get(phase, 0) + 1
-        if frozen:
-            freeze(stored)
-        elif obj is not stored:
-            stored = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        return stored, True
+        copies: dict[int, np.ndarray] = {}  # id of a shared array hit -> its copy
+        for i, _pos in hits:
+            a = arrays[i]
+            if not a.flags.writeable:
+                if id(a) not in copies:
+                    copies[id(a)] = a.copy("A")
+                arrays[i] = copies[id(a)]
+        for i, pos in hits:
+            a = arrays[i]
+            val = a.flat[pos]
+            a.flat[pos] = val + (1.0 + abs(val))
+        if copies:
+            for copy in copies.values():
+                freeze(copy)
+            obj = _swapped(obj, copies)
+        if blob:
+            return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), True
+        return obj, True
 
     def hold(self, msg: Message, flight: float, drops: int, t_post: float) -> None:
         """Keep a message lost on the wire out of its mailbox until the

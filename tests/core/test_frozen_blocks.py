@@ -1,10 +1,12 @@
-"""Cannon's blocks travel frozen (``repro.mpi.datatypes.freeze``).
+"""Blocks nobody writes travel frozen (``repro.mpi.datatypes.freeze``).
 
 No rank writes a Cannon block, so the engine and the 2D Cannon baseline
 freeze the operand blocks they allocated, and ``cannon_multiply`` freezes
 every block it receives: from then on a block is handed from rank to
-rank as it is.  A caller's tiles are never frozen, and a flip on the
-wire lands on a copy, which the receiver sees and ABFT detects.
+rank as it is.  Every other schedule freezes the blocks it replicates,
+broadcasts, shifts or exchanges the same way.  A caller's tiles are
+never frozen, and a flip on the wire lands on a copy, which the receiver
+sees and ABFT detects.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import BlockCol1D, BlockRow1D, DistMatrix, ca3dmm_matmul, dense_random
+from repro.baselines import SCHEDULES as REGISTRY, matmul_1d_m
 from repro.baselines.cannon2d import cannon_matmul
 from repro.core.cannon import cannon_multiply
 from repro.core.pdgemm import pdgemm
@@ -82,6 +85,26 @@ class TestCorruptedFrozenBlock:
         np.testing.assert_allclose(res.results[0], self.A @ self.B, rtol=1e-12, atol=1e-12)
 
 
+def test_a_flip_in_a_frozen_replication_lands_on_a_copy():
+    """Every message of ``matmul_1d_m``'s allgather of frozen B bands may
+    flip (64², P = 8): each flip lands on a frozen copy in that window,
+    so every rank's own band is as it froze it, and the product shows
+    the flips."""
+    plan = FaultPlan(seed=5, links=(LinkFault(corrupt_prob=1.0, corrupt_phase="replicate"),))
+    a_glob, b_glob = dense_random(64, 64, 1), dense_random(64, 64, 2)
+
+    def body(comm):
+        a = DistMatrix.from_global(comm, BlockRow1D((64, 64), comm.size), a_glob)
+        b = DistMatrix.from_global(comm, BlockRow1D((64, 64), comm.size), b_glob)
+        return matmul_1d_m(a, b).to_global(), b.tiles[0]
+
+    res = run_spmd(8, body, machine=laptop(), faults=plan)
+    assert sum(t.corruptions_injected for t in res.traces) == 24
+    for rank, (_c, tile) in enumerate(res.results):
+        assert tile.flags.writeable and np.array_equal(tile, b_glob[8 * rank: 8 * rank + 8])
+    assert not np.allclose(res.results[0][0], a_glob @ b_glob)
+
+
 def _matmul(schedule):
     """``schedule`` on A in row strips and B in column strips; the
     caller's tiles."""
@@ -108,6 +131,7 @@ SCHEDULES = {
     "pdgemm": _matmul(lambda a, b: pdgemm("N", "N", 1.0, a, b)),
     "cannon_matmul": _matmul(cannon_matmul),
     "cannon_multiply": _direct_cannon,
+    **{name: _matmul(schedule) for name, schedule in REGISTRY.items()},
 }
 
 

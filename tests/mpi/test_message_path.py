@@ -9,9 +9,11 @@ and of a 1024-entry one are one call each — so the bytes handed to
 ``pickle.loads`` are counted beside it (exact on any interpreter).
 ``calls_per_message`` and ``pickle_bytes_per_message`` are also what the
 ``des-smoke`` CI job runs at 1024 ranks.  ``array_bytes_copied`` counts
-the bytes of arrays the sends copy, by phase: Cannon's blocks travel
-frozen, so phase ``cannon`` copies none (the ``perf-gate`` job runs it
-on ``dense_blockcyclic_p16``'s pdgemm).
+the bytes of arrays the sends copy, by phase, allgather windows and
+containers included: every schedule hands the blocks it owns over
+frozen, so phases ``summa``, ``cannon`` and ``replicate`` copy none (the
+``perf-gate`` job runs it on ``dense_blockcyclic_p16``'s pdgemm and on
+all 16 schedules).
 
 The calls are counted by a ``sys.setprofile`` hook installed in every
 strand (``call`` + ``c_call`` events — what ``cProfile`` sums into
@@ -32,12 +34,12 @@ import types
 import numpy as np
 
 from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
-from repro.baselines import matmul_1d
+from repro.baselines import SCHEDULES, matmul_1d
 from repro.core.pdgemm import pdgemm
 from repro.layout.distributions import BlockCol1D, BlockCyclic2D
 from repro.layout.overlap import overlap_table
 from repro.machine.model import pace_phoenix_cpu
-from repro.mpi import comm as comm_module, datatypes
+from repro.mpi import collectives, comm as comm_module, datatypes
 from repro.mpi.des import DesScheduler
 
 
@@ -110,6 +112,29 @@ def calls_per_message(p: int, n: int = 256) -> float:
     return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
 
 
+@contextlib.contextmanager
+def counted_pickles():
+    """``[loaded, dumped]``: the bytes ``repro.mpi.datatypes`` hands to
+    ``pickle.loads`` and gets back from ``pickle.dumps`` inside the block."""
+    counts = [0, 0]
+
+    def loads(blob):
+        counts[0] += len(blob)
+        return pickle.loads(blob)
+
+    def dumps(value, protocol):
+        blob = pickle.dumps(value, protocol=protocol)
+        counts[1] += len(blob)
+        return blob
+
+    original = datatypes.pickle
+    datatypes.pickle = types.SimpleNamespace(**{**vars(pickle), "loads": loads, "dumps": dumps})
+    try:
+        yield counts
+    finally:
+        datatypes.pickle = original
+
+
 def pickle_bytes_per_message(p: int, n: int = 256, layout=None, **run) -> tuple[float, float]:
     """``(unpickled, pickled)`` bytes per delivered message of the same
     run (from ``layout``, of another ``schedule`` or ``shape`` if given):
@@ -120,52 +145,77 @@ def pickle_bytes_per_message(p: int, n: int = 256, layout=None, **run) -> tuple[
     over; each weighs its blocks by the size rule, which pickles
     nothing it knows, so a native run pickles 0 bytes."""
     run = _matmul_run(p, n, layout, **run)
-    loaded = dumped = 0
-
-    def loads(blob):
-        nonlocal loaded
-        loaded += len(blob)
-        return pickle.loads(blob)
-
-    def dumps(value, protocol):
-        nonlocal dumped
-        blob = pickle.dumps(value, protocol=protocol)
-        dumped += len(blob)
-        return blob
-
-    original = datatypes.pickle
-    datatypes.pickle = types.SimpleNamespace(**{**vars(pickle), "loads": loads, "dumps": dumps})
-    try:
+    with counted_pickles() as counts:
         result = run()
-    finally:
-        datatypes.pickle = original
     msgs = sum(t.msgs_sent for t in result.traces)
-    return loaded / msgs, dumped / msgs
+    return counts[0] / msgs, counts[1] / msgs
+
+
+def _sending_phase(frame) -> str:
+    """The phase of the rank whose ``Comm`` the first frame from
+    ``frame`` up that holds one (as ``self`` or ``comm``) belongs to."""
+    while True:
+        for name in ("self", "comm"):
+            comm = frame.f_locals.get(name)
+            if isinstance(comm, comm_module.Comm):
+                return comm.transport.ranks[comm.world_rank].phase
+        frame = frame.f_back
+
+
+@contextlib.contextmanager
+def counted_copies():
+    """``{phase: bytes}`` of the arrays a send copies inside the block, by
+    the sending rank's phase: a top-level array ``datatypes.payload_pack``
+    copies (wrapped where ``Comm``'s three doors — ``send``, ``isend``,
+    ``sendrecv`` — call it), each array ``datatypes.hand_over`` copies
+    into a Bruck window (wrapped where ``allgather`` calls it), and each
+    array a container's private copy copies (``datatypes.private_copy``;
+    an array held twice is copied once)."""
+    copied: dict[str, int] = {}
+
+    def count(nbytes: int) -> None:
+        phase = _sending_phase(sys._getframe(2))
+        copied[phase] = copied.get(phase, 0) + nbytes
+
+    pack, hand_over, copy_of = (comm_module.payload_pack, collectives.hand_over,
+                                datatypes.private_copy)
+
+    def payload_pack(value):
+        packed = pack(value)
+        if type(packed[0]) is np.ndarray and packed[0] is not value:
+            count(packed[0].nbytes)
+        return packed
+
+    def handed(window, sizes):
+        before = list(window)
+        hop = hand_over(window, sizes)
+        for got, block in zip(hop.blocks, before):
+            if got is not block:
+                count(got.nbytes)
+        return hop
+
+    def copied_value(value, memo=None):
+        fresh = type(value) is np.ndarray and (memo is None or id(value) not in memo)
+        got = copy_of(value, memo)
+        if fresh and got is not value:
+            count(got.nbytes)
+        return got
+
+    comm_module.payload_pack, collectives.hand_over, datatypes.private_copy = (
+        payload_pack, handed, copied_value)
+    try:
+        yield copied
+    finally:
+        comm_module.payload_pack, collectives.hand_over, datatypes.private_copy = (
+            pack, hand_over, copy_of)
 
 
 def array_bytes_copied(run) -> dict[str, int]:
-    """Bytes of arrays ``datatypes.payload_pack`` copies while ``run()``
-    executes, by the sending rank's phase.  The pack is wrapped where
-    ``Comm``'s three doors (``send``, ``isend``, ``sendrecv``) call it;
-    the wrapper's caller is the ``Comm``, whose rank's phase is the
-    message's."""
-    copied: dict[str, int] = {}
-    original = comm_module.payload_pack
-
-    def payload_pack(value):
-        packed = original(value)
-        stored = packed[0]
-        if type(stored) is np.ndarray and stored is not value:
-            comm = sys._getframe(1).f_locals["self"]
-            phase = comm.transport.ranks[comm.world_rank].phase
-            copied[phase] = copied.get(phase, 0) + stored.nbytes
-        return packed
-
-    comm_module.payload_pack = payload_pack
-    try:
+    """Bytes of arrays the sends copy while ``run()`` executes, by the
+    sending rank's phase (:func:`counted_copies`): a top-level array,
+    one in an allgather window, one in a container."""
+    with counted_copies() as copied:
         run()
-    finally:
-        comm_module.payload_pack = original
     return copied
 
 
@@ -187,6 +237,77 @@ def test_cannon_copies_no_block_it_owns():
     print(f"array bytes copied by phase: {copied}")
     assert copied.get("cannon", 0) == 0, copied
     assert copied.get("reduce", 0) > 0, copied
+
+
+#: Phases whose sends move only blocks the sending rank owns and never writes.
+OWNED_BLOCK_PHASES = ("summa", "cannon", "replicate")
+
+
+def owned_block_copies(name: str, p: int = 64, n: int = 256) -> tuple[dict[str, int], float]:
+    """``(copied, pickled)`` of schedule ``name`` (``SCHEDULES``) n³ on
+    ``p`` ranks from ``BlockCol1D`` operands: array bytes its sends copy
+    in each of :data:`OWNED_BLOCK_PHASES`, and bytes pickled per message."""
+    run = _matmul_run(p, n, layout=BlockCol1D, schedule=SCHEDULES[name])
+    with counted_copies() as copied, counted_pickles() as pickles:
+        result = run()
+    msgs = sum(t.msgs_sent for t in result.traces)
+    return {phase: copied.get(phase, 0) for phase in OWNED_BLOCK_PHASES}, pickles[1] / msgs
+
+
+def test_no_schedule_copies_a_block_it_owns():
+    """Every schedule freezes the blocks it allocated and never writes
+    again before they travel — the 1D, COSMA and CA3DMM replication
+    allgathers, the 3D and 2.5D layer broadcasts, the 2.5D and Cannon
+    shifts, SUMMA's panels, stationary SUMMA's buffers, CARMA's pieces —
+    so the sends of phases ``summa``, ``cannon`` and ``replicate`` copy
+    no array, allgather windows and containers counted, and no message
+    is pickled.  All 16 ``SCHEDULES`` 256³ at P = 64 from ``BlockCol1D``
+    (the parent read 33.0 MB in ``replicate`` for the 1D schedules, 7.3
+    to 7.8 MB in ``summa`` for the SUMMA family and 3.8 MB pickled per
+    stationary SUMMA run)."""
+    found = {name: owned_block_copies(name) for name in SCHEDULES}
+    for name, (copied, pickled) in found.items():
+        print(f"{name:>10}: copied {copied}, pickled/message {pickled:.1f}")
+    assert {name: sum(copied.values()) for name, (copied, _p) in found.items()} == dict.fromkeys(
+        SCHEDULES, 0), found
+    assert all(pickled == 0.0 for _c, pickled in found.values()), found
+
+
+def test_collectives_hand_frozen_blocks_over():
+    """A 128 KiB broadcast (the long path: scatter, then allgather) of a
+    frozen block, and of a strided view of one (staged by the broadcast
+    in a contiguous copy of its own, frozen too), copies no array at any
+    send; of a writeable block it copies every chunk it sends (3 from
+    the root's scatter, 3 forwarded by each of the 4 ranks).  A
+    ``reduce`` over 4 ranks copies the two leaves' own arrays, never the
+    partial sum rank 2 made, and leaves every caller's array writeable."""
+    base = np.arange(2 * 16_384.0).reshape(128, 256)
+    frozen = datatypes.freeze(base.copy())
+    blocks = {"writeable": base[:, :128].copy(),
+              "frozen": datatypes.freeze(frozen[:, :128].copy()), "frozen_view": frozen[:, ::2]}
+
+    def broadcast(name):
+        def body(comm):
+            return comm.bcast(blocks[name] if comm.rank == 0 else None)
+        return body
+
+    def reduce(comm):
+        mine = np.full(4, comm.rank + 1.0)
+        total = comm.reduce(mine)
+        return total, mine.flags.writeable
+
+    machine = pace_phoenix_cpu("mpi")
+    for name, block in blocks.items():
+        with counted_copies() as copied:
+            res = run_spmd(4, broadcast(name), machine=machine)
+        assert all(np.array_equal(got, block) for got in res.results), name
+        chunks = 0 if name != "writeable" else 3 + 4 * 3
+        assert sum(copied.values()) == chunks * block.nbytes // 4, (name, copied)
+    with counted_copies() as copied:
+        res = run_spmd(4, reduce, machine=machine)
+    assert res.results[0][0].tolist() == [10.0] * 4
+    assert all(writeable for _total, writeable in res.results)
+    assert sum(copied.values()) == 2 * 32, copied
 
 
 def test_a_foreign_layout_pickles_no_batch():

@@ -449,7 +449,7 @@ WINDOW_DTYPES = ["float32", "float64", "complex64", "complex128", "int64", "bool
 def _array(dtype: str, kind: str, r: int) -> np.ndarray:
     shape = {"empty": (0, 3 + r % 2), "vector": (5 + r,), "one": (1, 1), "grid": (3, 4 + r),
              "cube": (2, 1, 3), "fortran": (4 + r % 3, 3), "strided": (6, 7 + r),
-             "read_only": (3, 5 + 4 * r)}[kind]
+             "read_only": (3, 5 + 4 * r), "frozen": (4, 2 + r), "frozen_slice": (5, 4 + r)}[kind]
     a = ((np.arange(int(np.prod(shape))) + r) % (2 if dtype == "bool" else 7)).astype(dtype)
     a = a.reshape(shape)
     if kind == "fortran":
@@ -458,16 +458,22 @@ def _array(dtype: str, kind: str, r: int) -> np.ndarray:
         return a[::2, 1::2]
     if kind == "read_only":
         a.flags.writeable = False
+    if kind == "frozen":
+        return freeze(a.copy())
+    if kind == "frozen_slice":
+        return freeze(a.copy())[1:, ::2]
     return a
 
 
 @st.composite
 def contributions(draw):
     """One value per rank: arrays of one dtype (now and then of two), of
-    every shape and layout a block can have, and here and there ``None``."""
+    every shape and layout a block can have, frozen or not, and here and
+    there ``None``."""
     p = draw(st.integers(1, 9))
     dtypes = draw(st.lists(st.sampled_from(WINDOW_DTYPES), min_size=1, max_size=2))
-    kinds = ["empty", "vector", "one", "grid", "cube", "fortran", "strided", "read_only"]
+    kinds = ["empty", "vector", "one", "grid", "cube", "fortran", "strided", "read_only",
+             "frozen", "frozen_slice"]
     values = []
     for r in range(p):
         if draw(st.integers(0, 9)) == 0:
@@ -478,13 +484,15 @@ def contributions(draw):
 
 
 class TestArrayWindows:
-    """An allgather of arrays hands each window over as private copies."""
+    """An allgather of arrays hands each window over: frozen arrays as
+    they are, every other array as a private copy."""
 
     @settings(max_examples=60, deadline=None)
     @given(contributions())
     def test_every_rank_gets_every_contribution(self, values):
-        """Its own as it is, everyone else's as a copy sharing no memory
-        with any other rank's, in the order it was in."""
+        """Its own as it is, a frozen one (a slice of a frozen array too)
+        as that same object, everyone else's as a copy sharing no memory
+        with the sender's or any other rank's, in the order it was in."""
         p = len(values)
 
         def body(comm):
@@ -495,12 +503,15 @@ class TestArrayWindows:
             np.testing.assert_equal(got, values)
             assert got[rank] is values[rank]
             for r, v in enumerate(got):
-                if r != rank and v is not None:
+                if is_frozen(values[r]):
+                    assert v is values[r]
+                elif r != rank and v is not None:
                     assert not np.shares_memory(v, values[r])
                     fortran = values[r].flags.f_contiguous and not values[r].flags.c_contiguous
                     assert v.flags.f_contiguous if fortran else v.flags.c_contiguous
         received = [v for rank, got in enumerate(res.results)
-                    for r, v in enumerate(got) if r != rank and v is not None]
+                    for r, v in enumerate(got)
+                    if r != rank and v is not None and not is_frozen(values[r])]
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(received) for b in received[i + 1:])
 
@@ -988,9 +999,11 @@ class TestFrozenArrays:
 
     @pytest.mark.parametrize("kind", ["writeable", "read_only_view", "read_only_slice"])
     def test_anything_else_is_copied(self, kind):
-        """A writeable array and read-only views (of a writeable array, and
-        a slice of a frozen one) each travel as a writeable C-order copy
-        of their own: only an array that owns its memory is frozen."""
+        """A writeable array and a read-only view of a writeable array
+        each travel as a writeable C-order copy of their own: a write to
+        the base would reach the view.  A read-only slice of a frozen
+        array is frozen too — numpy makes no view of it writeable — and
+        travels as it is, strided, weighing its elements."""
         base = np.arange(24.0).reshape(4, 6).copy()
         if kind == "writeable":
             value = base
@@ -999,11 +1012,16 @@ class TestFrozenArrays:
             value.flags.writeable = False
         else:
             value = frozen_block()[:, 1::2]
-        assert not is_frozen(value)
         stored, nbytes, handed = payload_pack(value)
-        assert handed and stored is not value and not np.shares_memory(stored, value)
+        assert handed and nbytes == value.nbytes
+        if kind == "read_only_slice":
+            assert is_frozen(value) and stored is value
+            assert not value.flags.c_contiguous and nbytes == 48
+            return
+        assert not is_frozen(value)
+        assert stored is not value and not np.shares_memory(stored, value)
         assert stored.flags.writeable and stored.flags.c_contiguous
-        assert np.array_equal(stored, value) and nbytes == value.nbytes
+        assert np.array_equal(stored, value)
 
     def test_a_0d_array_stays_0d(self):
         stored, nbytes, handed = payload_pack(np.array(3.0))
@@ -1076,6 +1094,64 @@ class TestCorruptionLandsOnTheReceiversCopy:
             assert got[rank] is mine and np.array_equal(mine, block(rank))
             off = sum(int(np.count_nonzero(g != block(r))) for r, g in enumerate(got))
             assert off == (1 if rank == 0 else 0), rank
+
+
+    def test_a_frozen_block_in_a_window_is_flipped_on_a_copy(self):
+        """The same link and hop, every contribution frozen: rank 2 hands
+        rank 0 blocks 2 and 3 themselves, shared with every other rank.
+        The flip lands on a frozen copy that replaces one of them in that
+        window alone: every rank's own block and every other receiver's
+        block is the sender's object, unchanged."""
+        p = 4
+        plan = FaultPlan(seed=3, links=(
+            LinkFault(src=2, dst=0, corrupt_phase="replicate", corrupt_at=(0,)),))
+        blocks = [freeze(np.arange(12.0).reshape(3, 4) * (r + 1)) for r in range(p)]
+
+        def body(comm):
+            with comm.phase("replicate"):
+                return comm.allgather(blocks[comm.rank])
+
+        res = run_spmd(p, body, machine=laptop(), faults=plan)
+        assert [t.corruptions_injected for t in res.traces] == [0, 0, 1, 0]
+        for r, block in enumerate(blocks):
+            assert is_frozen(block)
+            assert np.array_equal(block, np.arange(12.0).reshape(3, 4) * (r + 1))
+        for rank, got in enumerate(res.results):
+            flipped = [r for r, g in enumerate(got) if g is not blocks[r]]
+            if rank != 0:
+                assert flipped == [], rank
+                continue
+            (r,) = flipped
+            assert r in (2, 3) and is_frozen(got[r])
+            assert int(np.count_nonzero(got[r] != blocks[r])) == 1
+
+    def test_a_frozen_block_in_a_container_is_flipped_on_a_copy(self):
+        """Rank 0 sends one dict holding two frozen blocks, one in a list
+        and one in a tuple, to ranks 1 and 2; every element of the message
+        to rank 1 may flip.  Rank 1 gets a frozen copy of each block it
+        holds a flip of, in a container of its own; rank 2 gets the
+        blocks themselves; rank 0's blocks are unchanged."""
+        plan = FaultPlan(seed=3, links=(LinkFault(src=0, dst=1, corrupt_at=(0,),
+                                                  corrupt_elems=24),))
+        first, second = frozen_block(), freeze(frozen_block() * 2)
+
+        def body(comm):
+            if comm.rank == 0:
+                for dest in (1, 2):
+                    comm.send({"a": [first], "b": (7, second)}, dest)
+                return None
+            return comm.recv(source=0)
+
+        res = run_spmd(3, body, machine=laptop(), faults=plan)
+        assert [t.corruptions_injected for t in res.traces] == [1, 0, 0]
+        assert np.array_equal(first, frozen_block()) and is_frozen(first)
+        assert np.array_equal(second, frozen_block() * 2) and is_frozen(second)
+        clean, hit = res.results[2], res.results[1]
+        assert clean["a"][0] is first and clean["b"][1] is second and clean["b"][0] == 7
+        for got, block in ((hit["a"][0], first), (hit["b"][1], second)):
+            assert got is not block and is_frozen(got)
+            assert 0 < int(np.count_nonzero(got != block)) <= 24
+        assert hit["b"][0] == 7
 
 
 class TestCorruptionFindsNothingToFlip:

@@ -44,17 +44,26 @@ class TestPayloads:
         assert stored.flags["C_CONTIGUOUS"]
 
     def test_object_pack_weighs_its_contents(self):
-        """A dict travels as its pickle and weighs its key and value."""
-        stored, nbytes, is_array = payload_pack({"a": 1})
-        assert not is_array
+        """A dict travels as a private copy, not a pickle, and weighs its
+        key and value."""
+        value = {"a": 1}
+        stored, nbytes, handed = payload_pack(value)
+        assert handed and stored is not value
         assert nbytes == 1 + 8
-        assert payload_unpack(stored, False) == {"a": 1}
+        assert payload_unpack(stored, True) == {"a": 1}
 
     def test_object_pack_isolates_mutation(self):
-        obj = [1, 2, 3]
-        stored, _, _ = payload_pack(obj)
+        """A list is copied all the way down: what the sender changes
+        after the pack, in the list, a list in it or an array in it, the
+        receiver's copy does not see."""
+        inner, arr = [2], np.ones(2)
+        obj = [1, inner, arr]
+        stored, _, handed = payload_pack(obj)
         obj.append(4)
-        assert payload_unpack(stored, False) == [1, 2, 3]
+        inner.append(3)
+        arr[:] = -1
+        got = payload_unpack(stored, handed)
+        assert handed and got[:2] == [1, [2]] and got[2].tolist() == [1.0, 1.0]
 
 
 class TestDirectTransport:
