@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core.reduce_c import split_block
+from ..core.reduce_c import freeze_partial, split_block
 from ..core.steps import NativeDists, enter, leave, problem_dims
 from ..layout.distributions import BlockCol1D, BlockRow1D, Distribution
 from ..layout.matrix import DistMatrix
@@ -77,6 +77,7 @@ def matmul_1d_k(a: DistMatrix, b: DistMatrix, c_dist: Distribution | None = None
         comm.gemm_tick(m, n, a_loc.shape[1])
         c_part = a_loc @ b_loc if a_loc.shape[1] else np.zeros((m, n), a_loc.dtype)
     with comm.phase("reduce"):
+        c_part = freeze_partial(comm, c_part)
         c_loc = comm.reduce_scatter(split_block(c_part, comm.size, by_cols=False))
     return leave(comm, native[2], c_loc, c_dist)
 

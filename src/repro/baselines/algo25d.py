@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.reduce_c import freeze_partial
 from ..core.steps import enter, leave, problem_dims
 from ..grid.optimizer import GridSpec
 from ..layout.blocks import block_range
@@ -124,5 +125,5 @@ def algo25d_matmul(
                         b_blk, cart.up(1), cart.down(1), _TAG_SHIFT_B, _TAG_SHIFT_B
                     ))
         with comm.phase("reduce"):
-            c_sum = fiber.reduce(c_part, root=0)
+            c_sum = fiber.reduce(freeze_partial(fiber, c_part), root=0)
     return leave(comm, native[2], c_sum, c_dist)

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..core.reduce_c import freeze_partial
 from ..core.steps import enter, leave, problem_dims
 from ..grid.optimizer import GridSpec
 from ..layout.blocks import Rect, block_range
@@ -102,5 +103,5 @@ def algo3d_matmul(
             comm.gemm_tick(a_blk.shape[0], b_blk.shape[1], a_blk.shape[1])
             c_part = a_blk @ b_blk
         with comm.phase("reduce"):
-            c_sum = kfiber.reduce(c_part, root=0)
+            c_sum = kfiber.reduce(freeze_partial(kfiber, c_part), root=0)
     return leave(comm, native[2], c_sum, c_dist)

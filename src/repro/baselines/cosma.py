@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.reduce_c import reduce_over_k
+from ..core.reduce_c import freeze_partial, reduce_over_k
 from ..core.steps import enter, grid_native_dists, leave, problem_dims
 from ..grid.optimizer import DEFAULT_L, GridSpec, cosma_grid
 from ..layout.distributions import Distribution
@@ -115,5 +115,5 @@ def cosma_matmul(
                 c_part = np.zeros((mi, ni), dtype=out_dtype)
 
         with comm.phase("reduce"):
-            c_strip = reduce_over_k(kgroup, c_part)
+            c_strip = reduce_over_k(kgroup, freeze_partial(kgroup, c_part))
     return leave(comm, native[2], c_strip, c_dist)

@@ -421,10 +421,10 @@ def baseline_artifact(
     machine: MachineModel | None = None,
 ) -> Path:
     """Write (or refresh) :func:`workload_baseline` of ``name`` under
-    ``outdir/<name>.json`` — what ``repro perfdiff`` and the CI perf-gate
-    compare later runs against, and what ``perfdiff --update`` and
-    ``python -m repro.bench --baseline-dir`` both call.  Returns the
-    written path."""
+    ``outdir/<name>.json`` — the committed side of ``repro perfdiff``'s
+    :func:`~repro.obs.baseline.check_gate` (the CI perf-gate), and what
+    ``perfdiff --update`` and ``python -m repro.bench --baseline-dir``
+    both call.  Returns the written path."""
     from ..obs.baseline import BaselineStore
 
     return BaselineStore(outdir).save(name, workload_baseline(name, machine))

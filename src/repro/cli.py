@@ -55,9 +55,13 @@ from .machine.model import pace_phoenix_cpu, pace_phoenix_gpu
 from .mpi.faults import FaultPlan, LinkFault, RankFault
 from .obs.audit import audit_run
 from .obs.baseline import (
+    PERF_RULES,
     BaselineStore,
     GateError,
     check_gate,
+    gate_rule,
+    perf_metrics,
+    relative_change,
     write_gate,
 )
 from .obs.critpath import critpath_report
@@ -191,7 +195,6 @@ def _example_main(args) -> int:
     if args.json:
         phase_names = sorted({name for t in timings for name in t})
         doc = {
-            "schema_version": 1,
             "problem": {
                 "m": m, "n": n, "k": k, "nprocs": p,
                 "transA": args.transA, "transB": args.transB,
@@ -208,8 +211,7 @@ def _example_main(args) -> int:
             "metrics": snapshot_run(result, plan).to_dict(),
             "audit": audit_run(result, plan, nruns=nruns).to_dict(),
         }
-        validate_run_json(doc)
-        print(json.dumps(doc, indent=2))
+        _print_document(doc, validate_run_json)
         return 0 if errors == 0 else 1
 
     print(f"Rank 0 work buffer size     : {peak / 2 ** 20:.2f} MBytes")
@@ -291,6 +293,28 @@ def _print_timeline(args, result) -> None:
         print(render_timeline(result, highlight_critical=True))
 
 
+def _print_document(doc: dict, validate=None) -> None:
+    """Print one ``--json`` document: ``schema_version`` 1, then ``doc``'s
+    keys in order (checked by ``validate`` first, when given)."""
+    doc = {"schema_version": 1, **doc}
+    if validate is not None:
+        validate(doc)
+    print(json.dumps(doc, indent=2))
+
+
+def _print_checks(gate: dict, tol, label: str, width: int, everything: bool = True) -> None:
+    """One line per check of a :func:`repro.obs.baseline.check_gate`
+    block, judged by its rule in ``tol`` (``everything`` False: only the
+    checks that regressed or improved)."""
+    for c in gate["checks"]:
+        rule = gate_rule(tol, c[label])
+        verdict = rule.verdict(c["baseline"], c["measured"])
+        if everything or verdict != "ok":
+            print(f"  gate {c[label]:<{width}}: measured {c['measured']:.6g} "
+                  f"vs baseline {c['baseline']:.6g} "
+                  f"({relative_change(c['baseline'], c['measured'])}, {rule})  {verdict}")
+
+
 def _print_gated(args, to_dict, fmt, text: tuple[str, str, int],
                  values: dict, gated: tuple[str, ...]) -> bool:
     """Print a report of ``audit`` / ``memprof`` through ``--update-gate``
@@ -319,11 +343,7 @@ def _print_gated(args, to_dict, fmt, text: tuple[str, str, int],
     else:
         print(fmt())
         if gate is not None:
-            for c in gate["checks"]:
-                print(f"  gate {c[label]:<{width}}: measured {c['measured']:.4f} "
-                      f"vs baseline {c['baseline']:.4f} "
-                      f"(tol {100 * args.gate_tol:.1f}%)  "
-                      + ("ok" if c["ok"] else "REGRESSION"))
+            _print_checks(gate, args.gate_tol, label, width)
             print(f"{name} gate: " + ("OK" if gate["ok"] else "FAIL"))
     return gate is None or gate["ok"]
 
@@ -375,31 +395,33 @@ def _perfdiff_main(args) -> int:
                 print(f"baseline refreshed: {path}")
         return 0
     store = BaselineStore(args.baseline_dir)
-    diffs, missing = [], []
+    gates, missing = {}, []
     for name in names:
-        diff = store.compare(name, workload_baseline(name))
-        if diff is None:
+        base = store.load(name)
+        if base is None:
             missing.append(name)
-        else:
-            diffs.append(diff)
+            continue
+        current = workload_baseline(name)
+        gates[name] = check_gate(store.path(name), current["workload"],
+                                 perf_metrics(base, current), PERF_RULES, "metric")
 
-    ok = not missing and all(d.ok for d in diffs)
+    ok = not missing and all(g["ok"] for g in gates.values())
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
+        _print_document({
             "baseline_dir": args.baseline_dir,
             "ok": ok,
             "missing": missing,
-            "workloads": [d.to_dict() for d in diffs],
-        }, indent=2))
+            "workloads": [{"name": name, **gate} for name, gate in gates.items()],
+        })
     else:
-        for d in diffs:
-            print(d.format(verbose=args.verbose))
+        for name, gate in gates.items():
+            print(f"{name}: " + ("OK" if gate["ok"] else "REGRESSION"))
+            _print_checks(gate, PERF_RULES, "metric", 28, everything=args.verbose)
         for name in missing:
             print(f"{name}: NO BASELINE (run with --update and commit "
                   f"{store.path(name)})")
         print("perfdiff: " + ("OK" if ok else "FAIL")
-              + f" ({len(diffs)} compared, {len(missing)} missing)")
+              + f" ({len(gates)} compared, {len(missing)} missing)")
     return 0 if ok else 1
 
 
@@ -434,7 +456,6 @@ def _faults_main(args) -> int:
     if args.json:
         m, n, k, p = _shape(args)
         doc = {
-            "schema_version": 1,
             "problem": {"m": m, "n": n, "k": k, "nprocs": p},
             "plan": fault_plan.to_dict(),
             "clean_makespan_s": clean.time,
@@ -446,7 +467,7 @@ def _faults_main(args) -> int:
             "injected_wait_s": fm.injected_wait_s,
             "critpath": report.to_dict(),
         }
-        print(json.dumps(doc, indent=2))
+        _print_document(doc)
         return 0 if ok else 1
 
     print(f"fault plan        : {args.plan or 'demo (drop first cannon msg/link)'}"
@@ -538,7 +559,6 @@ def _recover_main(args) -> int:
 
     if args.json:
         doc = {
-            "schema_version": 1,
             "problem": {"m": m, "n": n, "k": k, "nprocs": p},
             "plan": fault_plan.to_dict(),
             "abft": abft,
@@ -566,7 +586,7 @@ def _recover_main(args) -> int:
             doc["salvage"] = [
                 {**row, "rect": list(row["rect"])} for row in salvage
             ]
-        print(json.dumps(doc, indent=2))
+        _print_document(doc)
         return 0 if ok else 1
 
     print(f"fault plan        : "
@@ -676,7 +696,6 @@ def _checkpoint_main(args) -> int:
 
     if args.json:
         doc = {
-            "schema_version": 1,
             "problem": {"m": m, "n": n, "k": k, "nprocs": p},
             "calls": args.calls,
             "ckpt_every": args.ckpt_every,
@@ -698,7 +717,7 @@ def _checkpoint_main(args) -> int:
             "tolerance": pair.tolerance,
             "correct": ok,
         }
-        print(json.dumps(doc, indent=2))
+        _print_document(doc)
         return 0 if ok else 1
 
     mode = "escaped (pipeline restart)" if args.escaped else "in-call (partial reuse)"

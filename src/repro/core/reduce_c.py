@@ -19,6 +19,7 @@ import numpy as np
 
 from ..layout.blocks import block_range
 from ..mpi.comm import Comm
+from ..mpi.datatypes import freeze
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ft.abft import AbftGuard
@@ -53,6 +54,14 @@ def split_block(c_loc: np.ndarray, parts: int, by_cols: bool) -> list[np.ndarray
             f"({parts} parts)"
         )
     return out
+
+
+def freeze_partial(kcomm: Comm, c_part: np.ndarray) -> np.ndarray:
+    """``c_part``, the partial block this rank allocated, frozen when
+    ``kcomm`` has more than one rank: it dies in the k-reduction, so its
+    pieces travel uncopied.  A group of one returns it as the output
+    tile, which stays writeable."""
+    return freeze(c_part) if kcomm.size > 1 else c_part
 
 
 def reduce_over_k(
@@ -101,4 +110,4 @@ def reduce_partial_c(
     if kred_comm.size == 1:
         return c_loc
     with reduce_scratch(kred_comm, c_loc, by_cols):
-        return reduce_over_k(kred_comm, c_loc, by_cols)
+        return reduce_over_k(kred_comm, freeze(c_loc), by_cols)

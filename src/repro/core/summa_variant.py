@@ -27,7 +27,7 @@ from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
 from ..mpi.datatypes import freeze
 from ..mpi.topology import Cart2D, grid_comms
-from .reduce_c import reduce_over_k
+from .reduce_c import freeze_partial, reduce_over_k
 from .steps import enter, grid_native_dists, leave, problem_dims
 from .summa import DEFAULT_PANEL, summa_on_grid
 
@@ -57,5 +57,5 @@ def ca3dmm_s_matmul(
             # every panel is a frozen view that no broadcast hop copies.
             c_part = summa_on_grid(cart, freeze(a_loc), freeze(b_loc), m, n, kg, panel=panel)
         with comm.phase("reduce"):
-            c_strip = reduce_over_k(kred, c_part)
+            c_strip = reduce_over_k(kred, freeze_partial(kred, c_part))
     return leave(comm, native[2], c_strip, c_dist)

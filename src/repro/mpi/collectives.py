@@ -157,7 +157,8 @@ def _bcast_binomial(comm, value: Any, root: int, tag: int) -> Any:
 
 
 def bcast(comm, value: Any, root: int = 0) -> Any:
-    """Broadcast from ``root``; everyone returns the value.
+    """Broadcast from ``root``; everyone returns the value, the root the
+    very object it passed.
 
     Long numpy arrays use van de Geijn scatter+allgather — the algorithm
     behind the paper's ``T_broadcast`` formula; everything else uses a
@@ -187,6 +188,8 @@ def bcast(comm, value: Any, root: int = 0) -> Any:
                 chunks = None
             mine = scatter(comm, chunks, root)
             parts = allgather(comm, mine)
+            if comm.rank == root:  # it holds the value already, as on the short path
+                return value
             return np.concatenate(parts).reshape(shape).astype(dtype, copy=False)
 
 

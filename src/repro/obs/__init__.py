@@ -37,10 +37,11 @@ from .audit import (
 from .baseline import (
     BASELINE_JSON_SCHEMA,
     BaselineStore,
-    PerfDelta,
-    PerfDiff,
+    GateError,
+    Rule,
     capture_baseline,
-    compare_baseline,
+    check_gate,
+    perf_metrics,
     validate_baseline_json,
 )
 from .critpath import (
@@ -108,6 +109,7 @@ __all__ = [
     "CritPathReport",
     "CriticalPath",
     "DEFAULT_LEDGER_PATH",
+    "GateError",
     "LEDGER_RECORD_SCHEMA",
     "Ledger",
     "LedgerError",
@@ -115,13 +117,12 @@ __all__ = [
     "MemAuditError",
     "MemReport",
     "PathSegment",
-    "PerfDelta",
-    "PerfDiff",
     "PhaseAudit",
     "PhaseBlame",
     "RUN_JSON_SCHEMA",
     "RankBreakdown",
     "RankMemProfile",
+    "Rule",
     "RunMetrics",
     "Span",
     "Straggler",
@@ -131,9 +132,9 @@ __all__ = [
     "audit_run",
     "capture_baseline",
     "check_audit",
+    "check_gate",
     "check_mem",
     "chrome_trace",
-    "compare_baseline",
     "critical_path",
     "critpath_report",
     "drift_report",
@@ -143,6 +144,7 @@ __all__ = [
     "memprof_run",
     "overlap_by_phase",
     "pebbling_lower_bound",
+    "perf_metrics",
     "phase_blame",
     "rank_decomposition",
     "snapshot_run",

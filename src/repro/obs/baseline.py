@@ -14,10 +14,14 @@ A baseline document records, per workload: the makespan, the per-phase
 :mod:`repro.obs.critpath` — the quantity that actually prices the
 schedule, unlike overlappable per-phase elapsed times), per-phase
 elapsed seconds for context, and the traffic counters the paper's Q/L
-metrics read.  :func:`compare_baseline` diffs two documents under the
-tolerances below and classifies every metric as ok / improved /
-regressed; ``repro perfdiff`` turns that into an exit code, and the CI
-perf-gate job runs it against the committed baselines on every push.
+metrics read.
+
+:func:`check_gate` is the one place a measured value meets a committed
+one, under a :class:`Rule` per key: ``repro perfdiff`` gates
+:func:`perf_metrics` of a fresh run under :data:`PERF_RULES` (the CI
+perf-gate job runs it against the committed baselines on every push),
+and ``repro audit --gate`` / ``repro memprof --gate`` gate the files
+:func:`write_gate` left under one relative tolerance.
 
 Refreshing after an intentional change::
 
@@ -25,17 +29,13 @@ Refreshing after an intentional change::
     # or: python -m repro.cli perfdiff --update
 
 then commit the rewritten JSON files alongside the change.
-
-:func:`write_gate` / :func:`check_gate` are the one-sided gate behind
-``repro audit --gate`` and ``repro memprof --gate``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from .critpath import critpath_report
 
@@ -108,85 +108,52 @@ def validate_baseline_json(doc: Any) -> None:
     _validate(doc, BASELINE_JSON_SCHEMA)
 
 
-#: Allowed drift before a metric counts as a regression.  Executed runs
-#: are deterministic, so these are tight: they absorb float noise, not
-#: real schedule changes.  ``PHASE_ABS_S`` is an absolute floor under which
-#: per-phase critical-time changes never fail (protects near-empty
-#: phases where one latency α is a huge relative change); message
-#: counts must match exactly.
+class Rule(NamedTuple):
+    """How far a gated value may move from its baseline: by ``rel`` of
+    the baseline's magnitude or by ``floor``, whichever is larger —
+    upward only, or both ways when ``both`` (a count that must not
+    change in either direction)."""
+
+    rel: float
+    floor: float = 0.0
+    both: bool = False
+
+    def verdict(self, baseline: float, measured: float) -> str:
+        """``"ok"``, ``"REGRESSION"``, or ``"improved"``: a one-sided
+        rule's value that fell by more than it may rise."""
+        slack = max(self.rel * abs(baseline), self.floor)
+        if measured > baseline + slack:
+            return "REGRESSION"
+        if measured < baseline - slack:
+            return "REGRESSION" if self.both else "improved"
+        return "ok"
+
+    def __str__(self) -> str:
+        floor = f" or {self.floor:g}" if self.floor else ""
+        return f"tol {100 * self.rel:.1f}%{floor}" + (" both ways" if self.both else "")
+
+
+#: Allowed drift before a perf metric counts as a regression.  Executed
+#: runs are deterministic, so these are tight: they absorb float noise,
+#: not real schedule changes.  ``PHASE_ABS_S`` is an absolute floor under
+#: which per-phase critical-time changes never fail (protects near-empty
+#: phases where one latency α is a huge relative change); message counts
+#: must match exactly, in both directions — a schedule that silently
+#: gained or lost rounds changed, whether or not it got faster.
 TIME_REL = 0.03
 PHASE_REL = 0.10
 PHASE_ABS_S = 1e-7
 BYTES_REL = 0.02
 
-
-@dataclass(frozen=True)
-class PerfDelta:
-    """One compared metric: baseline vs current."""
-
-    metric: str
-    baseline: float
-    current: float
-    rel_change: float | None  #: (current - baseline) / |baseline|; None = new
-    regressed: bool
-    improved: bool
-
-    @property
-    def verdict(self) -> str:
-        if self.regressed:
-            return "REGRESSED"
-        return "improved" if self.improved else "ok"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "current": self.current,
-            "rel_change": self.rel_change,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass
-class PerfDiff:
-    """The comparison of one workload's run against its baseline."""
-
-    name: str
-    deltas: list[PerfDelta] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(d.regressed for d in self.deltas)
-
-    @property
-    def regressions(self) -> list[PerfDelta]:
-        return [d for d in self.deltas if d.regressed]
-
-    @property
-    def improvements(self) -> list[PerfDelta]:
-        return [d for d in self.deltas if d.improved]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "deltas": [d.to_dict() for d in self.deltas],
-        }
-
-    def format(self, verbose: bool = False) -> str:
-        head = f"{self.name}: " + ("OK" if self.ok else "REGRESSION")
-        if self.improvements:
-            head += f" ({len(self.improvements)} improved)"
-        lines = [head]
-        for d in self.deltas:
-            if not verbose and not d.regressed and not d.improved:
-                continue
-            change = "new" if d.rel_change is None else f"{100 * d.rel_change:+.2f}%"
-            lines.append(
-                f"  {d.metric:<28} {d.baseline:.6e} -> {d.current:.6e} "
-                f"({change:>8})  {d.verdict}"
-            )
-        return "\n".join(lines)
+#: ``repro perfdiff``'s rule per metric; a rule named for a table
+#: (``phase_critical_s``) covers each of its entries.
+PERF_RULES: dict[str, Rule] = {
+    "makespan_s": Rule(TIME_REL),
+    "phase_critical_s": Rule(PHASE_REL, PHASE_ABS_S),
+    "traffic[max_bytes_sent]": Rule(BYTES_REL),
+    "traffic[total_bytes]": Rule(BYTES_REL),
+    "traffic[max_msgs_sent]": Rule(0.0, both=True),
+}
 
 
 # ------------------------------------------------------------- capture -- #
@@ -232,81 +199,19 @@ def capture_baseline(
     return doc
 
 
-# ------------------------------------------------------------- compare -- #
-def _delta(
-    metric: str,
-    base: float,
-    cur: float,
-    rel_tol: float,
-    abs_tol: float = 0.0,
-    fail_on_decrease: bool = False,
-) -> PerfDelta:
-    diff = cur - base
-    # no ratio to a zero baseline: the metric is new (or still zero)
-    rel = diff / abs(base) if base else (None if diff else 0.0)
-    over = diff > max(rel_tol * abs(base), abs_tol)
-    under = -diff > max(rel_tol * abs(base), abs_tol)
-    return PerfDelta(
-        metric=metric,
-        baseline=base,
-        current=cur,
-        rel_change=rel,
-        regressed=over or (fail_on_decrease and under),
-        improved=under and not fail_on_decrease,
-    )
-
-
-def compare_baseline(baseline: dict[str, Any], current: dict[str, Any]) -> PerfDiff:
-    """Diff two baseline documents (``baseline`` committed, ``current`` fresh).
-
-    Compared metrics: makespan, per-phase critical seconds (union of
-    phases; a phase absent on one side counts as zero), max/total bytes
-    sent, and max messages sent.  Message-count changes regress in
-    *either* direction — a schedule that silently gained or lost rounds
-    changed, whether or not it got faster — while time/byte improvements
-    beyond tolerance are reported as such without failing.
-    """
-    deltas: list[PerfDelta] = [
-        _delta(
-            "makespan_s",
-            float(baseline["makespan_s"]),
-            float(current["makespan_s"]),
-            TIME_REL,
-        )
-    ]
-    base_ph = baseline.get("phase_critical_s", {})
-    cur_ph = current.get("phase_critical_s", {})
-    for phase in sorted(set(base_ph) | set(cur_ph)):
-        deltas.append(
-            _delta(
-                f"phase_critical_s[{phase}]",
-                float(base_ph.get(phase, 0.0)),
-                float(cur_ph.get(phase, 0.0)),
-                PHASE_REL,
-                abs_tol=PHASE_ABS_S,
-            )
-        )
-    base_tr = baseline.get("traffic", {})
-    cur_tr = current.get("traffic", {})
-    for key in ("max_bytes_sent", "total_bytes"):
-        deltas.append(
-            _delta(
-                f"traffic[{key}]",
-                float(base_tr.get(key, 0)),
-                float(cur_tr.get(key, 0)),
-                BYTES_REL,
-            )
-        )
-    deltas.append(
-        _delta(
-            "traffic[max_msgs_sent]",
-            float(base_tr.get("max_msgs_sent", 0)),
-            float(cur_tr.get("max_msgs_sent", 0)),
-            0.0,
-            fail_on_decrease=True,
-        )
-    )
-    return PerfDiff(name=str(current.get("name") or baseline.get("name") or ""), deltas=deltas)
+def perf_metrics(baseline: dict[str, Any], current: dict[str, Any]) -> dict[str, float]:
+    """``current``'s compared metrics under their gate names: the
+    makespan, ``phase_critical_s[<phase>]`` over the phases of both
+    documents (a phase absent from ``current`` is zero), and
+    ``traffic[<key>]`` for the bytes and message counters."""
+    phases = current["phase_critical_s"]
+    return {
+        "makespan_s": current["makespan_s"],
+        **{f"phase_critical_s[{p}]": phases.get(p, 0.0)
+           for p in sorted(set(phases) | set(baseline["phase_critical_s"]))},
+        **{f"traffic[{key}]": current["traffic"][key]
+           for key in ("max_bytes_sent", "total_bytes", "max_msgs_sent")},
+    }
 
 
 # --------------------------------------------------------------- store -- #
@@ -342,22 +247,6 @@ class BaselineStore:
             fh.write("\n")
         return path
 
-    def compare(self, name: str, current: dict[str, Any]) -> PerfDiff | None:
-        """Diff ``current`` against the stored baseline (None if missing).
-
-        Raises :class:`GateError` when the stored document was captured
-        for another ``workload`` than ``current``'s.
-        """
-        base = self.load(name)
-        if base is None:
-            return None
-        if base["workload"] != current["workload"]:
-            raise GateError(
-                f"baseline {self.path(name)} is for workload {base['workload']}, "
-                f"this run is {current['workload']}"
-            )
-        return compare_baseline(base, current)
-
 
 # ---------------------------------------------------------------- gate -- #
 class GateError(ValueError):
@@ -375,16 +264,38 @@ def write_gate(
         fh.write("\n")
 
 
+def gate_rule(tol: float | Mapping[str, Rule], key: str) -> Rule:
+    """The rule ``tol`` sets for ``key``: one relative tolerance that
+    every key may rise by, or a table of rules by key, where a rule
+    named for a table covers each ``table[entry]``."""
+    if not isinstance(tol, Mapping):
+        return Rule(tol)
+    return tol[key] if key in tol else tol[key.partition("[")[0]]
+
+
+def relative_change(baseline: float, measured: float) -> str:
+    """``measured`` against ``baseline`` as a signed percentage, or
+    ``"new"`` when the baseline is zero and the value is not: no ratio
+    to zero is printed."""
+    if not baseline:
+        return "new" if measured else "+0.00%"
+    return f"{100 * (measured - baseline) / abs(baseline):+.2f}%"
+
+
 def check_gate(
     path: str | Path,
     workload: dict[str, int],
     measured: dict[str, float | None],
-    tol: float,
+    tol: float | Mapping[str, Rule],
     label: str,
 ) -> dict[str, Any]:
-    """Gate ``measured`` against the baseline :func:`write_gate` left at ``path``.
+    """Gate ``measured`` against the committed baseline at ``path``.
 
-    A key passes when ``measured <= baseline * (1 + tol)``; one the run
+    Each key is judged by its :func:`gate_rule`: ``tol`` is a relative
+    tolerance every key may rise by (``audit`` / ``memprof
+    --gate-tol``) or a :class:`Rule` table (``perfdiff``'s
+    :data:`PERF_RULES`).  A key ``table[entry]`` reads that entry of the
+    baseline's table, zero when the table lacks it.  A key the run
     could not measure (``None``) is skipped, and a gate that checked
     nothing fails.  Returns the reports' ``gate`` block, each check
     named under ``label``.  Raises :class:`GateError` unless the file is
@@ -405,11 +316,15 @@ def check_gate(
         )
     checks = []
     for key, value in measured.items():
-        expected = base.get(key)
+        table, _, entry = key.partition("[")
+        expected = base.get(table, {}).get(entry[:-1], 0.0) if entry else base.get(key)
         if isinstance(expected, bool) or not isinstance(expected, (int, float)):
             raise GateError(f"gate baseline {path}: {key!r} is not a number")
         if value is not None:
+            verdict = gate_rule(tol, key).verdict(expected, value)
             checks.append({label: key, "measured": value, "baseline": expected,
-                           "ok": value <= expected * (1.0 + tol)})
+                           "ok": verdict != "REGRESSION"})
+    if isinstance(tol, Mapping):  # the rule table, as JSON
+        tol = {k: r._asdict() for k, r in tol.items()}
     return {"baseline": str(path), "tol": tol,
             "ok": bool(checks) and all(c["ok"] for c in checks), "checks": checks}

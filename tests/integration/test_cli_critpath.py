@@ -67,6 +67,39 @@ class TestPerfdiffSubcommand:
         assert doc["ok"] is True
         assert doc["missing"] == []
         assert doc["workloads"][0]["name"] == "fig2"
+        # each workload is its check_gate block: one check per metric
+        (gate,) = doc["workloads"]
+        assert gate["baseline"] == str(tmp_path / "fig2.json")
+        assert gate["checks"][0]["metric"] == "makespan_s"
+        assert all(c["ok"] and c["measured"] == c["baseline"] for c in gate["checks"])
+
+    @pytest.mark.parametrize("edit, rc, listed", [
+        (lambda d: d.update(makespan_s=d["makespan_s"] / 1.10), 1, "REGRESSION"),
+        (lambda d: d.update(makespan_s=d["makespan_s"] / 0.80), 0, "improved"),
+        (lambda d: d["phase_critical_s"].update(cannon=d["phase_critical_s"]["cannon"] / 2),
+         1, "REGRESSION"),
+        (lambda d: d["phase_critical_s"].update(ghost=5e-8), 0, None),
+        (lambda d: d["traffic"].update(total_bytes=d["traffic"]["total_bytes"] // 2),
+         1, "REGRESSION"),
+        (lambda d: d["traffic"].update(max_msgs_sent=d["traffic"]["max_msgs_sent"] + 1),
+         1, "REGRESSION"),
+        (lambda d: d["traffic"].update(max_msgs_sent=d["traffic"]["max_msgs_sent"] - 1),
+         1, "REGRESSION"),
+    ], ids=["slower", "faster", "phase-x2", "phase-under-floor", "bytes-x2",
+            "fewer-msgs", "more-msgs"])
+    def test_edited_baseline_verdicts(self, tmp_path, capsys, edit, rc, listed):
+        """A committed baseline edited to what the run misses or beats:
+        exit 1 exactly when a rule is broken; only a changed metric is
+        listed, an improvement without failing."""
+        self._update(tmp_path, capsys)
+        path = tmp_path / "fig2.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["perfdiff", "fig2", "--baseline-dir", str(tmp_path)]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("fig2: OK" if rc == 0 else "fig2: REGRESSION")
+        assert [ln.split()[-1] for ln in lines[1:-1]] == ([listed] if listed else [])
 
     def test_missing_baseline_fails_with_pointer(self, tmp_path, capsys):
         rc = main(["perfdiff", "fig2", "--baseline-dir", str(tmp_path)])

@@ -78,6 +78,19 @@ class TestBcastThreshold:
 
         assert all(spmd(5, f).results)
 
+    @pytest.mark.parametrize("side", [8, 128], ids=["short", "long"])
+    def test_root_returns_its_own_block(self, spmd, side):
+        """Either path hands the root back the object it passed, not a
+        copy (the long path used to concatenate the allgathered chunks
+        on the root too); every other rank gets an equal array of its
+        own, and a strided root block arrives whole."""
+        block = np.arange(2.0 * side * side).reshape(side, 2 * side)
+        for sent in (block[:, :side].copy(), block[:, ::2]):
+            res = spmd(4, lambda c: c.bcast(sent if c.rank == 0 else None))
+            assert [got is sent for got in res.results] == [True, False, False, False]
+            assert all(np.array_equal(got, sent) for got in res.results)
+            assert len({id(got) for got in res.results}) == 4
+
 
 class TestOperators:
     def test_custom_op(self, spmd):

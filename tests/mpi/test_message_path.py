@@ -230,17 +230,26 @@ def blockcyclic_pdgemm_run(n: int, bs: int, p: int = 16):
 
 
 def test_cannon_copies_no_block_it_owns():
-    """Cannon's skew and shifts hand frozen blocks over, so the sends of
-    phase ``cannon`` copy no array; the reduce-scatter's still do (the
-    count counts).  256² from ``BlockCyclic2D`` at P = 16."""
+    """Cannon's skew and shifts hand frozen blocks over, and so does the
+    reduce-scatter its partial C block dies in, so the sends of phases
+    ``cannon`` and ``reduce`` copy no array (the reduce-scatter's pieces
+    were copied while step 7 sent a writeable block; that the count
+    counts a writeable send is ``test_collectives_hand_frozen_blocks_over``'s).
+    256² from ``BlockCyclic2D`` at P = 16, whose plan reduces over k."""
+    assert Ca3dmmPlan(256, 256, 256, 16).pk > 1
     copied = array_bytes_copied(blockcyclic_pdgemm_run(256, 32))
     print(f"array bytes copied by phase: {copied}")
     assert copied.get("cannon", 0) == 0, copied
-    assert copied.get("reduce", 0) > 0, copied
+    assert copied.get("reduce", 0) == 0, copied
 
 
-#: Phases whose sends move only blocks the sending rank owns and never writes.
-OWNED_BLOCK_PHASES = ("summa", "cannon", "replicate")
+#: Phases whose sends move only blocks the sending rank owns and never
+#: writes, and the k-reduction, whose partial C blocks die in it.
+OWNED_BLOCK_PHASES = ("summa", "cannon", "replicate", "reduce")
+
+#: What CARMA's own exchange of partial products still copies in phase
+#: ``reduce`` at the default 256³, P = 64.
+CARMA_REDUCE_COPIES = 524_288
 
 
 def owned_block_copies(name: str, p: int = 64, n: int = 256) -> tuple[dict[str, int], float]:
@@ -258,19 +267,44 @@ def test_no_schedule_copies_a_block_it_owns():
     """Every schedule freezes the blocks it allocated and never writes
     again before they travel — the 1D, COSMA and CA3DMM replication
     allgathers, the 3D and 2.5D layer broadcasts, the 2.5D and Cannon
-    shifts, SUMMA's panels, stationary SUMMA's buffers, CARMA's pieces —
-    so the sends of phases ``summa``, ``cannon`` and ``replicate`` copy
-    no array, allgather windows and containers counted, and no message
-    is pickled.  All 16 ``SCHEDULES`` 256³ at P = 64 from ``BlockCol1D``
+    shifts, SUMMA's panels, stationary SUMMA's buffers, CARMA's pieces,
+    and the partial C blocks each k-reduction consumes — so the sends of
+    phases ``summa``, ``cannon``, ``replicate`` and ``reduce`` copy no
+    array, allgather windows and containers counted, and no message is
+    pickled; only CARMA's own exchange of partial products copies, in
+    ``reduce``.  All 16 ``SCHEDULES`` 256³ at P = 64 from ``BlockCol1D``
     (the parent read 33.0 MB in ``replicate`` for the 1D schedules, 7.3
     to 7.8 MB in ``summa`` for the SUMMA family and 3.8 MB pickled per
-    stationary SUMMA run)."""
+    stationary SUMMA run; in ``reduce``, 33.0 MB for ``1d-k``, 1.6 MB
+    for CA3DMM, CA3DMM-S and COSMA and 1.0 MB for 2.5D, CTF and 3D while
+    the k-reduction sent writeable blocks)."""
     found = {name: owned_block_copies(name) for name in SCHEDULES}
     for name, (copied, pickled) in found.items():
         print(f"{name:>10}: copied {copied}, pickled/message {pickled:.1f}")
-    assert {name: sum(copied.values()) for name, (copied, _p) in found.items()} == dict.fromkeys(
-        SCHEDULES, 0), found
+    assert {name: sum(copied.values()) for name, (copied, _p) in found.items()} == {
+        **dict.fromkeys(SCHEDULES, 0), "carma": CARMA_REDUCE_COPIES}, found
+    assert found["carma"][0]["reduce"] == CARMA_REDUCE_COPIES, found["carma"]
     assert all(pickled == 0.0 for _c, pickled in found.values()), found
+
+
+def test_every_schedule_returns_writeable_tiles():
+    """The k-reduction freezes a partial block only in a group of more
+    than one rank: a group of one returns its input as the output tile.
+    Every C tile all 16 ``SCHEDULES`` return stays writeable, on a
+    k-heavy shape (CA3DMM reduces over pk = 16), a flat one (pk = 1) and
+    a world of one rank."""
+    shapes = {(32, 32, 512, 16): 16, (128, 128, 16, 16): 1, (16, 16, 16, 1): 1}
+    for (m, n, k, p), pk in shapes.items():
+        assert Ca3dmmPlan(m, n, k, p).pk == pk
+        a, b = dense_random(m, k, 0), dense_random(k, n, 1)
+        for name, schedule in SCHEDULES.items():
+            def body(comm, schedule=schedule):
+                c = schedule(DistMatrix.from_global(comm, BlockCol1D((m, k), p), a),
+                             DistMatrix.from_global(comm, BlockCol1D((k, n), p), b),
+                             c_dist=None)
+                return [tile.flags.writeable for tile in c.tiles]
+            res = run_spmd(p, body, machine=pace_phoenix_cpu("mpi"))
+            assert all(all(flags) for flags in res.results), (name, (m, n, k, p), res.results)
 
 
 def test_collectives_hand_frozen_blocks_over():

@@ -1,4 +1,5 @@
-"""Perf baselines: capture, store round-trips, tolerance classification."""
+"""Perf baselines: capture, store round-trips, and perfdiff's rules
+judged through the one gate, ``check_gate``."""
 
 from __future__ import annotations
 
@@ -14,19 +15,44 @@ from repro.bench.harness import (
     executed_workload,
     workload_baseline,
 )
+from repro.cli import _print_checks
 from repro.machine.model import laptop, pace_phoenix_cpu
 from repro.obs.baseline import (
+    PERF_RULES,
     BaselineStore,
     GateError,
     capture_baseline,
     check_gate,
-    compare_baseline,
+    gate_rule,
+    perf_metrics,
+    relative_change,
     validate_baseline_json,
     write_gate,
 )
 from repro.obs.export import TraceSchemaError
 
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+
+
+def _gate(root, base, cur):
+    """``repro perfdiff``'s check of ``cur`` against ``base`` committed
+    under ``root``."""
+    path = BaselineStore(root).save(base["name"], base)
+    return check_gate(path, cur["workload"], perf_metrics(base, cur), PERF_RULES, "metric")
+
+
+def _verdicts(gate) -> dict[str, str]:
+    return {c["metric"]: gate_rule(PERF_RULES, c["metric"]).verdict(c["baseline"], c["measured"])
+            for c in gate["checks"]}
+
+
+def _named(gate, verdict: str) -> list[str]:
+    return [metric for metric, v in _verdicts(gate).items() if v == verdict]
+
+
+def _text(gate, capsys, everything: bool = False) -> str:
+    _print_checks(gate, PERF_RULES, "metric", 28, everything)
+    return capsys.readouterr().out
 
 def _captured():
     _plan, result = executed_workload("fig2", machine=laptop())
@@ -66,7 +92,7 @@ class TestStore:
     def test_missing_baseline_is_none(self, tmp_path):
         store = BaselineStore(tmp_path)
         assert store.load("nope") is None
-        assert store.compare("nope", _captured()) is None
+        assert not store.path("nope").exists()
         assert store.names() == []
 
     def test_save_rejects_invalid_documents(self, tmp_path):
@@ -79,20 +105,19 @@ class TestStore:
             BaselineStore(tmp_path).load("bad")
 
     def test_compare_refuses_a_baseline_for_another_workload(self, tmp_path):
-        store = BaselineStore(tmp_path)
         other = _captured()
         other["workload"] = {"m": 64, "n": 64, "k": 64, "nprocs": 8}
-        store.save("fig2", other)
         with pytest.raises(GateError, match="workload"):
-            store.compare("fig2", _captured())
+            _gate(tmp_path, other, _captured())
 
     def test_compare_against_self_is_ok(self, tmp_path):
-        store = BaselineStore(tmp_path)
         doc = _captured()
-        store.save("fig2", doc)
-        diff = store.compare("fig2", doc)
-        assert diff is not None and diff.ok
-        assert diff.regressions == [] and diff.improvements == []
+        gate = _gate(tmp_path, doc, doc)
+        assert gate["ok"] and all(c["ok"] for c in gate["checks"])
+        assert set(_verdicts(gate).values()) == {"ok"}
+        assert [c["metric"] for c in gate["checks"]] == [
+            "makespan_s", *(f"phase_critical_s[{p}]" for p in sorted(doc["phase_critical_s"])),
+            "traffic[max_bytes_sent]", "traffic[total_bytes]", "traffic[max_msgs_sent]"]
 
 
 class TestClassification:
@@ -100,91 +125,97 @@ class TestClassification:
         base = _captured()
         return base, copy.deepcopy(base)
 
-    def test_slower_makespan_regresses(self):
+    def test_slower_makespan_regresses(self, tmp_path):
         base, cur = self._pair()
         cur["makespan_s"] *= 1.10  # 10% > 3% tolerance
-        diff = compare_baseline(base, cur)
-        assert not diff.ok
-        assert [d.metric for d in diff.regressions] == ["makespan_s"]
+        gate = _gate(tmp_path, base, cur)
+        assert not gate["ok"]
+        assert [c["metric"] for c in gate["checks"] if not c["ok"]] == ["makespan_s"]
 
-    def test_faster_makespan_improves_without_failing(self):
+    def test_faster_makespan_improves_without_failing(self, tmp_path):
         base, cur = self._pair()
         cur["makespan_s"] *= 0.80
-        diff = compare_baseline(base, cur)
-        assert diff.ok
-        assert any(d.metric == "makespan_s" for d in diff.improvements)
-        assert diff.deltas[0].verdict == "improved"
+        gate = _gate(tmp_path, base, cur)
+        assert gate["ok"]
+        assert _named(gate, "improved") == ["makespan_s"]
+        assert gate["checks"][0]["metric"] == "makespan_s"
 
-    def test_within_tolerance_is_ok(self):
+    def test_within_tolerance_is_ok(self, tmp_path):
         base, cur = self._pair()
         cur["makespan_s"] *= 1.01  # under the 3% default
-        assert compare_baseline(base, cur).ok
+        assert _gate(tmp_path, base, cur)["ok"]
 
-    def test_phase_regression_is_named(self):
+    def test_phase_regression_is_named(self, tmp_path):
         base, cur = self._pair()
         phase = max(cur["phase_critical_s"], key=cur["phase_critical_s"].get)
         cur["phase_critical_s"][phase] *= 2.0
-        diff = compare_baseline(base, cur)
-        metrics = [d.metric for d in diff.regressions]
-        assert f"phase_critical_s[{phase}]" in metrics
+        gate = _gate(tmp_path, base, cur)
+        assert not gate["ok"]
+        assert f"phase_critical_s[{phase}]" in _named(gate, "REGRESSION")
 
-    def test_tiny_phase_shifts_under_abs_floor_pass(self):
+    def test_tiny_phase_shifts_under_abs_floor_pass(self, tmp_path):
         base, cur = self._pair()
         base["phase_critical_s"]["ghost"] = 1e-9
         cur["phase_critical_s"]["ghost"] = 3e-9  # 3x, but << phase_abs_s
-        assert compare_baseline(base, cur).ok
+        gate = _gate(tmp_path, base, cur)
+        assert gate["ok"]
+        assert _verdicts(gate)["phase_critical_s[ghost]"] == "ok"
 
-    def test_msg_count_regresses_in_both_directions(self):
+    def test_msg_count_regresses_in_both_directions(self, tmp_path):
         for factor in (2, 0):
             base, cur = self._pair()
             cur["traffic"]["max_msgs_sent"] = (
                 base["traffic"]["max_msgs_sent"] * factor + 1
             )
-            diff = compare_baseline(base, cur)
-            assert any(
-                d.metric == "traffic[max_msgs_sent]" for d in diff.regressions
-            )
+            gate = _gate(tmp_path, base, cur)
+            assert not gate["ok"], factor
+            assert _named(gate, "REGRESSION") == ["traffic[max_msgs_sent]"]
 
-    def test_traffic_bytes_regress(self):
+    def test_traffic_bytes_regress(self, tmp_path):
         base, cur = self._pair()
         cur["traffic"]["total_bytes"] = int(base["traffic"]["total_bytes"] * 1.5)
-        assert not compare_baseline(base, cur).ok
+        gate = _gate(tmp_path, base, cur)
+        assert not gate["ok"]
+        assert _named(gate, "REGRESSION") == ["traffic[total_bytes]"]
 
-    def test_format_reports_verdicts(self):
+    def test_format_reports_verdicts(self, tmp_path, capsys):
         base, cur = self._pair()
         cur["makespan_s"] *= 2.0
-        diff = compare_baseline(base, cur)
-        text = diff.format()
-        assert "REGRESSION" in text and "makespan_s" in text
-        assert "REGRESSED" in text
-        verbose = diff.format(verbose=True)
+        gate = _gate(tmp_path, base, cur)
+        text = _text(gate, capsys)
+        assert "makespan_s" in text and "(+100.00%, tol 3.0%)  REGRESSION" in text
+        assert "traffic[total_bytes]" not in text  # unchanged checks stay quiet
+        verbose = _text(gate, capsys, everything=True)
         assert "traffic[total_bytes]" in verbose
+        assert "traffic[max_msgs_sent]" in verbose and "both ways)  ok" in verbose
 
-    def test_to_dict_round_trips_through_json(self):
+    def test_to_dict_round_trips_through_json(self, tmp_path):
         base, cur = self._pair()
         cur["makespan_s"] *= 2.0
-        doc = json.loads(json.dumps(compare_baseline(base, cur).to_dict()))
+        doc = json.loads(json.dumps(_gate(tmp_path, base, cur)))
         assert doc["ok"] is False
-        assert any(d["verdict"] == "REGRESSED" for d in doc["deltas"])
+        assert [c["metric"] for c in doc["checks"] if not c["ok"]] == ["makespan_s"]
+        assert doc["tol"]["traffic[max_msgs_sent]"] == {"rel": 0.0, "floor": 0.0, "both": True}
 
-    def test_phase_absent_from_the_baseline_is_new_not_a_percentage(self):
+    def test_phase_absent_from_the_baseline_is_new_not_a_percentage(self, tmp_path, capsys):
         """fig3's committed baseline (no replicate phase: 2x2x2) against a
-        fig2 run (1x4x2 replicates A): the verdict stays, the ratio to
-        zero is not printed as 300 digits."""
+        fig2 run (1x4x2 replicates A), read as fig3's problem: the
+        verdict stays, the ratio to zero is not printed as 300 digits."""
         base = BaselineStore(BASELINES).load("fig3")
-        cur = workload_baseline("fig2")
+        cur = {**workload_baseline("fig2"), "workload": base["workload"]}
         assert "replicate" not in base["phase_critical_s"]
-        diff = compare_baseline(base, cur)
-        (delta,) = [d for d in diff.deltas
-                    if d.metric == "phase_critical_s[replicate]"]
-        assert delta.baseline == 0.0 and delta.current > 0.0
-        assert delta.regressed and delta.rel_change is None
-        assert delta.to_dict()["rel_change"] is None
-        line = next(ln for ln in diff.format().splitlines() if "replicate" in ln)
-        assert "(     new)  REGRESSED" in line and len(line) < 100
+        gate = _gate(tmp_path, base, cur)
+        (check,) = [c for c in gate["checks"]
+                    if c["metric"] == "phase_critical_s[replicate]"]
+        assert check["baseline"] == 0.0 and check["measured"] > 0.0
+        assert not check["ok"]
+        assert relative_change(check["baseline"], check["measured"]) == "new"
+        line = next(ln for ln in _text(gate, capsys).splitlines() if "replicate" in ln)
+        assert "(new, tol 10.0% or 1e-07)  REGRESSION" in line and len(line) < 120
         # zero on both sides is no change, as before
-        same = compare_baseline(base, base)
-        assert all(d.rel_change == 0.0 for d in same.deltas)
+        same = _gate(tmp_path, base, base)
+        assert {relative_change(c["baseline"], c["measured"])
+                for c in same["checks"]} == {"+0.00%"}
 
 
 class TestBenchArtifact:
@@ -195,7 +226,7 @@ class TestBenchArtifact:
         validate_baseline_json(doc)
         assert doc["workload"] == {"m": 32, "n": 64, "k": 16, "nprocs": 8}
 
-    def test_doubled_link_costs_fail_the_gate(self):
+    def test_doubled_link_costs_fail_the_gate(self, tmp_path, capsys):
         """The perf gate's self-test: fig2 re-executed on a machine whose
         α and β are doubled must regress against its own baseline."""
         machine = pace_phoenix_cpu("mpi")
@@ -205,11 +236,11 @@ class TestBenchArtifact:
             alpha_intra=2 * machine.alpha_intra, beta_intra=2 * machine.beta_intra,
         )
         base, cur = workload_baseline("fig2"), workload_baseline("fig2", machine=slow)
-        diff = compare_baseline(base, cur)
-        assert not diff.ok
-        (makespan,) = [d for d in diff.deltas if d.metric == "makespan_s"]
-        assert makespan.regressed and makespan.current > makespan.baseline
-        assert "REGRESSED" in diff.format()
+        gate = _gate(tmp_path, base, cur)
+        assert not gate["ok"]
+        (makespan,) = [c for c in gate["checks"] if c["metric"] == "makespan_s"]
+        assert not makespan["ok"] and makespan["measured"] > makespan["baseline"]
+        assert "REGRESSION" in _text(gate, capsys)
 
 
 class TestGate:
