@@ -243,6 +243,7 @@ def _recurse(
         # Pairwise reduce-scatter of the congruent partial C blocks.
         by_cols = rect.cols >= rect.rows
         extent = rect.cols if by_cols else rect.rows
+        freeze(c_loc)  # nobody writes it again: the result is `mine + got`
         keep_lo, keep_hi = block_range(extent, 2, side)
         send_lo, send_hi = block_range(extent, 2, 1 - side)
         if by_cols:
@@ -252,8 +253,8 @@ def _recurse(
             mine, theirs = c_loc[keep_lo:keep_hi, :], c_loc[send_lo:send_hi, :]
             new_rect = Rect(rect.r0 + keep_lo, rect.r0 + keep_hi, rect.c0, rect.c1)
         with comm.phase("reduce"):
-            # A column half is a fresh contiguous copy already: frozen, the
-            # send hands it over instead of copying it again.
+            # A row half is a frozen view, a column half a fresh contiguous
+            # copy made frozen: either way the send hands it over uncopied.
             got = comm.sendrecv(
                 freeze(np.ascontiguousarray(theirs)), partner, partner, _TAG_CRED, _TAG_CRED
             )

@@ -409,7 +409,8 @@ def reduce_scatter(comm, blocks: Sequence[np.ndarray], op: Op = SUM) -> np.ndarr
     ``blocks[r]`` is this rank's contribution destined for rank ``r``
     (blocks may have different shapes across destinations but must agree
     across sources).  Returns the elementwise reduction of every rank's
-    ``blocks[comm.rank]``, accumulated in a fixed source order.
+    ``blocks[comm.rank]``, accumulated in a fixed source order; on one
+    rank that is the block itself, uncopied, as :func:`reduce` returns.
 
     Per-rank cost α(P-1) + βn(P-1)/P — exactly the formula the paper
     uses for its reduce-scatter step.  The machine model's
@@ -419,7 +420,7 @@ def reduce_scatter(comm, blocks: Sequence[np.ndarray], op: Op = SUM) -> np.ndarr
     size, rank = comm.size, comm.rank
     _one_per_rank(comm, "reduce_scatter", blocks)
     if size == 1:
-        return np.array(np.asarray(blocks[0]), copy=True)
+        return blocks[0]
     with _span(comm, "reduce_scatter", algo="reduce_scatter.pairwise"):
         contributions: list[np.ndarray | None] = [None] * size
         contributions[rank] = np.asarray(blocks[rank])

@@ -174,14 +174,14 @@ class Comm:
         ``match_recv``.
         """
         self._check_tag(tag)
-        msg, st = self._transport.match_recv(
+        msg = self._transport.match_recv(
             self._ctx, self._world_rank, self._to_world(source), tag
         )
         value = msg.unpack()
         if status is not None:
-            status.source = self._to_local(st.source)
-            status.tag = st.tag
-            status.nbytes = st.nbytes
+            status.source = self._to_local(msg.src_world)
+            status.tag = msg.tag
+            status.nbytes = msg.nbytes
         if buf is not None:
             return fill_buffer(buf, value, "recv")
         return value
@@ -214,9 +214,15 @@ class Comm:
         Simulated time: the outgoing transfer and the incoming transfer
         overlap; the call completes at the later of the two.
         """
-        dest_world = self._send_target(dest, sendtag)
-        self._check_tag(recvtag)
-        source_world = self._to_world(recvsource)
+        group = self._group
+        if sendtag < 0 or recvtag < ANY_TAG or not (
+            0 <= dest < len(group) and ANY_SOURCE <= recvsource < len(group)
+        ):  # both peers and tags in one test; the helpers name what is wrong
+            self._send_target(dest, sendtag)
+            self._check_tag(recvtag)
+            self._to_world(recvsource)
+        dest_world = group[dest]
+        source_world = ANY_SOURCE if recvsource == ANY_SOURCE else group[recvsource]
         stored, nbytes, handed = payload_pack(sendvalue)
         arrival_out, seq_out = self._transport.post_send(
             self._ctx,
@@ -228,7 +234,7 @@ class Comm:
             handed,
             advance_sender=False,
         )
-        msg, _st = self._transport.match_recv(
+        msg = self._transport.match_recv(
             self._ctx, self._world_rank, source_world, recvtag
         )
         # Outgoing side also occupies this rank until arrival_out.
@@ -240,12 +246,12 @@ class Comm:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Nonblocking probe; Status (with local source) or None."""
-        st = self._transport.probe(
+        msg = self._transport.probe(
             self._ctx, self._world_rank, self._to_world(source), tag
         )
-        if st is None:
+        if msg is None:
             return None
-        return Status(source=self._to_local(st.source), tag=st.tag, nbytes=st.nbytes)
+        return Status(self._to_local(msg.src_world), msg.tag, msg.nbytes)
 
     # ------------------------------------------------------- collectives -- #
     def barrier(self) -> None:

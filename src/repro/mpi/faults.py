@@ -70,9 +70,9 @@ from __future__ import annotations
 import json
 import pickle
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -107,8 +107,133 @@ class LinkDecision:
     corrupt_elems: int = 0  #: array elements to flip in the payload (ABFT)
 
 
+#: The one statement of every plan record's fields, types and bounds: a
+#: plan file is checked against it, and so is every record built in code.
+FAULTPLAN_JSON_SCHEMA: dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "fault-injection plan",
+    "type": "object",
+    "required": ["schema_version", "seed"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "seed": {"type": "integer"},
+        "links": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    "src": {"type": "integer", "minimum": -1},
+                    "dst": {"type": "integer", "minimum": -1},
+                    "phase": {"type": ["string", "null"]},
+                    "latency_factor": {"type": "number", "minimum": 0},
+                    "jitter_s": {"type": "number", "minimum": 0},
+                    "reorder_window": {"type": "integer", "minimum": 0},
+                    "drop_at": {
+                        "type": "array",
+                        "items": {"type": "integer", "minimum": 0},
+                    },
+                    "drop_every": {"type": "integer", "minimum": 0},
+                    "drop_prob": {"type": "number", "minimum": 0, "maximum": 1},
+                    "drop_repeat": {"type": "integer", "minimum": 1},
+                    "corrupt_at": {
+                        "type": "array",
+                        "items": {"type": "integer", "minimum": 0},
+                    },
+                    "corrupt_prob": {"type": "number", "minimum": 0, "maximum": 1},
+                    "corrupt_elems": {"type": "integer", "minimum": 1},
+                    "corrupt_phase": {"type": ["string", "null"]},
+                },
+            },
+        },
+        "ranks": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["rank"],
+                "properties": {
+                    "rank": {"type": "integer", "minimum": 0},
+                    "phase": {"type": ["string", "null"]},
+                    "occurrence": {"type": "integer", "minimum": 0},
+                    "stall_s": {"type": "number", "minimum": 0},
+                    "slowdown": {"type": "number", "minimum": 0},
+                    "abort": {"type": "boolean"},
+                    "kill": {"type": "boolean"},
+                },
+            },
+        },
+        "retry": {
+            "type": "object",
+            "properties": {
+                "timeout_s": {"type": "number", "exclusiveMinimum": 0},
+                "max_retries": {"type": "integer", "minimum": 0},
+                "backoff": {"type": "number", "minimum": 1},
+            },
+        },
+    },
+}
+
+
+def validate_fault_plan(doc: Any) -> None:
+    """Raise ``TraceSchemaError`` unless ``doc`` is a valid plan document."""
+    from ..obs.export import _validate
+
+    _validate(doc, FAULTPLAN_JSON_SCHEMA)
+
+
+#: What makes a number the schema accepted hold its field's declared
+#: type: a plan file may write ``2.0`` as ``2``, or ``3`` as ``3.0``.
+_AS_DECLARED: dict[str, Callable[[Any], Any]] = {
+    "int": int, "float": float, "tuple[int, ...]": lambda xs: tuple(map(int, xs))}
+
+
+def _document(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_document(v) for v in value]
+    return value.to_dict() if isinstance(value, _Record) else value
+
+
+def _loaded(hint: Any, value: Any) -> Any:
+    """A document's value as a field typed ``hint`` takes it: a record's
+    dict becomes that record, a list of them a tuple of records."""
+    item = (get_args(hint) or (hint,))[0]
+    if not (isinstance(item, type) and issubclass(item, _Record)):
+        return value
+    return item.from_dict(value) if item is hint else tuple(map(item.from_dict, value))
+
+
+class _Record:
+    """A frozen dataclass of a plan whose fields ``_SCHEMA``, its part of
+    :data:`FAULTPLAN_JSON_SCHEMA`, states: building one refuses whatever
+    the schema refuses (:class:`~repro.obs.schema.TraceSchemaError`, a
+    ``ValueError`` naming the field, the keyword and the value), and its
+    document is its fields in declaration order."""
+
+    _SCHEMA: dict[str, Any]
+
+    def __post_init__(self) -> None:
+        from ..obs.export import _validate
+
+        for f in fields(self):  # a sequence may arrive as any iterable
+            if f.type.startswith("tuple["):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        _validate(self.to_dict(), self._SCHEMA)
+        for f in fields(self):
+            if f.type in _AS_DECLARED:
+                object.__setattr__(self, f.name, _AS_DECLARED[f.type](getattr(self, f.name)))
+
+    def to_dict(self) -> dict[str, Any]:
+        return {f.name: _document(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any]) -> Any:
+        """The record ``doc`` describes; a field it leaves out takes its default."""
+        hints = get_type_hints(cls)
+        return cls(**{f.name: _loaded(hints[f.name], doc[f.name])
+                      for f in fields(cls) if f.name in doc})
+
+
 @dataclass(frozen=True)
-class LinkFault:
+class LinkFault(_Record):
     """One per-link perturbation rule.
 
     ``src``/``dst`` are world ranks (:data:`ANY_RANK` matches all);
@@ -126,6 +251,8 @@ class LinkFault:
     traffic the link carried.
     """
 
+    _SCHEMA = FAULTPLAN_JSON_SCHEMA["properties"]["links"]["items"]
+
     src: int = ANY_RANK
     dst: int = ANY_RANK
     phase: str | None = None
@@ -142,35 +269,12 @@ class LinkFault:
     corrupt_phase: str | None = None
 
     def __post_init__(self) -> None:
-        if self.latency_factor < 0:
-            raise ValueError("latency_factor must be >= 0")
-        if self.jitter_s < 0:
-            raise ValueError("jitter_s must be >= 0")
-        if self.reorder_window < 0:
-            raise ValueError("reorder_window must be >= 0")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must be in [0, 1]")
-        if self.drop_repeat < 1:
-            raise ValueError("drop_repeat must be >= 1")
-        if any(i < 0 for i in self.drop_at):
-            raise ValueError("drop_at indices must be >= 0")
-        if any(i < 0 for i in self.corrupt_at):
-            raise ValueError("corrupt_at indices must be >= 0")
-        if not 0.0 <= self.corrupt_prob <= 1.0:
-            raise ValueError("corrupt_prob must be in [0, 1]")
-        if self.corrupt_elems < 1:
-            raise ValueError("corrupt_elems must be >= 1")
-        if (
-            self.corrupt_phase is not None
-            and self.phase is not None
-            and self.phase != self.corrupt_phase
-        ):
+        super().__post_init__()
+        if self.corrupt_phase is not None and self.phase not in (None, self.corrupt_phase):
             raise ValueError(
                 "corrupt_phase must equal phase (or leave phase unset): "
                 f"phase={self.phase!r} corrupt_phase={self.corrupt_phase!r}"
             )
-        object.__setattr__(self, "drop_at", tuple(self.drop_at))
-        object.__setattr__(self, "corrupt_at", tuple(self.corrupt_at))
 
     def matches(self, src: int, dst: int, phase: str) -> bool:
         if self.src != ANY_RANK and self.src != src:
@@ -221,46 +325,9 @@ class LinkFault:
             corrupted = _mix(seed, salt, 4, src, dst, hit) < self.corrupt_prob
         return self.corrupt_elems if corrupted else 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "phase": self.phase,
-            "latency_factor": self.latency_factor,
-            "jitter_s": self.jitter_s,
-            "reorder_window": self.reorder_window,
-            "drop_at": list(self.drop_at),
-            "drop_every": self.drop_every,
-            "drop_prob": self.drop_prob,
-            "drop_repeat": self.drop_repeat,
-            "corrupt_at": list(self.corrupt_at),
-            "corrupt_prob": self.corrupt_prob,
-            "corrupt_elems": self.corrupt_elems,
-            "corrupt_phase": self.corrupt_phase,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "LinkFault":
-        return cls(
-            src=int(doc.get("src", ANY_RANK)),
-            dst=int(doc.get("dst", ANY_RANK)),
-            phase=doc.get("phase"),
-            latency_factor=float(doc.get("latency_factor", 1.0)),
-            jitter_s=float(doc.get("jitter_s", 0.0)),
-            reorder_window=int(doc.get("reorder_window", 0)),
-            drop_at=tuple(int(i) for i in doc.get("drop_at", ())),
-            drop_every=int(doc.get("drop_every", 0)),
-            drop_prob=float(doc.get("drop_prob", 0.0)),
-            drop_repeat=int(doc.get("drop_repeat", 1)),
-            corrupt_at=tuple(int(i) for i in doc.get("corrupt_at", ())),
-            corrupt_prob=float(doc.get("corrupt_prob", 0.0)),
-            corrupt_elems=int(doc.get("corrupt_elems", 1)),
-            corrupt_phase=doc.get("corrupt_phase"),
-        )
-
 
 @dataclass(frozen=True)
-class RankFault:
+class RankFault(_Record):
     """One per-rank perturbation rule.
 
     Stalls and aborts trigger when ``rank`` enters a phase matching
@@ -268,6 +335,8 @@ class RankFault:
     time (1-based; 0 triggers on every matching entry).  ``slowdown``
     multiplies the rank's compute time while inside a matching phase.
     """
+
+    _SCHEMA = FAULTPLAN_JSON_SCHEMA["properties"]["ranks"]["items"]
 
     rank: int
     phase: str | None = None
@@ -278,46 +347,16 @@ class RankFault:
     kill: bool = False
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank faults need an explicit rank")
-        if self.occurrence < 0:
-            raise ValueError("occurrence must be >= 0")
-        if self.stall_s < 0:
-            raise ValueError("stall_s must be >= 0")
-        if self.slowdown < 0:
-            raise ValueError("slowdown must be >= 0")
+        super().__post_init__()
         if self.abort and self.kill:
             raise ValueError("abort and kill are mutually exclusive")
 
     def matches_phase(self, rank: int, phase: str) -> bool:
         return rank == self.rank and (self.phase is None or self.phase == phase)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rank": self.rank,
-            "phase": self.phase,
-            "occurrence": self.occurrence,
-            "stall_s": self.stall_s,
-            "slowdown": self.slowdown,
-            "abort": self.abort,
-            "kill": self.kill,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "RankFault":
-        return cls(
-            rank=int(doc["rank"]),
-            phase=doc.get("phase"),
-            occurrence=int(doc.get("occurrence", 1)),
-            stall_s=float(doc.get("stall_s", 0.0)),
-            slowdown=float(doc.get("slowdown", 1.0)),
-            abort=bool(doc.get("abort", False)),
-            kill=bool(doc.get("kill", False)),
-        )
-
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(_Record):
     """Receive-side timeout/retry/backoff semantics under a fault plan.
 
     A receiver blocked on a message the transport knows was dropped
@@ -328,70 +367,36 @@ class RetryPolicy:
     disables retries: the first timeout is fatal).
     """
 
+    _SCHEMA = FAULTPLAN_JSON_SCHEMA["properties"]["retry"]
+
     timeout_s: float = 1e-3
     max_retries: int = 3
     backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
 
     def nth_timeout_s(self, attempt: int) -> float:
         """Simulated wait before retransmit request ``attempt`` (1-based)."""
         return self.timeout_s * self.backoff ** (attempt - 1)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "backoff": self.backoff,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "RetryPolicy":
-        return cls(
-            timeout_s=float(doc.get("timeout_s", 1e-3)),
-            max_retries=int(doc.get("max_retries", 3)),
-            backoff=float(doc.get("backoff", 2.0)),
-        )
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(_Record):
     """A seeded, serializable description of everything that goes wrong."""
+
+    _SCHEMA = FAULTPLAN_JSON_SCHEMA
 
     seed: int = 0
     links: tuple[LinkFault, ...] = ()
     ranks: tuple[RankFault, ...] = ()
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-
     # ---------------------------------------------------- serialization -- #
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": 1,
-            "seed": self.seed,
-            "links": [r.to_dict() for r in self.links],
-            "ranks": [r.to_dict() for r in self.ranks],
-            "retry": self.retry.to_dict(),
-        }
+        return {"schema_version": 1, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "FaultPlan":
-        validate_fault_plan(doc)
-        return cls(
-            seed=int(doc.get("seed", 0)),
-            links=tuple(LinkFault.from_dict(d) for d in doc.get("links", ())),
-            ranks=tuple(RankFault.from_dict(d) for d in doc.get("ranks", ())),
-            retry=RetryPolicy.from_dict(doc.get("retry", {})),
-        )
+        validate_fault_plan(doc)  # first: its errors name the path in the file
+        return super().from_dict(doc)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -713,74 +718,3 @@ class FaultInjector:
             return dt, False
         st.injected_wait_s += dt * factor - dt
         return dt * factor, True
-
-
-FAULTPLAN_JSON_SCHEMA: dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "fault-injection plan",
-    "type": "object",
-    "required": ["schema_version", "seed"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "seed": {"type": "integer"},
-        "links": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "src": {"type": "integer", "minimum": -1},
-                    "dst": {"type": "integer", "minimum": -1},
-                    "phase": {"type": ["string", "null"]},
-                    "latency_factor": {"type": "number", "minimum": 0},
-                    "jitter_s": {"type": "number", "minimum": 0},
-                    "reorder_window": {"type": "integer", "minimum": 0},
-                    "drop_at": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "drop_every": {"type": "integer", "minimum": 0},
-                    "drop_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                    "drop_repeat": {"type": "integer", "minimum": 1},
-                    "corrupt_at": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "corrupt_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                    "corrupt_elems": {"type": "integer", "minimum": 1},
-                    "corrupt_phase": {"type": ["string", "null"]},
-                },
-            },
-        },
-        "ranks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["rank"],
-                "properties": {
-                    "rank": {"type": "integer", "minimum": 0},
-                    "phase": {"type": ["string", "null"]},
-                    "occurrence": {"type": "integer", "minimum": 0},
-                    "stall_s": {"type": "number", "minimum": 0},
-                    "slowdown": {"type": "number", "minimum": 0},
-                    "abort": {"type": "boolean"},
-                    "kill": {"type": "boolean"},
-                },
-            },
-        },
-        "retry": {
-            "type": "object",
-            "properties": {
-                "timeout_s": {"type": "number", "exclusiveMinimum": 0},
-                "max_retries": {"type": "integer", "minimum": 0},
-                "backoff": {"type": "number", "minimum": 1},
-            },
-        },
-    },
-}
-
-
-def validate_fault_plan(doc: Any) -> None:
-    """Raise ``TraceSchemaError`` unless ``doc`` is a valid plan document."""
-    from ..obs.export import _validate
-
-    _validate(doc, FAULTPLAN_JSON_SCHEMA)

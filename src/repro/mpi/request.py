@@ -153,14 +153,11 @@ class RecvRequest(Request):
         self._done = False
         self._value: Any = None
         self._msg = None
-        self._mstatus = None
         self.status = Status()
 
-    def _finish(self, msg, status) -> Any:
+    def _finish(self, msg) -> Any:
         value = msg.unpack()
-        self.status = Status(
-            source=self._to_local(status.source), tag=status.tag, nbytes=status.nbytes
-        )
+        self.status = Status(self._to_local(msg.src_world), msg.tag, msg.nbytes)
         if self._buf is not None:
             value = fill_buffer(self._buf, value, "irecv")
         self._done = True
@@ -172,7 +169,7 @@ class RecvRequest(Request):
         without raising the receiver's clock."""
         if self._done or self._msg is not None:
             return
-        self._msg, self._mstatus = self._transport.match_recv(
+        self._msg = self._transport.match_recv(
             self._ctx, self._dst_world, self._src_world, self._tag,
             advance_receiver=False,
         )
@@ -190,26 +187,24 @@ class RecvRequest(Request):
             raise RuntimeError("charge() before resolve()")
         self._transport.raise_clock(
             self._dst_world, self._msg.arrival,
-            event_kind="recv", nbytes=self._mstatus.nbytes,
+            event_kind="recv", nbytes=self._msg.nbytes,
             peer=self._msg.src_world, seq=self._msg.seq,
         )
-        return self._finish(self._msg, self._mstatus)
+        return self._finish(self._msg)
 
     def wait(self) -> Any:
         if self._done:
             return self._value
         if self._msg is not None:
             return self.charge()
-        msg, status = self._transport.match_recv(
+        return self._finish(self._transport.match_recv(
             self._ctx, self._dst_world, self._src_world, self._tag
-        )
-        return self._finish(msg, status)
+        ))
 
     def test(self) -> tuple[bool, Any]:
         if self._done:
             return True, self._value
-        st = self._transport.probe(self._ctx, self._dst_world, self._src_world, self._tag)
-        if st is None:
+        if self._transport.probe(self._ctx, self._dst_world, self._src_world, self._tag) is None:
             return False, None
         return True, self.wait()
 

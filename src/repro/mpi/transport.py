@@ -55,7 +55,7 @@ from typing import Any, Sequence
 
 from ..machine.model import MachineModel
 from ..obs.tracer import CAT_PHASE, Tracer
-from .datatypes import ANY_SOURCE, ANY_TAG, Message, Status
+from .datatypes import ANY_SOURCE, ANY_TAG, Message
 from .des import DesScheduler
 from .errors import AbortError, CommRevokedError, RankFailedError
 from .faults import FaultInjector, FaultPlan
@@ -93,14 +93,6 @@ class CollStats:
     msgs_sent: int = 0
     msgs_recv: int = 0
 
-    def merged(self, other: "CollStats") -> "CollStats":
-        return CollStats(
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            bytes_recv=self.bytes_recv + other.bytes_recv,
-            msgs_sent=self.msgs_sent + other.msgs_sent,
-            msgs_recv=self.msgs_recv + other.msgs_recv,
-        )
-
 
 @dataclass
 class PhaseStats:
@@ -123,18 +115,6 @@ class PhaseStats:
     bytes_recv: int = 0
     msgs_sent: int = 0
     msgs_recv: int = 0
-
-    def merged(self, other: "PhaseStats") -> "PhaseStats":
-        return PhaseStats(
-            time=self.time + other.time,
-            comm_time=self.comm_time + other.comm_time,
-            compute_time=self.compute_time + other.compute_time,
-            comm_covered_time=self.comm_covered_time + other.comm_covered_time,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            bytes_recv=self.bytes_recv + other.bytes_recv,
-            msgs_sent=self.msgs_sent + other.msgs_sent,
-            msgs_recv=self.msgs_recv + other.msgs_recv,
-        )
 
 
 @dataclass
@@ -235,7 +215,7 @@ def _copied(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _copied(v) for k, v in value.items()}
     if isinstance(value, (PhaseStats, CollStats)):
-        return value.merged(type(value)())
+        return dataclasses.replace(value)
     return value
 
 
@@ -888,8 +868,9 @@ class Transport:
         src_world: int,
         tag: int,
         advance_receiver: bool = True,
-    ) -> tuple[Message, Status]:
-        """Park the calling rank until a matching message is available.
+    ) -> Message:
+        """Park the calling rank until a matching message is available,
+        and take it out of the mailbox.
 
         On return the receiver's simulated clock has been raised to the
         message arrival time (if ``advance_receiver``), and the
@@ -950,8 +931,7 @@ class Transport:
             # payload is handed to the engine, whose own spans
             # (cannon.dblbuf, redist.tiles, ...) account for it —
             # charging here would double-count every received block.
-            status = Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
-            return msg, status
+            return msg
         finally:
             st.recv_wait = None
 
@@ -980,8 +960,9 @@ class Transport:
                 return False  # deliverable: about to make progress
         return True
 
-    def probe(self, ctx: int, dst_world: int, src_world: int, tag: int) -> Status | None:
-        """Nonblocking probe: status of the message a receive would take.
+    def probe(self, ctx: int, dst_world: int, src_world: int, tag: int) -> Message | None:
+        """Nonblocking probe: the message a receive would take, left in
+        the mailbox.
 
         Candidate selection is shared with :meth:`match_recv`
         (:meth:`_select`), so a probe-then-recv pair always
@@ -995,8 +976,7 @@ class Transport:
         caps = inj.held(ctx, dst_world, src_world, tag) if inj is not None else None
         i = self._select(ctx, dst_world, src_world, tag, caps)
         if i is not None:
-            msg = self._mail[(ctx, dst_world)][i]
-            return Status(source=msg.src_world, tag=msg.tag, nbytes=msg.nbytes)
+            return self._mail[(ctx, dst_world)][i]
         # Refuse exactly where match_recv does, so a probe-polling loop
         # (``RecvRequest.test``) cannot spin forever: a dead source with
         # nothing on the wire, then a revoked world.  A deliverable

@@ -146,6 +146,18 @@ class TestDegenerate:
 
         assert all(spmd(1, f).results)
 
+    def test_reductions_on_one_rank_return_the_block_uncopied(self, spmd):
+        """On one rank there is nothing to reduce: ``reduce_scatter``
+        returns the block it was handed, as ``reduce``, ``allreduce`` and
+        ``bcast`` return their value (it copied a 64² block here)."""
+        b = np.ones((64, 64))
+
+        def f(comm):
+            return [comm.reduce_scatter([b]) is b, comm.reduce(b) is b,
+                    comm.allreduce(b) is b, comm.bcast(b) is b]
+
+        assert spmd(1, f).results == [[True] * 4]
+
     def test_zero_length_payloads(self, spmd):
         def f(comm):
             got = comm.allgather(np.zeros(0))

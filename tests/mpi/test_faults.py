@@ -127,6 +127,41 @@ class TestFaultPlanSerialization:
         LinkFault(phase="reduce", corrupt_phase="reduce", corrupt_at=(0,))
         LinkFault(corrupt_phase="redist", corrupt_at=(0,))
 
+    REFUSED = [
+        (LinkFault, {"drop_every": -3}, "drop_every"),
+        (LinkFault, {"src": -7}, "src"),
+        (LinkFault, {"phase": 3}, "phase"),
+        (LinkFault, {"drop_prob": 1.5}, "drop_prob"),
+        (LinkFault, {"corrupt_elems": 0}, "corrupt_elems"),
+        (LinkFault, {"drop_at": (0, -1)}, "drop_at"),
+        (LinkFault, {"reorder_window": True}, "reorder_window"),
+        (RankFault, {"rank": -1}, "rank"),
+        (RankFault, {"rank": 0, "occurrence": -1}, "occurrence"),
+        (RetryPolicy, {"timeout_s": 0}, "timeout_s"),
+        (RetryPolicy, {"backoff": 0.5}, "backoff"),
+        (FaultPlan, {"seed": 1.5}, "seed"),
+    ]
+
+    @pytest.mark.parametrize("cls, kwargs, field", REFUSED,
+                             ids=[f"{c.__name__}.{f}" for c, _kw, f in REFUSED])
+    def test_construction_refuses_what_the_schema_refuses(self, cls, kwargs, field):
+        """A record the plan schema would refuse is never built: a rule
+        that could not survive its own ``save`` → ``load`` (a negative
+        ``drop_every`` that never drops, a ``src`` below ``ANY_RANK`` that
+        never matches) fails where it is written, naming the field."""
+        with pytest.raises(ValueError, match=rf"\$\.{field}\b"):
+            cls(**kwargs)
+
+    def test_numbers_take_their_fields_type(self):
+        """A plan file may write a float field as an integer or an integer
+        field as an integral float; the record holds the declared type,
+        whether loaded or built."""
+        rule = LinkFault.from_dict({"latency_factor": 2, "drop_every": 3.0, "drop_at": [1.0]})
+        assert rule == LinkFault(latency_factor=2, drop_every=3.0, drop_at=[1.0])
+        assert (type(rule.latency_factor), type(rule.drop_every)) == (float, int)
+        assert type(rule.drop_at) is tuple and type(rule.drop_at[0]) is int
+        assert type(FaultPlan(seed=4.0, retry=RetryPolicy(max_retries=2.0)).retry.max_retries) is int
+
 
 # ---------------------------------------------------- drop/retry story -- #
 class TestDropRetryAcceptance:

@@ -247,11 +247,6 @@ def test_cannon_copies_no_block_it_owns():
 #: writes, and the k-reduction, whose partial C blocks die in it.
 OWNED_BLOCK_PHASES = ("summa", "cannon", "replicate", "reduce")
 
-#: What CARMA's own exchange of partial products still copies in phase
-#: ``reduce`` at the default 256³, P = 64.
-CARMA_REDUCE_COPIES = 524_288
-
-
 def owned_block_copies(name: str, p: int = 64, n: int = 256) -> tuple[dict[str, int], float]:
     """``(copied, pickled)`` of schedule ``name`` (``SCHEDULES``) n³ on
     ``p`` ranks from ``BlockCol1D`` operands: array bytes its sends copy
@@ -268,22 +263,22 @@ def test_no_schedule_copies_a_block_it_owns():
     again before they travel — the 1D, COSMA and CA3DMM replication
     allgathers, the 3D and 2.5D layer broadcasts, the 2.5D and Cannon
     shifts, SUMMA's panels, stationary SUMMA's buffers, CARMA's pieces,
-    and the partial C blocks each k-reduction consumes — so the sends of
-    phases ``summa``, ``cannon``, ``replicate`` and ``reduce`` copy no
-    array, allgather windows and containers counted, and no message is
-    pickled; only CARMA's own exchange of partial products copies, in
-    ``reduce``.  All 16 ``SCHEDULES`` 256³ at P = 64 from ``BlockCol1D``
-    (the parent read 33.0 MB in ``replicate`` for the 1D schedules, 7.3
-    to 7.8 MB in ``summa`` for the SUMMA family and 3.8 MB pickled per
-    stationary SUMMA run; in ``reduce``, 33.0 MB for ``1d-k``, 1.6 MB
-    for CA3DMM, CA3DMM-S and COSMA and 1.0 MB for 2.5D, CTF and 3D while
-    the k-reduction sent writeable blocks)."""
+    and the partial C blocks each k-reduction consumes, CARMA's own
+    pairwise exchange among them — so the sends of phases ``summa``,
+    ``cannon``, ``replicate`` and ``reduce`` copy no array, allgather
+    windows and containers counted, and no message is pickled.  All 16
+    ``SCHEDULES`` 256³ at P = 64 from ``BlockCol1D`` (the parent read
+    33.0 MB in ``replicate`` for the 1D schedules, 7.3 to 7.8 MB in
+    ``summa`` for the SUMMA family and 3.8 MB pickled per stationary
+    SUMMA run; in ``reduce``, 33.0 MB for ``1d-k``, 1.6 MB for CA3DMM,
+    CA3DMM-S and COSMA and 1.0 MB for 2.5D, CTF and 3D while the
+    k-reduction sent writeable blocks, and 0.5 MB for CARMA while its
+    exchange sent row halves of a writeable block)."""
     found = {name: owned_block_copies(name) for name in SCHEDULES}
     for name, (copied, pickled) in found.items():
         print(f"{name:>10}: copied {copied}, pickled/message {pickled:.1f}")
-    assert {name: sum(copied.values()) for name, (copied, _p) in found.items()} == {
-        **dict.fromkeys(SCHEDULES, 0), "carma": CARMA_REDUCE_COPIES}, found
-    assert found["carma"][0]["reduce"] == CARMA_REDUCE_COPIES, found["carma"]
+    assert {name: sum(copied.values()) for name, (copied, _p) in found.items()} == dict.fromkeys(
+        SCHEDULES, 0), found
     assert all(pickled == 0.0 for _c, pickled in found.values()), found
 
 
@@ -419,14 +414,15 @@ def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
 
 
 def test_message_budget_and_flatness():
-    """≤ 75 calls per message at 64 and at 256 ranks (64.6 and 57.8 on 3.11;
-    80 and 73 while every Bruck hop of a split was unpickled and pickled
-    again; 153 and 156 before the baton handoff, one-pass accounting and
-    the shared split grouping), and no growth with P: what a rank does
-    per message must stay O(1) in P."""
+    """≤ 63 calls per message at 64 and at 256 ranks (61.2 and 54.4 on 3.11;
+    64.7 and 57.8 while every receive built a ``Status`` record; 80 and 73
+    while every Bruck hop of a split was unpickled and pickled again; 153
+    and 156 before the baton handoff, one-pass accounting and the shared
+    split grouping), and no growth with P: what a rank does per message
+    must stay O(1) in P."""
     at64 = calls_per_message(64)
     at256 = calls_per_message(256)
-    assert at64 <= 75 and at256 <= 75, (at64, at256)
+    assert at64 <= 63 and at256 <= 63, (at64, at256)
     assert at256 / at64 <= 1.05, (at64, at256)
 
 

@@ -260,6 +260,23 @@ class TestValidation:
         res = spmd(1, f)
         assert res.traces[0].msgs_sent == 0 and not res.transport._mail
 
+    def test_sendrecv_refuses_a_bad_receive_side_before_posting(self, spmd):
+        """``sendrecv`` tests both peers and both tags at once; a receive
+        tag below ``ANY_TAG`` or a source out of range is refused as
+        ``recv`` refuses it, before the send half is posted."""
+        from repro.mpi import ANY_SOURCE
+
+        def f(comm):
+            with pytest.raises(TagError, match="invalid tag -5"):
+                comm.sendrecv(1, 0, 0, recvtag=-5)
+            for source in (1, -2):
+                with pytest.raises(RankError, match=f"rank {source} out of range"):
+                    comm.sendrecv(1, 0, source)
+            posted = comm.transport.ranks[0].msgs_sent
+            return posted, comm.sendrecv(7, 0, ANY_SOURCE, recvtag=0)
+
+        assert spmd(1, f).results == [(0, 7)]
+
     def test_wildcard_destination_does_not_strand_a_bystander(self, spmd):
         """``send(x, dest=-1)`` used to be accepted, counted, parked in
         mailbox ``(ctx, -1)`` — and ``wake_recv(-1)`` flipped the *last*

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machine.model import MachineModel, laptop
-from repro.mpi.transport import PhaseStats, Transport
+from repro.mpi.transport import Transport
 from repro.mpi.datatypes import payload_pack, payload_unpack
 
 
@@ -74,7 +74,7 @@ class TestDirectTransport:
             t.post_send(0, 0, 1, 5, stored, n, ia, advance_sender=True)
         box = t._mail[(0, 1)]
         assert [m.seq for m in box] == sorted(m.seq for m in box)
-        got = [t.match_recv(0, 1, 0, 5)[0].unpack() for _ in range(3)]
+        got = [t.match_recv(0, 1, 0, 5).unpack() for _ in range(3)]
         assert got == [0, 1, 2]
 
     def test_counters_track_bytes_and_msgs(self):
@@ -105,14 +105,23 @@ class TestDirectTransport:
 
 
 class TestPhaseStats:
-    def test_merged_adds_fields(self):
-        a = PhaseStats(time=1.0, comm_time=0.5, bytes_sent=10, msgs_sent=1)
-        b = PhaseStats(time=2.0, compute_time=1.5, bytes_recv=20, msgs_recv=2)
-        m = a.merged(b)
-        assert m.time == 3.0
-        assert m.comm_time == 0.5 and m.compute_time == 1.5
-        assert m.bytes_sent == 10 and m.bytes_recv == 20
-        assert m.msgs_sent == 1 and m.msgs_recv == 2
+    def test_trace_snapshot_shares_no_stats_record(self):
+        """A ``trace()`` snapshot shares no stats record with the live rank:
+        its phase and collective records are equal copies, and what the
+        rank charges afterwards leaves the snapshot as it was."""
+        t = Transport(2, laptop())
+        stored, n, ia = payload_pack(np.zeros(10))
+        t.post_send(0, 0, 1, 1, stored, n, ia, advance_sender=True)
+        snap = t.trace(0)
+        live = t.ranks[0]
+        pairs = [(snap.phases, live.phases)] + [
+            (snap.colls[phase], live.colls[phase]) for phase in live.colls]
+        for copied, charged in pairs:
+            assert copied == charged and copied
+            assert all(copied[k] is not charged[k] for k in charged)
+        t.post_send(0, 0, 1, 1, stored, n, ia, advance_sender=True)
+        assert [ps.msgs_sent for ps in snap.phases.values()] == [1]
+        assert [ps.msgs_sent for ps in live.phases.values()] == [2]
 
     def test_phase_stack_nesting(self, spmd):
         def f(comm):
