@@ -20,6 +20,7 @@ from repro import DistMatrix, dense_random, run_spmd
 from repro.core import Ca3dmm, tune
 from repro.grid.optimizer import ca3dmm_grid
 from repro.machine.model import pace_phoenix_cpu
+from repro.mpi.transport import MEM_INFLIGHT
 
 M = N = K = 3000
 NPROCS = 64
@@ -58,7 +59,7 @@ def main() -> None:
                 comm, eng.plan.b_dist, dense_random(K, N, 2)
             )
             c = eng.multiply(a, b)
-            peak = comm.transport.trace(comm.world_rank).peak_live_bytes
+            peak = comm.transport.trace(comm.world_rank).mem_peaks.get(MEM_INFLIGHT, 0)
             return peak
 
         # shrink the executed run (same grid logic, laptop-sized data)

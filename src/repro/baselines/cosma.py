@@ -102,18 +102,18 @@ def cosma_matmul(
                 else np.concatenate(mgroup.allgather(freeze(b_piece)), axis=0)
             )
         mi, ni = a_blk.shape[0], b_blk.shape[1]
-        comm.note_live_bytes(
-            a_blk.nbytes + b_blk.nbytes + mi * ni * a_blk.dtype.itemsize
-        )
+        # The replicated A and B and the C block stay resident together
+        # until the k-reduction is done.
+        blocks = a_blk.nbytes + b_blk.nbytes + mi * ni * a_blk.dtype.itemsize
+        with comm.mem("cosma.blocks", blocks):
+            with comm.phase("compute"):
+                comm.gemm_tick(mi, ni, a_blk.shape[1])
+                out_dtype = np.promote_types(a.dtype, b.dtype)
+                if a_blk.shape[1]:
+                    c_part = (a_blk @ b_blk).astype(out_dtype, copy=False)
+                else:
+                    c_part = np.zeros((mi, ni), dtype=out_dtype)
 
-        with comm.phase("compute"):
-            comm.gemm_tick(mi, ni, a_blk.shape[1])
-            out_dtype = np.promote_types(a.dtype, b.dtype)
-            if a_blk.shape[1]:
-                c_part = (a_blk @ b_blk).astype(out_dtype, copy=False)
-            else:
-                c_part = np.zeros((mi, ni), dtype=out_dtype)
-
-        with comm.phase("reduce"):
-            c_strip = reduce_over_k(kgroup, freeze_partial(kgroup, c_part))
+            with comm.phase("reduce"):
+                c_strip = reduce_over_k(kgroup, freeze_partial(kgroup, c_part))
     return leave(comm, native[2], c_strip, c_dist)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..cli import _positive_arg
 from .harness import (
     TRACE_WORKLOADS,
     baseline_artifact,
@@ -64,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
              "commit the result to update the perf gate",
     )
     ap.add_argument(
-        "--ckpt-every", metavar="N", type=int, default=None,
+        "--ckpt-every", metavar="N", type=_positive_arg, default=None,
         help="also run each figure's stand-in workload as a 4-call matmul "
              "chain checkpointed every N calls, kill a rank mid-pipeline, "
              "and print the checkpoint/restart overhead (repro.ckpt, see "

@@ -59,7 +59,7 @@ def format_ledger(
     rows = []
     for rec in records:
         prob, grid, opt = rec["problem"], rec["grid"], rec["optimality"]
-        cannon_ov = rec.get("overlap", {}).get("cannon")
+        cannon_ov = rec.get("overlap", {}).get("by_phase", {}).get("cannon")
         faults = rec.get("faults", {})
         rows.append([
             rec["run_id"][:8],

@@ -31,8 +31,9 @@ class CheckpointPolicy:
         Checkpoint after every N pipeline steps (``1`` = after each
         step).  ``None`` or ``0`` disables the call-count trigger.
     every_virtual_s:
-        Checkpoint when at least this much *simulated* time has passed
-        since the last checkpoint.  ``None`` disables the time trigger.
+        Checkpoint when at least this much *simulated* time (> 0) has
+        passed since the last checkpoint.  ``None`` disables the time
+        trigger.
         This is a collective trigger (one small allreduce per step).
     full_interval:
         Force every Nth published checkpoint to be a full snapshot
@@ -46,6 +47,15 @@ class CheckpointPolicy:
     every_calls: int | None = 1
     every_virtual_s: float | None = None
     full_interval: int = 0
+
+    def __post_init__(self) -> None:
+        if self.every_calls is not None and self.every_calls < 0:
+            raise ValueError(f"every_calls must be >= 0 or None, got {self.every_calls!r}")
+        if self.every_virtual_s is not None and not self.every_virtual_s > 0:
+            raise ValueError(
+                f"every_virtual_s must be > 0 or None, got {self.every_virtual_s!r}")
+        if self.full_interval < 0:
+            raise ValueError(f"full_interval must be >= 0, got {self.full_interval!r}")
 
     def global_now(self, comm: Comm) -> float:
         """The world's virtual time: max of the members' clocks."""

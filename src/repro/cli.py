@@ -53,6 +53,7 @@ from .grid.optimizer import GridSpec
 from .layout.distributions import BlockCol1D
 from .machine.model import pace_phoenix_cpu, pace_phoenix_gpu
 from .mpi.faults import FaultPlan, LinkFault, RankFault
+from .mpi.transport import MEM_INFLIGHT
 from .obs.audit import audit_run
 from .obs.baseline import (
     PERF_RULES,
@@ -99,14 +100,31 @@ def _op_arg(value: str) -> str:
     return code
 
 
-def _count_arg(value: str) -> int:
+def _count_arg(value: str, low: int = 0) -> int:
     try:
         count = int(value)
     except ValueError:
-        count = -1
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value!r}")
+        count = low - 1
+    if count < low:
+        raise argparse.ArgumentTypeError(f"expected a count >= {low}, got {value!r}")
     return count
+
+
+def _positive_arg(value: str) -> int:
+    return _count_arg(value, 1)
+
+
+def _load_plan(path: str) -> FaultPlan:
+    """The fault plan at ``path``; one unreadable or refused is an input error."""
+    try:
+        return FaultPlan.load(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"cannot use fault plan {path}: {exc}") from None
+
+
+def _in_range(flag: str, value: int, stop: int) -> None:
+    if not 0 <= value < stop:
+        raise _InputError(f"{flag} must be in [0, {stop})")
 
 
 def _partition_doc(args, plan, metrics) -> dict:
@@ -163,7 +181,7 @@ def _example_main(args) -> int:
             ref = op_a @ op_b
             scale = max(1.0, float(np.abs(ref).max()))
             errors = int(np.sum(np.abs(got - ref) > 1e-9 * scale))
-        peak = comm.transport.trace(comm.world_rank).peak_live_bytes
+        peak = comm.transport.trace(comm.world_rank).mem_peaks.get(MEM_INFLIGHT, 0)
         return timings, errors, peak
 
     plan, result = executed_workload(
@@ -428,7 +446,7 @@ def _perfdiff_main(args) -> int:
 def _faults_main(args) -> int:
     machine, grid = _obs_common(args)
     if args.plan:
-        fault_plan = FaultPlan.load(args.plan)
+        fault_plan = _load_plan(args.plan)
     else:
         fault_plan = FaultPlan(
             seed=args.seed, links=(LinkFault(phase="cannon", drop_at=(0,)),)
@@ -489,16 +507,14 @@ def _recover_main(args) -> int:
     m, n, k, p = _shape(args)
 
     if args.plan:
-        fault_plan = FaultPlan.load(args.plan)
+        fault_plan = _load_plan(args.plan)
     else:
         kill = args.kill_rank
         if kill is None and not args.corrupt and args.corrupt_phase is None:
             kill = 1 if p > 1 else None
         ranks = ()
         if kill is not None:
-            if not 0 <= kill < p:
-                print(f"--kill-rank must be in [0, {p})", file=sys.stderr)
-                return 2
+            _in_range("--kill-rank", kill, p)
             ranks = (RankFault(rank=kill, phase="cannon", occurrence=1,
                                kill=True),)
         if args.corrupt_phase is not None:
@@ -637,12 +653,8 @@ def _checkpoint_main(args) -> int:
 
     machine, _grid = _obs_common(args)
     m, n, k, p = _shape(args)
-    if not 0 <= args.kill_rank < p:
-        print(f"--kill-rank must be in [0, {p})", file=sys.stderr)
-        return 2
-    if not 0 <= args.kill_call < args.calls:
-        print(f"--kill-call must be in [0, {args.calls})", file=sys.stderr)
-        return 2
+    _in_range("--kill-rank", args.kill_rank, p)
+    _in_range("--kill-call", args.kill_call, args.calls)
 
     fault_plan = FaultPlan(ranks=(RankFault(
         rank=args.kill_rank, phase="cannon",
@@ -754,14 +766,6 @@ def _stats_main(args) -> int:
         print(json.dumps({
             "metrics": metrics.to_dict(),
             "audit": report.to_dict(),
-            # transport in-flight / self-reported peak, NOT the resident
-            # footprint (that is resident_peak_bytes)
-            "transport_inflight_peak_bytes": max(
-                t.peak_live_bytes for t in result.traces),
-            "resident_peak_bytes": max(
-                t.resident_peak_bytes for t in result.traces),
-            "mem_by_purpose_words": dict(metrics.mem_by_purpose),
-            "overlap_by_phase": dict(metrics.overlap_by_phase),
             "q_over_analytic": q_over_analytic,
         }, indent=2))
     else:
@@ -833,7 +837,8 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
         return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
     run = parent()
-    run.add_argument("-np", "--nprocs", type=int, default=8, help="number of ranks")
+    run.add_argument("-np", "--nprocs", type=_positive_arg, default=8,
+                     help="number of ranks")
     run.add_argument("--ledger", nargs="?", const="", default=None,
                      metavar="PATH",
                      help=f"append this run's record to the JSONL run ledger "
@@ -841,7 +846,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                           f"REPRO_LEDGER=<path|1> enables it globally)")
     mnk = parent()
     for dim in "MNK":
-        mnk.add_argument(dim, type=int)
+        mnk.add_argument(dim, type=_positive_arg)
     workload = parent(run, mnk)
     workload.add_argument("--dtype", type=int, choices=(0, 1), default=0,
                           help="0 = CPU machine model, 1 = GPU machine model")
@@ -1036,7 +1041,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                     help="print the per-(i,j) salvage table of the recovery "
                          "round: which C cells were reused from retained "
                          "ABFT-verified partials and which were recomputed")
-    ap.add_argument("--max-recoveries", type=int, default=2,
+    ap.add_argument("--max-recoveries", type=_count_arg, default=2,
                     help="shrink-replan rounds allowed before giving up")
 
     ap = command(
@@ -1049,9 +1054,9 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
              "recovers, matches the serial reference, and partial-result "
              "reuse saved work (reused_flops > 0, recomputed < one full call).",
     )
-    ap.add_argument("--calls", type=int, default=4,
+    ap.add_argument("--calls", type=_positive_arg, default=4,
                     help="pipeline length (matmul calls)")
-    ap.add_argument("--ckpt-every", type=int, default=1, metavar="N",
+    ap.add_argument("--ckpt-every", type=_positive_arg, default=1, metavar="N",
                     help="checkpoint after every N calls")
     ap.add_argument("--kill-rank", type=int, default=1, metavar="R",
                     help="rank to kill (permanently) mid-pipeline")
@@ -1066,7 +1071,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
                     help="use non-resilient steps so the failure escapes to "
                          "the pipeline restart path instead of being healed "
                          "in-call (no partial-result reuse)")
-    ap.add_argument("--max-restarts", type=int, default=2,
+    ap.add_argument("--max-restarts", type=_count_arg, default=2,
                     help="pipeline restarts allowed before giving up")
     return root, list(sub.choices)
 

@@ -450,15 +450,6 @@ class Comm:
             if sid is not None:
                 tr.end(rank, sid, self.now())
 
-    def note_live_bytes(self, nbytes: int) -> None:
-        """Report current live matrix bytes for peak-memory tracking.
-
-        Self-reported (analytic) estimate; measured footprint goes
-        through the memtrace API (:meth:`mem` / :meth:`mem_alloc` /
-        :meth:`mem_free`).
-        """
-        self._transport.note_live_bytes(self._world_rank, nbytes)
-
     # ---------------------------------------------------------- memtrace -- #
     def mem_alloc(self, purpose: str, nbytes: int) -> None:
         """Charge tracked resident bytes to a tagged allocation span.

@@ -133,7 +133,6 @@ class RankTrace:
     bytes_recv: int = 0
     msgs_sent: int = 0
     msgs_recv: int = 0
-    peak_live_bytes: int = 0
     phases: dict[str, PhaseStats] = field(default_factory=dict)
     #: per-phase, per-collective-algorithm traffic: phase -> label -> stats.
     colls: dict[str, dict[str, CollStats]] = field(default_factory=dict)
@@ -598,17 +597,6 @@ class Transport:
             self.tracer.end(world_rank, None, st.clock)
         return name
 
-    def note_live_bytes(self, world_rank: int, nbytes: int) -> None:
-        """Record a high-water mark of self-reported live bytes on a rank.
-
-        Kept for engines that estimate their footprint analytically
-        (e.g. the COSMA baseline); measured footprint lives in the
-        memtrace counters (:meth:`mem`).
-        """
-        st = self.ranks[world_rank]
-        if nbytes > st.peak_live_bytes:
-            st.peak_live_bytes = nbytes
-
     # ---------------------------------------------------------- memtrace -- #
     def mem(self, world_rank: int, purpose: str, nbytes: int, kind: str) -> None:
         """The one update of a rank's tracked memory: ``kind`` ``"alloc"``
@@ -616,8 +604,8 @@ class Transport:
         ``"pulse"`` does both at once (a send's packed copy: only the
         high-water marks move).
 
-        A charge moves the high-water marks (resident, purpose, phase
-        and, for ``MEM_INFLIGHT``, ``peak_live_bytes``); each step is one
+        A charge moves the high-water marks (resident, purpose and
+        phase); each step is one
         ``MemEvent`` when recording.  A release of more than the
         purpose's live bytes raises :class:`ValueError` — an
         instrumentation bug that clamping would hide in every watermark
@@ -640,8 +628,6 @@ class Transport:
                 st.mem_peaks[purpose] = live
             if resident > st.phase_mem_peaks.get(st.phase, 0):
                 st.phase_mem_peaks[st.phase] = resident
-            if purpose == MEM_INFLIGHT and live > st.peak_live_bytes:
-                st.peak_live_bytes = live
             if tr is not None:
                 tr.mem(world_rank, "alloc", purpose, st.phase, st.clock, nbytes, resident)
         if kind != "alloc":

@@ -94,7 +94,6 @@ AUDIT_JSON_SCHEMA: dict[str, Any] = {
         },
         "q_words": {"type": "number", "minimum": 0},
         "total_words": {"type": "number", "minimum": 0},
-        "peak_live_words": {"type": "number", "minimum": 0},
         "resident_peak_words": {"type": "number", "minimum": 0},
         "bounds": {
             "type": "object",
@@ -191,14 +190,11 @@ class AuditReport:
     phases: list[PhaseAudit]
     q_words: float  #: measured critical-rank words sent (the paper's Q)
     total_words: float  #: words sent across all ranks
-    #: transport in-flight / self-reported peak — NOT resident footprint
-    peak_live_words: float
     eq9_words: float  #: analytic lower bound 3(mnk/P)^(2/3)
     pebbling_words: float  #: I/O lower bound 2mnk/(P·√M), measured M
     overlap_by_phase: dict[str, float] = field(default_factory=dict)
     byte_tol: float = 0.05
     #: memtrace resident watermark — the M the pebbling bound consumes
-    #: (falls back to ``peak_live_words`` when no memtrace data exists)
     resident_peak_words: float = 0.0
 
     @property
@@ -244,7 +240,6 @@ class AuditReport:
             },
             "q_words": self.q_words,
             "total_words": self.total_words,
-            "peak_live_words": self.peak_live_words,
             "resident_peak_words": self.resident_peak_words,
             "bounds": {
                 "eq9_words": self.eq9_words,
@@ -279,8 +274,6 @@ class AuditReport:
                 if self.q_over_pebbling is not None
                 else ""
             ),
-            f"  transport in-flight peak : {self.peak_live_words:.0f} words "
-            "(not footprint)",
         ]
         for p in self.phases:
             ov = f"{100 * p.overlap:5.1f}%" if p.overlap is not None else "    - "
@@ -374,10 +367,6 @@ def audit_run(
     overlap = overlap_by_phase(result)
     phases = compare_phases(totals, expected_phase_traffic(plan), overlap,
                             byte_tol, abs_tol_words)
-
-    # The pebbling M is the measured footprint: the memtrace resident
-    # watermark, or the in-flight counter for self-reporting engines.
-    mem_words = totals.footprint_words
     return AuditReport(
         m=plan.m,
         n=plan.n,
@@ -387,14 +376,13 @@ def audit_run(
         phases=phases,
         q_words=totals.q_words,
         total_words=totals.total_words,
-        peak_live_words=totals.peak_live_words,
         eq9_words=eq9_lower_bound(plan.m, plan.n, plan.k, plan.nprocs),
         pebbling_words=pebbling_lower_bound(
-            plan.m, plan.n, plan.k, plan.nprocs, mem_words
+            plan.m, plan.n, plan.k, plan.nprocs, totals.resident_peak_words
         ),
         overlap_by_phase=overlap,
         byte_tol=byte_tol,
-        resident_peak_words=mem_words,
+        resident_peak_words=totals.resident_peak_words,
     )
 
 

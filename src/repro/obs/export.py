@@ -354,7 +354,6 @@ def jsonl_records(result: "SpmdResult") -> Iterator[dict[str, Any]]:
             "bytes_recv": trace.bytes_recv,
             "msgs_sent": trace.msgs_sent,
             "msgs_recv": trace.msgs_recv,
-            "peak_live_bytes": trace.peak_live_bytes,  # transport in-flight
             "resident_peak_bytes": trace.resident_peak_bytes,
             "resident_bytes": trace.resident_bytes,  # nonzero = leak
             "mem_peaks": dict(sorted(trace.mem_peaks.items())),

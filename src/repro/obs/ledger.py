@@ -4,7 +4,7 @@ Every executed multiplication — CLI subcommands, the bench harness,
 recovery/checkpoint demos — can append one :data:`LEDGER_RECORD_SCHEMA`
 record to a shared history file (default
 ``benchmarks/history/ledger.jsonl``).  A record is the run's durable
-trace: problem and grid, measured wire traffic, peak live memory,
+trace: problem and grid, measured wire traffic, the resident watermark,
 overlap efficiency, fault/recovery counters, and the measured
 optimality ratios the audit computes.  Accumulated over time the ledger
 is the calibration corpus the ROADMAP's cost-model work reads, and CI's
@@ -107,10 +107,8 @@ LEDGER_RECORD_SCHEMA: dict[str, Any] = {
         },
         "memory": {
             "type": "object",
-            "required": ["peak_live_words"],
+            "required": ["resident_peak_words"],
             "properties": {
-                # transport in-flight / self-reported peak (legacy name)
-                "peak_live_words": {"type": "number", "minimum": 0},
                 # measured memtrace resident watermark (max over ranks)
                 "resident_peak_words": {"type": "number", "minimum": 0},
                 # per-purpose peaks, max over ranks, words
@@ -123,7 +121,6 @@ LEDGER_RECORD_SCHEMA: dict[str, Any] = {
         "overlap": {
             "type": "object",
             "properties": {
-                "cannon": {"type": ["number", "null"]},
                 "by_phase": {"type": "object"},
                 # seconds of comm the async engine hid, per phase
                 "covered_by_phase": {
@@ -217,9 +214,8 @@ def ledger_record(
     q_words = totals.q_words
     eq9 = eq9_lower_bound(plan.m, plan.n, plan.k, plan.nprocs)
     pebb = pebbling_lower_bound(
-        plan.m, plan.n, plan.k, plan.nprocs, totals.footprint_words
+        plan.m, plan.n, plan.k, plan.nprocs, totals.resident_peak_words
     )
-    overlap = overlap_by_phase(result)
     metrics = result.metrics
     record: dict[str, Any] = {
         "schema_version": 3,
@@ -251,13 +247,11 @@ def ledger_record(
             },
         },
         "memory": {
-            "peak_live_words": totals.peak_live_words,
             "resident_peak_words": totals.resident_peak_words,
             "by_purpose_words": dict(sorted(totals.mem_by_purpose.items())),
         },
         "overlap": {
-            "cannon": overlap.get("cannon"),
-            "by_phase": dict(sorted(overlap.items())),
+            "by_phase": dict(sorted(overlap_by_phase(result).items())),
             "covered_by_phase": dict(sorted(totals.covered_by_phase.items())),
         },
         "optimality": {

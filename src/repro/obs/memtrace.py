@@ -6,7 +6,8 @@ allocation span a rank holds: operand tiles, replication buffers,
 Cannon double buffers, ABFT checksum borders, checkpoint staging
 copies, write-behind delta snapshots (``ckpt.writebehind`` — resident
 from the step that dirtied a matrix until the commit barrier proves the
-flushed tiles durable), and in-flight transport payloads.  This module
+flushed tiles durable), and in-flight transport payloads
+(``transport.inflight``).  This module
 distils those counters into a :class:`MemReport` — per-rank resident
 watermarks, per-purpose and per-phase peaks, top-offender ranks — and
 closes the loop against the paper's analytic model:
@@ -19,11 +20,6 @@ closes the loop against the paper's analytic model:
   same way — unless the plan's ``mem_limit_infeasible`` flag records
   that the cap excluded every grid, in which case the cap is known to
   be un-honoured and only eq. (11) gates.
-
-Resident watermarks are **measured** footprint — distinct from the
-legacy ``peak_live_bytes`` counter, which tracks transport in-flight
-payload plus self-reported baseline estimates (see
-``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ MEMPROF_JSON_SCHEMA: dict[str, Any] = {
         "mem_limit_infeasible": {"type": "boolean"},
         "tol": {"type": "number", "minimum": 0},
         "resident_peak_words": {"type": "number", "minimum": 0},
-        "transport_peak_words": {"type": "number", "minimum": 0},
         "peak_rank": {"type": "integer", "minimum": -1},
         "peak_over_eq11": {"type": ["number", "null"]},
         "by_purpose_words": {
@@ -139,8 +134,6 @@ class MemReport:
     resident_peak_words: float
     #: the rank holding the watermark (-1 when no memtrace data).
     peak_rank: int
-    #: legacy transport in-flight / self-reported peak, for context.
-    transport_peak_words: float
     #: max-over-ranks peak per allocation purpose, words.
     by_purpose_words: dict[str, float] = field(default_factory=dict)
     ranks: list[RankMemProfile] = field(default_factory=list)
@@ -178,7 +171,6 @@ class MemReport:
             "mem_limit_infeasible": self.mem_limit_infeasible,
             "tol": self.tol,
             "resident_peak_words": self.resident_peak_words,
-            "transport_peak_words": self.transport_peak_words,
             "peak_rank": self.peak_rank,
             "peak_over_eq11": self.peak_over_eq11,
             "by_purpose_words": dict(sorted(self.by_purpose_words.items())),
@@ -213,8 +205,6 @@ class MemReport:
             f"  measured / eq. (11)      : "
             + (f"{ratio:12.3f}" if ratio is not None else "         n/a")
             + f"  (gate: <= {1 + self.tol:.2f})",
-            f"  transport in-flight peak : {self.transport_peak_words:12.0f} words"
-            "  (not footprint)",
         ]
         if self.limit_words is not None:
             cap = f"{self.limit_words:12.0f} words"
@@ -301,7 +291,6 @@ def memprof_run(
         tol=tol,
         resident_peak_words=peak_words,
         peak_rank=peak_rank,
-        transport_peak_words=totals.peak_live_words,
         by_purpose_words=totals.mem_by_purpose,
         ranks=ranks,
         leaks=leaks,

@@ -38,10 +38,6 @@ class RunMetrics:
     q_words: float  #: max over ranks of words sent (the paper's Q)
     total_words: float
     max_msgs: int
-    #: transport in-flight / self-reported peak (NOT resident footprint;
-    #: see ``resident_peak_words`` for the measured watermark)
-    peak_live_words: float
-    cannon_overlap_ratio: float | None  #: None when no cannon phase ran
     k_group_imbalance: float | None  #: None without a plan / single group
     #: volume-weighted overlap efficiency per phase over live ranks
     overlap_by_phase: dict[str, float] = field(default_factory=dict)
@@ -80,11 +76,9 @@ class RunMetrics:
             "q_words": self.q_words,
             "total_words": self.total_words,
             "max_msgs": self.max_msgs,
-            "peak_live_words": self.peak_live_words,
             "resident_peak_words": self.resident_peak_words,
             "mem_by_purpose": dict(sorted(self.mem_by_purpose.items())),
             "mem_limit_infeasible": self.mem_limit_infeasible,
-            "cannon_overlap_ratio": self.cannon_overlap_ratio,
             "cannon_overlap_critical_rank": self.cannon_overlap_critical_rank,
             "overlap_by_phase": dict(self.overlap_by_phase),
             "covered_by_phase": dict(sorted(self.covered_by_phase.items())),
@@ -131,19 +125,14 @@ class RunTotals:
     q_words: float  #: max over ranks of words sent (the paper's Q)
     total_words: float  #: words sent, summed over ranks
     max_msgs: int  #: max over ranks of messages sent
-    peak_live_words: float  #: max transport in-flight / self-reported peak
-    resident_peak_words: float  #: max memtrace resident watermark
+    #: max memtrace resident watermark: the measured M of eq. (11) and
+    #: the pebbling bound
+    resident_peak_words: float
     peak_rank: int  #: the rank holding that watermark (-1 without memtrace)
     mem_by_purpose: dict[str, float]  #: max over ranks of each purpose's peak
     phases: dict[str, PhaseTotals]
     #: comm seconds the async engine hid, summed over ranks (phases where > 0)
     covered_by_phase: dict[str, float]
-
-    @property
-    def footprint_words(self) -> float:
-        """The measured M of eq. (11) and the pebbling bound: the resident
-        watermark, or the in-flight counter when no memtrace span was charged."""
-        return self.resident_peak_words or self.peak_live_words
 
 
 def run_totals(traces: "list[RankTrace]", nruns: int = 1) -> RunTotals:
@@ -185,7 +174,6 @@ def run_totals(traces: "list[RankTrace]", nruns: int = 1) -> RunTotals:
         q_words=max((t.bytes_sent for t in traces), default=0) / ITEM / nruns,
         total_words=sum(t.bytes_sent for t in traces) / ITEM / nruns,
         max_msgs=max((t.msgs_sent for t in traces), default=0) // nruns,
-        peak_live_words=max((t.peak_live_bytes for t in traces), default=0) / ITEM,
         resident_peak_words=resident_peak / ITEM,
         peak_rank=peak_rank,
         mem_by_purpose=mem_by_purpose,
@@ -270,7 +258,6 @@ def snapshot_run(
     k-task-group imbalance.
     """
     totals = run_totals(result.traces)
-    phase_overlap = overlap_by_phase(result)
     injected_by_phase: dict[str, int] = {}
     detected_by_phase: dict[str, int] = {}
     for trace in result.traces:
@@ -284,10 +271,8 @@ def snapshot_run(
         q_words=totals.q_words,
         total_words=totals.total_words,
         max_msgs=totals.max_msgs,
-        peak_live_words=totals.peak_live_words,
-        cannon_overlap_ratio=phase_overlap.get("cannon"),
         cannon_overlap_critical_rank=_critical_rank_overlap(result),
-        overlap_by_phase=phase_overlap,
+        overlap_by_phase=overlap_by_phase(result),
         # Hidden seconds are summed over survivors only: a killed rank's
         # clock stopped mid-phase.
         covered_by_phase=run_totals(result.live_traces).covered_by_phase,
@@ -331,7 +316,6 @@ def format_metrics(metrics: RunMetrics) -> str:
         f"  Q (max words sent)  : {metrics.q_words:.0f}",
         f"  total words sent    : {metrics.total_words:.0f}",
         f"  max messages / rank : {metrics.max_msgs}",
-        f"  transport in-flight : {metrics.peak_live_words:.0f} words (peak)",
         f"  resident watermark  : {metrics.resident_peak_words:.0f} words (measured)",
     ]
     if metrics.mem_limit_infeasible:
@@ -340,13 +324,11 @@ def format_metrics(metrics: RunMetrics) -> str:
         lines.append("  peak words by purpose:")
         for purpose, words in sorted(metrics.mem_by_purpose.items()):
             lines.append(f"    {purpose:<18}: {words:.0f}")
-    if metrics.cannon_overlap_ratio is not None:
+    cannon = metrics.overlap_by_phase.get("cannon")
+    if cannon is not None:
         crit = metrics.cannon_overlap_critical_rank
         suffix = f" (critical rank {100 * crit:.1f} %)" if crit is not None else ""
-        lines.append(
-            f"  cannon overlap      : {100 * metrics.cannon_overlap_ratio:.1f} %"
-            + suffix
-        )
+        lines.append(f"  cannon overlap      : {100 * cannon:.1f} %" + suffix)
     if metrics.covered_by_phase:
         total_covered = sum(metrics.covered_by_phase.values())
         lines.append(

@@ -68,22 +68,32 @@ class TestStrategy:
 
 
 class TestScheduleShape:
-    def test_full_replication_before_compute(self, spmd):
-        """COSMA's A-operand ends fully replicated: each active rank holds
-        an m/pm x k/pk block (vs CA3DMM's m/pm x k/(pk*s) Cannon block)."""
-        m, n, k, P = 24, 24, 32, 8
+    @staticmethod
+    def _blocks(spmd, m, n, k, P):
+        """The run, and the bytes of one active rank's replicated A and B
+        and its C block on COSMA's grid."""
 
         def f(comm):
             A, B = dense_random(m, k, 1), dense_random(k, n, 2)
             a = DistMatrix.from_global(comm, BlockCol1D((m, k), comm.size), A)
             b = DistMatrix.from_global(comm, BlockCol1D((k, n), comm.size), B)
             cosma_matmul(a, b)
-            return comm.transport.trace(comm.world_rank).peak_live_bytes
 
-        res = spmd(P, f)
         grid = cosma_grid(m, n, k, P)
         blk_a = (m / grid.pm) * (k / grid.pk)
         blk_b = (k / grid.pk) * (n / grid.pn)
         blk_c = (m / grid.pm) * (n / grid.pn)
-        expect = (blk_a + blk_b + blk_c) * 8
-        assert max(res.results) == pytest.approx(expect, rel=0.35)
+        return spmd(P, f), (blk_a + blk_b + blk_c) * 8
+
+    def test_full_replication_before_compute(self, spmd):
+        """COSMA's A-operand ends fully replicated: each active rank holds
+        an m/pm x k/pk block (vs CA3DMM's m/pm x k/(pk*s) Cannon block)."""
+        res, expect = self._blocks(spmd, 24, 24, 32, 8)
+        peak = max(t.mem_peaks.get("cosma.blocks", 0) for t in res.traces)
+        assert peak == pytest.approx(expect, rel=0.35)
+
+    def test_resident_watermark_holds_the_replicated_blocks(self, spmd):
+        """The measured footprint counts the blocks the schedule keeps
+        resident through compute and the k-reduction."""
+        res, expect = self._blocks(spmd, 64, 80, 48, 8)
+        assert max(t.resident_peak_bytes for t in res.traces) >= expect

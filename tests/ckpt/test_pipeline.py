@@ -82,12 +82,20 @@ class TestCleanPipeline:
         assert len(_survivor(r)["checkpoints"]) == 2
 
     def test_virtual_time_policy_checkpoints(self, spmd):
-        # A zero-threshold time policy fires after every call, like N=1;
-        # the trigger must be SPMD-consistent (allreduce of clocks).
+        # A threshold below one call's makespan fires after every call,
+        # like N=1; the trigger must be SPMD-consistent (allreduce of clocks).
         store = MemoryStore()
-        policy = CheckpointPolicy(every_calls=None, every_virtual_s=0.0)
+        policy = CheckpointPolicy(every_calls=None, every_virtual_s=1e-12)
         r = spmd(P, _chain(store, policy=policy))
         assert len(_survivor(r)["checkpoints"]) == 4
+
+    @pytest.mark.parametrize("field,value", [
+        ("every_calls", -1), ("full_interval", -1),
+        ("every_virtual_s", 0.0), ("every_virtual_s", -1.0), ("every_virtual_s", float("nan")),
+    ])
+    def test_policy_refuses_a_bad_cadence(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CheckpointPolicy(**{field: value})
 
     def test_checkpoint_ids_are_replay_deterministic(self, spmd):
         stores = [MemoryStore(), MemoryStore()]

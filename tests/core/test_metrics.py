@@ -134,13 +134,13 @@ class TestMemory:
         [(24, 24, 48, 16), (32, 64, 16, 8), (48, 48, 48, 8)],
     )
     def test_peak_memory_matches_eq11(self, spmd, m, n, k, P):
-        """Executed peak live words per rank ≈ eq. (11)."""
+        """Executed resident watermark per rank ≈ eq. (11)."""
         plan, res = _run_native(spmd, m, n, k, P)
         metrics = theoretical_metrics(plan)
         measured = run_totals(res.traces)
         # eq. (11) is exact under divisibility; balanced splits make the
         # real peak differ by ceil effects only.
-        assert measured.footprint_words == pytest.approx(metrics.s_words, rel=0.30)
+        assert measured.resident_peak_words == pytest.approx(metrics.s_words, rel=0.30)
 
     def test_eq11_square_asymptotics(self):
         """For m=n=k, S = 4m²/P + m²/P^(2/3) (the paper's square case)."""

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.bench.__main__ import main as bench_main
 from repro.cli import main
+from repro.mpi.faults import FaultPlan, LinkFault
 
 SUBCOMMANDS = ("trace", "stats", "audit", "memprof", "ledger", "critpath",
                "perfdiff", "faults", "recover", "checkpoint")
@@ -125,3 +129,53 @@ class TestOneFrontDoor:
         )
         assert pair.failure and pair.faulted is None and pair.got is None
         assert pair.clean.results[0] is not None
+
+
+SMALL = ["16", "16", "16", "-np", "4"]
+
+
+class TestRefusedInputs:
+    """An input no run can start from exits 2 with one stderr line that
+    names the subcommand (or argparse's usage and error), no traceback."""
+
+    @staticmethod
+    def _exit_code(entry, argv) -> int:
+        try:
+            return entry(argv)
+        except SystemExit as exc:  # argparse refuses at parse time
+            return exc.code
+
+    @pytest.mark.parametrize("entry,argv,says", [
+        (main, ["stats", "0", "16", "16"], "expected a count >= 1, got '0'"),
+        (main, ["stats", "16", "16", "16", "-np", "0"], "expected a count >= 1, got '0'"),
+        (main, ["checkpoint", *SMALL, "--calls", "0"], "expected a count >= 1, got '0'"),
+        (main, ["checkpoint", *SMALL, "--ckpt-every", "-1"], "expected a count >= 1, got '-1'"),
+        (bench_main, ["fig2", "--ckpt-every", "0"], "expected a count >= 1, got '0'"),
+        (main, ["checkpoint", *SMALL, "--max-restarts", "-1"], "expected a count >= 0, got '-1'"),
+        (main, ["recover", *SMALL, "--max-recoveries", "-1"], "expected a count >= 0, got '-1'"),
+        (main, ["checkpoint", *SMALL, "--kill-rank", "4"], "checkpoint: --kill-rank must be in [0, 4)"),
+        (main, ["checkpoint", *SMALL, "--kill-call", "-1"], "checkpoint: --kill-call must be in [0, 4)"),
+        (main, ["recover", *SMALL, "--kill-rank", "99"], "recover: --kill-rank must be in [0, 4)"),
+    ])
+    def test_a_count_out_of_range_exits_2(self, capsys, entry, argv, says):
+        assert self._exit_code(entry, argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.rstrip("\n").splitlines()[-1].endswith(says)
+        assert "Traceback" not in cap.err
+
+    @pytest.mark.parametrize("sub", ["faults", "recover"])
+    @pytest.mark.parametrize("refused", [False, True], ids=["missing", "refused"])
+    def test_an_unusable_fault_plan_exits_2(self, capsys, tmp_path, sub, refused):
+        path = tmp_path / "plan.json"
+        if refused:
+            doc = FaultPlan(links=(LinkFault(),)).to_dict()
+            doc["links"][0]["drop_every"] = -3
+            path.write_text(json.dumps(doc))
+        assert main([sub, *SMALL, "--plan", str(path)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"{sub}: cannot use fault plan {path}: ")
+        assert cap.err.count("\n") == 1
+        if refused:
+            assert "drop_every" in cap.err

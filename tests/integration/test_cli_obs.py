@@ -164,9 +164,9 @@ class TestStatsSubcommand:
         assert doc["audit"]["ok"] is True
         validate_audit_json(doc["audit"])
         assert doc["metrics"]["q_words"] > 0
-        # byte fields come from the traces' byte counters (ints), and the
-        # in-flight peak has one name
-        assert "peak_live_bytes" not in doc
-        assert doc["transport_inflight_peak_bytes"] == 8 * doc["metrics"]["peak_live_words"]
-        assert doc["resident_peak_bytes"] == 8 * doc["metrics"]["resident_peak_words"]
-        assert isinstance(doc["resident_peak_bytes"], int)
+        # each quantity is stated once, in the metrics snapshot
+        assert set(doc) == {"metrics", "audit", "q_over_analytic"}
+        metrics = doc["metrics"]
+        assert metrics["resident_peak_words"] > 0
+        assert metrics["mem_by_purpose"]["transport.inflight"] > 0
+        assert 0.0 <= metrics["overlap_by_phase"]["cannon"] <= 1.0

@@ -112,14 +112,6 @@ class TestTraces:
         assert phases["beta-phase"].bytes_sent == 80
         assert "alpha-phase" in phases and "beta-phase" in phases
 
-    def test_peak_live_bytes(self, spmd):
-        def f(comm):
-            comm.note_live_bytes(500)
-            comm.note_live_bytes(300)  # lower: must not reduce the peak
-
-        res = spmd(2, f)
-        assert all(t.peak_live_bytes == 500 for t in res.traces)
-
 
 class TestFailures:
     def test_exception_propagates(self, spmd):

@@ -100,8 +100,7 @@ class TestAuditRun:
         assert report.q_words > 0
         assert report.eq9_words > 0 and report.pebbling_words > 0
         assert report.q_over_eq9 == pytest.approx(report.q_words / report.eq9_words)
-        # the bound's M is the memtrace resident watermark, not the
-        # (transport in-flight) peak_live counter
+        # the bound's M is the memtrace resident watermark
         assert report.resident_peak_words > 0
         assert report.pebbling_words == pytest.approx(
             pebbling_lower_bound(
@@ -254,8 +253,7 @@ class TestReportsAgree:
         rec = ledger_record(res, plan, "test.agree")
         assert rec["traffic"]["q_words"] == audit.q_words
         assert rec["traffic"]["total_words"] == audit.total_words
-        assert rec["memory"]["peak_live_words"] == audit.peak_live_words
-        assert rec["memory"]["peak_live_words"] == mem.transport_peak_words
+        assert rec["memory"]["resident_peak_words"] == audit.resident_peak_words
         assert rec["memory"]["resident_peak_words"] == mem.resident_peak_words
         assert rec["memory"]["by_purpose_words"] == mem.by_purpose_words
         assert rec["optimality"] == audit.to_dict()["bounds"]

@@ -44,10 +44,10 @@ class TestRecord:
         assert rec["grid"]["pm"] == plan.pm and rec["grid"]["active"] == plan.active
         assert rec["traffic"]["q_words"] > 0
         assert rec["schema_version"] == 3
-        assert rec["memory"]["peak_live_words"] > 0
         # v2: resident watermark from memtrace spans, with breakdown
         assert rec["memory"]["resident_peak_words"] > 0
         assert rec["memory"]["by_purpose_words"]["tile.a"] > 0
+        assert rec["memory"]["by_purpose_words"]["transport.inflight"] > 0
         assert rec["optimality"]["q_over_eq9"] > 0
         assert rec["faults"]["retries"] == 0
 

@@ -69,8 +69,7 @@ class TestSnapshot:
     def test_overlap_ratio_in_unit_interval(self):
         plan, res = _executed()
         m = snapshot_run(res, plan)
-        assert m.cannon_overlap_ratio is not None
-        assert 0.0 <= m.cannon_overlap_ratio <= 1.0
+        assert 0.0 <= m.overlap_by_phase["cannon"] <= 1.0
 
     def test_k_group_imbalance_needs_plan_and_pk(self):
         plan, res = _executed(m=32, n=32, k=64, P=8)
@@ -112,7 +111,7 @@ class TestSnapshot:
         assert den > 0
         expect = num / den
         assert overlap_by_phase(res)["cannon"] == pytest.approx(expect)
-        assert snapshot_run(res, plan).cannon_overlap_ratio == pytest.approx(expect)
+        assert snapshot_run(res, plan).overlap_by_phase["cannon"] == pytest.approx(expect)
 
     def test_cannon_overlap_critical_rank_variant(self):
         plan, res = _executed()
@@ -256,7 +255,6 @@ class TestRunTotals:
             q_words=max((t.bytes_sent for t in traces), default=0) / ITEM / nruns,
             total_words=sum(t.bytes_sent for t in traces) / ITEM / nruns,
             max_msgs=max((t.msgs_sent for t in traces), default=0) // nruns,
-            peak_live_words=max((t.peak_live_bytes for t in traces), default=0) / ITEM,
             resident_peak_words=resident / ITEM,
             peak_rank=next(
                 (t.rank for t in traces
