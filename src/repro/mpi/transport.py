@@ -605,11 +605,10 @@ class Transport:
         high-water marks move).
 
         A charge moves the high-water marks (resident, purpose and
-        phase); each step is one
-        ``MemEvent`` when recording.  A release of more than the
-        purpose's live bytes raises :class:`ValueError` — an
-        instrumentation bug that clamping would hide in every watermark
-        downstream.  Called in the owning rank's program order only, so
+        phase); each step is one ``MemEvent`` when recording.  A release
+        of more than the purpose's live bytes raises :class:`ValueError`
+        — an instrumentation bug that clamping would hide in every
+        watermark downstream.  Called in the owning rank's program order only, so
         every watermark replays byte-identically.
         """
         if kind != "pulse":  # the caller's count, which may be a numpy integer

@@ -7,10 +7,10 @@ Cannon double buffers, ABFT checksum borders, checkpoint staging
 copies, write-behind delta snapshots (``ckpt.writebehind`` — resident
 from the step that dirtied a matrix until the commit barrier proves the
 flushed tiles durable), and in-flight transport payloads
-(``transport.inflight``).  This module
-distils those counters into a :class:`MemReport` — per-rank resident
-watermarks, per-purpose and per-phase peaks, top-offender ranks — and
-closes the loop against the paper's analytic model:
+(``transport.inflight``).  This module distils those counters into a
+:class:`MemReport` — per-rank resident watermarks, per-purpose and
+per-phase peaks, top-offender ranks — and closes the loop against the
+paper's analytic model:
 
 * **eq. (11)** (:meth:`GridSpec.memory_words`) predicts the peak matrix
   words an active process holds.  The measured resident watermark must
