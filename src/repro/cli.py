@@ -53,7 +53,6 @@ from .grid.optimizer import GridSpec
 from .layout.distributions import BlockCol1D
 from .machine.model import pace_phoenix_cpu, pace_phoenix_gpu
 from .mpi.faults import FaultPlan, LinkFault, RankFault
-from .mpi.transport import MEM_INFLIGHT
 from .obs.audit import audit_run
 from .obs.baseline import (
     PERF_RULES,
@@ -181,7 +180,7 @@ def _example_main(args) -> int:
             ref = op_a @ op_b
             scale = max(1.0, float(np.abs(ref).max()))
             errors = int(np.sum(np.abs(got - ref) > 1e-9 * scale))
-        peak = comm.transport.trace(comm.world_rank).mem_peaks.get(MEM_INFLIGHT, 0)
+        peak = comm.transport.trace(comm.world_rank).resident_peak_bytes
         return timings, errors, peak
 
     plan, result = executed_workload(

@@ -605,41 +605,44 @@ class Transport:
         high-water marks move).
 
         A charge moves the high-water marks (resident, purpose and
-        phase); each step is one ``MemEvent`` when recording.  A release
-        of more than the purpose's live bytes raises :class:`ValueError`
-        — an instrumentation bug that clamping would hide in every
-        watermark downstream.  Called in the owning rank's program order only, so
-        every watermark replays byte-identically.
+        phase).  Each call is one ``MemEvent`` of its ``kind`` when
+        recording, a pulse included: its ``resident_bytes`` is the total
+        after it, as for every record, and it peaked ``nbytes`` above
+        that.  A release of more than the purpose's live bytes raises
+        :class:`ValueError` — an instrumentation bug that clamping would
+        hide in every watermark downstream.  Called in the owning rank's
+        program order only, so every watermark replays byte-identically.
         """
         if kind != "pulse":  # the caller's count, which may be a numpy integer
             nbytes = int(nbytes)
             if nbytes < 0:
                 raise ValueError(f"mem_{kind} of negative size {nbytes}")
         st = self.ranks[world_rank]
-        tr = self.tracer
         live = st.mem_live.get(purpose, 0)
-        if kind != "free":
-            live += nbytes
-            resident = st.resident_bytes = st.resident_bytes + nbytes
-            if resident > st.resident_peak_bytes:
-                st.resident_peak_bytes = resident
-            if live > st.mem_peaks.get(purpose, 0):
-                st.mem_peaks[purpose] = live
-            if resident > st.phase_mem_peaks.get(st.phase, 0):
-                st.phase_mem_peaks[st.phase] = resident
-            if tr is not None:
-                tr.mem(world_rank, "alloc", purpose, st.phase, st.clock, nbytes, resident)
-        if kind != "alloc":
+        if kind == "free":
             if nbytes > live:
                 raise ValueError(
                     f"mem_free({purpose!r}) of {nbytes} bytes exceeds live "
                     f"{live} on rank {world_rank}"
                 )
-            live -= nbytes
+            st.mem_live[purpose] = live - nbytes
             st.resident_bytes -= nbytes
-            if tr is not None:
-                tr.mem(world_rank, "free", purpose, st.phase, st.clock, nbytes, st.resident_bytes)
-        st.mem_live[purpose] = live
+        else:
+            resident = st.resident_bytes + nbytes
+            if resident > st.resident_peak_bytes:
+                st.resident_peak_bytes = resident
+            if live + nbytes > st.mem_peaks.get(purpose, 0):
+                st.mem_peaks[purpose] = live + nbytes
+            if resident > st.phase_mem_peaks.get(st.phase, 0):
+                st.phase_mem_peaks[st.phase] = resident
+            if kind == "alloc":
+                st.mem_live[purpose] = live + nbytes
+                st.resident_bytes = resident
+            else:
+                st.mem_live[purpose] = live
+        if self.tracer is not None:
+            self.tracer.mem(world_rank, kind, purpose, st.phase, st.clock, nbytes,
+                            st.resident_bytes)
 
     def release_rank_memory(self, world_rank: int) -> None:
         """Free every span still open on a rank whose program unwound.

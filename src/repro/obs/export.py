@@ -10,8 +10,11 @@ and Perfetto load directly:
   ``args``;
 * optionally one fine-grained ``"X"`` event per transport event
   (send/recv/wait/compute slices), category ``transport``;
-* optionally one ``"C"`` (counter) event per memtrace alloc/free —
-  each rank's resident tagged footprint as a step-function track;
+* optionally one ``"C"`` (counter) event per memtrace alloc or free,
+  none per pulse — each rank's settled resident footprint as a
+  step-function track (a pulse is charged and released at one instant,
+  so a sample of it would have no width; the watermark it may set is in
+  the rank traces, :mod:`repro.obs.memtrace` and the JSONL rank records);
 * ``"M"`` metadata events naming the process and one thread per rank.
 
 Timestamps are microseconds of *simulated* time, re-zeroed to the trace
@@ -235,8 +238,9 @@ def chrome_trace(
             }
             for rank, kind, phase, t0, t1, nbytes, peer, _seq, _injected in tracer.events
         ]
-        # One "C" sample per memtrace alloc/free: Perfetto draws each
-        # rank's resident footprint as a step-function counter track.
+        # One "C" sample per memtrace alloc or free: Perfetto draws each
+        # rank's resident footprint as a step-function counter track.  A
+        # pulse leaves the footprint where it was, so it has no sample.
         # Args stay purely numeric — string args would become series.
         counters = [f"resident_bytes rank {rank}" for rank in range(nprocs)]
         events += [
@@ -249,7 +253,8 @@ def chrome_trace(
                 "ts": max(0.0, (t - epoch) * 1e6),
                 "args": {"resident_bytes": resident},
             }
-            for rank, _kind, _purpose, _phase, t, _nbytes, resident in tracer.memlog
+            for rank, kind, _purpose, _phase, t, _nbytes, resident in tracer.memlog
+            if kind != "pulse"
         ]
     return {
         "traceEvents": events,
@@ -263,7 +268,10 @@ def chrome_trace(
     }
 
 
-_STRICT = json.JSONEncoder(allow_nan=False)  # the C encoder, built once
+#: The C encoder, built once.  It keeps no markers of the containers it is
+#: inside: a cycle recurses until ``RecursionError``, and ``_unwritable``
+#: names where it closes.
+_STRICT = json.JSONEncoder(allow_nan=False, check_circular=False)
 
 
 def _strict_json(doc: Any, *at: Any) -> str:
@@ -271,7 +279,7 @@ def _strict_json(doc: Any, *at: Any) -> str:
     ``at`` locates ``doc`` when it is one part of what is written."""
     try:
         return _STRICT.encode(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         found = _unwritable(doc, at, set()) or f"{json_path(at)}: {exc}"
         raise TraceSchemaError(f"{found} cannot be written as JSON") from exc
 

@@ -8,8 +8,8 @@ holds what such a run records beyond the always-on counters:
   clock moved through (send, recv, wait, compute);
 * ``msglog`` — one :class:`MsgRecord` per message (post time, arrival,
   phase and collective of the sender), indexed by its sequence number;
-* ``memlog`` — the tagged alloc/free timeline (:class:`MemEvent`) behind
-  the transport's always-on resident-memory watermarks;
+* ``memlog`` — the tagged alloc/free/pulse timeline (:class:`MemEvent`)
+  behind the transport's always-on resident-memory watermarks;
 * spans — a :class:`Span` is one named, nested interval on one rank's
   *simulated* clock: a phase of the CA3DMM schedule, a collective, or
   any region a caller brackets with :meth:`~repro.mpi.comm.Comm.span`.
@@ -112,13 +112,16 @@ class MsgRecord(NamedTuple):
 
 
 class MemEvent(NamedTuple):
-    """One tagged allocation or free on a rank's resident-memory timeline.
+    """One tagged allocation, free or pulse on a rank's resident-memory timeline.
 
-    ``kind`` is ``"alloc"`` or ``"free"``; ``purpose`` is the span tag
-    (``tile.a``, ``replicate.buf``, ``cannon.dblbuf``, ``abft.checksum``,
-    ``ckpt.staging``, ``transport.inflight``, ...); ``t`` is the rank's
-    simulated clock at the event and ``resident_bytes`` the rank's total
-    tracked resident bytes *after* applying it.  Events are appended in
+    ``kind`` is ``"alloc"``, ``"free"`` or ``"pulse"`` — ``nbytes``
+    charged and released at the same instant (a send's packed copy), so
+    it moves the watermarks only: the rank peaked at ``resident_bytes +
+    nbytes``.  ``purpose`` is the span tag (``tile.a``, ``replicate.buf``,
+    ``cannon.dblbuf``, ``abft.checksum``, ``ckpt.staging``,
+    ``transport.inflight``, ...); ``t`` is the rank's simulated clock at
+    the event and ``resident_bytes`` the rank's total tracked resident
+    bytes *after* applying it.  Events are appended in
     the owning rank's program order, so the per-rank timeline — and every
     watermark derived from it — replays byte-identically under a seeded
     :class:`~repro.mpi.faults.FaultPlan`.
@@ -204,7 +207,7 @@ class Tracer:
         return None
 
     def mem(self, *fields: Any) -> None:
-        """Record one tagged allocation or free (every field of
+        """Record one tagged allocation, free or pulse (every field of
         :class:`MemEvent`, in order)."""
         self.memlog.append(MemEvent(*fields))
 

@@ -112,6 +112,37 @@ class TestGoldenTrace:
         assert loaded == json.loads(json.dumps(doc))
         validate_chrome_trace(loaded)
 
+    def test_a_counter_sample_per_alloc_or_free_none_per_pulse(self, golden, monkeypatch):
+        """One ``"C"`` sample per ``alloc`` or ``free`` record.  Built again
+        from the same run with each pulse written the old way — an alloc
+        and a free at one clock — the export differs only by those
+        pulses' samples: every ``"X"``/``"M"`` event, the epoch and
+        ``otherData`` are the same."""
+        _, res = golden
+        memlog = res.tracer.memlog
+        doc = chrome_trace(res)
+        samples = [ev for ev in doc["traceEvents"] if ev["ph"] == "C"]
+        assert len(samples) == sum(ev.kind != "pulse" for ev in memlog)
+        assert len(samples) < len(memlog)
+
+        expanded, from_pulse = [], []
+        for ev in memlog:
+            if ev.kind == "pulse":
+                expanded += [ev._replace(kind="alloc", resident_bytes=ev.resident_bytes + ev.nbytes),
+                             ev._replace(kind="free")]
+                from_pulse += [True, True]
+            else:
+                expanded.append(ev)
+                from_pulse.append(False)
+        monkeypatch.setattr(res.tracer, "memlog", expanded)
+        old = chrome_trace(res)
+        old_samples = [ev for ev in old["traceEvents"] if ev["ph"] == "C"]
+        assert len(old_samples) == len(expanded)
+        assert samples == [ev for ev, pulse in zip(old_samples, from_pulse) if not pulse]
+        assert ([ev for ev in doc["traceEvents"] if ev["ph"] != "C"]
+                == [ev for ev in old["traceEvents"] if ev["ph"] != "C"])
+        assert {**doc, "traceEvents": None} == {**old, "traceEvents": None}
+
     def test_transport_events_can_be_dropped(self, golden):
         _, res = golden
         full = chrome_trace(res)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import SCHEDULES
 from repro.core import Ca3dmm
 from repro.core.plan import Ca3dmmPlan
-from repro.layout import DistMatrix, dense_random
+from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, LinkFault, run_spmd
 from repro.obs.export import TraceSchemaError
@@ -17,9 +18,37 @@ from repro.obs.memtrace import (
     memprof_run,
     validate_memprof_json,
 )
+from repro.mpi.transport import MEM_INFLIGHT
 from tests.conftest import run_twice
 
 ITEM = 8  # float64 bytes per matrix word
+
+
+def replayed_peaks(memlog) -> dict[int, int]:
+    """Each rank's watermark replayed from its memory timeline: the
+    running total every record carries (checked against the records
+    before it), and a pulse ``nbytes`` above it."""
+    running: dict[int, int] = {}
+    peak: dict[int, int] = {}
+    for ev in memlog:
+        cur = running.get(ev.rank, 0)
+        cur += {"alloc": ev.nbytes, "free": -ev.nbytes, "pulse": 0}[ev.kind]
+        assert cur == ev.resident_bytes  # event carries the total
+        running[ev.rank] = cur
+        top = cur + ev.nbytes if ev.kind == "pulse" else cur
+        peak[ev.rank] = max(peak.get(ev.rank, 0), top)
+    return peak
+
+
+def _schedule_body(name: str, m: int = 24, n: int = 20, k: int = 28):
+    """One ``SCHEDULES`` entry m×k · k×n from ``BlockCol1D`` operands."""
+
+    def f(comm):
+        a = DistMatrix.from_global(comm, BlockCol1D((m, k), comm.size), dense_random(m, k, 0))
+        b = DistMatrix.from_global(comm, BlockCol1D((k, n), comm.size), dense_random(k, n, 1))
+        SCHEDULES[name](a, b)
+
+    return f
 
 
 def _executed(m=32, n=32, k=32, P=8, record_events=False, abft=False,
@@ -96,7 +125,6 @@ class TestEventBalance:
         reach its own frees, so the runtime must release its open spans
         — the leak table stays clean, on the run and its replay."""
         from repro.ft import resilient_multiply
-        from repro.layout import BlockCol1D
         from repro.mpi import RankFault
 
         m, n, k, P = 24, 20, 28, 6
@@ -118,14 +146,16 @@ class TestEventBalance:
             assert t.resident_bytes == 0
 
     def test_memlog_allocs_and_frees_balance(self):
+        """Allocs and frees cancel per purpose; a pulse is charged and
+        released in one record, so it moves no balance."""
         plan, res = _executed(record_events=True)
         per_rank: dict[int, dict[str, int]] = {}
         for ev in res.tracer.memlog:
-            assert ev.kind in ("alloc", "free")
+            assert ev.kind in ("alloc", "free", "pulse")
             assert ev.nbytes >= 0
             assert ev.resident_bytes >= 0
             bal = per_rank.setdefault(ev.rank, {})
-            sign = 1 if ev.kind == "alloc" else -1
+            sign = {"alloc": 1, "free": -1, "pulse": 0}[ev.kind]
             bal[ev.purpose] = bal.get(ev.purpose, 0) + sign * ev.nbytes
         assert per_rank, "no memtrace events recorded"
         for rank, bal in per_rank.items():
@@ -137,19 +167,47 @@ class TestEventBalance:
 
     def test_memlog_replays_the_watermark(self):
         """The event stream reproduces the counter: running resident per
-        rank peaks exactly at the trace's recorded watermark."""
+        rank, a pulse peaking ``nbytes`` above it, peaks exactly at the
+        trace's recorded watermark."""
         plan, res = _executed(record_events=True)
-        running: dict[int, int] = {}
-        peak: dict[int, int] = {}
-        for ev in res.tracer.memlog:
-            cur = running.get(ev.rank, 0)
-            cur += ev.nbytes if ev.kind == "alloc" else -ev.nbytes
-            assert cur == ev.resident_bytes  # event carries the total
-            running[ev.rank] = cur
-            peak[ev.rank] = max(peak.get(ev.rank, 0), cur)
+        peak = replayed_peaks(res.tracer.memlog)
         for t in res.live_traces:
             if t.rank in peak:
                 assert peak[t.rank] == t.resident_peak_bytes
+
+    def test_one_pulse_record_per_message(self):
+        """Each send's packed copy is one ``pulse`` record of its bytes:
+        no ``transport.inflight`` alloc or free is written."""
+        plan, res = _executed(record_events=True)
+        pulses = [ev for ev in res.tracer.memlog if ev.kind == "pulse"]
+        assert {ev.purpose for ev in pulses} == {MEM_INFLIGHT}
+        assert len(pulses) == sum(t.msgs_sent for t in res.traces)
+        assert sum(ev.nbytes for ev in pulses) == sum(t.bytes_sent for t in res.traces)
+        assert not [ev for ev in res.tracer.memlog
+                    if ev.purpose == MEM_INFLIGHT and ev.kind != "pulse"]
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_every_schedule_replays_its_watermark(self, name):
+        """On every rank of every schedule, the memlog replay peaks at
+        ``resident_peak_bytes``."""
+        res = run_spmd(16, _schedule_body(name), machine=laptop(), record_events=True)
+        peak = replayed_peaks(res.tracer.memlog)
+        assert [peak.get(t.rank, 0) for t in res.traces] == [
+            t.resident_peak_bytes for t in res.traces]
+
+    def test_a_pulse_watermark_replays(self):
+        """``1d`` 256³ from ``BlockCol1D`` at P = 16: a rank's watermark is
+        its in-flight pulse (32 768 words), above anything it allocates,
+        so only the pulse records replay it."""
+        res = run_spmd(16, _schedule_body("1d", 256, 256, 256), machine=laptop(),
+                       record_events=True)
+        memlog = res.tracer.memlog
+        peak = replayed_peaks(memlog)
+        settled = replayed_peaks([ev for ev in memlog if ev.kind != "pulse"])
+        marks = [t.resident_peak_bytes for t in res.traces]
+        assert max(marks) == 32_768 * ITEM
+        assert [peak.get(t.rank, 0) for t in res.traces] == marks
+        assert any(settled.get(t.rank, 0) < t.resident_peak_bytes for t in res.traces)
 
     def test_overfree_raises(self):
         def f(comm):
