@@ -128,7 +128,8 @@ class TestGoldenTrace:
         expanded, from_pulse = [], []
         for ev in memlog:
             if ev.kind == "pulse":
-                expanded += [ev._replace(kind="alloc", resident_bytes=ev.resident_bytes + ev.nbytes),
+                peak = ev.resident_bytes + ev.nbytes
+                expanded += [ev._replace(kind="alloc", resident_bytes=peak),
                              ev._replace(kind="free")]
                 from_pulse += [True, True]
             else:

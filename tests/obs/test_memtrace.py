@@ -11,6 +11,7 @@ from repro.core.plan import Ca3dmmPlan
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, LinkFault, run_spmd
+from repro.mpi.transport import MEM_INFLIGHT
 from repro.obs.export import TraceSchemaError
 from repro.obs.memtrace import (
     MemAuditError,
@@ -18,7 +19,6 @@ from repro.obs.memtrace import (
     memprof_run,
     validate_memprof_json,
 )
-from repro.mpi.transport import MEM_INFLIGHT
 from tests.conftest import run_twice
 
 ITEM = 8  # float64 bytes per matrix word
