@@ -11,7 +11,12 @@ movement with α-β prices.  The pattern pricers below (:func:`_pairwise`,
 :func:`_bruck_allgather`, :func:`_reduce_scatter`, :func:`_bcast_vdg`,
 :func:`_p2p`) are the one home of those prices under ``src/``, and the
 executed collectives are tested against them
-(``tests/analysis/test_collcost.py``).
+(``tests/analysis/test_collcost.py``).  A collective's rounds come from
+:mod:`repro.patterns`, the one definition the executed collectives walk
+too; its price is rank 0's row on the *world ranks* of the
+representative (rank-0) group, so intra- vs inter-node links and the
+pure-MPI/hybrid distinction of Fig. 4 fall out of the rank-to-node
+mapping rather than ad-hoc factors.
 
 Each closed form reads like its schedule, grid → moves → local GEMM, and
 each move is priced once: :func:`_layered_cannon` is the 2.5D layer
@@ -19,11 +24,6 @@ schedule behind ``algo25d_cost`` and :func:`ctf_cost` (as ``ctf_matmul``
 is ``algo25d_matmul`` on ``ctf_grid``), :func:`_summa_panels` the panel
 loop behind ``summa_cost`` and CA3DMM-S, :func:`_local_gemm` one rank's
 GEMM and :func:`_custom_layout` the conversion from a user's layout.
-
-Node-awareness: every collective is priced on the *world ranks* of the
-representative (rank-0) group, so intra-node vs inter-node links and the
-pure-MPI/hybrid distinction of Fig. 4 fall out of the rank-to-node
-mapping rather than ad-hoc factors.
 
 All volumes are in **words** (matrix elements); times in seconds.
 ``ITEM`` converts to bytes (double precision, as in the paper).
@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..grid.factorize import prime_factors
 from ..grid.optimizer import GridSpec, ca3dmm_grid, cosma_grid, ctf_grid
+from .. import patterns
 from ..machine.model import MachineModel
 
 ITEM = 8  #: bytes per word (float64)
@@ -119,31 +121,44 @@ class CostReport:
 
 
 # ------------------------------------------------------- pattern pricing -- #
+@lru_cache(maxsize=256)
+def _row(machine: MachineModel, ranks: tuple[int, ...], pattern, block: float):
+    """``(time, words, msgs)`` of rank 0's sends in a :mod:`repro.patterns`
+    row on the world ranks ``ranks``, ``block`` bytes per block, each
+    priced as :meth:`MachineModel.msg_time` would, a size's two link
+    prices made once.  Accumulated left to right, not multiplied: the
+    paper-scale tables print these sums.  Cached: the paper's figures
+    price 590 rows a pass, 209 of them distinct, of up to g - 1 rounds."""
+    per_node = machine.ranks_per_node
+    home = ranks[0] // per_node
+    t = words = 0.0
+    msgs, last = 0, None
+    for dst, _, nblocks in pattern(0, len(ranks)):
+        if dst is None:
+            continue
+        if nblocks != last:
+            last, nbytes = nblocks, nblocks * block
+            intra = machine.alpha_intra + machine.beta_intra * nbytes
+            inter = machine.alpha + machine.beta * nbytes
+        t += intra if ranks[dst] // per_node == home else inter
+        words += nbytes / ITEM
+        msgs += 1
+    return t, words, msgs
+
+
 def _pairwise(machine: MachineModel, ranks: list[int], block_bytes: float) -> PhaseCost:
     """Pairwise exchange (reduce-scatter / alltoall): g-1 rounds."""
-    g = len(ranks)
-    if g <= 1:
+    if len(ranks) <= 1:
         return PhaseCost()
-    t = machine.fan_out_time(block_bytes, ranks)
-    return PhaseCost(time=t, words=block_bytes * (g - 1) / ITEM, msgs=g - 1)
+    t, _, msgs = _row(machine, tuple(ranks), patterns.pairwise, block_bytes)
+    return PhaseCost(time=t, words=block_bytes * msgs / ITEM, msgs=msgs)
 
 
 def _bruck_allgather(machine: MachineModel, ranks: list[int], total_bytes: float) -> PhaseCost:
     """Bruck allgather of ``total_bytes`` distributed over the group."""
-    g = len(ranks)
-    if g <= 1:
+    if len(ranks) <= 1:
         return PhaseCost()
-    me_idx = 0
-    block = total_bytes / g
-    t, words, h, msgs = 0.0, 0.0, 1, 0
-    while h < g:
-        cnt = min(h, g - h)
-        dest = ranks[(me_idx - h) % g]
-        t += machine.msg_time(cnt * block, ranks[me_idx], dest)
-        words += cnt * block / ITEM
-        msgs += 1
-        h += cnt
-    return PhaseCost(time=t, words=words, msgs=msgs)
+    return PhaseCost(*_row(machine, tuple(ranks), patterns.bruck, total_bytes / len(ranks)))
 
 
 def _reduce_scatter(
@@ -178,16 +193,12 @@ def _reduce_scatter(
 
 def _bcast_vdg(machine: MachineModel, ranks: list[int], total_bytes: float) -> PhaseCost:
     """van de Geijn bcast: scatter (root-critical) + Bruck allgather."""
-    g = len(ranks)
-    if g <= 1:
+    if len(ranks) <= 1:
         return PhaseCost()
-    piece = total_bytes / g
-    t = machine.fan_out_time(piece, ranks)
-    words = 0.0
-    for _ in range(g - 1):  # accumulated, not multiplied: see fan_out_time
-        words += piece / ITEM
-    ag = _bruck_allgather(machine, ranks, total_bytes)
-    return PhaseCost(time=t + ag.time, words=words + ag.words, msgs=(g - 1) + ag.msgs)
+    piece = total_bytes / len(ranks)
+    cost = PhaseCost(*_row(machine, tuple(ranks), patterns.linear_scatter, piece))
+    cost += _bruck_allgather(machine, ranks, total_bytes)
+    return cost
 
 
 def _p2p(machine: MachineModel, src: int, dst: int, nbytes: float) -> PhaseCost:

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .. import patterns
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
 
@@ -42,10 +44,11 @@ def expected_phase_traffic(plan: "Ca3dmmPlan") -> dict[str, PhaseExpectation]:
 
     Words use the continuous block extents (``m/pm`` etc.), exact when
     the grid divides the dimensions; message counts are the executed
-    algorithms' exact per-rank maxima (Bruck rounds for the replication
-    allgather, 2 messages per Cannon round for A and B, ``pk-1``
-    pairwise exchanges for the reduce-scatter).  A phase the plan does
-    not schedule (``c``, ``s`` or ``pk`` equal to 1) is absent.
+    algorithms' exact per-rank maxima: the sends of a
+    :mod:`repro.patterns` row for the replication allgather (Bruck) and
+    the reduce-scatter (pairwise exchange), 2 messages per Cannon round
+    for A and B.  A phase the plan does not schedule (``c``, ``s`` or
+    ``pk`` equal to 1) is absent.
     """
     m, n, k = plan.m, plan.n, plan.k
     pm, pn, pk, s, c = plan.pm, plan.pn, plan.pk, plan.s, plan.c
@@ -57,14 +60,16 @@ def expected_phase_traffic(plan: "Ca3dmmPlan") -> dict[str, PhaseExpectation]:
     if c > 1:
         blk = blk_a if plan.replicates_a else blk_b
         out["replicate"] = PhaseExpectation(
-            blk * (c - 1) / c, math.ceil(math.log2(c)), (blk,)
+            blk * (c - 1) / c, patterns.sends(patterns.bruck(0, c)), (blk,)
         )
     if s > 1:
         # Skew (A left by u, B up by v: ranks with u>0 and v>0 send both)
         # plus s-1 dual-buffered shift rounds moving A and B each.
         out["cannon"] = PhaseExpectation((blk_a + blk_b) * s, 2 * s, (blk_a, blk_b))
     if pk > 1:
-        out["reduce"] = PhaseExpectation(mb * nb * (pk - 1) / pk, pk - 1, (mb * nb,))
+        out["reduce"] = PhaseExpectation(
+            mb * nb * (pk - 1) / pk, patterns.sends(patterns.pairwise(0, pk)), (mb * nb,)
+        )
     return out
 
 

@@ -2,7 +2,9 @@
 
 Each collective is implemented with a textbook algorithm whose message
 count and volume match the α-β costs the CA3DMM paper assumes
-(Thakur, Rabenseifner & Gropp, IJHPCA 2005):
+(Thakur, Rabenseifner & Gropp, IJHPCA 2005).  Its rounds are defined
+once, in :mod:`repro.patterns`: the executor here walks its own rank's
+row and moves the data; :mod:`repro.analysis.costs` prices rank 0's.
 
 =================  ============================  ===========================
 collective         algorithm                     per-rank cost
@@ -45,6 +47,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from .. import patterns
 from ..obs.tracer import CAT_COLLECTIVE
 from .datatypes import (
     INTERNAL_TAG_BASE, SUM, Hop, Op, freeze, hand_over, handed_array, is_frozen, is_immutable,
@@ -128,31 +131,18 @@ def barrier(comm) -> None:
     if size == 1:
         return
     with _span(comm, "barrier", algo="barrier.dissemination"):
-        step = 1
-        while step < size:
-            dest = (rank + step) % size
-            src = (rank - step) % size
+        for dest, src, _ in patterns.dissemination(rank, size):
             comm.sendrecv(b"", dest, src, _TAG_BARRIER, _TAG_BARRIER)
-            step <<= 1
 
 
 # ------------------------------------------------------------------ bcast -- #
 def _bcast_binomial(comm, value: Any, root: int, tag: int) -> Any:
     """Binomial-tree broadcast (the MPICH short-message algorithm)."""
-    size = comm.size
-    vrank = (comm.rank - root) % size
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            src = (comm.rank - mask) % size
+    for dest, src, _ in patterns.binomial_bcast(comm.rank, comm.size, root):
+        if src is not None:
             value = comm.recv(source=src, tag=tag)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < size:
-            comm.send(value, (comm.rank + mask) % size, tag)
-        mask >>= 1
+        else:
+            comm.send(value, dest, tag)
     return value
 
 
@@ -206,21 +196,15 @@ def reduce(comm, value: Any, op: Op = SUM, root: int = 0) -> Any:
     if size == 1:
         return value
     with _span(comm, "reduce", algo="reduce.binomial"):
-        vrank = (comm.rank - root) % size
         acc = value
-        mask = 1
-        while mask < size:
-            if vrank & mask:
-                parent = vrank & ~mask
-                if acc is not value and type(acc) is np.ndarray:
-                    freeze(acc)
-                comm.send(acc, (parent + root) % size, _TAG_REDUCE)
-                return None
-            child = vrank | mask
-            if child < size:
-                other = comm.recv(source=(child + root) % size, tag=_TAG_REDUCE)
-                acc = op(acc, other)
-            mask <<= 1
+        for parent, child, _ in patterns.binomial_reduce(comm.rank, size, root):
+            if parent is None:
+                acc = op(acc, comm.recv(source=child, tag=_TAG_REDUCE))
+                continue
+            if acc is not value and type(acc) is np.ndarray:
+                freeze(acc)
+            comm.send(acc, parent, _TAG_REDUCE)
+            return None
         return acc
 
 
@@ -234,16 +218,13 @@ def allreduce(comm, value: Any, op: Op = SUM) -> Any:
         if _is_pow2(size):
             with _algo(comm, "allreduce.recursive_doubling"):
                 acc = value
-                mask = 1
-                while mask < size:
-                    partner = comm.rank ^ mask
+                for partner, _, _ in patterns.recursive_doubling(comm.rank, size):
                     other = comm.sendrecv(
                         acc, partner, partner, _TAG_ALLREDUCE, _TAG_ALLREDUCE
                     )
                     # Fixed operand order (lower rank's data first) keeps the
                     # result identical on every rank even for non-commutative ops.
                     acc = op(other, acc) if partner < comm.rank else op(acc, other)
-                    mask <<= 1
                 return acc
         with _algo(comm, "allreduce.reduce_bcast"):
             res = reduce(comm, value, op, 0)
@@ -256,15 +237,14 @@ def gather(comm, value: Any, root: int = 0) -> list[Any] | None:
     if comm.size == 1:
         return [value]
     with _span(comm, "gather", algo="gather.linear"):
-        if comm.rank == root:
-            out: list[Any] = [None] * comm.size
-            out[root] = value
-            for r in range(comm.size):
-                if r != root:
-                    out[r] = comm.recv(source=r, tag=_TAG_GATHER)
-            return out
-        comm.send(value, root, _TAG_GATHER)
-        return None
+        out: list[Any] = [None] * comm.size
+        out[root] = value
+        for dest, src, _ in patterns.linear_gather(comm.rank, comm.size, root):
+            if dest is not None:
+                comm.send(value, dest, _TAG_GATHER)
+                return None
+            out[src] = comm.recv(source=src, tag=_TAG_GATHER)
+        return out
 
 
 def scatter(comm, values: Sequence[Any] | None, root: int = 0) -> Any:
@@ -272,12 +252,11 @@ def scatter(comm, values: Sequence[Any] | None, root: int = 0) -> Any:
     if comm.rank == root:
         _one_per_rank(comm, "scatter (at the root)", values)
     with _span(comm, "scatter", algo="scatter.linear"):
-        if comm.rank == root:
-            for r in range(comm.size):
-                if r != root:
-                    comm.send(values[r], r, _TAG_SCATTER)
-            return values[root]
-        return comm.recv(source=root, tag=_TAG_SCATTER)
+        for dest, src, _ in patterns.linear_scatter(comm.rank, comm.size, root):
+            if src is not None:
+                return comm.recv(source=src, tag=_TAG_SCATTER)
+            comm.send(values[dest], dest, _TAG_SCATTER)
+        return values[root]
 
 
 # -------------------------------------------------------------- allgather -- #
@@ -316,11 +295,7 @@ def allgather(comm, value: Any) -> list[Any]:
         frozen = is_frozen(value)
         arrays = handed_array(value) and not frozen
         sizes = [nbytes_of(value)] if arrays or frozen or is_immutable(value) else None
-        h = 1
-        while h < size:
-            cnt = min(h, size - h)
-            dest = (rank - h) % size
-            src = (rank + h) % size
+        for dest, src, cnt in patterns.bruck(rank, size):
             window = held[:cnt]
             if sizes is None:
                 payload = window
@@ -337,7 +312,6 @@ def allgather(comm, value: Any) -> list[Any]:
             else:
                 sizes = None
             held += incoming
-            h += cnt
         # held[i] is the block of rank (rank + i) % size; rotate to absolute.
         return held[size - rank:] + held[:size - rank]
 
@@ -345,18 +319,21 @@ def allgather(comm, value: Any) -> list[Any]:
 # --------------------------------------------------------------- alltoall -- #
 def alltoall(comm, values: Sequence[Any]) -> list[Any]:
     """Pairwise-exchange alltoall; ``values[r]`` goes to rank ``r``."""
-    size, rank = comm.size, comm.rank
     _one_per_rank(comm, "alltoall", values)
-    if size == 1:
+    if comm.size == 1:
         return [values[0]]
     with _span(comm, "alltoall", algo="alltoall.pairwise"):
-        out: list[Any] = [None] * size
-        out[rank] = values[rank]
-        for i in range(1, size):
-            dest = (rank + i) % size
-            src = (rank - i) % size
-            out[src] = comm.sendrecv(values[dest], dest, src, _TAG_ALLTOALL, _TAG_ALLTOALL)
-        return out
+        return _exchange(comm, values, _TAG_ALLTOALL)
+
+
+def _exchange(comm, values: Sequence[Any], tag: int) -> list[Any]:
+    """Pairwise exchange: ``values[r]`` goes to rank ``r``; returns what
+    every rank sent this one, by rank (its own value as it is)."""
+    out: list[Any] = [None] * comm.size
+    out[comm.rank] = values[comm.rank]
+    for dest, src, _ in patterns.pairwise(comm.rank, comm.size):
+        out[src] = comm.sendrecv(values[dest], dest, src, tag, tag)
+    return out
 
 
 # ------------------------------------------------ nonblocking collectives -- #
@@ -414,23 +391,16 @@ def reduce_scatter(comm, blocks: Sequence[np.ndarray], op: Op = SUM) -> np.ndarr
 
     Per-rank cost α(P-1) + βn(P-1)/P — exactly the formula the paper
     uses for its reduce-scatter step.  The machine model's
-    ``rs_degrade``) parameters are applied by pricing the traffic at the
-    transport level; see :mod:`repro.machine.model`.
+    ``rs_degrade_*`` parameters are price-only terms: the transport
+    never reads them, and only :func:`repro.analysis.costs._reduce_scatter`
+    adds them on top of the pattern's price.
     """
-    size, rank = comm.size, comm.rank
     _one_per_rank(comm, "reduce_scatter", blocks)
-    if size == 1:
+    if comm.size == 1:
         return blocks[0]
     with _span(comm, "reduce_scatter", algo="reduce_scatter.pairwise"):
-        contributions: list[np.ndarray | None] = [None] * size
-        contributions[rank] = np.asarray(blocks[rank])
-        for i in range(1, size):
-            dest = (rank + i) % size
-            src = (rank - i) % size
-            contributions[src] = comm.sendrecv(
-                np.asarray(blocks[dest]), dest, src, _TAG_RSCAT, _TAG_RSCAT
-            )
+        contributions = _exchange(comm, [np.asarray(b) for b in blocks], _TAG_RSCAT)
         acc = np.array(contributions[0], copy=True)
-        for r in range(1, size):
-            acc = op(acc, contributions[r])
+        for other in contributions[1:]:
+            acc = op(acc, other)
         return acc

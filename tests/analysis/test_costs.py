@@ -150,11 +150,11 @@ class TestRefusals:
 
 
 class TestPatternPricingIsBitIdentical:
-    """``_pairwise`` and ``_bcast_vdg`` price a group's two message times
-    once (``MachineModel.fan_out_time``) and accumulate them; the sums
-    must equal — ``==``, not ``approx`` — one ``msg_time`` call per
-    message added left to right, because the committed tables print
-    them."""
+    """``_pairwise``, ``_bruck_allgather`` and ``_bcast_vdg`` price rank
+    0's row of a ``repro.patterns`` pattern, a message size's two link
+    prices made once, and accumulate them; the sums must equal — ``==``,
+    not ``approx`` — one ``msg_time`` call per message added left to
+    right, because the committed tables print them."""
 
     MACHINES = {
         "mpi": pace_phoenix_cpu("mpi"),
@@ -169,6 +169,20 @@ class TestPatternPricingIsBitIdentical:
         for r in ranks[1:]:
             t += machine.msg_time(nbytes, ranks[0], r)
         return t
+
+    @staticmethod
+    def bruck_per_message(machine, ranks, total_bytes):
+        """Rank 0's Bruck rounds written out: round ``h`` sends
+        ``min(h, g - h)`` blocks to ``ranks[-h]``."""
+        g, block = len(ranks), total_bytes / len(ranks)
+        t, words, h, msgs = 0.0, 0.0, 1, 0
+        while h < g:
+            cnt = min(h, g - h)
+            t += machine.msg_time(cnt * block, ranks[0], ranks[-h])
+            words += cnt * block / ITEM
+            msgs += 1
+            h += cnt
+        return t, words, msgs
 
     @pytest.mark.parametrize("g", [1, 2, 24, 341, 3072])
     @pytest.mark.parametrize("stride", [1, 2, 9, 24])
@@ -190,6 +204,8 @@ class TestPatternPricingIsBitIdentical:
             for _ in ranks[1:]:
                 words += piece / ITEM
             gather = _bruck_allgather(machine, ranks, nbytes)
+            assert (gather.time, gather.words, gather.msgs) == self.bruck_per_message(
+                machine, ranks, nbytes)
             assert bcast.time == self.per_message(machine, ranks, piece) + gather.time
             assert bcast.words == words + gather.words
             assert bcast.msgs == g - 1 + gather.msgs
