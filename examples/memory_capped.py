@@ -14,13 +14,9 @@ Run:  python examples/memory_capped.py
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import DistMatrix, dense_random, run_spmd
-from repro.core import Ca3dmm, tune
+from repro.core import tune
 from repro.grid.optimizer import ca3dmm_grid
 from repro.machine.model import pace_phoenix_cpu
-from repro.mpi.transport import MEM_INFLIGHT
 
 M = N = K = 3000
 NPROCS = 64
@@ -48,21 +44,7 @@ def main() -> None:
         marker = " <- best" if cand is result.best else ""
         print(f"  {cand.describe()}{marker}")
 
-    # run the winner for real (executed engine) and verify
     if result.best.inner == "cannon":
-        def rank_main(comm):
-            eng = Ca3dmm(comm, M, N, K, grid=result.best.grid)
-            a = DistMatrix.from_global(
-                comm, eng.plan.a_dist, dense_random(M, K, 1)
-            )
-            b = DistMatrix.from_global(
-                comm, eng.plan.b_dist, dense_random(K, N, 2)
-            )
-            c = eng.multiply(a, b)
-            peak = comm.transport.trace(comm.world_rank).mem_peaks.get(MEM_INFLIGHT, 0)
-            return peak
-
-        # shrink the executed run (same grid logic, laptop-sized data)
         print("\n(executed verification runs at reduced size in the tests;"
               " see tests/grid/test_memory_limit.py)")
     print("OK")

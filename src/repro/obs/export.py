@@ -280,7 +280,12 @@ def _strict_json(doc: Any, *at: Any) -> str:
     try:
         return _STRICT.encode(doc)
     except (TypeError, ValueError, RecursionError) as exc:
-        found = _unwritable(doc, at, set()) or f"{json_path(at)}: {exc}"
+        found, deepest = _unwritable(doc, at)
+        if found is None and isinstance(exc, RecursionError):  # too deep: name its field
+            named = [i for i, key in enumerate(deepest, 1) if isinstance(key, str)]
+            field = deepest[:named[-1]] if named else at
+            found = f"{json_path(field)}: nested {len(deepest) - len(field)} levels deep"
+        found = found or f"{json_path(at)}: {exc}"
         raise TraceSchemaError(f"{found} cannot be written as JSON") from exc
 
 
@@ -289,29 +294,40 @@ def _finite_scalar(node: Any) -> bool:
             or isinstance(node, float) and math.isfinite(node))
 
 
-def _unwritable(node: Any, path: tuple[Any, ...], above: set[int]) -> str | None:
-    """``$.path: value`` of the first part of ``node`` JSON cannot hold: a
+def _unwritable(doc: Any, at: tuple[Any, ...]) -> tuple[str | None, tuple[Any, ...]]:
+    """``$.path: value`` of the first part of ``doc`` JSON cannot hold — a
     NaN or infinity, an object of a type it does not know, a key that is
-    not a scalar, or a container inside itself — ``above`` holds the ids
-    of the containers on the way down, so a cycle ends the walk."""
-    if _finite_scalar(node):
-        return None
-    if isinstance(node, float):
-        return f"{json_path(path)}: {node!r}"
-    if not isinstance(node, (dict, list, tuple)):
-        return f"{json_path(path)}: {reprlib.repr(node)} (of type {type(node).__name__})"
-    if id(node) in above:
-        return f"{json_path(path)}: {reprlib.repr(node)} (a container inside itself)"
-    above.add(id(node))
-    is_dict = isinstance(node, dict)
-    for key, child in node.items() if is_dict else enumerate(node):
-        if is_dict and not _finite_scalar(key):
-            return f"{json_path(path)}: the key {reprlib.repr(key)}"
-        found = _unwritable(child, (*path, key), above)
-        if found:
-            return found
-    above.discard(id(node))
-    return None
+    not a scalar, or a container inside itself — and the deepest path
+    walked.  The walk keeps its own stack, so it outlasts any nesting;
+    ``above`` holds the ids of the containers on the way down, so a cycle
+    ends it."""
+    above: set[int] = set()
+    walk: list[tuple[Any, tuple[Any, ...], Iterator[Any]]] = [(None, at, iter([(None, doc)]))]
+    deepest = at
+    while walk:
+        container, where, children = walk[-1]
+        step = next(children, None)
+        if step is None:
+            above.discard(id(container))
+            walk.pop()
+            continue
+        key, node = step
+        path = where if container is None else (*where, key)
+        if isinstance(container, dict) and not _finite_scalar(key):
+            return f"{json_path(where)}: the key {reprlib.repr(key)}", deepest
+        if _finite_scalar(node):
+            continue
+        if isinstance(node, float):
+            return f"{json_path(path)}: {node!r}", deepest
+        if not isinstance(node, (dict, list, tuple)):
+            what = f"(of type {type(node).__name__})"
+            return f"{json_path(path)}: {reprlib.repr(node)} {what}", deepest
+        if id(node) in above:
+            return f"{json_path(path)}: {reprlib.repr(node)} (a container inside itself)", deepest
+        above.add(id(node))
+        walk.append((node, path, iter(node.items() if isinstance(node, dict) else enumerate(node))))
+        deepest = max(deepest, path, key=len)
+    return None, deepest
 
 
 def write_chrome_trace(

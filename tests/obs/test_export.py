@@ -200,12 +200,22 @@ def _cycle():
     return loop
 
 
+def _nested(depth: int) -> list:
+    """A list ``depth`` lists deep: past the interpreter's recursion limit
+    at 3 000, where the encoder and a recursive walk both give up."""
+    inner: list = []
+    for _ in range(depth):
+        inner = [inner]
+    return inner
+
+
 class TestUnwritable:
     """What a span attribute may hold and JSON may not passes the schema
     (``args`` is any object; ``NaN < 0`` is false): a NaN, which Perfetto
     and every strict parser reject, a value of a type the encoder does not
-    know, a key that is not a scalar, a list inside itself.  Each is
-    refused by its JSON path before the file is opened."""
+    know, a key that is not a scalar, a list inside itself, a list nested
+    past the recursion limit.  Each is refused by its JSON path before the
+    file is opened."""
 
     @pytest.mark.parametrize("value, found", [
         (float("nan"), r"\.residual: nan"),
@@ -215,7 +225,8 @@ class TestUnwritable:
         ([0, {"deep": {0.5, 1.5}}], r"\.residual\[1\]\.deep: .* \(of type set\)"),
         ({(0, 1): 2}, r"\.residual: the key \(0, 1\)"),
         (_cycle(), r"\.residual\[0\]: .* \(a container inside itself\)"),
-    ], ids=["nan", "-inf", "int64", "set", "nested-set", "tuple-key", "cycle"])
+        (_nested(3000), r"\.residual: nested 3000 levels deep"),
+    ], ids=["nan", "-inf", "int64", "set", "nested-set", "tuple-key", "cycle", "too-deep"])
     @pytest.mark.parametrize("write, at", [
         (write_chrome_trace, r"\$\.traceEvents\[\d+\]\.args"),
         (write_jsonl, r"\$\[\d+\]\.attrs"),
