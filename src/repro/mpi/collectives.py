@@ -153,22 +153,22 @@ def bcast(comm, value: Any, root: int = 0) -> Any:
     Long numpy arrays use van de Geijn scatter+allgather — the algorithm
     behind the paper's ``T_broadcast`` formula; everything else uses a
     binomial tree.  A small binomial header tells non-roots which path
-    (and, for the long path, the shape/dtype) to expect.
+    (and, for the long path, the shape) to expect; the chunks carry the
+    dtype.
     """
     if comm.size == 1:
         return value
     with _span(comm, "bcast", algo=""):
         if comm.rank == root:
             is_long = isinstance(value, np.ndarray) and value.nbytes >= BCAST_LONG_THRESHOLD
-            header = (is_long, (value.shape, value.dtype) if is_long else None)
+            header = (is_long, value.shape if is_long else None)
         else:
             header = None
         with _algo(comm, "bcast.binomial"):
-            is_long, meta = _bcast_binomial(comm, header, root, _TAG_BCAST)
+            is_long, shape = _bcast_binomial(comm, header, root, _TAG_BCAST)
             if not is_long:
                 return _bcast_binomial(comm, value, root, _TAG_BCAST)
         with _algo(comm, "bcast.scatter_allgather"):
-            shape, dtype = meta
             if comm.rank == root:
                 flat = np.ascontiguousarray(value)
                 if flat is not value:  # a staging copy of our own: its chunks travel frozen
@@ -180,7 +180,7 @@ def bcast(comm, value: Any, root: int = 0) -> Any:
             parts = allgather(comm, mine)
             if comm.rank == root:  # it holds the value already, as on the short path
                 return value
-            return np.concatenate(parts).reshape(shape).astype(dtype, copy=False)
+            return np.concatenate(parts).reshape(shape)
 
 
 # ----------------------------------------------------------------- reduce -- #

@@ -44,7 +44,8 @@ def _bruck_bytes(me: int, size: int):
 
 
 def _header(is_long: bool, value) -> int:
-    return nbytes_of((is_long, (value.shape, value.dtype) if is_long else None))
+    """What a broadcast's header weighs: the path, and a long one's shape."""
+    return nbytes_of((is_long, value.shape if is_long else None))
 
 
 def _bcast(me, size, root, value, label="bcast.binomial"):
