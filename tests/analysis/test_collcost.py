@@ -52,9 +52,8 @@ class TestAllgather:
 
         got_bytes, got_msgs, _ = _traffic(spmd, P, f)
         cost = _bruck_allgather(laptop(), list(range(P)), nbytes_each * P)
-        # Bruck moves total*(P-1)/P per rank; pickle wrapping adds a
-        # constant per block.
-        assert got_bytes == pytest.approx(cost.words * ITEM, rel=0.25)
+        # Bruck moves total*(P-1)/P per rank; a message weighs its data.
+        assert got_bytes == cost.words * ITEM
         assert got_msgs == cost.msgs == math.ceil(math.log2(P))
 
 
@@ -69,7 +68,7 @@ class TestReduceScatter:
         got_bytes, got_msgs, _ = _traffic(spmd, P, f)
         cost = _reduce_scatter(laptop(), list(range(P)), block * P)
         assert got_msgs == cost.msgs == P - 1
-        assert got_bytes == pytest.approx(cost.words * ITEM, rel=0.05)
+        assert got_bytes == cost.words * ITEM
 
     def test_paper_formula_value(self):
         """T_reduce_scatter = α(P-1) + βn(P-1)/P exactly."""
@@ -105,7 +104,7 @@ class TestOthers:
         got_bytes, got_msgs, _ = _traffic(spmd, P, f)
         cost = _pairwise(laptop(), list(range(P)), 200)
         assert got_msgs == cost.msgs == P - 1
-        assert got_bytes == pytest.approx(cost.words * ITEM, rel=0.10)
+        assert got_bytes == cost.words * ITEM
 
     @pytest.mark.parametrize("P", [2, 3, 8])
     def test_barrier_rounds(self, spmd, P):
