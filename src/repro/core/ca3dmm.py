@@ -234,6 +234,7 @@ class Ca3dmm:
                     del a_run, b_run, cannon
                     by_cols = plan.c_split_cols(role.i, role.j)
                     strip = reduce_partial_c(self.kred_comm, c_loc, by_cols, abft=guard)
+                    del c_loc  # the partial dies here, not after step 8's conversion
         if alpha != 1.0:
             strip = alpha * np.ascontiguousarray(strip)
 

@@ -21,9 +21,11 @@ candidates of eqs. (5)/(7) depend on ``(P, l, require_divisible)`` alone,
 never on the matrix: :func:`_candidates` builds their integer arrays once
 per key per process (a bounded cache, read-only arrays), and every
 search, enumeration and plan on that key shares the table.  The
-shape-dependent half runs per call: a float64 screen keeps the handful
-that can win, and the exact :func:`_sorted_key` — Python-int arithmetic —
-decides among those.
+shape-dependent half — a float64 screen keeps the handful that can win,
+and the exact :func:`_sorted_key`, Python-int arithmetic, decides among
+those — runs once per distinct question: :func:`_search` memoizes it by
+the full argument tuple (a bounded cache of immutable answers; every
+call gets a fresh list), and :func:`ctf_grid` is memoized by ``P``.
 
 All selectors are deterministic; ties resolve lexicographically, so
 every rank computes the same grid independently.
@@ -234,9 +236,10 @@ def _check_search_args(nprocs: int, l: float | None, dims: tuple = ()) -> None:
 
 # Eqs. (5) and (7) never look at the matrix: one table per key serves every
 # shape.  One repetition of the paper's figures and tables asks for 37 keys
-# (306 searches).  A table at P = 3072 is 50-300 kB for l >= 0.85, one at
-# P = 4096 with a vanishing l 0.8 MB: up to P = 4096 the bound holds the
-# cache under 110 MB.
+# in its 149 distinct searches (306 calls; the others are answered by
+# :func:`_search`'s memo before they get here).  A table at P = 3072 is
+# 50-300 kB for l >= 0.85, one at P = 4096 with a vanishing l 0.8 MB: up
+# to P = 4096 the bound holds the cache under 110 MB.
 @lru_cache(maxsize=128)
 def _candidates(
     nprocs: int, l: float, require_divisible: bool
@@ -300,6 +303,12 @@ def enumerate_grids(
     return _specs(_candidates(nprocs, l, require_divisible), nprocs)
 
 
+#: Answers :func:`_search` (and :func:`ctf_grid`) keep.  One repetition of
+#: the paper's figures and tables asks 149 distinct searches in 306 calls;
+#: an entry is a few ``GridSpec``s, so the bound holds several repetitions.
+SEARCH_MEMO = 1024
+
+
 #: Relative margin of the float64 screen in :func:`best_grids`.  The
 #: screened quantities are a handful of float64 operations on exactly
 #: representable or once-rounded inputs (relative error < 1e-15), so a
@@ -348,7 +357,22 @@ def best_grids(
     _check_search_args(nprocs, l, (m, n, k))
     if memory_limit_words is not None and not require_divisible:
         raise ValueError("memory_limit_words needs require_divisible: eq. (11) assumes eq. (7)")
-    nprocs = int(nprocs)
+    m, n, k = (int(x) if isinstance(x, numbers.Integral) else x for x in (m, n, k))
+    grids, infeasible = _search(m, n, k, int(nprocs), l, require_divisible,
+                                use_latency, count, memory_limit_words)
+    if infeasible is not None:
+        warnings.warn(MemLimitInfeasibleWarning(infeasible), stacklevel=3)
+    return list(grids)
+
+
+@lru_cache(maxsize=SEARCH_MEMO, typed=True)
+def _search(
+    m, n, k, nprocs, l, require_divisible, use_latency, count, memory_limit_words
+) -> tuple[tuple[GridSpec, ...], str | None]:
+    """:func:`best_grids` on checked arguments (numpy integers made
+    ``int``, so they share an entry with the equal ``int``): its grids, and
+    the :class:`MemLimitInfeasibleWarning` text when the cap excludes
+    every candidate — the caller warns, on a hit as on a miss."""
     pm, pn, pk = cands = _candidates(nprocs, l, require_divisible)
     mk, kn, mn = float(m * k), float(k * n), float(m * n)
     used = pm * pn * pk
@@ -359,7 +383,7 @@ def best_grids(
     key = _sorted_key(m, n, k, use_latency)
     if memory_limit_words is None:
         keep = np.flatnonzero(volume <= _cutoff(volume, count))
-        return sorted(_specs(cands, nprocs, keep), key=key)[:count]
+        return tuple(sorted(_specs(cands, nprocs, keep), key=key)[:count]), None
 
     c = np.maximum(pm, pn) // np.minimum(pm, pn)
     a_wide = pn > pm  # A is the replicated operand
@@ -376,23 +400,19 @@ def best_grids(
         if g.memory_words(m, n, k) <= memory_limit_words
     ]
     if fitting:
-        return sorted(fitting, key=key)[:count]
+        return tuple(sorted(fitting, key=key)[:count]), None
     keep = np.flatnonzero(memory <= _cutoff(memory, 1))
     fallback = min(
         _specs(cands, nprocs, keep), key=lambda g: (g.memory_words(m, n, k), key(g))
     )
-    warnings.warn(
-        MemLimitInfeasibleWarning(
-            f"memory_limit_words={memory_limit_words:g} excludes "
-            f"every candidate grid for (m={m}, n={n}, k={k}, "
-            f"P={nprocs}); using the minimum-memory grid "
-            f"{fallback} whose eq. (11) footprint "
-            f"{fallback.memory_words(m, n, k):.0f} words "
-            f"exceeds the cap"
-        ),
-        stacklevel=3,
+    return (fallback,), (
+        f"memory_limit_words={memory_limit_words:g} excludes "
+        f"every candidate grid for (m={m}, n={n}, k={k}, "
+        f"P={nprocs}); using the minimum-memory grid "
+        f"{fallback} whose eq. (11) footprint "
+        f"{fallback.memory_words(m, n, k):.0f} words "
+        f"exceeds the cap"
     )
-    return [fallback]
 
 
 def ca3dmm_grid(
@@ -449,10 +469,15 @@ def ctf_grid(m: int, n: int, k: int, nprocs: int) -> GridSpec:
     behaviour on rectangular problems reported in the paper (Section
     IV-A, citing [18]).
 
-    Same argument contract as :func:`ca3dmm_grid`, less ``l``.
+    Same argument contract as :func:`ca3dmm_grid`, less ``l``.  The
+    shape is checked and ignored, so the answer is memoized by ``P``.
     """
     _check_search_args(nprocs, None, (m, n, k))
-    nprocs = int(nprocs)
+    return _ctf_grid(int(nprocs))
+
+
+@lru_cache(maxsize=SEARCH_MEMO)
+def _ctf_grid(nprocs: int) -> GridSpec:
     best: tuple[tuple[int, int], GridSpec] | None = None
     c_max = max(1, round(nprocs ** (1.0 / 3.0)))
     for c in divisors(nprocs):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import Ca3dmm, ca3dmm_matmul
+from repro.core import ca3dmm as engine_module
 from repro.grid.optimizer import GridSpec
 from repro.layout import (
     Block2D,
@@ -188,3 +191,38 @@ class TestEngineReuse:
             return np.allclose(abb.to_global(), A @ B @ B, atol=1e-9)
 
         assert all(spmd(8, f).results)
+
+
+class TestPartialLifetime:
+    """Step 7 consumes the ``pk``-way partial C block: none is alive once
+    the last rank starts step 8's conversion to the caller's layout."""
+
+    @pytest.mark.parametrize("abft", [None, True], ids=["plain", "abft"])
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(2, 4, 2, 16), GridSpec(2, 2, 2, 9), GridSpec(1, 1, 4, 4)], ids=str
+    )
+    def test_no_partial_outlives_the_reduce(self, grid, abft, spmd, monkeypatch):
+        reduce, leave = engine_module.reduce_partial_c, engine_module.leave
+        partials, alive_at_leave = [], []
+
+        def reduce_spy(kred_comm, c_loc, *args, **kwargs):
+            partials.append(weakref.ref(c_loc))
+            return reduce(kred_comm, c_loc, *args, **kwargs)
+
+        def leave_spy(*args, **kwargs):
+            alive_at_leave.append(sum(ref() is not None for ref in partials))
+            return leave(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "reduce_partial_c", reduce_spy)
+        monkeypatch.setattr(engine_module, "leave", leave_spy)
+        A, B = dense_random(24, 40, 0), dense_random(40, 20, 1)
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, BlockCol1D(A.shape, comm.size), A)
+            b = DistMatrix.from_global(comm, BlockCol1D(B.shape, comm.size), B)
+            return Ca3dmm(comm, 24, 20, 40, grid=grid, abft=abft).multiply(a, b).to_global()
+
+        res = spmd(grid.nprocs, f)
+        np.testing.assert_allclose(res.results[0], A @ B, rtol=1e-12, atol=1e-12)
+        assert len(partials) == grid.used and len(alive_at_leave) == grid.nprocs
+        assert alive_at_leave[-1] == 0, alive_at_leave

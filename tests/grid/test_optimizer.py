@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.grid import GridSpec, ca3dmm_grid, cosma_grid, ctf_grid, enumerate_grids
+from repro.grid import GridSpec, ca3dmm_grid, cosma_grid, ctf_grid, enumerate_grids, optimizer
+from repro.grid.optimizer import MemLimitInfeasibleWarning, best_grids
+
+from .test_search_counts import clear_search_memo
 
 
 class TestGridSpec:
@@ -192,6 +197,76 @@ class TestCtfGrid:
     def test_tiny_world(self):
         g = ctf_grid(8, 8, 8, 1)
         assert (g.pm, g.pn, g.pk) == (1, 1, 1)
+
+
+class TestSearchMemo:
+    """Each question is searched once per process (``optimizer._search``,
+    ``optimizer._ctf_grid``); callers see what an uncached search gives."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_search_memo()
+
+    def test_a_mutated_answer_does_not_change_the_next(self):
+        ask = dict(require_divisible=True, use_latency=False, count=4)
+        first = best_grids(1000, 10, 10, 64, **ask)
+        want = list(first)
+        first.reverse()
+        first[0] = GridSpec(1, 1, 1, 64)
+        first.append(None)
+        assert best_grids(1000, 10, 10, 64, **ask) == want
+        assert optimizer._search.cache_info().hits == 1
+
+    def test_the_infeasible_cap_warns_on_a_hit_as_on_a_miss(self):
+        seen = []
+        for _ in range(2):
+            with pytest.warns(MemLimitInfeasibleWarning) as caught:
+                grid = ca3dmm_grid(1000, 1000, 1000, 64, memory_limit_words=1.0)
+            [w] = caught
+            seen.append((grid, w.filename, w.lineno, str(w.message)))
+        info = optimizer._search.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert seen[0] == seen[1] and seen[0][1] == __file__
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((64, 64, 64, 16, math.nan), {}),
+        ((64, 64, 64, 16, 1.5), {}),
+        ((64, 64, 64, True), {}),
+        ((64, 64, 64, 0), {}),
+        ((-1, 64, 64, 16), {}),
+        ((64, 64, 64, 16), {"require_divisible": False, "memory_limit_words": 1e9}),
+    ])
+    def test_refused_arguments_are_never_cached(self, args, kwargs):
+        ask = {"require_divisible": True, "use_latency": True, **kwargs}
+        before = optimizer._search.cache_info()
+        with pytest.raises(ValueError):
+            best_grids(*args, **ask)
+        assert optimizer._search.cache_info() == before
+
+    @pytest.mark.parametrize("args", [(64, 64, 64, True), (64, 64, 64, 0), (64, -1, 64, 16)])
+    def test_refused_ctf_arguments_are_never_cached(self, args):
+        before = optimizer._ctf_grid.cache_info()
+        with pytest.raises(ValueError):
+            ctf_grid(*args)
+        assert optimizer._ctf_grid.cache_info() == before
+
+    def test_numpy_and_python_integers_share_an_entry(self):
+        for search in (ca3dmm_grid, cosma_grid, ctf_grid):
+            np_grid = search(*np.array([1000, 10, 10, 64]))
+            py_grid = search(1000, 10, 10, 64)
+            assert np_grid == py_grid and type(np_grid.pm) is int
+        for memo in (optimizer._search, optimizer._ctf_grid):
+            info = memo.cache_info()
+            assert info.hits == info.currsize == info.misses
+
+    def test_every_p_to_4096_stays_within_the_bound(self):
+        for P in range(1, 4097):
+            ca3dmm_grid(64, 64, 64, P)
+            ctf_grid(64, 64, 64, P)
+        for memo in (optimizer._search, optimizer._ctf_grid):
+            info = memo.cache_info()
+            assert info.misses == 4096
+            assert info.currsize <= info.maxsize == optimizer.SEARCH_MEMO
 
 
 class TestPrimeProcessCounts:

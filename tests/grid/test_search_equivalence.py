@@ -37,6 +37,7 @@ from repro.grid.optimizer import (
 from repro.machine.model import pace_phoenix_cpu, pace_phoenix_gpu
 
 from . import reference_search as oracle
+from .test_search_counts import clear_search_memo
 
 PRIMES = (2, 3, 5, 7, 13, 17, 97, 191, 193, 1021, 2053, 3067, 4093)
 ODD_COMPOSITES = (9, 15, 21, 27, 45, 81, 105, 243, 341, 1155, 2187, 3003, 4095)
@@ -229,11 +230,13 @@ SEARCHES = {**EQ5_SEARCHES, "ctf_grid": lambda nprocs, l: ctf_grid(4, 4, 4, npro
 @pytest.fixture
 def no_search(monkeypatch):
     """A rejected call must not have started enumerating: the candidate
-    table of eqs. (5)/(7), or the divisors ``ctf_grid`` walks."""
+    table of eqs. (5)/(7), or the divisors ``ctf_grid`` walks.  The memo
+    of answered searches is cleared, so an accepted call reaches them."""
 
     def started(*args):
         raise AssertionError("the search ran on arguments it should have refused")
 
+    clear_search_memo()
     monkeypatch.setattr(optimizer, "_candidates", started)
     monkeypatch.setattr(optimizer, "divisors", started)
 
