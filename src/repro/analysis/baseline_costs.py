@@ -24,6 +24,7 @@ from .costs import (
     ITEM,
     CostReport,
     _bruck_allgather,
+    _checked,
     _layered_cannon,
     _local_gemm,
     _p2p,
@@ -36,8 +37,7 @@ def algo1d_cost(
     m: int, n: int, k: int, nprocs: int, machine: MachineModel, variant: str = "auto"
 ) -> CostReport:
     """1D m/n/k-partition algorithms (replicate-one-operand or reduce-C)."""
-    if nprocs < 1:
-        raise ValueError(f"nprocs must be >= 1, not {nprocs}")
+    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
     if variant == "auto":
         variant = "m" if m >= max(n, k) else ("n" if n >= k else "k")
     rep = CostReport(
@@ -82,6 +82,7 @@ def summa_cost(
     panel: int = 256,
 ) -> CostReport:
     """Stationary-C SUMMA on a ``pr x pc`` grid with panel width b."""
+    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
     if panel < 1:
         raise ValueError(f"panel must be >= 1, not {panel}")
     pr, pc = grid if grid is not None else near_square_pair(nprocs)
@@ -112,6 +113,7 @@ def algo25d_cost(
     """The 2.5D algorithm with replication factor c (c=1 is Cannon)."""
     from ..baselines.algo25d import grid_25d
 
+    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
     if sq is None or c is None:
         sq, c = grid_25d(nprocs, c)
     rep = CostReport(
@@ -136,8 +138,7 @@ def carma_cost(
     """
     from ..baselines.carma import active_count
 
-    if nprocs < 1:
-        raise ValueError(f"nprocs must be >= 1, not {nprocs}")
+    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
     act = active_count(nprocs)
     rep = CostReport(
         algo="carma", m=m, n=n, k=k, nprocs=nprocs,

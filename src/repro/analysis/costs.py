@@ -25,6 +25,15 @@ is ``algo25d_matmul`` on ``ctf_grid``), :func:`_summa_panels` the panel
 loop behind ``summa_cost`` and CA3DMM-S, :func:`_local_gemm` one rank's
 GEMM and :func:`_custom_layout` the conversion from a user's layout.
 
+Every closed form (these three and ``baseline_costs``' four) checks its
+problem with :func:`_checked` first.  :func:`ca3dmm_cost`,
+:func:`cosma_cost` and :func:`ctf_cost` are pure functions of their
+arguments and the paper's figures ask each question several times, so
+each keeps its last :data:`COST_MEMO` reports by argument value; every
+call, answered or priced, returns a fresh report (:func:`_fresh`) that
+its caller may change.  The four baseline forms and :func:`redist_cost`
+are not memoized: no caller asks them one question twice.
+
 All volumes are in **words** (matrix elements); times in seconds.
 ``ITEM`` converts to bytes (double precision, as in the paper).
 """
@@ -32,6 +41,7 @@ All volumes are in **words** (matrix elements); times in seconds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -56,6 +66,9 @@ COSMA_OVERLAP = {"none": 0.35, "partial": 0.6, "full": 0.9}
 #: for its internal cyclic layouts (see :func:`ctf_cost`).
 CTF_GEMM_EFFICIENCY = 0.3
 CTF_PACK_BW = 8e9
+#: Reports each memoized closed form keeps: the paper's figures and tables
+#: ask them 178 questions (80 / 78 / 20) in 272 calls a repetition.
+COST_MEMO = 512
 
 
 @dataclass
@@ -118,6 +131,35 @@ class CostReport:
         if self.t_total <= 0:
             return 0.0
         return (total_flops / self.t_total) / peak_rate * 100.0
+
+
+def _checked(nprocs, **sizes) -> tuple:
+    """``(*sizes, nprocs)`` as a closed form prices them, integral values
+    (numpy's too) made ``int``.  A ``ValueError`` names the argument: a
+    size that is negative or NaN, an ``nprocs`` that is not an int >= 1
+    (a ``bool`` is not one).  A Python int skips the ABC checks, which
+    would be most of a memo hit's time."""
+    if type(nprocs) is not int and (
+        isinstance(nprocs, bool) or not isinstance(nprocs, numbers.Integral)
+    ) or nprocs < 1:
+        raise ValueError(f"nprocs={nprocs!r}: a rank count must be an int >= 1")
+    priced = []
+    for name, x in sizes.items():
+        if not x >= 0:  # also catches nan
+            raise ValueError(f"{name}={x!r}: matrix dimensions and words must be non-negative")
+        priced.append(x if type(x) is int or not isinstance(x, numbers.Integral) else int(x))
+    return (*priced, int(nprocs))
+
+
+def _fresh(rep: CostReport) -> CostReport:
+    """A copy of a memoized report, each phase copied in insertion order
+    (``t_total`` sums them in that order), so that no caller can change
+    what the memo answers next."""
+    return CostReport(
+        rep.algo, rep.m, rep.n, rep.k, rep.nprocs, rep.grid, rep.machine,
+        {name: PhaseCost(p.time, p.words, p.msgs) for name, p in rep.phases.items()},
+        rep.mem_words, rep.flops_per_rank,
+    )
 
 
 # ------------------------------------------------------- pattern pricing -- #
@@ -231,6 +273,7 @@ def redist_cost(
     that an unfavourable 1D layout can dominate the runtime for
     tall-and-skinny problems.
     """
+    _checked(nprocs, total_words=total_words)
     if nprocs <= 1 or overlap >= 1.0:
         return PhaseCost()
     share = total_words / nprocs * (1.0 - overlap) * ITEM
@@ -305,6 +348,12 @@ def ca3dmm_cost(
     summa_panel_frac: float = 1.0,
 ) -> CostReport:
     """Predicted cost of CA3DMM (or CA3DMM-S with ``inner='summa'``)."""
+    return _fresh(_ca3dmm_cost(*_checked(nprocs, m=m, n=n, k=k), machine, grid,
+                               custom_layout, inner, summa_panel_frac))
+
+
+@lru_cache(maxsize=COST_MEMO, typed=True)
+def _ca3dmm_cost(m, n, k, nprocs, machine, grid, custom_layout, inner, summa_panel_frac):
     if inner not in ("cannon", "summa"):
         raise ValueError(f"inner must be 'cannon' or 'summa', not {inner!r}")
     search = ca3dmm_grid if inner == "cannon" else cosma_grid
@@ -404,6 +453,11 @@ def cosma_cost(
     paper credits COSMA with overlap; CA3DMM gets its overlap from the
     Cannon dual buffer instead).
     """
+    return _fresh(_cosma_cost(*_checked(nprocs, m=m, n=n, k=k), machine, grid, custom_layout))
+
+
+@lru_cache(maxsize=COST_MEMO, typed=True)
+def _cosma_cost(m, n, k, nprocs, machine, grid, custom_layout):
     g = grid if grid is not None else cosma_grid(m, n, k, nprocs)
     pm, pn, pk = g.pm, g.pn, g.pk
     rep = CostReport(
@@ -466,6 +520,11 @@ def ctf_cost(
     There is no communication/computation overlap.  The traffic alone
     is ``algo25d_cost(sq=g.pm, c=min(g.pk, g.pm))`` on ``ctf_grid``'s face.
     """
+    return _fresh(_ctf_cost(*_checked(nprocs, m=m, n=n, k=k), machine, grid))
+
+
+@lru_cache(maxsize=COST_MEMO, typed=True)
+def _ctf_cost(m, n, k, nprocs, machine, grid):
     g = grid if grid is not None else ctf_grid(m, n, k, nprocs)
     sq, c = g.pm, min(g.pk, g.pm)
     rep = CostReport(

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.analysis.baseline_costs import algo1d_cost, carma_cost, summa_cost
+from repro.analysis import costs
+from repro.analysis.baseline_costs import algo1d_cost, algo25d_cost, carma_cost, summa_cost
 from repro.analysis.costs import (
+    COST_MEMO,
     ITEM,
     _bcast_vdg,
     _bruck_allgather,
@@ -22,6 +27,21 @@ from repro.core.plan import Ca3dmmPlan
 from repro.grid.optimizer import GridSpec, ca3dmm_grid
 from repro.layout.matrix import DistMatrix, dense_random
 from repro.machine.model import MachineModel, laptop, pace_phoenix_cpu, pace_phoenix_gpu
+
+#: The seven closed forms, each handed an explicit grid where it takes
+#: one, so that no grid search stands between an argument and the price.
+CLOSED_FORMS = {
+    "ca3dmm": lambda *a: ca3dmm_cost(*a, grid=GridSpec(1, 1, 1, 1)),
+    "cosma": lambda *a: cosma_cost(*a, grid=GridSpec(1, 1, 1, 1)),
+    "ctf": lambda *a: ctf_cost(*a, grid=GridSpec(1, 1, 1, 1)),
+    "1d": algo1d_cost,
+    "summa": lambda *a: summa_cost(*a, grid=(1, 1)),
+    "2.5d": lambda *a: algo25d_cost(*a, sq=1, c=1),
+    "carma": carma_cost,
+}
+#: The memoized three and their memos.
+MEMOIZED = {ca3dmm_cost: costs._ca3dmm_cost, cosma_cost: costs._cosma_cost,
+            ctf_cost: costs._ctf_cost}
 
 
 class TestReportBasics:
@@ -141,12 +161,98 @@ class TestRefusals:
         ("dimensions", lambda mach: ctf_cost(-4, 4, 4, 8, mach)),
         ("nprocs", lambda mach: ctf_cost(64, 64, 64, 0, mach)),
         ("nprocs", lambda mach: ctf_cost(64, 64, 64, 2.5, mach)),
+        ("total_words", lambda mach: redist_cost(mach, -5.0, 4)),
+        ("total_words", lambda mach: redist_cost(mach, math.nan, 4)),
+        ("nprocs", lambda mach: redist_cost(mach, 1e6, 0)),
     ], ids=["ca3dmm-summa-b", "ca3dmm-Cannon", "1d-P0", "1d-k-P-1", "carma-P0",
             "summa-panel0", "summa-panel-64", "ca3dmm-m-4", "cosma-n-4", "ctf-m-4",
-            "ctf-P0", "ctf-P2.5"])
+            "ctf-P0", "ctf-P2.5", "redist-words-5", "redist-words-nan", "redist-P0"])
     def test_unpriceable_input_is_a_value_error(self, argument, price):
         with pytest.raises(ValueError, match=argument):
             price(laptop())
+
+    @pytest.mark.parametrize("form", CLOSED_FORMS)
+    @pytest.mark.parametrize("argument,problem", [
+        ("m", (-1, 4, 4, 4)),
+        ("n", (4, -8, 4, 4)),
+        ("m", (math.nan, 4, 4, 4)),
+        ("k", (4, 4, np.float64("nan"), 4)),
+        ("nprocs", (4, 4, 4, 0)),
+        ("nprocs", (4, 4, 4, True)),
+        ("nprocs", (4, 4, 4, 2.5)),
+    ], ids=["m-1", "n-8", "m-nan", "k-np-nan", "P0", "P-True", "P2.5"])
+    def test_every_closed_form_refuses_the_same_problems(self, form, argument, problem):
+        """One check for all seven, made before any grid is read: a negative
+        or NaN dimension, a rank count that is not an int >= 1."""
+        with pytest.raises(ValueError, match=f"^{argument}="):
+            CLOSED_FORMS[form](*problem, pace_phoenix_cpu("mpi"))
+
+
+@pytest.fixture
+def cold_memos():
+    for memo in MEMOIZED.values():
+        memo.cache_clear()
+    yield
+    for memo in MEMOIZED.values():
+        memo.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestMemo:
+    """``ca3dmm_cost``, ``cosma_cost`` and ``ctf_cost`` price a question once
+    and hand every caller a report of its own."""
+
+    @pytest.mark.parametrize("price", MEMOIZED, ids=lambda f: f.__name__)
+    def test_a_mutated_answer_does_not_reach_the_memo(self, price):
+        mach = pace_phoenix_cpu("mpi")
+        mine = price(4096, 2048, 8192, 192, mach)
+        first = next(iter(mine.phases))
+        mine.phases[first].time += 1.0
+        mine.phase("extra").words = 7.0
+        mine.mem_words = -1.0
+        price(4096, 2048, 8192, 192, mach).phases.clear()  # as a caller of .phases may
+        hit = price(4096, 2048, 8192, 192, mach)
+        assert MEMOIZED[price].cache_info().hits == 2
+        MEMOIZED[price].cache_clear()
+        cold = price(4096, 2048, 8192, 192, mach)
+        assert hit == cold and list(hit.phases) == list(cold.phases)
+        assert hit.t_total == cold.t_total
+
+    @pytest.mark.parametrize("price", MEMOIZED, ids=lambda f: f.__name__)
+    def test_numpy_and_python_ints_share_one_entry(self, price):
+        mach = pace_phoenix_cpu("mpi")
+        wide = price(*map(np.int64, (4096, 2048, 8192, 192)), mach)
+        plain = price(4096, 2048, 8192, 192, mach)
+        info = MEMOIZED[price].cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert wide == plain
+        assert {type(v) for v in (wide.m, wide.n, wide.k, wide.nprocs)} == {int}
+        # a float dimension is printed as one, so it is a question of its own
+        assert type(price(4096.0, 2048, 8192, 192, mach).m) is float
+        assert MEMOIZED[price].cache_info().misses == 2
+
+    @pytest.mark.parametrize("price", MEMOIZED, ids=lambda f: f.__name__)
+    def test_a_refused_input_is_refused_every_time_and_never_kept(self, price):
+        mach = pace_phoenix_cpu("mpi")
+        price(64, 64, 64, 8, mach)
+        for _ in range(2):
+            for problem in ((-1, 4, 4, 4), (4, 4, math.nan, 4), (4, 4, 4, 0)):
+                with pytest.raises(ValueError):
+                    price(*problem, mach)
+        if price is ca3dmm_cost:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="inner"):
+                    price(64, 64, 64, 8, mach, inner="summa-b")
+        assert MEMOIZED[price].cache_info().currsize == 1
+
+    @pytest.mark.parametrize("price", MEMOIZED, ids=lambda f: f.__name__)
+    def test_every_p_to_3072_stays_within_the_bound(self, price):
+        mach = pace_phoenix_cpu("mpi")
+        for P in range(1, 3073):
+            price(4096, 4096, 4096, P, mach)
+        info = MEMOIZED[price].cache_info()
+        assert info.misses == 3072
+        assert info.currsize == info.maxsize == COST_MEMO
 
 
 class TestPatternPricingIsBitIdentical:

@@ -11,8 +11,11 @@ candidate table of eqs. (5)/(7) depends on ``(P, l, require_divisible)``
 only; rebuilt per search, the paper's figures and tables built 306 of
 them for 37 keys.  Their 306 searches ask 149 distinct questions, and
 ``best_grids`` answers each once per process (``optimizer._search``), so
-a count of *cold* work clears that memo first.  The ``perf-gate`` CI job
-runs the helpers; they need numpy only.
+a count of *cold* work clears that memo first.  The closed forms the
+sweep prices keep their answers too (``costs._ca3dmm_cost``, ``_cosma_cost``,
+``_ctf_cost``): a memo warmed by an earlier test answers a question without
+searching, so clearing the search memo clears theirs.  The ``perf-gate`` CI
+job runs the helpers; they need numpy only.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from repro.machine.model import MachineModel, pace_phoenix_cpu
 MAX_GRIDSPECS_PER_SEARCH = 16
 #: Candidate tables a process may hold at once, whatever keys it asks for.
 MAX_CANDIDATE_TABLES = 128
+#: The memoized closed forms: ``ca3dmm_cost``, ``cosma_cost``, ``ctf_cost``.
+COST_MEMOS = (costs._ca3dmm_cost, costs._cosma_cost, costs._ctf_cost)
 
 
 def counted_calls(owner, name: str):
@@ -47,9 +52,12 @@ def counted_calls(owner, name: str):
 
 
 def clear_search_memo() -> None:
-    """Forget every answered search, so the next ones run cold."""
+    """Forget every answered search and priced question, so the next ones
+    run cold."""
     optimizer._search.cache_clear()
     optimizer._ctf_grid.cache_clear()
+    for memo in COST_MEMOS:
+        memo.cache_clear()
 
 
 def gridspecs_per_search() -> dict[tuple[str, int], int]:
@@ -92,6 +100,20 @@ def candidate_tables_per_sweep() -> tuple[int, int, int, int]:
     return searched.call_count, len(keys), built, again.call_count
 
 
+def evaluations_per_sweep() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Closed-form evaluations (``ca3dmm_cost``, ``cosma_cost``, ``ctf_cost``)
+    in one cold :func:`paper_sweep`, and in a second, warm one.  An
+    evaluation is a call the memo does not answer."""
+    def evaluated() -> tuple[int, ...]:
+        return tuple(memo.cache_info().misses for memo in COST_MEMOS)
+
+    clear_search_memo()
+    paper_sweep()
+    cold = evaluated()
+    paper_sweep()
+    return cold, tuple(b - a for a, b in zip(cold, evaluated()))
+
+
 def msg_time_calls(price, *args) -> int:
     """``MachineModel.msg_time`` calls made by one pattern-pricing call."""
     with counted_calls(MachineModel, "msg_time") as calls:
@@ -126,6 +148,17 @@ def test_the_paper_sweep_builds_one_candidate_table_per_key():
     assert (searches, keys, warm) == (149, 37, 0)
     assert built == keys
     assert optimizer.SEARCH_MEMO >= 2 * searches
+
+
+def test_the_paper_sweep_prices_each_question_once():
+    """272 closed-form calls ask 178 questions: a cold sweep evaluates each
+    once, a warm one none — and each memo holds two sweeps' questions.
+    (``tune`` and Table II ask one ``ca3dmm_cost`` question with and
+    without ``inner="cannon"``: the memo keys on every argument's value,
+    defaults included, so that is one question.)"""
+    cold, warm = evaluations_per_sweep()
+    assert (cold, warm) == ((80, 78, 20), (0, 0, 0))
+    assert costs.COST_MEMO >= 2 * sum(cold)
 
 
 def test_candidate_tables_are_read_only():
