@@ -136,17 +136,18 @@ class CostReport:
 def _checked(nprocs, **sizes) -> tuple:
     """``(*sizes, nprocs)`` as a closed form prices them, integral values
     (numpy's too) made ``int``.  A ``ValueError`` names the argument: a
-    size that is negative or NaN, an ``nprocs`` that is not an int >= 1
-    (a ``bool`` is not one).  A Python int skips the ABC checks, which
-    would be most of a memo hit's time."""
+    size that is negative, infinite or NaN, an ``nprocs`` that is not an
+    int >= 1 (a ``bool`` is not one).  A Python int skips the ABC checks,
+    which would be most of a memo hit's time."""
     if type(nprocs) is not int and (
         isinstance(nprocs, bool) or not isinstance(nprocs, numbers.Integral)
     ) or nprocs < 1:
         raise ValueError(f"nprocs={nprocs!r}: a rank count must be an int >= 1")
     priced = []
     for name, x in sizes.items():
-        if not x >= 0:  # also catches nan
-            raise ValueError(f"{name}={x!r}: matrix dimensions and words must be non-negative")
+        if not 0 <= x < math.inf:  # also catches nan
+            raise ValueError(
+                f"{name}={x!r}: matrix dimensions and words must be finite and non-negative")
         priced.append(x if type(x) is int or not isinstance(x, numbers.Integral) else int(x))
     return (*priced, int(nprocs))
 

@@ -39,13 +39,14 @@ were retained.  K-task groups that survived *complete* (all ``pm x pn``
 blocks of that k-slice) are reused wholesale: the missing k-slices are
 multiplied as one compacted sub-problem and the retained group
 contributions are redistributed and summed in.  Groups that survived
-only *partially* are salvaged per cell: each truly missing
-``(i, j, k)`` cell is recomputed as its own compacted sub-multiply
-(rows ``i``, columns ``j``, k-slice ``ik`` of the inputs), and the
-retained cells of the group ride along unrecomputed — so a multi-kill
-round redoes only the work that actually died.  The round charges an
-exact ``reused_flops``-vs-``recomputed_flops`` metrics pair (they sum
-to ``2mnk`` by construction).  If the reuse attempt itself fails, the
+only *partially* are salvaged per cell: the rows that miss the same set
+of column blocks are recomputed as one compacted sub-multiply (those
+rows, those columns, k-slice ``ik`` of the inputs), and the retained
+cells of the group ride along unrecomputed — so a multi-kill round
+redoes only the work that actually died, in one multiply per distinct
+missing-column set.  The round charges an exact
+``reused_flops``-vs-``recomputed_flops`` metrics pair (they sum to
+``2mnk`` by construction).  If the reuse attempt itself fails, the
 retained partials are dropped and recovery falls back to a full
 recompute — reuse is a one-shot optimization, never a correctness
 dependency.
@@ -272,22 +273,45 @@ def _gather_reuse(
     )
 
 
-def _k_pieces(rect: Rect, k_ranges, axis: int):
+def _k_pieces(rect: Rect, k_ranges, axis: int, inverse: bool = False):
     """``(lo, hi, rect')`` per range of ``k_ranges`` that ``rect`` meets
     along ``axis`` (0 = rows, 1 = cols): the span it cuts from a tile of
     ``rect``, and where the piece lands once the ranges are laid end to
-    end, renumbering coordinates monotonically."""
+    end, renumbering coordinates monotonically.  ``inverse`` reads
+    ``rect`` in the laid-end-to-end coordinates and returns each piece to
+    the range it came from (a rect that straddles two ranges is split)."""
     lo, hi = (rect.r0, rect.r1) if axis == 0 else (rect.c0, rect.c1)
     off = 0
     for k0, k1 in k_ranges:
-        s0, s1 = max(lo, k0), min(hi, k1)
+        src, dst = (off, k0) if inverse else (k0, off)
+        s0, s1 = max(lo, src), min(hi, src + k1 - k0)
         if s0 < s1:
-            n0, n1 = s0 - k0 + off, s1 - k0 + off
+            n0, n1 = s0 - src + dst, s1 - src + dst
             yield s0 - lo, s1 - lo, (
                 Rect(n0, n1, rect.c0, rect.c1) if axis == 0
                 else Rect(rect.r0, rect.r1, n0, n1)
             )
         off += k1 - k0
+
+
+def _expand(rect: Rect, row_ranges, col_ranges):
+    """``(rows, cols, rect')`` per piece of a compacted ``rect``: the
+    slices that cut it from the rect's tile and where each lands."""
+    for r0, r1, row_piece in _k_pieces(rect, row_ranges, 0, inverse=True):
+        for c0, c1, piece in _k_pieces(row_piece, col_ranges, 1, inverse=True):
+            yield slice(r0, r1), slice(c0, c1), piece
+
+
+def _missing_sets(plan: Ca3dmmPlan, cells) -> list[tuple[list[int], tuple[int, ...]]]:
+    """A partial group's missing ``(i, j)`` blocks as ``(rows, cols)``
+    sets: each row's missing columns, the rows that miss the same columns
+    gathered, in the order of their first row."""
+    by_cols: dict[tuple[int, ...], list[int]] = {}
+    for i in range(plan.pm):
+        cols = tuple(j for j in range(plan.pn) if (i, j) not in cells)
+        if cols:
+            by_cols.setdefault(cols, []).append(i)
+    return [(rows, cols) for cols, rows in by_cols.items()]
 
 
 @lru_cache(maxsize=64)
@@ -348,13 +372,16 @@ def _reuse_multiply(
     retained k-group — complete ones first, then partial ones, each in
     ascending order — is expressed as an :class:`Explicit` block layout
     over its holders, redistributed to the output layout, and summed in.
-    A *partially* retained group is first completed per cell: every
-    missing ``(i, j)`` block becomes its own compacted sub-multiply
-    (``mb x nb x kb`` — rows ``i``, columns ``j``, k-slice ``ik`` of the
-    inputs), and the computed cells plus the retained cells tile the
-    group's full ``(m, n)`` contribution (a complete group has no
-    missing cell).  Retained bodies and per-cell products are unscaled;
-    ``alpha`` is applied at the final accumulation.
+    A *partially* retained group is first completed: its rows that miss
+    the same set of column blocks form one compacted sub-multiply (those
+    rows of A, those columns of B, k-slice ``ik``), so a group costs one
+    multiply per distinct missing-column set, not one per lost cell, and
+    each product's rects are mapped back to ``(m, n)`` with the inverse
+    of :func:`_k_pieces`.  The computed blocks plus the retained cells
+    tile the group's full ``(m, n)`` contribution (a complete group has
+    no missing cell).  The round builds one engine per sub-problem shape.
+    Retained bodies and recomputed products are unscaled; ``alpha`` is
+    applied at the final accumulation.
     """
     plan_old = reuse.plan
     m, n = plan_old.m, plan_old.n
@@ -367,6 +394,17 @@ def _reuse_multiply(
     k_miss = sum(k1 - k0 for k0, k1 in k_ranges)
     needed = {(i, j) for i in range(plan_old.pm) for j in range(plan_old.pn)}
     dtype = np.promote_types(cur_a.dtype, cur_b.dtype)
+    engines: dict[tuple[int, int, int], Ca3dmm] = {}
+
+    def _engine(mm: int, nn: int, kk: int) -> Ca3dmm:
+        if (mm, nn, kk) not in engines:
+            engines[mm, nn, kk] = Ca3dmm(
+                cur_comm, mm, nn, kk,
+                grid=None, l=l, shifts_per_gemm=shifts_per_gemm,
+                abft=abft_policy,
+            )
+        return engines[mm, nn, kk]
+
     with cur_comm.span(
         "ft_reuse", cat="ft",
         reused_groups=len(reuse.reusable),
@@ -377,11 +415,7 @@ def _reuse_multiply(
         if k_miss:
             a_sub = _compact_k(cur_a, k_ranges, axis=0 if ta else 1)
             b_sub = _compact_k(cur_b, k_ranges, axis=1 if tb else 0)
-            engine = Ca3dmm(
-                cur_comm, m, n, k_miss,
-                grid=None, l=l, shifts_per_gemm=shifts_per_gemm,
-                abft=abft_policy,
-            )
+            engine = _engine(m, n, k_miss)
             final_dist = _resolve_c_dist(c_dist, cur_comm)
             if final_dist is None:
                 final_dist = engine.plan.c_dist
@@ -422,40 +456,36 @@ def _reuse_multiply(
                 mapping[r].append(plan_old.c_block(i, j))
                 if r == cur_comm.rank and reuse.mine is not None:
                     my_tiles.append(np.ascontiguousarray(reuse.mine))
-            for i, j in sorted(needed - cells):
-                blk = plan_old.c_block(i, j)
-                # Compact the inputs to this cell's (rows, cols, k-slice):
-                # first along k, then along the block's own dimension.
-                a_cell = _compact_k(
+            for rows, cols in _missing_sets(plan_old, cells):
+                row_ranges = [plan_old.m_range(i) for i in rows]
+                col_ranges = [plan_old.n_range(j) for j in cols]
+                mm = sum(r1 - r0 for r0, r1 in row_ranges)
+                nn = sum(c1 - c0 for c0, c1 in col_ranges)
+                # Compact the inputs to these (rows, cols, k-slice): first
+                # along k, then along the blocks' own dimension.
+                a_set = _compact_k(
                     _compact_k(cur_a, [(k0, k1)], axis=0 if ta else 1),
-                    [(blk.r0, blk.r1)], axis=1 if ta else 0,
+                    row_ranges, axis=1 if ta else 0,
                 )
-                b_cell = _compact_k(
+                b_set = _compact_k(
                     _compact_k(cur_b, [(k0, k1)], axis=1 if tb else 0),
-                    [(blk.c0, blk.c1)], axis=0 if tb else 1,
+                    col_ranges, axis=0 if tb else 1,
                 )
-                cell_engine = Ca3dmm(
-                    cur_comm, blk.r1 - blk.r0, blk.c1 - blk.c0, k1 - k0,
-                    grid=None, l=l, shifts_per_gemm=shifts_per_gemm,
-                    abft=abft_policy,
+                c_set = _engine(mm, nn, k1 - k0).multiply(
+                    a_set, b_set, transa=transa, transb=transb, alpha=1.0,
                 )
-                c_cell = cell_engine.multiply(
-                    a_cell, b_cell, transa=transa, transb=transb, alpha=1.0,
-                )
-                # Shift the cell-local result into (m, n) coordinates and
+                # Return the compacted result to (m, n) coordinates and
                 # graft its rects into the group's layout.
                 for r in range(cur_comm.size):
-                    for rect in c_cell.dist.owned_rects(r):
-                        if rect.is_empty():
-                            continue
-                        mapping[r].append(Rect(
-                            rect.r0 + blk.r0, rect.r1 + blk.r0,
-                            rect.c0 + blk.c0, rect.c1 + blk.c0,
-                        ))
-                for rect, tile in zip(c_cell.owned_rects, c_cell.tiles):
-                    if rect.is_empty():
-                        continue
-                    my_tiles.append(tile)
+                    mapping[r].extend(
+                        piece for rect in c_set.dist.owned_rects(r)
+                        for _r, _c, piece in _expand(rect, row_ranges, col_ranges)
+                    )
+                my_tiles.extend(
+                    tile[rs, cs]
+                    for rect, tile in zip(c_set.owned_rects, c_set.tiles)
+                    for rs, cs, _piece in _expand(rect, row_ranges, col_ranges)
+                )
             dist_ik = Explicit.from_mapping((m, n), cur_comm.size, mapping)
             c = _accumulate(DistMatrix(cur_comm, dist_ik, my_tiles, dtype=dtype))
     return c

@@ -86,7 +86,12 @@ def _untiled(j: np.ndarray, piece: tuple, rect: tuple) -> np.ndarray:
                                    at + d_r0 * width + d_c1, at + d_r1 * width + d_c0]))
     minus = np.sort(np.concatenate([p_at + r0 * p_w + c1, p_at + r1 * p_w + c0,
                                     at + d_r0 * width + d_c0, at + d_r1 * width + d_c1]))
-    return ids[np.unique(np.searchsorted(base, plus[plus != minus], side="right") - 1)]
+    # Ascending already (``plus`` is sorted), so dropping repeats is
+    # ``np.unique``'s answer without its ``numpy.ma`` import.
+    hit = np.searchsorted(base, plus[plus != minus], side="right") - 1
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = hit[1:] != hit[:-1]
+    return ids[hit[first]]
 
 
 class OverlapTable:

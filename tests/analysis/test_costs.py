@@ -163,10 +163,13 @@ class TestRefusals:
         ("nprocs", lambda mach: ctf_cost(64, 64, 64, 2.5, mach)),
         ("total_words", lambda mach: redist_cost(mach, -5.0, 4)),
         ("total_words", lambda mach: redist_cost(mach, math.nan, 4)),
+        ("total_words", lambda mach: redist_cost(mach, math.inf, 4)),
+        ("total_words", lambda mach: redist_cost(mach, -math.inf, 4)),
         ("nprocs", lambda mach: redist_cost(mach, 1e6, 0)),
     ], ids=["ca3dmm-summa-b", "ca3dmm-Cannon", "1d-P0", "1d-k-P-1", "carma-P0",
             "summa-panel0", "summa-panel-64", "ca3dmm-m-4", "cosma-n-4", "ctf-m-4",
-            "ctf-P0", "ctf-P2.5", "redist-words-5", "redist-words-nan", "redist-P0"])
+            "ctf-P0", "ctf-P2.5", "redist-words-5", "redist-words-nan", "redist-words-inf",
+            "redist-words--inf", "redist-P0"])
     def test_unpriceable_input_is_a_value_error(self, argument, price):
         with pytest.raises(ValueError, match=argument):
             price(laptop())
@@ -177,13 +180,17 @@ class TestRefusals:
         ("n", (4, -8, 4, 4)),
         ("m", (math.nan, 4, 4, 4)),
         ("k", (4, 4, np.float64("nan"), 4)),
+        ("m", (math.inf, 4, 4, 4)),
+        ("n", (4, -math.inf, 4, 4)),
+        ("k", (4, 4, np.float64("inf"), 4)),
         ("nprocs", (4, 4, 4, 0)),
         ("nprocs", (4, 4, 4, True)),
         ("nprocs", (4, 4, 4, 2.5)),
-    ], ids=["m-1", "n-8", "m-nan", "k-np-nan", "P0", "P-True", "P2.5"])
+    ], ids=["m-1", "n-8", "m-nan", "k-np-nan", "m-inf", "n--inf", "k-np-inf",
+            "P0", "P-True", "P2.5"])
     def test_every_closed_form_refuses_the_same_problems(self, form, argument, problem):
-        """One check for all seven, made before any grid is read: a negative
-        or NaN dimension, a rank count that is not an int >= 1."""
+        """One check for all seven, made before any grid is read: a negative,
+        infinite or NaN dimension, a rank count that is not an int >= 1."""
         with pytest.raises(ValueError, match=f"^{argument}="):
             CLOSED_FORMS[form](*problem, pace_phoenix_cpu("mpi"))
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ft import UnrecoverableError, resilient_multiply
-from repro.ft.recovery import _compact_k, _compacted_layout
+from repro.core.ca3dmm import Ca3dmm
+from repro.ft import UnrecoverableError, recovery, resilient_multiply
+from repro.ft.recovery import _compact_k, _compacted_layout, _k_pieces
+from repro.grid.optimizer import GridSpec
 from repro.layout import BlockCol1D, BlockCyclic2D, DistMatrix, Rect, dense_random
 from repro.machine.model import laptop
 from repro.mpi import FaultPlan, RankFault, run_spmd
@@ -190,8 +192,6 @@ class TestPartialReuse:
         surviving Cannon cells anyway: reuse is strictly positive (the
         old per-k-group baseline was 0 here), the reused/recomputed
         pair still sums to one full call, and the result is correct."""
-        from repro.grid.optimizer import GridSpec
-
         report: list = []
 
         def f(comm):
@@ -235,8 +235,6 @@ class TestPartialReuse:
         positive, the reused/recomputed pair still partitions one full
         call, a single recovery round suffices, and both k-groups
         contribute reused cells to the report."""
-        from repro.grid.optimizer import GridSpec
-
         P16 = 16
         report: list = []
 
@@ -282,6 +280,114 @@ class TestPartialReuse:
         assert fm.reused_flops > 0
         for c in (r for r in res.results if r is not None):
             assert float(np.abs(c - REF).max()) <= TOL
+
+
+@pytest.fixture
+def reuse_multiplies(monkeypatch):
+    """Per surviving world rank, the ``(m, n, k)`` of every
+    ``Ca3dmm.multiply`` made inside ``_reuse_multiply``, and how many
+    engines it built there."""
+    inside: set = set()
+    shapes: dict = {}
+    engines: dict = {}
+    reuse, multiply, init = recovery._reuse_multiply, Ca3dmm.multiply, Ca3dmm.__init__
+
+    def spy_reuse(cur_comm, *args, **kwargs):
+        inside.add(cur_comm.world_rank)
+        try:
+            return reuse(cur_comm, *args, **kwargs)
+        finally:
+            inside.discard(cur_comm.world_rank)
+
+    def spy_multiply(self, *args, **kwargs):
+        if self.comm.world_rank in inside:
+            plan = self.plan
+            shapes.setdefault(self.comm.world_rank, []).append((plan.m, plan.n, plan.k))
+        return multiply(self, *args, **kwargs)
+
+    def spy_init(self, comm, *args, **kwargs):
+        if comm.world_rank in inside:
+            engines[comm.world_rank] = engines.get(comm.world_rank, 0) + 1
+        init(self, comm, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "_reuse_multiply", spy_reuse)
+    monkeypatch.setattr(Ca3dmm, "multiply", spy_multiply)
+    monkeypatch.setattr(Ca3dmm, "__init__", spy_init)
+    return shapes, engines
+
+
+class TestMissingColumnSets:
+    """A partially retained k-group is completed by one compacted
+    sub-multiply per distinct set of missing column blocks (the rows that
+    miss the same columns share it), not one per lost cell.  The flops and
+    the salvage report are the per-cell recovery's, pinned as literals."""
+
+    # id: (P, grid, killed ranks, transa, transb,
+    #      (m, n, k) of each sub-multiply, engines built,
+    #      reused flops, recomputed flops, reused (ik, i, j) cells)
+    CASES = {
+        # A 4x4 Cannon grid loses rank 5: rows 0 and 1 miss every column
+        # block, row 2 misses {0, 1} and row 3 the non-contiguous {0, 1, 3}.
+        # The per-cell recovery ran 13 sub-multiplies here.
+        "pk1-cols-013": (
+            16, (4, 4, 1), (5,), False, False,
+            [(12, 20, 28), (6, 10, 28), (6, 15, 28)], 3,
+            5040.0, 21840.0, {(0, 2, 2), (0, 2, 3), (0, 3, 2)},
+        ),
+        "pk1-cols-013-transposed": (
+            16, (4, 4, 1), (5,), "T", "T",
+            [(12, 20, 28), (6, 10, 28), (6, 15, 28)], 3,
+            5040.0, 21840.0, {(0, 2, 2), (0, 2, 3), (0, 3, 2)},
+        ),
+        # One kill per k-group, both groups partial in one round: group 0
+        # misses {0, 1}, {0, 1, 3} and everything (rows 2-3), group 1
+        # everything (rows 0-2) and {0, 1, 2}.  Both groups have a 6 x 15
+        # set, so four engines serve five sub-multiplies (per cell: 29).
+        "pk2-two-partial-groups": (
+            32, (4, 4, 2), (3, 18), False, False,
+            [(6, 10, 14), (6, 15, 14), (12, 20, 14), (18, 20, 14), (6, 15, 14)], 4,
+            3360.0, 23520.0, {(0, 0, 2), (0, 0, 3), (0, 1, 2), (1, 3, 3)},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_sub_multiply_per_missing_column_set(self, case, reuse_multiplies):
+        (nprocs, grid, killed, transa, transb, want_shapes, want_engines,
+         reused, recomputed, reused_cells) = self.CASES[case]
+        a_glob, b_glob = dense_random(M, K, seed=7), dense_random(K, N, seed=8)
+        a_held = a_glob.T.copy() if transa else a_glob
+        b_held = b_glob.T.copy() if transb else b_glob
+        report: list = []
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, BlockCol1D(a_held.shape, comm.size), a_held)
+            b = DistMatrix.from_global(comm, BlockCol1D(b_held.shape, comm.size), b_held)
+            c = resilient_multiply(
+                comm, a, b,
+                c_dist=lambda cm: BlockCol1D((M, N), cm.size),
+                transa=transa, transb=transb,
+                grid=GridSpec(*grid, nprocs=nprocs),
+                salvage_report=report,
+            )
+            return c.to_global()
+
+        res = _run(faults=FaultPlan(seed=0, ranks=tuple(map(_kill, killed))),
+                   fn=f, nprocs=nprocs, record_events=False)
+        assert res.failed_ranks == list(killed)
+        survivors = [r for r in range(nprocs) if r not in killed]
+        for c in (res.results[r] for r in survivors):
+            assert float(np.abs(c - REF).max()) <= TOL
+        shapes, engines = reuse_multiplies
+        assert shapes == {r: want_shapes for r in survivors}
+        assert engines == {r: want_engines for r in survivors}
+        fm = res.metrics
+        assert (fm.recoveries, fm.reused_flops, fm.recomputed_flops) == (1, reused, recomputed)
+        pm, pn, pk = grid
+        assert len(report) == pm * pn * pk
+        assert {(r["ik"], r["i"], r["j"]) for r in report if r["status"] == "reused"} \
+            == reused_cells
+        assert sum(r["flops"] for r in report if r["status"] == "reused") == reused
+        assert sum(r["flops"] for r in report if r["status"] == "recomputed") == recomputed
 
 
 def _reference_compact(dist, tiles, me, k_ranges, axis):
@@ -348,6 +454,27 @@ class TestCompactK:
             np.testing.assert_equal(cut.tiles, my_tiles)
             assert all(t.flags.c_contiguous for t in cut.tiles)
             np.testing.assert_equal(twice, want[1:3, :] if axis == 1 else want[:, 1:3])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("k_ranges", RANGES, ids=str)
+    def test_the_inverse_returns_every_piece_to_its_range(self, k_ranges, axis):
+        """``inverse=True`` reads a rect in the compacted coordinates: a
+        piece goes back where it was cut from, and a rect over all of the
+        ranges is split at each one."""
+        def along(lo, hi):
+            return Rect(lo, hi, 2, 17) if axis == 0 else Rect(2, 17, lo, hi)
+
+        rect = along(1, 19)
+        for lo, hi, piece in _k_pieces(rect, k_ranges, axis):
+            assert list(_k_pieces(piece, k_ranges, axis, inverse=True)) == [
+                (0, hi - lo, along(1 + lo, 1 + hi))
+            ]
+        total = sum(k1 - k0 for k0, k1 in k_ranges)
+        spans = [(k0, k1) for k0, k1 in k_ranges if k1 > k0]
+        offsets = np.cumsum([0] + [k1 - k0 for k0, k1 in spans]).tolist()
+        assert list(_k_pieces(along(0, total), k_ranges, axis, inverse=True)) == [
+            (o0, o1, along(k0, k1)) for (k0, k1), o0, o1 in zip(spans, offsets, offsets[1:])
+        ]
 
     def test_a_recovery_round_derives_each_layout_once(self):
         """Layouts built per round do not scale with the ranks asking."""

@@ -406,6 +406,40 @@ def test_malformed_layouts_are_typed_errors_also_under_python_O(optimize):
     ]
 
 
+
+_NO_MASKED_ARRAYS = """
+import sys
+
+import numpy as np
+
+from repro.layout.distributions import Block2D, BlockCyclic2D
+from repro.layout.matrix import DistMatrix, dense_random
+from repro.layout.redistribute import redistribute
+from repro.mpi import run_spmd
+
+glob = dense_random(12, 10, seed=1)
+
+def f(comm):
+    src = DistMatrix.from_global(comm, BlockCyclic2D((12, 10), 4, 2, 2, bs=2), glob)
+    return redistribute(src, Block2D((12, 10), 4, 2, 2)).to_global()
+
+assert all(np.array_equal(got, glob) for got in run_spmd(4, f).results)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_redistribution_does_not_import_masked_arrays():
+    """The tiling check keeps ``numpy.ma`` out of the process: a bare
+    ``np.unique`` imports it (numpy 2.4, 10-15 ms) on the first table any
+    workload builds."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
 # ------------------------------------- the tiling check against painting -- #
 def _punched(rect: Rect, row: int, col: int) -> list[Rect]:
     """``rect`` less its cell ``(row, col)``: the bands above and below it
