@@ -379,8 +379,7 @@ def _reuse_multiply(
     each product's rects are mapped back to ``(m, n)`` with the inverse
     of :func:`_k_pieces`.  The computed blocks plus the retained cells
     tile the group's full ``(m, n)`` contribution (a complete group has
-    no missing cell).  The round builds one engine per sub-problem shape.
-    Retained bodies and recomputed products are unscaled; ``alpha`` is
+    no missing cell).  Retained bodies and recomputed products are unscaled; ``alpha`` is
     applied at the final accumulation.
     """
     plan_old = reuse.plan
@@ -394,17 +393,6 @@ def _reuse_multiply(
     k_miss = sum(k1 - k0 for k0, k1 in k_ranges)
     needed = {(i, j) for i in range(plan_old.pm) for j in range(plan_old.pn)}
     dtype = np.promote_types(cur_a.dtype, cur_b.dtype)
-    engines: dict[tuple[int, int, int], Ca3dmm] = {}
-
-    def _engine(mm: int, nn: int, kk: int) -> Ca3dmm:
-        if (mm, nn, kk) not in engines:
-            engines[mm, nn, kk] = Ca3dmm(
-                cur_comm, mm, nn, kk,
-                grid=None, l=l, shifts_per_gemm=shifts_per_gemm,
-                abft=abft_policy,
-            )
-        return engines[mm, nn, kk]
-
     with cur_comm.span(
         "ft_reuse", cat="ft",
         reused_groups=len(reuse.reusable),
@@ -415,7 +403,11 @@ def _reuse_multiply(
         if k_miss:
             a_sub = _compact_k(cur_a, k_ranges, axis=0 if ta else 1)
             b_sub = _compact_k(cur_b, k_ranges, axis=1 if tb else 0)
-            engine = _engine(m, n, k_miss)
+            engine = Ca3dmm(
+                cur_comm, m, n, k_miss,
+                grid=None, l=l, shifts_per_gemm=shifts_per_gemm,
+                abft=abft_policy,
+            )
             final_dist = _resolve_c_dist(c_dist, cur_comm)
             if final_dist is None:
                 final_dist = engine.plan.c_dist
@@ -471,7 +463,12 @@ def _reuse_multiply(
                     _compact_k(cur_b, [(k0, k1)], axis=1 if tb else 0),
                     col_ranges, axis=0 if tb else 1,
                 )
-                c_set = _engine(mm, nn, k1 - k0).multiply(
+                set_engine = Ca3dmm(
+                    cur_comm, mm, nn, k1 - k0,
+                    grid=None, l=l, shifts_per_gemm=shifts_per_gemm,
+                    abft=abft_policy,
+                )
+                c_set = set_engine.multiply(
                     a_set, b_set, transa=transa, transb=transb, alpha=1.0,
                 )
                 # Return the compacted result to (m, n) coordinates and

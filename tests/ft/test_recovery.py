@@ -285,12 +285,10 @@ class TestPartialReuse:
 @pytest.fixture
 def reuse_multiplies(monkeypatch):
     """Per surviving world rank, the ``(m, n, k)`` of every
-    ``Ca3dmm.multiply`` made inside ``_reuse_multiply``, and how many
-    engines it built there."""
+    ``Ca3dmm.multiply`` made inside ``_reuse_multiply``."""
     inside: set = set()
     shapes: dict = {}
-    engines: dict = {}
-    reuse, multiply, init = recovery._reuse_multiply, Ca3dmm.multiply, Ca3dmm.__init__
+    reuse, multiply = recovery._reuse_multiply, Ca3dmm.multiply
 
     def spy_reuse(cur_comm, *args, **kwargs):
         inside.add(cur_comm.world_rank)
@@ -305,15 +303,9 @@ def reuse_multiplies(monkeypatch):
             shapes.setdefault(self.comm.world_rank, []).append((plan.m, plan.n, plan.k))
         return multiply(self, *args, **kwargs)
 
-    def spy_init(self, comm, *args, **kwargs):
-        if comm.world_rank in inside:
-            engines[comm.world_rank] = engines.get(comm.world_rank, 0) + 1
-        init(self, comm, *args, **kwargs)
-
     monkeypatch.setattr(recovery, "_reuse_multiply", spy_reuse)
     monkeypatch.setattr(Ca3dmm, "multiply", spy_multiply)
-    monkeypatch.setattr(Ca3dmm, "__init__", spy_init)
-    return shapes, engines
+    return shapes
 
 
 class TestMissingColumnSets:
@@ -323,7 +315,7 @@ class TestMissingColumnSets:
     the salvage report are the per-cell recovery's, pinned as literals."""
 
     # id: (P, grid, killed ranks, transa, transb,
-    #      (m, n, k) of each sub-multiply, engines built,
+    #      (m, n, k) of each sub-multiply,
     #      reused flops, recomputed flops, reused (ik, i, j) cells)
     CASES = {
         # A 4x4 Cannon grid loses rank 5: rows 0 and 1 miss every column
@@ -331,28 +323,28 @@ class TestMissingColumnSets:
         # The per-cell recovery ran 13 sub-multiplies here.
         "pk1-cols-013": (
             16, (4, 4, 1), (5,), False, False,
-            [(12, 20, 28), (6, 10, 28), (6, 15, 28)], 3,
+            [(12, 20, 28), (6, 10, 28), (6, 15, 28)],
             5040.0, 21840.0, {(0, 2, 2), (0, 2, 3), (0, 3, 2)},
         ),
         "pk1-cols-013-transposed": (
             16, (4, 4, 1), (5,), "T", "T",
-            [(12, 20, 28), (6, 10, 28), (6, 15, 28)], 3,
+            [(12, 20, 28), (6, 10, 28), (6, 15, 28)],
             5040.0, 21840.0, {(0, 2, 2), (0, 2, 3), (0, 3, 2)},
         ),
         # One kill per k-group, both groups partial in one round: group 0
         # misses {0, 1}, {0, 1, 3} and everything (rows 2-3), group 1
-        # everything (rows 0-2) and {0, 1, 2}.  Both groups have a 6 x 15
-        # set, so four engines serve five sub-multiplies (per cell: 29).
+        # everything (rows 0-2) and {0, 1, 2}: five sub-multiplies where
+        # the per-cell recovery ran 29.
         "pk2-two-partial-groups": (
             32, (4, 4, 2), (3, 18), False, False,
-            [(6, 10, 14), (6, 15, 14), (12, 20, 14), (18, 20, 14), (6, 15, 14)], 4,
+            [(6, 10, 14), (6, 15, 14), (12, 20, 14), (18, 20, 14), (6, 15, 14)],
             3360.0, 23520.0, {(0, 0, 2), (0, 0, 3), (0, 1, 2), (1, 3, 3)},
         ),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_sub_multiply_per_missing_column_set(self, case, reuse_multiplies):
-        (nprocs, grid, killed, transa, transb, want_shapes, want_engines,
+        (nprocs, grid, killed, transa, transb, want_shapes,
          reused, recomputed, reused_cells) = self.CASES[case]
         a_glob, b_glob = dense_random(M, K, seed=7), dense_random(K, N, seed=8)
         a_held = a_glob.T.copy() if transa else a_glob
@@ -377,9 +369,7 @@ class TestMissingColumnSets:
         survivors = [r for r in range(nprocs) if r not in killed]
         for c in (res.results[r] for r in survivors):
             assert float(np.abs(c - REF).max()) <= TOL
-        shapes, engines = reuse_multiplies
-        assert shapes == {r: want_shapes for r in survivors}
-        assert engines == {r: want_engines for r in survivors}
+        assert reuse_multiplies == {r: want_shapes for r in survivors}
         fm = res.metrics
         assert (fm.recoveries, fm.reused_flops, fm.recomputed_flops) == (1, reused, recomputed)
         pm, pn, pk = grid

@@ -406,7 +406,6 @@ def test_malformed_layouts_are_typed_errors_also_under_python_O(optimize):
     ]
 
 
-
 _NO_MASKED_ARRAYS = """
 import sys
 
@@ -439,6 +438,7 @@ def test_a_redistribution_does_not_import_masked_arrays():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
 
 # ------------------------------------- the tiling check against painting -- #
 def _punched(rect: Rect, row: int, col: int) -> list[Rect]:
