@@ -28,6 +28,7 @@ communication.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -68,6 +69,9 @@ class Ca3dmmPlan:
         l: float = DEFAULT_L,
         memory_limit_words: float | None = None,
     ):
+        for name, x in (("m", m), ("n", n), ("k", k)):
+            if not isinstance(x, numbers.Integral):  # also 8.5, inf and nan
+                raise ValueError(f"{name}={x!r}: a matrix dimension must be an integer")
         if min(m, n, k) < 1:
             raise ValueError(f"matrix dimensions must be positive, got {(m, n, k)}")
         if nprocs < 1:

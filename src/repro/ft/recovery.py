@@ -443,7 +443,8 @@ def _reuse_multiply(
             mapping = {r: [] for r in range(cur_comm.size)}
             my_tiles: list[np.ndarray] = []
             for r, (rik, i, j) in sorted(reuse.coords.items()):
-                if rik != ik:
+                # A zero-area cell (pm > m or pn > n) holds nothing to fold in.
+                if rik != ik or plan_old.c_block(i, j).is_empty():
                     continue
                 mapping[r].append(plan_old.c_block(i, j))
                 if r == cur_comm.rank and reuse.mine is not None:
@@ -453,6 +454,8 @@ def _reuse_multiply(
                 col_ranges = [plan_old.n_range(j) for j in cols]
                 mm = sum(r1 - r0 for r0, r1 in row_ranges)
                 nn = sum(c1 - c0 for c0, c1 in col_ranges)
+                if not mm or not nn:  # every block of the set is empty
+                    continue
                 # Compact the inputs to these (rows, cols, k-slice): first
                 # along k, then along the blocks' own dimension.
                 a_set = _compact_k(

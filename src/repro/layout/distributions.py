@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .blocks import Rect, block_range
+import numpy as np
+
+from .blocks import Rect, block_range, columns_cover_exactly, rect_array
 
 
 class Distribution:
@@ -76,19 +78,13 @@ class Distribution:
         """
         cached = self.__dict__.get("_rect_index")
         if cached is None:
-            import numpy as np
-
             ranks: list[int] = []
-            bounds: list[tuple[int, int, int, int]] = []
+            rects: list[Rect] = []
             for rk in range(self.nranks):
-                for r in self.owned_rects(rk):
-                    ranks.append(rk)
-                    bounds.append((r.r0, r.r1, r.c0, r.c1))
-            arr = (
-                np.array(bounds, dtype=np.int64).reshape(-1, 4)
-                if bounds
-                else np.empty((0, 4), dtype=np.int64)
-            )
+                mine = self.owned_rects(rk)
+                ranks += [rk] * len(mine)
+                rects += mine
+            arr = rect_array(rects)
             cached = (
                 np.asarray(ranks, dtype=np.int64),
                 arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
@@ -97,11 +93,10 @@ class Distribution:
         return cached
 
     def validate(self) -> None:
-        """Assert the layout tiles the matrix disjointly and completely."""
-        from .blocks import rects_cover_exactly
-
-        rects = [r for rk in range(self.nranks) for r in self.owned_rects(rk)]
-        if not rects_cover_exactly(rects, self.whole()):
+        """Raise ``ValueError`` unless the layout tiles the matrix exactly:
+        :func:`~repro.layout.blocks.columns_cover_exactly` of
+        :meth:`rect_index`, the corner rule, one numpy pass."""
+        if not columns_cover_exactly(self.rect_index()[1:], self.whole()):
             raise ValueError(f"{self!r} does not tile the matrix exactly")
 
 

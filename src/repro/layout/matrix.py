@@ -24,9 +24,9 @@ def dense_random(m: int, n: int, seed: int, dtype=np.float64) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if np.issubdtype(np.dtype(dtype), np.complexfloating):
         return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).astype(
-            dtype
+            dtype, copy=False
         )
-    return rng.standard_normal((m, n)).astype(dtype)
+    return rng.standard_normal((m, n)).astype(dtype, copy=False)
 
 
 class DistMatrix:

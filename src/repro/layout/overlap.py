@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import Rect
+from .blocks import Rect, untiled
 from .distributions import Distribution
 
 #: Most (source rect, destination rect) pairs tested in one numpy pass: the
@@ -67,31 +67,6 @@ def _local_index(ranks: np.ndarray) -> np.ndarray:
 def _spans(ranks: np.ndarray, nranks: int) -> np.ndarray:
     """Offsets ``[lo_0, lo_1, ..., lo_P]`` of each rank's run in ascending ``ranks``."""
     return np.searchsorted(ranks, np.arange(nranks + 1))
-
-
-def _untiled(j: np.ndarray, piece: tuple, rect: tuple) -> np.ndarray:
-    """Rects, ascending, that their pieces (``piece[k]`` in ``rect[j[k]]``,
-    each ``(r0, r1, c0, c1)`` arrays) do not tile: a rect is tiled iff its
-    pieces' corners (+ at r0c0 and r1c1, - at r0c1 and r1c0) and its own,
-    negated, cancel.  Each rect keys its corner points in a block of its
-    own, so both sorted lists hold a rect's keys at the same positions."""
-    shared = np.flatnonzero(np.bincount(j)[j] > 1)  # one piece is the rect
-    ids, k = np.unique(j[shared], return_inverse=True)
-    d_r0, d_r1, d_c0, d_c1 = (a[ids] for a in rect)
-    width = d_c1 - d_c0 + 1
-    base = np.cumsum((d_r1 - d_r0 + 1) * width) - (d_r1 - d_r0 + 1) * width
-    at = base - d_r0 * width - d_c0  # key of (r, c) in rect i: at[i] + r * width[i] + c
-    p_at, p_w, (r0, r1, c0, c1) = at[k], width[k], (a[shared] for a in piece)
-    plus = np.sort(np.concatenate([p_at + r0 * p_w + c0, p_at + r1 * p_w + c1,
-                                   at + d_r0 * width + d_c1, at + d_r1 * width + d_c0]))
-    minus = np.sort(np.concatenate([p_at + r0 * p_w + c1, p_at + r1 * p_w + c0,
-                                    at + d_r0 * width + d_c0, at + d_r1 * width + d_c1]))
-    # Ascending already (``plus`` is sorted), so dropping repeats is
-    # ``np.unique``'s answer without its ``numpy.ma`` import.
-    hit = np.searchsorted(base, plus[plus != minus], side="right") - 1
-    first = np.ones(len(hit), dtype=bool)
-    first[1:] = hit[1:] != hit[:-1]
-    return ids[hit[first]]
 
 
 class OverlapTable:
@@ -139,7 +114,12 @@ class OverlapTable:
             )
         # An overlap that pays for a hole in the same rect the sums cannot
         # see: found here, refused by the holed ranks after the exchange.
-        d_local, holed = _local_index(d_rank), _untiled(j, (r0, r1, c0, c1), d_box)
+        # A rect that is one piece is that piece: only shared rects are checked.
+        shared = np.flatnonzero(np.bincount(j)[j] > 1)
+        ids, k = np.unique(j[shared], return_inverse=True)
+        holed = ids[untiled(k, tuple(a[shared] for a in (r0, r1, c0, c1)),
+                            tuple(a[ids] for a in d_box))]
+        d_local = _local_index(d_rank)
         self._holes = np.full(dst.nranks, -1, dtype=np.int32)
         first = np.unique(d_rank[holed], return_index=True)[1]
         self._holes[d_rank[holed[first]]] = d_local[holed[first]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.plan import Ca3dmmPlan
@@ -159,8 +161,18 @@ class TestValidation:
             Ca3dmmPlan(8, 8, 8, 6, grid=GridSpec(pm=2, pn=2, pk=1, nprocs=4))
 
     def test_bad_dims_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive"):
             Ca3dmmPlan(0, 4, 4, 4)
+
+    @pytest.mark.parametrize("args, name", [
+        ((8.5, 8, 8, 4), "m=8.5"),  # planned float Rects that dropped half a row
+        ((math.inf, 8, 8, 4), "m=inf"),  # an OverflowError from the grid search
+        ((8, 8, math.nan, 4), "k=nan"),
+        ((8, 8.0, 8, 4), "n=8.0"),
+    ])
+    def test_a_size_that_is_not_an_integer_is_named(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name}: a matrix dimension must be an integer$"):
+            Ca3dmmPlan(*args)
 
     def test_a_bool_world_is_rejected(self):
         """``Ca3dmmPlan(4, 4, 4, True)`` used to plan a 1-rank grid."""

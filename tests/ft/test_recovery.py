@@ -379,6 +379,49 @@ class TestMissingColumnSets:
         assert sum(r["flops"] for r in report if r["status"] == "reused") == reused
         assert sum(r["flops"] for r in report if r["status"] == "recomputed") == recomputed
 
+    # (m, n, k): (m, n, k) of each sub-multiply, reused flops, recomputed flops.
+    # The 4x4 grid loses rank 5 as in "pk1-cols-013": rows 0-1 miss every
+    # column block, row 2 misses {0, 1} and row 3 {0, 1, 3}; (2, 2), (2, 3)
+    # and (3, 2) are retained.
+    EMPTY_BLOCKS = {
+        # Row block 0 and column blocks 0 and 2 are empty, so are the
+        # retained cells (2, 2) and (3, 2): they hold nothing to fold in.
+        (3, 2, 28): ([(1, 2, 28), (1, 1, 28), (1, 2, 28)], 56.0, 280.0),
+        # Row block 0 is empty and rides in the set of rows 0-1.
+        (3, 20, 28): ([(1, 20, 28), (1, 10, 28), (1, 15, 28)], 840.0, 2520.0),
+        # Row blocks 0 and 2 are empty: row 2's set has no element to compute.
+        (2, 20, 28): ([(1, 20, 28), (1, 15, 28)], 280.0, 1960.0),
+    }
+
+    @pytest.mark.parametrize("shape", EMPTY_BLOCKS, ids=str)
+    def test_a_grid_with_empty_blocks_recovers(self, shape, reuse_multiplies):
+        """An explicit grid with more blocks than rows (or columns) loses
+        rank 5 mid-Cannon: the retained zero-area cells and the missing
+        sets whose blocks are all empty are skipped, and C is exact."""
+        m, n, k = shape
+        want_shapes, reused, recomputed = self.EMPTY_BLOCKS[shape]
+        a_glob, b_glob = dense_random(m, k, seed=7), dense_random(k, n, seed=8)
+        ref = a_glob @ b_glob
+
+        def f(comm):
+            a = DistMatrix.from_global(comm, BlockCol1D((m, k), comm.size), a_glob)
+            b = DistMatrix.from_global(comm, BlockCol1D((k, n), comm.size), b_glob)
+            return resilient_multiply(
+                comm, a, b, c_dist=lambda cm: BlockCol1D((m, n), cm.size),
+                grid=GridSpec(4, 4, 1, nprocs=16),
+            ).to_global()
+
+        res = _run(faults=FaultPlan(seed=0, ranks=(_kill(5),)), fn=f, nprocs=16,
+                   record_events=False)
+        assert res.failed_ranks == [5]
+        survivors = [r for r in range(16) if r != 5]
+        for c in (res.results[r] for r in survivors):
+            assert float(np.abs(c - ref).max()) <= 1e-9 * max(1.0, float(np.abs(ref).max()))
+        assert reuse_multiplies == {r: want_shapes for r in survivors}
+        fm = res.metrics
+        assert (fm.recoveries, fm.reused_flops, fm.recomputed_flops) == (1, reused, recomputed)
+        assert reused + recomputed == 2.0 * m * n * k
+
 
 def _reference_compact(dist, tiles, me, k_ranges, axis):
     """The one-rank-at-a-time derivation ``_compact_k`` replaced, kept as

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.layout.blocks import (
     Rect,
@@ -13,6 +14,8 @@ from repro.layout.blocks import (
     block_start,
     rects_cover_exactly,
 )
+from repro.layout.distributions import BlockCol1D, BlockCyclic2D, Explicit
+from tests.layout.cover_counts import MAX_COVER_CALLS, cover_check_calls
 
 
 class TestBlockRanges:
@@ -152,3 +155,101 @@ class TestCoverage:
         whole = Rect(0, 2, 0, 2)
         rects = [Rect(0, 2, 0, 2), Rect(1, 1, 0, 2)]
         assert rects_cover_exactly(rects, whole)
+
+    def test_outside_corners_that_would_cancel_inside_are_refused(self):
+        """Keyed row-major from ``whole``'s corner, width 3, the corners of
+        the rect outside it land on keys inside it and cancel the rest:
+        containment is checked before the corners are."""
+        rects = [Rect(-1, 1, 3, 4), Rect(0, 2, 1, 2)]
+        assert not rects_cover_exactly(rects, Rect(0, 2, 0, 2))
+
+    def test_rects_outside_an_empty_whole(self):
+        assert rects_cover_exactly([Rect(2, 2, 0, 3), Rect(3, 1, 0, 2)], Rect(0, 0, 0, 4))
+        assert not rects_cover_exactly([Rect(0, 1, 0, 1)], Rect(0, 0, 0, 4))
+
+    @pytest.mark.parametrize("bad", [
+        Rect(0, 2.5, 0, 4), Rect(0, 4, 0, float("nan")), Rect(1.5, 1.5, 0, 4)])
+    def test_a_coordinate_that_is_not_an_integer_is_refused(self, bad):
+        """An int64 cast would truncate it; the check names the rect."""
+        with pytest.raises(ValueError, match=r"^Rect\(.*\) has a coordinate that is not an integer$"):
+            rects_cover_exactly([Rect(0, 4, 0, 4), bad], Rect(0, 4, 0, 4))
+        with pytest.raises(ValueError, match="not an integer"):
+            rects_cover_exactly([Rect(0, 4, 0, 4)], Rect(0, 4.5, 0, 4))
+
+    def test_a_layout_with_a_coordinate_that_is_not_an_integer_is_refused(self):
+        halves = Explicit.from_mapping((4, 4), 2, {0: [Rect(0, 2.5, 0, 4)], 1: [Rect(2.5, 4, 0, 4)]})
+        with pytest.raises(ValueError, match=r"^Rect\(r0=0, r1=2.5, c0=0, c1=4\) has a"):
+            halves.validate()
+
+    def test_integral_floats_are_integers(self):
+        assert rects_cover_exactly([Rect(0.0, 2, 0, 4), Rect(2, 4.0, 0, 4)], Rect(0, 4, 0, 4))
+
+
+def _split(rng: np.random.Generator, rect: Rect, cuts: int) -> list[Rect]:
+    """``rect`` cut ``cuts`` times along random axis-aligned lines."""
+    parts = [rect]
+    for _ in range(cuts):
+        r = parts.pop(int(rng.integers(len(parts))))
+        if r.rows > 1 and (r.cols < 2 or rng.random() < 0.5):
+            at = int(rng.integers(r.r0 + 1, r.r1))
+            parts += [Rect(r.r0, at, r.c0, r.c1), Rect(at, r.r1, r.c0, r.c1)]
+        elif r.cols > 1:
+            at = int(rng.integers(r.c0 + 1, r.c1))
+            parts += [Rect(r.r0, r.r1, r.c0, at), Rect(r.r0, r.r1, at, r.c1)]
+        else:
+            parts.append(r)
+    return parts
+
+
+@st.composite
+def _cover_cases(draw):
+    """``(rects, whole)``: a random tiling of ``whole`` (which may be empty
+    or inverted), then holes, duplicates, rects anywhere (out of bounds,
+    empty or inverted), grown and shrunk rects, in random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    r0, r1, c0, c1 = (int(v) for v in rng.integers(-2, 9, size=4))
+    if rng.random() < 0.85:
+        r0, r1, c0, c1 = min(r0, r1), max(r0, r1), min(c0, c1), max(c0, c1)
+    whole = Rect(r0, r1, c0, c1)
+    rects = [] if whole.is_empty() else _split(rng, whole, int(rng.integers(0, 8)))
+    for _ in range(draw(st.integers(0, 3))):
+        what = draw(st.sampled_from(["hole", "duplicate", "anywhere", "grow", "shrink"]))
+        if what == "anywhere":
+            rects.append(Rect(*(int(v) for v in rng.integers(-3, 11, size=4))))
+        elif rects:
+            i = int(rng.integers(len(rects)))
+            r = rects[i]
+            if what == "hole":
+                rects.pop(i)
+            elif what == "duplicate":
+                rects.append(r)
+            else:
+                step = 1 if what == "grow" else -1
+                rects[i] = Rect(r.r0, r.r1, r.c0, r.c1 + step)
+    return [rects[i] for i in rng.permutation(len(rects))], whole
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_cover_cases())
+def test_the_cover_verdict_is_painting(case):
+    """Painting every non-empty rect onto a canvas around everything: the
+    rects tile ``whole`` iff the paint is exactly one coat on ``whole``
+    and none anywhere else."""
+    rects, whole = case
+    lo = min([0, *(v for r in [*rects, whole] for v in r)])
+    canvas = np.zeros((16 - lo, 16 - lo), dtype=int)
+    for r in rects:
+        if not r.is_empty():
+            canvas[r.r0 - lo : r.r1 - lo, r.c0 - lo : r.c1 - lo] += 1
+    want = np.zeros_like(canvas)
+    if not whole.is_empty():
+        want[whole.r0 - lo : whole.r1 - lo, whole.c0 - lo : whole.c1 - lo] = 1
+    assert rects_cover_exactly(rects, whole) == bool((canvas == want).all())
+
+
+@pytest.mark.parametrize("dist", [
+    BlockCyclic2D((1536, 1536), 16, 4, 4, 64), BlockCol1D((1536, 1536), 1024)], ids=repr)
+def test_a_cover_check_is_a_few_calls_at_any_count_of_rects(dist):
+    validate, cover = cover_check_calls(dist)
+    assert validate <= MAX_COVER_CALLS, validate
+    assert cover <= MAX_COVER_CALLS, cover
