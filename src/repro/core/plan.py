@@ -272,7 +272,6 @@ class Ca3dmmPlan:
     def split_colors(self, rank: int) -> dict[str, tuple[int | None, int]]:
         """(color, key) pairs for the subcommunicators a rank joins.
 
-        * ``"active"``  — all active ranks (idle ranks get color None).
         * ``"cannon"``  — this rank's s x s Cannon group, ordered
           column-major (local rank ``u + s*v``).
         * ``"replica"`` — the ``c`` ranks holding pieces of the same
@@ -282,11 +281,10 @@ class Ca3dmmPlan:
         """
         role = self.role(rank)
         if role is None:
-            return dict.fromkeys(("active", "cannon", "replica", "kred"), (None, 0))
+            return dict.fromkeys(("cannon", "replica", "kred"), (None, 0))
         cannon_color = role.ik * self.c + role.group
         replica_color = role.ik * (self.s * self.s) + role.u * self.s + role.v
         return {
-            "active": (0, rank),
             "cannon": (cannon_color, role.u + self.s * role.v),
             "replica": (replica_color, role.group),
             "kred": self.grid.split_key(rank, "k"),

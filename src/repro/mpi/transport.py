@@ -277,10 +277,14 @@ class Transport:
         """
         ctx = self._context_keys.get(key)
         if ctx is None:
-            ctx = self._next_ctx
-            self._next_ctx += 1
-            self._context_keys[key] = ctx
+            ctx = self._context_keys[key] = self.fresh_context()
         return ctx
+
+    def fresh_context(self) -> int:
+        """A context id no communicator has yet — a one-rank
+        communicator's, which no other rank has to agree on."""
+        self._next_ctx += 1
+        return self._next_ctx - 1
 
     def split_groups(
         self, key: tuple[int, int], pairs: Sequence[tuple], parent_group: Sequence[int]

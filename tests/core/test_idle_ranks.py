@@ -50,7 +50,6 @@ def test_idle_rank_contract(spmd, P):
             eng.cannon_comm is None
             and eng.replica_comm is None
             and eng.kred_comm is None
-            and eng.active_comm is None
         )
         a = DistMatrix.from_global(comm, plan.a_dist, dense_random(m, k, 1))
         b = DistMatrix.from_global(comm, plan.b_dist, dense_random(k, n, 2))

@@ -33,7 +33,7 @@ import types
 
 import numpy as np
 
-from repro import Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
+from repro import Ca3dmm, Ca3dmmPlan, DistMatrix, ca3dmm_matmul, dense_random, run_spmd
 from repro.baselines import SCHEDULES, matmul_1d
 from repro.core.pdgemm import pdgemm
 from repro.layout.distributions import BlockCol1D, BlockCyclic2D
@@ -104,12 +104,38 @@ def _matmul_run(p: int, n: int, layout=None, schedule=ca3dmm_matmul, shape=None)
 
 
 def calls_per_message(p: int, n: int = 256) -> float:
-    """Python calls per delivered message of one ``ca3dmm_matmul`` n³ on
-    ``p`` ranks."""
-    run = _matmul_run(p, n)
-    with counted_strands() as cells:
-        result = run()
-    return sum(c[0] for c in cells) / sum(t.msgs_sent for t in result.traces)
+    """Python calls per message delivered by one n³ ``Ca3dmm.multiply`` on
+    ``p`` ranks (native layouts, nothing recorded), after a first,
+    uncounted run.  The engine and the operands are built outside the
+    counted region, so the count is what the multiply's messages cost,
+    not diluted by how many set-up messages the engine happens to send.
+    The operands' plan is built anew on every call, equal by value to the
+    engine's shared one."""
+    plan = Ca3dmmPlan(n, n, n, p)
+    a, b = dense_random(n, n, 0), dense_random(n, n, 1)
+
+    def body(comm):
+        engine = Ca3dmm(comm, n, n, n)
+        a_loc = DistMatrix.from_global(comm, plan.a_dist, a)
+        b_loc = DistMatrix.from_global(comm, plan.b_dist, b)
+        sent = comm.transport.trace(comm.world_rank).msgs_sent
+        calls = [0]
+
+        def hook(frame, event, arg):
+            if event == "call" or event == "c_call":
+                calls[0] += 1
+
+        sys.setprofile(hook)
+        try:
+            engine.multiply(a_loc, b_loc)
+        finally:
+            sys.setprofile(None)
+        return calls[0], comm.transport.trace(comm.world_rank).msgs_sent - sent
+
+    machine = pace_phoenix_cpu("mpi")
+    run_spmd(p, body, machine=machine)
+    counts = run_spmd(p, body, machine=machine).results
+    return sum(c for c, _ in counts) / sum(msgs for _, msgs in counts)
 
 
 @contextlib.contextmanager
@@ -413,16 +439,27 @@ def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
     return lock.acquisitions / sum(t.msgs_sent for t in result.traces)
 
 
+#: Calls per message of the multiply alone: 98.4 at 64 ranks and 78.6
+#: at 256 on 3.11 when the engine still split the world for groups of one
+#: (98.4 and 78.9 after), the bound the 0.74 of headroom the whole-run
+#: count had under its 63 (62.26 then).
+CALLS_PER_MESSAGE = 99
+
+
 def test_message_budget_and_flatness():
-    """≤ 63 calls per message at 64 and at 256 ranks (61.2 and 54.4 on 3.11;
-    64.7 and 57.8 while every receive built a ``Status`` record; 80 and 73
-    while every Bruck hop of a split was unpickled and pickled again; 153
-    and 156 before the baton handoff, one-pass accounting and the shared
-    split grouping), and no growth with P: what a rank does per message
-    must stay O(1) in P."""
+    """≤ ``CALLS_PER_MESSAGE`` calls per message of the multiply at 64 and
+    at 256 ranks, and no growth with P: what a rank does per message must
+    stay O(1) in P.  Counted over the whole run (engine set-up included)
+    it read 62.3 and 55.3 (61.2 and 54.4 before that; 64.7 and 57.8 while
+    every receive built a ``Status`` record; 80 and 73 while every Bruck
+    hop of a split was unpickled and pickled again; 153 and 156 before the
+    baton handoff, one-pass accounting and the shared split grouping);
+    then a split's cheap messages diluted the ratio, so sending fewer of
+    them read as a dearer message."""
     at64 = calls_per_message(64)
     at256 = calls_per_message(256)
-    assert at64 <= 63 and at256 <= 63, (at64, at256)
+    print(f"calls per message of the multiply: {at64:.2f} @64, {at256:.2f} @256")
+    assert at64 <= CALLS_PER_MESSAGE and at256 <= CALLS_PER_MESSAGE, (at64, at256)
     assert at256 / at64 <= 1.05, (at64, at256)
 
 
@@ -445,11 +482,12 @@ def test_unpickled_bytes_per_message_do_not_grow_with_p():
 
 def test_an_equal_plan_built_anew_costs_what_the_first_did():
     """A second run whose plan is built anew but equal by value costs what
-    the first did, within 1.0 call per message at 256 ranks (61.0 and
-    61.0; 61.5 and 71.8 while every rank's overlap-table lookup compared
-    the new plan's layouts with the first's one ``Rect`` at a time, on
-    every run).  The table is emptied first so that the first plan's
-    layouts are the cache's keys whatever ran before."""
+    the first did, within 1.0 call per message at 256 ranks (78.9 and
+    78.9 over the multiply; over the whole run 61.0 and 61.0, and 61.5
+    and 71.8 while every rank's overlap-table lookup compared the new
+    plan's layouts with the first's one ``Rect`` at a time, on every
+    run).  The table is emptied first so that the first plan's layouts
+    are the cache's keys whatever ran before."""
     overlap_table.cache_clear()
     first = calls_per_message(256)
     second = calls_per_message(256)
