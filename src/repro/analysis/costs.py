@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..grid.factorize import prime_factors
-from ..grid.optimizer import GridSpec, ca3dmm_grid, cosma_grid, ctf_grid
+from ..grid.optimizer import GridSpec, ca3dmm_grid, checked_sizes, cosma_grid, ctf_grid
 from .. import patterns
 from ..machine.model import MachineModel
 
@@ -143,13 +143,7 @@ def _checked(nprocs, **sizes) -> tuple:
         isinstance(nprocs, bool) or not isinstance(nprocs, numbers.Integral)
     ) or nprocs < 1:
         raise ValueError(f"nprocs={nprocs!r}: a rank count must be an int >= 1")
-    priced = []
-    for name, x in sizes.items():
-        if not 0 <= x < math.inf:  # also catches nan
-            raise ValueError(
-                f"{name}={x!r}: matrix dimensions and words must be finite and non-negative")
-        priced.append(x if type(x) is int or not isinstance(x, numbers.Integral) else int(x))
-    return (*priced, int(nprocs))
+    return (*checked_sizes(**sizes), int(nprocs))
 
 
 def _fresh(rep: CostReport) -> CostReport:

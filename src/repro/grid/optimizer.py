@@ -220,7 +220,7 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name}={value!r}: a grid size must be an int")
 
 
-def _check_search_args(nprocs: int, l: float | None, dims: tuple = ()) -> None:
+def _check_search_args(nprocs: int, l: float | None) -> None:
     """Reject inputs for which no search is defined, before any work
     (``l is None``: a search without eq. (5), :func:`ctf_grid`)."""
     _check_int("nprocs", nprocs)
@@ -230,8 +230,20 @@ def _check_search_args(nprocs: int, l: float | None, dims: tuple = ()) -> None:
         raise ValueError(
             f"l must satisfy 0 < l <= 1 (eq. (5): l*P <= pm*pn*pk <= P), got {l!r}"
         )
-    if dims and min(dims) < 0:
-        raise ValueError(f"matrix dimensions must be non-negative, got {dims}")
+
+
+def checked_sizes(**sizes) -> list:
+    """``sizes`` as a search or a closed form takes them, integral values
+    (numpy's too) made ``int``.  A ``ValueError`` names the first that is
+    negative, infinite or NaN.  A Python int skips the ABC check, which
+    would be most of a memo hit's time."""
+    out = []
+    for name, x in sizes.items():
+        if not 0 <= x < math.inf:  # also catches nan
+            raise ValueError(
+                f"{name}={x!r}: matrix dimensions and words must be finite and non-negative")
+        out.append(x if type(x) is int or not isinstance(x, numbers.Integral) else int(x))
+    return out
 
 
 # Eqs. (5) and (7) never look at the matrix: one table per key serves every
@@ -354,10 +366,10 @@ def best_grids(
     (``ca3dmm_grid``'s caller).  Dimensions whose eq. (4) surface
     overflows float64 raise ``OverflowError``.
     """
-    _check_search_args(nprocs, l, (m, n, k))
+    _check_search_args(nprocs, l)
+    m, n, k = checked_sizes(m=m, n=n, k=k)
     if memory_limit_words is not None and not require_divisible:
         raise ValueError("memory_limit_words needs require_divisible: eq. (11) assumes eq. (7)")
-    m, n, k = (int(x) if isinstance(x, numbers.Integral) else x for x in (m, n, k))
     grids, infeasible = _search(m, n, k, int(nprocs), l, require_divisible,
                                 use_latency, count, memory_limit_words)
     if infeasible is not None:
@@ -472,7 +484,8 @@ def ctf_grid(m: int, n: int, k: int, nprocs: int) -> GridSpec:
     Same argument contract as :func:`ca3dmm_grid`, less ``l``.  The
     shape is checked and ignored, so the answer is memoized by ``P``.
     """
-    _check_search_args(nprocs, None, (m, n, k))
+    _check_search_args(nprocs, None)
+    checked_sizes(m=m, n=n, k=k)
     return _ctf_grid(int(nprocs))
 
 

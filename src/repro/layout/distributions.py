@@ -217,7 +217,13 @@ class Explicit(Distribution):
     def _rects_of(self, rank: int) -> list[Rect]:
         if rank >= len(self.rects):
             return []
-        return [r for r in self.rects[rank] if not r.is_empty()]
+        mine = self.rects[rank]
+        kept = [r for r in mine if not r.is_empty()]
+        if len(kept) < len(mine):
+            # A NaN or infinite coordinate reads as empty: refuse a
+            # coordinate that is not an integer before dropping a rect.
+            rect_array(mine)
+        return kept
 
     def __hash__(self) -> int:
         """The field hash, computed once: ``rects`` holds O(P) rectangles

@@ -291,6 +291,20 @@ def test_negative_dimensions_are_refused_and_zero_is_not(search, monkeypatch):
             search(*shape, 8)
 
 
+@pytest.mark.parametrize("search", [
+    ca3dmm_grid, cosma_grid, ctf_grid,
+    lambda m, n, k, nprocs: autotune.tune(m, n, k, nprocs, pace_phoenix_cpu("mpi")),
+], ids=["ca3dmm_grid", "cosma_grid", "ctf_grid", "tune"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1])
+def test_a_size_that_is_not_finite_and_non_negative_is_named(search, bad):
+    """The closed forms' check and message: ``inf`` and ``nan`` raised an
+    ``OverflowError`` from eq. (4) and ``-1`` named no argument."""
+    for name, shape in (("m", (bad, 64, 64)), ("k", (64, 64, bad))):
+        with pytest.raises(ValueError, match=(
+                rf"^{name}={bad!r}: matrix dimensions and words must be finite and non-negative$")):
+            search(*shape, 16)
+
+
 @pytest.mark.parametrize("search", [ca3dmm_grid, cosma_grid])
 def test_oversized_dimensions_overflow_they_do_not_win_among_infs(search):
     huge = 2 ** 600  # k*n alone is beyond float64

@@ -181,6 +181,20 @@ class TestCoverage:
         with pytest.raises(ValueError, match=r"^Rect\(r0=0, r1=2.5, c0=0, c1=4\) has a"):
             halves.validate()
 
+    @pytest.mark.parametrize("bad", [
+        Rect(0, 4, 0, float("nan")), Rect(float("nan"), 4, 0, 4),
+        Rect(0, 4, float("inf"), 4), Rect(0, 4, 0, float("-inf")),
+        Rect(float("inf"), 4, 0, 4), Rect(0, float("-inf"), 0, 4)])
+    def test_a_layout_does_not_drop_a_rect_whose_coordinate_is_not_finite(self, bad):
+        """Each of these reads as empty (``max(0, nan - c0)`` is 0), so it
+        was dropped with the empties and rank 1 owned nothing."""
+        layout = Explicit.from_mapping((4, 4), 2, {0: [Rect(0, 4, 0, 4)], 1: [bad]})
+        assert bad.is_empty()
+        with pytest.raises(ValueError, match=r"^Rect\(.*\) has a coordinate that is not an integer$"):
+            layout.validate()
+        with pytest.raises(ValueError, match="not an integer"):
+            layout.owned_rects(1)
+
     def test_integral_floats_are_integers(self):
         assert rects_cover_exactly([Rect(0.0, 2, 0, 4), Rect(2, 4.0, 0, 4)], Rect(0, 4, 0, 4))
 
