@@ -440,9 +440,9 @@ def world_lock_acquisitions_per_message(p: int, n: int = 256) -> float:
 
 
 #: Calls per message of the multiply alone: 98.4 at 64 ranks and 78.6
-#: at 256 on 3.11 when the engine still split the world for groups of one
-#: (98.4 and 78.9 after), the bound the 0.74 of headroom the whole-run
-#: count had under its 63 (62.26 then).
+#: at 256 on 3.11 while the engine still split the world for groups of
+#: one (98.4 and 78.9 after).  The bound keeps no more headroom than the
+#: whole-run count had under its gate of 63 (62.26 then).
 CALLS_PER_MESSAGE = 99
 
 
