@@ -17,7 +17,7 @@ def test_fig2_partitions(benchmark, emit):
     ex1, ex2 = result.data["ex1"], result.data["ex2"]
     # Example 1: grid 2x4x1, c = 2, A replicated across the P1/P5 pair.
     assert (ex1.pm, ex1.pn, ex1.pk, ex1.c) == (2, 4, 1, 2)
-    assert ex1.split_colors(0)["replica"][0] == ex1.split_colors(4)["replica"][0]
+    assert ex1.groups(0)[1] == ex1.groups(4)[1] == (0, 4)
     # Example 2: grid 2x2x4; the paper's exact C strips.
     from repro.layout.blocks import Rect
 

@@ -61,8 +61,7 @@ def summa_stationary_a_matmul(
     a_loc, b_loc = enter(a, b, native)
     cart = Cart2D(comm, pr, pc)
     i, j = cart.row, cart.col
-    row = cart.row_comm()  # pc ranks, ordered by grid column
-    col = cart.col_comm()  # pr ranks, ordered by grid row
+    row, col = cart.row_col_comms()  # pc ranks by grid column, pr by grid row
 
     bk = block_range(k, pr, i)  # my B block's k-range (pr split)
     nn = block_range(n, pc, j)

@@ -4,11 +4,11 @@
 once (the paper's one-time initialization, excluded from its timings) and
 can then multiply any number of matrix pairs of the planned shape — the
 pattern of its motivating applications (repeated density-matrix
-purification, Rayleigh-Ritz projections in SCF iterations).  It splits
-the world once for each kind of group it talks in — Cannon, replica,
-k-reduction — whose groups hold more than one rank; a kind whose groups
-are single ranks (``s``, ``c`` or ``pk`` of 1) is made locally by
-:func:`~repro.mpi.topology.grid_split`, without a message.
+purification, Rayleigh-Ritz projections in SCF iterations).  It makes
+its Cannon, replica and k-reduction groups — the table the shared plan
+holds — with one :meth:`~repro.mpi.comm.Comm.create_groups`: one context
+agreement over its communicator (none when every group is one rank, ``s``,
+``c`` and ``pk`` all 1), and a group of one rank made locally.
 
 The steps, phase-tagged so executed runs yield the paper's runtime
 breakdown (Fig. 5):
@@ -44,7 +44,7 @@ from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
 from ..mpi.comm import Comm
 from ..mpi.datatypes import freeze
-from ..mpi.topology import Cart2D, grid_split
+from ..mpi.topology import Cart2D
 from ..grid.optimizer import DEFAULT_L, GridSpec
 from .cannon import cannon_multiply
 from .plan import shared_plan
@@ -115,14 +115,14 @@ class Ca3dmm:
             from ..ft.abft import AbftGuard  # deferred: repro.ft imports us
 
             self.guard = AbftGuard(comm, abft)
-        plan, colors = self.plan, self.plan.split_colors(comm.rank)
-        # One split per subgroup kind whose groups hold more than one
-        # rank (a group of one is made locally); idle ranks pass color
-        # None and receive no subcommunicator (they only join
-        # redistribution).
-        self.cannon_comm = grid_split(comm, *colors["cannon"], plan.s * plan.s)
-        self.replica_comm = grid_split(comm, *colors["replica"], plan.c)
-        self.kred_comm = grid_split(comm, *colors["kred"], plan.pk)
+        plan = self.plan
+        # All three kinds of group from the plan's table in one context
+        # agreement (none when every group is one rank, and a group of
+        # one is made locally); idle ranks get no subcommunicator (they
+        # only join redistribution).
+        self.cannon_comm, self.replica_comm, self.kred_comm = comm.create_groups(
+            plan.groups(comm.rank), plan.largest_group
+        )
         self.role = plan.role(comm.rank)
 
     def multiply(

@@ -268,27 +268,47 @@ class Ca3dmmPlan:
         """Native final distribution of C over the whole world."""
         return self._explicit((self.m, self.n), self.c_owned)
 
-    # ------------------------------------------------- communicator keys -- #
-    def split_colors(self, rank: int) -> dict[str, tuple[int | None, int]]:
-        """(color, key) pairs for the subcommunicators a rank joins.
+    # ----------------------------------------------- communicator groups -- #
+    def groups(self, rank: int) -> tuple[tuple[int, ...] | None, ...]:
+        """``(cannon, replica, kred)``: the groups ``rank`` talks in, each
+        as the ranks of the plan's world in their new local order, for
+        :meth:`~repro.mpi.comm.Comm.create_groups`; ``None`` each for an
+        idle rank.
 
-        * ``"cannon"``  — this rank's s x s Cannon group, ordered
-          column-major (local rank ``u + s*v``).
-        * ``"replica"`` — the ``c`` ranks holding pieces of the same
-          replicated block (ordered by group index).
-        * ``"kred"``    — the ``pk`` ranks holding partial results of the
-          same C block (ordered by ``ik``).
+        * cannon — this rank's s x s Cannon group, local rank ``u + s*v``.
+        * replica — the ``c`` ranks holding pieces of the same replicated
+          block, by group index.
+        * kred — the ``pk`` ranks holding partial results of the same C
+          block, by ``ik``.
+
+        Each order is ascending rank (the grid is column-major and a
+        Cannon group's ``u`` is its fastest coordinate), so the table is
+        one pass over the ranks, built once per shared plan; every member
+        of a group holds the same tuple.
         """
+        return self._group_table[rank]
+
+    def _group_keys(self, rank: int) -> tuple[tuple, tuple, tuple]:
         role = self.role(rank)
-        if role is None:
-            return dict.fromkeys(("cannon", "replica", "kred"), (None, 0))
-        cannon_color = role.ik * self.c + role.group
-        replica_color = role.ik * (self.s * self.s) + role.u * self.s + role.v
-        return {
-            "cannon": (cannon_color, role.u + self.s * role.v),
-            "replica": (replica_color, role.group),
-            "kred": self.grid.split_key(rank, "k"),
-        }
+        return (role.ik, role.group), (role.ik, role.u, role.v), (role.i, role.j)
+
+    @cached_property
+    def _group_table(self) -> list[tuple[tuple[int, ...] | None, ...]]:
+        members: list[dict[tuple, list[int]]] = [{}, {}, {}]
+        for r in range(self.active):
+            for kind, key in zip(members, self._group_keys(r)):
+                kind.setdefault(key, []).append(r)
+        made = [{key: tuple(v) for key, v in kind.items()} for kind in members]
+        table = [
+            tuple(kind[key] for kind, key in zip(made, self._group_keys(r)))
+            for r in range(self.active)
+        ]
+        return table + [(None, None, None)] * (self.nprocs - self.active)
+
+    @property
+    def largest_group(self) -> int:
+        """Ranks in the largest group of :meth:`groups`."""
+        return max(self.s * self.s, self.c, self.pk)
 
     # ------------------------------------------------------------ summary -- #
     def describe(self) -> str:

@@ -68,8 +68,7 @@ def summa_on_grid(
     comm = cart.comm
     pr, pc = cart.nrows, cart.ncols
     i, j = cart.row, cart.col
-    row = cart.row_comm()
-    col = cart.col_comm()
+    row, col = cart.row_col_comms()
 
     m0, m1 = block_range(m, pr, i)
     n0, n1 = block_range(n, pc, j)

@@ -129,29 +129,23 @@ class GridSpec:
     def fiber(self, axis: str) -> list[int]:
         """World ranks along ``axis`` ('m', 'n' or 'k') through rank 0 — the
         representative group the cost models price collectives on."""
-        extent = {"m": self.pm, "n": self.pn, "k": self.pk}[axis]
-        step = self.rank_of(*(a == axis for a in "mnk"))  # rank order is linear
-        return list(range(0, extent * step, step))
+        return list(self.group(0, axis))
 
-    def split_key(self, rank: int, varying: str) -> tuple[int | None, int]:
-        """``(color, key)`` that hands ``Comm.split`` the ranks differing from
-        ``rank`` only along the axes named in ``varying``: 'm', 'n' or 'k' is
-        a fiber, 'mn' a k-task group's plane.  Members are ordered, and groups
-        numbered, column-major over their own axes; idle ranks get ``(None, 0)``.
-        """
+    def group(self, rank: int, varying: str) -> tuple[int, ...] | None:
+        """The world ranks differing from ``rank`` only along the axes named in
+        ``varying`` — 'm', 'n' or 'k' is a fiber, 'mn' a k-task group's plane —
+        ordered column-major over those axes, which is ascending rank order;
+        ``None`` for an idle rank.  What ``Comm.create_groups`` takes."""
         at = self.coords(rank)
         if at is None:
-            return None, 0
-        color = key = 0
-        color_stride = key_stride = 1
-        for axis, x, extent in zip("mnk", at, (self.pm, self.pn, self.pk)):
-            if axis in varying:
-                key += x * key_stride
-                key_stride *= extent
-            else:
-                color += x * color_stride
-                color_stride *= extent
-        return color, key
+            return None
+        members = [rank]
+        for axis, x, extent, stride in zip(
+            "mnk", at, (self.pm, self.pn, self.pk), (1, self.pm, self.pm * self.pn)
+        ):
+            if axis in varying:  # later axes vary slower: the outer loop
+                members = [r + (y - x) * stride for y in range(extent) for r in members]
+        return tuple(members)
 
     def surface(self, m: int, n: int, k: int) -> float:
         """``S_total`` of eq. (4): total elements moved across all processes."""

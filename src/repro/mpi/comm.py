@@ -7,8 +7,8 @@ methods — ``send``/``recv`` move numpy arrays or arbitrary picklable
 objects — because that is the idiom the algorithms in this package are
 written in.
 
-SPMD discipline: collective calls (including :meth:`split` and
-:meth:`dup`) must be invoked by every member rank in the same order.
+SPMD discipline: collective calls (including :meth:`split`,
+:meth:`create_groups` and :meth:`dup`) must be invoked by every member rank in the same order.
 The runtime does not police call ordering; a violation typically shows
 up as a :class:`~repro.mpi.errors.DeadlockError`.
 """
@@ -335,18 +335,70 @@ class Comm:
         ctx = self._transport.context_for_key((self._ctx, "dup", self._split_seq))
         return Comm(self._transport, ctx, self._group, self._world_rank)
 
+    def create_groups(
+        self, groups: Sequence[Sequence[int] | None], largest: int | None = None
+    ) -> list["Comm | None"]:
+        """This rank's communicator for each kind of group it joins — one
+        ``MPI_Comm_create_group`` for several kinds of group at once.
+
+        ``groups[kind]`` is this rank's group of that kind as parent-local
+        ranks in their new rank order, or ``None`` for no group (the
+        entry returned is ``None`` too).  Collective over the parent:
+        every rank passes as many kinds, a group's members pass the same
+        group, and the groups of one kind are disjoint.
+
+        The call makes one context agreement, an ``allreduce`` of one
+        Python int over the parent (⌈log2 P⌉ rounds at a power of two,
+        reduce + bcast otherwise), and sends nothing else: a group takes
+        the context of the key ``(parent ctx, "groups", seq, kind, first
+        member)``, the same on every member and no other group's.  A group
+        of one rank is made locally with a fresh context (as
+        ``MPI_COMM_SELF``).  ``largest``, which every rank passes alike,
+        is the size of the largest group of any kind on any rank: when it
+        is 1 (or 0) nobody needs to agree and nothing is sent; ``None``
+        always agrees.  The agreement sums the parent's split sequence,
+        which moves once on every rank (so a later :meth:`split` still
+        keys the same everywhere): a rank out of step with the others is
+        a :class:`~repro.mpi.errors.CommError` on every rank.
+        """
+        size = len(self._group)
+        for group in groups:
+            if group is None:
+                continue
+            if largest is not None and len(group) > largest:
+                raise CommError(f"a group of {len(group)} ranks exceeds largest={largest}")
+            if len(set(group)) != len(group) or not group or min(group) < 0 or max(group) >= size:
+                raise CommError(f"group {tuple(group)} is not distinct ranks of {size}")
+        self._split_seq += 1
+        seq = self._split_seq
+        if (largest is None or largest > 1) and _coll.allreduce(self, seq) != seq * size:
+            raise CommError("create_groups called out of step across the parent's ranks")
+        rank, transport = self._world_rank, self._transport
+        out: list[Comm | None] = []
+        for kind, group in enumerate(groups):
+            if group is None:
+                out.append(None)
+            elif len(group) == 1:
+                out.append(Comm(transport, transport.fresh_context(), (rank,), rank))
+            else:
+                ctx, members = transport.group_context(
+                    (self._ctx, "groups", seq, kind, group[0]), group, self._group
+                )
+                out.append(Comm(transport, ctx, members, rank))
+        return out
+
     def create_sub(self, local_ranks: Sequence[int]) -> "Comm | None":
         """Create a subcommunicator from an explicit local-rank list.
 
         Collective over the parent.  Ranks not listed get ``None``.
-        Every rank must pass the same list.
+        Every rank must pass the same list; one :meth:`create_groups`
+        call, whose agreement is all it sends.
         """
         ranks = tuple(local_ranks)
         if len(set(ranks)) != len(ranks):
             raise CommError("duplicate ranks in create_sub")
-        color = 0 if self._rank in ranks else None
-        key = ranks.index(self._rank) if self._rank in ranks else 0
-        return self.split(color, key)
+        mine = ranks if self._rank in ranks else None
+        return self.create_groups([mine], largest=len(ranks))[0]
 
     # ------------------------------------- ULFM-style failure mitigation -- #
     def failed_ranks(self) -> tuple[int, ...]:

@@ -77,14 +77,15 @@ _ATOMS = frozenset({type(None), bool, int, float, str, bytes})
 
 def is_immutable(value: Any) -> bool:
     """Whether ``value`` is immutable all the way down: one of
-    ``None``/``bool``/``int``/``float``/``str``/``bytes`` or a tuple of
-    such values.  Exact types only — a subclass may carry state."""
+    ``None``/``bool``/``int``/``float``/``str``/``bytes``, a numpy scalar
+    but ``np.void`` (a view may write through it) or a tuple of such
+    values.  Exact builtin types only — a subclass may carry state."""
     todo = [value]
     for v in todo:  # grows while it is walked: nesting costs no recursion
         t = type(v)
         if t is tuple:
             todo.extend(v)
-        elif t not in _ATOMS:
+        elif t not in _ATOMS and (t is np.void or not isinstance(v, np.generic)):
             return False
     return True
 
@@ -248,10 +249,8 @@ def private_copy(value: Any, memo: dict | None = None) -> Any:
             else:
                 copy = memo[id(value)] = bytearray(value)
         return copy
-    if t is np.void:  # a structured scalar may be a view into its array
-        return value.copy()
-    if isinstance(value, np.generic):
-        return value
+    if isinstance(value, np.generic):  # a structured scalar may be a view
+        return value.copy() if t is np.void else value
     from ..layout.blocks import Rect  # repro.layout imports this module
 
     if t is Rect:

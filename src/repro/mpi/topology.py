@@ -7,9 +7,9 @@ column subcommunicators, and circular-shift neighbours on an existing
 communicator without reinventing index arithmetic at every call site;
 :func:`grid_comms` cuts the fibers and planes of the 3D grid out of the
 world, idle ranks included, from the rank order ``GridSpec`` states once.
-Every grid split — those fibers and planes, and CA3DMM's Cannon, replica
-and k-reduction groups — goes through :func:`grid_split`, which makes a
-group of one rank locally instead of splitting for it.
+Both make every group they need with one :meth:`Comm.create_groups` — one
+context agreement, no split — as CA3DMM's engine does for its Cannon,
+replica and k-reduction groups.
 """
 
 from __future__ import annotations
@@ -60,54 +60,32 @@ class Cart2D:
     def down(self, by: int = 1) -> int:
         return self.rank_of(self.row + by, self.col)
 
-    def row_comm(self) -> Comm:
-        """Subcommunicator of this rank's grid row (collective)."""
-        sub = self.comm.split(color=self.row, key=self.col)
-        assert sub is not None
-        return sub
-
-    def col_comm(self) -> Comm:
-        """Subcommunicator of this rank's grid column (collective)."""
-        sub = self.comm.split(color=self.col, key=self.row)
-        assert sub is not None
-        return sub
-
-
-def grid_split(comm: Comm, color: int | None, key: int, members: int) -> Comm | None:
-    """``comm.split(color, key)`` for a grid whose every group has ``members`` ranks.
-
-    Every rank of ``comm`` must pass the same ``members``.  When it is 1
-    nobody splits: a rank with a color gets a fresh one-rank communicator
-    made locally (as ``MPI_COMM_SELF``: a context of its own, no message,
-    no clock or memory charge) and one without gets ``None``.  The
-    parent's split sequence is left as it is on every rank alike, so a
-    later :meth:`Comm.split` still keys the same everywhere.
-    """
-    if members > 1:
-        return comm.split(color, key)
-    if color is None:
-        return None
-    rank = comm.world_rank
-    return Comm(comm.transport, comm.transport.fresh_context(), (rank,), rank)
+    def row_col_comms(self) -> tuple[Comm, Comm]:
+        """This rank's grid row, ordered by column, and grid column, ordered
+        by row (collective): one :meth:`Comm.create_groups`, so one
+        agreement, none when both are one rank, and a line of one rank is
+        made locally."""
+        row = [self.row + self.nrows * c for c in range(self.ncols)]
+        col = [self.nrows * self.col + r for r in range(self.nrows)]
+        return tuple(self.comm.create_groups([row, col], max(self.nrows, self.ncols)))
 
 
 def grid_comms(comm: Comm, grid: "GridSpec", *varying: str) -> list[Comm | None]:
     """This rank's sub-communicators of a ``pm x pn x pk`` grid over ``comm``.
 
-    One :func:`grid_split` per entry of ``varying``, in that order, each
-    by :meth:`GridSpec.split_key`: ``"m"``, ``"n"`` or ``"k"`` is the
-    fiber along that axis (the ranks sharing the other two coordinates,
-    ordered by the named one), ``"mn"`` the plane of this rank's k-task
-    group, ordered column-major so ``Cart2D(plane, pm, pn)`` puts every
-    rank at its ``(i, j)``.  Idle ranks take part in every split and get
-    ``None`` for each; an axis of extent 1 is not split at all.
+    One :meth:`Comm.create_groups` for every entry of ``varying`` at
+    once, each group :meth:`GridSpec.group`: ``"m"``, ``"n"`` or ``"k"``
+    is the fiber along that axis (the ranks sharing the other two
+    coordinates, ordered by the named one), ``"mn"`` the plane of this
+    rank's k-task group, ordered column-major so ``Cart2D(plane, pm, pn)``
+    puts every rank at its ``(i, j)``.  Idle ranks take part in the one
+    agreement and get ``None`` for each; nobody agrees when every group
+    asked for is one rank, and a group of one rank is made locally.
     """
     if grid.nprocs != comm.size:
         raise CommError(
             f"grid {grid} was built for {grid.nprocs} ranks, comm has {comm.size}"
         )
     extent = {"m": grid.pm, "n": grid.pn, "k": grid.pk}
-    return [
-        grid_split(comm, *grid.split_key(comm.rank, axes), math.prod(extent[a] for a in axes))
-        for axes in varying
-    ]
+    largest = max((math.prod(extent[a] for a in axes) for axes in varying), default=1)
+    return comm.create_groups([grid.group(comm.rank, axes) for axes in varying], largest)

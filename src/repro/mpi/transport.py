@@ -253,6 +253,8 @@ class Transport:
         self._context_keys: dict[Any, int] = {}
         # (parent ctx, split seq) -> {color: member world ranks, in order}
         self._split_groups: dict[tuple[int, int], dict[Any, tuple[int, ...]]] = {}
+        # Comm.create_groups key -> (context, member world ranks, in order)
+        self._groups: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._next_ctx = 1
         self.aborted: AbortError | None = None
         #: world ranks permanently failed by ``RankFault(kill=True)``.
@@ -285,6 +287,20 @@ class Transport:
         communicator's, which no other rank has to agree on."""
         self._next_ctx += 1
         return self._next_ctx - 1
+
+    def group_context(
+        self, key: tuple, group: Sequence[int], parent_group: Sequence[int]
+    ) -> tuple[int, tuple[int, ...]]:
+        """``(context, member world ranks)`` of one ``Comm.create_groups``
+        group, named by ``key``: the first member here takes a fresh
+        context and maps ``group``'s parent ranks to world ranks, the
+        rest share both."""
+        made = self._groups.get(key)
+        if made is None:
+            made = self._groups[key] = (
+                self.fresh_context(), tuple(parent_group[r] for r in group)
+            )
+        return made
 
     def split_groups(
         self, key: tuple[int, int], pairs: Sequence[tuple], parent_group: Sequence[int]

@@ -1,16 +1,17 @@
-"""Which groups a CA3DMM engine splits the world for.
+"""Which groups a CA3DMM engine makes, and what making them sends.
 
 An engine talks in three kinds of group — its ``s x s`` Cannon group,
-its ``c`` replicas and its ``pk`` k-reduction peers — and
-:func:`repro.mpi.topology.grid_split` splits the world for a kind only
-when its groups hold more than one rank.  A kind whose groups are single
-ranks is made locally: a fresh one-rank communicator with a context of
-its own, no message, and the parent's split sequence untouched, so a
-split the program makes afterwards still matches on every rank.  The
-plans below have ``s = 1``, ``c = 1``, ``pk = 1``, idle ranks, a prime
-world and every kind of one rank; each is also multiplied under both
-overlap modes, with checksum protection and with a rank killed in
-Cannon's phase.
+its ``c`` replicas and its ``pk`` k-reduction peers — and makes all of
+them with one :meth:`repro.mpi.comm.Comm.create_groups`: one context
+agreement (an ``allreduce`` of one int over the engine's communicator)
+and no ``Comm.split``, or no agreement at all when every group is one
+rank.  A group of one rank is made locally: a fresh one-rank
+communicator with a context of its own and no message.  The parent's
+split sequence moves alike on every rank, so a split the program makes
+afterwards still matches on every rank.  The plans below have ``s = 1``,
+``c = 1``, ``pk = 1``, idle ranks, a prime world and every kind of one
+rank; each is also multiplied under both overlap modes, with checksum
+protection and with a rank killed in Cannon's phase.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.ft import resilient_multiply
 from repro.grid.optimizer import GridSpec
 from repro.layout import BlockCol1D, DistMatrix, dense_random
 from repro.machine.model import laptop
-from repro.mpi import FaultPlan, RankFault, run_spmd
+from repro.mpi import FaultPlan, RankFault, collectives, run_spmd
 from repro.mpi.comm import Comm
 from repro.mpi.transport import Transport
 
@@ -49,37 +50,52 @@ def group_sizes(plan: Ca3dmmPlan) -> dict[str, int]:
 
 @pytest.fixture
 def tallies(monkeypatch):
-    """``(splits, posts)``: ``Comm.split`` calls per world rank and
-    messages posted per context, counted for the run inside the test."""
+    """``(agreements, splits, posts, sent)``: ``allreduce`` calls (set-up's
+    one is its context agreement) and ``Comm.split`` calls per world
+    rank, messages posted per context and per sending world rank,
+    counted for the run inside the test."""
+    agreements: Counter = Counter()
     splits: Counter = Counter()
     posts: Counter = Counter()
-    split, post_send = Comm.split, Transport.post_send
+    sent: Counter = Counter()
+    split, post_send, allreduce = Comm.split, Transport.post_send, collectives.allreduce
+
+    def counted_allreduce(comm, *args, **kw):
+        agreements[comm.world_rank] += 1
+        return allreduce(comm, *args, **kw)
 
     def counted_split(self, *args, **kw):
         splits[self.world_rank] += 1
         return split(self, *args, **kw)
 
-    def counted_post(self, ctx, *args, **kw):
+    def counted_post(self, ctx, src, *args, **kw):
         posts[ctx] += 1
-        return post_send(self, ctx, *args, **kw)
+        sent[src] += 1
+        return post_send(self, ctx, src, *args, **kw)
 
+    monkeypatch.setattr(collectives, "allreduce", counted_allreduce)
     monkeypatch.setattr(Comm, "split", counted_split)
     monkeypatch.setattr(Transport, "post_send", counted_post)
-    return splits, posts
+    return agreements, splits, posts, sent
 
 
 @pytest.mark.parametrize("name", list(PLANS))
-def test_an_engine_splits_only_for_groups_of_more_than_one_rank(name, tallies):
+def test_an_engine_agrees_once_and_never_splits(name, tallies):
     m, n, k, grid = PLANS[name]
     plan = Ca3dmmPlan(m, n, k, grid.nprocs, grid=grid)
     sizes = group_sizes(plan)
-    splits, posts = tallies
+    agreements, splits, posts, sent = tallies
     ref = dense_random(m, k, 1) @ dense_random(k, n, 2)
 
     def body(comm):
-        before = splits[comm.world_rank]
+        me = comm.world_rank
+        before = agreements[me], splits[me], sent[me]
         eng = Ca3dmm(comm, m, n, k, grid=grid)
-        made = splits[comm.world_rank] - before
+        made = agreements[me] - before[0], splits[me] - before[1], sent[me] - before[2]
+        # What one context agreement sends from this rank, measured alike.
+        mark = sent[me]
+        assert comm.allreduce(0) == 0
+        one_agreement = sent[me] - mark
         subs = {kind: getattr(eng, f"{kind}_comm") for kind in KINDS}
         # A split the program makes after the engine: odd and even ranks,
         # each group in descending rank order.
@@ -89,11 +105,12 @@ def test_an_engine_splits_only_for_groups_of_more_than_one_rank(name, tallies):
         c = eng.multiply(a, b).to_global()
         seen = {kind: None if sub is None else (sub.size, sub.rank, sub.group, sub._ctx)
                 for kind, sub in subs.items()}
-        return made, seen, (user.group, user._ctx), comm._ctx, c
+        return (made, one_agreement), seen, (user.group, user._ctx), comm._ctx, c
 
     res = run_spmd(grid.nprocs, body, machine=laptop())
-    expected = sum(size > 1 for size in sizes.values())
-    assert [r[0] for r in res.results] == [expected] * grid.nprocs
+    agrees = int(max(sizes.values()) > 1)
+    for (agreed, split, messages), one_agreement in (r[0] for r in res.results):
+        assert (agreed, split, messages) == (agrees, 0, agrees * one_agreement)
     # Every communicator any rank holds: one context per group of a kind
     # (its members agree on it), one group per context.
     groups: dict[int, set] = {}

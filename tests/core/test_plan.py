@@ -33,9 +33,8 @@ class TestExample1:
 
     def test_replica_pair_is_p1_p5(self, plan):
         """The paper pairs P1 (rank 0) and P5 (rank 4) on the same A block."""
-        colors = {r: plan.split_colors(r)["replica"] for r in range(8)}
-        assert colors[0][0] == colors[4][0]  # same replica group
-        assert colors[0][1] == 0 and colors[4][1] == 1  # ordered by group
+        # one replica group, ordered by group index
+        assert plan.groups(0)[1] == plan.groups(4)[1] == (0, 4)
 
     def test_p1_p5_jointly_hold_the_replicated_block(self, plan):
         a0, a4 = plan.a_owned(0), plan.a_owned(4)
@@ -78,9 +77,8 @@ class TestExample2:
         assert plan.c_owned(12) == Rect(0, 16, 12, 16)
 
     def test_kred_group_is_p1_p5_p9_p13(self, plan):
-        colors = {r: plan.split_colors(r)["kred"] for r in (0, 4, 8, 12)}
-        assert len({c[0] for c in colors.values()}) == 1
-        assert [colors[r][1] for r in (0, 4, 8, 12)] == [0, 1, 2, 3]
+        # one k-reduction group, ordered by ik
+        assert {plan.groups(r)[2] for r in (0, 4, 8, 12)} == {(0, 4, 8, 12)}
 
 
 class TestExample3:
@@ -95,8 +93,7 @@ class TestExample3:
         assert plan.role(16) is None
         assert plan.a_owned(16) is None
         assert plan.c_owned(16) is None
-        colors = plan.split_colors(16)
-        assert all(color is None for color, _ in colors.values())
+        assert plan.groups(16) == (None, None, None)
 
     def test_active_ranks_same_as_example2(self, plan):
         ref = Ca3dmmPlan(32, 32, 64, 16)

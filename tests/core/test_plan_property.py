@@ -25,21 +25,26 @@ def test_native_layouts_always_tile(m, n, k, P):
 @settings(**COMMON)
 @given(m=DIMS, n=DIMS, k=DIMS, P=PROCS)
 def test_group_structure(m, n, k, P):
-    """Cannon groups have s^2 ranks, replica groups c, kred groups pk."""
+    """Cannon groups have s^2 ranks, replica groups c, kred groups pk; every
+    member of a group holds the same tuple, in its local rank order."""
     plan = Ca3dmmPlan(m, n, k, P)
-    cannon = defaultdict(list)
-    replica = defaultdict(list)
-    kred = defaultdict(list)
-    for rank in range(plan.active):
-        colors = plan.split_colors(rank)
-        cannon[colors["cannon"][0]].append(colors["cannon"][1])
-        replica[colors["replica"][0]].append(colors["replica"][1])
-        kred[colors["kred"][0]].append(colors["kred"][1])
-    assert all(sorted(v) == list(range(plan.s ** 2)) for v in cannon.values())
+    kinds = [defaultdict(set) for _ in range(3)]  # group -> the ranks holding it
+    for rank in range(plan.nprocs):
+        if rank >= plan.active:
+            assert plan.groups(rank) == (None, None, None)
+            continue
+        for kind, group in zip(kinds, plan.groups(rank)):
+            kind[group].add(rank)
+    assert all(set(g) == holders for kind in kinds for g, holders in kind.items())
+    cannon, replica, kred = kinds
+    roles = [plan.role(r) for r in range(plan.active)]
+    assert all([roles[r].u + plan.s * roles[r].v for r in g] == list(range(plan.s ** 2))
+               for g in cannon)
     assert len(cannon) == plan.c * plan.pk
-    assert all(sorted(v) == list(range(plan.c)) for v in replica.values())
-    assert all(sorted(v) == list(range(plan.pk)) for v in kred.values())
+    assert all([roles[r].group for r in g] == list(range(plan.c)) for g in replica)
+    assert all([roles[r].ik for r in g] == list(range(plan.pk)) for g in kred)
     assert len(kred) == plan.pm * plan.pn
+    assert plan.largest_group == max(len(g) for kind in kinds for g in kind)
 
 
 @settings(**COMMON)
@@ -48,10 +53,7 @@ def test_replicated_blocks_consistent(m, n, k, P):
     """All c members of a replica group share the same Cannon block, and
     their initial pieces tile it disjointly."""
     plan = Ca3dmmPlan(m, n, k, P)
-    groups = defaultdict(list)
-    for rank in range(plan.active):
-        groups[plan.split_colors(rank)["replica"][0]].append(rank)
-    for ranks in groups.values():
+    for ranks in {plan.groups(rank)[1] for rank in range(plan.active)}:
         roles = [plan.role(r) for r in ranks]
         blocks = {
             (plan.a_cannon_block(ro) if plan.replicates_a else plan.b_cannon_block(ro))

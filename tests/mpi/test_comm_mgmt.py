@@ -178,8 +178,7 @@ class TestCart2D:
     def test_row_col_comms(self, spmd):
         def f(comm):
             cart = Cart2D(comm, 2, 3)
-            row = cart.row_comm()
-            col = cart.col_comm()
+            row, col = cart.row_col_comms()
             return (row.size, col.size, row.allgather(cart.col), col.allgather(cart.row))
 
         res = spmd(6, f)

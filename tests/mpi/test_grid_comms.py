@@ -32,7 +32,7 @@ class TestCoords:
     def test_idle_ranks_have_no_coords(self):
         g = GridSpec(2, 2, 3, 14)
         assert g.coords(12) is None and g.coords(13) is None
-        assert g.split_key(13, "k") == (None, 0)
+        assert g.group(13, "k") is None
 
     def test_fibers_through_rank_zero(self):
         g = GridSpec(2, 3, 4, 24)

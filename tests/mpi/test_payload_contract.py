@@ -42,7 +42,7 @@ from repro.layout.redistribute import _hop
 from repro.machine.model import laptop
 from repro.mpi import Status, datatypes, run_spmd
 from repro.mpi.datatypes import (
-    Hop, freeze, hand_over, handed_array, is_frozen, is_immutable, nbytes_of, payload_pack,
+    MAX, Hop, freeze, hand_over, handed_array, is_frozen, is_immutable, nbytes_of, payload_pack,
 )
 from repro.mpi.errors import CommError
 from repro.mpi.faults import FaultPlan, LinkFault
@@ -832,7 +832,11 @@ MUTABLE = {
     "tuple_of_list": lambda: (1, [2, 3]),
     "tuple_of_ndarray": lambda: ("tile", (np.ones(3), 4)),
 }
-IMMUTABLE = [None, True, 7, -(10 ** 30), 2.5, "text", b"raw", (), (1, "a", (2.5, None, b"x"))]
+IMMUTABLE = [None, True, 7, -(10 ** 30), 2.5, "text", b"raw", (), (1, "a", (2.5, None, b"x")),
+             np.int64(3), np.float32(-2.5), np.bool_(True), (1, np.float64(2.0))]
+#: numpy scalars: immutable, so handed over; ``np.void`` is not (it may be a view).
+NUMPY_SCALARS = [np.int64(1), np.float32(2.5), np.bool_(True), np.complex64(1j),
+                 np.datetime64("2020-01-01"), np.str_("ab"), np.bytes_(b"xy")]
 
 
 def poke(obj, who: int):
@@ -914,11 +918,35 @@ class TestIsolation:
             assert got is not first  # the list is each rank's own
 
     @pytest.mark.parametrize(
-        "value", [[1], {"a": 1}, np.int64(3), (1, [2]), (1, np.float64(2.0)), bytearray(b"x"), 2j],
+        "value", [[1], {"a": 1}, (1, [2]), bytearray(b"x"), 2j,
+                  np.zeros(1, "f8,i4")[0], (1, np.zeros(1, "f8,i4")[0])],
         ids=repr,
     )
     def test_anything_else_is_not(self, value):
         assert not is_immutable(value)
+
+    @pytest.mark.parametrize("value", NUMPY_SCALARS, ids=repr)
+    def test_a_numpy_scalar_is_handed_over_unpickled(self, value):
+        """A numpy scalar weighs its ``nbytes`` as before, and is handed
+        over instead of pickled (11.8 µs a send while it was pickled, and
+        an unpickle on receipt; 1.0 µs for an ``int``)."""
+        with pickling() as seen:
+            stored, nbytes, handed = payload_pack(value)
+        assert (stored is value, nbytes, handed, seen) == (True, value.nbytes, True, [])
+
+    def test_a_structured_scalar_is_a_copy(self):
+        """An ``np.void`` may be a view into its array: it is not handed over."""
+        row = np.zeros(1, "f8,i4")
+        got, nbytes = self._sent(row[0], after=lambda v: v.__setitem__(0, 5.0))
+        assert row[0][0] == 5.0 and got[0] == 0.0 and nbytes == 12
+
+    def test_a_max_vote_pickles_nothing(self):
+        """``MAX`` is ``np.maximum``: after the first hop of a vote every
+        operand is an ``np.int64``, handed over like an ``int``."""
+        with pickling() as seen:
+            res = run_spmd(6, lambda comm: comm.allreduce(comm.rank % 4, op=MAX),
+                           machine=laptop())
+        assert res.results == [3] * 6 and seen == []
 
     def test_deep_nesting_is_no_recursion(self):
         value = ()
