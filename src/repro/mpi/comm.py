@@ -8,9 +8,9 @@ objects — because that is the idiom the algorithms in this package are
 written in.
 
 SPMD discipline: collective calls (including :meth:`split`,
-:meth:`create_groups` and :meth:`dup`) must be invoked by every member rank in the same order.
-The runtime does not police call ordering; a violation typically shows
-up as a :class:`~repro.mpi.errors.DeadlockError`.
+:meth:`create_groups` and :meth:`dup`) must be invoked by every member
+rank in the same order.  The runtime does not police call ordering; a
+violation typically shows up as a :class:`~repro.mpi.errors.DeadlockError`.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ class Comm:
                 continue
             if largest is not None and len(group) > largest:
                 raise CommError(f"a group of {len(group)} ranks exceeds largest={largest}")
-            if len(set(group)) != len(group) or not group or min(group) < 0 or max(group) >= size:
+            if not group or len(set(group)) != len(group) or min(group) < 0 or max(group) >= size:
                 raise CommError(f"group {tuple(group)} is not distinct ranks of {size}")
         self._split_seq += 1
         seq = self._split_seq

@@ -4,8 +4,9 @@
 ``Comm.create_groups``, and ``grid_comms`` a 3D grid's planes and
 fibers with one more: one context agreement per call whose largest
 group has more than one rank, none otherwise, and never a
-``Comm.split``.  On P = 7 the 2D grid is 7 x 1, so its rows are single
-ranks, made locally.
+``Comm.split``.  On P = 7 the 2D grid is 1 x 7, so its columns are
+single ranks, made locally, and CA3DMM-S's 2 x 1 x 3 grid leaves one
+rank idle.
 """
 
 from __future__ import annotations
