@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from .. import args
 from ..grid.factorize import near_square_pair
 from ..grid.optimizer import GridSpec
 from ..machine.model import MachineModel
@@ -24,7 +25,6 @@ from .costs import (
     ITEM,
     CostReport,
     _bruck_allgather,
-    _checked,
     _layered_cannon,
     _local_gemm,
     _p2p,
@@ -37,7 +37,7 @@ def algo1d_cost(
     m: int, n: int, k: int, nprocs: int, machine: MachineModel, variant: str = "auto"
 ) -> CostReport:
     """1D m/n/k-partition algorithms (replicate-one-operand or reduce-C)."""
-    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
     if variant == "auto":
         variant = "m" if m >= max(n, k) else ("n" if n >= k else "k")
     rep = CostReport(
@@ -82,10 +82,10 @@ def summa_cost(
     panel: int = 256,
 ) -> CostReport:
     """Stationary-C SUMMA on a ``pr x pc`` grid with panel width b."""
-    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
-    if panel < 1:
-        raise ValueError(f"panel must be >= 1, not {panel}")
-    pr, pc = grid if grid is not None else near_square_pair(nprocs)
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
+    panel = args.count("panel", panel)
+    pr, pc = near_square_pair(nprocs) if grid is None else (
+        args.count("grid[0]", grid[0]), args.count("grid[1]", grid[1]))
     rep = CostReport(
         algo="summa", m=m, n=n, k=k, nprocs=nprocs,
         grid=f"{pr}x{pc}", machine=machine,
@@ -113,9 +113,9 @@ def algo25d_cost(
     """The 2.5D algorithm with replication factor c (c=1 is Cannon)."""
     from ..baselines.algo25d import grid_25d
 
-    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
-    if sq is None or c is None:
-        sq, c = grid_25d(nprocs, c)
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
+    sq, c = grid_25d(nprocs, c) if sq is None or c is None else (
+        args.count("sq", sq), args.count("c", c))
     rep = CostReport(
         algo="2.5d", m=m, n=n, k=k, nprocs=nprocs,
         grid=f"{sq}x{sq}x{c}", machine=machine,
@@ -138,7 +138,7 @@ def carma_cost(
     """
     from ..baselines.carma import active_count
 
-    m, n, k, nprocs = _checked(nprocs, m=m, n=n, k=k)
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
     act = active_count(nprocs)
     rep = CostReport(
         algo="carma", m=m, n=n, k=k, nprocs=nprocs,

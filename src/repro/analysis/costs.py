@@ -25,13 +25,13 @@ is ``algo25d_matmul`` on ``ctf_grid``), :func:`_summa_panels` the panel
 loop behind ``summa_cost`` and CA3DMM-S, :func:`_local_gemm` one rank's
 GEMM and :func:`_custom_layout` the conversion from a user's layout.
 
-Every closed form (these three and ``baseline_costs``' four) checks its
-problem with :func:`_checked` first.  :func:`ca3dmm_cost`,
-:func:`cosma_cost` and :func:`ctf_cost` are pure functions of their
-arguments and the paper's figures ask each question several times, so
-each keeps its last :data:`COST_MEMO` reports by argument value; every
-call, answered or priced, returns a fresh report (:func:`_fresh`) that
-its caller may change.  The four baseline forms and :func:`redist_cost`
+Every closed form (these three, ``baseline_costs``' four and
+:func:`redist_cost`) checks its arguments with :mod:`repro.args` first.
+:func:`ca3dmm_cost`, :func:`cosma_cost` and :func:`ctf_cost` are pure
+functions of their arguments and the paper's figures ask each question
+several times, so each keeps its last :data:`COST_MEMO` reports by
+argument value; every call, answered or priced, returns a fresh report
+(:func:`_fresh`) that its caller may change.  The four baseline forms and :func:`redist_cost`
 are not memoized: no caller asks them one question twice.
 
 All volumes are in **words** (matrix elements); times in seconds.
@@ -41,13 +41,12 @@ All volumes are in **words** (matrix elements); times in seconds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .. import args, patterns
 from ..grid.factorize import prime_factors
-from ..grid.optimizer import GridSpec, ca3dmm_grid, checked_sizes, cosma_grid, ctf_grid
-from .. import patterns
+from ..grid.optimizer import GridSpec, ca3dmm_grid, cosma_grid, ctf_grid
 from ..machine.model import MachineModel
 
 ITEM = 8  #: bytes per word (float64)
@@ -131,19 +130,6 @@ class CostReport:
         if self.t_total <= 0:
             return 0.0
         return (total_flops / self.t_total) / peak_rate * 100.0
-
-
-def _checked(nprocs, **sizes) -> tuple:
-    """``(*sizes, nprocs)`` as a closed form prices them, integral values
-    (numpy's too) made ``int``.  A ``ValueError`` names the argument: a
-    size that is negative, infinite or NaN, an ``nprocs`` that is not an
-    int >= 1 (a ``bool`` is not one).  A Python int skips the ABC checks,
-    which would be most of a memo hit's time."""
-    if type(nprocs) is not int and (
-        isinstance(nprocs, bool) or not isinstance(nprocs, numbers.Integral)
-    ) or nprocs < 1:
-        raise ValueError(f"nprocs={nprocs!r}: a rank count must be an int >= 1")
-    return (*checked_sizes(**sizes), int(nprocs))
 
 
 def _fresh(rep: CostReport) -> CostReport:
@@ -268,7 +254,8 @@ def redist_cost(
     that an unfavourable 1D layout can dominate the runtime for
     tall-and-skinny problems.
     """
-    _checked(nprocs, total_words=total_words)
+    total_words, overlap = args.amount("total_words", total_words), args.amount("overlap", overlap)
+    nprocs = args.count("nprocs", nprocs)
     if nprocs <= 1 or overlap >= 1.0:
         return PhaseCost()
     share = total_words / nprocs * (1.0 - overlap) * ITEM
@@ -343,8 +330,8 @@ def ca3dmm_cost(
     summa_panel_frac: float = 1.0,
 ) -> CostReport:
     """Predicted cost of CA3DMM (or CA3DMM-S with ``inner='summa'``)."""
-    return _fresh(_ca3dmm_cost(*_checked(nprocs, m=m, n=n, k=k), machine, grid,
-                               custom_layout, inner, summa_panel_frac))
+    return _fresh(_ca3dmm_cost(*args.problem(m, n, k, nprocs), machine, grid, custom_layout,
+                               inner, args.fraction("summa_panel_frac", summa_panel_frac)))
 
 
 @lru_cache(maxsize=COST_MEMO, typed=True)
@@ -448,7 +435,7 @@ def cosma_cost(
     paper credits COSMA with overlap; CA3DMM gets its overlap from the
     Cannon dual buffer instead).
     """
-    return _fresh(_cosma_cost(*_checked(nprocs, m=m, n=n, k=k), machine, grid, custom_layout))
+    return _fresh(_cosma_cost(*args.problem(m, n, k, nprocs), machine, grid, custom_layout))
 
 
 @lru_cache(maxsize=COST_MEMO, typed=True)
@@ -515,7 +502,7 @@ def ctf_cost(
     There is no communication/computation overlap.  The traffic alone
     is ``algo25d_cost(sq=g.pm, c=min(g.pk, g.pm))`` on ``ctf_grid``'s face.
     """
-    return _fresh(_ctf_cost(*_checked(nprocs, m=m, n=n, k=k), machine, grid))
+    return _fresh(_ctf_cost(*args.problem(m, n, k, nprocs), machine, grid))
 
 
 @lru_cache(maxsize=COST_MEMO, typed=True)

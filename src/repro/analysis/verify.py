@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .. import patterns
+from .. import args, patterns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import Ca3dmmPlan
@@ -75,10 +75,11 @@ def expected_phase_traffic(plan: "Ca3dmmPlan") -> dict[str, PhaseExpectation]:
 
 def eq9_lower_bound(m: int, n: int, k: int, nprocs: int) -> float:
     """Paper eq. (9): Q = 3 (mnk/P)^(2/3) words."""
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
     return 3.0 * (m * n * k / nprocs) ** (2.0 / 3.0)
 
 
-def pebbling_lower_bound(m: int, n: int, k: int, p: int, mem_words: float) -> float:
+def pebbling_lower_bound(m: int, n: int, k: int, nprocs: int, mem_words: float) -> float:
     """Red-blue pebbling I/O lower bound, in words per rank.
 
     ``2mnk/(P·√M)`` (Kwasniewski et al., SC'19): no schedule of the
@@ -86,13 +87,13 @@ def pebbling_lower_bound(m: int, n: int, k: int, p: int, mem_words: float) -> fl
     of ``M`` words can move fewer words through any single processor.
     COSMA audits its own schedule against the same bound; the reports
     pass the *measured* footprint per rank as ``M``, so the bound
-    tightens as the run actually economizes memory.
+    tightens as the run actually economizes memory (``M = 0``: 0.0).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if mem_words <= 0:
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
+    mem_words = args.amount("mem_words", mem_words)
+    if mem_words == 0:
         return 0.0
-    return 2.0 * m * n * k / (p * math.sqrt(mem_words))
+    return 2.0 * m * n * k / (nprocs * math.sqrt(mem_words))
 
 
 @dataclass(frozen=True)

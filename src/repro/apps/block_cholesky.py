@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import args
 from ..core.ca3dmm import Ca3dmm
 from ..layout.blocks import Rect
 from ..layout.distributions import BlockCol1D, BlockRow1D, Explicit
@@ -48,8 +49,7 @@ def block_cholesky(
     n, n2 = a.shape
     if n != n2:
         raise ValueError("Cholesky needs a square matrix")
-    if block < 1:
-        raise ValueError("block width must be >= 1")
+    block = args.count("block", block)
     comm = a.comm
 
     work = redistribute(a, BlockRow1D((n, n), comm.size))

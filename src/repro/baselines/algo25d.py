@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import args
 from ..core.reduce_c import freeze_partial
 from ..core.steps import enter, leave, problem_dims
 from ..grid.optimizer import GridSpec
@@ -39,11 +40,11 @@ def grid_25d(nprocs: int, c: int | None = None) -> tuple[int, int]:
 
     When ``c`` is given it is honoured (sq maximal for that c); otherwise
     the utilization-maximal pair with the largest c at most ``sq`` wins.
-    A given ``c`` below 1 is a ``ValueError``.
+    Both are counts (docs/API.md, "Argument contract").
     """
+    nprocs = args.count("nprocs", nprocs)
     if c is not None:
-        if c < 1:
-            raise ValueError(f"replication factor c must be >= 1, not {c}")
+        c = args.count("c", c)
         sq = 1
         while (sq + 1) ** 2 * c <= nprocs:
             sq += 1

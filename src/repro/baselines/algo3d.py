@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .. import args
 from ..core.reduce_c import freeze_partial
 from ..core.steps import enter, leave, problem_dims
 from ..grid.optimizer import GridSpec
@@ -36,6 +37,7 @@ from ..mpi.topology import grid_comms
 
 def cube_side(nprocs: int) -> int:
     """Largest q with q³ <= nprocs."""
+    nprocs = args.count("nprocs", nprocs)
     q = max(1, round(nprocs ** (1.0 / 3.0)))
     while q ** 3 > nprocs:
         q -= 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import args
 from ..mpi.comm import Comm
 from ..mpi.datatypes import MAX
 
@@ -49,13 +50,12 @@ class CheckpointPolicy:
     full_interval: int = 0
 
     def __post_init__(self) -> None:
-        if self.every_calls is not None and self.every_calls < 0:
-            raise ValueError(f"every_calls must be >= 0 or None, got {self.every_calls!r}")
-        if self.every_virtual_s is not None and not self.every_virtual_s > 0:
-            raise ValueError(
-                f"every_virtual_s must be > 0 or None, got {self.every_virtual_s!r}")
-        if self.full_interval < 0:
-            raise ValueError(f"full_interval must be >= 0, got {self.full_interval!r}")
+        if self.every_calls is not None:
+            object.__setattr__(self, "every_calls", args.count("every_calls", self.every_calls, 0))
+        object.__setattr__(self, "every_virtual_s",
+                           args.cap("every_virtual_s", self.every_virtual_s, positive=True))
+        object.__setattr__(self, "full_interval",
+                           args.count("full_interval", self.full_interval, 0))
 
     def global_now(self, comm: Comm) -> float:
         """The world's virtual time: max of the members' clocks."""

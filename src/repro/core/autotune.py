@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .. import args
 from ..analysis.costs import ITEM, CostReport, ca3dmm_cost
 from ..grid.optimizer import (
     DEFAULT_L,
@@ -112,7 +113,11 @@ def tune(
     Returns every evaluated candidate, ranked; candidates violating
     ``memory_limit_words`` are excluded (unless nothing fits, in which
     case the lowest-memory candidate wins — the call always succeeds).
+    Arguments as docs/API.md's "Argument contract" states.
     """
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
+    memory_limit_words = args.cap("memory_limit_words", memory_limit_words)
+    l, near_optimal = args.fraction("l", l), args.count("near_optimal", near_optimal)
     candidates: list[TunedChoice] = []
     seen: set[tuple[str, int, int, int]] = set()
 

@@ -40,6 +40,7 @@ from functools import partial
 
 import numpy as np
 
+from .. import args
 from ..layout.distributions import Distribution
 from ..layout.matrix import DistMatrix
 from ..mpi.comm import Comm
@@ -101,13 +102,13 @@ class Ca3dmm:
         abft=None,
     ):
         self.comm = comm
+        self.shifts_per_gemm = args.count("shifts_per_gemm", shifts_per_gemm)
         # Shared (memoized) plan: every rank of the run would build the
         # identical plan, and its distribution tables are O(P) each.
         self.plan = shared_plan(
             m, n, k, comm.size, grid=grid, l=l,
             memory_limit_words=memory_limit_words,
         )
-        self.shifts_per_gemm = shifts_per_gemm
         # Checksum protection (docs/RECOVERY.md) is one object, built
         # only when asked for; every step below asks whether it is there.
         self.guard = None

@@ -28,11 +28,11 @@ communication.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .. import args
 from ..grid.optimizer import (
     DEFAULT_L,
     GridSpec,
@@ -69,16 +69,9 @@ class Ca3dmmPlan:
         l: float = DEFAULT_L,
         memory_limit_words: float | None = None,
     ):
-        for name, x in (("m", m), ("n", n), ("k", k)):
-            if not isinstance(x, numbers.Integral):  # also 8.5, inf and nan
-                raise ValueError(f"{name}={x!r}: a matrix dimension must be an integer")
-        if min(m, n, k) < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {(m, n, k)}")
-        if nprocs < 1:
-            raise ValueError("nprocs must be >= 1")
-        self.m, self.n, self.k = m, n, k
-        self.nprocs = nprocs
-        self.memory_limit_words = memory_limit_words
+        self.m, self.n, self.k, self.nprocs = args.problem(m, n, k, nprocs)
+        l = args.fraction("l", l)
+        self.memory_limit_words = args.cap("memory_limit_words", memory_limit_words)
         #: True when ``memory_limit_words`` excluded every candidate grid
         #: and the search fell back to the minimum-memory grid (the cap
         #: is then NOT honoured); surfaced as ``RunMetrics.mem_limit_infeasible``
@@ -89,14 +82,13 @@ class Ca3dmmPlan:
         else:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                self.grid = ca3dmm_grid(
-                    m, n, k, nprocs, l, memory_limit_words=memory_limit_words
-                )
+                self.grid = ca3dmm_grid(self.m, self.n, self.k, self.nprocs, l,
+                                        memory_limit_words=self.memory_limit_words)
             for w in caught:  # flag the infeasible cap, re-emit everything
                 if issubclass(w.category, MemLimitInfeasibleWarning):
                     self.mem_limit_infeasible = True
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        if self.grid.nprocs != nprocs:
+        if self.grid.nprocs != self.nprocs:
             raise ValueError("grid was built for a different world size")
         if not self.grid.cannon_compatible:
             raise ValueError(f"grid {self.grid} violates constraint (7)")
@@ -328,7 +320,7 @@ class Ca3dmmPlan:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _shared_plan_cached(
     m: int,
     n: int,

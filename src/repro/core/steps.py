@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .. import args
 from ..grid.optimizer import GridSpec
 from ..layout.blocks import Rect, block_range
 from ..layout.distributions import Block2D, Distribution, Explicit
@@ -55,17 +56,16 @@ def problem_dims(
     a: DistMatrix, b: DistMatrix, transa: bool | str = False, transb: bool | str = False
 ) -> tuple[int, int, int]:
     """``(m, n, k)`` of ``C = op(A) x op(B)``, checked on the calling rank
-    before any message is sent: op(A) and op(B) must share k, and no
-    dimension may be zero (a :class:`~repro.core.plan.Ca3dmmPlan`'s error)."""
+    before any message is sent: op(A) and op(B) must share k, and each
+    dimension is a count (docs/API.md, "Argument contract")."""
     (am, an), (bm, bn) = a.shape, b.shape
     m, k = (an, am) if norm_op(transa)[0] else (am, an)
     k2, n = (bn, bm) if norm_op(transb)[0] else (bm, bn)
+    m, n, k, _ = args.problem(m, n, k, 1)
     if k != k2:
         raise ValueError(
             f"inner dimensions differ: op(A) is {m}x{k}, op(B) is {k2}x{n}"
         )
-    if min(m, n, k) < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {(m, n, k)}")
     return m, n, k
 
 

@@ -61,6 +61,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import args
 from ..core.reduce_c import reduce_over_k, reduce_scratch
 from ..core.replicate import replicate_block
 from ..mpi.comm import Comm
@@ -80,10 +81,9 @@ class AbftPolicy:
     max_recomputes: int = 2
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_recomputes < 0:
-            raise ValueError("max_recomputes must be >= 0")
+        object.__setattr__(self, "rel_tol", args.amount("rel_tol", self.rel_tol, positive=True))
+        object.__setattr__(self, "max_recomputes",
+                           args.count("max_recomputes", self.max_recomputes, 0))
 
 
 def augment_a(a: np.ndarray) -> np.ndarray:

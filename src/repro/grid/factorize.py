@@ -1,15 +1,18 @@
-"""Small integer-factorization utilities for process-grid search."""
+"""Small integer-factorization utilities for process-grid search.  Each
+takes a count ``n >= 1``; the caches are typed, so ``True`` or ``8.0`` is
+refused, not answered from ``1``'s or ``8``'s entry."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .. import args
 
-@lru_cache(maxsize=4096)
+
+@lru_cache(maxsize=4096, typed=True)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of ``n``, ascending."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = args.count("n", n)
     small: list[int] = []
     large: list[int] = []
     d = 1
@@ -22,11 +25,10 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Prime factorization of ``n`` with multiplicity, ascending."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = args.count("n", n)
     out: list[int] = []
     d = 2
     while d * d <= n:
@@ -53,18 +55,11 @@ def is_pow2(n: int) -> bool:
 
 def near_square_pair(n: int) -> tuple[int, int]:
     """The divisor pair ``(a, b)``, ``a <= b``, ``a*b == n`` with minimal b-a."""
-    best = (1, n)
-    for d in divisors(n):
-        if d * d > n:
-            break
-        best = (d, n // d)
-    return best
+    divs = divisors(n)
+    a = max(d for d in divs if d * d <= divs[-1])
+    return a, divs[-1] // a
 
 
 def perfect_square_part(n: int) -> int:
     """Largest ``s`` such that ``s*s`` divides ``n``."""
-    s = 1
-    for d in range(1, int(n ** 0.5) + 1):
-        if n % (d * d) == 0:
-            s = d
-    return s
+    return max(d for d in divisors(n) if n % (d * d) == 0)

@@ -34,13 +34,13 @@ every rank computes the same grid independently.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .. import args
 from .factorize import divisors, perfect_square_part
 
 #: The paper's default utilization lower bound (eq. 5).
@@ -69,9 +69,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("pm", "pn", "pk", "nprocs"):
-            _check_int(name, getattr(self, name))
-        if min(self.pm, self.pn, self.pk) < 1:
-            raise ValueError("grid dimensions must be positive")
+            object.__setattr__(self, name, args.count(name, getattr(self, name)))
         if self.used > self.nprocs:
             raise ValueError(
                 f"grid {self.pm}x{self.pn}x{self.pk} needs {self.used} > {self.nprocs} ranks"
@@ -207,39 +205,6 @@ def _sorted_key(m: int, n: int, k: int, use_latency: bool = True):
     return key
 
 
-def _check_int(name: str, value) -> None:
-    """A grid size is an integer (numpy's too), and never a ``bool``."""
-    if type(value) is not int and (not isinstance(value, numbers.Integral)
-                                   or isinstance(value, bool)):
-        raise ValueError(f"{name}={value!r}: a grid size must be an int")
-
-
-def _check_search_args(nprocs: int, l: float | None) -> None:
-    """Reject inputs for which no search is defined, before any work
-    (``l is None``: a search without eq. (5), :func:`ctf_grid`)."""
-    _check_int("nprocs", nprocs)
-    if nprocs < 1:
-        raise ValueError(f"nprocs must be a positive integer, got {nprocs!r}")
-    if l is not None and not 0 < l <= 1:  # also catches nan
-        raise ValueError(
-            f"l must satisfy 0 < l <= 1 (eq. (5): l*P <= pm*pn*pk <= P), got {l!r}"
-        )
-
-
-def checked_sizes(**sizes) -> list:
-    """``sizes`` as a search or a closed form takes them, integral values
-    (numpy's too) made ``int``.  A ``ValueError`` names the first that is
-    negative, infinite or NaN.  A Python int skips the ABC check, which
-    would be most of a memo hit's time."""
-    out = []
-    for name, x in sizes.items():
-        if not 0 <= x < math.inf:  # also catches nan
-            raise ValueError(
-                f"{name}={x!r}: matrix dimensions and words must be finite and non-negative")
-        out.append(x if type(x) is int or not isinstance(x, numbers.Integral) else int(x))
-    return out
-
-
 # Eqs. (5) and (7) never look at the matrix: one table per key serves every
 # shape.  One repetition of the paper's figures and tables asks for 37 keys
 # in its 149 distinct searches (306 calls; the others are answered by
@@ -301,12 +266,11 @@ def enumerate_grids(
     """All grids satisfying eq. (5) (and optionally eq. (7)).
 
     One ``GridSpec`` per candidate of :func:`_candidates`, in its
-    lexicographic ``(pm, pn)`` order.  Requires ``nprocs >= 1`` and
-    ``0 < l <= 1`` (``ValueError`` otherwise).
+    lexicographic ``(pm, pn)`` order.  Arguments as docs/API.md's
+    "Argument contract" states.
     """
-    _check_search_args(nprocs, l)
-    nprocs = int(nprocs)
-    return _specs(_candidates(nprocs, l, require_divisible), nprocs)
+    nprocs = args.count("nprocs", nprocs)
+    return _specs(_candidates(nprocs, args.fraction("l", l), require_divisible), nprocs)
 
 
 #: Answers :func:`_search` (and :func:`ctf_grid`) keep.  One repetition of
@@ -358,13 +322,15 @@ def best_grids(
     minimum-memory grid is returned with a
     :class:`MemLimitInfeasibleWarning` attributed to the caller's caller
     (``ca3dmm_grid``'s caller).  Dimensions whose eq. (4) surface
-    overflows float64 raise ``OverflowError``.
+    overflows float64 raise ``OverflowError``; every other argument is
+    checked as docs/API.md's "Argument contract" states.
     """
-    _check_search_args(nprocs, l)
-    m, n, k = checked_sizes(m=m, n=n, k=k)
+    m, n, k, nprocs = args.problem(m, n, k, nprocs)
+    l, count = args.fraction("l", l), args.count("count", count)
+    memory_limit_words = args.cap("memory_limit_words", memory_limit_words)
     if memory_limit_words is not None and not require_divisible:
         raise ValueError("memory_limit_words needs require_divisible: eq. (11) assumes eq. (7)")
-    grids, infeasible = _search(m, n, k, int(nprocs), l, require_divisible,
+    grids, infeasible = _search(m, n, k, nprocs, l, require_divisible,
                                 use_latency, count, memory_limit_words)
     if infeasible is not None:
         warnings.warn(MemLimitInfeasibleWarning(infeasible), stacklevel=3)
@@ -439,9 +405,8 @@ def ca3dmm_grid(
     minimum-memory grid is returned with a
     :class:`MemLimitInfeasibleWarning` so the call still succeeds.
 
-    Requires ``nprocs >= 1``, ``0 < l <= 1`` (eq. 5) and non-negative
-    dimensions (``ValueError`` otherwise); ``1 x 1 x P`` satisfies every
-    such ``l``, so a grid always exists.
+    Arguments as :func:`best_grids`; ``1 x 1 x P`` satisfies every
+    ``0 < l <= 1``, so a grid always exists.
     """
     return best_grids(
         m, n, k, nprocs, l,
@@ -475,12 +440,10 @@ def ctf_grid(m: int, n: int, k: int, nprocs: int) -> GridSpec:
     behaviour on rectangular problems reported in the paper (Section
     IV-A, citing [18]).
 
-    Same argument contract as :func:`ca3dmm_grid`, less ``l``.  The
-    shape is checked and ignored, so the answer is memoized by ``P``.
+    Same arguments as :func:`ca3dmm_grid`, less ``l``.  The shape is
+    checked and ignored, so the answer is memoized by ``P``.
     """
-    _check_search_args(nprocs, None)
-    checked_sizes(m=m, n=n, k=k)
-    return _ctf_grid(int(nprocs))
+    return _ctf_grid(args.problem(m, n, k, nprocs)[3])
 
 
 @lru_cache(maxsize=SEARCH_MEMO)

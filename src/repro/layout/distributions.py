@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .. import args
 from .blocks import Rect, block_range, columns_cover_exactly, rect_array
 
 
@@ -142,6 +143,8 @@ class Block2D(Distribution):
     pc: int
 
     def __post_init__(self) -> None:
+        for name in ("pr", "pc"):
+            object.__setattr__(self, name, args.count(name, getattr(self, name)))
         if self.pr * self.pc > self.nranks:
             raise ValueError("Block2D grid larger than communicator")
 
@@ -170,10 +173,10 @@ class BlockCyclic2D(Distribution):
     bs: int = 32
 
     def __post_init__(self) -> None:
+        for name in ("pr", "pc", "bs"):
+            object.__setattr__(self, name, args.count(name, getattr(self, name)))
         if self.pr * self.pc > self.nranks:
             raise ValueError("BlockCyclic2D grid larger than communicator")
-        if self.bs < 1:
-            raise ValueError("block size must be >= 1")
 
     def _rects_of(self, rank: int) -> list[Rect]:
         if rank >= self.pr * self.pc:

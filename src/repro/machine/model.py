@@ -25,21 +25,16 @@ between phases and between algorithms are.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
-#: The numeric fields of :class:`MachineModel` -> (what each must be, the test).
-_NUMBERS = {
+from .. import args
+
+#: The real fields of :class:`MachineModel` -> how :func:`repro.args.amount` checks each.
+_AMOUNTS = {
     **dict.fromkeys(
-        ("alpha", "alpha_intra", "nic_beta", "beta_intra", "gamma", "gpu_stage_beta"),
-        ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
-    ),
-    **dict.fromkeys(
-        ("peak_gamma", "nic_share", "rs_degrade_factor"),
-        ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    ),
-    "rs_degrade_threshold": (">= 0 (inf allowed)", lambda v: v >= 0),
+        ("alpha", "alpha_intra", "nic_beta", "beta_intra", "gamma", "gpu_stage_beta"), {}),
+    **dict.fromkeys(("peak_gamma", "nic_share", "rs_degrade_factor"), {"positive": True}),
+    "rs_degrade_threshold": {"inf": True},
 }
 
 
@@ -119,14 +114,10 @@ class MachineModel:
                 f"unknown overlap mode {self.overlap!r}; "
                 f"expected one of {self.OVERLAP_MODES}"
             )
-        for name, (rule, holds) in _NUMBERS.items():
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not holds(value):
-                raise ValueError(f"{name}={value!r}: must be a number {rule}")
+        for name, rule in _AMOUNTS.items():
+            object.__setattr__(self, name, args.amount(name, getattr(self, name), **rule))
         for name in ("cores_per_node", "ranks_per_node"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name}={value!r}: must be an int >= 1")
+            object.__setattr__(self, name, args.count(name, getattr(self, name)))
 
     # ------------------------------------------------------------------ #
     @property

@@ -16,11 +16,11 @@ violation typically shows up as a :class:`~repro.mpi.errors.DeadlockError`.
 from __future__ import annotations
 
 import contextlib
-import numbers
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from ..args import is_int
 from . import collectives as _coll
 from .datatypes import ANY_SOURCE, ANY_TAG, Op, SUM, Status, payload_pack
 from .errors import CommError, RankError, TagError
@@ -309,11 +309,11 @@ class Comm:
         integer is a :class:`~repro.mpi.errors.CommError` on the calling
         rank, before anything is sent.
         """
-        if color is not None and not isinstance(color, numbers.Integral):
+        if color is not None and not is_int(color):
             raise CommError(
                 f"split color must be an integer or None, got {type(color).__name__}"
             )
-        if not isinstance(key, numbers.Integral):
+        if not is_int(key):
             raise CommError(f"split key must be an integer, got {type(key).__name__}")
         self._split_seq += 1
         # As MPI_Comm_split: each rank's (color, key), its rank the position.

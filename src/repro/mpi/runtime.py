@@ -22,12 +22,11 @@ re-raised on the driver thread.
 
 from __future__ import annotations
 
-import math
-import numbers
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..args import amount, count
 from ..machine.model import MachineModel
 from ..obs.tracer import Span, Tracer
 from .comm import Comm
@@ -117,7 +116,8 @@ def run_spmd(
     Parameters
     ----------
     nprocs:
-        World size: an ``int`` ≥ 1 (not a ``bool``).
+        World size: a count (docs/API.md, "Argument contract"), checked
+        with ``deadlock_timeout`` before any rank starts.
     backend:
         Compatibility keyword from when there were two schedulers; it
         selects nothing.  ``None`` and ``"des"`` are accepted, anything
@@ -131,8 +131,8 @@ def run_spmd(
         Cost model; defaults to :class:`~repro.machine.model.MachineModel`.
     deadlock_timeout:
         Wall-clock seconds a pure probe-polling loop may spin without
-        virtual progress before the run is aborted as deadlocked: a
-        finite number > 0.  Blocked worlds are detected structurally and
+        virtual progress before the run is aborted as deadlocked: an
+        amount > 0.  Blocked worlds are detected structurally and
         do not wait for it.
     record_events:
         Build the world's :class:`~repro.obs.tracer.Tracer`
@@ -155,22 +155,9 @@ def run_spmd(
         :class:`~repro.mpi.errors.RankFailedError`, which — absent a
         recovery driver (:func:`repro.ft.resilient_multiply`) — aborts
         the world like any other rank error.
-
-    A malformed ``nprocs`` or ``deadlock_timeout`` raises
-    :class:`ValueError` naming it before any rank starts.
     """
-    if not isinstance(nprocs, numbers.Integral) or isinstance(nprocs, bool) or nprocs < 1:
-        raise ValueError(f"nprocs={nprocs!r}: the world size must be an int >= 1")
-    if (
-        not isinstance(deadlock_timeout, numbers.Real)
-        or isinstance(deadlock_timeout, bool)
-        or not math.isfinite(deadlock_timeout)
-        or deadlock_timeout <= 0
-    ):
-        raise ValueError(
-            f"deadlock_timeout={deadlock_timeout!r}: must be a finite number of seconds > 0"
-        )
-    nprocs = int(nprocs)
+    nprocs = count("nprocs", nprocs)
+    deadlock_timeout = amount("deadlock_timeout", deadlock_timeout, positive=True)
     if backend not in (None, "des"):
         raise ValueError(
             f"backend={backend!r}: the DES scheduler is the only way to run "

@@ -53,6 +53,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from .. import args
 from ..machine.model import MachineModel
 from ..obs.tracer import CAT_PHASE, Tracer
 from .datatypes import ANY_SOURCE, ANY_TAG, Message
@@ -228,9 +229,7 @@ class Transport:
         record_events: bool = False,
         faults: FaultPlan | None = None,
     ):
-        if nprocs < 1:
-            raise ValueError("nprocs must be >= 1")
-        self.nprocs = nprocs
+        self.nprocs = nprocs = args.count("nprocs", nprocs)
         self.machine = machine or MachineModel()
         # What ``machine.msg_time`` reads, read once: the model is frozen.
         m = self.machine

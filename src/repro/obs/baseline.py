@@ -300,7 +300,7 @@ def check_gate(
     nothing fails.  Returns the reports' ``gate`` block, each check
     named under ``label``.  Raises :class:`GateError` unless the file is
     a JSON object whose ``workload`` is this run's and whose gated
-    values are numbers.
+    values are all numeric.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from .. import args
 from .metrics import run_totals, words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,8 +155,7 @@ class MemReport:
 
     def top_offenders(self, count: int = 3) -> list[RankMemProfile]:
         """The ``count`` ranks with the highest resident watermark."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = args.count("count", count, 0)
         return sorted(
             self.ranks, key=lambda r: (-r.resident_peak_words, r.rank)
         )[:count]
@@ -255,8 +255,7 @@ def memprof_run(
     (and ``peak <= limit * (1 + tol)`` under a feasible cap).  The
     report is diagnostic; :func:`check_mem` turns it into a hard gate.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    tol = args.amount("tol", tol)
     live = result.live_traces
     totals = run_totals(live)
     eq11 = plan.grid.memory_words(plan.m, plan.n, plan.k)

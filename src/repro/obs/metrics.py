@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from .. import args
 from ..analysis.costs import ITEM  # bytes per word, defined once
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ------------------------------------------------------------- snapshots -- #
 @dataclass
 class RunMetrics:
-    """One executed run distilled into headline numbers."""
+    """One executed run distilled into its headline figures."""
 
     makespan: float
     q_words: float  #: max over ranks of words sent (the paper's Q)
@@ -143,8 +144,7 @@ def run_totals(traces: "list[RankTrace]", nruns: int = 1) -> RunTotals:
     accumulate over ``nruns`` multiplies and are divided term by term
     (``Σ(x/n)``, not ``(Σx)/n``); memory peaks are not divided.
     """
-    if nruns < 1:
-        raise ValueError("nruns must be >= 1")
+    nruns = args.count("nruns", nruns)
     peak_rank, resident_peak = -1, 0
     mem_by_purpose: dict[str, float] = {}
     phases: dict[str, PhaseTotals] = {}

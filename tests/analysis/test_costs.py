@@ -156,9 +156,9 @@ class TestRefusals:
         ("nprocs", lambda mach: carma_cost(64, 64, 64, 0, mach)),
         ("panel", lambda mach: summa_cost(64, 64, 64, 4, mach, panel=0)),
         ("panel", lambda mach: summa_cost(64, 64, 64, 4, mach, panel=-64)),
-        ("dimensions", lambda mach: ca3dmm_cost(-4, 4, 4, 8, mach)),
-        ("dimensions", lambda mach: cosma_cost(4, -4, 4, 8, mach)),
-        ("dimensions", lambda mach: ctf_cost(-4, 4, 4, 8, mach)),
+        ("m", lambda mach: ca3dmm_cost(-4, 4, 4, 8, mach)),
+        ("n", lambda mach: cosma_cost(4, -4, 4, 8, mach)),
+        ("m", lambda mach: ctf_cost(-4, 4, 4, 8, mach)),
         ("nprocs", lambda mach: ctf_cost(64, 64, 64, 0, mach)),
         ("nprocs", lambda mach: ctf_cost(64, 64, 64, 2.5, mach)),
         ("total_words", lambda mach: redist_cost(mach, -5.0, 4)),
@@ -234,9 +234,10 @@ class TestMemo:
         assert (info.misses, info.hits) == (1, 1)
         assert wide == plain
         assert {type(v) for v in (wide.m, wide.n, wide.k, wide.nprocs)} == {int}
-        # a float dimension is printed as one, so it is a question of its own
-        assert type(price(4096.0, 2048, 8192, 192, mach).m) is float
-        assert MEMOIZED[price].cache_info().misses == 2
+        # a float dimension is not a count, and is never kept
+        with pytest.raises(ValueError, match=r"^m=4096\.0: must be an int >= 1$"):
+            price(4096.0, 2048, 8192, 192, mach)
+        assert MEMOIZED[price].cache_info().misses == 1
 
     @pytest.mark.parametrize("price", MEMOIZED, ids=lambda f: f.__name__)
     def test_a_refused_input_is_refused_every_time_and_never_kept(self, price):

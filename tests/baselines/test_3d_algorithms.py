@@ -96,7 +96,7 @@ class TestAlgo25D:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0, proc.stderr
-        want = f"replication factor c must be >= 1, not {c}"
+        want = f"c={c}: must be an int >= 1"
         assert proc.stdout.splitlines() == [want if engine == "analytic" else f"{want} / sent 0"]
 
 

@@ -158,7 +158,7 @@ class TestValidation:
             Ca3dmmPlan(8, 8, 8, 6, grid=GridSpec(pm=2, pn=2, pk=1, nprocs=4))
 
     def test_bad_dims_rejected(self):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="^m=0: must be an int >= 1$"):
             Ca3dmmPlan(0, 4, 4, 4)
 
     @pytest.mark.parametrize("args, name", [
@@ -168,7 +168,7 @@ class TestValidation:
         ((8, 8.0, 8, 4), "n=8.0"),
     ])
     def test_a_size_that_is_not_an_integer_is_named(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name}: a matrix dimension must be an integer$"):
+        with pytest.raises(ValueError, match=f"^{name}: must be an int >= 1$"):
             Ca3dmmPlan(*args)
 
     def test_a_bool_world_is_rejected(self):

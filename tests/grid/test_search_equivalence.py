@@ -48,11 +48,12 @@ procs = st.one_of(
     st.sampled_from(PRIMES),
     st.sampled_from(ODD_COMPOSITES),
 )
-#: 0 is a legal (degenerate) dimension; (2^27 + 1)^2 already exceeds 2^53.
+#: A dimension is a count >= 1 (docs/API.md, "Argument contract");
+#: (2^27 + 1)^2 already exceeds 2^53.
 dims = st.one_of(
-    st.integers(0, 2 ** 40),
-    st.integers(0, 64),
-    st.sampled_from((0, 1, 2 ** 27 + 1, 2 ** 40 - 1, 2 ** 40)),
+    st.integers(1, 2 ** 40),
+    st.integers(1, 64),
+    st.sampled_from((1, 2, 2 ** 27 + 1, 2 ** 40 - 1, 2 ** 40)),
 )
 ls = st.one_of(
     st.sampled_from((0.95, 1.0, 0.5, 5e-324)),
@@ -149,7 +150,7 @@ def assert_capped_search_matches(m, n, k, P, l, cap, count=1):
 @pytest.mark.parametrize("P", [1, 7, 12, 16, 17, 24, 27, 45, 64, 96])
 @pytest.mark.parametrize(
     "shape",
-    [(64, 64, 64), (1000, 10, 10), (10, 10, 1000), (100, 50, 25), (0, 8, 8),
+    [(64, 64, 64), (1000, 10, 10), (10, 10, 1000), (100, 50, 25), (1, 8, 8),
      (2 ** 40, 2 ** 40 - 1, 2 ** 27 + 1)],
 )
 def test_cap_on_every_candidates_footprint(shape, P):
@@ -174,13 +175,26 @@ def test_cap_on_a_drawn_candidates_footprint(m, n, k, P, l, pick, count):
 @given(**problem)
 def test_infeasible_cap_falls_back_with_the_oracles_warning(m, n, k, P, l):
     least = min(g.memory_words(m, n, k) for g in oracle.enumerate_grids(P, l, True))
-    for cap in (math.nextafter(least, -math.inf), -1.0, math.nan):
-        grid, warned = outcome(ca3dmm_grid, m, n, k, P, l, cap)
-        assert (grid, warned) == outcome(oracle.ca3dmm_grid, m, n, k, P, l, cap)
-        assert grid.memory_words(m, n, k) == least
-        [(category, text)] = warned
-        assert category is MemLimitInfeasibleWarning
-        assert "excludes every candidate grid" in text and str(grid) in text
+    cap = math.nextafter(least, -math.inf)
+    grid, warned = outcome(ca3dmm_grid, m, n, k, P, l, cap)
+    assert (grid, warned) == outcome(oracle.ca3dmm_grid, m, n, k, P, l, cap)
+    assert grid.memory_words(m, n, k) == least
+    [(category, text)] = warned
+    assert category is MemLimitInfeasibleWarning
+    assert "excludes every candidate grid" in text and str(grid) in text
+
+
+@pytest.mark.parametrize("cap", [-1.0, -5, math.nan, -math.inf, "1e9", True])
+def test_a_cap_that_is_not_an_amount_is_refused_by_name(cap, no_search):
+    """A negative or NaN cap used to take the infeasible fallback, as
+    though a grid could be over it; ``None`` and ``inf`` mean no cap."""
+    with pytest.raises(ValueError, match=rf"^memory_limit_words={cap!r}: "):
+        ca3dmm_grid(64, 64, 64, 16, memory_limit_words=cap)
+
+
+def test_none_and_inf_are_no_cap():
+    free = ca3dmm_grid(64, 64, 64, 16)
+    assert ca3dmm_grid(64, 64, 64, 16, memory_limit_words=math.inf) == free
 
 
 def test_infeasible_cap_warning_names_the_callers_line():
@@ -266,28 +280,16 @@ class TestRejectedArguments:
     def test_l_must_lie_in_eq_5s_range(self, search, l, no_search):
         """``l = 1.0000001`` used to halve the bound silently (1x17x1 on
         17 ranks); ``nan``/``inf`` surfaced as float-to-int errors."""
-        with pytest.raises(ValueError, match=r"eq\. \(5\)"):
+        with pytest.raises(ValueError, match=rf"^l={l!r}: must be > 0 and <= 1$"):
             search(17, l)
 
 
-#: What a search returns on zero dimensions: the oracle's grid, and for
-#: ``ctf_grid``, which ignores the shape, its grid for any shape.
-ZERO_DIMS_REFERENCE = {
-    ca3dmm_grid: oracle.ca3dmm_grid,
-    cosma_grid: oracle.cosma_grid,
-    ctf_grid: lambda m, n, k, nprocs: ctf_grid(1, 1, 1, nprocs),
-}
-
-
-@pytest.mark.parametrize("search", list(ZERO_DIMS_REFERENCE))
-def test_negative_dimensions_are_refused_and_zero_is_not(search, monkeypatch):
-    reference = ZERO_DIMS_REFERENCE[search]
-    assert search(0, 4, 4, 8) == reference(0, 4, 4, 8)
-    assert search(0, 0, 0, 8) == reference(0, 0, 0, 8)
-    monkeypatch.setattr(optimizer, "_candidates", None)  # not reached
-    monkeypatch.setattr(optimizer, "divisors", None)
-    for shape in ((-1, 4, 4), (4, -1, 4), (4, 4, -1)):
-        with pytest.raises(ValueError, match="non-negative"):
+@pytest.mark.parametrize("search", [ca3dmm_grid, cosma_grid, ctf_grid])
+def test_empty_and_negative_dimensions_are_refused(search, no_search):
+    """An empty dimension is an error everywhere, as it is in the
+    executed engine: the searches used to plan ``(0, 4, 4)``."""
+    for name, shape in (("m", (0, 4, 4)), ("n", (4, -1, 4)), ("k", (4, 4, 0))):
+        with pytest.raises(ValueError, match=rf"^{name}=-?\d: must be an int >= 1$"):
             search(*shape, 8)
 
 
@@ -300,8 +302,7 @@ def test_a_size_that_is_not_finite_and_non_negative_is_named(search, bad):
     """The closed forms' check and message: ``inf`` and ``nan`` raised an
     ``OverflowError`` from eq. (4) and ``-1`` named no argument."""
     for name, shape in (("m", (bad, 64, 64)), ("k", (64, 64, bad))):
-        with pytest.raises(ValueError, match=(
-                rf"^{name}={bad!r}: matrix dimensions and words must be finite and non-negative$")):
+        with pytest.raises(ValueError, match=rf"^{name}={bad!r}: must be an int >= 1$"):
             search(*shape, 16)
 
 

@@ -113,7 +113,7 @@ class TestInputErrors:
         (["stats", "32", "32", "32", "-np", "8", "--grid", "2", "3", "1"],
          "stats: grid 2x3x1 (P=8, idle=2) violates constraint (7)"),
         (["stats", "32", "32", "32", "-np", "8", "--grid", "0", "1", "1"],
-         "stats: grid dimensions must be positive"),
+         "stats: pm=0: must be an int >= 1"),
         (["audit", "32", "32", "32", "-np", "8", "--grid", "4", "4", "4"],
          "audit: grid 4x4x4 needs 64 > 8 ranks"),
         (["-np", "8", "32", "32", "32", "N", "N", "1", "1", "0", "2", "3", "1"],

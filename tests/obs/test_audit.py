@@ -77,7 +77,12 @@ class TestPebblingBound:
 
     def test_degenerate_memory_is_zero(self):
         assert pebbling_lower_bound(4, 4, 4, 2, 0.0) == 0.0
-        assert pebbling_lower_bound(4, 4, 4, 2, -1.0) == 0.0
+
+    @pytest.mark.parametrize("mem", [-1.0, math.nan, math.inf])
+    def test_a_memory_that_is_not_an_amount_is_refused(self, mem):
+        """A negative footprint bounded nothing (0.0) and NaN returned NaN."""
+        with pytest.raises(ValueError, match=rf"^mem_words={mem!r}: must be a finite number >= 0$"):
+            pebbling_lower_bound(4, 4, 4, 2, mem)
 
     def test_bad_p_raises(self):
         with pytest.raises(ValueError):
