@@ -30,6 +30,12 @@ from ..layout.matrix import DistMatrix, dense_random
 from ..mpi.comm import Comm
 
 
+def _chain_operand(m: int, n: int, seed: int, dtype) -> np.ndarray:
+    """One of the chain's seeded operands: the float64 :func:`dense_random`
+    matrix cast to ``dtype`` (a complex chain has real operands)."""
+    return dense_random(m, n, seed=seed).astype(dtype)
+
+
 def matmul_chain_steps(
     m: int,
     n: int,
@@ -92,19 +98,19 @@ def matmul_chain(
 
     The carried state is ``{"A": m x k, "X": k x n iterate}``; both are
     seeded deterministically so :func:`matmul_chain_reference` can check
-    any rank count against numpy.  Collective over ``comm``.
+    any rank count against numpy.  Each operand is generated once per
+    world (:meth:`~repro.layout.matrix.DistMatrix.from_world`), however
+    many ranks and restarts slice it.  Collective over ``comm``.
     """
+    dt = np.dtype(dtype)
 
     def init(c: Comm):
-        a = DistMatrix.from_global(
-            c, BlockCol1D((m, k), c.size),
-            dense_random(m, k, seed=seeds[0]).astype(dtype),
-        )
-        x = DistMatrix.from_global(
-            c, BlockCol1D((k, n), c.size),
-            dense_random(k, n, seed=seeds[1]).astype(dtype),
-        )
-        return {"A": a, "X": x}
+        return {
+            "A": DistMatrix.from_world(
+                c, BlockCol1D((m, k), c.size), _chain_operand, m, k, seeds[0], dt),
+            "X": DistMatrix.from_world(
+                c, BlockCol1D((k, n), c.size), _chain_operand, k, n, seeds[1], dt),
+        }
 
     steps = matmul_chain_steps(
         m, n, k, calls,
@@ -126,8 +132,8 @@ def matmul_chain_reference(
     seeds: tuple[int, int] = (7, 8),
 ) -> np.ndarray:
     """The chain's final iterate, computed serially with numpy."""
-    a = dense_random(m, k, seed=seeds[0]).astype(dtype)
-    x = dense_random(k, n, seed=seeds[1]).astype(dtype)
+    a = _chain_operand(m, k, seeds[0], dtype)
+    x = _chain_operand(k, n, seeds[1], dtype)
     for t in range(calls):
         x = (a.T if t % 2 else a) @ x
     return x

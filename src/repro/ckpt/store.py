@@ -104,6 +104,13 @@ class MemoryStore(CheckpointStore):
         with self._lock:
             return [json.loads(json.dumps(m)) for m in self._manifests]
 
+    def latest_manifest(self):
+        """A copy of the last manifest only: every survivor of a restart
+        asks, and copying them all made the ask O(checkpoints)."""
+        with self._lock:
+            last = self._manifests[-1] if self._manifests else None
+        return None if last is None else json.loads(json.dumps(last))
+
 
 class DirStore(CheckpointStore):
     """A real directory backend: ``.npy`` tiles plus JSON manifests.

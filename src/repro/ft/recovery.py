@@ -66,7 +66,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -102,18 +103,21 @@ def _exchange_backups(comm: Comm, mats: tuple[DistMatrix, ...]):
         return comm.sendrecv(payload, right, left, _TAG_BACKUP, _TAG_BACKUP)
 
 
+@lru_cache(maxsize=64)
 def _survivor_layout(
     old_dist: Distribution,
     old_group: tuple[int, ...],
     survivors: tuple[int, ...],
     recoveries: int,
-) -> tuple[Explicit, dict[int, int], list[int]]:
-    """The post-shrink layout: every survivor derives it identically.
+) -> tuple[Explicit, Mapping[int, int], tuple[int, ...]]:
+    """The post-shrink layout, looked up by value: every survivor derives
+    it identically, so the ranks of a round share one.
 
     Returns ``(dist, buddy_of, dead)`` where ``dist`` maps new local
     ranks to their old rects plus any dead left-neighbour's rects,
     ``buddy_of`` maps each dead world rank to the world rank holding
-    its backup, and ``dead`` lists the casualties in old-rank order.
+    its backup, and ``dead`` lists the casualties in old-rank order
+    (both read-only: the ranks share them).
     """
     alive = set(survivors)
     dead = [w for w in old_group if w not in alive]
@@ -136,7 +140,7 @@ def _survivor_layout(
                 rects.extend(old_dist.owned_rects(w2old[d]))
         mapping[new_local] = rects
     dist = Explicit.from_mapping(old_dist.shape, len(survivors), mapping)
-    return dist, buddy_of, dead
+    return dist, MappingProxyType(buddy_of), tuple(dead)
 
 
 def _recover_matrix(
@@ -335,6 +339,23 @@ def _compacted_layout(dist: Distribution, k_ranges: tuple, axis: int) -> Explici
     return Explicit.from_mapping(shape, dist.nranks, mapping)
 
 
+@lru_cache(maxsize=64)
+def _expanded_layout(
+    dist: Distribution, row_ranges: tuple, col_ranges: tuple
+) -> tuple[tuple[Rect, ...], ...]:
+    """Every rank's rects of the compacted ``dist`` returned to the
+    coordinates of ``row_ranges`` x ``col_ranges`` (:func:`_expand`),
+    looked up by value: the ranks of a round share one."""
+    return tuple(
+        tuple(
+            piece
+            for rect in dist.owned_rects(rank)
+            for _r, _c, piece in _expand(rect, row_ranges, col_ranges)
+        )
+        for rank in range(dist.nranks)
+    )
+
+
 def _compact_k(mat: DistMatrix, k_ranges, axis: int) -> DistMatrix:
     """Slice a DistMatrix to the concatenation of ``k_ranges`` along
     ``axis`` (0 = rows, 1 = cols): the shared :func:`_compacted_layout`,
@@ -450,8 +471,8 @@ def _reuse_multiply(
                 if r == cur_comm.rank and reuse.mine is not None:
                     my_tiles.append(np.ascontiguousarray(reuse.mine))
             for rows, cols in _missing_sets(plan_old, cells):
-                row_ranges = [plan_old.m_range(i) for i in rows]
-                col_ranges = [plan_old.n_range(j) for j in cols]
+                row_ranges = tuple(plan_old.m_range(i) for i in rows)
+                col_ranges = tuple(plan_old.n_range(j) for j in cols)
                 mm = sum(r1 - r0 for r0, r1 in row_ranges)
                 nn = sum(c1 - c0 for c0, c1 in col_ranges)
                 if not mm or not nn:  # every block of the set is empty
@@ -476,11 +497,10 @@ def _reuse_multiply(
                 )
                 # Return the compacted result to (m, n) coordinates and
                 # graft its rects into the group's layout.
-                for r in range(cur_comm.size):
-                    mapping[r].extend(
-                        piece for rect in c_set.dist.owned_rects(r)
-                        for _r, _c, piece in _expand(rect, row_ranges, col_ranges)
-                    )
+                for r, pieces in enumerate(
+                    _expanded_layout(c_set.dist, row_ranges, col_ranges)
+                ):
+                    mapping[r].extend(pieces)
                 my_tiles.extend(
                     tile[rs, cs]
                     for rect, tile in zip(c_set.owned_rects, c_set.tiles)

@@ -10,7 +10,8 @@ results exactly.
 
 from __future__ import annotations
 
-from typing import Sequence
+import weakref
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,13 @@ def dense_random(m: int, n: int, seed: int, dtype=np.float64) -> np.ndarray:
             dtype, copy=False
         )
     return rng.standard_normal((m, n)).astype(dtype, copy=False)
+
+
+#: Each world's shared globals (:meth:`DistMatrix.from_world`), keyed
+#: weakly by the world's transport so that none outlives its world.  Only
+#: the strand holding a world touches its entry (:mod:`repro.mpi.des`), so
+#: the build-if-missing needs no lock.
+_WORLD_GLOBALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class DistMatrix:
@@ -62,16 +70,40 @@ class DistMatrix:
         return cls(comm, dist, tiles, dtype=global_mat.dtype)
 
     @classmethod
+    def from_world(cls, comm: Comm, dist: Distribution, make: Callable[..., np.ndarray],
+                   *args) -> "DistMatrix":
+        """This rank's tiles of the global ``make(*args)``, built once per world.
+
+        The ranks of a world run one after the other on one core, so a
+        global that every rank derives identically costs P times the host
+        time when each builds its own; no virtual clock sees the
+        difference.  The first rank of ``comm``'s world to ask builds it,
+        read-only, and every later ask from any communicator of that world
+        slices the same array.  Tiles are copies of their own
+        (:meth:`from_global` would hand a contiguous row band out as a
+        view), so no tile aliases it.
+        """
+        memo = _WORLD_GLOBALS.setdefault(comm.transport, {})
+        key = (make, args)
+        glob = memo.get(key)
+        if glob is None:
+            glob = memo[key] = make(*args)
+            glob.flags.writeable = False
+        cut = cls.from_global(comm, dist, glob).tiles
+        return cls(comm, dist, [t if t.flags.writeable else t.copy() for t in cut],
+                   dtype=glob.dtype)
+
+    @classmethod
     def random(cls, comm: Comm, dist: Distribution, seed: int, dtype=np.float64) -> "DistMatrix":
         """Deterministic random matrix; same content for a given seed.
 
-        Note: generates the full global matrix on each rank before
-        slicing — fine at the executed engine's test scale, and it
-        guarantees the distributed content exactly matches
-        :func:`dense_random`.
+        The global :func:`dense_random` matrix is generated once per
+        world (:meth:`from_world`) and every rank copies its own tiles out
+        of it, so the distributed content matches :func:`dense_random`
+        exactly.
         """
         m, n = dist.shape
-        return cls.from_global(comm, dist, dense_random(m, n, seed, dtype))
+        return cls.from_world(comm, dist, dense_random, m, n, seed, np.dtype(dtype))
 
     @classmethod
     def zeros(cls, comm: Comm, dist: Distribution, dtype=np.float64) -> "DistMatrix":

@@ -132,7 +132,7 @@ def barrier(comm) -> None:
         return
     with _span(comm, "barrier", algo="barrier.dissemination"):
         for dest, src, _ in patterns.dissemination(rank, size):
-            comm.sendrecv(b"", dest, src, _TAG_BARRIER, _TAG_BARRIER)
+            comm.sendrecv(None, dest, src, _TAG_BARRIER, _TAG_BARRIER)
 
 
 # ------------------------------------------------------------------ bcast -- #

@@ -89,6 +89,11 @@ class Comm:
 
     @staticmethod
     def _check_tag(tag: int) -> None:
+        """A receive's tag: ``ANY_TAG`` or an integer ``>= 0``.  Python's
+        ``int`` is told apart by its class, not by a call, so the common
+        tag costs the message path nothing; numpy integers are accepted."""
+        if tag.__class__ is not int and not is_int(tag):
+            raise TagError(f"invalid tag {tag!r}: a tag is an integer")
         if tag != ANY_TAG and tag < 0:
             raise TagError(f"invalid tag {tag}")
 
@@ -97,11 +102,12 @@ class Comm:
         for receives: ``ANY_SOURCE`` is not a destination (it would park
         the message in a mailbox nobody owns and wake the wrong rank) and
         ``ANY_TAG`` is not a tag a message can carry.  Refused here, on
-        the calling rank, before anything is packed, posted or counted."""
-        if tag < 0:
-            raise TagError(
-                "cannot send with ANY_TAG" if tag == ANY_TAG else f"invalid tag {tag}"
-            )
+        the calling rank, before anything is packed, posted or counted,
+        as is any tag :meth:`_check_tag` refuses."""
+        if tag.__class__ is not int or tag < 0:
+            self._check_tag(tag)
+            if tag == ANY_TAG:
+                raise TagError("cannot send with ANY_TAG")
         if not 0 <= dest < len(self._group):
             raise RankError(f"cannot send to rank {dest}: out of range for size {self.size}")
         return self._group[dest]
@@ -215,8 +221,10 @@ class Comm:
         overlap; the call completes at the later of the two.
         """
         group = self._group
-        if sendtag < 0 or recvtag < ANY_TAG or not (
-            0 <= dest < len(group) and ANY_SOURCE <= recvsource < len(group)
+        if (
+            sendtag.__class__ is not int or recvtag.__class__ is not int
+            or sendtag < 0 or recvtag < ANY_TAG
+            or not (0 <= dest < len(group) and ANY_SOURCE <= recvsource < len(group))
         ):  # both peers and tags in one test; the helpers name what is wrong
             self._send_target(dest, sendtag)
             self._check_tag(recvtag)
@@ -246,6 +254,8 @@ class Comm:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Nonblocking probe; Status (with local source) or None."""
+        if tag.__class__ is not int or tag < ANY_TAG:
+            self._check_tag(tag)
         msg = self._transport.probe(
             self._ctx, self._world_rank, self._to_world(source), tag
         )

@@ -159,6 +159,17 @@ class TestAlltoallReduceScatter:
         res = spmd(size, f)
         assert all(res.results)
 
+    def test_the_barrier_token_is_handed_over(self, spmd, size):
+        """Every dissemination hop sends ``None``: it weighs 0 bytes, as
+        the ``b""`` it replaced did, and nothing is pickled."""
+        from tests.mpi.test_message_path import counted_pickles
+
+        with counted_pickles() as pickled:
+            res = spmd(size, lambda comm: comm.barrier())
+        hops = size * (size - 1).bit_length()
+        assert sum(t.msgs_sent for t in res.traces) == (hops if size > 1 else 0)
+        assert sum(t.bytes_sent for t in res.traces) == 0 and pickled == [0, 0]
+
 
 class TestDeterminism:
     def test_allreduce_bitwise_identical_across_ranks(self, spmd):

@@ -260,6 +260,47 @@ class TestValidation:
         res = spmd(1, f)
         assert res.traces[0].msgs_sent == 0 and not res.transport._mail
 
+    @pytest.mark.parametrize("tag", [2.5, "1"], ids=["float", "str"])
+    @pytest.mark.parametrize(
+        "door", ["send", "isend", "recv", "irecv", "sendtag", "recvtag", "probe"])
+    def test_a_tag_that_is_not_an_integer_is_refused(self, spmd, door, tag):
+        """``2.5`` and ``"1"`` are a ``TagError`` at every door that takes a
+        tag (``sendrecv``'s send side and receive side both), on the calling
+        rank, before anything is posted or counted."""
+        calls = {
+            "send": lambda comm: comm.send(1, 0, tag),
+            "isend": lambda comm: comm.isend(1, 0, tag),
+            "recv": lambda comm: comm.recv(0, tag),
+            "irecv": lambda comm: comm.irecv(0, tag),
+            "sendtag": lambda comm: comm.sendrecv(1, 0, 0, sendtag=tag),
+            "recvtag": lambda comm: comm.sendrecv(1, 0, 0, recvtag=tag),
+            "probe": lambda comm: comm.probe(0, tag),
+        }
+
+        def f(comm):
+            with pytest.raises(TagError, match="a tag is an integer"):
+                calls[door](comm)
+
+        res = spmd(1, f)
+        assert res.traces[0].msgs_sent == 0 and not res.transport._mail
+
+    def test_numpy_integer_tags_are_tags(self, spmd):
+        """A numpy integer tag matches the Python int of its value at every
+        door."""
+
+        def f(comm):
+            if comm.rank == 0:
+                comm.send("a", 1, np.int64(3))
+                comm.isend("b", 1, np.int32(4)).wait()
+                return comm.sendrecv("c", 1, 1, sendtag=np.int16(5), recvtag=np.int64(6))
+            got = [comm.recv(0, np.int64(3)), comm.irecv(0, np.uint8(4)).wait()]
+            while comm.probe(0, np.int64(5)) is None:
+                comm.compute(1.0)
+            got.append(comm.sendrecv("d", 0, 0, sendtag=6, recvtag=5))
+            return got
+
+        assert spmd(2, f).results == ["d", ["a", "b", "c"]]
+
     def test_sendrecv_refuses_a_bad_receive_side_before_posting(self, spmd):
         """``sendrecv`` tests both peers and both tags at once; a receive
         tag below ``ANY_TAG`` or a source out of range is refused as
